@@ -81,7 +81,6 @@ from .greedy import (
     cancellation_race,
     greedy_sieve,
     run_radix_recovery,
-    value_estimate,
 )
 from .recover import (
     RecoveryReport,

@@ -4,9 +4,10 @@ Subcommands: simulate (run a recovery algorithm on random instances),
 table1 (cancellation-race averages), scaling (fit the race scaling law
 from a CSV), verify (statistical verification suite).
 
-A JSON config file may supply any flag (keys use underscores); explicit
-flags win.  Exit codes: 0 success, 1 check/recovery failure, 2 usage
-error.
+A JSON config file may supply any flag of the chosen subcommand (keys
+use underscores); explicit flags win, and other keys are rejected.
+Exit codes: 0 success, 1 check/recovery failure, 2 usage error or bad
+value.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ def _parse_budgets(text):
 
 def _cmd_table1(args):
     budgets = _parse_budgets(args.budgets)
-    rows = run_table1(budgets, trials=args.trials, r=args.radix,
-                      n_labels=args.labels, seed=args.seed)
+    rows = run_table1(budgets, trials=args.trials, n_labels=args.labels,
+                      seed=args.seed)
     dicts = _table1_dicts(rows)
     if args.format == "json":
         _emit(json.dumps(dicts, indent=2) + "\n", args.out)
@@ -128,64 +129,57 @@ def _cmd_verify(args):
     return 0 if report.passed else 1
 
 
-def _random_secret(rng, N):
-    if N.bit_length() <= 62:
-        return int(rng.integers(0, N))
-    nbytes = (N.bit_length() + 64) // 8
-    return int.from_bytes(rng.bytes(nbytes), "little") % N
-
-
 def _sim_trial(args, rng):
-    if args.algorithm == "staged":
-        if args.n is None:
-            raise UsageError("--n is required for the staged algorithm")
-        N = 1 << args.n
-        s = _random_secret(rng, N)
-        o = make_reflection_oracle(GroupCtx(N), s)
-        got, _ = recover_slope_power2(o, args.n, rng=rng)
-        return str(s), str(got), o.queries
-    if args.algorithm == "general":
-        if args.N is None:
-            raise UsageError("--N is required for the general algorithm")
-        s = _random_secret(rng, args.N)
-        o = make_reflection_oracle(GroupCtx(args.N), s)
-        got, _ = recover_slope_general(o, args.N, rng=rng)
-        return str(s), str(got), o.queries
-    if args.algorithm == "greedy":
-        if args.n is None:
-            raise UsageError("--n is required for the greedy algorithm")
-        N = args.radix ** args.n
-        s = _random_secret(rng, N)
-        o = make_reflection_oracle(GroupCtx(N), s)
-        got, _ = recover_slope_radix(o, args.radix, args.n, rng=rng,
-                                     budget=args.budget)
-        return str(s), str(got), o.queries
+    """Plant a random secret, run the chosen recovery on it, and return
+    (secret, recovered or None on failure, queries the instance
+    counted)."""
+    def need(value, flag):
+        if value is None:
+            raise UsageError(f"{flag} is required for the {args.algorithm}"
+                             " algorithm")
+        return value
+
     if args.algorithm == "abelian":
-        if not args.orders:
-            raise UsageError("--orders is required for the abelian algorithm")
-        orders = tuple(int(t) for t in args.orders.split(","))
-        A = AbelianGroupSpec(orders)
-        s = tuple(int(rng.integers(0, n)) for n in orders)
-        pair = make_shift_pair(A, s)
-        got, _ = solve_abelian_shift(pair, rng=rng)
-        fmt = lambda v: ";".join(map(str, v))
-        return fmt(s), fmt(got), pair.queries
-    raise UsageError(f"unknown algorithm {args.algorithm!r}")
+        orders = need(args.orders, "--orders")
+        A = AbelianGroupSpec(tuple(int(t) for t in orders.split(",")))
+        s = A.random_element(rng)
+        inst = make_shift_pair(A, s)
+        solve = lambda: solve_abelian_shift(inst, rng=rng)
+    else:
+        if args.algorithm == "general":
+            N = need(args.N, "--N")
+        else:
+            if need(args.n, "--n") < 0:
+                raise UsageError("--n must be >= 0")
+            N = (2 if args.algorithm == "staged" else args.radix) ** args.n
+        ctx = GroupCtx(N)
+        s = ctx.random_element(rng)
+        inst = make_reflection_oracle(ctx, s)
+        solve = {
+            "staged": lambda: recover_slope_power2(inst, args.n, rng=rng),
+            "general": lambda: recover_slope_general(inst, N, rng=rng),
+            "greedy": lambda: recover_slope_radix(
+                inst, args.radix, args.n, rng=rng, budget=args.budget),
+        }[args.algorithm]
+    try:
+        got, _ = solve()
+    except NoHiddenReflectionError:
+        got = None
+    return s, got, inst.queries
 
 
 def _cmd_simulate(args):
     rng = np.random.default_rng(args.seed)
+    fmt = lambda v: ";".join(map(str, v)) if isinstance(v, tuple) else str(v)
     dicts = []
     failures = 0
     for trial in range(args.trials):
         t0 = time.perf_counter()
-        try:
-            secret, got, queries = _sim_trial(args, rng)
-            ok = secret == got
-        except NoHiddenReflectionError:
-            secret, got, queries, ok = "", "", 0, False
+        secret, got, queries = _sim_trial(args, rng)
+        ok = got == secret
         failures += not ok
-        dicts.append({"trial": trial, "secret": secret, "recovered": got,
+        dicts.append({"trial": trial, "secret": fmt(secret),
+                      "recovered": "" if got is None else fmt(got),
                       "success": int(ok), "queries": queries,
                       "seconds": _fmt(time.perf_counter() - t0)})
     if args.format == "json":
@@ -228,7 +222,6 @@ def build_parser():
     p = sub.add_parser("table1", help="cancellation race averages")
     p.add_argument("--budgets", default="3^1..3^6")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--radix", type=int, default=2)
     p.add_argument("--labels", type=int, default=96,
                    help="label width in bits")
     _add_common(p)
@@ -250,37 +243,40 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, sub
+
+
+def _apply_config(parser, sub, args, argv):
+    """Re-parse argv with the JSON config's keys as defaults of the chosen
+    subcommand, so explicit flags still win.  Rejects keys that the
+    subcommand does not define."""
+    try:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"bad config file: {exc}")
+    if not isinstance(cfg, dict):
+        raise UsageError("config must be a JSON object")
+    unknown = sorted(set(cfg) - (set(vars(args)) - {"command", "func"}))
+    if unknown:
+        raise UsageError(f"config key(s) not defined by {args.command}: "
+                         + ", ".join(unknown))
+    sub.choices[args.command].set_defaults(**cfg)
+    return parser.parse_args(argv)
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    # config files supply defaults; explicit flags override because
-    # argparse processes the command line after set_defaults
-    if "--config" in argv:
-        try:
-            path = argv[argv.index("--config") + 1]
-        except IndexError:
-            parser.error("--config needs a path")
-        try:
-            with open(path) as fh:
-                cfg = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"bad config file: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(cfg, dict):
-            print("config must be a JSON object", file=sys.stderr)
-            return 2
-        for action in parser._subparsers._group_actions:
-            for sp in getattr(action, "choices", {}).values():
-                sp.set_defaults(**{k: v for k, v in cfg.items()})
+    parser, sub = build_parser()
+    args = parser.parse_args(argv)
     try:
-        args = parser.parse_args(argv)
+        if args.config is not None:
+            args = _apply_config(parser, sub, args, argv)
         return args.func(args)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
+    except (UsageError, ValueError) as exc:
+        # library input checks raise ValueError: a bad value, not a crash
+        print(f"dhsieve {args.command}: {exc}", file=sys.stderr)
         return 2
 
 

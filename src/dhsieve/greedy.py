@@ -40,13 +40,6 @@ def alpha_abelian(k, orders):
     return sum(coord_bits[: b + 1]) - math.ceil(math.log2(k[b] + 1))
 
 
-def value_estimate(k, r, n):
-    """Monetary value 3^(-sqrt(2 * (n - 1 - alpha(k)))) of a qubit label;
-    diagnostic only, never used for control flow."""
-    beta = n - 1 - alpha_radix(k, r, n)
-    return 3.0 ** (-math.sqrt(2 * max(0, beta)))
-
-
 @dataclass
 class Objective:
     """Bucketing objective: radix(r) on Z/r^n, or the per-coordinate
@@ -273,30 +266,20 @@ def race_key(k, r, v):
 def cancellation_race(labels, rng, r=2):
     """Label-only simulation of the greedy sieve: run the pairing race on
     plain integer labels and report the maximum alpha value reached
-    before the lists exhaust.  This is the Table-1 experiment."""
+    before the lists exhaust.  This is the Table-1 experiment.
+
+    The race is binary: for r > 2 it would have to reorient labels by
+    k ~ -k modulo r^n, which labels kept in Z cannot express."""
+    if r != 2:
+        raise ValueError("the cancellation race is defined for r = 2 only")
     stats = GreedyStats()
     best = 0
     buckets = {}
-    half = r // 2
-
-    def alpha_of(k):
-        return alpha_radix(k, r, 0)
-
-    def route(k):
-        nonlocal best
-        if k == 0:
-            return
-        v = alpha_of(k)
-        d = (k // r ** v) % r
-        if d * 2 > r:
-            k = -k  # label equivalence; race labels live in Z
-            k = abs(k)
-        if v > best:
-            best = v
-        buckets.setdefault(v, []).append(k)
-
     for k in labels:
-        route(k)
+        if k != 0:
+            v = alpha_radix(k, r, 0)
+            best = max(best, v)
+            buckets.setdefault(v, []).append(k)
 
     while buckets:
         v = min(buckets)
@@ -305,21 +288,18 @@ def cancellation_race(labels, rng, r=2):
             carry = []
 
             def emit(k, l):
+                nonlocal best
                 stats.combines += 1
                 out = k + l if rng.random() < 0.5 else abs(k - l)
                 if out == 0:
                     return
-                w = alpha_of(out)
-                nonlocal_best_update(out, w)
+                w = alpha_radix(out, r, 0)
+                if w > best:
+                    best = w
                 if w == v:
                     carry.append(out)
                 else:
                     buckets.setdefault(w, []).append(out)
-
-            def nonlocal_best_update(out, w):
-                nonlocal best
-                if w > best:
-                    best = w
 
             entries = sorted(((race_key(k, r, v), k) for k in group),
                              key=lambda e: e[0])

@@ -22,6 +22,33 @@ class GroupCtx:
         if self.N < 1:
             raise ValueError("N must be >= 1")
 
+    # the rotation exponents Z/N, with the operations AbelianGroupSpec has
+    zero = 0
+
+    def reduce(self, b):
+        return b % self.N
+
+    def add(self, u, v):
+        return (u + v) % self.N
+
+    def neg(self, u):
+        return (-u) % self.N
+
+    def turns(self, k, s):
+        """Phase of psi_k at slope s, as a fraction of a full turn."""
+        return ((k * s) % self.N) / self.N
+
+    def random_element(self, rng):
+        return random_below(rng, self.N)
+
+
+def random_below(rng, N):
+    """Uniform integer in [0, N) for any N >= 1, also past 64 bits."""
+    if N.bit_length() <= 62:
+        return int(rng.integers(0, N))
+    nbytes = (N.bit_length() + 64) // 8
+    return int.from_bytes(rng.bytes(nbytes), "little") % N
+
 
 @dataclass(frozen=True)
 class AbelianGroupSpec:
@@ -69,6 +96,16 @@ class AbelianGroupSpec:
     def zero(self):
         return (0,) * self.rank
 
+    def turns(self, k, s):
+        """Phase of psi_k at shift s, as a fraction of a full turn."""
+        total = 0.0
+        for a, b, n in zip(k, s, self.orders):
+            total += ((a * b) % n) / n
+        return total % 1.0
+
+    def random_element(self, rng):
+        return tuple(random_below(rng, n) for n in self.orders)
+
 
 @dataclass(frozen=True)
 class DihedralElement:
@@ -85,35 +122,21 @@ class DihedralElement:
             raise ValueError("reflection flag must be 0 or 1")
 
 
-def _rot_add(b1, b2, ctx):
-    if isinstance(ctx, GroupCtx):
-        return (b1 + b2) % ctx.N
-    return ctx.add(b1, b2)
-
-
-def _rot_neg(b, ctx):
-    if isinstance(ctx, GroupCtx):
-        return (-b) % ctx.N
-    return ctx.neg(b)
-
-
 def identity(ctx):
-    if isinstance(ctx, GroupCtx):
-        return DihedralElement(0, 0)
     return DihedralElement(0, ctx.zero)
 
 
 def dmul(a, c, ctx):
     """Product (y^ta x^ba)(y^tc x^bc) = y^(ta+tc) x^((-1)^tc ba + bc)."""
-    ba = _rot_neg(a.b, ctx) if c.t else a.b
-    return DihedralElement(a.t ^ c.t, _rot_add(ba, c.b, ctx))
+    ba = ctx.neg(a.b) if c.t else a.b
+    return DihedralElement(a.t ^ c.t, ctx.add(ba, c.b))
 
 
 def dinv(a, ctx):
     """Inverse; reflections are involutions, rotations negate."""
     if a.t:
         return a
-    return DihedralElement(0, _rot_neg(a.b, ctx))
+    return DihedralElement(0, ctx.neg(a.b))
 
 
 def subgroup_embed(parity, e, ctx, r=2):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import SieveExhaustedError
 from .greedy import cancellation_race
 from .oracle import make_reflection_oracle
 from .group import GroupCtx
@@ -68,7 +69,10 @@ def _random_labels(rng, count, bits):
 def run_table1(budgets, trials=100, r=2, n_labels=96, seed=None, rng=None):
     """Cancellation race averages: for each query budget Q, feed Q uniform
     n_labels-bit labels to the greedy pairing race and record the maximum
-    number of cancelled low digits reached before exhaustion."""
+    number of cancelled low bits reached before exhaustion.  The race is
+    binary, so r must be 2."""
+    if r != 2:
+        raise ValueError("the cancellation race is defined for r = 2 only")
     if list(budgets) != sorted(budgets):
         raise ValueError("budgets must be ascending")
     if rng is None:
@@ -259,7 +263,7 @@ def _check_survival(rng, coin_bias, phase_sign, trials=5):
         be = _backend(1 << n, s, rng, coin_bias, phase_sign)
         try:
             _, st = run_staged_parity(be, n)
-        except Exception:
+        except SieveExhaustedError:
             continue
         for size, ratio in zip(st.list_sizes, st.survival_ratios):
             if size >= 4 * (1 << cfg.m):

@@ -108,35 +108,19 @@ class HidingOracle:
 
     def _phase_turns(self, label):
         """Phase of the qubit |psi_label> as a fraction of a full turn."""
-        if isinstance(self.ctx, GroupCtx):
-            return ((label * self._slope) % self.ctx.N) / self.ctx.N
-        total = 0.0
-        for k, s, n in zip(label, self._slope, self.ctx.orders):
-            total += ((k * s) % n) / n
-        return total % 1.0
+        return self.ctx.turns(label, self._slope)
 
 
 def make_reflection_oracle(ctx, s):
-    """Oracle hiding H = <y x^s> in D_N: f(y^t x^b) = token((b - t*s) mod N)."""
-    if isinstance(ctx, GroupCtx):
-        N = ctx.N
-        if not 0 <= s < N:
-            raise ValueError("slope out of range")
-        tok = _Tokenizer()
-
-        def ev(e):
-            return tok((e.b - e.t * s) % N)
-
-        return HidingOracle(ctx, s, ev)
-    # generalized dihedral: s is a coordinate vector
-    s = ctx.reduce(s)
+    """Oracle hiding H = <y x^s> in D_N (or D_A, s a coordinate vector):
+    f(y^t x^b) = token(b - t*s)."""
+    if ctx.reduce(s) != s:
+        raise ValueError("slope out of range")
     tok = _Tokenizer()
+    minus_s = ctx.neg(s)
 
     def ev(e):
-        b = e.b
-        if e.t:
-            b = ctx.add(b, ctx.neg(s))
-        return tok(b)
+        return tok(ctx.add(e.b, minus_s) if e.t else ctx.reduce(e.b))
 
     return HidingOracle(ctx, s, ev)
 
@@ -145,8 +129,7 @@ def make_trivial_oracle(ctx):
     """Injective oracle: the hidden subgroup is trivial, so every sampled
     qubit carries no phase information (corruption rate 1)."""
     tok = _Tokenizer()
-    zero = 0 if isinstance(ctx, GroupCtx) else ctx.zero
-    return HidingOracle(ctx, zero, lambda e: tok((e.t, e.b)),
+    return HidingOracle(ctx, ctx.zero, lambda e: tok((e.t, e.b)),
                         corruption_rate=Fraction(1))
 
 

@@ -19,6 +19,8 @@ from .errors import (
 )
 from .group import GroupCtx
 
+_P_CLIP = 1e-9
+
 
 class PhaseQubit:
     """Single-use phase qubit with a known label.
@@ -65,48 +67,11 @@ class PhaseBackend:
         self.phase_sign = phase_sign
         self.combines = 0
 
-    # -- label arithmetic -------------------------------------------------
-
-    @property
-    def _dihedral(self):
-        return isinstance(self.oracle.ctx, GroupCtx)
-
-    def label_add(self, k, l):
-        if self._dihedral:
-            return (k + l) % self.oracle.ctx.N
-        return self.oracle.ctx.add(k, l)
-
-    def label_neg(self, k):
-        if self._dihedral:
-            return (-k) % self.oracle.ctx.N
-        return self.oracle.ctx.neg(k)
-
-    # -- sampling ---------------------------------------------------------
-
-    def _random_label(self):
-        if self._dihedral:
-            N = self.oracle.ctx.N
-            if N.bit_length() <= 62:
-                return int(self.rng.integers(0, N))
-            nbytes = (N.bit_length() + 64) // 8
-            return int.from_bytes(self.rng.bytes(nbytes), "little") % N
-        return tuple(int(self.rng.integers(0, n))
-                     for n in self.oracle.ctx.orders)
-
     def _turns(self, label):
         t = self.oracle._phase_turns(label)
         if self.phase_sign < 0:
             t = (-t) % 1.0
         return t
-
-    def _ref_turns(self, label, t):
-        if self._dihedral:
-            N = self.oracle.ctx.N
-            return ((label * t) % N) / N
-        total = 0.0
-        for k, tj, n in zip(label, t, self.oracle.ctx.orders):
-            total += ((k * tj) % n) / n
-        return total % 1.0
 
 
 def sample_phase_qubit(backend):
@@ -114,7 +79,7 @@ def sample_phase_qubit(backend):
     oracles yield a classical qubit with probability corruption_rate."""
     o = backend.oracle
     o._counter.bump()
-    label = backend._random_label()
+    label = o.ctx.random_element(backend.rng)
     classical = False
     rate = float(o.corruption_rate)
     if rate > 0.0:
@@ -130,14 +95,14 @@ def sample_batch(backend, count):
     rate = float(o.corruption_rate)
     flags = (backend.rng.random(count) < rate) if rate > 0.0 else None
     qubits = []
-    if backend._dihedral and o.ctx.N.bit_length() <= 62:
+    if isinstance(o.ctx, GroupCtx) and o.ctx.N.bit_length() <= 62:
         labels = backend.rng.integers(0, o.ctx.N, size=count)
         for i in range(count):
             qubits.append(PhaseQubit(int(labels[i]), backend,
                                      classical=bool(flags[i]) if flags is not None else False))
     else:
         for i in range(count):
-            qubits.append(PhaseQubit(backend._random_label(), backend,
+            qubits.append(PhaseQubit(o.ctx.random_element(backend.rng), backend,
                                      classical=bool(flags[i]) if flags is not None else False))
     return qubits
 
@@ -153,10 +118,8 @@ def combine(q1, q2):
     be = q1.backend
     be.combines += 1
     minus = bool(be.rng.random() >= be.coin_bias)
-    if minus:
-        label = be.label_add(q1.label, be.label_neg(q2.label))
-    else:
-        label = be.label_add(q1.label, q2.label)
+    ctx = be.oracle.ctx
+    label = ctx.add(q1.label, ctx.neg(q2.label) if minus else q2.label)
     return PhaseQubit(label, be, classical=q1.classical or q2.classical,
                       minus_branch=minus)
 
@@ -164,7 +127,7 @@ def combine(q1, q2):
 def negate_label(q):
     """Relabel k -> -k; the states are information-equivalent (bit flip)."""
     q._consume()
-    return PhaseQubit(q.backend.label_neg(q.label), q.backend,
+    return PhaseQubit(q.backend.oracle.ctx.neg(q.label), q.backend,
                       classical=q.classical, minus_branch=q.minus_branch)
 
 
@@ -188,7 +151,7 @@ def cosine_observe(q, t):
     if q.classical:
         p_one = 0.5
     else:
-        delta = be._turns(q.label) - be._ref_turns(q.label, t)
+        delta = be._turns(q.label) - be.oracle.ctx.turns(q.label, t)
         p_one = math.cos(math.pi * delta) ** 2
     return 1 if be.rng.random() < p_one else 0
 
@@ -252,7 +215,7 @@ def tomography_mod_r(qs, r, delta=0.02):
     if not qs:
         raise InsufficientCopiesError("no copies supplied")
     be = qs[0].backend
-    if not be._dihedral:
+    if not isinstance(be.oracle.ctx, GroupCtx):
         raise TypeError("residue tomography applies to dihedral backends")
     N = be.oracle.ctx.N
     if N % r != 0:
@@ -278,23 +241,27 @@ def tomography_mod_r(qs, r, delta=0.02):
     # quadrature references: 0 and odd multiples of floor(N/(2r))
     q_step = max(1, N // (2 * r))
     refs = [0] + [((2 * i + 1) * q_step) % N for i in range(r)]
-    obs = []
-    for i, q in enumerate(qs):
-        t = refs[i % len(refs)]
-        obs.append((weights[i], t, cosine_observe(q, t)))
+    ts = [refs[i % len(refs)] for i in range(len(qs))]
+    bits = [cosine_observe(q, t) for q, t in zip(qs, ts)]
+    a = np.array(weights)
+    ref_turns = np.array([((t * w * step) % N) / N
+                          for t, w in zip(ts, weights)])
+    turns = (np.arange(r)[:, None] * a % r) / r - ref_turns
+    return int(np.argmax(log_likelihood(turns, bits)))
 
-    eps = 1e-9
-    best_c, best_ll = 0, -math.inf
-    for c in range(r):
-        ll = 0.0
-        for a, t, bit in obs:
-            delta_turns = ((a * c) % r) / r - ((t * a * step) % N) / N
-            p = math.cos(math.pi * delta_turns) ** 2
-            p = min(1 - eps, max(eps, p))
-            ll += math.log(p) if bit else math.log(1 - p)
-        if ll > best_ll:
-            best_c, best_ll = c, ll
-    return best_c
+
+def log_likelihood(turns, bits, ll=None):
+    """Log-likelihood of each candidate (row) given cosine observations
+    (columns): observation j returned bits[j] = 1 with probability
+    cos^2(pi turns[c, j]) under candidate c.  Probabilities are clipped
+    away from 0 and 1 so one unlucky bit cannot veto a candidate.  The
+    columns are added to ll (zeros when None) one at a time, in order."""
+    p = np.clip(np.cos(np.pi * turns) ** 2, _P_CLIP, 1 - _P_CLIP)
+    if ll is None:
+        ll = np.zeros(p.shape[0])
+    for j, bit in enumerate(bits):
+        ll += np.log(p[:, j]) if bit else np.log(1 - p[:, j])
+    return ll
 
 
 def sample_measure_batch(backend, count, t=0):
@@ -305,7 +272,7 @@ def sample_measure_batch(backend, count, t=0):
     (t=0) or cosine_observe (general t), with the outcome convention of
     measure_pm: 0 has probability cos^2.  Costs count queries."""
     o = backend.oracle
-    if not backend._dihedral:
+    if not isinstance(o.ctx, GroupCtx):
         raise TypeError("batch sampling is dihedral-only")
     N = o.ctx.N
     if N.bit_length() > 30:

@@ -28,10 +28,8 @@ from .oracle import (
     splice_substring,
     with_label_automorphism,
 )
-from .phase import PhaseBackend, cosine_observe
+from .phase import PhaseBackend, cosine_observe, log_likelihood
 from .staged import interval_sieve, run_general_interval, run_staged_parity
-
-_LL_EPS = 1e-9
 
 
 @dataclass
@@ -53,10 +51,7 @@ class RecoveryReport:
 def verify_reflection(o, s):
     """One extra query pair: the hidden subgroup <y x^s> contains y x^s,
     so the hiding function must agree on 1 and y x^s."""
-    if isinstance(o.ctx, GroupCtx):
-        refl = DihedralElement(1, s % o.ctx.N)
-    else:
-        refl = DihedralElement(1, o.ctx.reduce(s))
+    refl = DihedralElement(1, o.ctx.reduce(s))
     return o.evaluate(identity(o.ctx)) == o.evaluate(refl)
 
 
@@ -66,21 +61,52 @@ def _rng_of(rng, seed):
     return rng
 
 
+def _las_vegas(counter, attempt, verifier, max_retries):
+    """The retry loop every recovery shares: attempt(i) for
+    i = 1..max_retries returns (candidate, level stats); an exhausted
+    sieve counts as a failed attempt.  Returns the first candidate the
+    verifier accepts with its RecoveryReport, whose queries are those
+    counter (the oracle or pair) recorded meanwhile.  Raises
+    NoHiddenReflectionError when every attempt failed."""
+    q0 = counter.queries
+    all_levels = []
+    for i in range(1, max_retries + 1):
+        try:
+            s, levels = attempt(i)
+        except SieveExhaustedError:
+            continue
+        all_levels.extend(levels)
+        if verifier(s):
+            return s, RecoveryReport(secret=s, queries=counter.queries - q0,
+                                     attempts=i, verified=True,
+                                     level_stats=all_levels)
+    raise NoHiddenReflectionError(
+        f"no verified answer after {max_retries} attempts")
+
+
+def _reflection_verifier(o, verifier):
+    if verifier is None:
+        return lambda s: verify_reflection(o, s)
+    return verifier
+
+
 # ---------------------------------------------------------------------------
-# Power-of-two recursion
+# Power-of-two and radix recursions
 
 
-def _power2_attempt(o, n, rng):
-    cur = o
-    s = 0
+def _digit_recursion(o, r, n, rng, read_digit):
+    """One attempt of a recursion over D_{r^n}: read s mod r with
+    read_digit(backend, levels left), restrict to the index-r subgroup
+    that digit names, and repeat.  Returns (s, per-level stats)."""
+    cur, s, mul = o, 0, 1
     levels = []
     for i in range(n):
-        backend = PhaseBackend(cur, rng=rng)
-        bit, st = run_staged_parity(backend, n - i)
+        digit, st = read_digit(PhaseBackend(cur, rng=rng), n - i)
         levels.append(st)
-        s |= bit << i
+        s += digit * mul
+        mul *= r
         if i < n - 1:
-            cur = restrict_reflection(cur, bit, 2)
+            cur = restrict_reflection(cur, digit, r)
     return s, levels
 
 
@@ -98,69 +124,39 @@ def recover_slope_power2(o, n=None, rng=None, seed=None, max_retries=8,
     if N != 1 << n:
         raise ValueError("group order is not 2^n")
     rng = _rng_of(rng, seed)
-    if verifier is None:
-        verifier = lambda s: verify_reflection(o, s)
-    q0 = o.queries
-    attempts = 0
-    all_levels = []
-    while attempts < max_retries:
-        attempts += 1
-        if n == 0:
-            s, levels = 0, []
-        else:
-            try:
-                s, levels = _power2_attempt(o, n, rng)
-            except SieveExhaustedError:
-                continue
-        all_levels.extend(levels)
-        if verifier(s):
-            return s, RecoveryReport(secret=s, queries=o.queries - q0,
-                                     attempts=attempts, verified=True,
-                                     level_stats=all_levels)
-    raise NoHiddenReflectionError(
-        f"no verified slope after {max_retries} attempts")
+
+    def attempt(i):
+        return _digit_recursion(o, 2, n, rng, run_staged_parity)
+
+    return _las_vegas(o, attempt, _reflection_verifier(o, verifier),
+                      max_retries)
 
 
 def recover_slope_radix(o, r, n=None, rng=None, seed=None, max_retries=6,
                         verifier=None, budget=None):
     """Digit-by-digit recovery over D_{r^n} using the greedy sieve at each
-    level: read s mod r, restrict to the index-r subgroup, repeat.
+    level: read s mod r, restrict to the index-r subgroup, repeat.  Each
+    retry doubles the list size, up to 8 times the first.
     Returns (s, RecoveryReport)."""
     N = o.ctx.N
+    if r < 2:
+        raise ValueError("radix must be at least 2")
     if n is None:
-        n = round(math.log(N, r))
+        n, power = 0, 1
+        while power < N:
+            n, power = n + 1, power * r
     if r ** n != N:
         raise ValueError("group order is not r^n")
     rng = _rng_of(rng, seed)
-    if verifier is None:
-        verifier = lambda s: verify_reflection(o, s)
-    q0 = o.queries
-    attempts = 0
-    all_levels = []
-    while attempts < max_retries:
-        attempts += 1
-        scale = min(1 << (attempts - 1), 8)
-        try:
-            cur, s, mul = o, 0, 1
-            levels = []
-            for i in range(n):
-                backend = PhaseBackend(cur, rng=rng)
-                digit, st = run_radix_recovery(backend, r, n - i,
-                                               budget=budget, scale=scale)
-                levels.append(st)
-                s += digit * mul
-                mul *= r
-                if i < n - 1:
-                    cur = restrict_reflection(cur, digit, r)
-        except SieveExhaustedError:
-            continue
-        all_levels.extend(levels)
-        if verifier(s):
-            return s, RecoveryReport(secret=s, queries=o.queries - q0,
-                                     attempts=attempts, verified=True,
-                                     level_stats=all_levels)
-    raise NoHiddenReflectionError(
-        f"no verified slope after {max_retries} attempts")
+
+    def attempt(i):
+        scale = min(1 << (i - 1), 8)
+        return _digit_recursion(
+            o, r, n, rng, lambda be, m: run_radix_recovery(
+                be, r, m, budget=budget, scale=scale))
+
+    return _las_vegas(o, attempt, _reflection_verifier(o, verifier),
+                      max_retries)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +171,9 @@ def _general_attempt(o, N, rng, copies_per_round=12):
     backend = PhaseBackend(o, rng=rng)
     t0, _ = run_general_interval(backend)
     radius = N // 4 + 1
-    cands = [(t0 + d) % N for d in range(-radius, radius + 1)]
-    cands = sorted(set(cands))
-    ll = {c: 0.0 for c in cands}
+    cands = np.array(sorted({(t0 + d) % N
+                             for d in range(-radius, radius + 1)}))
+    ll = np.zeros(len(cands))
     rounds = max(1, math.ceil(math.log2(N)) + 1)
     for j in range(rounds):
         if len(cands) == 1:
@@ -189,25 +185,23 @@ def _general_attempt(o, N, rng, copies_per_round=12):
         except SieveExhaustedError:
             continue
         uinv = pow(u, -1, N)
-        best = max(cands, key=ll.__getitem__)
+        best = int(cands[np.argmax(ll)])
         refs = [(uinv * best) % N,
                 (uinv * best + max(1, N // 4)) % N,
                 (uinv * best + max(1, N // 8)) % N]
-        for idx, q in enumerate(ones[:copies_per_round]):
-            t = refs[idx % len(refs)]
-            bit = cosine_observe(q, t)
-            for c in cands:
-                p = math.cos(math.pi * ((uinv * c - t) % N) / N) ** 2
-                p = min(1 - _LL_EPS, max(_LL_EPS, p))
-                ll[c] += math.log(p) if bit else math.log(1 - p)
-        # halve the window, but never drop a candidate that is still in
-        # serious contention
-        cands.sort(key=ll.__getitem__, reverse=True)
-        top = ll[cands[0]]
+        ts = [refs[idx % len(refs)]
+              for idx in range(min(len(ones), copies_per_round))]
+        bits = [cosine_observe(q, t) for q, t in zip(ones, ts)]
+        turns = ((uinv * cands[:, None] - np.array(ts)) % N) / N
+        ll = log_likelihood(turns, bits, ll)
+        # halve the window (stable, best first), but never drop a
+        # candidate that is still in serious contention
+        order = np.argsort(-ll, kind="stable")
+        cands, ll = cands[order], ll[order]
         half = (len(cands) + 1) // 2
-        cands = [c for i, c in enumerate(cands)
-                 if i < half or ll[c] > top - 8.0]
-    return max(cands, key=ll.__getitem__)
+        keep = (np.arange(len(cands)) < half) | (ll > ll[0] - 8.0)
+        cands, ll = cands[keep], ll[keep]
+    return int(cands[np.argmax(ll)])
 
 
 def recover_slope_general(o, N=None, rng=None, seed=None, max_retries=6,
@@ -225,21 +219,8 @@ def recover_slope_general(o, N=None, rng=None, seed=None, max_retries=6,
         return recover_slope_power2(o, cs.a, rng=rng,
                                     max_retries=max_retries,
                                     verifier=verifier)
-    if verifier is None:
-        verifier = lambda s: verify_reflection(o, s)
-    q0 = o.queries
-    attempts = 0
-    while attempts < max_retries:
-        attempts += 1
-        try:
-            s = _general_attempt(o, N, rng)
-        except SieveExhaustedError:
-            continue
-        if verifier(s):
-            return s, RecoveryReport(secret=s, queries=o.queries - q0,
-                                     attempts=attempts, verified=True)
-    raise NoHiddenReflectionError(
-        f"no verified slope after {max_retries} attempts")
+    return _las_vegas(o, lambda i: (_general_attempt(o, N, rng), []),
+                      _reflection_verifier(o, verifier), max_retries)
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +325,12 @@ def _coordinate_slope(o, A, j, rng, budget, copies=24):
     targets, _ = greedy_sieve(backend, obj, target, budget,
                               max_targets=copies)
     refs = sorted({0, max(1, Nj // 4), max(1, Nj // 3)})
-    obs = []
-    for idx, q in enumerate(targets):
-        tj = refs[idx % len(refs)]
-        tvec = tuple(tj if i == j else 0 for i in range(rank))
-        obs.append((q.label[j], tj, cosine_observe(q, tvec)))
-    best_c, best_ll = 0, -math.inf
-    for c in range(Nj):
-        ll = 0.0
-        for k, tj, bit in obs:
-            p = math.cos(math.pi * ((k * (c - tj)) % Nj) / Nj) ** 2
-            p = min(1 - _LL_EPS, max(_LL_EPS, p))
-            ll += math.log(p) if bit else math.log(1 - p)
-        if ll > best_ll:
-            best_c, best_ll = c, ll
-    return best_c
+    ts = [refs[idx % len(refs)] for idx in range(len(targets))]
+    bits = [cosine_observe(q, tuple(t if i == j else 0 for i in range(rank)))
+            for q, t in zip(targets, ts)]
+    k = np.array([q.label[j] for q in targets])
+    turns = ((k * (np.arange(Nj)[:, None] - np.array(ts))) % Nj) / Nj
+    return int(np.argmax(log_likelihood(turns, bits)))
 
 
 def _shift_check(p, cand, rng, samples=3):
@@ -401,18 +373,11 @@ def solve_abelian_shift(p, A=None, rng=None, seed=None, max_retries=6,
 
     if budget is None:
         budget = abelian_budget(A)
-    attempts = 0
-    while attempts < max_retries:
-        attempts += 1
-        try:
-            cand = tuple(
-                0 if A.orders[j] == 1
-                else _coordinate_slope(o, A, j, rng, budget)
-                for j in range(A.rank))
-        except SieveExhaustedError:
-            continue
-        if _shift_check(p, cand, rng):
-            return cand, RecoveryReport(secret=cand, queries=p.queries - q0,
-                                        attempts=attempts, verified=True)
-    raise NoHiddenReflectionError(
-        f"no verified shift after {max_retries} attempts")
+
+    def attempt(i):
+        return tuple(0 if A.orders[j] == 1
+                     else _coordinate_slope(o, A, j, rng, budget)
+                     for j in range(A.rank)), []
+
+    return _las_vegas(p, attempt, lambda cand: _shift_check(p, cand, rng),
+                      max_retries)

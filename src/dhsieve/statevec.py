@@ -200,11 +200,3 @@ def trace_distance(r1, r2):
     eigs = np.linalg.eigvalsh(r1.entries - r2.entries)
     return 0.5 * float(np.sum(np.abs(eigs)))
 
-
-def representation_images(N, k):
-    """The 2x2 images of the generators x and y in the representation
-    with Fourier label k."""
-    w = np.exp(2j * np.pi * k / N)
-    x = np.array([[w, 0], [0, np.conj(w)]])
-    y = np.array([[0, 1], [1, 0]])
-    return x, y

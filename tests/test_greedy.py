@@ -17,7 +17,6 @@ from dhsieve.greedy import (
     default_radix_budget,
     greedy_sieve,
     run_radix_recovery,
-    value_estimate,
 )
 from dhsieve.group import GroupCtx
 from dhsieve.oracle import make_reflection_oracle
@@ -47,12 +46,6 @@ def test_alpha_abelian_frozen():
     assert alpha_abelian((0, 3), A) == 8
     assert alpha_abelian((1, 0), A) == 3
     assert alpha_abelian((0, 0), A) == 8
-
-
-def test_value_estimate():
-    assert value_estimate(2 ** 9, 2, 10) == 1.0  # alpha = n-1
-    assert abs(value_estimate(2 ** 7, 2, 10) - 1 / 9) < 1e-12
-    assert abs(value_estimate(1, 2, 9) - 3.0 ** -4) < 1e-12
 
 
 def test_objective_canonicalization():

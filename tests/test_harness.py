@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dhsieve.cli import _parse_budgets, main
+from dhsieve.greedy import cancellation_race
 from dhsieve.harness import (
     ResultRow,
     fit_scaling,
@@ -164,3 +165,68 @@ def test_cli_config_supplies_defaults(tmp_path):
     recs = list(csv.DictReader(open(out)))
     assert [r["budget"] for r in recs] == ["9", "27"]
     assert recs[0]["trials"] == "4"
+
+
+def test_cli_config_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trails": 3}))
+    rc = main(["simulate", "--algorithm", "staged", "--n", "4",
+               "--config", str(cfg), "--out", str(tmp_path / "sim.csv")])
+    assert rc == 2
+    assert "trails" in capsys.readouterr().err
+    assert not (tmp_path / "sim.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--algorithm", "staged", "--n", "-1"],
+    ["simulate", "--algorithm", "abelian", "--orders", "0,3"],
+    ["verify", "--nmax", "4096"],
+])
+def test_cli_bad_value_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+
+
+def test_race_is_binary_only():
+    with pytest.raises(ValueError):
+        cancellation_race([5, 7], np.random.default_rng(1), r=3)
+    with pytest.raises(ValueError):
+        run_table1([9], trials=1, r=3, seed=1)
+    with pytest.raises(SystemExit):
+        main(["table1", "--radix", "3"])
+
+
+def test_cli_simulate_failed_trial_reports_cost(tmp_path):
+    # a list of 2 qubits never reaches a target: every attempt exhausts
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", "--algorithm", "greedy", "--radix", "3",
+               "--n", "4", "--budget", "2", "--seed", "1",
+               "--out", str(out)])
+    assert rc == 1
+    recs = list(csv.DictReader(open(out)))
+    assert len(recs) == 10
+    for r in recs:
+        assert r["success"] == "0" and r["recovered"] == ""
+        assert 0 <= int(r["secret"]) < 81
+        # budgets 2, 4, 8, 16, 16, 16 over the six attempts
+        assert int(r["queries"]) == 62
+
+
+@pytest.mark.parametrize("flags", [
+    ["--algorithm", "staged", "--n", "6"],
+    ["--algorithm", "general", "--N", "45"],
+    ["--algorithm", "greedy", "--radix", "3", "--n", "3"],
+    ["--algorithm", "abelian", "--orders", "4,3"],
+])
+def test_cli_simulate_same_seed_same_rows(tmp_path, flags):
+    runs = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        main(["simulate", *flags, "--trials", "3", "--seed", "13",
+              "--out", str(out)])
+        runs.append([{k: v for k, v in r.items() if k != "seconds"}
+                     for r in csv.DictReader(open(out))])
+    assert runs[0] == runs[1]
+    assert all(r["secret"] for r in runs[0])

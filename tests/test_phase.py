@@ -21,6 +21,7 @@ from dhsieve.phase import (
     combine,
     cosine_observe,
     hoyer_readout,
+    log_likelihood,
     measure_pm,
     negate_label,
     phase_estimation_kernel,
@@ -165,6 +166,23 @@ def test_tomography_r3():
         need = tomography_copies_needed(3)
         qs = [PhaseQubit((N // 3) * (1 + i % 2), be) for i in range(need)]
         assert tomography_mod_r(qs, 3) == s % 3
+
+
+def test_log_likelihood_matches_scalar_loop():
+    # reference: the per-candidate loop the readouts used before
+    rng = np.random.default_rng(4)
+    turns = rng.random((7, 30)) * 2 - 1
+    turns[0, :3] = 0.5  # probabilities 0 and 1 hit the clip
+    turns[1, :3] = 0.0
+    bits = rng.integers(0, 2, size=30)
+    start = rng.random(7)
+    ll = log_likelihood(turns, bits, start.copy())
+    for c in range(7):
+        ref = start[c]
+        for x, bit in zip(turns[c], bits):
+            p = min(1 - 1e-9, max(1e-9, math.cos(math.pi * x) ** 2))
+            ref += math.log(p) if bit else math.log(1 - p)
+        assert ll[c] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_tomography_insufficient():

@@ -17,7 +17,6 @@ from dhsieve.statevec import (
     psi_vector,
     qft_joint_law,
     qft_measure_sim,
-    representation_images,
     rho_coset_mixture,
     rho_from_eval,
     trace_distance,
@@ -117,14 +116,6 @@ def test_spliced_distance_single_case():
     exact = rho_from_eval(N, make_reflection_oracle(GroupCtx(N), (s - t) % N)._eval)
     spliced = rho_from_eval(N, o._eval)
     assert abs(2 * trace_distance(spliced, exact) - abs(s - t) / N) < 1e-9
-
-
-def test_representation_relations():
-    for N, k in ((8, 3), (12, 5)):
-        x, y = representation_images(N, k)
-        assert np.allclose(np.linalg.matrix_power(x, N), np.eye(2))
-        assert np.allclose(y @ y, np.eye(2))
-        assert np.allclose(y @ x @ y @ x, np.eye(2))
 
 
 def test_dense_size_limit():
