@@ -106,14 +106,25 @@ def _cmd_table1(args):
     return 0
 
 
+def _csv_value(rec, name):
+    """One field of a table1 CSV row; a missing or unparseable value is a
+    usage error that names its column."""
+    text = rec.get(name)
+    if text is None:
+        raise UsageError(f"input CSV has no {name!r} column")
+    kind = float if name in ("mean", "stddev", "seconds") else int
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"input CSV column {name!r}: cannot parse {text!r}")
+
+
 def _cmd_scaling(args):
     rows = []
     with open(getattr(args, "in")) as fh:
         for rec in csv.DictReader(fh):
-            rows.append(ResultRow(
-                budget=int(rec["budget"]), trials=int(rec["trials"]),
-                mean=float(rec["mean"]), stddev=float(rec["stddev"]),
-                queries=int(rec["queries"]), seconds=float(rec["seconds"])))
+            rows.append(ResultRow(**{name: _csv_value(rec, name)
+                                     for name in TABLE1_FIELDS}))
     slope, intercept, residuals = fit_scaling(rows)
     payload = {"slope": _fmt(slope), "intercept": _fmt(intercept),
                "residuals": [_fmt(float(r)) for r in residuals]}
@@ -274,8 +285,9 @@ def main(argv=None):
         if args.config is not None:
             args = _apply_config(parser, sub, args, argv)
         return args.func(args)
-    except (UsageError, ValueError) as exc:
-        # library input checks raise ValueError: a bad value, not a crash
+    except (UsageError, ValueError, OSError) as exc:
+        # library input checks raise ValueError and a path that cannot be
+        # opened raises OSError: a bad value, not a crash
         print(f"dhsieve {args.command}: {exc}", file=sys.stderr)
         return 2
 

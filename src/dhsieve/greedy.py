@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SieveExhaustedError
 from .phase import negate_label, combine, sample_batch, tomography_copies_needed, tomography_mod_r
@@ -105,14 +105,6 @@ def _match_len(k1, k2):
     return m
 
 
-@dataclass
-class GreedyStats(SieveStats):
-    combines: int = 0
-    work: int = 0
-    discarded_zero: int = 0
-    discarded_lone: int = 0
-
-
 def _pair_sweep(entries, emit, stats):
     """One sweep over a sorted min-alpha bucket: repeatedly combine the
     adjacent pair with the longest common suffix (heap with lazy
@@ -148,7 +140,44 @@ def _pair_sweep(entries, emit, stats):
     return None
 
 
-def greedy_sieve(backend, obj, target, budget, max_targets=None, stats=None):
+def _pairing_race(items, place, merge, stats, key, stop):
+    """The greedy pairing loop shared by the sieve and the race.  place(x)
+    returns (alpha, x) to bucket x, or None when x leaves the race.  The
+    minimum-alpha bucket is sorted by key(x, alpha) and swept with
+    _pair_sweep; each merge(x, y) result is counted in stats.combines
+    and goes back through place, and results that stay at the same alpha
+    carry into the next sweep.  Runs until the buckets are empty or
+    stop() holds."""
+    buckets = {}
+    for x in items:
+        placed = place(x)
+        if placed is not None:
+            buckets.setdefault(placed[0], []).append(placed[1])
+
+    while buckets and not stop():
+        v = min(buckets)
+        group = buckets.pop(v)
+        while len(group) >= 2 and not stop():
+            carry = []
+
+            def emit(x, y):
+                stats.combines += 1
+                placed = place(merge(x, y))
+                if placed is None:
+                    return
+                a, out = placed
+                if a == v:
+                    carry.append(out)
+                else:
+                    buckets.setdefault(a, []).append(out)
+
+            entries = sorted(((key(x, v), x) for x in group),
+                             key=lambda e: e[0])
+            lone = _pair_sweep(entries, emit, stats)
+            group = carry + ([lone] if lone is not None else [])
+
+
+def greedy_sieve(backend, obj, target, budget, max_targets=None):
     """Fill a list with budget sampled qubits, then greedily pair inside
     the minimum-alpha bucket to maximize the alpha of the extracted label.
     Collects qubits whose (canonicalized) labels satisfy target.
@@ -156,61 +185,23 @@ def greedy_sieve(backend, obj, target, budget, max_targets=None, stats=None):
     Raises SieveExhaustedError when the buckets empty with no target."""
     if budget < 2:
         raise ValueError("budget must be at least 2")
-    if stats is None:
-        stats = GreedyStats()
+    stats = SieveStats(queries_used=budget)
     targets = []
-    buckets = {}
 
-    def route(q):
+    def place(q):
         if obj.is_zero(q.label):
-            stats.discarded_zero += 1
-            return
+            return None
         if obj.needs_flip(q.label):
             q = negate_label(q)
         if target(q.label):
             targets.append(q)
-            stats.targets_found += 1
-            return
-        buckets.setdefault(obj.alpha(q.label), []).append(q)
+            return None
+        return obj.alpha(q.label), q
 
-    for q in sample_batch(backend, budget):
-        route(q)
-    stats.queries_used += budget
-
-    def enough():
-        return max_targets is not None and len(targets) >= max_targets
-
-    while buckets and not enough():
-        v = min(buckets)
-        group = buckets.pop(v)
-        while len(group) >= 2 and not enough():
-            carry = []
-
-            def emit(q1, q2):
-                out = combine(q1, q2)
-                stats.combines += 1
-                if obj.is_zero(out.label):
-                    stats.discarded_zero += 1
-                    return
-                if obj.needs_flip(out.label):
-                    out = negate_label(out)
-                if target(out.label):
-                    targets.append(out)
-                    stats.targets_found += 1
-                    return
-                a = obj.alpha(out.label)
-                if a == v:
-                    carry.append(out)
-                else:
-                    buckets.setdefault(a, []).append(out)
-
-            entries = sorted(((obj.key(q.label), q) for q in group),
-                             key=lambda e: e[0])
-            lone = _pair_sweep(entries, emit, stats)
-            group = carry + ([lone] if lone is not None else [])
-        if group:
-            stats.discarded_lone += len(group)
-
+    _pairing_race(
+        sample_batch(backend, budget), place, combine, stats,
+        lambda q, v: obj.key(q.label),
+        lambda: max_targets is not None and len(targets) >= max_targets)
     if not targets:
         raise SieveExhaustedError("greedy sieve exhausted with no target")
     return targets, stats
@@ -222,7 +213,7 @@ def default_radix_budget(r, n):
     return max(16, math.ceil(24 * 3.0 ** math.sqrt(2 * log3_N)))
 
 
-def run_radix_recovery(backend, r, n, budget=None, delta=0.02, scale=1):
+def run_radix_recovery(backend, r, n, budget=None, scale=1):
     """One level of the radix recursion: sieve for labels divisible by
     N/r, then read s mod r by tomography.  scale multiplies the list
     size; callers raise it when retrying after exhaustion."""
@@ -230,37 +221,34 @@ def run_radix_recovery(backend, r, n, budget=None, delta=0.02, scale=1):
     if backend.oracle.ctx.N != N:
         raise ValueError("oracle group order is not r^n")
     if n == 0:
-        return 0, GreedyStats()
+        return 0, SieveStats()
     if budget is None:
         budget = default_radix_budget(r, n)
     budget *= scale
     obj = Objective("radix", r=r, n=n)
     step = N // r
-    want = max(5, tomography_copies_needed(r, delta)) if r > 2 else 5
+    want = max(5, tomography_copies_needed(r)) if r > 2 else 5
     if n == 1:
         # every nonzero label is already final; sample directly
         qs = [q for q in sample_batch(backend, max(budget, 4 * want))
               if q.label != 0]
-        stats = GreedyStats(queries_used=max(budget, 4 * want))
+        stats = SieveStats(queries_used=max(budget, 4 * want))
         if not qs:
             raise SieveExhaustedError("no nonzero label sampled")
-        stats.targets_found = len(qs)
-        return tomography_mod_r(qs[: 4 * want], r, delta), stats
+        return tomography_mod_r(qs[: 4 * want], r), stats
     targets, stats = greedy_sieve(
         backend, obj, lambda k: k % step == 0, budget, max_targets=4 * want)
-    if r > 2 and len(targets) < tomography_copies_needed(r, delta):
+    if r > 2 and len(targets) < tomography_copies_needed(r):
         raise SieveExhaustedError(
             f"only {len(targets)} target copies; tomography needs more")
-    return tomography_mod_r(targets, r, delta), stats
+    return tomography_mod_r(targets, r), stats
 
 
-def race_key(k, r, v):
-    digits = []
-    k //= r ** v
-    while k:
-        digits.append(k % r)
-        k //= r
-    return tuple(digits)
+def race_key(k, v):
+    """Binary digits of k beyond its v cancelled ones, least significant
+    first, as a string: it sorts like the digit tuple, and adjacent
+    strings share the longest low-bit suffixes."""
+    return bin(k >> v)[:1:-1]
 
 
 def cancellation_race(labels, rng, r=2):
@@ -272,37 +260,19 @@ def cancellation_race(labels, rng, r=2):
     k ~ -k modulo r^n, which labels kept in Z cannot express."""
     if r != 2:
         raise ValueError("the cancellation race is defined for r = 2 only")
-    stats = GreedyStats()
+    stats = SieveStats()
     best = 0
-    buckets = {}
-    for k in labels:
-        if k != 0:
-            v = alpha_radix(k, r, 0)
-            best = max(best, v)
-            buckets.setdefault(v, []).append(k)
 
-    while buckets:
-        v = min(buckets)
-        group = buckets.pop(v)
-        while len(group) >= 2:
-            carry = []
+    def place(k):
+        nonlocal best
+        if k == 0:
+            return None
+        v = alpha_radix(k, r, 0)
+        best = max(best, v)
+        return v, k
 
-            def emit(k, l):
-                nonlocal best
-                stats.combines += 1
-                out = k + l if rng.random() < 0.5 else abs(k - l)
-                if out == 0:
-                    return
-                w = alpha_radix(out, r, 0)
-                if w > best:
-                    best = w
-                if w == v:
-                    carry.append(out)
-                else:
-                    buckets.setdefault(w, []).append(out)
+    def merge(k, l):
+        return k + l if rng.random() < 0.5 else abs(k - l)
 
-            entries = sorted(((race_key(k, r, v), k) for k in group),
-                             key=lambda e: e[0])
-            lone = _pair_sweep(entries, emit, stats)
-            group = carry + ([lone] if lone is not None else [])
+    _pairing_race(labels, place, merge, stats, race_key, lambda: False)
     return best, stats

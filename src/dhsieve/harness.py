@@ -293,8 +293,10 @@ def verify_suite(N_max=32, samples=10 ** 5, seed=None, rng=None,
     """Run every statistical invariant check; returns a VerifyReport whose
     .passed drives the CLI exit code.  coin_bias and phase_sign inject
     faults into each constructed backend (defaults are honest)."""
-    if N_max > 1 << 10:
-        raise ValueError("N_max is limited to 1024")
+    if not 8 <= N_max <= 1 << 10:
+        raise ValueError("N_max must lie in [8, 1024]; 8 is the smallest case")
+    if phase_sign not in (1, -1):
+        raise ValueError("phase_sign must be +1 or -1")
     if rng is None:
         rng = np.random.default_rng(seed)
     cases = [(N, s) for N, s in ((8, 3), (12, 5), (27, 8), (32, 13))

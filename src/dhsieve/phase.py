@@ -20,6 +20,7 @@ from .errors import (
 from .group import GroupCtx
 
 _P_CLIP = 1e-9
+TOMOGRAPHY_DELTA = 0.02
 
 
 class PhaseQubit:
@@ -65,7 +66,6 @@ class PhaseBackend:
         self.rng = rng
         self.coin_bias = coin_bias
         self.phase_sign = phase_sign
-        self.combines = 0
 
     def _turns(self, label):
         t = self.oracle._phase_turns(label)
@@ -116,7 +116,6 @@ def combine(q1, q2):
     q1._consume()
     q2._consume()
     be = q1.backend
-    be.combines += 1
     minus = bool(be.rng.random() >= be.coin_bias)
     ctx = be.oracle.ctx
     label = ctx.add(q1.label, ctx.neg(q2.label) if minus else q2.label)
@@ -196,15 +195,15 @@ def hoyer_readout(qs):
     return int(be.rng.choice(M, p=p))
 
 
-def tomography_copies_needed(r, delta=0.02):
+def tomography_copies_needed(r):
     """Copies required for the maximum-likelihood residue readout to fail
-    with probability at most delta."""
+    with probability at most TOMOGRAPHY_DELTA."""
     if r <= 2:
         return 1
-    return math.ceil(2 * r * math.log(r / delta))
+    return math.ceil(2 * r * math.log(r / TOMOGRAPHY_DELTA))
 
 
-def tomography_mod_r(qs, r, delta=0.02):
+def tomography_mod_r(qs, r):
     """Read s mod r from qubits whose labels are multiples of N/r, by
     maximum likelihood over repeated cosine observations at references
     spanning quadratures.  Consumes all qubits."""
@@ -233,7 +232,7 @@ def tomography_mod_r(qs, r, delta=0.02):
             raise InsufficientCopiesError("no odd-weight copies for parity")
         return int(sum(votes) * 2 >= len(votes))
 
-    needed = tomography_copies_needed(r, delta)
+    needed = tomography_copies_needed(r)
     if len(qs) < needed:
         raise InsufficientCopiesError(
             f"need at least {needed} copies for r={r}, got {len(qs)}")

@@ -31,6 +31,13 @@ from .oracle import (
 from .phase import PhaseBackend, cosine_observe, log_likelihood
 from .staged import interval_sieve, run_general_interval, run_staged_parity
 
+# psi_1 copies observed per round of the general-N refinement
+_COPIES_PER_ROUND = 12
+# slope-recovery attempts the substring solver spends on each guess
+_RETRIES_PER_GUESS = 2
+# random points compared by the classical shift checks
+_CHECK_SAMPLES = 3
+
 
 @dataclass
 class RecoveryReport:
@@ -163,7 +170,7 @@ def recover_slope_radix(o, r, n=None, rng=None, seed=None, max_retries=6,
 # General N
 
 
-def _general_attempt(o, N, rng, copies_per_round=12):
+def _general_attempt(o, N, rng):
     """One pass of the automorphism refinement: coarse interval estimate,
     then rounds of psi_1 cosine observations through the label-multiplier
     automorphisms, scored by log-likelihood over a shrinking candidate
@@ -190,7 +197,7 @@ def _general_attempt(o, N, rng, copies_per_round=12):
                 (uinv * best + max(1, N // 4)) % N,
                 (uinv * best + max(1, N // 8)) % N]
         ts = [refs[idx % len(refs)]
-              for idx in range(min(len(ones), copies_per_round))]
+              for idx in range(min(len(ones), _COPIES_PER_ROUND))]
         bits = [cosine_observe(q, t) for q, t in zip(ones, ts)]
         turns = ((uinv * cands[:, None] - np.array(ts)) % N) / N
         ll = log_likelihood(turns, bits, ll)
@@ -242,56 +249,46 @@ def _substring_guesses(N):
         spacing //= 2
 
 
-def _substring_check(inst, shift, rng, samples=3):
+def _substring_check(inst, shift, rng):
     """Classical verification: f(x) = g(x + shift) at random positions.
     Tokens are injective, so one agreeing sample is already decisive; a
     few are checked for good measure."""
     if not 0 <= shift < inst.N:
         return False
-    for _ in range(samples):
+    for _ in range(_CHECK_SAMPLES):
         x = int(rng.integers(0, inst.N))
         if inst.f(x) != inst.g(x + shift):
             return False
     return True
 
 
-def solve_substring(inst, rng=None, seed=None, max_guesses=None,
-                    retries_per_guess=2):
+def solve_substring(inst, rng=None, seed=None):
     """Find the shift of a hidden substring instance (f on N points is a
     shifted window of g on 2N): guess t on a coarse-to-fine grid, splice
     (f, g(.+t)) into an approximately-hiding reflection oracle, run the
     slope recovery on it, and verify the implied shift classically.
 
-    Returns (s, RecoveryReport); raises NoHiddenReflectionError when the
-    guess budget is exhausted."""
+    Returns (s, RecoveryReport); raises NoHiddenReflectionError when
+    every guess on the grid fails."""
     N = inst.N
     rng = _rng_of(rng, seed)
     q0 = inst.queries
     power2 = N & (N - 1) == 0
-    attempts = 0
-    for t in _substring_guesses(N):
-        if max_guesses is not None and attempts >= max_guesses:
-            break
-        attempts += 1
+    for attempts, t in enumerate(_substring_guesses(N), 1):
         o = splice_substring(inst, t)
         # verify the shift this slope would imply, not the oracle
         # relation (the spliced tokens wrap past N and break it)
         ver = lambda u, t=t: _substring_check(inst, (u + t) % N, rng)
+        solve = recover_slope_power2 if power2 else recover_slope_general
         try:
-            if power2:
-                u, _ = recover_slope_power2(o, rng=rng,
-                                            max_retries=retries_per_guess,
-                                            verifier=ver)
-            else:
-                u, _ = recover_slope_general(o, rng=rng,
-                                             max_retries=retries_per_guess,
-                                             verifier=ver)
+            u, _ = solve(o, rng=rng, max_retries=_RETRIES_PER_GUESS,
+                         verifier=ver)
         except NoHiddenReflectionError:
             continue
         s = (u + t) % N
         return s, RecoveryReport(secret=s, queries=inst.queries - q0,
                                  attempts=attempts, verified=True)
-    raise NoHiddenReflectionError("substring guess budget exhausted")
+    raise NoHiddenReflectionError("every substring guess failed")
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +330,12 @@ def _coordinate_slope(o, A, j, rng, budget, copies=24):
     return int(np.argmax(log_likelihood(turns, bits)))
 
 
-def _shift_check(p, cand, rng, samples=3):
+def _shift_check(p, cand, rng):
     """f(a) = g(a + s) at random points; truncated coordinates are kept
     away from the wrap-around window of the candidate."""
     A = p.A
     cut = A.rank - A.free_rank
-    for _ in range(samples):
+    for _ in range(_CHECK_SAMPLES):
         a = []
         for i, n in enumerate(A.orders):
             hi = n if i < cut else max(1, n - cand[i])
@@ -349,16 +346,12 @@ def _shift_check(p, cand, rng, samples=3):
     return True
 
 
-def solve_abelian_shift(p, A=None, rng=None, seed=None, max_retries=6,
-                        budget=None):
+def solve_abelian_shift(p, rng=None, seed=None, max_retries=6, budget=None):
     """Hidden shift on a finite (possibly truncated) abelian group: view
     the pair as a reflection oracle on the generalized dihedral group,
     sieve each coordinate down to single-coordinate labels, and read the
     shift coordinate-wise.  Returns (s, RecoveryReport)."""
-    if A is None:
-        A = p.A
-    elif A is not p.A and A.orders != p.A.orders:
-        raise ValueError("group disagrees with the pair's group")
+    A = p.A
     rng = _rng_of(rng, seed)
     o = shift_to_dihedral(p)
     q0 = p.queries

@@ -29,14 +29,20 @@ class StagedConfig:
 
 @dataclass
 class SieveStats:
-    """Per-run accounting: queries, stage-by-stage list sizes, pair
-    counts and survival ratios."""
+    """Per-run accounting: queries, stage-by-stage list sizes and
+    survival ratios, and the greedy sieve's combines and pairing work."""
 
     queries_used: int = 0
     list_sizes: list = field(default_factory=list)
-    pair_counts: list = field(default_factory=list)
     survival_ratios: list = field(default_factory=list)
-    targets_found: int = 0
+    combines: int = 0
+    work: int = 0
+
+    def record_stage(self, size):
+        """Append a stage's list size and its ratio to the stage before."""
+        prev = self.list_sizes[-1]
+        self.list_sizes.append(size)
+        self.survival_ratios.append(size / prev if prev else 0.0)
 
 
 def list_size_constants(m, depth=None):
@@ -99,17 +105,22 @@ def match_by_suffix(qubits, window):
     return pairs, leftovers
 
 
-def _difference_form(out, l, N):
-    # 2l = 0 makes the branches coincide; count that as a difference.
-    return out.minus_branch or (2 * l) % N == 0
+def _differences(pairs, N):
+    """Combine each pair (k, l) and yield the results in difference form,
+    label k - l."""
+    for k_q, l_q in pairs:
+        l = l_q.label
+        out = combine(k_q, l_q)
+        # 2l = 0 makes the branches coincide; count that as a difference.
+        if out.minus_branch or (2 * l) % N == 0:
+            yield out
 
 
-def run_staged_parity(backend, n, stats=None):
+def run_staged_parity(backend, n):
     """Power-of-two staged sieve: returns s mod 2 for the slope hidden by
     the backend's oracle over D_{2^n}.  Raises SieveExhaustedError when no
     psi_{2^(n-1)} survives; the caller retries with a fresh run."""
-    if stats is None:
-        stats = SieveStats()
+    stats = SieveStats()
     N = backend.oracle.ctx.N
     if N != 1 << n:
         raise ValueError("oracle group order is not 2^n")
@@ -130,24 +141,12 @@ def run_staged_parity(backend, n, stats=None):
 
     for window in stage_windows(n, cfg.m):
         pairs, _leftovers = match_by_suffix(current, window)
-        stats.pair_counts.append(len(pairs))
-        survivors = []
-        for k_q, l_q in pairs:
-            l = l_q.label
-            out = combine(k_q, l_q)
-            if _difference_form(out, l, N):
-                survivors.append(out)
-        prev = stats.list_sizes[-1]
-        stats.list_sizes.append(len(survivors))
-        stats.survival_ratios.append(len(survivors) / prev if prev else 0.0)
-        current = survivors
+        current = list(_differences(pairs, N))
+        stats.record_stage(len(current))
         if not current:
             raise SieveExhaustedError("staged sieve list emptied early")
 
     top = 1 << (n - 1)
-    for q in current:
-        if q.label == top:
-            stats.targets_found += 1
     target = next((q for q in current if q.label == top and not q.consumed),
                   None)
     if target is None:
@@ -172,11 +171,10 @@ def interval_config(N):
     return m, size
 
 
-def interval_sieve(backend, stats=None):
+def interval_sieve(backend):
     """General-N interval sieve: drives normalized labels down to {0, 1}
     and returns the surviving psi_1 copies."""
-    if stats is None:
-        stats = SieveStats()
+    stats = SieveStats()
     N = backend.oracle.ctx.N
     m, size = interval_config(N)
     ones = []
@@ -200,28 +198,20 @@ def interval_sieve(backend, stats=None):
         buckets = {}
         for q in current:
             buckets.setdefault(q.label // width, []).append(q)
-        survivors = []
-        npairs = 0
+        pairs = []
         for group in buckets.values():
             group.sort(key=lambda q: q.label)
-            for i in range(0, len(group) - 1, 2):
-                k_q, l_q = group[i], group[i + 1]
-                l = l_q.label
-                out = combine(k_q, l_q)
-                npairs += 1
-                if _difference_form(out, l, N):
-                    out = _normalize_halfrange(out, N)
-                    if out.label < width:
-                        route(out, survivors)
-        stats.pair_counts.append(npairs)
-        prev = stats.list_sizes[-1]
-        stats.list_sizes.append(len(survivors))
-        stats.survival_ratios.append(len(survivors) / prev if prev else 0.0)
+            pairs.extend(zip(group[::2], group[1::2]))
+        survivors = []
+        for out in _differences(pairs, N):
+            out = _normalize_halfrange(out, N)
+            if out.label < width:
+                route(out, survivors)
+        stats.record_stage(len(survivors))
         current = survivors
         if not current:
             break
 
-    stats.targets_found = len(ones)
     if not ones:
         raise SieveExhaustedError("no psi_1 in the final list")
     return ones, stats
@@ -249,12 +239,8 @@ def estimate_from_quadratures(ones, N):
     return round(phi / (2 * math.pi) * N) % N
 
 
-def run_general_interval(backend, N=None, stats=None):
+def run_general_interval(backend):
     """Interval sieve plus quadrature readout: estimates the hidden slope
     to within N/4 (circular) with probability at least 2/3."""
-    if N is None:
-        N = backend.oracle.ctx.N
-    elif N != backend.oracle.ctx.N:
-        raise ValueError("N disagrees with the backend's group order")
-    ones, stats = interval_sieve(backend, stats)
-    return estimate_from_quadratures(ones, N), stats
+    ones, stats = interval_sieve(backend)
+    return estimate_from_quadratures(ones, backend.oracle.ctx.N), stats

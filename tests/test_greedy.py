@@ -9,13 +9,14 @@ from hypothesis import given, strategies as st
 
 from dhsieve.errors import SieveExhaustedError
 from dhsieve.greedy import (
-    GreedyStats,
     Objective,
+    _match_len,
     alpha_abelian,
     alpha_radix,
     cancellation_race,
     default_radix_budget,
     greedy_sieve,
+    race_key,
     run_radix_recovery,
 )
 from dhsieve.group import GroupCtx
@@ -104,6 +105,16 @@ def test_greedy_sieve_targets_and_stats():
     assert be.oracle.queries == 1024
 
 
+def test_greedy_sieve_pinned_record():
+    # pinned record; r = 3 exercises the flips and the max_targets stop
+    obj = Objective("radix", r=3, n=6)
+    be = backend(3 ** 6, 100, seed=11)
+    targets, st = greedy_sieve(be, obj, lambda k: k % 243 == 0, 300,
+                               max_targets=4)
+    assert [q.label for q in targets] == [243] * 12
+    assert (st.combines, st.work, st.queries_used) == (107, 530, 300)
+
+
 def test_greedy_quasilinear_work():
     obj = Objective("radix", r=2, n=16)
     budget = 4096
@@ -132,6 +143,28 @@ def test_greedy_hit_rate_large_budget():
         except SieveExhaustedError:
             pass
     assert hits >= 18  # >= 90% design point
+
+
+def _digit_tuple_key(k, v):
+    # reference key: base-2 digits beyond v, least significant first
+    digits = []
+    k //= 2 ** v
+    while k:
+        digits.append(k % 2)
+        k //= 2
+    return tuple(digits)
+
+
+@given(st.data())
+def test_race_key_matches_digit_tuple(data):
+    # two labels of one race bucket: up to 96 bits, alpha = v for both
+    v = data.draw(st.integers(0, 95))
+    odd = st.integers(0, (1 << (95 - v)) - 1).map(lambda x: 2 * x + 1)
+    a, b = data.draw(odd) << v, data.draw(odd) << v
+    sa, sb = race_key(a, v), race_key(b, v)
+    ta, tb = _digit_tuple_key(a, v), _digit_tuple_key(b, v)
+    assert (sa < sb, sa == sb) == (ta < tb, ta == tb)
+    assert _match_len(sa, sb) == _match_len(ta, tb)
 
 
 def test_cancellation_race_trivial_budget():

@@ -66,6 +66,13 @@ def test_run_table1_deterministic():
         run_table1([27, 9], trials=2)
 
 
+def test_run_table1_pinned_means():
+    # pinned race means: the pairing loop and the race key may change
+    # speed, never the race's results at a seed
+    rows = run_table1([243, 729, 2187], trials=4, seed=3)
+    assert [r.mean for r in rows] == [26.75, 33.25, 42.75]
+
+
 def test_run_table1_q2_bounds():
     rows = run_table1([2], trials=60, seed=6)
     # two 96-bit labels: best cancellation is alpha of one combine
@@ -181,12 +188,25 @@ def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     ["simulate", "--algorithm", "staged", "--n", "-1"],
     ["simulate", "--algorithm", "abelian", "--orders", "0,3"],
     ["verify", "--nmax", "4096"],
+    ["verify", "--nmax", "4"],
+    ["verify", "--phase-sign", "0"],
+    ["scaling", "--in", "{tmp}/missing.csv"],
+    ["table1", "--budgets", "3^2", "--trials", "2",
+     "--out", "{tmp}/missing-dir/x.csv"],
+    ["scaling", "--in", "{tmp}/no-mean.csv"],
+    ["scaling", "--in", "{tmp}/bad-mean.csv"],
 ])
-def test_cli_bad_value_is_usage_error(argv, capsys):
-    assert main(argv) == 2
+def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
+    (tmp_path / "no-mean.csv").write_text(
+        "budget,trials,stddev,queries,seconds\n9,2,1.0,9,0.1\n")
+    (tmp_path / "bad-mean.csv").write_text(
+        "budget,trials,mean,stddev,queries,seconds\n9,2,x,1.0,9,0.1\n")
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     captured = capsys.readouterr()
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.out == ""
+    if argv[-1].endswith("-mean.csv"):
+        assert "'mean'" in captured.err
 
 
 def test_race_is_binary_only():
