@@ -180,6 +180,8 @@ def _sim_trial(args, rng):
 
 
 def _cmd_simulate(args):
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
     rng = np.random.default_rng(args.seed)
     fmt = lambda v: ";".join(map(str, v)) if isinstance(v, tuple) else str(v)
     dicts = []

@@ -73,6 +73,10 @@ def run_table1(budgets, trials=100, r=2, n_labels=96, seed=None, rng=None):
     binary, so r must be 2."""
     if r != 2:
         raise ValueError("the cancellation race is defined for r = 2 only")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if n_labels < 1:
+        raise ValueError("label width must be >= 1 bit")
     if list(budgets) != sorted(budgets):
         raise ValueError("budgets must be ascending")
     if rng is None:
@@ -156,7 +160,7 @@ def _tv_tol(per):
 def _check_measurement_law(rng, samples, coin_bias, phase_sign, cases):
     """Empirical joint (label, +/- outcome) law vs the closed form."""
     worst = 0.0
-    per = max(1000, samples // max(1, len(cases)))
+    per = samples // len(cases)
     for N, s in cases:
         be = _backend(N, s, rng, coin_bias, phase_sign)
         labels, bits = sample_measure_batch(be, per)
@@ -175,7 +179,7 @@ def _check_measurement_law(rng, samples, coin_bias, phase_sign, cases):
 def _check_qft_cross(rng, samples, coin_bias, phase_sign, cases):
     """Same law, but the reference side computed by dense linear algebra."""
     worst = 0.0
-    per = max(1000, samples // max(1, len(cases)))
+    per = samples // len(cases)
     for N, s in cases:
         be = _backend(N, s, rng, coin_bias, phase_sign)
         labels, bits = sample_measure_batch(be, per)
@@ -297,10 +301,13 @@ def verify_suite(N_max=32, samples=10 ** 5, seed=None, rng=None,
         raise ValueError("N_max must lie in [8, 1024]; 8 is the smallest case")
     if phase_sign not in (1, -1):
         raise ValueError("phase_sign must be +1 or -1")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     cases = [(N, s) for N, s in ((8, 3), (12, 5), (27, 8), (32, 13))
              if N <= N_max]
+    if samples // len(cases) < 1000:
+        raise ValueError(f"samples must give at least 1000 draws to each of "
+                         f"the {len(cases)} measurement-law cases")
+    if rng is None:
+        rng = np.random.default_rng(seed)
     grid = [(N, k, s, t) for N, k, s, t in
             ((8, 3, 5, 2), (12, 5, 7, 3), (16, 7, 9, 4), (27, 10, 4, 11),
              (32, 13, 21, 6), (30, 11, 17, 8))

@@ -89,38 +89,40 @@ def sample_phase_qubit(backend):
 
 def sample_batch(backend, count):
     """Vectorized bulk sampling; semantics identical to count calls of
-    sample_phase_qubit."""
+    sample_phase_qubit.  The corruption flags are drawn before the
+    labels."""
     o = backend.oracle
     o._counter.bump(count)
     rate = float(o.corruption_rate)
-    flags = (backend.rng.random(count) < rate) if rate > 0.0 else None
-    qubits = []
-    if isinstance(o.ctx, GroupCtx) and o.ctx.N.bit_length() <= 62:
-        labels = backend.rng.integers(0, o.ctx.N, size=count)
-        for i in range(count):
-            qubits.append(PhaseQubit(int(labels[i]), backend,
-                                     classical=bool(flags[i]) if flags is not None else False))
+    flags = (backend.rng.random(count) < rate).tolist() if rate > 0.0 else None
+    ctx = o.ctx
+    if isinstance(ctx, GroupCtx) and ctx.N.bit_length() <= 62:
+        labels = backend.rng.integers(0, ctx.N, size=count).tolist()
     else:
-        for i in range(count):
-            qubits.append(PhaseQubit(o.ctx.random_element(backend.rng), backend,
-                                     classical=bool(flags[i]) if flags is not None else False))
-    return qubits
+        labels = [ctx.random_element(backend.rng) for _ in range(count)]
+    if flags is None:
+        return [PhaseQubit(k, backend) for k in labels]
+    return [PhaseQubit(k, backend, c) for k, c in zip(labels, flags)]
 
 
-def combine(q1, q2):
+def combine(q1, q2, u=None):
     """Extract one qubit from two: the result label is k+l or k-l, an
-    unbiased choice revealed by the extraction measurement.  Consumes both
-    inputs; corruption propagates by OR."""
-    if q1.backend is not q2.backend:
-        raise BackendMismatchError("qubits belong to different backends")
-    q1._consume()
-    q2._consume()
+    unbiased choice revealed by the extraction measurement.  u is the
+    extraction's uniform draw (drawn from the backend when None); the
+    minus branch occurs when u >= coin_bias.  Consumes both inputs;
+    corruption propagates by OR."""
     be = q1.backend
-    minus = bool(be.rng.random() >= be.coin_bias)
+    if q2.backend is not be:
+        raise BackendMismatchError("qubits belong to different backends")
+    if q1.consumed or q2.consumed or q1 is q2:
+        raise QubitConsumedError("phase qubit already consumed")
+    q1.consumed = q2.consumed = True
+    if u is None:
+        u = be.rng.random()
+    minus = u >= be.coin_bias
     ctx = be.oracle.ctx
     label = ctx.add(q1.label, ctx.neg(q2.label) if minus else q2.label)
-    return PhaseQubit(label, be, classical=q1.classical or q2.classical,
-                      minus_branch=minus)
+    return PhaseQubit(label, be, q1.classical or q2.classical, minus)
 
 
 def negate_label(q):

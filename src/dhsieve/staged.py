@@ -5,6 +5,7 @@ interval sieve, with the list-size schedule from the survival analysis.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import SieveExhaustedError
@@ -93,24 +94,26 @@ def match_by_suffix(qubits, window):
     window; at most one leftover per bucket."""
     lo, hi = window
     mask = (1 << (hi - lo)) - 1
-    buckets = {}
+    buckets = defaultdict(list)
     for q in qubits:
-        buckets.setdefault((q.label >> lo) & mask, []).append(q)
+        buckets[(q.label >> lo) & mask].append(q)
     pairs, leftovers = [], []
     for group in buckets.values():
-        for i in range(0, len(group) - 1, 2):
-            pairs.append((group[i], group[i + 1]))
+        pairs.extend(zip(group[::2], group[1::2]))
         if len(group) % 2:
             leftovers.append(group[-1])
     return pairs, leftovers
 
 
-def _differences(pairs, N):
+def _differences(pairs, backend):
     """Combine each pair (k, l) and yield the results in difference form,
-    label k - l."""
-    for k_q, l_q in pairs:
+    label k - l.  The stage's extraction coins are drawn in one call,
+    which gives the same doubles as one draw per combine."""
+    N = backend.oracle.ctx.N
+    coins = backend.rng.random(len(pairs)).tolist()
+    for (k_q, l_q), u in zip(pairs, coins):
         l = l_q.label
-        out = combine(k_q, l_q)
+        out = combine(k_q, l_q, u)
         # 2l = 0 makes the branches coincide; count that as a difference.
         if out.minus_branch or (2 * l) % N == 0:
             yield out
@@ -141,7 +144,7 @@ def run_staged_parity(backend, n):
 
     for window in stage_windows(n, cfg.m):
         pairs, _leftovers = match_by_suffix(current, window)
-        current = list(_differences(pairs, N))
+        current = list(_differences(pairs, backend))
         stats.record_stage(len(current))
         if not current:
             raise SieveExhaustedError("staged sieve list emptied early")
@@ -195,15 +198,15 @@ def interval_sieve(backend):
 
     for j in range(m):
         width = 1 << max(0, m * m - m * (j + 1) + 1)
-        buckets = {}
+        buckets = defaultdict(list)
         for q in current:
-            buckets.setdefault(q.label // width, []).append(q)
+            buckets[q.label // width].append(q)
         pairs = []
         for group in buckets.values():
             group.sort(key=lambda q: q.label)
             pairs.extend(zip(group[::2], group[1::2]))
         survivors = []
-        for out in _differences(pairs, N):
+        for out in _differences(pairs, backend):
             out = _normalize_halfrange(out, N)
             if out.label < width:
                 route(out, survivors)

@@ -64,6 +64,10 @@ def test_run_table1_deterministic():
            [(a.budget, a.mean, a.stddev) for a in r2]
     with pytest.raises(ValueError):
         run_table1([27, 9], trials=2)
+    with pytest.raises(ValueError):
+        run_table1([9], trials=0)
+    with pytest.raises(ValueError):
+        run_table1([9], trials=2, n_labels=0)
 
 
 def test_run_table1_pinned_means():
@@ -195,6 +199,12 @@ def test_cli_config_rejects_unknown_key(tmp_path, capsys):
      "--out", "{tmp}/missing-dir/x.csv"],
     ["scaling", "--in", "{tmp}/no-mean.csv"],
     ["scaling", "--in", "{tmp}/bad-mean.csv"],
+    ["table1", "--budgets", "3^2", "--trials", "0"],
+    ["table1", "--budgets", "3^2", "--labels", "0"],
+    ["simulate", "--algorithm", "staged", "--n", "4", "--trials", "0",
+     "--out", "{tmp}/sim.csv"],
+    ["verify", "--samples", "0"],
+    ["verify", "--samples", "3999"],
 ])
 def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "no-mean.csv").write_text(
@@ -207,6 +217,7 @@ def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
     assert captured.out == ""
     if argv[-1].endswith("-mean.csv"):
         assert "'mean'" in captured.err
+    assert not (tmp_path / "sim.csv").exists()
 
 
 def test_race_is_binary_only():

@@ -56,6 +56,29 @@ def test_backend_mismatch():
     q2 = sample_phase_qubit(backend(16, 5, seed=2))
     with pytest.raises(BackendMismatchError):
         combine(q1, q2)
+    assert not q1.consumed and not q2.consumed
+
+
+def test_combine_rejects_reuse():
+    be = backend(16, 5)
+    q = PhaseQubit(3, be)
+    with pytest.raises(QubitConsumedError):
+        combine(q, q)
+    used, live = PhaseQubit(5, be), PhaseQubit(7, be)
+    measure_pm(used)
+    with pytest.raises(QubitConsumedError):
+        combine(used, live)
+    with pytest.raises(QubitConsumedError):
+        combine(live, used)
+
+
+def test_combine_branch_threshold():
+    # the minus branch is u >= coin_bias, so a biased coin shifts it
+    be = backend(16, 5, coin_bias=0.8)
+    plus = combine(PhaseQubit(3, be), PhaseQubit(5, be), 0.7)
+    minus = combine(PhaseQubit(3, be), PhaseQubit(5, be), 0.9)
+    assert not plus.minus_branch and plus.label == 8
+    assert minus.minus_branch and minus.label == 14
 
 
 def test_sampling_costs_queries():

@@ -49,6 +49,14 @@ def test_power2_exhaustive_n4():
         assert rep.attempts >= 1 and rep.level_stats
 
 
+def test_power2_pinned_queries():
+    # a change to any draw of the sieve moves this count
+    o = make_reflection_oracle(GroupCtx(1 << 10), 777)
+    got, rep = recover_slope_power2(o, 10, rng=np.random.default_rng(3))
+    assert got == 777 and rep.attempts == 1
+    assert o.queries == rep.queries == 8283
+
+
 def test_power2_zero_and_n0():
     o = make_reflection_oracle(GroupCtx(1), 0)
     got, _ = recover_slope_power2(o, 0, seed=1)

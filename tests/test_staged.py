@@ -2,16 +2,23 @@
 over D_{2^n}, and the interval sieve with quadrature readout."""
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import dhsieve.staged as staged_mod
 from dhsieve.errors import SieveExhaustedError
 from dhsieve.group import GroupCtx
-from dhsieve.oracle import make_reflection_oracle
+from dhsieve.oracle import (
+    SubstringInstance,
+    make_reflection_oracle,
+    splice_substring,
+)
 from dhsieve.phase import PhaseBackend, combine, sample_batch
 from dhsieve.staged import (
+    _differences,
     estimate_from_quadratures,
     interval_config,
     interval_sieve,
@@ -119,6 +126,107 @@ def test_staged_parity_correct(n):
         hits += bit == s % 2
         assert st.queries_used <= 3 * 2 ** (3 * staged_config(n).m) + 64
     assert trials > 0 and hits == trials
+
+
+def test_differences_batched_coins_match_reference_loop():
+    # one stage through _differences (one coin draw for the stage) against
+    # one combine(a, b) per pair (one draw each) on a twin backend; the
+    # spliced oracle corrupts a quarter of the qubits
+    def stage_pairs():
+        o = splice_substring(SubstringInstance(256, 100), 36)
+        be = PhaseBackend(o, rng=np.random.default_rng(11))
+        return match_by_suffix(sample_batch(be, 1536), (0, 3))[0], be
+
+    pairs, be = stage_pairs()
+    ref_pairs, ref_be = stage_pairs()
+    got = list(_differences(pairs, be))
+    ref = []
+    for kq, lq in ref_pairs:
+        out = combine(kq, lq)
+        if out.minus_branch or (2 * lq.label) % 256 == 0:
+            ref.append(out)
+    key = lambda q: (q.label, q.minus_branch, q.classical)
+    assert [key(q) for q in got] == [key(q) for q in ref]
+    assert any(q.classical for q in got) and not all(q.classical for q in got)
+    assert be.rng.random() == ref_be.rng.random()
+
+
+def test_staged_parity_pinned_record():
+    # a change to any draw of the sieve moves these numbers
+    be = PhaseBackend(make_reflection_oracle(GroupCtx(1 << 12), 1234),
+                      rng=np.random.default_rng(12))
+    bit, st = run_staged_parity(be, 12)
+    assert bit == 0 and st.queries_used == 12288
+    assert st.list_sizes == [12288, 3031, 773, 228]
+
+
+def _count_sieve_calls(monkeypatch):
+    """Replace staged's combine and match_by_suffix by counting wrappers,
+    on the module binding the sieves call, the way the benchmark's layer
+    tracer does; the sieves must make one combine call per pair."""
+    seen = {"combines": 0, "minus": 0, "matched": 0, "stage_pairs": []}
+    orig_combine = staged_mod.combine
+    orig_match = staged_mod.match_by_suffix
+    orig_differences = staged_mod._differences
+
+    def counting_combine(*args, **kwargs):
+        out = orig_combine(*args, **kwargs)
+        seen["combines"] += 1
+        seen["minus"] += bool(out.minus_branch)
+        return out
+
+    def counting_match(*args, **kwargs):
+        out = orig_match(*args, **kwargs)
+        seen["matched"] += len(out[0])
+        return out
+
+    def counting_differences(pairs, backend):
+        seen["stage_pairs"].append(len(pairs))
+        return orig_differences(pairs, backend)
+
+    monkeypatch.setattr(staged_mod, "combine", counting_combine)
+    monkeypatch.setattr(staged_mod, "match_by_suffix", counting_match)
+    monkeypatch.setattr(staged_mod, "_differences", counting_differences)
+    return seen
+
+
+def _assert_fair_coin(seen):
+    n = seen["combines"]
+    assert n > 0
+    assert abs(seen["minus"] / n - 0.5) <= 6 * 0.5 / math.sqrt(n)
+
+
+def test_staged_parity_calls_combine_per_pair(monkeypatch):
+    n = 12
+    make = lambda: PhaseBackend(make_reflection_oracle(GroupCtx(1 << n), 1234),
+                                rng=np.random.default_rng(12))
+    ref_bit, ref_st = run_staged_parity(make(), n)
+    seen = _count_sieve_calls(monkeypatch)
+    bit, st = run_staged_parity(make(), n)
+    assert len(seen["stage_pairs"]) == len(stage_windows(n, staged_config(n).m))
+    assert seen["combines"] == seen["matched"] == sum(seen["stage_pairs"])
+    _assert_fair_coin(seen)
+    assert (bit, st.list_sizes) == (ref_bit, ref_st.list_sizes)
+
+
+def test_interval_sieve_calls_combine_per_pair(monkeypatch):
+    N = 360
+    make = lambda: PhaseBackend(make_reflection_oracle(GroupCtx(N), 123),
+                                rng=np.random.default_rng(5))
+    ref_ones, ref_st = interval_sieve(make())
+    # the first stage's pairs, counted from a twin backend's sample: every
+    # bucket of normalized labels (0 and 1 routed out) pairs all but one
+    m, size = interval_config(N)
+    labels = [min(q.label, N - q.label) for q in sample_batch(make(), size)]
+    width = 1 << max(0, m * m - m + 1)
+    buckets = Counter(k // width for k in labels if k > 1)
+    seen = _count_sieve_calls(monkeypatch)
+    ones, st = interval_sieve(make())
+    assert seen["stage_pairs"][0] == sum(c // 2 for c in buckets.values())
+    assert seen["combines"] == sum(seen["stage_pairs"]) and seen["matched"] == 0
+    _assert_fair_coin(seen)
+    assert st.list_sizes == ref_st.list_sizes
+    assert len(ones) == len(ref_ones)
 
 
 def test_staged_parity_group_mismatch():
