@@ -69,7 +69,6 @@ from .statevec import (
 from .staged import (
     SieveStats,
     interval_sieve,
-    list_size_schedule,
     match_by_suffix,
     run_general_interval,
     run_staged_parity,

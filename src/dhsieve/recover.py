@@ -188,7 +188,8 @@ def _general_attempt(o, N, rng):
         u = unit_for_odd_part(N, j)
         wrapped = with_label_automorphism(o, u)
         try:
-            ones, _ = interval_sieve(PhaseBackend(wrapped, rng=rng))
+            ones, _ = interval_sieve(PhaseBackend(wrapped, rng=rng),
+                                     _COPIES_PER_ROUND)
         except SieveExhaustedError:
             continue
         uinv = pow(u, -1, N)

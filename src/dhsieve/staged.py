@@ -1,5 +1,6 @@
 """Staged sieves: the power-of-two parity sieve and the general-N
-interval sieve, with the list-size schedule from the survival analysis.
+interval sieve, which samples until it holds the psi_1 copies its
+caller reads.
 """
 
 from __future__ import annotations
@@ -17,23 +18,32 @@ from .phase import (
     sample_batch,
 )
 
+# list-size constant: the parity sieve samples C_0 * 8^m qubits and each
+# interval-sieve pass C_0 * 4^m
+C_0 = 3
+# passes the interval sieve runs before it gives up on too few copies
+_MAX_PASSES = 16
+# psi_1 copies the coarse quadrature readout averages over
+_COARSE_COPIES = 24
+
 
 @dataclass
 class StagedConfig:
-    """Stage count parameter m and the list-size constants C_k."""
+    """Stage count parameter m and the initial list size C_0 * 8^m."""
 
     n: int
     m: int
-    C: list
     initial_size: int
 
 
 @dataclass
 class SieveStats:
-    """Per-run accounting: queries, stage-by-stage list sizes and
-    survival ratios, and the greedy sieve's combines and pairing work."""
+    """Per-run accounting: queries, sampling passes, stage-by-stage list
+    sizes and survival ratios, and the greedy sieve's combines and
+    pairing work."""
 
     queries_used: int = 0
+    passes: int = 0
     list_sizes: list = field(default_factory=list)
     survival_ratios: list = field(default_factory=list)
     combines: int = 0
@@ -46,25 +56,6 @@ class SieveStats:
         self.survival_ratios.append(size / prev if prev else 0.0)
 
 
-def list_size_constants(m, depth=None):
-    """C_0 = 3 and C_k = C_{k-1} / (1 - 2^(-k - m/3)) + 2^(-2k);
-    increasing and bounded by 9."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if depth is None:
-        depth = max(m, 64)
-    C = [3.0]
-    for k in range(1, depth + 1):
-        C.append(C[-1] / (1.0 - 2.0 ** (-k - m / 3.0)) + 2.0 ** (-2 * k))
-    return C
-
-
-def list_size_schedule(m):
-    """(C constants, initial list size C_0 * 2^(3m))."""
-    C = list_size_constants(m)
-    return C, int(C[0] * (1 << (3 * m)))
-
-
 def staged_config(n):
     """Configuration for the power-of-two sieve on N = 2^n."""
     if n < 2:
@@ -72,8 +63,7 @@ def staged_config(n):
     m = math.isqrt(n - 1)
     if m * m < n - 1:
         m += 1
-    C, size = list_size_schedule(m)
-    return StagedConfig(n=n, m=m, C=C, initial_size=size)
+    return StagedConfig(n=n, m=m, initial_size=C_0 << (3 * m))
 
 
 def stage_windows(n, m):
@@ -165,39 +155,42 @@ def _normalize_halfrange(q, N):
 
 
 def interval_config(N):
-    """m = ceil(sqrt(log2 N - 2)) and the reused list-size schedule."""
+    """Stage count m = ceil(sqrt(log2 N - 2)), the per-pass sample size
+    C_0 * 4^m, and the m stage widths.  With b the bit length of N // 2,
+    stage j keeps normalized labels below 2^max(1, b - ceil((b-1)(j+1)/m)),
+    so the stages shrink [0, N/2] in even steps down to {0, 1}."""
     if N < 2:
         raise ValueError("N must be >= 2")
     x = math.log2(N) - 2
     m = max(1, math.ceil(math.sqrt(x)) if x > 0 else 1)
-    C, size = list_size_schedule(m)
-    return m, size
+    b = (N // 2).bit_length()
+    widths = [1 << max(1, b - ((b - 1) * (j + 1) + m - 1) // m)
+              for j in range(m)]
+    return m, C_0 << (2 * m), widths
 
 
-def interval_sieve(backend):
-    """General-N interval sieve: drives normalized labels down to {0, 1}
-    and returns the surviving psi_1 copies."""
-    stats = SieveStats()
+def _interval_pass(backend, size, widths, ones):
+    """One pass of the interval sieve over a fresh sample of size labels:
+    each stage pairs sorted neighbours within a bucket of its width and
+    keeps the differences below it.  psi_1 copies are moved to ones as
+    they appear and psi_0 is dropped; neither is paired again.  Returns
+    the nonzero-label count after sampling and after each stage."""
     N = backend.oracle.ctx.N
-    m, size = interval_config(N)
-    ones = []
+    sizes = []
 
-    def route(q, pool):
-        # psi_0 carries no information and psi_1 is already the goal;
-        # neither should be fed back into the pairing.
-        if q.label == 1:
-            ones.append(q)
-        elif q.label != 0:
-            pool.append(q)
+    def route(qs):
+        pool, before = [], len(ones)
+        for q in qs:
+            if q.label == 1:
+                ones.append(q)
+            elif q.label != 0:
+                pool.append(q)
+        sizes.append(len(pool) + len(ones) - before)
+        return pool
 
-    current = []
-    for q in sample_batch(backend, size):
-        route(_normalize_halfrange(q, N), current)
-    stats.queries_used += size
-    stats.list_sizes.append(len(current))
-
-    for j in range(m):
-        width = 1 << max(0, m * m - m * (j + 1) + 1)
+    current = route(_normalize_halfrange(q, N)
+                    for q in sample_batch(backend, size))
+    for width in widths:
         buckets = defaultdict(list)
         for q in current:
             buckets[q.label // width].append(q)
@@ -205,18 +198,32 @@ def interval_sieve(backend):
         for group in buckets.values():
             group.sort(key=lambda q: q.label)
             pairs.extend(zip(group[::2], group[1::2]))
-        survivors = []
-        for out in _differences(pairs, backend):
-            out = _normalize_halfrange(out, N)
-            if out.label < width:
-                route(out, survivors)
-        stats.record_stage(len(survivors))
-        current = survivors
-        if not current:
-            break
+        outs = (_normalize_halfrange(q, N)
+                for q in _differences(pairs, backend))
+        current = route(q for q in outs if q.label < width)
+    return sizes
 
-    if not ones:
-        raise SieveExhaustedError("no psi_1 in the final list")
+
+def interval_sieve(backend, want):
+    """General-N interval sieve: runs passes over fresh samples until it
+    holds at least want psi_1 copies, and returns them with one SieveStats
+    whose list sizes are summed stage by stage over the passes.  Raises
+    SieveExhaustedError after _MAX_PASSES passes with fewer copies."""
+    if want < 1:
+        raise ValueError("want must be >= 1")
+    m, size, widths = interval_config(backend.oracle.ctx.N)
+    ones, totals, passes = [], [0] * (m + 1), 0
+    while len(ones) < want:
+        if passes == _MAX_PASSES:
+            raise SieveExhaustedError(
+                f"{len(ones)} of {want} psi_1 copies after {passes} passes")
+        passes += 1
+        totals = [t + k for t, k in
+                  zip(totals, _interval_pass(backend, size, widths, ones))]
+    stats = SieveStats(queries_used=passes * size, passes=passes,
+                       list_sizes=totals[:1])
+    for total in totals[1:]:
+        stats.record_stage(total)
     return ones, stats
 
 
@@ -245,5 +252,5 @@ def estimate_from_quadratures(ones, N):
 def run_general_interval(backend):
     """Interval sieve plus quadrature readout: estimates the hidden slope
     to within N/4 (circular) with probability at least 2/3."""
-    ones, stats = interval_sieve(backend)
+    ones, stats = interval_sieve(backend, _COARSE_COPIES)
     return estimate_from_quadratures(ones, backend.oracle.ctx.N), stats

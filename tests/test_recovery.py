@@ -99,6 +99,20 @@ def test_general_small_sweep_n45():
         assert got == s and rep.verified
 
 
+@pytest.mark.parametrize("N, s, queries", [(360, 123, 2114),
+                                           (4095, 1000, 9986)])
+def test_general_pinned_queries(N, s, queries):
+    # a change to any draw of the sieve moves these counts; the interval
+    # sieve samples only the psi_1 copies the readout reads, which puts
+    # N = 4095 at least 10x below the 159,746 queries of a fixed
+    # C_0 * 8^m sample per sieve call
+    o = make_reflection_oracle(GroupCtx(N), s)
+    got, rep = recover_slope_general(o, rng=np.random.default_rng(1))
+    assert got == s and rep.attempts == 1
+    assert o.queries == rep.queries == queries
+    assert N != 4095 or queries <= 15974
+
+
 def test_general_rejects_mismatched_N():
     o = make_reflection_oracle(GroupCtx(45), 3)
     with pytest.raises(ValueError):

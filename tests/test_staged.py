@@ -1,5 +1,5 @@
-"""Staged sieves: list-size schedule, suffix matching, the parity sieve
-over D_{2^n}, and the interval sieve with quadrature readout."""
+"""Staged sieves: list sizes, suffix matching, the parity sieve over
+D_{2^n}, and the demand-sized interval sieve with quadrature readout."""
 
 import math
 from collections import Counter
@@ -16,14 +16,13 @@ from dhsieve.oracle import (
     make_reflection_oracle,
     splice_substring,
 )
-from dhsieve.phase import PhaseBackend, combine, sample_batch
+from dhsieve.phase import PhaseBackend, combine, cosine_observe, sample_batch
 from dhsieve.staged import (
     _differences,
+    _interval_pass,
     estimate_from_quadratures,
     interval_config,
     interval_sieve,
-    list_size_constants,
-    list_size_schedule,
     match_by_suffix,
     run_general_interval,
     run_staged_parity,
@@ -37,20 +36,9 @@ def backend(N, s, seed=0):
                         rng=np.random.default_rng(seed))
 
 
-def test_schedule_constants():
-    C = list_size_constants(1)
-    assert C[0] == 3.0
-    assert abs(C[1] - 5.22389) < 2e-3  # 3/(1 - 2^(-4/3)) + 1/4
-    for m in (1, 2, 5, 17, 64):
-        C = list_size_constants(m)
-        assert all(b >= a for a, b in zip(C, C[1:]))
-        assert all(b > a for a, b in zip(C[:4], C[1:4]))  # strict early on
-        assert C[-1] < 9.0
-
-
 def test_schedule_initial_size():
-    C, size = list_size_schedule(3)
-    assert size == 3 * 2 ** 9
+    # n = 10 gives m = 3 and C_0 * 8^m qubits
+    assert staged_config(10).initial_size == 3 * 2 ** 9
 
 
 def test_staged_config_m():
@@ -213,15 +201,16 @@ def test_interval_sieve_calls_combine_per_pair(monkeypatch):
     N = 360
     make = lambda: PhaseBackend(make_reflection_oracle(GroupCtx(N), 123),
                                 rng=np.random.default_rng(5))
-    ref_ones, ref_st = interval_sieve(make())
-    # the first stage's pairs, counted from a twin backend's sample: every
-    # bucket of normalized labels (0 and 1 routed out) pairs all but one
-    m, size = interval_config(N)
+    ref_ones, ref_st = interval_sieve(make(), 24)
+    # the first stage's pairs, counted from a twin backend's first pass:
+    # every bucket of normalized labels (0 and 1 routed out) pairs all
+    # but one
+    m, size, widths = interval_config(N)
     labels = [min(q.label, N - q.label) for q in sample_batch(make(), size)]
-    width = 1 << max(0, m * m - m + 1)
-    buckets = Counter(k // width for k in labels if k > 1)
+    buckets = Counter(k // widths[0] for k in labels if k > 1)
     seen = _count_sieve_calls(monkeypatch)
-    ones, st = interval_sieve(make())
+    ones, st = interval_sieve(make(), 24)
+    assert len(seen["stage_pairs"]) == st.passes * m
     assert seen["stage_pairs"][0] == sum(c // 2 for c in buckets.values())
     assert seen["combines"] == sum(seen["stage_pairs"]) and seen["matched"] == 0
     _assert_fair_coin(seen)
@@ -254,16 +243,81 @@ def test_unbiased_top_label():
 
 
 def test_interval_config():
-    m, size = interval_config(1000)
+    m, size, widths = interval_config(1000)
     assert m == math.ceil(math.sqrt(math.log2(1000) - 2))
-    assert size == int(3 * 2 ** (3 * m))
+    assert size == 3 * 4 ** m
+    assert len(widths) == m
+
+
+def test_interval_widths_pinned():
+    assert interval_config(360)[2] == [32, 8, 2]
+    assert interval_config(4095)[2] == [256, 64, 8, 2]
+    assert interval_config(100001)[2] == [4096, 256, 16, 2]
+
+
+@pytest.mark.parametrize("N", [3, 45, 360, 1000, 4095, 65535, 100001])
+def test_interval_widths_shrink_to_two(N):
+    m, _, widths = interval_config(N)
+    assert len(widths) == m
+    assert all(w & (w - 1) == 0 for w in widths)
+    assert all(a > b for a, b in zip(widths, widths[1:]))
+    assert widths[-1] == 2
+    if N >= 8:
+        # stage 0 splits the half range [0, N/2] into at least two buckets
+        assert (N // 2) // widths[0] >= 1
 
 
 def test_interval_sieve_yields_psi1():
-    be = backend(360, 123, seed=5)
-    ones, st = interval_sieve(be)
-    assert ones and all(q.label == 1 and not q.consumed for q in ones)
-    assert st.queries_used == interval_config(360)[1]
+    for N in (360, 4095):
+        for want in (12, 24):
+            be = backend(N, 123, seed=5)
+            q0 = be.oracle.queries
+            ones, st = interval_sieve(be, want)
+            assert len(ones) >= want
+            assert all(q.label == 1 and not q.consumed for q in ones)
+            assert st.queries_used == st.passes * interval_config(N)[1]
+            assert st.queries_used == be.oracle.queries - q0
+
+
+def test_interval_sieve_one_record_per_run():
+    # want 100 at N = 360 takes several passes; the record sums their
+    # stage sizes, as a twin backend running the passes one by one shows
+    N = 360
+    m, size, widths = interval_config(N)
+    be = backend(N, 123, seed=8)
+    q0 = be.oracle.queries
+    ones, st = interval_sieve(be, 100)
+    twin, twin_ones, totals = backend(N, 123, seed=8), [], [0] * (m + 1)
+    for _ in range(st.passes):
+        sizes = _interval_pass(twin, size, widths, twin_ones)
+        totals = [t + k for t, k in zip(totals, sizes)]
+    assert st.passes > 1 and len(twin_ones) == len(ones)
+    assert st.list_sizes == totals and len(st.list_sizes) == m + 1
+    assert st.survival_ratios == [b / a if a else 0.0
+                                  for a, b in zip(totals, totals[1:])]
+    assert st.queries_used == st.passes * size == be.oracle.queries - q0
+
+
+def test_interval_sieve_exhausts_after_max_passes(monkeypatch):
+    monkeypatch.setattr(staged_mod, "_interval_pass",
+                        lambda backend, size, widths, ones: [0] * 4)
+    with pytest.raises(SieveExhaustedError):
+        interval_sieve(backend(360, 5), 1)
+    with pytest.raises(ValueError):
+        interval_sieve(backend(360, 5), 0)
+
+
+@pytest.mark.parametrize("N, s", [(360, 123), (4095, 1000)])
+def test_interval_sieve_psi1_cosine_law(N, s):
+    # cosine observations against slope 0 on the returned copies, pooled
+    # over seeds, follow (1 + cos(2 pi s / N)) / 2
+    hits = total = 0
+    for seed in range(12):
+        ones, _ = interval_sieve(backend(N, s, seed=seed), 24)
+        hits += sum(cosine_observe(q, 0) for q in ones)
+        total += len(ones)
+    p = (1 + math.cos(2 * math.pi * s / N)) / 2
+    assert abs(hits / total - p) <= 6 * math.sqrt(p * (1 - p) / total)
 
 
 def test_general_interval_estimate_quality():
