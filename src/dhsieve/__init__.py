@@ -15,7 +15,6 @@ from .errors import (
     NoHiddenReflectionError,
     QubitConsumedError,
     SieveExhaustedError,
-    SimonCaseError,
 )
 from .group import (
     AbelianGroupSpec,
@@ -23,7 +22,6 @@ from .group import (
     DihedralElement,
     GroupCtx,
     crt_split,
-    dinv,
     dmul,
     identity,
     subgroup_embed,
@@ -32,17 +30,13 @@ from .group import (
 from .oracle import (
     HidingOracle,
     OracleValue,
-    ReflectionFunction,
     ShiftPair,
     SubstringInstance,
-    make_reflection_function,
     make_reflection_oracle,
     make_shift_pair,
     make_trivial_oracle,
-    reflection_to_shift,
     restrict_reflection,
     shift_to_dihedral,
-    shift_to_reflection_in_A,
     splice_substring,
     with_label_automorphism,
 )

@@ -97,7 +97,7 @@ def _parse_budgets(text):
 def _cmd_table1(args):
     budgets = _parse_budgets(args.budgets)
     rows = run_table1(budgets, trials=args.trials, n_labels=args.labels,
-                      seed=args.seed)
+                      rng=args.seed)
     dicts = _table1_dicts(rows)
     if args.format == "json":
         _emit(json.dumps(dicts, indent=2) + "\n", args.out)
@@ -134,7 +134,7 @@ def _cmd_scaling(args):
 
 def _cmd_verify(args):
     report = verify_suite(N_max=args.nmax, samples=args.samples,
-                          seed=args.seed, coin_bias=args.coin_bias,
+                          rng=args.seed, coin_bias=args.coin_bias,
                           phase_sign=args.phase_sign)
     _emit(report.format() + "\n", args.out)
     return 0 if report.passed else 1
@@ -168,7 +168,7 @@ def _sim_trial(args, rng):
         inst = make_reflection_oracle(ctx, s)
         solve = {
             "staged": lambda: recover_slope_power2(inst, args.n, rng=rng),
-            "general": lambda: recover_slope_general(inst, N, rng=rng),
+            "general": lambda: recover_slope_general(inst, rng=rng),
             "greedy": lambda: recover_slope_radix(
                 inst, args.radix, args.n, rng=rng, budget=args.budget),
         }[args.algorithm]

@@ -23,8 +23,3 @@ class NoHiddenReflectionError(DhsieveError):
 
 class InsufficientCopiesError(DhsieveError):
     """Too few qubit copies for the requested tomography accuracy."""
-
-
-class SimonCaseError(DhsieveError):
-    """Every group element satisfies 2v = 0; the reduction to a hidden
-    shift pair does not apply (Simon-style escape, out of scope)."""

@@ -15,7 +15,7 @@ from .phase import negate_label, combine, sample_batch, tomography_copies_needed
 from .staged import SieveStats
 
 
-def alpha_radix(k, r, n):
+def alpha_radix(k, r):
     """Number of factors of r in k, except alpha(0) = 0."""
     if k == 0:
         return 0
@@ -47,7 +47,6 @@ class Objective:
 
     kind: str
     r: int = 2
-    n: int = 0
     orders: tuple = ()
     # optional coordinate permutation: score the label viewed in this
     # order (orders must already be permuted to match).  Lets the same
@@ -61,7 +60,7 @@ class Objective:
 
     def alpha(self, label):
         if self.kind == "radix":
-            return alpha_radix(label, self.r, self.n)
+            return alpha_radix(label, self.r)
         return alpha_abelian(self._view(label), self.orders)
 
     def is_zero(self, label):
@@ -74,7 +73,7 @@ class Objective:
         if self.kind == "radix":
             if self.r == 2:
                 return False
-            v = alpha_radix(label, self.r, self.n)
+            v = alpha_radix(label, self.r)
             return (label // self.r ** v) % self.r * 2 > self.r
         label = self._view(label)
         b = next((j for j, v in enumerate(label) if v != 0), None)
@@ -84,7 +83,7 @@ class Objective:
         """Digit string beyond the cancelled digits, least significant
         first; lexicographic order puts the best partners adjacent."""
         if self.kind == "radix":
-            v = alpha_radix(label, self.r, self.n)
+            v = alpha_radix(label, self.r)
             k = label // self.r ** v
             digits = []
             while k:
@@ -225,7 +224,7 @@ def run_radix_recovery(backend, r, n, budget=None, scale=1):
     if budget is None:
         budget = default_radix_budget(r, n)
     budget *= scale
-    obj = Objective("radix", r=r, n=n)
+    obj = Objective("radix", r=r)
     step = N // r
     want = max(5, tomography_copies_needed(r)) if r > 2 else 5
     if n == 1:
@@ -251,15 +250,13 @@ def race_key(k, v):
     return bin(k >> v)[:1:-1]
 
 
-def cancellation_race(labels, rng, r=2):
-    """Label-only simulation of the greedy sieve: run the pairing race on
-    plain integer labels and report the maximum alpha value reached
-    before the lists exhaust.  This is the Table-1 experiment.
+def cancellation_race(labels, rng):
+    """Label-only simulation of the greedy sieve: run the binary pairing
+    race on plain integer labels and report the maximum alpha value
+    reached before the lists exhaust.  This is the Table-1 experiment.
 
     The race is binary: for r > 2 it would have to reorient labels by
     k ~ -k modulo r^n, which labels kept in Z cannot express."""
-    if r != 2:
-        raise ValueError("the cancellation race is defined for r = 2 only")
     stats = SieveStats()
     best = 0
 
@@ -267,7 +264,7 @@ def cancellation_race(labels, rng, r=2):
         nonlocal best
         if k == 0:
             return None
-        v = alpha_radix(k, r, 0)
+        v = alpha_radix(k, 2)
         best = max(best, v)
         return v, k
 

@@ -57,20 +57,16 @@ class AbelianGroupSpec:
 
     orders: the cyclic factor orders N_1..N_a (truncated factors included).
     free_rank: how many trailing factors came from truncating a Z summand.
-    free_bits: per-truncated-coordinate bit widths (len == free_rank).
     """
 
     orders: tuple
     free_rank: int = 0
-    free_bits: tuple = ()
 
     def __post_init__(self):
         if any(n < 1 for n in self.orders):
             raise ValueError("all cyclic orders must be >= 1")
-        if self.free_rank != len(self.free_bits):
-            raise ValueError("free_bits must have one entry per free summand")
-        if any(m < 1 for m in self.free_bits):
-            raise ValueError("truncation bit widths must be positive")
+        if not 0 <= self.free_rank <= len(self.orders):
+            raise ValueError("free_rank must lie in [0, rank]")
 
     @property
     def rank(self):
@@ -132,13 +128,6 @@ def dmul(a, c, ctx):
     return DihedralElement(a.t ^ c.t, ctx.add(ba, c.b))
 
 
-def dinv(a, ctx):
-    """Inverse; reflections are involutions, rotations negate."""
-    if a.t:
-        return a
-    return DihedralElement(0, ctx.neg(a.b))
-
-
 def subgroup_embed(parity, e, ctx, r=2):
     """Embed D_{N/r} onto the subgroup F_parity = <x^r, y x^parity> of D_N.
 
@@ -168,9 +157,6 @@ class CrtSplit:
     # CRT idempotents: e2 = 1 mod 2^a, 0 mod M; eM the other way round.
     _e2: int = field(repr=False, default=0)
     _eM: int = field(repr=False, default=0)
-
-    def split(self, x):
-        return (x % (1 << self.a), x % self.M)
 
     def combine(self, x2, xm):
         return (x2 * self._e2 + xm * self._eM) % self.N

@@ -66,11 +66,11 @@ def _random_labels(rng, count, bits):
             for i in range(count)]
 
 
-def run_table1(budgets, trials=100, r=2, n_labels=96, seed=None, rng=None):
+def run_table1(budgets, trials=100, r=2, n_labels=96, rng=None):
     """Cancellation race averages: for each query budget Q, feed Q uniform
     n_labels-bit labels to the greedy pairing race and record the maximum
     number of cancelled low bits reached before exhaustion.  The race is
-    binary, so r must be 2."""
+    binary, so r must be 2.  rng is a Generator or a seed."""
     if r != 2:
         raise ValueError("the cancellation race is defined for r = 2 only")
     if trials < 1:
@@ -79,15 +79,14 @@ def run_table1(budgets, trials=100, r=2, n_labels=96, seed=None, rng=None):
         raise ValueError("label width must be >= 1 bit")
     if list(budgets) != sorted(budgets):
         raise ValueError("budgets must be ascending")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(rng)
     rows = []
     for Q in budgets:
         t0 = time.perf_counter()
         scores = np.empty(trials)
         for i in range(trials):
             labels = _random_labels(rng, Q, n_labels)
-            best, _ = cancellation_race(labels, rng, r=r)
+            best, _ = cancellation_race(labels, rng)
             scores[i] = best
         rows.append(ResultRow(
             budget=int(Q), trials=trials,
@@ -292,13 +291,16 @@ def _check_parity_readout(rng, coin_bias, phase_sign):
     return CheckResult("parity tomography", bad == 0, bad, "0 mismatches")
 
 
-def verify_suite(N_max=32, samples=10 ** 5, seed=None, rng=None,
-                 coin_bias=0.5, phase_sign=1):
+def verify_suite(N_max=32, samples=10 ** 5, rng=None, coin_bias=0.5,
+                 phase_sign=1):
     """Run every statistical invariant check; returns a VerifyReport whose
-    .passed drives the CLI exit code.  coin_bias and phase_sign inject
-    faults into each constructed backend (defaults are honest)."""
+    .passed drives the CLI exit code.  rng is a Generator or a seed.
+    coin_bias and phase_sign inject faults into each constructed backend
+    (defaults are honest)."""
     if not 8 <= N_max <= 1 << 10:
         raise ValueError("N_max must lie in [8, 1024]; 8 is the smallest case")
+    if not 0 <= coin_bias <= 1:
+        raise ValueError("coin_bias must lie in [0, 1]")
     if phase_sign not in (1, -1):
         raise ValueError("phase_sign must be +1 or -1")
     cases = [(N, s) for N, s in ((8, 3), (12, 5), (27, 8), (32, 13))
@@ -306,8 +308,7 @@ def verify_suite(N_max=32, samples=10 ** 5, seed=None, rng=None,
     if samples // len(cases) < 1000:
         raise ValueError(f"samples must give at least 1000 draws to each of "
                          f"the {len(cases)} measurement-law cases")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(rng)
     grid = [(N, k, s, t) for N, k, s, t in
             ((8, 3, 5, 2), (12, 5, 7, 3), (16, 7, 9, 4), (27, 10, 4, 11),
              (32, 13, 21, 6), (30, 11, 17, 8))

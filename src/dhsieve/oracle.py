@@ -19,13 +19,7 @@ import secrets as _secrets
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SimonCaseError
-from .group import (
-    AbelianGroupSpec,
-    DihedralElement,
-    GroupCtx,
-    subgroup_embed,
-)
+from .group import DihedralElement, GroupCtx, subgroup_embed
 
 
 @dataclass(frozen=True)
@@ -56,8 +50,8 @@ class _Tokenizer:
 
     __slots__ = ("_key",)
 
-    def __init__(self, key=None):
-        self._key = key if key is not None else _secrets.token_bytes(16)
+    def __init__(self):
+        self._key = _secrets.token_bytes(16)
 
     def __call__(self, rep):
         h = hashlib.blake2b(repr(rep).encode(), digest_size=12, key=self._key)
@@ -145,12 +139,12 @@ class ShiftPair:
     wrap-around window, exactly like a spliced approximation.
     """
 
-    def __init__(self, A, shift, f_fn, g_fn, counter=None):
+    def __init__(self, A, shift, f_fn, g_fn):
         self.A = A
         self._shift = A.reduce(shift)
         self._f = f_fn
         self._g = g_fn
-        self._counter = counter if counter is not None else _Counter()
+        self._counter = _Counter()
 
     @property
     def queries(self):
@@ -237,78 +231,6 @@ def shift_to_dihedral(p):
     return HidingOracle(ctx, slope, ev,
                         corruption_rate=p.truncation_corruption(),
                         counter=p._counter)
-
-
-class ReflectionFunction:
-    """A function h on an abelian group A, injective except for the
-    relation h(a) = h(s - a); the hidden reflection inside A itself."""
-
-    def __init__(self, A, s, h_fn, counter=None):
-        self.A = A
-        self._s = A.reduce(s)
-        self._h = h_fn
-        self._counter = counter if counter is not None else _Counter()
-
-    @property
-    def queries(self):
-        return self._counter.value
-
-    def h(self, a):
-        self._counter.bump()
-        return self._h(self.A.reduce(a))
-
-
-def make_reflection_function(A, s):
-    """Standard instance with h(a) = h(s - a): token of the canonical
-    representative of the orbit {a, s-a}."""
-    s = A.reduce(s)
-    tok = _Tokenizer()
-
-    def h_fn(a):
-        mirror = A.add(s, A.neg(a))
-        return tok(min(tuple(a), tuple(mirror)))
-
-    return ReflectionFunction(A, s, h_fn)
-
-
-def reflection_to_shift(refl, v=None):
-    """Convert h with h(a) = h(s-a) into a shift pair via
-    f(a) = (h(-a), h(v-a)), g(a) = (h(a), h(a-v)), for any v with 2v != 0.
-
-    Raises SimonCaseError when no such v exists (A of exponent 2)."""
-    A = refl.A
-    if v is None:
-        for j, n in enumerate(A.orders):
-            if n > 2:
-                v = tuple(1 if i == j else 0 for i in range(A.rank))
-                break
-        else:
-            raise SimonCaseError("every element satisfies 2v = 0")
-    v = A.reduce(v)
-    if A.add(v, v) == A.zero:
-        raise ValueError("need 2v != 0")
-
-    def f_fn(a):
-        return (refl._h(A.neg(a)), refl._h(A.add(v, A.neg(a))))
-
-    def g_fn(a):
-        return (refl._h(a), refl._h(A.add(a, A.neg(v))))
-
-    return ShiftPair(A, refl._s, f_fn, g_fn, counter=refl._counter)
-
-
-def shift_to_reflection_in_A(p):
-    """Convert a shift pair to a single function h(a) = {f(-a), g(a)}
-    (unordered pair values) with h(a) = h(s - a)."""
-    A = p.A
-
-    def h_fn(a):
-        a = A.reduce(a)
-        # the pair must be unordered: h(s - a) sees the same two values
-        # with the roles of f and g exchanged
-        return frozenset({p._f(A.neg(a)), p._g(a)})
-
-    return ReflectionFunction(A, p._shift, h_fn, counter=p._counter)
 
 
 # ---------------------------------------------------------------------------

@@ -54,16 +54,14 @@ class PhaseQubit:
 class PhaseBackend:
     """One oracle plus one RNG stream: the per-trial quantum backend.
 
+    rng is a numpy Generator, used as is, or a seed for a new one.
     coin_bias and phase_sign exist only for fault injection in the
     verification suite; the defaults are the honest physics.
     """
 
-    def __init__(self, oracle, rng=None, seed=None, coin_bias=0.5,
-                 phase_sign=1):
+    def __init__(self, oracle, rng=None, coin_bias=0.5, phase_sign=1):
         self.oracle = oracle
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        self.rng = rng
+        self.rng = np.random.default_rng(rng)
         self.coin_bias = coin_bias
         self.phase_sign = phase_sign
 
@@ -209,10 +207,8 @@ def tomography_mod_r(qs, r):
     """Read s mod r from qubits whose labels are multiples of N/r, by
     maximum likelihood over repeated cosine observations at references
     spanning quadratures.  Consumes all qubits."""
-    if r == 1:
-        for q in qs:
-            q._consume()
-        return 0
+    if r < 2:
+        raise ValueError("radix must be at least 2")
     if not qs:
         raise InsufficientCopiesError("no copies supplied")
     be = qs[0].backend
@@ -265,13 +261,12 @@ def log_likelihood(turns, bits, ll=None):
     return ll
 
 
-def sample_measure_batch(backend, count, t=0):
+def sample_measure_batch(backend, count):
     """Fast path for the verification suite: count independent draws of
-    (label, measure outcome against reference slope t), vectorized.
+    (label, measure_pm outcome), vectorized.
 
-    Same probability law as sample_phase_qubit followed by measure_pm
-    (t=0) or cosine_observe (general t), with the outcome convention of
-    measure_pm: 0 has probability cos^2.  Costs count queries."""
+    Same probability law as sample_phase_qubit followed by measure_pm:
+    outcome 0 has probability cos^2(pi k s / N).  Costs count queries."""
     o = backend.oracle
     if not isinstance(o.ctx, GroupCtx):
         raise TypeError("batch sampling is dihedral-only")
@@ -283,8 +278,6 @@ def sample_measure_batch(backend, count, t=0):
     turns = ((labels * o._slope) % N) / N
     if backend.phase_sign < 0:
         turns = (-turns) % 1.0
-    if t:
-        turns = turns - ((labels * t) % N) / N
     p_plus = np.cos(np.pi * turns) ** 2
     rate = float(o.corruption_rate)
     if rate > 0.0:

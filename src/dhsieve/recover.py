@@ -3,7 +3,8 @@ general-N automorphism refinement, substring solving through spliced
 oracles, and the abelian hidden shift assembled coordinate by coordinate.
 
 Every recovery is Las Vegas: a candidate is returned only after an oracle
-verification query, and failed candidates trigger a bounded retry.
+verification query, and failed candidates trigger a bounded retry.  Each
+entry point takes rng, a numpy Generator (used as is) or a seed.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ _COPIES_PER_ROUND = 12
 _RETRIES_PER_GUESS = 2
 # random points compared by the classical shift checks
 _CHECK_SAMPLES = 3
+# single-coordinate copies each abelian coordinate readout reads
+_COORDINATE_COPIES = 24
 
 
 @dataclass
@@ -60,12 +63,6 @@ def verify_reflection(o, s):
     so the hiding function must agree on 1 and y x^s."""
     refl = DihedralElement(1, o.ctx.reduce(s))
     return o.evaluate(identity(o.ctx)) == o.evaluate(refl)
-
-
-def _rng_of(rng, seed):
-    if rng is None:
-        return np.random.default_rng(seed)
-    return rng
 
 
 def _las_vegas(counter, attempt, verifier, max_retries):
@@ -117,8 +114,7 @@ def _digit_recursion(o, r, n, rng, read_digit):
     return s, levels
 
 
-def recover_slope_power2(o, n=None, rng=None, seed=None, max_retries=8,
-                         verifier=None):
+def recover_slope_power2(o, n=None, rng=None, max_retries=8, verifier=None):
     """Recover the slope over D_{2^n}: run the staged parity sieve, fold
     the answer into the index-2 subgroup, and recurse; verified against
     the oracle, retried on failure.
@@ -130,7 +126,7 @@ def recover_slope_power2(o, n=None, rng=None, seed=None, max_retries=8,
         n = N.bit_length() - 1
     if N != 1 << n:
         raise ValueError("group order is not 2^n")
-    rng = _rng_of(rng, seed)
+    rng = np.random.default_rng(rng)
 
     def attempt(i):
         return _digit_recursion(o, 2, n, rng, run_staged_parity)
@@ -139,7 +135,7 @@ def recover_slope_power2(o, n=None, rng=None, seed=None, max_retries=8,
                       max_retries)
 
 
-def recover_slope_radix(o, r, n=None, rng=None, seed=None, max_retries=6,
+def recover_slope_radix(o, r, n=None, rng=None, max_retries=6,
                         verifier=None, budget=None):
     """Digit-by-digit recovery over D_{r^n} using the greedy sieve at each
     level: read s mod r, restrict to the index-r subgroup, repeat.  Each
@@ -148,13 +144,15 @@ def recover_slope_radix(o, r, n=None, rng=None, seed=None, max_retries=6,
     N = o.ctx.N
     if r < 2:
         raise ValueError("radix must be at least 2")
+    if budget is not None and budget < 2:
+        raise ValueError("budget must be at least 2")
     if n is None:
         n, power = 0, 1
         while power < N:
             n, power = n + 1, power * r
     if r ** n != N:
         raise ValueError("group order is not r^n")
-    rng = _rng_of(rng, seed)
+    rng = np.random.default_rng(rng)
 
     def attempt(i):
         scale = min(1 << (i - 1), 8)
@@ -170,11 +168,12 @@ def recover_slope_radix(o, r, n=None, rng=None, seed=None, max_retries=6,
 # General N
 
 
-def _general_attempt(o, N, rng):
+def _general_attempt(o, rng):
     """One pass of the automorphism refinement: coarse interval estimate,
     then rounds of psi_1 cosine observations through the label-multiplier
     automorphisms, scored by log-likelihood over a shrinking candidate
     window."""
+    N = o.ctx.N
     backend = PhaseBackend(o, rng=rng)
     t0, _ = run_general_interval(backend)
     radius = N // 4 + 1
@@ -212,22 +211,17 @@ def _general_attempt(o, N, rng):
     return int(cands[np.argmax(ll)])
 
 
-def recover_slope_general(o, N=None, rng=None, seed=None, max_retries=6,
-                          verifier=None):
+def recover_slope_general(o, rng=None, max_retries=6, verifier=None):
     """Recover the slope over D_N for arbitrary N: power-of-two recursion
     when N = 2^a, otherwise interval sieve plus automorphism refinement
     on the odd CRT part.  Returns (s, RecoveryReport)."""
-    if N is None:
-        N = o.ctx.N
-    elif N != o.ctx.N:
-        raise ValueError("N disagrees with the oracle's group order")
-    rng = _rng_of(rng, seed)
-    cs = crt_split(N)
+    rng = np.random.default_rng(rng)
+    cs = crt_split(o.ctx.N)
     if cs.M == 1:
         return recover_slope_power2(o, cs.a, rng=rng,
                                     max_retries=max_retries,
                                     verifier=verifier)
-    return _las_vegas(o, lambda i: (_general_attempt(o, N, rng), []),
+    return _las_vegas(o, lambda i: (_general_attempt(o, rng), []),
                       _reflection_verifier(o, verifier), max_retries)
 
 
@@ -263,7 +257,7 @@ def _substring_check(inst, shift, rng):
     return True
 
 
-def solve_substring(inst, rng=None, seed=None):
+def solve_substring(inst, rng=None):
     """Find the shift of a hidden substring instance (f on N points is a
     shifted window of g on 2N): guess t on a coarse-to-fine grid, splice
     (f, g(.+t)) into an approximately-hiding reflection oracle, run the
@@ -272,7 +266,7 @@ def solve_substring(inst, rng=None, seed=None):
     Returns (s, RecoveryReport); raises NoHiddenReflectionError when
     every guess on the grid fails."""
     N = inst.N
-    rng = _rng_of(rng, seed)
+    rng = np.random.default_rng(rng)
     q0 = inst.queries
     power2 = N & (N - 1) == 0
     for attempts, t in enumerate(_substring_guesses(N), 1):
@@ -302,7 +296,7 @@ def abelian_budget(A):
     return max(128, math.ceil(24 * 3.0 ** math.sqrt(2 * log3)))
 
 
-def _coordinate_slope(o, A, j, rng, budget, copies=24):
+def _coordinate_slope(o, A, j, rng, budget):
     """Sieve for labels supported on coordinate j alone, then read the
     j-th shift coordinate by maximum likelihood over cosine
     observations."""
@@ -321,7 +315,7 @@ def _coordinate_slope(o, A, j, rng, budget, copies=24):
 
     backend = PhaseBackend(o, rng=rng)
     targets, _ = greedy_sieve(backend, obj, target, budget,
-                              max_targets=copies)
+                              max_targets=_COORDINATE_COPIES)
     refs = sorted({0, max(1, Nj // 4), max(1, Nj // 3)})
     ts = [refs[idx % len(refs)] for idx in range(len(targets))]
     bits = [cosine_observe(q, tuple(t if i == j else 0 for i in range(rank)))
@@ -347,13 +341,13 @@ def _shift_check(p, cand, rng):
     return True
 
 
-def solve_abelian_shift(p, rng=None, seed=None, max_retries=6, budget=None):
+def solve_abelian_shift(p, rng=None, max_retries=6, budget=None):
     """Hidden shift on a finite (possibly truncated) abelian group: view
     the pair as a reflection oracle on the generalized dihedral group,
     sieve each coordinate down to single-coordinate labels, and read the
     shift coordinate-wise.  Returns (s, RecoveryReport)."""
     A = p.A
-    rng = _rng_of(rng, seed)
+    rng = np.random.default_rng(rng)
     o = shift_to_dihedral(p)
     q0 = p.queries
 

@@ -31,7 +31,6 @@ _COARSE_COPIES = 24
 class StagedConfig:
     """Stage count parameter m and the initial list size C_0 * 8^m."""
 
-    n: int
     m: int
     initial_size: int
 
@@ -63,7 +62,7 @@ def staged_config(n):
     m = math.isqrt(n - 1)
     if m * m < n - 1:
         m += 1
-    return StagedConfig(n=n, m=m, initial_size=C_0 << (3 * m))
+    return StagedConfig(m=m, initial_size=C_0 << (3 * m))
 
 
 def stage_windows(n, m):

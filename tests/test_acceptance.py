@@ -51,7 +51,7 @@ def report(idx, name, ok, detail):
 @pytest.fixture(scope="module")
 def table1_rows():
     return run_table1([3 ** e for e in range(1, 7)], trials=100, r=2,
-                      seed=7)
+                      rng=7)
 
 
 def test_01_table1_reproduction(table1_rows):
@@ -227,9 +227,9 @@ def test_08_general_and_abelian_recoveries():
 
 
 def test_09_mutation_sensitivity():
-    honest = verify_suite(N_max=16, samples=40000, seed=7)
-    biased = verify_suite(N_max=16, samples=40000, seed=7, coin_bias=0.6)
-    flipped = verify_suite(N_max=16, samples=40000, seed=7, phase_sign=-1)
+    honest = verify_suite(N_max=16, samples=40000, rng=7)
+    biased = verify_suite(N_max=16, samples=40000, rng=7, coin_bias=0.6)
+    flipped = verify_suite(N_max=16, samples=40000, rng=7, phase_sign=-1)
     ok = honest.passed and not biased.passed and not flipped.passed
     report(9, "verification-suite mutation sensitivity", ok,
            f"honest run passed={honest.passed}; coin bias 0.6 "

@@ -30,14 +30,14 @@ def backend(N, s, seed=0):
 
 
 def test_alpha_radix_frozen():
-    assert alpha_radix(12, 2, 8) == 2
-    assert alpha_radix(0, 2, 8) == 0
-    assert alpha_radix(54, 3, 6) == 3  # 54 = 2 * 3^3
+    assert alpha_radix(12, 2) == 2
+    assert alpha_radix(0, 2) == 0
+    assert alpha_radix(54, 3) == 3  # 54 = 2 * 3^3
 
 
 @given(st.integers(1, 10 ** 9), st.sampled_from([2, 3, 5]))
 def test_alpha_radix_valuation(k, r):
-    a = alpha_radix(k, r, 64)
+    a = alpha_radix(k, r)
     assert k % r ** a == 0 and (k // r ** a) % r != 0
 
 
@@ -50,7 +50,7 @@ def test_alpha_abelian_frozen():
 
 
 def test_objective_canonicalization():
-    obj = Objective("radix", r=3, n=4)
+    obj = Objective("radix", r=3)
     assert not obj.needs_flip(9)       # leading digit 1
     assert obj.needs_flip(18)          # leading digit 2 -> negate
     obj_a = Objective("abelian", orders=(16, 9))
@@ -60,7 +60,7 @@ def test_objective_canonicalization():
 
 
 def test_objective_key_orders_by_low_digits():
-    obj = Objective("radix", r=2, n=8)
+    obj = Objective("radix", r=2)
     # 0b0101 and 0b1101 share two low bits beyond alpha=0
     k1, k2, k3 = 0b0101, 0b1101, 0b0011
     assert obj.key(k1)[:2] == obj.key(k2)[:2]
@@ -75,18 +75,18 @@ def test_r2_match_bonus(a, b, t):
     b = (b & ~((1 << t) - 1)) | (a & ((1 << t) - 1))
     if a == b:
         return
-    assert alpha_radix(abs(a - b), 2, 64) >= t
-    assert alpha_radix(a + b, 2, 64) >= 1
+    assert alpha_radix(abs(a - b), 2) >= t
+    assert alpha_radix(a + b, 2) >= 1
 
 
 def test_greedy_sieve_budget_validation():
-    obj = Objective("radix", r=2, n=4)
+    obj = Objective("radix", r=2)
     with pytest.raises(ValueError):
         greedy_sieve(backend(16, 5), obj, lambda k: False, 1)
 
 
 def test_greedy_sieve_no_deadlock_tiny_budget():
-    obj = Objective("radix", r=2, n=4)
+    obj = Objective("radix", r=2)
     be = backend(16, 5, seed=1)
     try:
         targets, st = greedy_sieve(be, obj, lambda k: k % 8 == 0, 2)
@@ -96,7 +96,7 @@ def test_greedy_sieve_no_deadlock_tiny_budget():
 
 
 def test_greedy_sieve_targets_and_stats():
-    obj = Objective("radix", r=2, n=10)
+    obj = Objective("radix", r=2)
     be = backend(1 << 10, 345, seed=2)
     targets, st = greedy_sieve(be, obj, lambda k: k % (1 << 9) == 0, 1024)
     assert all(q.label == 1 << 9 for q in targets)
@@ -107,7 +107,7 @@ def test_greedy_sieve_targets_and_stats():
 
 def test_greedy_sieve_pinned_record():
     # pinned record; r = 3 exercises the flips and the max_targets stop
-    obj = Objective("radix", r=3, n=6)
+    obj = Objective("radix", r=3)
     be = backend(3 ** 6, 100, seed=11)
     targets, st = greedy_sieve(be, obj, lambda k: k % 243 == 0, 300,
                                max_targets=4)
@@ -116,7 +116,7 @@ def test_greedy_sieve_pinned_record():
 
 
 def test_greedy_quasilinear_work():
-    obj = Objective("radix", r=2, n=16)
+    obj = Objective("radix", r=2)
     budget = 4096
     be = backend(1 << 16, 54321, seed=3)
     try:
@@ -135,7 +135,7 @@ def test_greedy_hit_rate_large_budget():
     for _ in range(20):
         s = int(rng.integers(0, 1 << 16))
         be = PhaseBackend(make_reflection_oracle(GroupCtx(1 << 16), s), rng=rng)
-        obj = Objective("radix", r=2, n=16)
+        obj = Objective("radix", r=2)
         try:
             t, _ = greedy_sieve(be, obj, lambda k: k % (1 << 15) == 0,
                                 3 * 8 ** 4, max_targets=1)

@@ -1,15 +1,19 @@
 """Experiment harness and CLI: the cancellation-race table, the scaling
-fit, the verification suite, and the command-line front end."""
+fit, the verification suite, the command-line front end, and the library
+names the benchmark tracer patches."""
 
 import csv
+import functools
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
+import dhsieve
 from dhsieve.cli import _parse_budgets, main
-from dhsieve.greedy import cancellation_race
 from dhsieve.harness import (
     ResultRow,
     fit_scaling,
@@ -58,8 +62,8 @@ def test_fit_scaling_degenerate():
 
 
 def test_run_table1_deterministic():
-    r1 = run_table1([9, 27], trials=8, seed=5)
-    r2 = run_table1([9, 27], trials=8, seed=5)
+    r1 = run_table1([9, 27], trials=8, rng=5)
+    r2 = run_table1([9, 27], trials=8, rng=5)
     assert [(a.budget, a.mean, a.stddev) for a in r1] == \
            [(a.budget, a.mean, a.stddev) for a in r2]
     with pytest.raises(ValueError):
@@ -73,32 +77,32 @@ def test_run_table1_deterministic():
 def test_run_table1_pinned_means():
     # pinned race means: the pairing loop and the race key may change
     # speed, never the race's results at a seed
-    rows = run_table1([243, 729, 2187], trials=4, seed=3)
+    rows = run_table1([243, 729, 2187], trials=4, rng=3)
     assert [r.mean for r in rows] == [26.75, 33.25, 42.75]
 
 
 def test_run_table1_q2_bounds():
-    rows = run_table1([2], trials=60, seed=6)
+    rows = run_table1([2], trials=60, rng=6)
     # two 96-bit labels: best cancellation is alpha of one combine
     assert 0 <= rows[0].mean <= 10
     assert rows[0].queries == 2
 
 
 def test_verify_suite_quick_honest():
-    report = verify_suite(N_max=16, samples=30000, seed=7)
+    report = verify_suite(N_max=16, samples=30000, rng=7)
     assert report.passed
     text = report.format()
     assert "ALL PASS" in text and text.count("PASS") >= 8
 
 
 def test_verify_suite_detects_coin_bias():
-    report = verify_suite(N_max=16, samples=20000, seed=8, coin_bias=0.8)
+    report = verify_suite(N_max=16, samples=20000, rng=8, coin_bias=0.8)
     assert not report.passed
     assert any("coin" in c.name and not c.ok for c in report.checks)
 
 
 def test_verify_suite_detects_sign_flip():
-    report = verify_suite(N_max=16, samples=20000, seed=9, phase_sign=-1)
+    report = verify_suite(N_max=16, samples=20000, rng=9, phase_sign=-1)
     assert not report.passed
     assert any("cosine" in c.name and not c.ok for c in report.checks)
 
@@ -205,6 +209,11 @@ def test_cli_config_rejects_unknown_key(tmp_path, capsys):
      "--out", "{tmp}/sim.csv"],
     ["verify", "--samples", "0"],
     ["verify", "--samples", "3999"],
+    ["verify", "--coin-bias", "1.5"],
+    ["verify", "--coin-bias", "-0.2"],
+    ["verify", "--coin-bias", "nan"],
+    ["simulate", "--algorithm", "greedy", "--radix", "3", "--n", "1",
+     "--budget", "-4", "--seed", "1", "--out", "{tmp}/sim.csv"],
 ])
 def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "no-mean.csv").write_text(
@@ -222,9 +231,7 @@ def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
 
 def test_race_is_binary_only():
     with pytest.raises(ValueError):
-        cancellation_race([5, 7], np.random.default_rng(1), r=3)
-    with pytest.raises(ValueError):
-        run_table1([9], trials=1, r=3, seed=1)
+        run_table1([9], trials=1, r=3, rng=1)
     with pytest.raises(SystemExit):
         main(["table1", "--radix", "3"])
 
@@ -261,3 +268,25 @@ def test_cli_simulate_same_seed_same_rows(tmp_path, flags):
                      for r in csv.DictReader(open(out))])
     assert runs[0] == runs[1]
     assert all(r["secret"] for r in runs[0])
+
+
+def test_tracer_names_resolve():
+    # perfbench/tracer.py patches every TRACED name on install; a name
+    # that no longer resolves would stop `perfbench/run.py --trace 1`
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import tracer
+    finally:
+        sys.path.remove(perfbench)
+        sys.modules.pop("tracer", None)
+        sys.modules.pop("workloads", None)
+    assert tracer.TRACED
+    for qual in tracer.TRACED:
+        owner, name = qual.rsplit(".", 1)
+        holder = functools.reduce(getattr, owner.split("."), dhsieve)
+        if isinstance(holder, type):
+            assert name in holder.__dict__, qual  # a method, patched on its class
+        else:
+            assert callable(getattr(holder, name, None)), qual

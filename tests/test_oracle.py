@@ -1,22 +1,19 @@
 """Hiding oracles: coset constancy, sealed secrets, query counting, the
-shift/reflection reductions, and spliced substring approximations."""
+hidden-shift-to-reflection reduction, and spliced substring
+approximations."""
 
 from fractions import Fraction
 
 import pytest
 
-from dhsieve.errors import SimonCaseError
 from dhsieve.group import AbelianGroupSpec, DihedralElement, GroupCtx
 from dhsieve.oracle import (
     SubstringInstance,
-    make_reflection_function,
     make_reflection_oracle,
     make_shift_pair,
     make_trivial_oracle,
-    reflection_to_shift,
     restrict_reflection,
     shift_to_dihedral,
-    shift_to_reflection_in_A,
     splice_substring,
     with_label_automorphism,
 )
@@ -63,7 +60,7 @@ def test_shift_pair_relation():
 
 
 def test_truncated_shift_breaks_only_wrap_window():
-    A = AbelianGroupSpec((16,), free_rank=1, free_bits=(4,))
+    A = AbelianGroupSpec((16,), free_rank=1)
     p = make_shift_pair(A, (3,))
     good = sum(p.f((a,)) == p.g(((a + 3) % 16,)) for a in range(16))
     assert good == 13  # 3 of 16 cosets broken by the truncation
@@ -79,31 +76,6 @@ def test_shift_to_dihedral_rank1_hides_reflection():
         assert (o.evaluate(DihedralElement(0, a))
                 == o.evaluate(DihedralElement(1, (7 + a) % 10)))
     assert o.queries == p.queries  # shared counter
-
-
-def test_reflection_to_shift_roundtrip():
-    A = AbelianGroupSpec((9,))
-    refl = make_reflection_function(A, (4,))
-    p = reflection_to_shift(refl)
-    for a in range(9):
-        assert p.f((a,)) == p.g(A.add((a,), (4,)))
-
-
-def test_reflection_to_shift_simon_case():
-    A = AbelianGroupSpec((2, 2))
-    refl = make_reflection_function(A, (1, 0))
-    with pytest.raises(SimonCaseError):
-        reflection_to_shift(refl)
-
-
-def test_shift_to_reflection_in_A():
-    A = AbelianGroupSpec((7, 3))
-    s = (2, 1)
-    h = shift_to_reflection_in_A(make_shift_pair(A, s))
-    for a0 in range(7):
-        for a1 in range(3):
-            a = (a0, a1)
-            assert h.h(a) == h.h(A.add(s, A.neg(a)))
 
 
 @pytest.mark.parametrize("s,t,d", [(10, 10, 0), (10, 3, 7), (3, 10, 7),

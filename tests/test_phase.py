@@ -216,9 +216,11 @@ def test_tomography_insufficient():
         tomography_mod_r([], 2)
 
 
-def test_tomography_r1_trivial():
+def test_tomography_rejects_radix_below_2():
     be = backend(8, 3)
-    assert tomography_mod_r([PhaseQubit(4, be)], 1) == 0
+    for r in (1, 0):
+        with pytest.raises(ValueError):
+            tomography_mod_r([PhaseQubit(4, be)], r)
 
 
 def test_sample_measure_batch_same_law():

@@ -16,7 +16,13 @@ from dhsieve.oracle import (
     make_reflection_oracle,
     splice_substring,
 )
-from dhsieve.phase import PhaseBackend, combine, cosine_observe, sample_batch
+from dhsieve.phase import (
+    PhaseBackend,
+    PhaseQubit,
+    combine,
+    cosine_observe,
+    sample_batch,
+)
 from dhsieve.staged import (
     _differences,
     _interval_pass,
@@ -345,15 +351,12 @@ def test_general_interval_zero_secret():
 
 
 def test_quadrature_estimator_exact_bias():
-    # with exact (noise-free) observation frequencies the quadrature
-    # algebra inverts the angle exactly
-    N, s = 400, 137
-    tq = N // 4
-    phi = 2 * math.pi * s / N
-    f0 = (1 + math.cos(phi)) / 2
-    fq = (1 + math.cos(phi - 2 * math.pi * tq / N)) / 2
-    gamma = 2 * math.pi * tq / N
-    cos_phi = 2 * f0 - 1
-    sin_phi = (2 * fq - 1 - cos_phi * math.cos(gamma)) / math.sin(gamma)
-    est = round(math.atan2(sin_phi, cos_phi) / (2 * math.pi) * N) % N
-    assert est == s
+    # 4,000 psi_1 copies put the observed frequencies close enough to the
+    # exact biases that the readout returns every slope exactly, at an
+    # even N (tq = N // 4 = 10) and an odd one
+    rng = np.random.default_rng(3)
+    for N in (40, 45):
+        for s in range(N):
+            be = PhaseBackend(make_reflection_oracle(GroupCtx(N), s), rng=rng)
+            ones = [PhaseQubit(1, be) for _ in range(4000)]
+            assert estimate_from_quadratures(ones, N) == s, (N, s)
