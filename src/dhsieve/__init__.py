@@ -18,10 +18,8 @@ from .errors import (
 )
 from .group import (
     AbelianGroupSpec,
-    CrtSplit,
     DihedralElement,
     GroupCtx,
-    crt_split,
     dmul,
     identity,
     subgroup_embed,

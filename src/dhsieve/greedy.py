@@ -184,7 +184,7 @@ def greedy_sieve(backend, obj, target, budget, max_targets=None):
     Raises SieveExhaustedError when the buckets empty with no target."""
     if budget < 2:
         raise ValueError("budget must be at least 2")
-    stats = SieveStats(queries_used=budget)
+    stats = SieveStats()
     targets = []
 
     def place(q):
@@ -226,15 +226,14 @@ def run_radix_recovery(backend, r, n, budget=None, scale=1):
     budget *= scale
     obj = Objective("radix", r=r)
     step = N // r
-    want = max(5, tomography_copies_needed(r)) if r > 2 else 5
+    want = max(5, tomography_copies_needed(r))
     if n == 1:
         # every nonzero label is already final; sample directly
         qs = [q for q in sample_batch(backend, max(budget, 4 * want))
               if q.label != 0]
-        stats = SieveStats(queries_used=max(budget, 4 * want))
         if not qs:
             raise SieveExhaustedError("no nonzero label sampled")
-        return tomography_mod_r(qs[: 4 * want], r), stats
+        return tomography_mod_r(qs[: 4 * want], r), SieveStats()
     targets, stats = greedy_sieve(
         backend, obj, lambda k: k % step == 0, budget, max_targets=4 * want)
     if r > 2 and len(targets) < tomography_copies_needed(r):

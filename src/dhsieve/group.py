@@ -8,7 +8,7 @@ generalized dihedral groups over a product of cyclic factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 
@@ -146,52 +146,16 @@ def subgroup_embed(parity, e, ctx, r=2):
     return DihedralElement(1, (parity + r * e.b) % ctx.N)
 
 
-@dataclass(frozen=True)
-class CrtSplit:
-    """Decomposition N = 2^a * M with M odd, plus the residue isomorphism
-    Z/N <-> Z/2^a x Z/M."""
-
-    N: int
-    a: int
-    M: int
-    # CRT idempotents: e2 = 1 mod 2^a, 0 mod M; eM the other way round.
-    _e2: int = field(repr=False, default=0)
-    _eM: int = field(repr=False, default=0)
-
-    def combine(self, x2, xm):
-        return (x2 * self._e2 + xm * self._eM) % self.N
-
-
-def crt_split(N):
-    """Write N = 2^a * M with M odd and build the CRT maps."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    a = 0
-    M = N
-    while M % 2 == 0:
-        M //= 2
-        a += 1
-    two_a = 1 << a
-    if M == 1:
-        e2, eM = 1 % N, 0
-    elif two_a == 1:
-        e2, eM = 0, 1 % N
-    else:
-        # e2 = M * (M^-1 mod 2^a), eM = 2^a * (2^-a mod M)
-        e2 = M * pow(M, -1, two_a) % N
-        eM = two_a * pow(two_a, -1, M) % N
-    return CrtSplit(N=N, a=a, M=M, _e2=e2, _eM=eM)
-
-
 def unit_for_odd_part(N, j):
     """The unit u mod N with u = 1 mod 2^a and u = 2^-j mod M, where
-    N = 2^a M.  Multiplying rotation exponents by u is the automorphism
-    x -> x^(2^-j) on the odd CRT factor."""
-    cs = crt_split(N)
-    if cs.M == 1:
-        return 1 % N
-    inv = pow(pow(2, j, cs.M), -1, cs.M)
-    u = cs.combine(1, inv)
+    N = 2^a M with M odd.  Multiplying rotation exponents by u is the
+    automorphism x -> x^(2^-j) on the odd factor Z/M."""
+    a = (N & -N).bit_length() - 1
+    M = N >> a
+    # u - 1 = 2^a x with 2^a x = 2^-j - 1 mod M; the final mod N only
+    # acts at N = 1
+    x = (pow(2, -j, M) - 1) * pow(2, -a, M) % M
+    u = (1 + (x << a)) % N
     if gcd(u, N) != 1:
         raise ArithmeticError("automorphism multiplier is not a unit")
     return u

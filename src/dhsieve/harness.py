@@ -38,6 +38,10 @@ from .statevec import (
 )
 
 LOG3_2 = math.log(2, 3)
+# draws per case of the cosine, coin-fairness and readout checks
+_PER_CASE = 4000
+# staged sieve runs the survival-ratio check pools
+_SURVIVAL_TRIALS = 5
 
 
 @dataclass
@@ -77,6 +81,8 @@ def run_table1(budgets, trials=100, r=2, n_labels=96, rng=None):
         raise ValueError("trials must be >= 1")
     if n_labels < 1:
         raise ValueError("label width must be >= 1 bit")
+    if not budgets or min(budgets) < 2:
+        raise ValueError("budgets must be a non-empty list, each at least 2")
     if list(budgets) != sorted(budgets):
         raise ValueError("budgets must be ascending")
     rng = np.random.default_rng(rng)
@@ -191,8 +197,9 @@ def _check_qft_cross(rng, samples, coin_bias, phase_sign, cases):
                        worst < tol, worst, f"< {tol:.3g}")
 
 
-def _check_cosine_freq(rng, coin_bias, phase_sign, grid, per=4000):
+def _check_cosine_freq(rng, coin_bias, phase_sign, grid):
     """Reference-slope observation frequencies vs cos^2(pi (s-t) k / N)."""
+    per = _PER_CASE
     worst_sigma = 0.0
     for N, k, s, t in grid:
         be = _backend(N, s, rng, coin_bias, phase_sign)
@@ -206,10 +213,10 @@ def _check_cosine_freq(rng, coin_bias, phase_sign, grid, per=4000):
                        worst_sigma < 4.5, worst_sigma, "< 4.5 sigma")
 
 
-def _check_coin_fairness(rng, coin_bias, phase_sign, per=4000):
+def _check_coin_fairness(rng, coin_bias, phase_sign):
     """Extraction branch must be an unbiased coin, as the dense two-qubit
     simulation of the extraction measurement confirms."""
-    N, s = 16, 7
+    N, s, per = 16, 7, _PER_CASE
     be = _backend(N, s, rng, coin_bias, phase_sign)
     minus = 0
     for _ in range(per):
@@ -243,9 +250,9 @@ def _check_extract_residual(rng):
                        worst, "> 1 - 1e-10")
 
 
-def _check_hoyer(rng, coin_bias, phase_sign, per=4000):
+def _check_hoyer(rng, coin_bias, phase_sign):
     """Binary-register readout distribution vs the closed-form kernel."""
-    N, s, kappa = 16, 5, 2
+    N, s, kappa, per = 16, 5, 2, _PER_CASE
     M = 1 << (kappa + 1)
     be = _backend(N, s, rng, coin_bias, phase_sign)
     counts = np.zeros(M)
@@ -257,12 +264,12 @@ def _check_hoyer(rng, coin_bias, phase_sign, per=4000):
                        tv < 0.05, tv, "< 0.05")
 
 
-def _check_survival(rng, coin_bias, phase_sign, trials=5):
+def _check_survival(rng, coin_bias, phase_sign):
     """Staged sieve survival ratio near 1/4 on well-filled stages."""
     n, s = 9, 217
     ratios = []
     cfg = staged_config(n)
-    for _ in range(trials):
+    for _ in range(_SURVIVAL_TRIALS):
         be = _backend(1 << n, s, rng, coin_bias, phase_sign)
         try:
             _, st = run_staged_parity(be, n)

@@ -10,7 +10,7 @@ entry point takes rng, a numpy Generator (used as is) or a seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .greedy import Objective, greedy_sieve, run_radix_recovery
 from .group import (
     DihedralElement,
     GroupCtx,
-    crt_split,
     identity,
     unit_for_odd_part,
 )
@@ -40,6 +39,8 @@ _RETRIES_PER_GUESS = 2
 _CHECK_SAMPLES = 3
 # single-coordinate copies each abelian coordinate readout reads
 _COORDINATE_COPIES = 24
+# attempts of the radix, general-N and abelian recoveries
+_MAX_RETRIES = 6
 
 
 @dataclass
@@ -51,7 +52,6 @@ class RecoveryReport:
     queries: int
     attempts: int
     verified: bool
-    level_stats: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.secret is not None and not self.verified:
@@ -67,23 +67,20 @@ def verify_reflection(o, s):
 
 def _las_vegas(counter, attempt, verifier, max_retries):
     """The retry loop every recovery shares: attempt(i) for
-    i = 1..max_retries returns (candidate, level stats); an exhausted
-    sieve counts as a failed attempt.  Returns the first candidate the
-    verifier accepts with its RecoveryReport, whose queries are those
-    counter (the oracle or pair) recorded meanwhile.  Raises
-    NoHiddenReflectionError when every attempt failed."""
+    i = 1..max_retries returns a candidate; an exhausted sieve counts as
+    a failed attempt.  Returns the first candidate the verifier accepts
+    with its RecoveryReport, whose queries are those counter (the oracle
+    or pair) recorded meanwhile.  Raises NoHiddenReflectionError when
+    every attempt failed."""
     q0 = counter.queries
-    all_levels = []
     for i in range(1, max_retries + 1):
         try:
-            s, levels = attempt(i)
+            s = attempt(i)
         except SieveExhaustedError:
             continue
-        all_levels.extend(levels)
         if verifier(s):
             return s, RecoveryReport(secret=s, queries=counter.queries - q0,
-                                     attempts=i, verified=True,
-                                     level_stats=all_levels)
+                                     attempts=i, verified=True)
     raise NoHiddenReflectionError(
         f"no verified answer after {max_retries} attempts")
 
@@ -101,17 +98,15 @@ def _reflection_verifier(o, verifier):
 def _digit_recursion(o, r, n, rng, read_digit):
     """One attempt of a recursion over D_{r^n}: read s mod r with
     read_digit(backend, levels left), restrict to the index-r subgroup
-    that digit names, and repeat.  Returns (s, per-level stats)."""
+    that digit names, and repeat.  Returns s."""
     cur, s, mul = o, 0, 1
-    levels = []
     for i in range(n):
-        digit, st = read_digit(PhaseBackend(cur, rng=rng), n - i)
-        levels.append(st)
+        digit, _ = read_digit(PhaseBackend(cur, rng=rng), n - i)
         s += digit * mul
         mul *= r
         if i < n - 1:
             cur = restrict_reflection(cur, digit, r)
-    return s, levels
+    return s
 
 
 def recover_slope_power2(o, n=None, rng=None, max_retries=8, verifier=None):
@@ -135,8 +130,7 @@ def recover_slope_power2(o, n=None, rng=None, max_retries=8, verifier=None):
                       max_retries)
 
 
-def recover_slope_radix(o, r, n=None, rng=None, max_retries=6,
-                        verifier=None, budget=None):
+def recover_slope_radix(o, r, n=None, rng=None, budget=None):
     """Digit-by-digit recovery over D_{r^n} using the greedy sieve at each
     level: read s mod r, restrict to the index-r subgroup, repeat.  Each
     retry doubles the list size, up to 8 times the first.
@@ -160,8 +154,8 @@ def recover_slope_radix(o, r, n=None, rng=None, max_retries=6,
             o, r, n, rng, lambda be, m: run_radix_recovery(
                 be, r, m, budget=budget, scale=scale))
 
-    return _las_vegas(o, attempt, _reflection_verifier(o, verifier),
-                      max_retries)
+    return _las_vegas(o, attempt, lambda s: verify_reflection(o, s),
+                      _MAX_RETRIES)
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +205,17 @@ def _general_attempt(o, rng):
     return int(cands[np.argmax(ll)])
 
 
-def recover_slope_general(o, rng=None, max_retries=6, verifier=None):
+def recover_slope_general(o, rng=None, max_retries=_MAX_RETRIES,
+                          verifier=None):
     """Recover the slope over D_N for arbitrary N: power-of-two recursion
     when N = 2^a, otherwise interval sieve plus automorphism refinement
-    on the odd CRT part.  Returns (s, RecoveryReport)."""
+    on the odd part of N.  Returns (s, RecoveryReport)."""
+    N = o.ctx.N
     rng = np.random.default_rng(rng)
-    cs = crt_split(o.ctx.N)
-    if cs.M == 1:
-        return recover_slope_power2(o, cs.a, rng=rng,
-                                    max_retries=max_retries,
+    if N & (N - 1) == 0:
+        return recover_slope_power2(o, rng=rng, max_retries=max_retries,
                                     verifier=verifier)
-    return _las_vegas(o, lambda i: (_general_attempt(o, rng), []),
+    return _las_vegas(o, lambda i: _general_attempt(o, rng),
                       _reflection_verifier(o, verifier), max_retries)
 
 
@@ -341,7 +335,7 @@ def _shift_check(p, cand, rng):
     return True
 
 
-def solve_abelian_shift(p, rng=None, max_retries=6, budget=None):
+def solve_abelian_shift(p, rng=None):
     """Hidden shift on a finite (possibly truncated) abelian group: view
     the pair as a reflection oracle on the generalized dihedral group,
     sieve each coordinate down to single-coordinate labels, and read the
@@ -354,18 +348,16 @@ def solve_abelian_shift(p, rng=None, max_retries=6, budget=None):
     if isinstance(o.ctx, GroupCtx):
         # rank 1 collapses to the plain dihedral problem
         s, rep = recover_slope_general(
-            o, rng=rng, max_retries=max_retries,
-            verifier=lambda s: _shift_check(p, (s,), rng))
+            o, rng=rng, verifier=lambda s: _shift_check(p, (s,), rng))
         return (s,), RecoveryReport(secret=(s,), queries=p.queries - q0,
                                     attempts=rep.attempts, verified=True)
 
-    if budget is None:
-        budget = abelian_budget(A)
+    budget = abelian_budget(A)
 
     def attempt(i):
         return tuple(0 if A.orders[j] == 1
                      else _coordinate_slope(o, A, j, rng, budget)
-                     for j in range(A.rank)), []
+                     for j in range(A.rank))
 
     return _las_vegas(p, attempt, lambda cand: _shift_check(p, cand, rng),
-                      max_retries)
+                      _MAX_RETRIES)

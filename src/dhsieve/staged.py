@@ -37,22 +37,19 @@ class StagedConfig:
 
 @dataclass
 class SieveStats:
-    """Per-run accounting: queries, sampling passes, stage-by-stage list
-    sizes and survival ratios, and the greedy sieve's combines and
-    pairing work."""
+    """Per-run accounting: stage-by-stage list sizes, and the greedy
+    sieve's combines and pairing work.  Queries are counted by the
+    oracle, not here."""
 
-    queries_used: int = 0
-    passes: int = 0
     list_sizes: list = field(default_factory=list)
-    survival_ratios: list = field(default_factory=list)
     combines: int = 0
     work: int = 0
 
-    def record_stage(self, size):
-        """Append a stage's list size and its ratio to the stage before."""
-        prev = self.list_sizes[-1]
-        self.list_sizes.append(size)
-        self.survival_ratios.append(size / prev if prev else 0.0)
+    @property
+    def survival_ratios(self):
+        """Each stage's list size over the size of the stage before."""
+        return [b / a if a else 0.0
+                for a, b in zip(self.list_sizes, self.list_sizes[1:])]
 
 
 def staged_config(n):
@@ -112,7 +109,6 @@ def run_staged_parity(backend, n):
     """Power-of-two staged sieve: returns s mod 2 for the slope hidden by
     the backend's oracle over D_{2^n}.  Raises SieveExhaustedError when no
     psi_{2^(n-1)} survives; the caller retries with a fresh run."""
-    stats = SieveStats()
     N = backend.oracle.ctx.N
     if N != 1 << n:
         raise ValueError("oracle group order is not 2^n")
@@ -121,20 +117,18 @@ def run_staged_parity(backend, n):
         # Degenerate group D_2: sample until the label-1 state appears.
         for _ in range(64):
             q = sample_batch(backend, 1)[0]
-            stats.queries_used += 1
             if q.label == 1:
-                return measure_pm(q), stats
+                return measure_pm(q), SieveStats()
         raise SieveExhaustedError("no psi_1 sampled in D_2")
 
     cfg = staged_config(n)
     current = sample_batch(backend, cfg.initial_size)
-    stats.queries_used += cfg.initial_size
-    stats.list_sizes.append(len(current))
+    stats = SieveStats(list_sizes=[len(current)])
 
     for window in stage_windows(n, cfg.m):
         pairs, _leftovers = match_by_suffix(current, window)
         current = list(_differences(pairs, backend))
-        stats.record_stage(len(current))
+        stats.list_sizes.append(len(current))
         if not current:
             raise SieveExhaustedError("staged sieve list emptied early")
 
@@ -219,11 +213,7 @@ def interval_sieve(backend, want):
         passes += 1
         totals = [t + k for t, k in
                   zip(totals, _interval_pass(backend, size, widths, ones))]
-    stats = SieveStats(queries_used=passes * size, passes=passes,
-                       list_sizes=totals[:1])
-    for total in totals[1:]:
-        stats.record_stage(total)
-    return ones, stats
+    return ones, SieveStats(list_sizes=totals)
 
 
 def estimate_from_quadratures(ones, N):

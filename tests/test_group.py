@@ -1,5 +1,7 @@
 """Group arithmetic: dihedral normal forms, index-r subgroup embeddings,
-and the CRT decomposition used by the general-N recovery."""
+and the automorphism units used by the general-N recovery."""
+
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +10,6 @@ from dhsieve.group import (
     AbelianGroupSpec,
     DihedralElement,
     GroupCtx,
-    crt_split,
     dmul,
     identity,
     subgroup_embed,
@@ -82,22 +83,31 @@ def test_subgroup_embed_images():
         subgroup_embed(2, DihedralElement(0, 0), ctx, r=2)
 
 
-@pytest.mark.parametrize("N", [1, 2, 8, 12, 45, 360, 1024])
-def test_crt_roundtrip(N):
-    cs = crt_split(N)
-    assert (1 << cs.a) * cs.M == N
-    assert cs.M % 2 == 1
-    for x in range(0, N, max(1, N // 37)):
-        assert cs.combine(x % (1 << cs.a), x % cs.M) == x
+def _odd_split(N):
+    """N = 2^a * M with M odd, by repeated halving."""
+    a, M = 0, N
+    while M % 2 == 0:
+        a, M = a + 1, M // 2
+    return a, M
 
 
 @pytest.mark.parametrize("N,j", [(360, 0), (360, 3), (45, 5), (24, 2), (8, 4)])
 def test_unit_for_odd_part(N, j):
-    cs = crt_split(N)
+    a, M = _odd_split(N)
     u = unit_for_odd_part(N, j)
-    assert u % (1 << cs.a) == 1 % (1 << cs.a)
-    if cs.M > 1:
-        assert (u * pow(2, j, cs.M)) % cs.M == 1
+    assert u % (1 << a) == 1 % (1 << a)
+    if M > 1:
+        assert (u * pow(2, j, M)) % M == 1
+
+
+@given(st.integers(1, 1 << 40), st.integers(0, 64))
+def test_unit_for_odd_part_closed_form(N, j):
+    a, M = _odd_split(N)
+    u = unit_for_odd_part(N, j)
+    assert 0 <= u < N
+    assert u % (1 << a) == 1 % (1 << a)
+    assert (u << j) % M == 1 % M
+    assert gcd(u, N) == 1
 
 
 def test_abelian_spec_arithmetic():

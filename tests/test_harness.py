@@ -214,6 +214,10 @@ def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     ["verify", "--coin-bias", "nan"],
     ["simulate", "--algorithm", "greedy", "--radix", "3", "--n", "1",
      "--budget", "-4", "--seed", "1", "--out", "{tmp}/sim.csv"],
+    ["table1", "--budgets", "0,9,27", "--trials", "2"],
+    ["table1", "--budgets", "-3", "--trials", "2"],
+    ["table1", "--budgets", "3^3..3^1", "--trials", "2"],
+    ["table1", "--budgets", "1,9", "--trials", "2"],
 ])
 def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "no-mean.csv").write_text(

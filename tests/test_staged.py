@@ -112,13 +112,15 @@ def test_staged_parity_correct(n):
     for _ in range(12):
         s = int(rng.integers(0, 1 << n))
         be = PhaseBackend(make_reflection_oracle(GroupCtx(1 << n), s), rng=rng)
+        q0 = be.oracle.queries
         try:
             bit, st = run_staged_parity(be, n)
         except SieveExhaustedError:
             continue
         trials += 1
         hits += bit == s % 2
-        assert st.queries_used <= 3 * 2 ** (3 * staged_config(n).m) + 64
+        cap = 3 * 2 ** (3 * staged_config(n).m) + 64
+        assert be.oracle.queries - q0 <= cap
     assert trials > 0 and hits == trials
 
 
@@ -150,7 +152,7 @@ def test_staged_parity_pinned_record():
     be = PhaseBackend(make_reflection_oracle(GroupCtx(1 << 12), 1234),
                       rng=np.random.default_rng(12))
     bit, st = run_staged_parity(be, 12)
-    assert bit == 0 and st.queries_used == 12288
+    assert bit == 0 and be.oracle.queries == 12288
     assert st.list_sizes == [12288, 3031, 773, 228]
 
 
@@ -215,8 +217,10 @@ def test_interval_sieve_calls_combine_per_pair(monkeypatch):
     labels = [min(q.label, N - q.label) for q in sample_batch(make(), size)]
     buckets = Counter(k // widths[0] for k in labels if k > 1)
     seen = _count_sieve_calls(monkeypatch)
-    ones, st = interval_sieve(make(), 24)
-    assert len(seen["stage_pairs"]) == st.passes * m
+    be = make()
+    ones, st = interval_sieve(be, 24)
+    passes = be.oracle.queries // size
+    assert len(seen["stage_pairs"]) == passes * m
     assert seen["stage_pairs"][0] == sum(c // 2 for c in buckets.values())
     assert seen["combines"] == sum(seen["stage_pairs"]) and seen["matched"] == 0
     _assert_fair_coin(seen)
@@ -281,8 +285,8 @@ def test_interval_sieve_yields_psi1():
             ones, st = interval_sieve(be, want)
             assert len(ones) >= want
             assert all(q.label == 1 and not q.consumed for q in ones)
-            assert st.queries_used == st.passes * interval_config(N)[1]
-            assert st.queries_used == be.oracle.queries - q0
+            # whole passes only
+            assert (be.oracle.queries - q0) % interval_config(N)[1] == 0
 
 
 def test_interval_sieve_one_record_per_run():
@@ -293,15 +297,16 @@ def test_interval_sieve_one_record_per_run():
     be = backend(N, 123, seed=8)
     q0 = be.oracle.queries
     ones, st = interval_sieve(be, 100)
+    passes, rest = divmod(be.oracle.queries - q0, size)
     twin, twin_ones, totals = backend(N, 123, seed=8), [], [0] * (m + 1)
-    for _ in range(st.passes):
+    for _ in range(passes):
         sizes = _interval_pass(twin, size, widths, twin_ones)
         totals = [t + k for t, k in zip(totals, sizes)]
-    assert st.passes > 1 and len(twin_ones) == len(ones)
+    assert rest == 0 and twin.oracle.queries == be.oracle.queries - q0
+    assert passes > 1 and len(twin_ones) == len(ones)
     assert st.list_sizes == totals and len(st.list_sizes) == m + 1
     assert st.survival_ratios == [b / a if a else 0.0
                                   for a, b in zip(totals, totals[1:])]
-    assert st.queries_used == st.passes * size == be.oracle.queries - q0
 
 
 def test_interval_sieve_exhausts_after_max_passes(monkeypatch):
