@@ -5,6 +5,7 @@ caller reads.
 
 from __future__ import annotations
 
+import gc
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -108,36 +109,44 @@ def _differences(pairs, backend):
 def run_staged_parity(backend, n):
     """Power-of-two staged sieve: returns s mod 2 for the slope hidden by
     the backend's oracle over D_{2^n}.  Raises SieveExhaustedError when no
-    psi_{2^(n-1)} survives; the caller retries with a fresh run."""
-    N = backend.oracle.ctx.N
-    if N != 1 << n:
-        raise ValueError("oracle group order is not 2^n")
+    psi_{2^(n-1)} survives; the caller retries with a fresh run.  The
+    cyclic collector is paused for the call (its qubits trigger full
+    collections that free nothing), then restored to the caller's state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        N = backend.oracle.ctx.N
+        if N != 1 << n:
+            raise ValueError("oracle group order is not 2^n")
 
-    if n == 1:
-        # Degenerate group D_2: sample until the label-1 state appears.
-        for _ in range(64):
-            q = sample_batch(backend, 1)[0]
-            if q.label == 1:
-                return measure_pm(q), SieveStats()
-        raise SieveExhaustedError("no psi_1 sampled in D_2")
+        if n == 1:
+            # Degenerate group D_2: sample until the label-1 state appears.
+            for _ in range(64):
+                q = sample_batch(backend, 1)[0]
+                if q.label == 1:
+                    return measure_pm(q), SieveStats()
+            raise SieveExhaustedError("no psi_1 sampled in D_2")
 
-    cfg = staged_config(n)
-    current = sample_batch(backend, cfg.initial_size)
-    stats = SieveStats(list_sizes=[len(current)])
+        cfg = staged_config(n)
+        current = sample_batch(backend, cfg.initial_size)
+        stats = SieveStats(list_sizes=[len(current)])
 
-    for window in stage_windows(n, cfg.m):
-        pairs, _leftovers = match_by_suffix(current, window)
-        current = list(_differences(pairs, backend))
-        stats.list_sizes.append(len(current))
-        if not current:
-            raise SieveExhaustedError("staged sieve list emptied early")
+        for window in stage_windows(n, cfg.m):
+            pairs, _leftovers = match_by_suffix(current, window)
+            current = list(_differences(pairs, backend))
+            stats.list_sizes.append(len(current))
+            if not current:
+                raise SieveExhaustedError("staged sieve list emptied early")
 
-    top = 1 << (n - 1)
-    target = next((q for q in current if q.label == top and not q.consumed),
-                  None)
-    if target is None:
-        raise SieveExhaustedError("no psi_{2^(n-1)} in the final list")
-    return measure_pm(target), stats
+        top = 1 << (n - 1)
+        target = next(
+            (q for q in current if q.label == top and not q.consumed), None)
+        if target is None:
+            raise SieveExhaustedError("no psi_{2^(n-1)} in the final list")
+        return measure_pm(target), stats
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _normalize_halfrange(q, N):

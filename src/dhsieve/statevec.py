@@ -2,7 +2,8 @@
 validate the phase-qubit backend and the spliced-approximation distance
 claims.  Never called from inside the sieves.
 
-Basis convention for C[D_N]: index t*N + b represents y^t x^b.
+Basis convention for C[D_N]: index t*N + b represents y^t x^b.  A density
+matrix is one real product M M^T of a 0/1 level-set indicator matrix M.
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ class PureState:
 
 @dataclass
 class DensityMatrix:
-    """Hermitian PSD operator with unit trace."""
+    """Hermitian PSD operator with unit trace; real input stays real."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
+        dtype = complex if np.iscomplexobj(self.entries) else float
+        self.entries = np.asarray(self.entries, dtype=dtype)
         if self.entries.shape[0] != self.entries.shape[1]:
             raise ValueError("density matrix must be square")
         if abs(np.trace(self.entries) - 1.0) > _ATOL_STRUCT * 10:
@@ -81,33 +83,31 @@ def left_mult_matrix(N, g):
 
 
 def rho_coset_mixture(N, s):
-    """rho_{D_N/H}: the uniform mixture of the N coset-state projectors."""
+    """rho_{D_N/H}, the uniform mixture of the N coset-state projectors:
+    M M^T / (2N), column a of M indicating {a, N + (s + a) mod N}."""
     if N > _MAX_DENSE_N:
         raise ValueError("dense simulation limited to N <= 1024")
-    rho = np.zeros((2 * N, 2 * N), dtype=complex)
-    for a in range(N):
-        v = coset_state(N, s, a).entries
-        rho += np.outer(v, v.conj())
-    return DensityMatrix(rho / N)
+    if not 0 <= s < N:
+        raise ValueError("s must lie in [0, N)")
+    a = np.arange(N)
+    M = np.zeros((2 * N, N))
+    M[a, a] = M[N + (s + a) % N, a] = 1.0
+    return DensityMatrix(M @ M.T / (2 * N))
 
 
 def rho_from_eval(N, eval_fn):
     """State left on the input register after dilating an arbitrary
-    function on D_N and discarding the output: block sums over the level
-    sets of the function."""
+    function on D_N and discarding the output: M M^T / (2N), where column
+    j of M indicates the j-th level set in order of first appearance.
+    eval_fn is called exactly once per element, t = 0 before t = 1."""
     if N > _MAX_DENSE_N:
         raise ValueError("dense simulation limited to N <= 1024")
-    groups = {}
-    for t in (0, 1):
-        for b in range(N):
-            val = eval_fn(DihedralElement(t, b))
-            groups.setdefault(val, []).append(t * N + b)
-    rho = np.zeros((2 * N, 2 * N), dtype=complex)
-    for idxs in groups.values():
-        v = np.zeros(2 * N, dtype=complex)
-        v[idxs] = 1.0
-        rho += np.outer(v, v.conj())
-    return DensityMatrix(rho / (2 * N))
+    cols = {}
+    idx = [cols.setdefault(eval_fn(DihedralElement(t, b)), len(cols))
+           for t in (0, 1) for b in range(N)]
+    M = np.zeros((2 * N, len(cols)))
+    M[np.arange(2 * N), idx] = 1.0
+    return DensityMatrix(M @ M.T / (2 * N))
 
 
 def qft_matrix(N):
@@ -130,14 +130,11 @@ def qft_joint_law(N, s):
     F = qft_matrix(N)
     U = np.kron(np.eye(2), F)  # basis index t*N + b
     rho_t = U @ rho @ U.conj().T
-    law = np.zeros((N, 2))
-    for k in range(N):
-        for sign, col in ((1.0, 0), (-1.0, 1)):
-            v = np.zeros(2 * N, dtype=complex)
-            v[k] = 1 / np.sqrt(2)
-            v[N + k] = sign / np.sqrt(2)
-            law[k, col] = np.real(np.vdot(v, rho_t @ v))
-    return law
+    # <v|rho_t|v> for v = (|k> +- |N+k>)/sqrt(2)
+    k = np.arange(N)
+    diag = (rho_t[k, k].real + rho_t[N + k, N + k].real) / 2
+    cross = rho_t[k, N + k].real
+    return np.stack([diag + cross, diag - cross], axis=1)
 
 
 def qft_measure_sim(N, s, rng):

@@ -1,6 +1,7 @@
 """Staged sieves: list sizes, suffix matching, the parity sieve over
 D_{2^n}, and the demand-sized interval sieve with quadrature readout."""
 
+import gc
 import math
 from collections import Counter
 from types import SimpleNamespace
@@ -231,6 +232,51 @@ def test_interval_sieve_calls_combine_per_pair(monkeypatch):
 def test_staged_parity_group_mismatch():
     with pytest.raises(ValueError):
         run_staged_parity(backend(12, 5), 4)
+
+
+@pytest.fixture
+def gc_state():
+    """Restore the collector state a test found, whatever it sets."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+def _record_gc_in_differences(monkeypatch, exhaust=False):
+    """Wrap staged._differences to note the collector state inside the
+    sieve; with exhaust, every stage yields nothing."""
+    seen = []
+    orig = staged_mod._differences
+
+    def recording(pairs, backend):
+        seen.append(gc.isenabled())
+        return iter(()) if exhaust else orig(pairs, backend)
+
+    monkeypatch.setattr(staged_mod, "_differences", recording)
+    return seen
+
+
+def test_staged_parity_pauses_gc_and_restores_it(monkeypatch, gc_state):
+    gc.enable()
+    seen = _record_gc_in_differences(monkeypatch)
+    run_staged_parity(backend(1 << 8, 77), 8)
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
+def test_staged_parity_restores_gc_after_exhaustion(monkeypatch, gc_state):
+    gc.enable()
+    seen = _record_gc_in_differences(monkeypatch, exhaust=True)
+    with pytest.raises(SieveExhaustedError):
+        run_staged_parity(backend(1 << 8, 77), 8)
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_staged_parity_leaves_disabled_gc_off(gc_state):
+    gc.disable()
+    run_staged_parity(backend(1 << 8, 77), 8)
+    assert not gc.isenabled()
 
 
 def test_unbiased_top_label():

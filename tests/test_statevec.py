@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from dhsieve.group import DihedralElement, GroupCtx
-from dhsieve.oracle import SubstringInstance, make_reflection_oracle, splice_substring
+from dhsieve.oracle import (
+    SubstringInstance,
+    make_reflection_oracle,
+    make_trivial_oracle,
+    splice_substring,
+)
 from dhsieve.statevec import (
     DensityMatrix,
     PureState,
@@ -21,6 +26,32 @@ from dhsieve.statevec import (
     rho_from_eval,
     trace_distance,
 )
+
+
+def _ref_rho_from_eval(N, eval_fn):
+    """Reference for rho_from_eval: one outer product per level set,
+    accumulated in a complex matrix."""
+    groups = {}
+    for t in (0, 1):
+        for b in range(N):
+            val = eval_fn(DihedralElement(t, b))
+            groups.setdefault(val, []).append(t * N + b)
+    rho = np.zeros((2 * N, 2 * N), dtype=complex)
+    for idxs in groups.values():
+        v = np.zeros(2 * N, dtype=complex)
+        v[idxs] = 1.0
+        rho += np.outer(v, v.conj())
+    return rho / (2 * N)
+
+
+def _ref_rho_coset_mixture(N, s):
+    """Reference for rho_coset_mixture: the sum of the N coset-state
+    projectors, one outer product each."""
+    rho = np.zeros((2 * N, 2 * N), dtype=complex)
+    for a in range(N):
+        v = coset_state(N, s, a).entries
+        rho += np.outer(v, v.conj())
+    return rho / N
 
 
 def test_state_validation():
@@ -47,6 +78,70 @@ def test_rho_mixture_invariant_under_hidden_subgroup():
     assert np.max(np.abs(P @ rho @ P.T - rho)) < 1e-12
 
 
+def test_rho_from_eval_matches_reference_loop():
+    # reflection, spliced (every guess t) and injective oracles
+    worst = 0.0
+    for N in range(1, 17):
+        ctx = GroupCtx(N)
+        fns = [make_trivial_oracle(ctx)._eval]
+        for s in range(N):
+            fns.append(make_reflection_oracle(ctx, s)._eval)
+            inst = SubstringInstance(N, s)
+            fns += [splice_substring(inst, t)._eval for t in range(N)]
+        for f in fns:
+            err = np.abs(rho_from_eval(N, f).entries - _ref_rho_from_eval(N, f))
+            worst = max(worst, float(err.max()))
+    assert worst <= 1e-12
+
+
+def test_rho_coset_mixture_matches_reference_loop():
+    for N in range(1, 17):
+        for s in range(N):
+            err = np.abs(rho_coset_mixture(N, s).entries
+                         - _ref_rho_coset_mixture(N, s))
+            assert err.max() <= 1e-12
+
+
+@pytest.mark.parametrize("s", [8, -1])
+def test_rho_coset_mixture_rejects_unreduced_slope(s):
+    with pytest.raises(ValueError):
+        rho_coset_mixture(8, s)
+
+
+def test_rho_from_eval_evaluates_each_element_once():
+    N = 12
+    ctx = GroupCtx(N)
+    for o in (make_reflection_oracle(ctx, 5),
+              splice_substring(SubstringInstance(N, 5), 2),
+              make_trivial_oracle(ctx)):
+        q0 = o.queries
+        rho_from_eval(N, o.evaluate)
+        assert o.queries - q0 == 2 * N
+    seen = []
+
+    def f(e):
+        seen.append((e.t, e.b))
+        return e.b % 3
+
+    rho_from_eval(N, f)
+    assert seen == [(t, b) for t in (0, 1) for b in range(N)]
+
+
+def test_density_matrix_keeps_real_input_real():
+    real = np.diag([0.25, 0.75])
+    assert DensityMatrix(real).entries.dtype == np.float64
+    assert DensityMatrix(real + 0j).entries.dtype == np.complex128
+    assert rho_from_eval(6, lambda e: e.b % 2).entries.dtype == np.float64
+    assert rho_coset_mixture(6, 1).entries.dtype == np.float64
+    with pytest.raises(ValueError):
+        DensityMatrix(np.array([[0.5, 0.1], [0.2, 0.5]]))  # not symmetric
+    # the real eigvalsh path gives the complex path's distance
+    a, b = rho_coset_mixture(6, 1), rho_coset_mixture(6, 4)
+    td = trace_distance(DensityMatrix(a.entries + 0j),
+                        DensityMatrix(b.entries + 0j))
+    assert abs(trace_distance(a, b) - td) < 1e-12
+
+
 def test_rho_from_eval_matches_mixture():
     # dilating the hiding function and discarding the output leaves
     # exactly the coset mixture
@@ -61,6 +156,16 @@ def test_qft_joint_law_frozen_n2():
     # N=2, s=1: measuring label k=1 leaves the |-> state deterministically
     law = qft_joint_law(2, 1)
     assert np.allclose(law, [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
+
+
+def test_qft_joint_law_closed_form_all_small():
+    # law[k] = [cos^2(pi k s/N)/N, 1/N - cos^2(pi k s/N)/N]
+    for N in range(1, 33):
+        k = np.arange(N)
+        for s in range(N):
+            cos2 = np.cos(np.pi * k * s / N) ** 2 / N
+            expect = np.stack([cos2, 1 / N - cos2], axis=1)
+            assert np.abs(qft_joint_law(N, s) - expect).max() <= 1e-12
 
 
 def test_qft_joint_law_marginals():
@@ -121,3 +226,7 @@ def test_spliced_distance_single_case():
 def test_dense_size_limit():
     with pytest.raises(ValueError):
         rho_coset_mixture(2048, 1)
+    calls = []
+    with pytest.raises(ValueError):
+        rho_from_eval(2048, calls.append)
+    assert calls == []
