@@ -66,7 +66,8 @@ from .staged import (
     run_staged_parity,
 )
 from .greedy import (
-    Objective,
+    CoordinateObjective,
+    RadixObjective,
     alpha_abelian,
     alpha_radix,
     cancellation_race,

@@ -6,9 +6,11 @@ label-only cancellation race used by the experiment harness.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
-from dataclasses import dataclass
+from collections import defaultdict
+from operator import itemgetter
 
 from .errors import SieveExhaustedError
 from .phase import negate_label, combine, sample_batch, tomography_copies_needed, tomography_mod_r
@@ -40,59 +42,57 @@ def alpha_abelian(k, orders):
     return sum(coord_bits[: b + 1]) - math.ceil(math.log2(k[b] + 1))
 
 
-@dataclass
-class Objective:
-    """Bucketing objective: radix(r) on Z/r^n, or the per-coordinate
-    abelian score on a product of cyclic groups."""
+class RadixObjective:
+    """Objective on Z/r^n: alpha is the r-adic valuation, and the key is
+    the digit string beyond the cancelled digits, least significant
+    first, so lexicographic order puts the best partners adjacent."""
 
-    kind: str
-    r: int = 2
-    orders: tuple = ()
-    # optional coordinate permutation: score the label viewed in this
-    # order (orders must already be permuted to match).  Lets the same
-    # machinery zero out any chosen set of leading coordinates.
-    perm: tuple = ()
-
-    def _view(self, label):
-        if self.perm:
-            return tuple(label[i] for i in self.perm)
-        return label
-
-    def alpha(self, label):
-        if self.kind == "radix":
-            return alpha_radix(label, self.r)
-        return alpha_abelian(self._view(label), self.orders)
-
-    def is_zero(self, label):
-        if self.kind == "radix":
-            return label == 0
-        return all(v == 0 for v in label)
+    def __init__(self, r):
+        self.r = r
 
     def needs_flip(self, label):
         """psi_k ~ psi_{-k}: orient so the first nonzero digit is small."""
-        if self.kind == "radix":
-            if self.r == 2:
-                return False
-            v = alpha_radix(label, self.r)
-            return (label // self.r ** v) % self.r * 2 > self.r
+        if self.r == 2:
+            return False
+        v = alpha_radix(label, self.r)
+        return (label // self.r ** v) % self.r * 2 > self.r
+
+    def rank(self, label):
+        """(alpha, key) of a nonzero label."""
+        v = alpha_radix(label, self.r)
+        k = label // self.r ** v
+        digits = []
+        while k:
+            digits.append(k % self.r)
+            k //= self.r
+        return v, tuple(digits)
+
+
+class CoordinateObjective:
+    """Per-coordinate abelian objective on a product of cyclic groups of
+    the given orders.  A label is read in the coordinate order perm, so
+    the sieve zeroes any chosen set of leading coordinates; the key is
+    the view from its first nonzero coordinate on."""
+
+    def __init__(self, orders, perm):
+        self.perm = perm
+        self.orders = tuple(orders[i] for i in perm)
+
+    def _view(self, label):
+        return tuple(label[i] for i in self.perm)
+
+    def needs_flip(self, label):
+        """psi_k ~ psi_{-k}: orient so the first nonzero coordinate is
+        small."""
         label = self._view(label)
         b = next((j for j, v in enumerate(label) if v != 0), None)
         return b is not None and label[b] * 2 > self.orders[b]
 
-    def key(self, label):
-        """Digit string beyond the cancelled digits, least significant
-        first; lexicographic order puts the best partners adjacent."""
-        if self.kind == "radix":
-            v = alpha_radix(label, self.r)
-            k = label // self.r ** v
-            digits = []
-            while k:
-                digits.append(k % self.r)
-                k //= self.r
-            return tuple(digits)
+    def rank(self, label):
+        """(alpha, key) of a nonzero label."""
         label = self._view(label)
         b = next((j for j, v in enumerate(label) if v != 0), len(label) - 1)
-        return tuple(label[b:])
+        return alpha_abelian(label, self.orders), label[b:]
 
 
 def _match_len(k1, k2):
@@ -104,10 +104,11 @@ def _match_len(k1, k2):
     return m
 
 
-def _pair_sweep(entries, emit, stats):
-    """One sweep over a sorted min-alpha bucket: repeatedly combine the
-    adjacent pair with the longest common suffix (heap with lazy
-    invalidation), until at most one entry is left.  Returns the
+def _pair_sweep(entries, merge, put, stats):
+    """One sweep over a sorted min-alpha bucket of (key, x) entries:
+    repeatedly merge the adjacent pair with the longest common suffix
+    (heap with lazy invalidation), count it in stats.combines and put
+    the result back, until at most one entry is left.  Returns the
     leftover entry or None."""
     n = len(entries)
     keys = [e[0] for e in entries]
@@ -132,75 +133,73 @@ def _pair_sweep(entries, emit, stats):
             prev[q] = p
             if p >= 0:
                 heapq.heappush(heap, (-_match_len(keys[p], keys[q]), p, q))
-        emit(entries[i][1], entries[j][1])
+        stats.combines += 1
+        put(merge(entries[i][1], entries[j][1]))
     for i in range(n):
         if alive[i]:
-            return entries[i][1]
+            return entries[i]
     return None
 
 
-def _pairing_race(items, place, merge, stats, key, stop):
+def _pairing_race(items, place, merge, stats):
     """The greedy pairing loop shared by the sieve and the race.  place(x)
-    returns (alpha, x) to bucket x, or None when x leaves the race.  The
-    minimum-alpha bucket is sorted by key(x, alpha) and swept with
-    _pair_sweep; each merge(x, y) result is counted in stats.combines
-    and goes back through place, and results that stay at the same alpha
-    carry into the next sweep.  Runs until the buckets are empty or
-    stop() holds."""
-    buckets = {}
-    for x in items:
+    returns (alpha, key, x) to bucket x under its key, or None when x
+    leaves the race; each x is ranked once, when it is placed.  The
+    minimum-alpha bucket is stable-sorted by key and swept with
+    _pair_sweep; each merge(x, y) result goes back through place, and
+    results that stay at the same alpha carry into the next sweep.  Runs
+    until the buckets are empty."""
+    buckets = defaultdict(list)
+
+    def put(x):
         placed = place(x)
         if placed is not None:
-            buckets.setdefault(placed[0], []).append(placed[1])
+            alpha, key, x = placed
+            buckets[alpha].append((key, x))
 
-    while buckets and not stop():
+    for x in items:
+        put(x)
+    while buckets:
         v = min(buckets)
         group = buckets.pop(v)
-        while len(group) >= 2 and not stop():
-            carry = []
+        while len(group) >= 2:
+            group.sort(key=itemgetter(0))
+            lone = _pair_sweep(group, merge, put, stats)
+            group = buckets.pop(v, []) + ([lone] if lone is not None else [])
 
-            def emit(x, y):
-                stats.combines += 1
-                placed = place(merge(x, y))
-                if placed is None:
-                    return
-                a, out = placed
-                if a == v:
-                    carry.append(out)
-                else:
-                    buckets.setdefault(a, []).append(out)
 
-            entries = sorted(((key(x, v), x) for x in group),
-                             key=lambda e: e[0])
-            lone = _pair_sweep(entries, emit, stats)
-            group = carry + ([lone] if lone is not None else [])
+class _Enough(Exception):
+    """Raised by greedy_sieve's place once max_targets are collected."""
 
 
 def greedy_sieve(backend, obj, target, budget, max_targets=None):
     """Fill a list with budget sampled qubits, then greedily pair inside
     the minimum-alpha bucket to maximize the alpha of the extracted label.
-    Collects qubits whose (canonicalized) labels satisfy target.
+    Collects qubits whose (canonicalized) labels satisfy target, and
+    stops as soon as it holds max_targets of them.
 
     Raises SieveExhaustedError when the buckets empty with no target."""
     if budget < 2:
         raise ValueError("budget must be at least 2")
     stats = SieveStats()
     targets = []
+    zero = backend.oracle.ctx.zero
 
     def place(q):
-        if obj.is_zero(q.label):
+        if q.label == zero:
             return None
         if obj.needs_flip(q.label):
             q = negate_label(q)
         if target(q.label):
             targets.append(q)
+            if max_targets is not None and len(targets) >= max_targets:
+                raise _Enough
             return None
-        return obj.alpha(q.label), q
+        alpha, key = obj.rank(q.label)
+        return alpha, key, q
 
-    _pairing_race(
-        sample_batch(backend, budget), place, combine, stats,
-        lambda q, v: obj.key(q.label),
-        lambda: max_targets is not None and len(targets) >= max_targets)
+    with contextlib.suppress(_Enough):
+        _pairing_race(sample_batch(backend, budget), place, combine, stats)
     if not targets:
         raise SieveExhaustedError("greedy sieve exhausted with no target")
     return targets, stats
@@ -224,7 +223,7 @@ def run_radix_recovery(backend, r, n, budget=None, scale=1):
     if budget is None:
         budget = default_radix_budget(r, n)
     budget *= scale
-    obj = Objective("radix", r=r)
+    obj = RadixObjective(r)
     step = N // r
     want = max(5, tomography_copies_needed(r))
     if n == 1:
@@ -265,10 +264,10 @@ def cancellation_race(labels, rng):
             return None
         v = alpha_radix(k, 2)
         best = max(best, v)
-        return v, k
+        return v, race_key(k, v), k
 
     def merge(k, l):
         return k + l if rng.random() < 0.5 else abs(k - l)
 
-    _pairing_race(labels, place, merge, stats, race_key, lambda: False)
+    _pairing_race(labels, place, merge, stats)
     return best, stats

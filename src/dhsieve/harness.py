@@ -3,8 +3,8 @@ and a statistical verification suite that cross-checks the phase-qubit
 backend against the exact dense simulator.
 
 The verification suite accepts fault-injection knobs (combine-coin bias,
-phase sign) purely so its own sensitivity can be demonstrated; defaults
-are the honest physics.
+phase sign) purely so its own sensitivity can be demonstrated; it builds
+each faulty backend itself, and the defaults are the honest physics.
 """
 
 from __future__ import annotations
@@ -151,10 +151,15 @@ def _tv(emp, exact):
     return 0.5 * float(np.abs(emp - exact).sum())
 
 
-def _backend(N, s, rng, coin_bias, phase_sign):
-    o = make_reflection_oracle(GroupCtx(N), s)
-    return PhaseBackend(o, rng=rng, coin_bias=coin_bias,
-                        phase_sign=phase_sign)
+def _backends(rng, coin_bias, phase_sign):
+    """The suite's backend factory: make(N, s) is a backend over D_N on
+    the one stream rng.  coin_bias biases the extraction coin; a sign
+    fault (phase_sign -1) hides (-s) mod N, which flips the sign of every
+    sampled phase."""
+    def make(N, s):
+        o = make_reflection_oracle(GroupCtx(N), (phase_sign * s) % N)
+        return PhaseBackend(o, rng=rng, coin_bias=coin_bias)
+    return make
 
 
 def _tv_tol(per):
@@ -162,47 +167,33 @@ def _tv_tol(per):
     return 0.02 * max(1.0, math.sqrt(25000 / per))
 
 
-def _check_measurement_law(rng, samples, coin_bias, phase_sign, cases):
-    """Empirical joint (label, +/- outcome) law vs the closed form."""
+def _closed_form_law(N, s):
+    """Joint (label, +/- outcome) law in closed form, an (N, 2) array."""
+    p_plus = np.cos(np.pi * ((np.arange(N) * s) % N) / N) ** 2
+    return np.stack([p_plus, 1 - p_plus], axis=1) / N
+
+
+def _check_joint_law(name, make, samples, cases, law):
+    """Empirical joint (label, +/- outcome) law vs the exact law(N, s):
+    the closed form, or the dense simulator's."""
     worst = 0.0
     per = samples // len(cases)
     for N, s in cases:
-        be = _backend(N, s, rng, coin_bias, phase_sign)
-        labels, bits = sample_measure_batch(be, per)
+        labels, bits = sample_measure_batch(make(N, s), per)
         emp = np.zeros((N, 2))
         np.add.at(emp, (labels, bits), 1.0)
         emp /= per
-        k = np.arange(N)
-        p_plus = np.cos(np.pi * ((k * s) % N) / N) ** 2
-        exact = np.stack([p_plus, 1 - p_plus], axis=1) / N
-        worst = max(worst, _tv(emp, exact))
+        worst = max(worst, _tv(emp, law(N, s)))
     tol = _tv_tol(per)
-    return CheckResult("measurement-law total variation", worst < tol,
-                       worst, f"< {tol:.3g}")
+    return CheckResult(name, worst < tol, worst, f"< {tol:.3g}")
 
 
-def _check_qft_cross(rng, samples, coin_bias, phase_sign, cases):
-    """Same law, but the reference side computed by dense linear algebra."""
-    worst = 0.0
-    per = samples // len(cases)
-    for N, s in cases:
-        be = _backend(N, s, rng, coin_bias, phase_sign)
-        labels, bits = sample_measure_batch(be, per)
-        emp = np.zeros((N, 2))
-        np.add.at(emp, (labels, bits), 1.0)
-        emp /= per
-        worst = max(worst, _tv(emp, qft_joint_law(N, s)))
-    tol = _tv_tol(per)
-    return CheckResult("dense-simulator cross-check total variation",
-                       worst < tol, worst, f"< {tol:.3g}")
-
-
-def _check_cosine_freq(rng, coin_bias, phase_sign, grid):
+def _check_cosine_freq(make, grid):
     """Reference-slope observation frequencies vs cos^2(pi (s-t) k / N)."""
     per = _PER_CASE
     worst_sigma = 0.0
     for N, k, s, t in grid:
-        be = _backend(N, s, rng, coin_bias, phase_sign)
+        be = make(N, s)
         hits = 0
         for _ in range(per):
             hits += cosine_observe(PhaseQubit(k, be), t)
@@ -213,15 +204,15 @@ def _check_cosine_freq(rng, coin_bias, phase_sign, grid):
                        worst_sigma < 4.5, worst_sigma, "< 4.5 sigma")
 
 
-def _check_coin_fairness(rng, coin_bias, phase_sign):
+def _check_coin_fairness(make):
     """Extraction branch must be an unbiased coin, as the dense two-qubit
     simulation of the extraction measurement confirms."""
     N, s, per = 16, 7, _PER_CASE
-    be = _backend(N, s, rng, coin_bias, phase_sign)
+    be = make(N, s)
     minus = 0
     for _ in range(per):
-        k = int(rng.integers(0, N))
-        l = int(rng.integers(0, N))
+        k = int(be.rng.integers(0, N))
+        l = int(be.rng.integers(0, N))
         out = combine(PhaseQubit(k, be), PhaseQubit(l, be))
         minus += out.minus_branch
         exact = extract_outcome_probs(k, l, s, N)
@@ -250,11 +241,11 @@ def _check_extract_residual(rng):
                        worst, "> 1 - 1e-10")
 
 
-def _check_hoyer(rng, coin_bias, phase_sign):
+def _check_hoyer(make):
     """Binary-register readout distribution vs the closed-form kernel."""
     N, s, kappa, per = 16, 5, 2, _PER_CASE
     M = 1 << (kappa + 1)
-    be = _backend(N, s, rng, coin_bias, phase_sign)
+    be = make(N, s)
     counts = np.zeros(M)
     for _ in range(per):
         qs = [PhaseQubit(1 << j, be) for j in range(kappa + 1)]
@@ -264,15 +255,14 @@ def _check_hoyer(rng, coin_bias, phase_sign):
                        tv < 0.05, tv, "< 0.05")
 
 
-def _check_survival(rng, coin_bias, phase_sign):
+def _check_survival(make):
     """Staged sieve survival ratio near 1/4 on well-filled stages."""
     n, s = 9, 217
     ratios = []
     cfg = staged_config(n)
     for _ in range(_SURVIVAL_TRIALS):
-        be = _backend(1 << n, s, rng, coin_bias, phase_sign)
         try:
-            _, st = run_staged_parity(be, n)
+            _, st = run_staged_parity(make(1 << n, s), n)
         except SieveExhaustedError:
             continue
         for size, ratio in zip(st.list_sizes, st.survival_ratios):
@@ -286,12 +276,12 @@ def _check_survival(rng, coin_bias, phase_sign):
                        mean, "mean in [0.18, 0.32]")
 
 
-def _check_parity_readout(rng, coin_bias, phase_sign):
+def _check_parity_readout(make):
     """Residue tomography at r=2 reads s mod 2 from psi_{N/2} copies."""
     N = 32
     bad = 0
     for s in (5, 12, 21, 30):
-        be = _backend(N, s, rng, coin_bias, phase_sign)
+        be = make(N, s)
         qs = [PhaseQubit(N // 2, be) for _ in range(25)]
         if tomography_mod_r(qs, 2) != s % 2:
             bad += 1
@@ -316,20 +306,23 @@ def verify_suite(N_max=32, samples=10 ** 5, rng=None, coin_bias=0.5,
         raise ValueError(f"samples must give at least 1000 draws to each of "
                          f"the {len(cases)} measurement-law cases")
     rng = np.random.default_rng(rng)
+    make = _backends(rng, coin_bias, phase_sign)
     grid = [(N, k, s, t) for N, k, s, t in
             ((8, 3, 5, 2), (12, 5, 7, 3), (16, 7, 9, 4), (27, 10, 4, 11),
              (32, 13, 21, 6), (30, 11, 17, 8))
             if N <= N_max]
     report = VerifyReport()
-    report.checks.append(_check_measurement_law(
-        rng, samples, coin_bias, phase_sign, cases))
-    report.checks.append(_check_qft_cross(
-        rng, samples, coin_bias, phase_sign,
-        [(N, s) for N, s in cases if N <= 16]))
-    report.checks.append(_check_cosine_freq(rng, coin_bias, phase_sign, grid))
-    report.checks.append(_check_coin_fairness(rng, coin_bias, phase_sign))
-    report.checks.append(_check_extract_residual(rng))
-    report.checks.append(_check_hoyer(rng, coin_bias, phase_sign))
-    report.checks.append(_check_survival(rng, coin_bias, phase_sign))
-    report.checks.append(_check_parity_readout(rng, coin_bias, phase_sign))
+    report.checks += [
+        _check_joint_law("measurement-law total variation", make, samples,
+                         cases, _closed_form_law),
+        _check_joint_law("dense-simulator cross-check total variation", make,
+                         samples, [(N, s) for N, s in cases if N <= 16],
+                         qft_joint_law),
+        _check_cosine_freq(make, grid),
+        _check_coin_fairness(make),
+        _check_extract_residual(rng),
+        _check_hoyer(make),
+        _check_survival(make),
+        _check_parity_readout(make),
+    ]
     return report

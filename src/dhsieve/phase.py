@@ -55,21 +55,14 @@ class PhaseBackend:
     """One oracle plus one RNG stream: the per-trial quantum backend.
 
     rng is a numpy Generator, used as is, or a seed for a new one.
-    coin_bias and phase_sign exist only for fault injection in the
-    verification suite; the defaults are the honest physics.
+    coin_bias is the extraction coin's plus-branch probability; anything
+    but the honest 1/2 is a fault the verification suite injects.
     """
 
-    def __init__(self, oracle, rng=None, coin_bias=0.5, phase_sign=1):
+    def __init__(self, oracle, rng=None, coin_bias=0.5):
         self.oracle = oracle
         self.rng = np.random.default_rng(rng)
         self.coin_bias = coin_bias
-        self.phase_sign = phase_sign
-
-    def _turns(self, label):
-        t = self.oracle._phase_turns(label)
-        if self.phase_sign < 0:
-            t = (-t) % 1.0
-        return t
 
 
 def sample_phase_qubit(backend):
@@ -130,29 +123,30 @@ def negate_label(q):
                       classical=q.classical, minus_branch=q.minus_branch)
 
 
+def _observe(q, t):
+    """The one observation body: a coin that returns 1 with probability
+    cos^2(pi (s - t) k / N), or a fair coin on a classical qubit.
+    Consumes q."""
+    q._consume()
+    o = q.backend.oracle
+    if q.classical:
+        p_one = 0.5
+    else:
+        delta = o._phase_turns(q.label) - o.ctx.turns(q.label, t)
+        p_one = math.cos(math.pi * delta) ** 2
+    return 1 if q.backend.rng.random() < p_one else 0
+
+
 def measure_pm(q):
     """Measure in the |+->/|-> basis; returns 0 for "+" (probability
     cos^2(pi k s / N)) and 1 for "-".  Consumes the qubit."""
-    q._consume()
-    be = q.backend
-    if q.classical:
-        p_plus = 0.5
-    else:
-        p_plus = math.cos(math.pi * be._turns(q.label)) ** 2
-    return 0 if be.rng.random() < p_plus else 1
+    return 1 - _observe(q, q.backend.oracle.ctx.zero)
 
 
 def cosine_observe(q, t):
     """A coin with bias cos^2(pi (s - t) k / N): measure against the
     reference slope t.  Returns 1 with that probability; consumes q."""
-    q._consume()
-    be = q.backend
-    if q.classical:
-        p_one = 0.5
-    else:
-        delta = be._turns(q.label) - be.oracle.ctx.turns(q.label, t)
-        p_one = math.cos(math.pi * delta) ** 2
-    return 1 if be.rng.random() < p_one else 0
+    return _observe(q, t)
 
 
 def phase_estimation_kernel(theta, M):
@@ -190,7 +184,7 @@ def hoyer_readout(qs):
     for q in qs:
         q._consume()
     M = 1 << (kappa + 1)
-    theta = be._turns(1)  # s/N as a fraction of a turn
+    theta = be.oracle._phase_turns(1)  # s/N as a fraction of a turn
     p = phase_estimation_kernel(theta, M)
     return int(be.rng.choice(M, p=p))
 
@@ -275,10 +269,7 @@ def sample_measure_batch(backend, count):
         raise ValueError("batch path is for small N")
     o._counter.bump(count)
     labels = backend.rng.integers(0, N, size=count)
-    turns = ((labels * o._slope) % N) / N
-    if backend.phase_sign < 0:
-        turns = (-turns) % 1.0
-    p_plus = np.cos(np.pi * turns) ** 2
+    p_plus = np.cos(np.pi * o._phase_turns(labels)) ** 2
     rate = float(o.corruption_rate)
     if rate > 0.0:
         classical = backend.rng.random(count) < rate

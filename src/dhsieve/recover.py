@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoHiddenReflectionError, SieveExhaustedError
-from .greedy import Objective, greedy_sieve, run_radix_recovery
+from .greedy import CoordinateObjective, greedy_sieve, run_radix_recovery
 from .group import (
     DihedralElement,
     GroupCtx,
@@ -262,16 +262,15 @@ def solve_substring(inst, rng=None):
     N = inst.N
     rng = np.random.default_rng(rng)
     q0 = inst.queries
-    power2 = N & (N - 1) == 0
     for attempts, t in enumerate(_substring_guesses(N), 1):
         o = splice_substring(inst, t)
         # verify the shift this slope would imply, not the oracle
         # relation (the spliced tokens wrap past N and break it)
         ver = lambda u, t=t: _substring_check(inst, (u + t) % N, rng)
-        solve = recover_slope_power2 if power2 else recover_slope_general
         try:
-            u, _ = solve(o, rng=rng, max_retries=_RETRIES_PER_GUESS,
-                         verifier=ver)
+            u, _ = recover_slope_general(o, rng=rng,
+                                         max_retries=_RETRIES_PER_GUESS,
+                                         verifier=ver)
         except NoHiddenReflectionError:
             continue
         s = (u + t) % N
@@ -300,9 +299,8 @@ def _coordinate_slope(o, A, j, rng, budget):
         raise ValueError(
             "per-coordinate likelihood readout is limited to orders <= 4096;"
             " large coordinates are only supported in rank-1 groups")
-    perm = tuple([i for i in range(rank) if i != j] + [j])
-    obj = Objective("abelian",
-                    orders=tuple(A.orders[i] for i in perm), perm=perm)
+    obj = CoordinateObjective(
+        A.orders, tuple([i for i in range(rank) if i != j] + [j]))
 
     def target(k):
         return k[j] != 0 and all(v == 0 for i, v in enumerate(k) if i != j)

@@ -1,15 +1,19 @@
 """Greedy radix sieve: objective functions, suffix pairing, the
 cancellation race, and residue recovery."""
 
+import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dhsieve import greedy
 from dhsieve.errors import SieveExhaustedError
 from dhsieve.greedy import (
-    Objective,
+    CoordinateObjective,
+    RadixObjective,
     _match_len,
     alpha_abelian,
     alpha_radix,
@@ -20,6 +24,7 @@ from dhsieve.greedy import (
     run_radix_recovery,
 )
 from dhsieve.group import GroupCtx
+from dhsieve.harness import _random_labels
 from dhsieve.oracle import make_reflection_oracle
 from dhsieve.phase import PhaseBackend
 
@@ -50,21 +55,89 @@ def test_alpha_abelian_frozen():
 
 
 def test_objective_canonicalization():
-    obj = Objective("radix", r=3)
+    obj = RadixObjective(3)
     assert not obj.needs_flip(9)       # leading digit 1
     assert obj.needs_flip(18)          # leading digit 2 -> negate
-    obj_a = Objective("abelian", orders=(16, 9))
+    obj_a = CoordinateObjective((16, 9), (0, 1))
     assert obj_a.needs_flip((12, 3))
     assert not obj_a.needs_flip((4, 8))
-    assert obj_a.is_zero((0, 0)) and not obj_a.is_zero((0, 1))
 
 
 def test_objective_key_orders_by_low_digits():
-    obj = Objective("radix", r=2)
+    obj = RadixObjective(2)
     # 0b0101 and 0b1101 share two low bits beyond alpha=0
     k1, k2, k3 = 0b0101, 0b1101, 0b0011
-    assert obj.key(k1)[:2] == obj.key(k2)[:2]
-    assert obj.key(k1)[:2] != obj.key(k3)[:2]
+    key1, key2, key3 = (obj.rank(k)[1] for k in (k1, k2, k3))
+    assert key1[:2] == key2[:2]
+    assert key1[:2] != key3[:2]
+
+
+@dataclass
+class _ReferenceObjective:
+    """The single objective the two above replace, kept as a reference:
+    a kind switch between radix(r) and the permuted coordinate score."""
+
+    kind: str
+    r: int = 2
+    orders: tuple = ()
+    perm: tuple = ()
+
+    def _view(self, label):
+        if self.perm:
+            return tuple(label[i] for i in self.perm)
+        return label
+
+    def alpha(self, label):
+        if self.kind == "radix":
+            return alpha_radix(label, self.r)
+        return alpha_abelian(self._view(label), self.orders)
+
+    def needs_flip(self, label):
+        if self.kind == "radix":
+            if self.r == 2:
+                return False
+            v = alpha_radix(label, self.r)
+            return (label // self.r ** v) % self.r * 2 > self.r
+        label = self._view(label)
+        b = next((j for j, v in enumerate(label) if v != 0), None)
+        return b is not None and label[b] * 2 > self.orders[b]
+
+    def key(self, label):
+        if self.kind == "radix":
+            v = alpha_radix(label, self.r)
+            k = label // self.r ** v
+            digits = []
+            while k:
+                digits.append(k % self.r)
+                k //= self.r
+            return tuple(digits)
+        label = self._view(label)
+        b = next((j for j, v in enumerate(label) if v != 0), len(label) - 1)
+        return tuple(label[b:])
+
+
+@given(st.integers(1, 10 ** 12), st.sampled_from([2, 3, 5]))
+def test_radix_objective_matches_reference(k, r):
+    ref = _ReferenceObjective("radix", r=r)
+    obj = RadixObjective(r)
+    assert obj.needs_flip(k) == ref.needs_flip(k)
+    assert obj.rank(k) == (ref.alpha(k), ref.key(k))
+
+
+_COORDINATE_CASES = [(orders, perm)
+                     for orders in ((16, 9), (5, 7), (4, 4, 3))
+                     for perm in itertools.permutations(range(len(orders)))]
+
+
+@given(st.data())
+def test_coordinate_objective_matches_reference(data):
+    orders, perm = data.draw(st.sampled_from(_COORDINATE_CASES))
+    label = tuple(data.draw(st.integers(0, n - 1)) for n in orders)
+    ref = _ReferenceObjective(
+        "abelian", orders=tuple(orders[i] for i in perm), perm=perm)
+    obj = CoordinateObjective(orders, perm)
+    assert obj.needs_flip(label) == ref.needs_flip(label)
+    assert obj.rank(label) == (ref.alpha(label), ref.key(label))
 
 
 @given(st.integers(1, 1 << 30), st.integers(1, 1 << 30), st.integers(2, 6))
@@ -80,13 +153,13 @@ def test_r2_match_bonus(a, b, t):
 
 
 def test_greedy_sieve_budget_validation():
-    obj = Objective("radix", r=2)
+    obj = RadixObjective(2)
     with pytest.raises(ValueError):
         greedy_sieve(backend(16, 5), obj, lambda k: False, 1)
 
 
 def test_greedy_sieve_no_deadlock_tiny_budget():
-    obj = Objective("radix", r=2)
+    obj = RadixObjective(2)
     be = backend(16, 5, seed=1)
     try:
         targets, st = greedy_sieve(be, obj, lambda k: k % 8 == 0, 2)
@@ -96,7 +169,7 @@ def test_greedy_sieve_no_deadlock_tiny_budget():
 
 
 def test_greedy_sieve_targets_and_stats():
-    obj = Objective("radix", r=2)
+    obj = RadixObjective(2)
     be = backend(1 << 10, 345, seed=2)
     targets, st = greedy_sieve(be, obj, lambda k: k % (1 << 9) == 0, 1024)
     assert all(q.label == 1 << 9 for q in targets)
@@ -105,17 +178,66 @@ def test_greedy_sieve_targets_and_stats():
 
 
 def test_greedy_sieve_pinned_record():
-    # pinned record; r = 3 exercises the flips and the max_targets stop
-    obj = Objective("radix", r=3)
+    # pinned record; r = 3 exercises the flips and the max_targets stop,
+    # which returns exactly the 4 targets asked for
+    obj = RadixObjective(3)
     be = backend(3 ** 6, 100, seed=11)
     targets, st = greedy_sieve(be, obj, lambda k: k % 243 == 0, 300,
                                max_targets=4)
-    assert [q.label for q in targets] == [243] * 12
-    assert (st.combines, st.work, be.oracle.queries) == (107, 530, 300)
+    assert [q.label for q in targets] == [243] * 4
+    assert (st.combines, st.work, be.oracle.queries) == (44, 275, 300)
+
+
+def test_greedy_sieve_pinned_record_below_max_targets():
+    # a sieve that empties its buckets before max_targets: the whole
+    # record, and the generator state after it, are pinned
+    obj = RadixObjective(3)
+    be = backend(3 ** 6, 100, seed=11)
+    targets, st = greedy_sieve(be, obj, lambda k: k % 243 == 0, 300,
+                               max_targets=50)
+    assert [q.label for q in targets] == [243] * 25
+    assert (st.combines, st.work, be.oracle.queries) == (220, 1060, 300)
+    assert be.rng.random() == 0.9739700411195548
+
+
+@pytest.mark.parametrize("k", [1, 4, 124])
+def test_greedy_sieve_stops_at_the_kth_target(k, monkeypatch):
+    # no combine runs after the k-th target arrives
+    calls, hits, at_kth = [], [], []
+    real_combine = greedy.combine
+
+    def counting_combine(q1, q2):
+        calls.append(1)
+        return real_combine(q1, q2)
+
+    def target(label):
+        if label % 3 ** 7 == 0:
+            hits.append(label)
+            if len(hits) == k:
+                at_kth.append(len(calls))
+            return True
+        return False
+
+    monkeypatch.setattr(greedy, "combine", counting_combine)
+    be = backend(3 ** 8, 4321, seed=1)
+    targets, st = greedy_sieve(be, RadixObjective(3), target, 1944,
+                               max_targets=k)
+    assert len(targets) == k and at_kth
+    assert len(calls) == st.combines == at_kth[0]
+
+
+def test_greedy_sieve_stops_in_the_first_placement():
+    # at 3^3 sampled labels already hit the target: the sieve stops while
+    # placing the sample, before any combine
+    be = backend(3 ** 3, 7, seed=5)
+    targets, st = greedy_sieve(be, RadixObjective(3), lambda k: k % 9 == 0,
+                               200, max_targets=3)
+    assert [q.label for q in targets] == [9] * 3
+    assert (st.combines, be.oracle.queries) == (0, 200)
 
 
 def test_greedy_quasilinear_work():
-    obj = Objective("radix", r=2)
+    obj = RadixObjective(2)
     budget = 4096
     be = backend(1 << 16, 54321, seed=3)
     try:
@@ -134,7 +256,7 @@ def test_greedy_hit_rate_large_budget():
     for _ in range(20):
         s = int(rng.integers(0, 1 << 16))
         be = PhaseBackend(make_reflection_oracle(GroupCtx(1 << 16), s), rng=rng)
-        obj = Objective("radix", r=2)
+        obj = RadixObjective(2)
         try:
             t, _ = greedy_sieve(be, obj, lambda k: k % (1 << 15) == 0,
                                 3 * 8 ** 4, max_targets=1)
@@ -171,6 +293,15 @@ def test_cancellation_race_trivial_budget():
     best, st = cancellation_race([0b1010, 0b0110], rng)
     assert 0 <= best <= 96
     assert st.combines <= 2
+
+
+def test_cancellation_race_pinned_record():
+    # 729 labels of 96 bits: best alpha, combines, work and the generator
+    # state after the race are pinned
+    rng = np.random.default_rng(12)
+    best, st = cancellation_race(_random_labels(rng, 729, 96), rng)
+    assert (best, st.combines, st.work) == (35, 709, 3456)
+    assert rng.random() == 0.6834520517859066
 
 
 def test_cancellation_race_deterministic():

@@ -13,7 +13,8 @@ from dhsieve.errors import (
     InsufficientCopiesError,
     QubitConsumedError,
 )
-from dhsieve.group import GroupCtx
+from dhsieve.group import AbelianGroupSpec, GroupCtx
+from dhsieve.harness import _backends
 from dhsieve.oracle import make_reflection_oracle, make_trivial_oracle
 from dhsieve.phase import (
     PhaseBackend,
@@ -238,12 +239,30 @@ def test_sample_measure_batch_same_law():
 
 
 def test_fault_hooks_change_the_law():
-    # these knobs exist for the verification suite's mutation tests
+    # the verification suite's sign-fault backend hides -s
     N, s, k, t = 16, 5, 3, 2
-    be = backend(N, s, seed=11, phase_sign=-1)
+    be = _backends(np.random.default_rng(11), 0.5, -1)(N, s)
     n = 8000
     ones = sum(cosine_observe(PhaseQubit(k, be), t) for _ in range(n))
     honest = math.cos(math.pi * (((s - t) * k) % N) / N) ** 2
     flipped = math.cos(math.pi * (((-s - t) * k) % N) / N) ** 2
     assert abs(ones / n - flipped) < 0.03
     assert abs(honest - flipped) > 0.2  # the fault is observable
+
+
+@pytest.mark.parametrize("ctx, s, labels", [
+    (GroupCtx(16), 5, [0, 1, 3, 8, 13]),
+    (AbelianGroupSpec((4, 6)), (1, 5), [(0, 0), (1, 0), (3, 5), (2, 3)]),
+])
+@pytest.mark.parametrize("classical", [False, True])
+def test_measure_pm_is_one_minus_observe_at_zero(ctx, s, labels, classical):
+    # twin backends on one seed: draw for draw, the +/- measurement is the
+    # complement of the observation against the zero slope
+    twins = [PhaseBackend(make_reflection_oracle(ctx, s), rng=3)
+             for _ in range(2)]
+    for _ in range(200):
+        for k in labels:
+            q, q2 = (PhaseQubit(k, be, classical) for be in twins)
+            assert measure_pm(q) == 1 - cosine_observe(q2, ctx.zero)
+    assert (twins[0].rng.bit_generator.state
+            == twins[1].rng.bit_generator.state)
