@@ -33,7 +33,8 @@ from .recover import (
 )
 
 TABLE1_FIELDS = ["budget", "trials", "mean", "stddev", "queries", "seconds"]
-SIM_FIELDS = ["trial", "secret", "recovered", "success", "queries", "seconds"]
+SIM_FIELDS = ["trial", "secret", "recovered", "success", "attempts",
+              "queries", "seconds"]
 
 
 class UsageError(Exception):
@@ -142,7 +143,7 @@ def _cmd_verify(args):
 
 def _sim_trial(args, rng):
     """Plant a random secret, run the chosen recovery on it, and return
-    (secret, recovered or None on failure, queries the instance
+    (secret, its RecoveryReport or None on failure, queries the instance
     counted)."""
     def need(value, flag):
         if value is None:
@@ -173,10 +174,10 @@ def _sim_trial(args, rng):
                 inst, args.radix, args.n, rng=rng, budget=args.budget),
         }[args.algorithm]
     try:
-        got, _ = solve()
+        _, rep = solve()
     except NoHiddenReflectionError:
-        got = None
-    return s, got, inst.queries
+        rep = None
+    return s, rep, inst.queries
 
 
 def _cmd_simulate(args):
@@ -188,12 +189,14 @@ def _cmd_simulate(args):
     failures = 0
     for trial in range(args.trials):
         t0 = time.perf_counter()
-        secret, got, queries = _sim_trial(args, rng)
-        ok = got == secret
+        secret, rep, queries = _sim_trial(args, rng)
+        ok = rep is not None and rep.secret == secret
         failures += not ok
         dicts.append({"trial": trial, "secret": fmt(secret),
-                      "recovered": "" if got is None else fmt(got),
-                      "success": int(ok), "queries": queries,
+                      "recovered": "" if rep is None else fmt(rep.secret),
+                      "success": int(ok),
+                      "attempts": "" if rep is None else rep.attempts,
+                      "queries": queries,
                       "seconds": _fmt(time.perf_counter() - t0)})
     if args.format == "json":
         _emit(json.dumps(dicts, indent=2) + "\n", args.out)

@@ -14,7 +14,7 @@ from operator import itemgetter
 
 from .errors import SieveExhaustedError
 from .phase import negate_label, combine, sample_batch, tomography_copies_needed, tomography_mod_r
-from .staged import SieveStats
+from .staged import SieveStats, run_passes
 
 
 def alpha_radix(k, r):
@@ -213,8 +213,10 @@ def default_radix_budget(r, n):
 
 def run_radix_recovery(backend, r, n, budget=None, scale=1):
     """One level of the radix recursion: sieve for labels divisible by
-    N/r, then read s mod r by tomography.  scale multiplies the list
-    size; callers raise it when retrying after exhaustion."""
+    N/r, then read s mod r by tomography.  Greedy sieves of budget * scale
+    qubits run (run_passes) until the level holds the copies tomography
+    needs; a sieve that finds no target ends the level.  scale multiplies
+    the list size; callers raise it when retrying after exhaustion."""
     N = r ** n
     if backend.oracle.ctx.N != N:
         raise ValueError("oracle group order is not r^n")
@@ -233,11 +235,10 @@ def run_radix_recovery(backend, r, n, budget=None, scale=1):
         if not qs:
             raise SieveExhaustedError("no nonzero label sampled")
         return tomography_mod_r(qs[: 4 * want], r), SieveStats()
-    targets, stats = greedy_sieve(
-        backend, obj, lambda k: k % step == 0, budget, max_targets=4 * want)
-    if r > 2 and len(targets) < tomography_copies_needed(r):
-        raise SieveExhaustedError(
-            f"only {len(targets)} target copies; tomography needs more")
+    targets, stats = run_passes(
+        lambda held: greedy_sieve(backend, obj, lambda k: k % step == 0,
+                                  budget, max_targets=4 * want - held),
+        tomography_copies_needed(r))
     return tomography_mod_r(targets, r), stats
 
 

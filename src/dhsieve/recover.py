@@ -31,10 +31,10 @@ from .oracle import (
 from .phase import PhaseBackend, cosine_observe, log_likelihood
 from .staged import interval_sieve, run_general_interval, run_staged_parity
 
-# psi_1 copies observed per round of the general-N refinement
+# psi_1 copies a general-N refinement round asks for (it reads them all)
 _COPIES_PER_ROUND = 12
-# slope-recovery attempts the substring solver spends on each guess
-_RETRIES_PER_GUESS = 2
+# sweeps of the substring guess grid, one slope attempt per guess each
+_SUBSTRING_SWEEPS = 2
 # random points compared by the classical shift checks
 _CHECK_SAMPLES = 3
 # single-coordinate copies each abelian coordinate readout reads
@@ -166,7 +166,7 @@ def _general_attempt(o, rng):
     """One pass of the automorphism refinement: coarse interval estimate,
     then rounds of psi_1 cosine observations through the label-multiplier
     automorphisms, scored by log-likelihood over a shrinking candidate
-    window."""
+    window that keeps the candidates within 8 units of the best."""
     N = o.ctx.N
     backend = PhaseBackend(o, rng=rng)
     t0, _ = run_general_interval(backend)
@@ -190,17 +190,11 @@ def _general_attempt(o, rng):
         refs = [(uinv * best) % N,
                 (uinv * best + max(1, N // 4)) % N,
                 (uinv * best + max(1, N // 8)) % N]
-        ts = [refs[idx % len(refs)]
-              for idx in range(min(len(ones), _COPIES_PER_ROUND))]
+        ts = [refs[idx % len(refs)] for idx in range(len(ones))]
         bits = [cosine_observe(q, t) for q, t in zip(ones, ts)]
         turns = ((uinv * cands[:, None] - np.array(ts)) % N) / N
         ll = log_likelihood(turns, bits, ll)
-        # halve the window (stable, best first), but never drop a
-        # candidate that is still in serious contention
-        order = np.argsort(-ll, kind="stable")
-        cands, ll = cands[order], ll[order]
-        half = (len(cands) + 1) // 2
-        keep = (np.arange(len(cands)) < half) | (ll > ll[0] - 8.0)
+        keep = ll > ll.max() - 8.0
         cands, ll = cands[keep], ll[keep]
     return int(cands[np.argmax(ll)])
 
@@ -254,22 +248,24 @@ def _substring_check(inst, shift, rng):
 def solve_substring(inst, rng=None):
     """Find the shift of a hidden substring instance (f on N points is a
     shifted window of g on 2N): guess t on a coarse-to-fine grid, splice
-    (f, g(.+t)) into an approximately-hiding reflection oracle, run the
-    slope recovery on it, and verify the implied shift classically.
+    (f, g(.+t)) into an approximately-hiding reflection oracle, run one
+    slope-recovery attempt on it, and verify the implied shift
+    classically.  The whole grid is swept _SUBSTRING_SWEEPS times, so a
+    far guess costs one attempt before every nearer one has had its own.
 
-    Returns (s, RecoveryReport); raises NoHiddenReflectionError when
-    every guess on the grid fails."""
+    Returns (s, RecoveryReport) whose attempts count the guesses tried;
+    raises NoHiddenReflectionError when every sweep fails."""
     N = inst.N
     rng = np.random.default_rng(rng)
     q0 = inst.queries
-    for attempts, t in enumerate(_substring_guesses(N), 1):
+    grid = list(_substring_guesses(N))
+    for attempts, t in enumerate(grid * _SUBSTRING_SWEEPS, 1):
         o = splice_substring(inst, t)
         # verify the shift this slope would imply, not the oracle
         # relation (the spliced tokens wrap past N and break it)
         ver = lambda u, t=t: _substring_check(inst, (u + t) % N, rng)
         try:
-            u, _ = recover_slope_general(o, rng=rng,
-                                         max_retries=_RETRIES_PER_GUESS,
+            u, _ = recover_slope_general(o, rng=rng, max_retries=1,
                                          verifier=ver)
         except NoHiddenReflectionError:
             continue

@@ -26,7 +26,9 @@ from dhsieve.greedy import (
 from dhsieve.group import GroupCtx
 from dhsieve.harness import _random_labels
 from dhsieve.oracle import make_reflection_oracle
-from dhsieve.phase import PhaseBackend
+from dhsieve.phase import PhaseBackend, tomography_copies_needed
+from dhsieve.recover import recover_slope_radix
+from dhsieve.staged import MAX_PASSES, SieveStats
 
 
 def backend(N, s, seed=0):
@@ -334,6 +336,64 @@ def test_run_radix_recovery_r3():
         trials += 1
         ok += res == s % 3
     assert trials >= 38 and ok / trials >= 0.95
+
+
+def test_radix_levels_sized_by_demand(monkeypatch):
+    # scale 1: every level n = 2..8 runs greedy passes until it holds the
+    # copies tomography needs (at most 4 * want), and reports one
+    # SieveStats summed over its passes
+    need = tomography_copies_needed(3)
+    held, passes = [], []
+    real_sieve, real_tomo = greedy.greedy_sieve, greedy.tomography_mod_r
+
+    def sieve(*args, **kwargs):
+        out = real_sieve(*args, **kwargs)
+        passes.append(out[1])
+        return out
+
+    monkeypatch.setattr(greedy, "greedy_sieve", sieve)
+    monkeypatch.setattr(greedy, "tomography_mod_r",
+                        lambda qs, r: held.append(len(qs)) or real_tomo(qs, r))
+    rng = np.random.default_rng(11)
+    for n in range(2, 9):
+        for _ in range(10):
+            s = int(rng.integers(0, 3 ** n))
+            be = PhaseBackend(make_reflection_oracle(GroupCtx(3 ** n), s),
+                              rng=rng)
+            passes.clear()
+            digit, stats = run_radix_recovery(be, 3, n)
+            assert digit == s % 3
+            assert stats.combines == sum(p.combines for p in passes) > 0
+            assert stats.work == sum(p.work for p in passes)
+    assert len(held) == 70
+    assert need <= min(held) and max(held) <= 4 * need
+
+
+def test_radix_recovery_first_attempt_succeeds():
+    rng = np.random.default_rng(12)
+    attempts = []
+    for _ in range(20):
+        s = int(rng.integers(0, 3 ** 8))
+        got, rep = recover_slope_radix(
+            make_reflection_oracle(GroupCtx(3 ** 8), s), 3, 8, rng=rng)
+        assert got == s
+        attempts.append(rep.attempts)
+    assert attempts.count(1) >= 18
+
+
+def test_radix_level_exhausts_after_max_passes(monkeypatch):
+    # one target per pass never reaches the 31 copies tomography needs
+    calls = []
+
+    def one_target(backend, obj, target, budget, max_targets=None):
+        calls.append(max_targets)
+        return [None], SieveStats(combines=1)
+
+    monkeypatch.setattr(greedy, "greedy_sieve", one_target)
+    with pytest.raises(SieveExhaustedError):
+        run_radix_recovery(backend(27, 5), 3, 3)
+    cap = 4 * tomography_copies_needed(3)
+    assert calls == [cap - k for k in range(MAX_PASSES)]
 
 
 def test_run_radix_recovery_n1():

@@ -20,6 +20,7 @@ from dhsieve.harness import (
     run_table1,
     verify_suite,
 )
+from dhsieve.staged import MAX_PASSES
 
 
 def row(budget, mean):
@@ -241,19 +242,31 @@ def test_race_is_binary_only():
 
 
 def test_cli_simulate_failed_trial_reports_cost(tmp_path):
-    # a list of 2 qubits never reaches a target: every attempt exhausts
+    # lists of 2, 4, 8, 16, 16, 16 qubits over the six attempts.  Each
+    # level runs passes until it holds the 31 copies tomography needs, and
+    # an attempt ends at the first pass with no target.  Trial 1 fails
+    # after 1, 2, 1, 1, 7 and 5 passes: 2 + 8 + 8 + 16 + 112 + 80 = 226
+    # queries.  Trials 2, 3, 5, 8 and 9 fill every level from many small
+    # passes and verify.
     out = tmp_path / "sim.csv"
     rc = main(["simulate", "--algorithm", "greedy", "--radix", "3",
                "--n", "4", "--budget", "2", "--seed", "1",
                "--out", str(out)])
     assert rc == 1
     recs = list(csv.DictReader(open(out)))
-    assert len(recs) == 10
+    assert [int(r["queries"]) for r in recs] == [
+        702, 226, 924, 778, 734, 656, 670, 310, 812, 652]
+    assert "".join(r["success"] for r in recs) == "0011010011"
+    # the pass cap bounds any trial: per attempt three greedy levels of
+    # MAX_PASSES passes, the n = 1 sample of 4 * 31 and one verification
+    cap = sum(3 * MAX_PASSES * b + max(b, 124) + 2
+              for b in (2, 4, 8, 16, 16, 16))
     for r in recs:
-        assert r["success"] == "0" and r["recovered"] == ""
-        assert 0 <= int(r["secret"]) < 81
-        # budgets 2, 4, 8, 16, 16, 16 over the six attempts
-        assert int(r["queries"]) == 62
+        assert 0 <= int(r["secret"]) < 81 and int(r["queries"]) <= cap
+        if r["success"] == "0":
+            assert r["recovered"] == r["attempts"] == ""
+        else:
+            assert r["recovered"] == r["secret"] and int(r["attempts"]) >= 1
 
 
 @pytest.mark.parametrize("flags", [
@@ -272,6 +285,10 @@ def test_cli_simulate_same_seed_same_rows(tmp_path, flags):
                      for r in csv.DictReader(open(out))])
     assert runs[0] == runs[1]
     assert all(r["secret"] for r in runs[0])
+    # attempts: a positive count for a verified trial, blank for a failed one
+    for r in runs[0]:
+        assert (r["attempts"] == "") == (r["success"] == "0")
+        assert r["attempts"] == "" or int(r["attempts"]) >= 1
 
 
 def test_tracer_names_resolve():

@@ -4,6 +4,7 @@ hidden substrings through spliced oracles, and abelian hidden shifts."""
 import numpy as np
 import pytest
 
+from dhsieve import recover
 from dhsieve.errors import NoHiddenReflectionError, SieveExhaustedError
 from dhsieve.group import AbelianGroupSpec, GroupCtx
 from dhsieve.oracle import (
@@ -99,12 +100,15 @@ def test_general_small_sweep_n45():
         assert got == s and rep.verified
 
 
-@pytest.mark.parametrize("N, s, queries", [(360, 123, 2114),
-                                           (4095, 1000, 9986)])
+@pytest.mark.parametrize("N, s, queries", [(360, 123, 1154),
+                                           (4095, 1000, 8450)])
 def test_general_pinned_queries(N, s, queries):
-    # a change to any draw of the sieve moves these counts; the interval
-    # sieve samples only the psi_1 copies the readout reads, which puts
-    # N = 4095 at least 10x below the 159,746 queries of a fixed
+    # a change to any draw of the sieve moves these counts.  One interval
+    # pass samples C_0 * 4^m labels (192 at N = 360, 768 at N = 4095) and
+    # the answer costs one verification pair.  N = 360 spends 2 coarse
+    # passes and 4 refinement rounds of one pass: 6 * 192 + 2 = 1154;
+    # N = 4095 spends 1 coarse pass and 10 rounds: 11 * 768 + 2 = 8450.
+    # N = 4095 stays at least 10x below the 159,746 queries of a fixed
     # C_0 * 8^m sample per sieve call
     o = make_reflection_oracle(GroupCtx(N), s)
     got, rep = recover_slope_general(o, rng=np.random.default_rng(1))
@@ -119,6 +123,40 @@ def test_substring_exact_guess_is_fast():
     inst = SubstringInstance(64, 0)
     got, rep = solve_substring(inst, rng=6)
     assert got == 0 and rep.attempts == 1
+
+
+def test_substring_sweeps_grid_twice(monkeypatch):
+    # every guess fails: the splices are the whole grid once, then again,
+    # with one slope attempt each
+    N = 48
+    grid = list(recover._substring_guesses(N))
+    assert grid[:3] == [0, 24, 12] and sorted(grid) == list(range(N))
+    spliced, retries = [], []
+    real = recover.splice_substring
+    monkeypatch.setattr(recover, "splice_substring",
+                        lambda inst, t: spliced.append(t) or real(inst, t))
+
+    def fail(o, rng=None, max_retries=None, verifier=None):
+        retries.append(max_retries)
+        raise NoHiddenReflectionError("no candidate")
+
+    monkeypatch.setattr(recover, "recover_slope_general", fail)
+    with pytest.raises(NoHiddenReflectionError):
+        solve_substring(SubstringInstance(N, 31), rng=1)
+    assert spliced == grid * 2
+    assert retries == [1] * (2 * N)
+
+
+def test_substring_attempts_count_guesses(monkeypatch):
+    # a solved instance splices a prefix of the two sweeps, one guess per
+    # reported attempt
+    spliced = []
+    real = recover.splice_substring
+    monkeypatch.setattr(recover, "splice_substring",
+                        lambda inst, t: spliced.append(t) or real(inst, t))
+    got, rep = solve_substring(SubstringInstance(64, 37), rng=9)
+    assert got == 37 and rep.attempts == len(spliced)
+    assert spliced == (list(recover._substring_guesses(64)) * 2)[:len(spliced)]
 
 
 def test_substring_small_trials():

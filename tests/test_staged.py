@@ -25,6 +25,8 @@ from dhsieve.phase import (
     sample_batch,
 )
 from dhsieve.staged import (
+    MAX_PASSES,
+    SieveStats,
     _differences,
     _interval_pass,
     estimate_from_quadratures,
@@ -356,12 +358,24 @@ def test_interval_sieve_one_record_per_run():
 
 
 def test_interval_sieve_exhausts_after_max_passes(monkeypatch):
+    calls = []
     monkeypatch.setattr(staged_mod, "_interval_pass",
-                        lambda backend, size, widths, ones: [0] * 4)
+                        lambda backend, size, widths, ones:
+                        calls.append(size) or [0] * 4)
     with pytest.raises(SieveExhaustedError):
         interval_sieve(backend(360, 5), 1)
+    assert len(calls) == MAX_PASSES
     with pytest.raises(ValueError):
         interval_sieve(backend(360, 5), 0)
+
+
+def test_sieve_stats_sum_by_stage():
+    a = SieveStats([10, 4, 1], combines=3, work=7)
+    b = SieveStats([8, 2], combines=1, work=2)
+    total = a + b
+    assert total.list_sizes == [18, 6, 1]
+    assert (total.combines, total.work) == (4, 9)
+    assert (SieveStats() + a).list_sizes == a.list_sizes
 
 
 @pytest.mark.parametrize("N, s", [(360, 123), (4095, 1000)])
