@@ -43,7 +43,6 @@ from .phase import (
     PhaseQubit,
     combine,
     cosine_observe,
-    hoyer_readout,
     measure_pm,
     negate_label,
     sample_phase_qubit,

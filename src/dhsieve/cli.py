@@ -82,13 +82,21 @@ def _parse_budgets(text):
     if ".." in text:
         lo, hi = text.split("..")
         if "^" not in lo or "^" not in hi:
-            raise UsageError("range syntax is base^lo..base^hi")
+            raise ValueError("range syntax is base^lo..base^hi")
         base, e0 = lo.split("^")
         base2, e1 = hi.split("^")
         if base != base2:
-            raise UsageError("range endpoints must share a base")
+            raise ValueError("range endpoints must share a base")
         return [int(base) ** e for e in range(int(e0), int(e1) + 1)]
     return [one(t) for t in text.split(",") if t]
+
+
+def _flag_value(flag, text, parse):
+    """parse(text), with a bad value reported as a usage error naming flag."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise UsageError(f"{flag} {text!r}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +104,7 @@ def _parse_budgets(text):
 
 
 def _cmd_table1(args):
-    budgets = _parse_budgets(args.budgets)
+    budgets = _flag_value("--budgets", args.budgets, _parse_budgets)
     rows = run_table1(budgets, trials=args.trials, n_labels=args.labels,
                       rng=args.seed)
     dicts = _table1_dicts(rows)
@@ -152,8 +160,9 @@ def _sim_trial(args, rng):
         return value
 
     if args.algorithm == "abelian":
-        orders = need(args.orders, "--orders")
-        A = AbelianGroupSpec(tuple(int(t) for t in orders.split(",")))
+        A = _flag_value("--orders", need(args.orders, "--orders"),
+                        lambda text: AbelianGroupSpec(
+                            tuple(map(int, text.split(",")))))
         s = A.random_element(rng)
         inst = make_shift_pair(A, s)
         solve = lambda: solve_abelian_shift(inst, rng=rng)
@@ -209,10 +218,13 @@ def _cmd_simulate(args):
 # Parser
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=None)
+def _add_common(p, *read):
+    """--out and --config, plus the "seed" and "format" flags p reads."""
+    if "seed" in read:
+        p.add_argument("--seed", type=int, default=None)
+    if "format" in read:
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--config", default=None, help="JSON file of defaults")
 
 
@@ -232,7 +244,7 @@ def build_parser():
     p.add_argument("--radix", type=int, default=2)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--budget", type=int, default=None)
-    _add_common(p)
+    _add_common(p, "seed", "format")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("table1", help="cancellation race averages")
@@ -240,7 +252,7 @@ def build_parser():
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--labels", type=int, default=96,
                    help="label width in bits")
-    _add_common(p)
+    _add_common(p, "seed", "format")
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("scaling", help="fit the race scaling law")
@@ -256,7 +268,7 @@ def build_parser():
                    help="fault injection: extraction coin bias")
     p.add_argument("--phase-sign", type=int, default=1,
                    help="fault injection: +1 or -1")
-    _add_common(p)
+    _add_common(p, "seed")
     p.set_defaults(func=_cmd_verify)
 
     return parser, sub

@@ -24,8 +24,6 @@ from .phase import (
     PhaseQubit,
     combine,
     cosine_observe,
-    hoyer_readout,
-    phase_estimation_kernel,
     sample_measure_batch,
     tomography_mod_r,
 )
@@ -38,10 +36,12 @@ from .statevec import (
 )
 
 LOG3_2 = math.log(2, 3)
-# draws per case of the cosine, coin-fairness and readout checks
+# draws per case of the cosine and coin-fairness checks
 _PER_CASE = 4000
 # staged sieve runs the survival-ratio check pools
 _SURVIVAL_TRIALS = 5
+# (N, s) cases of the measurement-law check
+_LAW_CASES = ((8, 3), (12, 5), (27, 8), (32, 13))
 
 
 @dataclass
@@ -163,8 +163,9 @@ def _backends(rng, coin_bias, phase_sign):
 
 
 def _tv_tol(per):
-    # calibrated at 25k samples over <= 64 cells; TV noise scales 1/sqrt(n)
-    return 0.02 * max(1.0, math.sqrt(25000 / per))
+    # criterion 5's bound at its 10^5 draws over <= 64 cells; TV noise
+    # scales 1/sqrt(n)
+    return 0.02 * max(1.0, math.sqrt(10 ** 5 / per))
 
 
 def _closed_form_law(N, s):
@@ -241,20 +242,6 @@ def _check_extract_residual(rng):
                        worst, "> 1 - 1e-10")
 
 
-def _check_hoyer(make):
-    """Binary-register readout distribution vs the closed-form kernel."""
-    N, s, kappa, per = 16, 5, 2, _PER_CASE
-    M = 1 << (kappa + 1)
-    be = make(N, s)
-    counts = np.zeros(M)
-    for _ in range(per):
-        qs = [PhaseQubit(1 << j, be) for j in range(kappa + 1)]
-        counts[hoyer_readout(qs)] += 1
-    tv = _tv(counts / per, phase_estimation_kernel(s / N, M))
-    return CheckResult("phase-estimation readout total variation",
-                       tv < 0.05, tv, "< 0.05")
-
-
 def _check_survival(make):
     """Staged sieve survival ratio near 1/4 on well-filled stages."""
     n, s = 9, 217
@@ -300,8 +287,7 @@ def verify_suite(N_max=32, samples=10 ** 5, rng=None, coin_bias=0.5,
         raise ValueError("coin_bias must lie in [0, 1]")
     if phase_sign not in (1, -1):
         raise ValueError("phase_sign must be +1 or -1")
-    cases = [(N, s) for N, s in ((8, 3), (12, 5), (27, 8), (32, 13))
-             if N <= N_max]
+    cases = [(N, s) for N, s in _LAW_CASES if N <= N_max]
     if samples // len(cases) < 1000:
         raise ValueError(f"samples must give at least 1000 draws to each of "
                          f"the {len(cases)} measurement-law cases")
@@ -321,7 +307,6 @@ def verify_suite(N_max=32, samples=10 ** 5, rng=None, coin_bias=0.5,
         _check_cosine_freq(make, grid),
         _check_coin_fairness(make),
         _check_extract_residual(rng),
-        _check_hoyer(make),
         _check_survival(make),
         _check_parity_readout(make),
     ]

@@ -79,9 +79,9 @@ def sample_phase_qubit(backend):
 
 
 def sample_batch(backend, count):
-    """Vectorized bulk sampling; semantics identical to count calls of
+    """Vectorized bulk sampling: the same law as count calls of
     sample_phase_qubit.  The corruption flags are drawn before the
-    labels."""
+    labels, where sample_phase_qubit draws its label before its flag."""
     o = backend.oracle
     o._counter.bump(count)
     rate = float(o.corruption_rate)
@@ -147,46 +147,6 @@ def cosine_observe(q, t):
     """A coin with bias cos^2(pi (s - t) k / N): measure against the
     reference slope t.  Returns 1 with that probability; consumes q."""
     return _observe(q, t)
-
-
-def phase_estimation_kernel(theta, M):
-    """Exact measurement distribution of the binary-register readout:
-    P(t) = (1/M^2) sin^2(pi M d) / sin^2(pi d), d = theta - t/M."""
-    t = np.arange(M)
-    delta = theta - t / M
-    num = np.sin(np.pi * M * delta)
-    den = M * np.sin(np.pi * delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = (num / den) ** 2
-    p[np.abs(np.sin(np.pi * delta)) < 1e-12] = 1.0
-    total = p.sum()
-    if not math.isfinite(total) or total <= 0:
-        raise ArithmeticError("degenerate readout kernel")
-    return p / total
-
-
-def hoyer_readout(qs):
-    """Joint Fourier readout of the binary-weighted register
-    psi_1, psi_2, ..., psi_{2^kappa}: samples t with t/M ~ s/N where
-    M = 2^(kappa+1).  Consumes all qubits."""
-    if not qs:
-        raise ValueError("empty register")
-    be = qs[0].backend
-    labels = sorted(q.label for q in qs)
-    kappa = len(qs) - 1
-    if labels != [1 << j for j in range(kappa + 1)]:
-        raise ValueError("register must hold labels 1, 2, 4, ..., 2^kappa")
-    for q in qs:
-        if q.backend is not be:
-            raise BackendMismatchError("mixed backends in readout register")
-        if q.classical:
-            raise ValueError("classical qubit in readout register")
-    for q in qs:
-        q._consume()
-    M = 1 << (kappa + 1)
-    theta = be.oracle._phase_turns(1)  # s/N as a fraction of a turn
-    p = phase_estimation_kernel(theta, M)
-    return int(be.rng.choice(M, p=p))
 
 
 def tomography_copies_needed(r):

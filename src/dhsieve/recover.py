@@ -2,9 +2,10 @@
 general-N automorphism refinement, substring solving through spliced
 oracles, and the abelian hidden shift assembled coordinate by coordinate.
 
-Every recovery is Las Vegas: a candidate is returned only after an oracle
-verification query, and failed candidates trigger a bounded retry.  Each
-entry point takes rng, a numpy Generator (used as is) or a seed.
+Every recovery is Las Vegas: one attempt function run by _las_vegas, which
+returns a candidate only after a verification query and retries a failed
+one up to a fixed cap.  Each entry point takes rng, a numpy Generator
+(used as is) or a seed.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ _SUBSTRING_SWEEPS = 2
 _CHECK_SAMPLES = 3
 # single-coordinate copies each abelian coordinate readout reads
 _COORDINATE_COPIES = 24
+# attempts of a direct power-of-two recovery
+_POWER2_RETRIES = 8
 # attempts of the radix, general-N and abelian recoveries
 _MAX_RETRIES = 6
 
@@ -69,9 +72,9 @@ def _las_vegas(counter, attempt, verifier, max_retries):
     """The retry loop every recovery shares: attempt(i) for
     i = 1..max_retries returns a candidate; an exhausted sieve counts as
     a failed attempt.  Returns the first candidate the verifier accepts
-    with its RecoveryReport, whose queries are those counter (the oracle
-    or pair) recorded meanwhile.  Raises NoHiddenReflectionError when
-    every attempt failed."""
+    with its RecoveryReport, whose queries are those counter (the oracle,
+    pair or substring instance) recorded meanwhile.  Raises
+    NoHiddenReflectionError when every attempt failed."""
     q0 = counter.queries
     for i in range(1, max_retries + 1):
         try:
@@ -83,12 +86,6 @@ def _las_vegas(counter, attempt, verifier, max_retries):
                                      attempts=i, verified=True)
     raise NoHiddenReflectionError(
         f"no verified answer after {max_retries} attempts")
-
-
-def _reflection_verifier(o, verifier):
-    if verifier is None:
-        return lambda s: verify_reflection(o, s)
-    return verifier
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +106,7 @@ def _digit_recursion(o, r, n, rng, read_digit):
     return s
 
 
-def recover_slope_power2(o, n=None, rng=None, max_retries=8, verifier=None):
+def recover_slope_power2(o, n=None, rng=None):
     """Recover the slope over D_{2^n}: run the staged parity sieve, fold
     the answer into the index-2 subgroup, and recurse; verified against
     the oracle, retried on failure.
@@ -122,12 +119,8 @@ def recover_slope_power2(o, n=None, rng=None, max_retries=8, verifier=None):
     if N != 1 << n:
         raise ValueError("group order is not 2^n")
     rng = np.random.default_rng(rng)
-
-    def attempt(i):
-        return _digit_recursion(o, 2, n, rng, run_staged_parity)
-
-    return _las_vegas(o, attempt, _reflection_verifier(o, verifier),
-                      max_retries)
+    return _las_vegas(o, lambda i: _slope_attempt(o, rng),
+                      lambda s: verify_reflection(o, s), _POWER2_RETRIES)
 
 
 def recover_slope_radix(o, r, n=None, rng=None, budget=None):
@@ -199,18 +192,23 @@ def _general_attempt(o, rng):
     return int(cands[np.argmax(ll)])
 
 
-def recover_slope_general(o, rng=None, max_retries=_MAX_RETRIES,
-                          verifier=None):
-    """Recover the slope over D_N for arbitrary N: power-of-two recursion
-    when N = 2^a, otherwise interval sieve plus automorphism refinement
-    on the odd part of N.  Returns (s, RecoveryReport)."""
+def _slope_attempt(o, rng):
+    """One slope attempt over D_N for arbitrary N: the power-of-two
+    recursion when N = 2^a, otherwise interval sieve plus automorphism
+    refinement on the odd part of N."""
     N = o.ctx.N
-    rng = np.random.default_rng(rng)
     if N & (N - 1) == 0:
-        return recover_slope_power2(o, rng=rng, max_retries=max_retries,
-                                    verifier=verifier)
-    return _las_vegas(o, lambda i: _general_attempt(o, rng),
-                      _reflection_verifier(o, verifier), max_retries)
+        return _digit_recursion(o, 2, N.bit_length() - 1, rng,
+                                run_staged_parity)
+    return _general_attempt(o, rng)
+
+
+def recover_slope_general(o, rng=None):
+    """Recover the slope over D_N for arbitrary N by _slope_attempt,
+    verified against the oracle.  Returns (s, RecoveryReport)."""
+    rng = np.random.default_rng(rng)
+    return _las_vegas(o, lambda i: _slope_attempt(o, rng),
+                      lambda s: verify_reflection(o, s), _MAX_RETRIES)
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +231,9 @@ def _substring_guesses(N):
 
 
 def _substring_check(inst, shift, rng):
-    """Classical verification: f(x) = g(x + shift) at random positions.
-    Tokens are injective, so one agreeing sample is already decisive; a
-    few are checked for good measure."""
-    if not 0 <= shift < inst.N:
-        return False
+    """Classical verification of a shift in [0, N): f(x) = g(x + shift)
+    at random positions.  Tokens are injective, so one agreeing sample is
+    already decisive; a few are checked for good measure."""
     for _ in range(_CHECK_SAMPLES):
         x = int(rng.integers(0, inst.N))
         if inst.f(x) != inst.g(x + shift):
@@ -257,22 +253,16 @@ def solve_substring(inst, rng=None):
     raises NoHiddenReflectionError when every sweep fails."""
     N = inst.N
     rng = np.random.default_rng(rng)
-    q0 = inst.queries
     grid = list(_substring_guesses(N))
-    for attempts, t in enumerate(grid * _SUBSTRING_SWEEPS, 1):
-        o = splice_substring(inst, t)
-        # verify the shift this slope would imply, not the oracle
-        # relation (the spliced tokens wrap past N and break it)
-        ver = lambda u, t=t: _substring_check(inst, (u + t) % N, rng)
-        try:
-            u, _ = recover_slope_general(o, rng=rng, max_retries=1,
-                                         verifier=ver)
-        except NoHiddenReflectionError:
-            continue
-        s = (u + t) % N
-        return s, RecoveryReport(secret=s, queries=inst.queries - q0,
-                                 attempts=attempts, verified=True)
-    raise NoHiddenReflectionError("every substring guess failed")
+
+    def attempt(i):
+        t = grid[(i - 1) % len(grid)]
+        return (_slope_attempt(splice_substring(inst, t), rng) + t) % N
+
+    # verify the shift the slope implies, not the oracle relation (the
+    # spliced tokens wrap past N and break it)
+    return _las_vegas(inst, attempt, lambda s: _substring_check(inst, s, rng),
+                      _SUBSTRING_SWEEPS * len(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -337,18 +327,12 @@ def solve_abelian_shift(p, rng=None):
     A = p.A
     rng = np.random.default_rng(rng)
     o = shift_to_dihedral(p)
-    q0 = p.queries
-
-    if isinstance(o.ctx, GroupCtx):
-        # rank 1 collapses to the plain dihedral problem
-        s, rep = recover_slope_general(
-            o, rng=rng, verifier=lambda s: _shift_check(p, (s,), rng))
-        return (s,), RecoveryReport(secret=(s,), queries=p.queries - q0,
-                                    attempts=rep.attempts, verified=True)
-
     budget = abelian_budget(A)
 
     def attempt(i):
+        if isinstance(o.ctx, GroupCtx):
+            # rank 1 collapses to the plain dihedral problem
+            return (_slope_attempt(o, rng),)
         return tuple(0 if A.orders[j] == 1
                      else _coordinate_slope(o, A, j, rng, budget)
                      for j in range(A.rank))

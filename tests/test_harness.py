@@ -14,12 +14,19 @@ import pytest
 
 import dhsieve
 from dhsieve.cli import _parse_budgets, main
+from dhsieve.group import GroupCtx
 from dhsieve.harness import (
+    _LAW_CASES,
     ResultRow,
+    _backends,
+    _check_joint_law,
+    _closed_form_law,
     fit_scaling,
     run_table1,
     verify_suite,
 )
+from dhsieve.oracle import make_reflection_oracle
+from dhsieve.phase import PhaseBackend
 from dhsieve.staged import MAX_PASSES
 
 
@@ -94,6 +101,27 @@ def test_verify_suite_quick_honest():
     assert report.passed
     text = report.format()
     assert "ALL PASS" in text and text.count("PASS") >= 8
+
+
+def test_law_check_passes_honest_seeds_at_default_samples():
+    # verify's first check, on the stream verify_suite(rng=seed) gives it,
+    # at the default 10^5 samples: honest physics passes every seed
+    for seed in range(1, 51):
+        make = _backends(np.random.default_rng(seed), 0.5, 1)
+        check = _check_joint_law("law", make, 10 ** 5, _LAW_CASES,
+                                 _closed_form_law)
+        assert check.ok, (seed, check.observed)
+
+
+def test_law_check_rejects_a_slope_off_by_one():
+    # a backend hiding s + 1, checked against the law of s at the fewest
+    # draws verify allows (1,000 per case)
+    rng = np.random.default_rng(3)
+    make = lambda N, s: PhaseBackend(
+        make_reflection_oracle(GroupCtx(N), (s + 1) % N), rng=rng)
+    check = _check_joint_law("law", make, 1000 * len(_LAW_CASES),
+                             _LAW_CASES, _closed_form_law)
+    assert not check.ok
 
 
 def test_verify_suite_detects_coin_bias():
@@ -183,6 +211,27 @@ def test_cli_config_supplies_defaults(tmp_path):
     assert recs[0]["trials"] == "4"
 
 
+@pytest.mark.parametrize("argv", [
+    ["scaling", "--in", "t.csv", "--format", "csv"],
+    ["scaling", "--in", "t.csv", "--seed", "3"],
+    ["verify", "--format", "json"],
+])
+def test_cli_rejects_flags_the_subcommand_ignores(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
+def test_cli_config_format_key_rejected_by_verify(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "json"}))
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "format" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trails": 3}))
@@ -191,6 +240,14 @@ def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     assert rc == 2
     assert "trails" in capsys.readouterr().err
     assert not (tmp_path / "sim.csv").exists()
+
+
+# values that do not parse: the error names the flag that carried them
+NAMED_FLAG_ARGV = [
+    ["simulate", "--algorithm", "abelian", "--orders", ""],
+    ["simulate", "--algorithm", "abelian", "--orders", "4,x"],
+    ["table1", "--budgets", "x"],
+]
 
 
 @pytest.mark.parametrize("argv", [
@@ -219,6 +276,7 @@ def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     ["table1", "--budgets", "-3", "--trials", "2"],
     ["table1", "--budgets", "3^3..3^1", "--trials", "2"],
     ["table1", "--budgets", "1,9", "--trials", "2"],
+    *NAMED_FLAG_ARGV,
 ])
 def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "no-mean.csv").write_text(
@@ -231,6 +289,8 @@ def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
     assert captured.out == ""
     if argv[-1].endswith("-mean.csv"):
         assert "'mean'" in captured.err
+    if argv in NAMED_FLAG_ARGV:
+        assert argv[-2] in captured.err
     assert not (tmp_path / "sim.csv").exists()
 
 

@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from dhsieve.errors import (
     BackendMismatchError,
@@ -21,11 +20,9 @@ from dhsieve.phase import (
     PhaseQubit,
     combine,
     cosine_observe,
-    hoyer_readout,
     log_likelihood,
     measure_pm,
     negate_label,
-    phase_estimation_kernel,
     sample_batch,
     sample_measure_batch,
     sample_phase_qubit,
@@ -140,40 +137,6 @@ def test_corrupted_qubits_are_coins():
     assert all(q.classical for q in qs)
     ones = sum(measure_pm(q) for q in qs)
     assert abs(ones / 4000 - 0.5) < 4 * math.sqrt(0.25 / 4000)
-
-
-@given(st.integers(1, 64), st.floats(0, 0.999))
-def test_kernel_is_a_distribution(M, theta):
-    p = phase_estimation_kernel(theta, M)
-    assert p.shape == (M,)
-    assert np.all(p >= 0)
-    assert abs(p.sum() - 1) < 1e-9
-
-
-def test_kernel_peaks_at_nearest_fraction():
-    p = phase_estimation_kernel(5 / 16, 16)
-    assert int(np.argmax(p)) == 5
-
-
-def test_hoyer_readout_register_validation():
-    be = backend(16, 5)
-    with pytest.raises(ValueError):
-        hoyer_readout([PhaseQubit(1, be), PhaseQubit(3, be)])
-    with pytest.raises(ValueError):
-        hoyer_readout([])
-
-
-def test_hoyer_readout_distribution():
-    N, s, kappa = 16, 5, 2
-    M = 1 << (kappa + 1)
-    be = backend(N, s, seed=7)
-    counts = np.zeros(M)
-    n = 6000
-    for _ in range(n):
-        counts[hoyer_readout([PhaseQubit(1 << j, be)
-                              for j in range(kappa + 1)])] += 1
-    tv = 0.5 * np.abs(counts / n - phase_estimation_kernel(s / N, M)).sum()
-    assert tv < 0.04
 
 
 def test_tomography_r2_parity():

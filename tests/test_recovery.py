@@ -8,6 +8,7 @@ from dhsieve import recover
 from dhsieve.errors import NoHiddenReflectionError, SieveExhaustedError
 from dhsieve.group import AbelianGroupSpec, GroupCtx
 from dhsieve.oracle import (
+    ShiftPair,
     SubstringInstance,
     make_reflection_oracle,
     make_shift_pair,
@@ -72,7 +73,32 @@ def test_power2_rejects_wrong_order():
 def test_injective_oracle_raises():
     o = make_trivial_oracle(GroupCtx(8))
     with pytest.raises(NoHiddenReflectionError):
-        recover_slope_power2(o, 3, rng=2, max_retries=3)
+        recover_slope_power2(o, 3, rng=2)
+
+
+def _unshifted_pair(orders):
+    # f and g have disjoint images, so no shift relates them
+    return ShiftPair(AbelianGroupSpec(orders), (0,) * len(orders),
+                     lambda a: ("f",) + a, lambda a: ("g",) + a)
+
+
+@pytest.mark.parametrize("solve, cap", [
+    (lambda: recover_slope_power2(make_trivial_oracle(GroupCtx(8)), 3,
+                                  rng=2), 8),
+    (lambda: recover_slope_general(make_trivial_oracle(GroupCtx(8)),
+                                   rng=2), 6),
+    (lambda: solve_abelian_shift(_unshifted_pair((8,)), rng=2), 6),
+], ids=["power2", "general-2^a", "abelian-rank1"])
+def test_retry_caps_on_injective_oracle(solve, cap, monkeypatch):
+    # every attempt fails its check: the loop runs exactly its cap of
+    # slope attempts, then raises
+    calls = []
+    real = recover._slope_attempt
+    monkeypatch.setattr(recover, "_slope_attempt",
+                        lambda o, rng: calls.append(o) or real(o, rng))
+    with pytest.raises(NoHiddenReflectionError):
+        solve()
+    assert len(calls) == cap
 
 
 def test_radix_recovery_r3():
@@ -131,20 +157,24 @@ def test_substring_sweeps_grid_twice(monkeypatch):
     N = 48
     grid = list(recover._substring_guesses(N))
     assert grid[:3] == [0, 24, 12] and sorted(grid) == list(range(N))
-    spliced, retries = [], []
+    spliced, attempted = [], []
     real = recover.splice_substring
-    monkeypatch.setattr(recover, "splice_substring",
-                        lambda inst, t: spliced.append(t) or real(inst, t))
 
-    def fail(o, rng=None, max_retries=None, verifier=None):
-        retries.append(max_retries)
-        raise NoHiddenReflectionError("no candidate")
+    def splice(inst, t):
+        spliced.append((t, real(inst, t)))
+        return spliced[-1][1]
 
-    monkeypatch.setattr(recover, "recover_slope_general", fail)
+    def fail(o, rng):
+        attempted.append(o)
+        raise SieveExhaustedError("no candidate")
+
+    monkeypatch.setattr(recover, "splice_substring", splice)
+    monkeypatch.setattr(recover, "_slope_attempt", fail)
     with pytest.raises(NoHiddenReflectionError):
         solve_substring(SubstringInstance(N, 31), rng=1)
-    assert spliced == grid * 2
-    assert retries == [1] * (2 * N)
+    assert [t for t, _ in spliced] == grid * 2
+    assert len(attempted) == len(spliced)
+    assert all(a is o for a, (_, o) in zip(attempted, spliced))
 
 
 def test_substring_attempts_count_guesses(monkeypatch):
