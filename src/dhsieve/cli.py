@@ -4,10 +4,10 @@ Subcommands: simulate (run a recovery algorithm on random instances),
 table1 (cancellation-race averages), scaling (fit the race scaling law
 from a CSV), verify (statistical verification suite).
 
-A JSON config file may supply any flag of the chosen subcommand (keys
-use underscores); explicit flags win, and other keys are rejected.
-Exit codes: 0 success, 1 check/recovery failure, 2 usage error or bad
-value.
+A JSON config key becomes the flag --key=value (underscores as dashes)
+ahead of the command line, so explicit flags win; a null keeps the
+default.  Exit codes: 0 success, 1 check/recovery failure, 2 usage
+error or bad value, on one line of stderr.
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ def _table1_dicts(rows):
              "seconds": _fmt(r.seconds)} for r in rows]
 
 
-def _parse_budgets(text):
-    """Accept "3^1..3^6" ranges or comma-separated integers / powers."""
+def budgets(text):
+    """--budgets: "3^1..3^6" ranges or comma-separated integers / powers.
+    Named, like orders, for argparse's "invalid budgets value" message."""
     def one(tok):
         if "^" in tok:
             b, e = tok.split("^")
@@ -82,21 +83,18 @@ def _parse_budgets(text):
     if ".." in text:
         lo, hi = text.split("..")
         if "^" not in lo or "^" not in hi:
-            raise ValueError("range syntax is base^lo..base^hi")
+            raise argparse.ArgumentTypeError("use base^lo..base^hi")
         base, e0 = lo.split("^")
         base2, e1 = hi.split("^")
         if base != base2:
-            raise ValueError("range endpoints must share a base")
+            raise argparse.ArgumentTypeError("endpoints must share a base")
         return [int(base) ** e for e in range(int(e0), int(e1) + 1)]
     return [one(t) for t in text.split(",") if t]
 
 
-def _flag_value(flag, text, parse):
-    """parse(text), with a bad value reported as a usage error naming flag."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise UsageError(f"{flag} {text!r}: {exc}")
+def orders(text):
+    """--orders: comma-separated cyclic orders, as the group they define."""
+    return AbelianGroupSpec(tuple(map(int, text.split(","))))
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +102,7 @@ def _flag_value(flag, text, parse):
 
 
 def _cmd_table1(args):
-    budgets = _flag_value("--budgets", args.budgets, _parse_budgets)
-    rows = run_table1(budgets, trials=args.trials, n_labels=args.labels,
+    rows = run_table1(args.budgets, trials=args.trials, n_labels=args.labels,
                       rng=args.seed)
     dicts = _table1_dicts(rows)
     if args.format == "json":
@@ -159,29 +156,25 @@ def _sim_trial(args, rng):
                              " algorithm")
         return value
 
+    make = make_reflection_oracle
     if args.algorithm == "abelian":
-        A = _flag_value("--orders", need(args.orders, "--orders"),
-                        lambda text: AbelianGroupSpec(
-                            tuple(map(int, text.split(",")))))
-        s = A.random_element(rng)
-        inst = make_shift_pair(A, s)
-        solve = lambda: solve_abelian_shift(inst, rng=rng)
+        group, make = need(args.orders, "--orders"), make_shift_pair
+    elif args.algorithm == "general":
+        group = GroupCtx(need(args.N, "--N"))
     else:
-        if args.algorithm == "general":
-            N = need(args.N, "--N")
-        else:
-            if need(args.n, "--n") < 0:
-                raise UsageError("--n must be >= 0")
-            N = (2 if args.algorithm == "staged" else args.radix) ** args.n
-        ctx = GroupCtx(N)
-        s = ctx.random_element(rng)
-        inst = make_reflection_oracle(ctx, s)
-        solve = {
-            "staged": lambda: recover_slope_power2(inst, args.n, rng=rng),
-            "general": lambda: recover_slope_general(inst, rng=rng),
-            "greedy": lambda: recover_slope_radix(
-                inst, args.radix, args.n, rng=rng, budget=args.budget),
-        }[args.algorithm]
+        if need(args.n, "--n") < 0:
+            raise UsageError("--n must be >= 0")
+        group = GroupCtx((2 if args.algorithm == "staged" else args.radix)
+                         ** args.n)
+    s = group.random_elements(rng, 1).tolist()[0]
+    inst = make(group, s)
+    solve = {
+        "abelian": lambda: solve_abelian_shift(inst, rng=rng),
+        "staged": lambda: recover_slope_power2(inst, args.n, rng=rng),
+        "general": lambda: recover_slope_general(inst, rng=rng),
+        "greedy": lambda: recover_slope_radix(
+            inst, args.radix, args.n, rng=rng, budget=args.budget),
+    }[args.algorithm]
     try:
         _, rep = solve()
     except NoHiddenReflectionError:
@@ -218,6 +211,20 @@ def _cmd_simulate(args):
 # Parser
 
 
+COMMANDS = {"simulate": _cmd_simulate, "table1": _cmd_table1,
+            "scaling": _cmd_scaling, "verify": _cmd_verify}
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse raising UsageError, with flags (and config keys) in full."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _add_common(p, *read):
     """--out and --config, plus the "seed" and "format" flags p reads."""
     if "seed" in read:
@@ -229,7 +236,7 @@ def _add_common(p, *read):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dhsieve",
         description="Classical simulator for the dihedral sieve algorithms")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -239,27 +246,24 @@ def build_parser():
                    choices=["staged", "general", "greedy", "abelian"])
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--N", type=int, default=None)
-    p.add_argument("--orders", default=None,
+    p.add_argument("--orders", type=orders, default=None,
                    help="comma-separated cyclic orders")
     p.add_argument("--radix", type=int, default=2)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--budget", type=int, default=None)
     _add_common(p, "seed", "format")
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("table1", help="cancellation race averages")
-    p.add_argument("--budgets", default="3^1..3^6")
+    p.add_argument("--budgets", type=budgets, default="3^1..3^6")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--labels", type=int, default=96,
                    help="label width in bits")
     _add_common(p, "seed", "format")
-    p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("scaling", help="fit the race scaling law")
     p.add_argument("--in", required=True, dest="in",
                    help="CSV produced by table1")
     _add_common(p)
-    p.set_defaults(func=_cmd_scaling)
 
     p = sub.add_parser("verify", help="statistical verification suite")
     p.add_argument("--nmax", type=int, default=32)
@@ -269,43 +273,47 @@ def build_parser():
     p.add_argument("--phase-sign", type=int, default=1,
                    help="fault injection: +1 or -1")
     _add_common(p, "seed")
-    p.set_defaults(func=_cmd_verify)
 
-    return parser, sub
+    return parser
 
 
-def _apply_config(parser, sub, args, argv):
-    """Re-parse argv with the JSON config's keys as defaults of the chosen
-    subcommand, so explicit flags still win.  Rejects keys that the
-    subcommand does not define."""
+def _config_flags(argv):
+    """The JSON config named by argv's --config as flags --key=value,
+    leaving out null values."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return []
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, ValueError) as exc:
         raise UsageError(f"bad config file: {exc}")
     if not isinstance(cfg, dict):
         raise UsageError("config must be a JSON object")
-    unknown = sorted(set(cfg) - (set(vars(args)) - {"command", "func"}))
-    if unknown:
-        raise UsageError(f"config key(s) not defined by {args.command}: "
-                         + ", ".join(unknown))
-    sub.choices[args.command].set_defaults(**cfg)
-    return parser.parse_args(argv)
+    flags = []
+    for key, value in cfg.items():
+        if value is None:
+            continue
+        if isinstance(value, (bool, list, dict)):
+            raise UsageError(f"config key {key!r} is not a string or number")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    parser, sub = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    where = " ".join(["dhsieve", *(c for c in argv[:1] if c in COMMANDS)])
     try:
-        if args.config is not None:
-            args = _apply_config(parser, sub, args, argv)
-        return args.func(args)
+        # config flags go ahead of the command line, so explicit flags win
+        args = build_parser().parse_args(
+            argv[:1] + _config_flags(argv[1:]) + argv[1:])
+        return COMMANDS[args.command](args)
     except (UsageError, ValueError, OSError) as exc:
         # library input checks raise ValueError and a path that cannot be
         # opened raises OSError: a bad value, not a crash
-        print(f"dhsieve {args.command}: {exc}", file=sys.stderr)
+        print(f"{where}: {exc}", file=sys.stderr)
         return 2
 
 

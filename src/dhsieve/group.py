@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class GroupCtx:
@@ -38,8 +40,12 @@ class GroupCtx:
         """Phase of psi_k at slope s, as a fraction of a full turn."""
         return ((k * s) % self.N) / self.N
 
-    def random_element(self, rng):
-        return random_below(rng, self.N)
+    def random_elements(self, rng, count):
+        """count uniform exponents, an array whose tolist() gives ints."""
+        if self.N.bit_length() <= 62:
+            return rng.integers(0, self.N, size=count)
+        return np.array([random_below(rng, self.N) for _ in range(count)],
+                        dtype=object)
 
 
 def random_below(rng, N):
@@ -99,8 +105,12 @@ class AbelianGroupSpec:
             total += ((a * b) % n) / n
         return total % 1.0
 
-    def random_element(self, rng):
-        return tuple(random_below(rng, n) for n in self.orders)
+    def random_elements(self, rng, count):
+        """count uniform tuples, one element after another, as an array
+        whose tolist() gives the tuples."""
+        return np.fromiter(
+            (tuple(random_below(rng, n) for n in self.orders)
+             for _ in range(count)), dtype=object, count=count)
 
 
 @dataclass(frozen=True)

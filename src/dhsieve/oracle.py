@@ -158,9 +158,6 @@ class ShiftPair:
         self._counter.bump()
         return self._g(self.A.reduce(a))
 
-    def to_dict(self):
-        return {"orders": list(self.A.orders), "queries": self.queries}
-
     def truncation_corruption(self):
         """Fraction of cosets broken by truncating free summands."""
         broken = Fraction(0)
@@ -207,26 +204,14 @@ def shift_to_dihedral(p):
     rank-1 group the oracle is returned over the plain dihedral group D_N.
     """
     A = p.A
-    rank1 = A.rank == 1
-
-    if rank1:
-        N = A.orders[0]
-        ctx = GroupCtx(N)
-        slope = p._shift[0]
-
-        def ev(e):
-            if e.t:
-                return p._g((e.b % N,))
-            return p._f((e.b % N,))
-
+    if A.rank == 1:
+        ctx, slope = GroupCtx(A.orders[0]), p._shift[0]
+        coords = lambda b: (b % ctx.N,)
     else:
-        ctx = A
-        slope = p._shift
+        ctx, slope, coords = A, p._shift, A.reduce
 
-        def ev(e):
-            if e.t:
-                return p._g(A.reduce(e.b))
-            return p._f(A.reduce(e.b))
+    def ev(e):
+        return (p._g if e.t else p._f)(coords(e.b))
 
     return HidingOracle(ctx, slope, ev,
                         corruption_rate=p.truncation_corruption(),

@@ -65,35 +65,33 @@ class PhaseBackend:
         self.coin_bias = coin_bias
 
 
-def sample_phase_qubit(backend):
-    """Draw one phase qubit: uniform label, one oracle query; corrupted
-    oracles yield a classical qubit with probability corruption_rate."""
-    o = backend.oracle
-    o._counter.bump()
-    label = o.ctx.random_element(backend.rng)
-    classical = False
-    rate = float(o.corruption_rate)
-    if rate > 0.0:
-        classical = bool(backend.rng.random() < rate)
-    return PhaseQubit(label, backend, classical=classical)
-
-
-def sample_batch(backend, count):
-    """Vectorized bulk sampling: the same law as count calls of
-    sample_phase_qubit.  The corruption flags are drawn before the
-    labels, where sample_phase_qubit draws its label before its flag."""
+def _draw(backend, count):
+    """The one draw behind every sampler: count oracle queries, then the
+    corruption flags (None unless the rate is positive), then count
+    uniform labels.  Returns (labels, flags)."""
     o = backend.oracle
     o._counter.bump(count)
     rate = float(o.corruption_rate)
-    flags = (backend.rng.random(count) < rate).tolist() if rate > 0.0 else None
-    ctx = o.ctx
-    if isinstance(ctx, GroupCtx) and ctx.N.bit_length() <= 62:
-        labels = backend.rng.integers(0, ctx.N, size=count).tolist()
-    else:
-        labels = [ctx.random_element(backend.rng) for _ in range(count)]
+    flags = backend.rng.random(count) < rate if rate > 0.0 else None
+    return o.ctx.random_elements(backend.rng, count), flags
+
+
+def sample_phase_qubit(backend):
+    """Draw one phase qubit: uniform label, one oracle query; corrupted
+    oracles yield a classical qubit with probability corruption_rate."""
+    labels, flags = _draw(backend, 1)
+    return PhaseQubit(labels.tolist()[0], backend,
+                      flags is not None and bool(flags[0]))
+
+
+def sample_batch(backend, count):
+    """count phase qubits from one draw: the same law as count calls of
+    sample_phase_qubit, and the same draws when count is 1."""
+    labels, flags = _draw(backend, count)
     if flags is None:
-        return [PhaseQubit(k, backend) for k in labels]
-    return [PhaseQubit(k, backend, c) for k, c in zip(labels, flags)]
+        return [PhaseQubit(k, backend) for k in labels.tolist()]
+    return [PhaseQubit(k, backend, c)
+            for k, c in zip(labels.tolist(), flags.tolist())]
 
 
 def combine(q1, q2, u=None):
@@ -198,20 +196,20 @@ def tomography_mod_r(qs, r):
     ref_turns = np.array([((t * w * step) % N) / N
                           for t, w in zip(ts, weights)])
     turns = (np.arange(r)[:, None] * a % r) / r - ref_turns
-    return int(np.argmax(log_likelihood(turns, bits)))
+    return int(np.argmax(log_likelihood([turns], bits, np.zeros(r))))
 
 
-def log_likelihood(turns, bits, ll=None):
-    """Log-likelihood of each candidate (row) given cosine observations
-    (columns): observation j returned bits[j] = 1 with probability
-    cos^2(pi turns[c, j]) under candidate c.  Probabilities are clipped
-    away from 0 and 1 so one unlucky bit cannot veto a candidate.  The
-    columns are added to ll (zeros when None) one at a time, in order."""
-    p = np.clip(np.cos(np.pi * turns) ** 2, _P_CLIP, 1 - _P_CLIP)
-    if ll is None:
-        ll = np.zeros(p.shape[0])
-    for j, bit in enumerate(bits):
-        ll += np.log(p[:, j]) if bit else np.log(1 - p[:, j])
+def log_likelihood(blocks, bits, ll):
+    """Add to ll the log-likelihood of each candidate (row) given cosine
+    observations (columns, in order, of the 2-D arrays in blocks, added
+    one at a time): observation j returned bits[j] = 1 with probability
+    cos^2(pi x), x the candidate's entry in column j.  Probabilities are
+    clipped away from 0 and 1 so one unlucky bit cannot veto a candidate."""
+    bits = iter(bits)
+    for block in blocks:
+        p = np.clip(np.cos(np.pi * block) ** 2, _P_CLIP, 1 - _P_CLIP)
+        for col, bit in zip(p.T, bits):
+            ll += np.log(col) if bit else np.log(1 - col)
     return ll
 
 
@@ -224,15 +222,11 @@ def sample_measure_batch(backend, count):
     o = backend.oracle
     if not isinstance(o.ctx, GroupCtx):
         raise TypeError("batch sampling is dihedral-only")
-    N = o.ctx.N
-    if N.bit_length() > 30:
+    if o.ctx.N.bit_length() > 30:
         raise ValueError("batch path is for small N")
-    o._counter.bump(count)
-    labels = backend.rng.integers(0, N, size=count)
+    labels, flags = _draw(backend, count)
     p_plus = np.cos(np.pi * o._phase_turns(labels)) ** 2
-    rate = float(o.corruption_rate)
-    if rate > 0.0:
-        classical = backend.rng.random(count) < rate
-        p_plus = np.where(classical, 0.5, p_plus)
+    if flags is not None:
+        p_plus = np.where(flags, 0.5, p_plus)
     bits = (backend.rng.random(count) >= p_plus).astype(np.int64)
     return labels, bits

@@ -164,8 +164,7 @@ def _general_attempt(o, rng):
     backend = PhaseBackend(o, rng=rng)
     t0, _ = run_general_interval(backend)
     radius = N // 4 + 1
-    cands = np.array(sorted({(t0 + d) % N
-                             for d in range(-radius, radius + 1)}))
+    cands = np.unique((t0 + np.arange(-radius, radius + 1)) % N)
     ll = np.zeros(len(cands))
     rounds = max(1, math.ceil(math.log2(N)) + 1)
     for j in range(rounds):
@@ -173,11 +172,8 @@ def _general_attempt(o, rng):
             break
         u = unit_for_odd_part(N, j)
         wrapped = with_label_automorphism(o, u)
-        try:
-            ones, _ = interval_sieve(PhaseBackend(wrapped, rng=rng),
-                                     _COPIES_PER_ROUND)
-        except SieveExhaustedError:
-            continue
+        ones, _ = interval_sieve(PhaseBackend(wrapped, rng=rng),
+                                 _COPIES_PER_ROUND)
         uinv = pow(u, -1, N)
         best = int(cands[np.argmax(ll)])
         refs = [(uinv * best) % N,
@@ -185,8 +181,12 @@ def _general_attempt(o, rng):
                 (uinv * best + max(1, N // 8)) % N]
         ts = [refs[idx % len(refs)] for idx in range(len(ones))]
         bits = [cosine_observe(q, t) for q, t in zip(ones, ts)]
-        turns = ((uinv * cands[:, None] - np.array(ts)) % N) / N
-        ll = log_likelihood(turns, bits, ll)
+        # blocks of at most 2^20 entries: candidates x copies does not fit
+        # in memory at large N
+        scaled, step = uinv * cands[:, None], max(1, (1 << 20) // len(cands))
+        blocks = (((scaled - np.array(ts[i:i + step])) % N) / N
+                  for i in range(0, len(ts), step))
+        ll = log_likelihood(blocks, bits, ll)
         keep = ll > ll.max() - 8.0
         cands, ll = cands[keep], ll[keep]
     return int(cands[np.argmax(ll)])
@@ -300,7 +300,7 @@ def _coordinate_slope(o, A, j, rng, budget):
             for q, t in zip(targets, ts)]
     k = np.array([q.label[j] for q in targets])
     turns = ((k * (np.arange(Nj)[:, None] - np.array(ts))) % Nj) / Nj
-    return int(np.argmax(log_likelihood(turns, bits)))
+    return int(np.argmax(log_likelihood([turns], bits, np.zeros(Nj))))
 
 
 def _shift_check(p, cand, rng):

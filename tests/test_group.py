@@ -3,6 +3,7 @@ and the automorphism units used by the general-N recovery."""
 
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,7 @@ from dhsieve.group import (
     GroupCtx,
     dmul,
     identity,
+    random_below,
     subgroup_embed,
     unit_for_odd_part,
 )
@@ -121,3 +123,22 @@ def test_abelian_spec_arithmetic():
     for bad in (-1, 2):
         with pytest.raises(ValueError):
             AbelianGroupSpec((4,), free_rank=bad)
+
+
+@pytest.mark.parametrize("N", [7, 360, 2 ** 40 + 3, 2 ** 61, 2 ** 70 + 5])
+def test_one_element_draw_is_random_below(N):
+    # a draw of one element takes the same value, and leaves the same
+    # generator state, as one random_below call: secrets drawn this way
+    # keep their values at every width
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    got = GroupCtx(N).random_elements(a, 1).tolist()
+    assert got == [random_below(b, N)] and type(got[0]) is int
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_abelian_draw_is_element_by_element():
+    A = AbelianGroupSpec((16, 9, 2 ** 70))
+    a, b = np.random.default_rng(12), np.random.default_rng(12)
+    got = A.random_elements(a, 5).tolist()
+    assert got == [tuple(random_below(b, n) for n in A.orders)
+                   for _ in range(5)]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dhsieve
-from dhsieve.cli import _parse_budgets, main
+from dhsieve.cli import budgets, main
 from dhsieve.group import GroupCtx
 from dhsieve.harness import (
     _LAW_CASES,
@@ -141,8 +141,8 @@ def test_verify_suite_detects_sign_flip():
 
 
 def test_parse_budgets():
-    assert _parse_budgets("3^1..3^4") == [3, 9, 27, 81]
-    assert _parse_budgets("10,3^3,5") == [10, 27, 5]
+    assert budgets("3^1..3^4") == [3, 9, 27, 81]
+    assert budgets("10,3^3,5") == [10, 27, 5]
 
 
 def test_cli_table1_and_scaling(tmp_path):
@@ -217,10 +217,10 @@ def test_cli_config_supplies_defaults(tmp_path):
     ["verify", "--format", "json"],
 ])
 def test_cli_rejects_flags_the_subcommand_ignores(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert argv[-2] in capsys.readouterr().err
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert argv[-2] in err
 
 
 def test_cli_config_format_key_rejected_by_verify(tmp_path, capsys):
@@ -242,11 +242,52 @@ def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "sim.csv").exists()
 
 
+# config values are parsed and checked like the flags they become: each
+# bad one is rejected before any output, on one stderr line naming its key
+@pytest.mark.parametrize("cmd, cfg", [
+    (["verify", "--nmax", "8"], {"seed": 1.5}),
+    (["simulate", "--algorithm", "staged", "--n", "4"], {"seed": 1.5}),
+    (["table1", "--budgets", "3^2"], {"labels": 2.5}),
+    (["table1", "--budgets", "3^2"], {"format": "xml"}),
+    (["simulate", "--algorithm", "abelian"], {"orders": [16, 9]}),
+    (["table1", "--budgets", "3^2"], {"trials": True}),
+    (["table1", "--budgets", "3^2"], {"trial": 3}),
+])
+def test_cli_config_value_checked_like_its_flag(cmd, cfg, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.txt"
+    assert main([*cmd, "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.strip().splitlines()) == 1
+    assert next(iter(cfg)) in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_config_null_keeps_the_default(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": None, "trials": None}))
+    out = tmp_path / "t.csv"
+    assert main(["table1", "--budgets", "3^1", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    assert [r["trials"] for r in csv.DictReader(open(out))] == ["100"]
+
+
 # values that do not parse: the error names the flag that carried them
 NAMED_FLAG_ARGV = [
     ["simulate", "--algorithm", "abelian", "--orders", ""],
     ["simulate", "--algorithm", "abelian", "--orders", "4,x"],
     ["table1", "--budgets", "x"],
+]
+
+# argparse's own rejections: a bad int, a bad choice, a missing required
+# flag and an unknown flag
+ARGPARSE_ARGV = [
+    ["simulate", "--n", "x"],
+    ["simulate", "--algorithm", "bogus"],
+    ["simulate", "--n", "3"],
+    ["table1", "--frob", "1"],
 ]
 
 
@@ -277,6 +318,7 @@ NAMED_FLAG_ARGV = [
     ["table1", "--budgets", "3^3..3^1", "--trials", "2"],
     ["table1", "--budgets", "1,9", "--trials", "2"],
     *NAMED_FLAG_ARGV,
+    *ARGPARSE_ARGV,
 ])
 def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "no-mean.csv").write_text(
@@ -291,14 +333,19 @@ def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
         assert "'mean'" in captured.err
     if argv in NAMED_FLAG_ARGV:
         assert argv[-2] in captured.err
+    if argv in ARGPARSE_ARGV:
+        flag = "--algorithm" if argv == ["simulate", "--n", "3"] else argv[1]
+        assert flag in captured.err
     assert not (tmp_path / "sim.csv").exists()
 
 
-def test_race_is_binary_only():
+def test_race_is_binary_only(capsys):
     with pytest.raises(ValueError):
         run_table1([9], trials=1, r=3, rng=1)
-    with pytest.raises(SystemExit):
-        main(["table1", "--radix", "3"])
+    assert main(["table1", "--radix", "3"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "--radix" in err
 
 
 def test_cli_simulate_failed_trial_reports_cost(tmp_path):

@@ -3,6 +3,7 @@ arithmetic, and measurement laws cross-checked against the dense state
 vectors (an independent computation path)."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,11 @@ from dhsieve.errors import (
 )
 from dhsieve.group import AbelianGroupSpec, GroupCtx
 from dhsieve.harness import _backends
-from dhsieve.oracle import make_reflection_oracle, make_trivial_oracle
+from dhsieve.oracle import (
+    HidingOracle,
+    make_reflection_oracle,
+    make_trivial_oracle,
+)
 from dhsieve.phase import (
     PhaseBackend,
     PhaseQubit,
@@ -84,6 +89,28 @@ def test_sampling_costs_queries():
     sample_batch(be, 10)
     sample_phase_qubit(be)
     assert be.oracle.queries == 11
+
+
+@pytest.mark.parametrize("ctx", [GroupCtx(97), GroupCtx(2 ** 70 + 5),
+                                 AbelianGroupSpec((16, 9))])
+def test_one_qubit_sample_is_a_batch_of_one(ctx):
+    # twin backends on a corrupted oracle: sample_phase_qubit and
+    # sample_batch(., 1) are one draw, flag and label alike
+    def twin():
+        o = HidingOracle(ctx, ctx.zero, None, corruption_rate=Fraction(1, 3))
+        return PhaseBackend(o, rng=np.random.default_rng(8))
+
+    a, b = twin(), twin()
+    flags = set()
+    for _ in range(40):
+        q = sample_phase_qubit(a)
+        [r] = sample_batch(b, 1)
+        assert (q.label, q.classical) == (r.label, r.classical)
+        assert type(q.classical) is bool and type(q.label) is type(r.label)
+        assert a.oracle.queries == b.oracle.queries
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        flags.add(q.classical)
+    assert flags == {False, True}
 
 
 def test_combine_label_arithmetic():
@@ -163,13 +190,32 @@ def test_log_likelihood_matches_scalar_loop():
     turns[1, :3] = 0.0
     bits = rng.integers(0, 2, size=30)
     start = rng.random(7)
-    ll = log_likelihood(turns, bits, start.copy())
+    ll = log_likelihood([turns], bits, start.copy())
     for c in range(7):
         ref = start[c]
         for x, bit in zip(turns[c], bits):
             p = min(1 - 1e-9, max(1e-9, math.cos(math.pi * x) ** 2))
             ref += math.log(p) if bit else math.log(1 - p)
         assert ll[c] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("step", [1, 3])
+def test_log_likelihood_columns_from_a_generator(step):
+    # a generator that builds step columns at a time (the general-N
+    # readout) gives the one-matrix totals bit for bit; no observations
+    # leave ll as it was
+    rng = np.random.default_rng(5)
+    N, cands = 4095, np.arange(0, 4095, 7)
+    ts = rng.integers(0, N, size=40).tolist()
+    bits = rng.integers(0, 2, size=40).tolist()
+    turns = ((37 * cands[:, None] - np.array(ts)) % N) / N
+    start = rng.random(len(cands))
+    matrix = log_likelihood([turns], bits, start.copy())
+    blocks = (((37 * cands[:, None] - np.array(ts[i:i + step])) % N) / N
+              for i in range(0, len(ts), step))
+    assert np.array_equal(matrix, log_likelihood(blocks, bits, start.copy()))
+    assert np.array_equal(log_likelihood(iter(()), [], np.zeros(3)),
+                          np.zeros(3))
 
 
 def test_tomography_insufficient():

@@ -143,6 +143,24 @@ def test_general_pinned_queries(N, s, queries):
     assert N != 4095 or queries <= 15974
 
 
+def test_general_exhausted_round_ends_the_attempt(monkeypatch):
+    # a refinement round whose sieve runs dry ends its attempt, and the
+    # Las Vegas loop retries, like every other exhausted sieve
+    calls = []
+    real = recover.interval_sieve
+
+    def first_dry(backend, want):
+        calls.append(want)
+        if len(calls) == 1:
+            raise SieveExhaustedError("dry")
+        return real(backend, want)
+
+    monkeypatch.setattr(recover, "interval_sieve", first_dry)
+    o = make_reflection_oracle(GroupCtx(360), 123)
+    got, rep = recover_slope_general(o, rng=np.random.default_rng(1))
+    assert got == 123 and rep.attempts == 2
+
+
 def test_substring_exact_guess_is_fast():
     # s = 0 is the first grid point: the zero-slope splice verifies
     # immediately
