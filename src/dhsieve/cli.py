@@ -2,7 +2,8 @@
 
 Subcommands: simulate (run a recovery algorithm on random instances),
 table1 (cancellation-race averages), scaling (fit the race scaling law
-from a CSV), verify (statistical verification suite).
+from a CSV), verify (statistical verification suite), bench (the
+perfbench workloads of a source checkout, recorded in BENCH_<label>.json).
 
 A JSON config key becomes the flag --key=value (underscores as dashes)
 ahead of the command line, so explicit flags win; a null keeps the
@@ -16,8 +17,13 @@ import argparse
 import csv
 import io
 import json
+import os
+import platform
+import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +37,11 @@ from .recover import (
     recover_slope_radix,
     solve_abelian_shift,
 )
+
+# the source checkout this module sits in (src/dhsieve/cli.py), and the
+# workloads of its benchmark runner, perfbench/run.py
+CHECKOUT = Path(__file__).resolve().parents[2]
+BENCH_WORKLOADS = ("staged", "solvers", "race", "dense")
 
 TABLE1_FIELDS = ["budget", "trials", "mean", "stddev", "queries", "seconds"]
 SIM_FIELDS = ["trial", "secret", "recovered", "success", "attempts",
@@ -207,12 +218,67 @@ def _cmd_simulate(args):
     return 1 if failures else 0
 
 
+def _git(*args):
+    """stdout of a git command in the checkout, or None without git."""
+    try:
+        out = subprocess.run(["git", "-C", str(CHECKOUT), *args], check=True,
+                             capture_output=True, text=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.strip()
+
+
+def _cmd_bench(args):
+    """Run perfbench/run.py once per workload (tracing off) and write its
+    end-to-end metrics, with the run's seed, host, versions and commit,
+    to BENCH_<label>.json at the checkout root (or --out)."""
+    if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9._-]*", args.label):
+        raise UsageError(f"--label {args.label!r}: use letters, digits, "
+                         "'.', '_' and '-'")
+    runner = CHECKOUT / "perfbench" / "run.py"
+    if not runner.is_file():
+        raise UsageError(f"no perfbench/run.py in {CHECKOUT}: bench runs "
+                         "from a source checkout only")
+    if args.seconds <= 0:
+        raise UsageError("--seconds must be > 0")
+    seed = 1 if args.seed is None else args.seed
+    results = {}
+    for workload in [args.workload] if args.workload else BENCH_WORKLOADS:
+        proc = subprocess.run(
+            [sys.executable, str(runner), "--workload", workload,
+             "--seed", str(seed), "--seconds", str(args.seconds)],
+            capture_output=True, text=True)
+        if proc.returncode != 0:
+            lines = proc.stderr.strip().splitlines() or ["no output"]
+            print(f"dhsieve bench: {workload}: {lines[-1]}", file=sys.stderr)
+            return 1 if proc.returncode == 1 else 2
+        last = json.loads(proc.stdout.strip().splitlines()[-1])
+        results[workload] = {
+            "trials": last["attempted"], "failed": last["failed"],
+            "metrics": {k: v["value"] for k, v in last["metrics"].items()}}
+    dirty = _git("status", "--porcelain", "--untracked-files=no")
+    record = {
+        "label": args.label, "seed": seed, "seconds": args.seconds,
+        "commit": _git("rev-parse", "HEAD"),
+        "dirty": None if dirty is None else bool(dirty),
+        "host": {"system": platform.system(), "machine": platform.machine(),
+                 "cpus": os.cpu_count()},
+        "python": platform.python_version(), "numpy": np.__version__,
+        "workloads": results}
+    out = args.out or CHECKOUT / f"BENCH_{args.label}.json"
+    with open(out, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # Parser
 
 
 COMMANDS = {"simulate": _cmd_simulate, "table1": _cmd_table1,
-            "scaling": _cmd_scaling, "verify": _cmd_verify}
+            "scaling": _cmd_scaling, "verify": _cmd_verify,
+            "bench": _cmd_bench}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -272,6 +338,15 @@ def build_parser():
                    help="fault injection: extraction coin bias")
     p.add_argument("--phase-sign", type=int, default=1,
                    help="fault injection: +1 or -1")
+    _add_common(p, "seed")
+
+    p = sub.add_parser("bench", help="benchmark workloads into "
+                       "BENCH_<label>.json (source checkout only)")
+    p.add_argument("--label", default="head")
+    p.add_argument("--workload", choices=BENCH_WORKLOADS, default=None,
+                   help="one workload (default: all four)")
+    p.add_argument("--seconds", type=float, default=20.0,
+                   help="run.py's --seconds per workload")
     _add_common(p, "seed")
 
     return parser

@@ -14,7 +14,12 @@ class BackendMismatchError(DhsieveError):
 
 
 class SieveExhaustedError(DhsieveError):
-    """A sieve run produced no target qubit; the caller may retry."""
+    """A sieve run produced no target qubit; the caller may retry.  stats
+    is the run's SieveStats summed over its passes, when it ran any."""
+
+    def __init__(self, message, stats=None):
+        super().__init__(message)
+        self.stats = stats
 
 
 class NoHiddenReflectionError(DhsieveError):

@@ -164,7 +164,10 @@ def _general_attempt(o, rng):
     backend = PhaseBackend(o, rng=rng)
     t0, _ = run_general_interval(backend)
     radius = N // 4 + 1
-    cands = np.unique((t0 + np.arange(-radius, radius + 1)) % N)
+    # the window's arc of Z/N, sorted and distinct (it wraps at small N)
+    arc = np.zeros(N, dtype=bool)
+    arc[(t0 + np.arange(-radius, radius + 1)) % N] = True
+    cands = np.flatnonzero(arc)
     ll = np.zeros(len(cands))
     rounds = max(1, math.ceil(math.log2(N)) + 1)
     for j in range(rounds):

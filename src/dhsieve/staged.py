@@ -20,10 +20,10 @@ from .phase import (
     sample_batch,
 )
 
-# list-size constant: the parity sieve samples C_0 * 8^m qubits and each
-# interval-sieve pass C_0 * 4^m
+# list-size constant: each parity-sieve and interval-sieve pass samples
+# C_0 * 4^m qubits, and a parity call at most C_0 * 8^m
 C_0 = 3
-# passes run_passes makes before it gives up on too few copies
+# passes run_passes makes by default before it gives up on too few copies
 MAX_PASSES = 16
 # psi_1 copies the coarse quadrature readout averages over
 _COARSE_COPIES = 24
@@ -31,7 +31,8 @@ _COARSE_COPIES = 24
 
 @dataclass
 class StagedConfig:
-    """Stage count parameter m and the initial list size C_0 * 8^m."""
+    """Stage count parameter m and the paper's list size C_0 * 8^m, the
+    most one parity-sieve call samples."""
 
     m: int
     initial_size: int
@@ -114,12 +115,31 @@ def _differences(pairs, backend):
             yield out
 
 
+def _parity_pass(backend, size, windows, top):
+    """One pass of the parity sieve over a fresh sample of size labels:
+    each stage matches one bit window and keeps the differences, and a
+    list that empties ends the pass.  Returns the first psi_top of the
+    final list (as a list of at most one) and the pass's list sizes."""
+    current = sample_batch(backend, size)
+    sizes = [len(current)]
+    for window in windows:
+        pairs, _leftovers = match_by_suffix(current, window)
+        current = list(_differences(pairs, backend))
+        sizes.append(len(current))
+        if not current:
+            break
+    return [q for q in current if q.label == top][:1], SieveStats(sizes)
+
+
 def run_staged_parity(backend, n):
     """Power-of-two staged sieve: returns s mod 2 for the slope hidden by
-    the backend's oracle over D_{2^n}.  Raises SieveExhaustedError when no
-    psi_{2^(n-1)} survives; the caller retries with a fresh run.  The
-    cyclic collector is paused for the call (its qubits trigger full
-    collections that free nothing), then restored to the caller's state."""
+    the backend's oracle over D_{2^n}.  Passes of C_0 * 4^m fresh labels
+    (run_passes) run until one ends holding psi_{2^(n-1)}, and that copy
+    is measured; at most 2^m passes, so a call never samples more than
+    the C_0 * 8^m list of staged_config.  Raises SieveExhaustedError after
+    the last pass; the caller retries with a fresh run.  The cyclic
+    collector is paused for the call (its qubits trigger full collections
+    that free nothing), then restored to the caller's state."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -136,22 +156,12 @@ def run_staged_parity(backend, n):
             raise SieveExhaustedError("no psi_1 sampled in D_2")
 
         cfg = staged_config(n)
-        current = sample_batch(backend, cfg.initial_size)
-        stats = SieveStats(list_sizes=[len(current)])
-
-        for window in stage_windows(n, cfg.m):
-            pairs, _leftovers = match_by_suffix(current, window)
-            current = list(_differences(pairs, backend))
-            stats.list_sizes.append(len(current))
-            if not current:
-                raise SieveExhaustedError("staged sieve list emptied early")
-
-        top = 1 << (n - 1)
-        target = next(
-            (q for q in current if q.label == top and not q.consumed), None)
-        if target is None:
-            raise SieveExhaustedError("no psi_{2^(n-1)} in the final list")
-        return measure_pm(target), stats
+        size = C_0 << (2 * cfg.m)
+        windows = stage_windows(n, cfg.m)
+        held, stats = run_passes(
+            lambda _: _parity_pass(backend, size, windows, 1 << (n - 1)), 1,
+            max_passes=cfg.initial_size // size)
+        return measure_pm(held[0]), stats
     finally:
         if enabled:
             gc.enable()
@@ -219,21 +229,21 @@ def _interval_pass(backend, size, widths, ones):
     return sizes
 
 
-def run_passes(one_pass, need):
-    """The demand loop of the interval sieve and of a radix level: call
+def run_passes(one_pass, need, max_passes=MAX_PASSES):
+    """The demand loop of every staged and radix sieve: call
     one_pass(copies held) -> (new copies, SieveStats), each pass over
     fresh samples, until at least need copies are held.  Returns them
-    with the stats summed; raises SieveExhaustedError after MAX_PASSES
-    passes with fewer."""
+    with the stats summed; after max_passes passes with fewer, raises
+    SieveExhaustedError carrying the summed stats."""
     held, stats = [], SieveStats()
-    for _ in range(MAX_PASSES):
+    for _ in range(max_passes):
         got, st = one_pass(len(held))
         held += got
         stats += st
         if len(held) >= need:
             return held, stats
     raise SieveExhaustedError(
-        f"{len(held)} of {need} copies after {MAX_PASSES} passes")
+        f"{len(held)} of {need} copies after {max_passes} passes", stats)
 
 
 def interval_sieve(backend, want):

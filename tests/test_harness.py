@@ -7,12 +7,14 @@ import functools
 import json
 import math
 import os
+import platform
 import sys
 
 import numpy as np
 import pytest
 
 import dhsieve
+import dhsieve.cli as cli_mod
 from dhsieve.cli import budgets, main
 from dhsieve.group import GroupCtx
 from dhsieve.harness import (
@@ -337,6 +339,50 @@ def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
         flag = "--algorithm" if argv == ["simulate", "--n", "3"] else argv[1]
         assert flag in captured.err
     assert not (tmp_path / "sim.csv").exists()
+
+
+def test_cli_bench_race_writes_record(tmp_path):
+    # one real perfbench run of the race workload, one second of trials
+    out = tmp_path / "BENCH_t.json"
+    assert main(["bench", "--label", "t", "--workload", "race",
+                 "--seconds", "1", "--seed", "2", "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert (rec["label"], rec["seed"], rec["seconds"]) == ("t", 2, 1.0)
+    assert rec["python"] == platform.python_version()
+    assert rec["numpy"] == np.__version__
+    assert rec["commit"] is None or len(rec["commit"]) == 40
+    assert rec["host"]["cpus"] == os.cpu_count()
+    assert list(rec["workloads"]) == ["race"]
+    race = rec["workloads"]["race"]
+    assert race["failed"] == 0 and race["trials"] >= 1
+    assert set(race["metrics"]) == {"setup_s", "wall_s", "trial_s_p50",
+                                    "queries_per_trial", "peak_rss_mb"}
+    assert race["metrics"]["queries_per_trial"] == 3 ** 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--label", ""],
+    ["bench", "--label", "a/b"],
+    ["bench", "--label", ".."],
+    ["bench", "--label", "x y"],
+    ["bench", "--seconds", "0"],
+    ["bench", "--workload", "bogus"],
+])
+def test_cli_bench_bad_value(argv, tmp_path, capsys):
+    out = tmp_path / "BENCH.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == "" and not out.exists()
+
+
+def test_cli_bench_needs_a_source_checkout(monkeypatch, tmp_path, capsys):
+    # an installed package has no perfbench/ beside it
+    monkeypatch.setattr(cli_mod, "CHECKOUT", tmp_path)
+    assert main(["bench", "--workload", "race", "--seconds", "1"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "source checkout" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_race_is_binary_only(capsys):

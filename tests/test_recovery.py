@@ -56,7 +56,7 @@ def test_power2_pinned_queries():
     o = make_reflection_oracle(GroupCtx(1 << 10), 777)
     got, rep = recover_slope_power2(o, 10, rng=np.random.default_rng(3))
     assert got == 777 and rep.attempts == 1
-    assert o.queries == rep.queries == 8283
+    assert o.queries == rep.queries == 1131
 
 
 def test_power2_zero_and_n0():

@@ -29,6 +29,7 @@ from dhsieve.staged import (
     SieveStats,
     _differences,
     _interval_pass,
+    _parity_pass,
     estimate_from_quadratures,
     interval_config,
     interval_sieve,
@@ -155,8 +156,68 @@ def test_staged_parity_pinned_record():
     be = PhaseBackend(make_reflection_oracle(GroupCtx(1 << 12), 1234),
                       rng=np.random.default_rng(12))
     bit, st = run_staged_parity(be, 12)
-    assert bit == 0 and be.oracle.queries == 12288
-    assert st.list_sizes == [12288, 3031, 773, 228]
+    assert bit == 0 and be.oracle.queries == 768
+    assert st.list_sizes == [768, 185, 41, 10]
+
+
+def _parity_pass_size(n):
+    return 3 * 4 ** staged_config(n).m
+
+
+def test_staged_parity_never_exceeds_the_full_list():
+    # every call stays within C_0 * 8^m queries (a call that reaches
+    # the pass cap spends exactly that: see the exhaustion test below)
+    rng = np.random.default_rng(21)
+    for n in range(2, 15):
+        cap = staged_config(n).initial_size
+        assert cap == 2 ** staged_config(n).m * _parity_pass_size(n)
+        for _ in range(8):
+            s = int(rng.integers(0, 1 << n))
+            be = PhaseBackend(make_reflection_oracle(GroupCtx(1 << n), s),
+                              rng=rng)
+            try:
+                run_staged_parity(be, n)
+            except SieveExhaustedError:
+                pass
+            assert 0 < be.oracle.queries <= cap, n
+
+
+@pytest.mark.parametrize("n, seed, want_passes", [(6, 1, 1), (9, 14, 3),
+                                                  (12, 3, 1)])
+def test_staged_parity_stops_at_the_first_target_pass(n, seed, want_passes):
+    # a twin backend running the passes one by one: every pass before the
+    # last ends without psi_{2^(n-1)}, the last ends with it, and the
+    # call's record sums their stage sizes (seed 14 at n = 9 takes three)
+    size, m = _parity_pass_size(n), staged_config(n).m
+    make = lambda: backend(1 << n, 45, seed=seed)
+    be = make()
+    bit, st = run_staged_parity(be, n)
+    passes, rest = divmod(be.oracle.queries, size)
+    assert rest == 0 and passes == want_passes <= 2 ** m
+    twin, totals = make(), SieveStats()
+    for k in range(passes):
+        got, pass_st = _parity_pass(twin, size, stage_windows(n, m),
+                                    1 << (n - 1))
+        assert len(got) == (k == passes - 1)
+        totals += pass_st
+    assert twin.oracle.queries == be.oracle.queries
+    assert st.list_sizes == totals.list_sizes
+    assert bit == 45 % 2
+
+
+def test_staged_parity_exhausts_after_the_pass_cap(monkeypatch):
+    # every stage yields nothing: 2^m passes, each ended by its first
+    # stage, then SieveExhaustedError carrying their summed stats
+    n = 8
+    size, cap = _parity_pass_size(n), staged_config(n).initial_size
+    monkeypatch.setattr(staged_mod, "_differences",
+                        lambda pairs, backend: iter(()))
+    be = backend(1 << n, 77)
+    with pytest.raises(SieveExhaustedError) as info:
+        run_staged_parity(be, n)
+    assert be.oracle.queries == cap
+    assert info.value.stats.list_sizes == [cap, 0]
+    assert cap // size == 2 ** staged_config(n).m
 
 
 def _count_sieve_calls(monkeypatch):
@@ -201,8 +262,11 @@ def test_staged_parity_calls_combine_per_pair(monkeypatch):
                                 rng=np.random.default_rng(12))
     ref_bit, ref_st = run_staged_parity(make(), n)
     seen = _count_sieve_calls(monkeypatch)
-    bit, st = run_staged_parity(make(), n)
-    assert len(seen["stage_pairs"]) == len(stage_windows(n, staged_config(n).m))
+    be = make()
+    bit, st = run_staged_parity(be, n)
+    passes = be.oracle.queries // _parity_pass_size(n)
+    assert len(seen["stage_pairs"]) == passes * len(
+        stage_windows(n, staged_config(n).m))
     assert seen["combines"] == seen["matched"] == sum(seen["stage_pairs"])
     _assert_fair_coin(seen)
     assert (bit, st.list_sizes) == (ref_bit, ref_st.list_sizes)
@@ -271,7 +335,8 @@ def test_staged_parity_restores_gc_after_exhaustion(monkeypatch, gc_state):
     seen = _record_gc_in_differences(monkeypatch, exhaust=True)
     with pytest.raises(SieveExhaustedError):
         run_staged_parity(backend(1 << 8, 77), 8)
-    assert seen == [False]
+    # one pass per reading, each ended by its emptied first stage
+    assert seen == [False] * 2 ** staged_config(8).m
     assert gc.isenabled()
 
 
