@@ -7,10 +7,11 @@ label-only cancellation race used by the experiment harness.
 from __future__ import annotations
 
 import contextlib
-import heapq
 import math
 from collections import defaultdict
 from operator import itemgetter
+
+import numpy as np
 
 from .errors import SieveExhaustedError
 from .phase import negate_label, combine, sample_batch, tomography_copies_needed, tomography_mod_r
@@ -104,51 +105,61 @@ def _match_len(k1, k2):
     return m
 
 
+def _pair_order(depths):
+    """Pairing order of a sorted sweep whose adjacent entries i, i + 1
+    share depths[i] leading key digits: (left, right) index arrays, the
+    deepest match first and ties by left position, until at most one
+    entry is left.  Keys are sorted, so two entries match to the minimum
+    depth over the gap between them; once every deeper run has left at
+    most one entry, the entries that match at depth d pair off left to
+    right, and no merge makes a new match at depth d."""
+    gap = np.asarray(depths, dtype=np.int64)
+    idx = np.arange(len(gap) + 1)
+    lefts, rights = [idx[:0]], [idx[:0]]
+    while len(idx) >= 2:
+        # the gaps at the deepest depth, and where each run of them starts
+        at = np.flatnonzero(gap == gap.max())
+        first = np.ones(len(at), dtype=bool)
+        first[1:] = at[1:] != at[:-1] + 1
+        start = np.maximum.accumulate(np.where(first, at, 0))
+        left = at[(at - start) % 2 == 0]
+        lefts.append(idx[left])
+        rights.append(idx[left + 1])
+        keep = np.ones(len(idx), dtype=bool)
+        keep[left] = keep[left + 1] = False
+        kept = np.flatnonzero(keep)
+        if len(kept) >= 2:
+            gap = np.minimum.reduceat(gap[:kept[-1]], kept[:-1])
+        idx = idx[kept]
+    return np.concatenate(lefts), np.concatenate(rights)
+
+
 def _pair_sweep(entries, merge, put, stats):
     """One sweep over a sorted min-alpha bucket of (key, x) entries:
-    repeatedly merge the adjacent pair with the longest common suffix
-    (heap with lazy invalidation), count it in stats.combines and put
-    the result back, until at most one entry is left.  Returns the
-    leftover entry or None."""
+    merge adjacent pairs in _pair_order, the longest common key prefix
+    first, count each in stats.combines and put the result back, until
+    at most one entry is left.  Merges run lazily, so put may stop the
+    sweep between two of them.  Returns the leftover entry or None."""
     n = len(entries)
-    keys = [e[0] for e in entries]
-    prev = list(range(-1, n - 1))
-    nxt = list(range(1, n + 1))
-    nxt[-1] = -1
-    alive = [True] * n
-    heap = [(-_match_len(keys[i], keys[i + 1]), i, i + 1)
-            for i in range(n - 1)]
-    heapq.heapify(heap)
     stats.work += n
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        stats.work += 1
-        if not (alive[i] and alive[j] and nxt[i] == j):
-            continue
-        alive[i] = alive[j] = False
-        p, q = prev[i], nxt[j]
-        if p >= 0:
-            nxt[p] = q
-        if q >= 0:
-            prev[q] = p
-            if p >= 0:
-                heapq.heappush(heap, (-_match_len(keys[p], keys[q]), p, q))
+    left, right = _pair_order([_match_len(entries[i][0], entries[i + 1][0])
+                               for i in range(n - 1)])
+    lone = np.ones(n, dtype=bool)
+    lone[left] = lone[right] = False
+    for i, j in zip(left.tolist(), right.tolist()):
         stats.combines += 1
+        stats.work += 1
         put(merge(entries[i][1], entries[j][1]))
-    for i in range(n):
-        if alive[i]:
-            return entries[i]
-    return None
+    return next((entries[i] for i in np.flatnonzero(lone)), None)
 
 
 def _pairing_race(items, place, merge, stats):
-    """The greedy pairing loop shared by the sieve and the race.  place(x)
-    returns (alpha, key, x) to bucket x under its key, or None when x
-    leaves the race; each x is ranked once, when it is placed.  The
-    minimum-alpha bucket is stable-sorted by key and swept with
-    _pair_sweep; each merge(x, y) result goes back through place, and
-    results that stay at the same alpha carry into the next sweep.  Runs
-    until the buckets are empty."""
+    """The greedy sieve's bucket loop.  place(x) returns (alpha, key, x)
+    to bucket x under its key, or None when x leaves the race; each x is
+    ranked once, when it is placed.  The minimum-alpha bucket is
+    stable-sorted by key and swept with _pair_sweep; each merge(x, y)
+    result goes back through place, and results that stay at the same
+    alpha carry into the next sweep.  Runs until the buckets are empty."""
     buckets = defaultdict(list)
 
     def put(x):
@@ -242,11 +253,34 @@ def run_radix_recovery(backend, r, n, budget=None, scale=1):
     return tomography_mod_r(targets, r), stats
 
 
-def race_key(k, v):
-    """Binary digits of k beyond its v cancelled ones, least significant
-    first, as a string: it sorts like the digit tuple, and adjacent
-    strings share the longest low-bit suffixes."""
-    return bin(k >> v)[:1:-1]
+# each byte with its bits reversed, and its count of leading zero bits
+_REV8 = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)],
+                 dtype=np.uint8)
+_CLZ8 = np.array([8 - b.bit_length() for b in range(256)], dtype=np.int64)
+
+
+def race_key(odd, nbytes):
+    """Key matrix of a race bucket: row i holds the binary digits of
+    odd[i], least significant first, zero-padded to nbytes bytes.  Rows
+    compare bytewise like the digit strings do (a string sorts before its
+    extensions), and adjacent rows share the longest low-bit suffixes."""
+    raw = b"".join(k.to_bytes(nbytes, "little") for k in odd)
+    return _REV8[np.frombuffer(raw, dtype=np.uint8).reshape(len(odd), nbytes)]
+
+
+def _race_bucket(odd, nbytes):
+    """Sort one race bucket of odd parts by race_key (stable), and return
+    the sorted order with the match depth of each adjacent pair: the
+    common leading key bits, capped at the shorter digit string."""
+    keys = race_key(odd, nbytes)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    diff = keys[1:] ^ keys[:-1]
+    first = (diff != 0).argmax(axis=1)
+    depth = 8 * first + _CLZ8[diff[np.arange(len(diff)), first]]
+    depth[~diff.any(axis=1)] = 8 * nbytes
+    bits = np.array([k.bit_length() for k in odd])[order]
+    return order, np.minimum(depth, np.minimum(bits[1:], bits[:-1]))
 
 
 def cancellation_race(labels, rng):
@@ -254,21 +288,37 @@ def cancellation_race(labels, rng):
     race on plain integer labels and report the maximum alpha value
     reached before the lists exhaust.  This is the Table-1 experiment.
 
+    Each bucket is swept once, in ascending alpha v: two labels of alpha
+    v merge to a label of larger alpha (or zero, which leaves the race),
+    so the buckets above v only grow while v is swept.  A bucket is
+    keyed by the odd parts k >> v, which never outgrow the widest input
+    label, and paired in _pair_order; one rng.random(npairs) call draws
+    the coins, the stream one call per merge would draw.
+
     The race is binary: for r > 2 it would have to reorient labels by
     k ~ -k modulo r^n, which labels kept in Z cannot express."""
     stats = SieveStats()
+    nbytes = max(1, (max(labels, default=0).bit_length() + 7) // 8)
+    buckets = defaultdict(list)
+    for k in labels:
+        if k:
+            buckets[alpha_radix(k, 2)].append(k)
     best = 0
-
-    def place(k):
-        nonlocal best
-        if k == 0:
-            return None
-        v = alpha_radix(k, 2)
+    while buckets:
+        v = min(buckets)
+        group = buckets.pop(v)
         best = max(best, v)
-        return v, race_key(k, v), k
-
-    def merge(k, l):
-        return k + l if rng.random() < 0.5 else abs(k - l)
-
-    _pairing_race(labels, place, merge, stats)
+        if len(group) < 2:
+            continue
+        order, depth = _race_bucket([k >> v for k in group], nbytes)
+        left, right = _pair_order(depth)
+        coins = rng.random(len(left))
+        stats.work += len(group) + len(left)
+        stats.combines += len(left)
+        for i, j, c in zip(order[left].tolist(), order[right].tolist(),
+                           coins.tolist()):
+            k, l = group[i], group[j]
+            m = k + l if c < 0.5 else abs(k - l)
+            if m:
+                buckets[alpha_radix(m, 2)].append(m)
     return best, stats

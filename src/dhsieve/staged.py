@@ -41,8 +41,9 @@ class StagedConfig:
 @dataclass
 class SieveStats:
     """Per-run accounting: stage-by-stage list sizes, and the greedy
-    sieve's combines and pairing work.  Queries are counted by the
-    oracle, not here."""
+    sieve's combines and pairing work.  work counts the entries of every
+    sorted bucket sweep plus the pairs merged.  Queries are counted by
+    the oracle, not here."""
 
     list_sizes: list = field(default_factory=list)
     combines: int = 0

@@ -1,13 +1,14 @@
 """Greedy radix sieve: objective functions, suffix pairing, the
 cancellation race, and residue recovery."""
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dhsieve import greedy
 from dhsieve.errors import SieveExhaustedError
@@ -15,6 +16,9 @@ from dhsieve.greedy import (
     CoordinateObjective,
     RadixObjective,
     _match_len,
+    _pair_order,
+    _pairing_race,
+    _race_bucket,
     alpha_abelian,
     alpha_radix,
     cancellation_race,
@@ -187,7 +191,7 @@ def test_greedy_sieve_pinned_record():
     targets, st = greedy_sieve(be, obj, lambda k: k % 243 == 0, 300,
                                max_targets=4)
     assert [q.label for q in targets] == [243] * 4
-    assert (st.combines, st.work, be.oracle.queries) == (44, 275, 300)
+    assert (st.combines, st.work, be.oracle.queries) == (44, 258, 300)
 
 
 def test_greedy_sieve_pinned_record_below_max_targets():
@@ -198,7 +202,7 @@ def test_greedy_sieve_pinned_record_below_max_targets():
     targets, st = greedy_sieve(be, obj, lambda k: k % 243 == 0, 300,
                                max_targets=50)
     assert [q.label for q in targets] == [243] * 25
-    assert (st.combines, st.work, be.oracle.queries) == (220, 1060, 300)
+    assert (st.combines, st.work, be.oracle.queries) == (220, 667, 300)
     assert be.rng.random() == 0.9739700411195548
 
 
@@ -242,13 +246,8 @@ def test_greedy_quasilinear_work():
     obj = RadixObjective(2)
     budget = 4096
     be = backend(1 << 16, 54321, seed=3)
-    try:
-        _, st = greedy_sieve(be, obj, lambda k: k % (1 << 15) == 0, budget)
-        stats = st
-    except SieveExhaustedError:
-        stats = None
-    if stats is not None:
-        assert stats.work <= 40 * budget * math.log2(budget)
+    _, st = greedy_sieve(be, obj, lambda k: k % (1 << 15) == 0, budget)
+    assert st.work <= 40 * budget * math.log2(budget)
 
 
 def test_greedy_hit_rate_large_budget():
@@ -280,14 +279,117 @@ def _digit_tuple_key(k, v):
 
 @given(st.data())
 def test_race_key_matches_digit_tuple(data):
-    # two labels of one race bucket: up to 96 bits, alpha = v for both
+    # the odd parts of one race bucket of labels up to 96 bits, alpha = v
     v = data.draw(st.integers(0, 95))
     odd = st.integers(0, (1 << (95 - v)) - 1).map(lambda x: 2 * x + 1)
-    a, b = data.draw(odd) << v, data.draw(odd) << v
-    sa, sb = race_key(a, v), race_key(b, v)
-    ta, tb = _digit_tuple_key(a, v), _digit_tuple_key(b, v)
-    assert (sa < sb, sa == sb) == (ta < tb, ta == tb)
-    assert _match_len(sa, sb) == _match_len(ta, tb)
+    parts = data.draw(st.lists(odd, min_size=2, max_size=8))
+    keys = race_key(parts, 12)
+    tuples = [_digit_tuple_key(k << v, v) for k in parts]
+    for a, b in itertools.combinations(range(len(parts)), 2):
+        ka, kb = bytes(keys[a]), bytes(keys[b])
+        ta, tb = tuples[a], tuples[b]
+        assert (ka < kb, ka == kb) == (ta < tb, ta == tb)
+    order, depth = _race_bucket(parts, 12)
+    assert order.tolist() == sorted(range(len(parts)), key=tuples.__getitem__)
+    assert depth.tolist() == [_match_len(tuples[i], tuples[j])
+                              for i, j in zip(order, order[1:])]
+
+
+def _heap_pair_order(depths):
+    """The heap sweep _pair_order replaces, kept as its reference: pop
+    the deepest adjacent match (ties by left position) with lazy
+    invalidation, and push the new neighbours' match, the minimum depth
+    over their gap.  Returns the pairs in pop order and the leftover."""
+    n = len(depths) + 1
+    prev = list(range(-1, n - 1))
+    nxt = list(range(1, n + 1))
+    nxt[-1] = -1
+    alive = [True] * n
+    heap = [(-d, i, i + 1) for i, d in enumerate(depths)]
+    heapq.heapify(heap)
+    pairs = []
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if not (alive[i] and alive[j] and nxt[i] == j):
+            continue
+        alive[i] = alive[j] = False
+        p, q = prev[i], nxt[j]
+        if p >= 0:
+            nxt[p] = q
+        if q >= 0:
+            prev[q] = p
+            if p >= 0:
+                heapq.heappush(heap, (-min(depths[p:q]), p, q))
+        pairs.append((i, j))
+    return pairs, [i for i in range(n) if alive[i]]
+
+
+_DEPTHS = st.one_of(
+    st.lists(st.integers(0, 6), max_size=60),
+    st.lists(st.integers(0, 300), max_size=60),
+    st.builds(lambda d, n: [d] * n, st.integers(0, 9), st.integers(0, 40)),
+    st.integers(0, 40).map(lambda n: list(range(n))),
+    st.integers(0, 40).map(lambda n: list(range(n, 0, -1))),
+)
+
+
+@given(_DEPTHS)
+def test_pair_order_matches_heap_sweep(depths):
+    left, right = _pair_order(depths)
+    pairs, leftover = _heap_pair_order(depths)
+    assert list(zip(left.tolist(), right.tolist())) == pairs
+    paired = set(left.tolist()) | set(right.tolist())
+    assert [i for i in range(len(depths) + 1) if i not in paired] == leftover
+
+
+def _reference_race(labels, rng):
+    """The race on the greedy sieve's bucket loop with string keys, the
+    binary digits beyond alpha least significant first: the object path
+    the columnar cancellation_race replaces."""
+    stats = SieveStats()
+    best = 0
+
+    def place(k):
+        nonlocal best
+        if k == 0:
+            return None
+        v = alpha_radix(k, 2)
+        best = max(best, v)
+        return v, bin(k >> v)[:1:-1], k
+
+    def merge(k, l):
+        return k + l if rng.random() < 0.5 else abs(k - l)
+
+    _pairing_race(labels, place, merge, stats)
+    return best, stats
+
+
+def _assert_races_agree(labels, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    best, st = cancellation_race(list(labels), rng)
+    ref_best, ref_st = _reference_race(list(labels), ref_rng)
+    assert (best, st.combines) == (ref_best, ref_st.combines)
+    assert rng.random() == ref_rng.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 300), st.integers(2, 300),
+       st.integers(1, 300), st.floats(0, 0.3))
+def test_cancellation_race_matches_string_key_race(seed, width, count,
+                                                   distinct, zeros):
+    # widths 1-300 bits; duplicates from a pool of `distinct` labels, and
+    # a share of zero labels
+    gen = np.random.default_rng(seed)
+    pool = _random_labels(gen, min(distinct, count), width)
+    labels = [pool[i] for i in gen.integers(0, len(pool), size=count)]
+    labels = [0 if u < zeros else k
+              for k, u in zip(labels, gen.random(count))]
+    _assert_races_agree(labels, seed + 1)
+
+
+def test_cancellation_race_matches_string_key_race_at_3_8():
+    labels = _random_labels(np.random.default_rng(3), 3 ** 8, 96)
+    _assert_races_agree(labels, 4)
 
 
 def test_cancellation_race_trivial_budget():
@@ -302,7 +404,7 @@ def test_cancellation_race_pinned_record():
     # state after the race are pinned
     rng = np.random.default_rng(12)
     best, st = cancellation_race(_random_labels(rng, 729, 96), rng)
-    assert (best, st.combines, st.work) == (35, 709, 3456)
+    assert (best, st.combines, st.work) == (35, 709, 2144)
     assert rng.random() == 0.6834520517859066
 
 

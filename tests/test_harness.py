@@ -8,7 +8,9 @@ import json
 import math
 import os
 import platform
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +147,15 @@ def test_verify_suite_detects_sign_flip():
 def test_parse_budgets():
     assert budgets("3^1..3^4") == [3, 9, 27, 81]
     assert budgets("10,3^3,5") == [10, 27, 5]
+
+
+def test_python_m_dhsieve_runs_the_cli():
+    # from a source checkout: the package's parent directory on the path
+    env = dict(os.environ, PYTHONPATH=str(Path(dhsieve.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "dhsieve", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: dhsieve")
 
 
 def test_cli_table1_and_scaling(tmp_path):
