@@ -51,9 +51,7 @@ from .phase import (
 from .statevec import (
     DensityMatrix,
     PureState,
-    coset_state,
     extract_sim,
-    qft_measure_sim,
     rho_coset_mixture,
     trace_distance,
 )

@@ -170,14 +170,11 @@ def tomography_mod_r(qs, r):
     if N % r != 0:
         raise ValueError("radix must divide N")
     step = N // r
-    weights = []
-    for q in qs:
-        if q.label % step != 0:
-            raise ValueError("label is not a multiple of N/r")
-        weights.append(q.label // step)
+    if any(q.label % step for q in qs):
+        raise ValueError("label is not a multiple of N/r")
 
     if r == 2:
-        votes = [measure_pm(q) for q, a in zip(qs, weights) if a % 2 == 1]
+        votes = [measure_pm(q) for q in qs if q.label // step % 2 == 1]
         if not votes:
             raise InsufficientCopiesError("no odd-weight copies for parity")
         return int(sum(votes) * 2 >= len(votes))
@@ -190,25 +187,31 @@ def tomography_mod_r(qs, r):
     # quadrature references: 0 and odd multiples of floor(N/(2r))
     q_step = max(1, N // (2 * r))
     refs = [0] + [((2 * i + 1) * q_step) % N for i in range(r)]
+    return int(np.argmax(likelihood_readout(
+        qs, [q.label for q in qs], N, [(t, t) for t in refs], np.arange(r))))
+
+
+def likelihood_readout(qs, labels, M, refs, cands, ll=None):
+    """The maximum-likelihood readout of a slope mod M.  Copy i is
+    observed once, by cosine_observe at refs[i % len(refs)], a pair (t in
+    Z/M, the point cosine_observe takes: t itself on D_N).  Adds to ll
+    (zeros when None, returned), for each candidate c, the log-likelihood
+    of the bits under the exact turn ((labels[i] * (c - t)) mod M) / M,
+    clipped so one unlucky bit cannot veto c; in blocks of at most 2^20
+    entries, in Python ints once M >= 2^31.  Consumes qs."""
     ts = [refs[i % len(refs)] for i in range(len(qs))]
-    bits = [cosine_observe(q, t) for q, t in zip(qs, ts)]
-    a = np.array(weights)
-    ref_turns = np.array([((t * w * step) % N) / N
-                          for t, w in zip(ts, weights)])
-    turns = (np.arange(r)[:, None] * a % r) / r - ref_turns
-    return int(np.argmax(log_likelihood([turns], bits, np.zeros(r))))
-
-
-def log_likelihood(blocks, bits, ll):
-    """Add to ll the log-likelihood of each candidate (row) given cosine
-    observations (columns, in order, of the 2-D arrays in blocks, added
-    one at a time): observation j returned bits[j] = 1 with probability
-    cos^2(pi x), x the candidate's entry in column j.  Probabilities are
-    clipped away from 0 and 1 so one unlucky bit cannot veto a candidate."""
-    bits = iter(bits)
-    for block in blocks:
-        p = np.clip(np.cos(np.pi * block) ** 2, _P_CLIP, 1 - _P_CLIP)
-        for col, bit in zip(p.T, bits):
+    bits = [cosine_observe(q, point) for q, (_, point) in zip(qs, ts)]
+    dtype = np.int64 if M < 1 << 31 else object
+    k = np.array([x % M for x in labels], dtype=dtype)
+    kt = np.array([x * t % M for x, (t, _) in zip(labels, ts)], dtype=dtype)
+    cands = np.asarray(cands).astype(dtype)[:, None]
+    ll = np.zeros(len(cands)) if ll is None else ll
+    step = max(1, (1 << 20) // len(cands))
+    for i in range(0, len(bits), step):
+        turns = (k[i:i + step] * cands - kt[i:i + step]) % M / M
+        p = np.cos(np.pi * np.asarray(turns, dtype=float)) ** 2
+        p = np.clip(p, _P_CLIP, 1 - _P_CLIP)
+        for col, bit in zip(p.T, bits[i:i + step]):
             ll += np.log(col) if bit else np.log(1 - col)
     return ll
 

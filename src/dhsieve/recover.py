@@ -29,7 +29,7 @@ from .oracle import (
     splice_substring,
     with_label_automorphism,
 )
-from .phase import PhaseBackend, cosine_observe, log_likelihood
+from .phase import PhaseBackend, likelihood_readout
 from .staged import interval_sieve, run_general_interval, run_staged_parity
 
 # psi_1 copies a general-N refinement round asks for (it reads them all)
@@ -155,11 +155,12 @@ def recover_slope_radix(o, r, n=None, rng=None, budget=None):
 # General N
 
 
-def _general_attempt(o, rng):
-    """One pass of the automorphism refinement: coarse interval estimate,
-    then rounds of psi_1 cosine observations through the label-multiplier
-    automorphisms, scored by log-likelihood over a shrinking candidate
-    window that keeps the candidates within 8 units of the best."""
+def _general_attempt(o, M, rng):
+    """One pass of the automorphism refinement, reading s mod M for M the
+    odd part of N: coarse interval estimate, then rounds of psi_1 cosine
+    observations through the label-multiplier automorphisms, scored by
+    log-likelihood over a shrinking candidate window that keeps the
+    candidates within 8 units of the best, until they agree mod M."""
     N = o.ctx.N
     backend = PhaseBackend(o, rng=rng)
     t0, _ = run_general_interval(backend)
@@ -171,39 +172,34 @@ def _general_attempt(o, rng):
     ll = np.zeros(len(cands))
     rounds = max(1, math.ceil(math.log2(N)) + 1)
     for j in range(rounds):
-        if len(cands) == 1:
+        if np.all(cands % M == cands[0] % M):
             break
         u = unit_for_odd_part(N, j)
         wrapped = with_label_automorphism(o, u)
         ones, _ = interval_sieve(PhaseBackend(wrapped, rng=rng),
                                  _COPIES_PER_ROUND)
         uinv = pow(u, -1, N)
-        best = int(cands[np.argmax(ll)])
-        refs = [(uinv * best) % N,
-                (uinv * best + max(1, N // 4)) % N,
-                (uinv * best + max(1, N // 8)) % N]
-        ts = [refs[idx % len(refs)] for idx in range(len(ones))]
-        bits = [cosine_observe(q, t) for q, t in zip(ones, ts)]
-        # blocks of at most 2^20 entries: candidates x copies does not fit
-        # in memory at large N
-        scaled, step = uinv * cands[:, None], max(1, (1 << 20) // len(cands))
-        blocks = (((scaled - np.array(ts[i:i + step])) % N) / N
-                  for i in range(0, len(ts), step))
-        ll = log_likelihood(blocks, bits, ll)
+        best = uinv * int(cands[np.argmax(ll)])
+        ts = [(best + d) % N for d in (0, max(1, N // 4), max(1, N // 8))]
+        ll = likelihood_readout(ones, [q.label for q in ones], N,
+                                [(t, t) for t in ts], uinv * cands % N, ll)
         keep = ll > ll.max() - 8.0
         cands, ll = cands[keep], ll[keep]
-    return int(cands[np.argmax(ll)])
+    return int(cands[np.argmax(ll)]) % M
 
 
 def _slope_attempt(o, rng):
-    """One slope attempt over D_N for arbitrary N: the power-of-two
-    recursion when N = 2^a, otherwise interval sieve plus automorphism
-    refinement on the odd part of N."""
+    """One slope attempt over D_N, N = 2^a M with M odd: when M > 1 the
+    automorphism refinement reads p = s mod M, and restricting to
+    <x^M, y x^p> leaves a D_{2^a} hiding (s - p)/M, which the
+    power-of-two recursion reads."""
     N = o.ctx.N
-    if N & (N - 1) == 0:
-        return _digit_recursion(o, 2, N.bit_length() - 1, rng,
-                                run_staged_parity)
-    return _general_attempt(o, rng)
+    a = (N & -N).bit_length() - 1
+    M, p = N >> a, 0
+    if M > 1:
+        p = _general_attempt(o, M, rng)
+        o = restrict_reflection(o, p, M)
+    return p + M * _digit_recursion(o, 2, a, rng, run_staged_parity)
 
 
 def recover_slope_general(o, rng=None):
@@ -297,13 +293,10 @@ def _coordinate_slope(o, A, j, rng, budget):
     backend = PhaseBackend(o, rng=rng)
     targets, _ = greedy_sieve(backend, obj, target, budget,
                               max_targets=_COORDINATE_COPIES)
-    refs = sorted({0, max(1, Nj // 4), max(1, Nj // 3)})
-    ts = [refs[idx % len(refs)] for idx in range(len(targets))]
-    bits = [cosine_observe(q, tuple(t if i == j else 0 for i in range(rank)))
-            for q, t in zip(targets, ts)]
-    k = np.array([q.label[j] for q in targets])
-    turns = ((k * (np.arange(Nj)[:, None] - np.array(ts))) % Nj) / Nj
-    return int(np.argmax(log_likelihood([turns], bits, np.zeros(Nj))))
+    refs = [(t, tuple(t if i == j else 0 for i in range(rank)))
+            for t in sorted({0, max(1, Nj // 4), max(1, Nj // 3)})]
+    return int(np.argmax(likelihood_readout(
+        targets, [q.label[j] for q in targets], Nj, refs, np.arange(Nj))))
 
 
 def _shift_check(p, cand, rng):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import DihedralElement, GroupCtx
+from .group import DihedralElement
 
 _ATOL_STRUCT = 1e-12
 _MAX_DENSE_N = 1 << 10
@@ -57,29 +57,6 @@ class DensityMatrix:
     @property
     def dim(self):
         return self.entries.shape[0]
-
-
-def coset_state(N, s, a):
-    """|Ha> = (|x^a> + |y x^(s+a)>) / sqrt(2) for H = <y x^s>."""
-    if not (0 <= s < N and 0 <= a < N):
-        raise ValueError("s and a must lie in [0, N)")
-    v = np.zeros(2 * N, dtype=complex)
-    v[a] = 1 / np.sqrt(2)
-    v[N + (s + a) % N] = 1 / np.sqrt(2)
-    return PureState(v)
-
-
-def left_mult_matrix(N, g):
-    """Permutation matrix of left multiplication by g on C[D_N]."""
-    ctx = GroupCtx(N)
-    P = np.zeros((2 * N, 2 * N))
-    from .group import dmul
-
-    for t in (0, 1):
-        for b in range(N):
-            h = dmul(g, DihedralElement(t, b), ctx)
-            P[h.t * N + h.b, t * N + b] = 1.0
-    return P
 
 
 def rho_coset_mixture(N, s):
@@ -135,22 +112,6 @@ def qft_joint_law(N, s):
     diag = (rho_t[k, k].real + rho_t[N + k, N + k].real) / 2
     cross = rho_t[k, N + k].real
     return np.stack([diag + cross, diag - cross], axis=1)
-
-
-def qft_measure_sim(N, s, rng):
-    """Sample (k, residual qubit state) from the exact post-measurement
-    distribution of the QFT step applied to a random coset state."""
-    a = int(rng.integers(0, N))
-    v = coset_state(N, s, a).entries.reshape(2, N)
-    F = qft_matrix(N)
-    amps = v @ F.T  # amps[t, k]
-    probs = np.abs(amps) ** 2
-    pk = probs.sum(axis=0)
-    pk = pk / pk.sum()
-    k = int(rng.choice(N, p=pk))
-    residual = amps[:, k]
-    residual = residual / np.linalg.norm(residual)
-    return k, PureState(residual)
 
 
 def extract_sim(k, l, s, N, rng):

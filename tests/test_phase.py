@@ -13,7 +13,7 @@ from dhsieve.errors import (
     InsufficientCopiesError,
     QubitConsumedError,
 )
-from dhsieve.group import AbelianGroupSpec, GroupCtx
+from dhsieve.group import AbelianGroupSpec, GroupCtx, unit_for_odd_part
 from dhsieve.harness import _backends
 from dhsieve.oracle import (
     HidingOracle,
@@ -25,7 +25,7 @@ from dhsieve.phase import (
     PhaseQubit,
     combine,
     cosine_observe,
-    log_likelihood,
+    likelihood_readout,
     measure_pm,
     negate_label,
     sample_batch,
@@ -182,40 +182,96 @@ def test_tomography_r3():
         assert tomography_mod_r(qs, 3) == s % 3
 
 
-def test_log_likelihood_matches_scalar_loop():
-    # reference: the per-candidate loop the readouts used before
+@pytest.mark.parametrize("n", [30, 38])
+def test_tomography_exact_past_int64(n):
+    # at N = 3^n a label times a reference (about 3^(2n)) wraps int64, so
+    # the turn must be reduced in exact integers: with exact turns all 40
+    # cases read s mod 3 right, with an int64 turn 11 of the 20 at n = 30
+    # read it wrong.
+    N, need = 3 ** n, tomography_copies_needed(3)
+    for i in range(20):
+        rng = np.random.default_rng([n, i])
+        s = int(rng.integers(0, N))
+        be = PhaseBackend(make_reflection_oracle(GroupCtx(N), s), rng=rng)
+        qs = [PhaseQubit((N // 3) * int(w), be)
+              for w in rng.integers(1, 3, size=need)]
+        assert tomography_mod_r(qs, 3) == s % 3, (n, i)
+
+
+def _scalar_readout(qs, labels, M, refs, cands, start):
+    # reference: one observation and one candidate at a time, in Python
+    # ints, with the same clip
+    ll = [float(v) for v in start]
+    for i, (q, x) in enumerate(zip(qs, labels)):
+        t, point = refs[i % len(refs)]
+        bit = cosine_observe(q, point)
+        for j, c in enumerate(cands):
+            p = math.cos(math.pi * (x * (int(c) - t) % M) / M) ** 2
+            p = min(1 - 1e-9, max(1e-9, p))
+            ll[j] += math.log(p) if bit else math.log(1 - p)
+    return ll
+
+
+def _readout_shapes():
+    """(oracle, qubit labels, readout labels, M, refs, candidates, start)
+    for the three callers; every fifth copy is classical, a fair coin, so
+    turns of 0 and 1/2 meet both bits and hit the clip."""
     rng = np.random.default_rng(4)
-    turns = rng.random((7, 30)) * 2 - 1
-    turns[0, :3] = 0.5  # probabilities 0 and 1 hit the clip
-    turns[1, :3] = 0.0
-    bits = rng.integers(0, 2, size=30)
-    start = rng.random(7)
-    ll = log_likelihood([turns], bits, start.copy())
-    for c in range(7):
-        ref = start[c]
-        for x, bit in zip(turns[c], bits):
-            p = min(1 - 1e-9, max(1e-9, math.cos(math.pi * x) ** 2))
-            ref += math.log(p) if bit else math.log(1 - p)
-        assert ll[c] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    # residue tomography: labels multiples of N/3, candidates Z/3
+    N = 3 ** 5
+    labels = [(N // 3) * (1 + i % 2) for i in range(31)]
+    yield (make_reflection_oracle(GroupCtx(N), 100), labels, labels, N,
+           [(t, t) for t in (0, 40, 120, 200)], np.arange(3), np.zeros(3))
+    # abelian coordinate 1 of Z/4 + Z/16: labels (0, k), candidates Z/16
+    ks = [1 + i % 8 for i in range(24)]
+    yield (make_reflection_oracle(AbelianGroupSpec((4, 16)), (3, 5)),
+           [(0, k) for k in ks], ks, 16,
+           [(t, (0, t)) for t in (0, 4, 5)], np.arange(16), np.zeros(16))
+    # a general-N round: psi_1 copies, candidates multiplied by u^-1, and
+    # the running ll of earlier rounds
+    N = 360
+    uinv = pow(unit_for_odd_part(N, 2), -1, N)
+    cands = np.arange(40, 200)
+    yield (make_reflection_oracle(GroupCtx(N), 123), [1] * 40, [1] * 40, N,
+           [(t, t) for t in (uinv * 120 % N, 180, 300)], uinv * cands % N,
+           rng.random(len(cands)))
 
 
-@pytest.mark.parametrize("step", [1, 3])
-def test_log_likelihood_columns_from_a_generator(step):
-    # a generator that builds step columns at a time (the general-N
-    # readout) gives the one-matrix totals bit for bit; no observations
-    # leave ll as it was
-    rng = np.random.default_rng(5)
-    N, cands = 4095, np.arange(0, 4095, 7)
-    ts = rng.integers(0, N, size=40).tolist()
-    bits = rng.integers(0, 2, size=40).tolist()
-    turns = ((37 * cands[:, None] - np.array(ts)) % N) / N
-    start = rng.random(len(cands))
-    matrix = log_likelihood([turns], bits, start.copy())
-    blocks = (((37 * cands[:, None] - np.array(ts[i:i + step])) % N) / N
-              for i in range(0, len(ts), step))
-    assert np.array_equal(matrix, log_likelihood(blocks, bits, start.copy()))
-    assert np.array_equal(log_likelihood(iter(()), [], np.zeros(3)),
-                          np.zeros(3))
+@pytest.mark.parametrize("shape", list(_readout_shapes()),
+                         ids=["tomography", "coordinate", "general"])
+def test_likelihood_readout_matches_scalar_loop(shape):
+    o, qlabels, labels, M, refs, cands, start = shape
+
+    def copies():
+        be = PhaseBackend(o, rng=np.random.default_rng(7))
+        return [PhaseQubit(k, be, classical=i % 5 == 0)
+                for i, k in enumerate(qlabels)]
+
+    ll = likelihood_readout(copies(), labels, M, refs, cands, start.copy())
+    ref = _scalar_readout(copies(), labels, M, refs, cands, start)
+    assert ll == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    # no copies leave ll as it was
+    assert np.array_equal(likelihood_readout([], [], M, refs, cands,
+                                             start.copy()), start)
+
+
+def test_likelihood_readout_scores_in_blocks():
+    # 2^19 + 1 candidates leave one copy per block of at most 2^20
+    # entries; the totals match the scalar loop on a sample of candidates
+    M = 1 << 21
+    o = make_reflection_oracle(GroupCtx(M), 12345)
+    cands = np.arange(0, M, 4)[: (1 << 19) + 1]
+    refs = [(t, t) for t in (0, M // 4, 999)]
+
+    def copies():
+        be = PhaseBackend(o, rng=np.random.default_rng(8))
+        return [PhaseQubit(k, be) for k in (1, 3, 1, 5, 1)]
+
+    ll = likelihood_readout(copies(), [1, 3, 1, 5, 1], M, refs, cands)
+    sample = slice(None, None, 4099)
+    ref = _scalar_readout(copies(), [1, 3, 1, 5, 1], M, refs, cands[sample],
+                          np.zeros(len(cands[sample])))
+    assert ll[sample] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_tomography_insufficient():

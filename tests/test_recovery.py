@@ -126,13 +126,16 @@ def test_general_small_sweep_n45():
         assert got == s and rep.verified
 
 
-@pytest.mark.parametrize("N, s, queries", [(360, 123, 1154),
+@pytest.mark.parametrize("N, s, queries", [(360, 123, 1215),
                                            (4095, 1000, 8450)])
 def test_general_pinned_queries(N, s, queries):
     # a change to any draw of the sieve moves these counts.  One interval
     # pass samples C_0 * 4^m labels (192 at N = 360, 768 at N = 4095) and
-    # the answer costs one verification pair.  N = 360 spends 2 coarse
-    # passes and 4 refinement rounds of one pass: 6 * 192 + 2 = 1154;
+    # the answer costs one verification pair.  N = 360 = 8 * 45 spends 2
+    # coarse passes and 4 refinement rounds of one pass reading
+    # s mod 45 = 33 (6 * 192), then the parity sieve reads (s - 33)/45 = 2
+    # over D_8, D_4 and D_2 with one pass each of C_0 * 4^m labels (48 at
+    # m = 2, 12 at m = 1) and 1 label: 1152 + 48 + 12 + 1 + 2 = 1215.
     # N = 4095 spends 1 coarse pass and 10 rounds: 11 * 768 + 2 = 8450.
     # N = 4095 stays at least 10x below the 159,746 queries of a fixed
     # C_0 * 8^m sample per sieve call
@@ -141,6 +144,21 @@ def test_general_pinned_queries(N, s, queries):
     assert got == s and rep.attempts == 1
     assert o.queries == rep.queries == queries
     assert N != 4095 or queries <= 15974
+
+
+@pytest.mark.parametrize("N", [3 << 10, 3 << 14, 45 << 8])
+def test_general_with_power_of_two_factor(N):
+    # N = 2^a M, M odd: the refinement reads s mod M and the parity
+    # recursion reads the rest over the D_{2^a} that restricting to
+    # <x^M, y x^(s mod M)> leaves.  A refinement over the whole slope
+    # cannot read its 2-part (the multipliers are 1 mod 2^a): it
+    # recovered 2, 0 and 8 of these 10 secrets in six attempts.
+    for i in range(10):
+        s = int(np.random.default_rng([N, i]).integers(0, N))
+        o = make_reflection_oracle(GroupCtx(N), s)
+        got, rep = recover_slope_general(
+            o, rng=np.random.default_rng([N, i, 1]))
+        assert got == s and rep.attempts == 1, (N, i)
 
 
 def test_general_exhausted_round_ends_the_attempt(monkeypatch):

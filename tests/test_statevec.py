@@ -5,7 +5,7 @@ approximation relies on."""
 import numpy as np
 import pytest
 
-from dhsieve.group import DihedralElement, GroupCtx
+from dhsieve.group import DihedralElement, GroupCtx, dmul
 from dhsieve.oracle import (
     SubstringInstance,
     make_reflection_oracle,
@@ -15,17 +15,44 @@ from dhsieve.oracle import (
 from dhsieve.statevec import (
     DensityMatrix,
     PureState,
-    coset_state,
     extract_outcome_probs,
     extract_sim,
-    left_mult_matrix,
     psi_vector,
     qft_joint_law,
-    qft_measure_sim,
+    qft_matrix,
     rho_coset_mixture,
     rho_from_eval,
     trace_distance,
 )
+
+
+def coset_state(N, s, a):
+    """|Ha> = (|x^a> + |y x^(s+a)>) / sqrt(2) for H = <y x^s>."""
+    v = np.zeros(2 * N, dtype=complex)
+    v[a] = v[N + (s + a) % N] = 1 / np.sqrt(2)
+    return PureState(v)
+
+
+def left_mult_matrix(N, g):
+    """Permutation matrix of left multiplication by g on C[D_N]."""
+    ctx = GroupCtx(N)
+    P = np.zeros((2 * N, 2 * N))
+    for t in (0, 1):
+        for b in range(N):
+            h = dmul(g, DihedralElement(t, b), ctx)
+            P[h.t * N + h.b, t * N + b] = 1.0
+    return P
+
+
+def qft_measure_sim(N, s, rng):
+    """Sample (k, residual qubit state) from the exact post-measurement
+    distribution of the QFT step applied to a random coset state."""
+    v = coset_state(N, s, int(rng.integers(0, N))).entries.reshape(2, N)
+    amps = v @ qft_matrix(N).T  # amps[t, k]
+    pk = (np.abs(amps) ** 2).sum(axis=0)
+    k = int(rng.choice(N, p=pk / pk.sum()))
+    residual = amps[:, k]
+    return k, PureState(residual / np.linalg.norm(residual))
 
 
 def _ref_rho_from_eval(N, eval_fn):
