@@ -274,6 +274,33 @@ def test_likelihood_readout_scores_in_blocks():
     assert ll[sample] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("step", [1, 3])
+def test_log_likelihood_columns_from_a_generator(step):
+    # enough candidates that the readout builds step columns at a time
+    # (the general-N readout) give, on a sample of candidates, the
+    # one-matrix totals bit for bit; no copies leave ll as it was
+    rng = np.random.default_rng(5)
+    N = 4095
+    cands = np.arange((1 << 20) // step)
+    assert max(1, (1 << 20) // len(cands)) == step
+    refs = [(t, t) for t in rng.integers(0, N, size=40).tolist()]
+    start = rng.random(len(cands))
+    o = make_reflection_oracle(GroupCtx(N), 1000)
+
+    def copies():
+        be = PhaseBackend(o, rng=np.random.default_rng(9))
+        return [PhaseQubit(37, be, classical=i % 5 == 0) for i in range(40)]
+
+    blocks = likelihood_readout(copies(), [37] * 40, N, refs, cands,
+                                start.copy())
+    sample = slice(None, None, 4099)
+    matrix = likelihood_readout(copies(), [37] * 40, N, refs, cands[sample],
+                                start[sample].copy())
+    assert np.array_equal(blocks[sample], matrix)
+    assert np.array_equal(likelihood_readout([], [], N, refs, cands[:3],
+                                             np.zeros(3)), np.zeros(3))
+
+
 def test_tomography_insufficient():
     be = backend(27, 5)
     with pytest.raises(InsufficientCopiesError):
