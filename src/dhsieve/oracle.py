@@ -16,20 +16,19 @@ from __future__ import annotations
 
 import hashlib
 import secrets as _secrets
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .group import DihedralElement, GroupCtx, subgroup_embed
 
 
-@dataclass(frozen=True)
-class OracleValue:
-    """Opaque token; equality means same coset."""
+class OracleValue(bytes):
+    """Opaque token; equality means same coset.  A bytes subclass, so
+    hashing and comparison run in C."""
 
-    tag: bytes
+    __slots__ = ()
 
     def __repr__(self):
-        return f"OracleValue({self.tag.hex()})"
+        return f"OracleValue({self.hex()})"
 
 
 class _Counter:
@@ -45,17 +44,17 @@ class _Counter:
         self.value += n
 
 
-class _Tokenizer:
-    """Keyed injective encoding of coset representatives."""
+def _tokenizer():
+    """Keyed injective encoding of coset representatives.  The keyed
+    state is built once; each token hashes a copy of it."""
+    copy = hashlib.blake2b(digest_size=12, key=_secrets.token_bytes(16)).copy
 
-    __slots__ = ("_key",)
-
-    def __init__(self):
-        self._key = _secrets.token_bytes(16)
-
-    def __call__(self, rep):
-        h = hashlib.blake2b(repr(rep).encode(), digest_size=12, key=self._key)
+    def tok(rep):
+        h = copy()
+        h.update(repr(rep).encode())
         return OracleValue(h.digest())
+
+    return tok
 
 
 class HidingOracle:
@@ -79,7 +78,7 @@ class HidingOracle:
 
     def evaluate(self, element):
         """Evaluate the hiding function; costs one query."""
-        self._counter.bump()
+        self._counter.value += 1
         return self._eval(element)
 
     def to_dict(self):
@@ -110,7 +109,7 @@ def make_reflection_oracle(ctx, s):
     f(y^t x^b) = token(b - t*s)."""
     if ctx.reduce(s) != s:
         raise ValueError("slope out of range")
-    tok = _Tokenizer()
+    tok = _tokenizer()
     minus_s = ctx.neg(s)
 
     def ev(e):
@@ -122,7 +121,7 @@ def make_reflection_oracle(ctx, s):
 def make_trivial_oracle(ctx):
     """Injective oracle: the hidden subgroup is trivial, so every sampled
     qubit carries no phase information (corruption rate 1)."""
-    tok = _Tokenizer()
+    tok = _tokenizer()
     return HidingOracle(ctx, ctx.zero, lambda e: tok((e.t, e.b)),
                         corruption_rate=Fraction(1))
 
@@ -177,7 +176,7 @@ def make_shift_pair(A, shift):
     approximately hides the shift there (the wrap window is broken).
     """
     shift = A.reduce(shift)
-    tok = _Tokenizer()
+    tok = _tokenizer()
     ntrunc = A.free_rank
     cut = A.rank - ntrunc
 
@@ -232,7 +231,7 @@ class SubstringInstance:
         self.N = N
         self.M = 2 * N
         self._s = s
-        self._tok = _Tokenizer()
+        self._tok = _tokenizer()
         self._counter = _Counter()
 
     @property

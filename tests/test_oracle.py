@@ -2,6 +2,7 @@
 hidden-shift-to-reflection reduction, and spliced substring
 approximations."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -131,3 +132,60 @@ def test_automorphism_wrapper():
     for a in range(N):
         assert (w.evaluate(DihedralElement(0, a))
                 == w.evaluate(DihedralElement(1, (uinv_s + a) % N)))
+
+
+def _oracle_kinds(N):
+    """(build, key) pairs for every oracle kind on D_N (or D_A at rank 2).
+    build() makes a fresh oracle, with a fresh token key, for the same
+    secret each call; key(t, b) names the level set of y^t x^b: the coset
+    of the hidden reflection, or a singleton for a broken element."""
+    ctx = GroupCtx(N)
+    s, guess, u = N // 3, N // 2, max(N - 1, 1)  # u: x -> x^-1
+
+    def par():  # D_2N at an odd slope: parity 1 hides s, parity 0 is injective
+        return make_reflection_oracle(GroupCtx(2 * N), 2 * s + 1)
+
+    kinds = [
+        (lambda: make_reflection_oracle(ctx, s), lambda t, b: (b - t * s) % N),
+        (lambda: make_trivial_oracle(ctx), lambda t, b: (t, b)),
+        (lambda: splice_substring(SubstringInstance(N, s), guess),
+         lambda t, b: b + (guess if t else s)),
+        (lambda: restrict_reflection(par(), 1),
+         lambda t, b: (b - t * s) % N),
+        (lambda: restrict_reflection(par(), 0), lambda t, b: (t, b)),
+        (lambda: with_label_automorphism(make_reflection_oracle(ctx, s), u),
+         lambda t, b: (u * b - t * s) % N),
+    ]
+    for A in (AbelianGroupSpec((N,)), AbelianGroupSpec((N,), free_rank=1)):
+        kinds.append((lambda A=A: shift_to_dihedral(make_shift_pair(A, (s,))),
+                      lambda t, b, A=A: b if t else
+                      (b + s) % N if A.free_rank == 0 else b + s))
+    if N % 2 == 0:
+        A2 = AbelianGroupSpec((N // 2, 2))
+        kinds.append((lambda: shift_to_dihedral(make_shift_pair(A2, (s % (N // 2), 1))),
+                      lambda t, b: b if t else A2.add(b, (s % (N // 2), 1))))
+    return kinds
+
+
+def _elements_of(o):
+    ctx = o.ctx
+    if isinstance(ctx, GroupCtx):
+        rot = range(ctx.N)
+    else:
+        rot = [(a, c) for a in range(ctx.orders[0]) for c in range(ctx.orders[1])]
+    return [DihedralElement(t, b) for t in (0, 1) for b in rot]
+
+
+def test_tokens_equal_exactly_on_level_sets():
+    for N in range(1, 17):
+        for build, key in _oracle_kinds(N):
+            o, again = build(), build()
+            els = _elements_of(o)
+            toks = [o.evaluate(e) for e in els]
+            keys = [key(e.t, e.b) for e in els]
+            # equal tokens <=> equal keys: the key -> token map is a bijection
+            assert len(set(zip(keys, toks))) == len(set(keys)) == len(set(toks))
+            for v in toks:
+                assert re.fullmatch(r"OracleValue\([0-9a-f]{24}\)", repr(v))
+            # a second oracle with the same secret has its own token key
+            assert not set(toks) & {again.evaluate(e) for e in els}

@@ -4,13 +4,17 @@ approximation relies on."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dhsieve.group import DihedralElement, GroupCtx, dmul
 from dhsieve.oracle import (
+    HidingOracle,
     SubstringInstance,
     make_reflection_oracle,
     make_trivial_oracle,
+    restrict_reflection,
     splice_substring,
+    with_label_automorphism,
 )
 from dhsieve.statevec import (
     DensityMatrix,
@@ -154,6 +158,44 @@ def test_rho_from_eval_evaluates_each_element_once():
     assert seen == [(t, b) for t in (0, 1) for b in range(N)]
 
 
+def _oracles_on(N):
+    """Every oracle kind the dense verifier reads, as oracles on D_N:
+    reflection, trivial, spliced, both restrictions from D_2N and the
+    automorphism wrapper."""
+    ctx = GroupCtx(N)
+    parent = make_reflection_oracle(GroupCtx(2 * N), (N + 1) % (2 * N))
+    inst = SubstringInstance(N, N // 2)
+    return [make_reflection_oracle(ctx, s) for s in range(N)] + [
+        make_trivial_oracle(ctx),
+        *(splice_substring(inst, t) for t in range(N)),
+        restrict_reflection(parent, 0),
+        restrict_reflection(parent, 1),
+        with_label_automorphism(make_reflection_oracle(ctx, N - 1),
+                                max(N - 1, 1)),  # x -> x^-1
+    ]
+
+
+def test_rho_from_eval_calls_evaluate_once_per_element(monkeypatch):
+    # the traced benchmark counts verifier queries by wrapping
+    # HidingOracle.evaluate on the class, as done here
+    calls = []
+    orig = HidingOracle.evaluate
+
+    def counted(self, element):
+        calls.append((element.t, element.b))
+        return orig(self, element)
+
+    monkeypatch.setattr(HidingOracle, "evaluate", counted)
+    for N in range(1, 17):
+        order = [(t, b) for t in (0, 1) for b in range(N)]
+        for o in _oracles_on(N):
+            calls.clear()
+            q0 = o.queries
+            rho_from_eval(N, o.evaluate)
+            assert calls == order
+            assert o.queries - q0 == 2 * N
+
+
 def test_density_matrix_keeps_real_input_real():
     real = np.diag([0.25, 0.75])
     assert DensityMatrix(real).entries.dtype == np.float64
@@ -257,3 +299,45 @@ def test_dense_size_limit():
     with pytest.raises(ValueError):
         rho_from_eval(2048, calls.append)
     assert calls == []
+
+
+def _full_trace_distance(r1, r2):
+    eigs = np.linalg.eigvalsh(r1.entries - r2.entries)
+    return 0.5 * float(np.sum(np.abs(eigs)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(N=st.integers(1, 16), s=st.integers(0, 15), t=st.integers(0, 15),
+       d=st.integers(0, 15))
+def test_trace_distance_support_matches_full_on_rho_pairs(N, s, t, d):
+    s, t, d = s % N, t % N, d % N
+    spliced = rho_from_eval(N, splice_substring(SubstringInstance(N, s), t)._eval)
+    exact = rho_from_eval(N, make_reflection_oracle(GroupCtx(N), d)._eval)
+    for a, b in ((spliced, exact), (exact, spliced)):
+        assert abs(trace_distance(a, b) - _full_trace_distance(a, b)) <= 1e-12
+
+
+def _random_psd(rng, dim, support):
+    """Random complex PSD matrix of unit trace, zero outside support."""
+    A = np.zeros((dim, dim), dtype=complex)
+    A[support] = (rng.normal(size=(len(support), dim))
+                  + 1j * rng.normal(size=(len(support), dim)))
+    rho = A @ A.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 12))
+def test_trace_distance_support_matches_full_on_random_pairs(seed, dim):
+    rng = np.random.default_rng(seed)
+    support = np.flatnonzero(rng.random(dim) < 0.6)
+    if support.size == 0:
+        support = np.array([0])
+    r1 = _random_psd(rng, dim, support)
+    r2 = _random_psd(rng, dim, support if rng.random() < 0.5
+                     else np.arange(dim))
+    assert abs(trace_distance(r1, r2) - _full_trace_distance(r1, r2)) <= 1e-12
+    assert trace_distance(r1, r1) == 0.0
+    assert trace_distance(r2, DensityMatrix(r2.entries.copy())) == 0.0
+    with pytest.raises(ValueError):
+        trace_distance(r1, DensityMatrix(np.eye(dim + 1) / (dim + 1)))
