@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -239,8 +240,8 @@ def _cmd_bench(args):
     if not runner.is_file():
         raise UsageError(f"no perfbench/run.py in {CHECKOUT}: bench runs "
                          "from a source checkout only")
-    if args.seconds <= 0:
-        raise UsageError("--seconds must be > 0")
+    if not 0 < args.seconds < math.inf:
+        raise UsageError("--seconds must be a finite number > 0")
     seed = 1 if args.seed is None else args.seed
     results = {}
     for workload in [args.workload] if args.workload else BENCH_WORKLOADS:

@@ -283,8 +283,6 @@ def verify_suite(N_max=32, samples=10 ** 5, rng=None, coin_bias=0.5,
     (defaults are honest)."""
     if not 8 <= N_max <= 1 << 10:
         raise ValueError("N_max must lie in [8, 1024]; 8 is the smallest case")
-    if not 0 <= coin_bias <= 1:
-        raise ValueError("coin_bias must lie in [0, 1]")
     if phase_sign not in (1, -1):
         raise ValueError("phase_sign must be +1 or -1")
     cases = [(N, s) for N, s in _LAW_CASES if N <= N_max]

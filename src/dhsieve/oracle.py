@@ -290,6 +290,8 @@ def restrict_reflection(o, parity, r=2):
         raise TypeError("restriction applies to dihedral oracles")
     if ctx.N % r != 0:
         raise ValueError("N not divisible by the radix")
+    if not 0 <= parity < r:
+        raise ValueError("parity must lie in [0, r)")
     sub = GroupCtx(ctx.N // r)
 
     def ev(e):

@@ -60,6 +60,8 @@ class PhaseBackend:
     """
 
     def __init__(self, oracle, rng=None, coin_bias=0.5):
+        if not 0 <= coin_bias <= 1:
+            raise ValueError("coin_bias must lie in [0, 1]")
         self.oracle = oracle
         self.rng = np.random.default_rng(rng)
         self.coin_bias = coin_bias

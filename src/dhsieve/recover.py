@@ -3,8 +3,9 @@ general-N automorphism refinement, substring solving through spliced
 oracles, and the abelian hidden shift assembled coordinate by coordinate.
 
 Every recovery is Las Vegas: one attempt function run by _las_vegas, which
-returns a candidate only after a verification query and retries a failed
-one up to a fixed cap.  Each entry point takes rng, a numpy Generator
+returns a candidate only after verify_reflection's query pair on the
+solver's dihedral oracle accepts it, and retries a failed one up to a
+fixed cap.  Each entry point takes rng, a numpy Generator
 (used as is) or a seed.
 """
 
@@ -17,12 +18,7 @@ import numpy as np
 
 from .errors import NoHiddenReflectionError, SieveExhaustedError
 from .greedy import CoordinateObjective, greedy_sieve, run_radix_recovery
-from .group import (
-    DihedralElement,
-    GroupCtx,
-    identity,
-    unit_for_odd_part,
-)
+from .group import DihedralElement, identity, unit_for_odd_part
 from .oracle import (
     restrict_reflection,
     shift_to_dihedral,
@@ -36,8 +32,6 @@ from .staged import interval_sieve, run_general_interval, run_staged_parity
 _COPIES_PER_ROUND = 12
 # sweeps of the substring guess grid, one slope attempt per guess each
 _SUBSTRING_SWEEPS = 2
-# random points compared by the classical shift checks
-_CHECK_SAMPLES = 3
 # single-coordinate copies each abelian coordinate readout reads
 _COORDINATE_COPIES = 24
 # attempts of a direct power-of-two recovery
@@ -68,21 +62,22 @@ def verify_reflection(o, s):
     return o.evaluate(identity(o.ctx)) == o.evaluate(refl)
 
 
-def _las_vegas(counter, attempt, verifier, max_retries):
+def _las_vegas(o, attempt, max_retries):
     """The retry loop every recovery shares: attempt(i) for
     i = 1..max_retries returns a candidate; an exhausted sieve counts as
-    a failed attempt.  Returns the first candidate the verifier accepts
-    with its RecoveryReport, whose queries are those counter (the oracle,
-    pair or substring instance) recorded meanwhile.  Raises
+    a failed attempt.  Returns the first candidate verify_reflection
+    accepts on the dihedral oracle o, with its RecoveryReport, whose
+    queries are those o's counter (shared with the pair or substring
+    instance behind o) recorded meanwhile.  Raises
     NoHiddenReflectionError when every attempt failed."""
-    q0 = counter.queries
+    q0 = o.queries
     for i in range(1, max_retries + 1):
         try:
             s = attempt(i)
         except SieveExhaustedError:
             continue
-        if verifier(s):
-            return s, RecoveryReport(secret=s, queries=counter.queries - q0,
+        if verify_reflection(o, s):
+            return s, RecoveryReport(secret=s, queries=o.queries - q0,
                                      attempts=i, verified=True)
     raise NoHiddenReflectionError(
         f"no verified answer after {max_retries} attempts")
@@ -119,8 +114,7 @@ def recover_slope_power2(o, n=None, rng=None):
     if N != 1 << n:
         raise ValueError("group order is not 2^n")
     rng = np.random.default_rng(rng)
-    return _las_vegas(o, lambda i: _slope_attempt(o, rng),
-                      lambda s: verify_reflection(o, s), _POWER2_RETRIES)
+    return _las_vegas(o, lambda i: _slope_attempt(o, rng), _POWER2_RETRIES)
 
 
 def recover_slope_radix(o, r, n=None, rng=None, budget=None):
@@ -147,8 +141,7 @@ def recover_slope_radix(o, r, n=None, rng=None, budget=None):
             o, r, n, rng, lambda be, m: run_radix_recovery(
                 be, r, m, budget=budget, scale=scale))
 
-    return _las_vegas(o, attempt, lambda s: verify_reflection(o, s),
-                      _MAX_RETRIES)
+    return _las_vegas(o, attempt, _MAX_RETRIES)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +199,7 @@ def recover_slope_general(o, rng=None):
     """Recover the slope over D_N for arbitrary N by _slope_attempt,
     verified against the oracle.  Returns (s, RecoveryReport)."""
     rng = np.random.default_rng(rng)
-    return _las_vegas(o, lambda i: _slope_attempt(o, rng),
-                      lambda s: verify_reflection(o, s), _MAX_RETRIES)
+    return _las_vegas(o, lambda i: _slope_attempt(o, rng), _MAX_RETRIES)
 
 
 # ---------------------------------------------------------------------------
@@ -229,24 +221,15 @@ def _substring_guesses(N):
         spacing //= 2
 
 
-def _substring_check(inst, shift, rng):
-    """Classical verification of a shift in [0, N): f(x) = g(x + shift)
-    at random positions.  Tokens are injective, so one agreeing sample is
-    already decisive; a few are checked for good measure."""
-    for _ in range(_CHECK_SAMPLES):
-        x = int(rng.integers(0, inst.N))
-        if inst.f(x) != inst.g(x + shift):
-            return False
-    return True
-
-
 def solve_substring(inst, rng=None):
     """Find the shift of a hidden substring instance (f on N points is a
     shifted window of g on 2N): guess t on a coarse-to-fine grid, splice
     (f, g(.+t)) into an approximately-hiding reflection oracle, run one
-    slope-recovery attempt on it, and verify the implied shift
-    classically.  The whole grid is swept _SUBSTRING_SWEEPS times, so a
-    far guess costs one attempt before every nearer one has had its own.
+    slope-recovery attempt on it, and verify the implied shift on the
+    splice at guess 0, h(x^b) = f(b), h(y x^c) = g(c), where neither
+    h(1) = f(0) nor h(y x^s) = g(s) wraps.  The whole grid is swept
+    _SUBSTRING_SWEEPS times, so a far guess costs one attempt before
+    every nearer one has had its own.
 
     Returns (s, RecoveryReport) whose attempts count the guesses tried;
     raises NoHiddenReflectionError when every sweep fails."""
@@ -258,9 +241,7 @@ def solve_substring(inst, rng=None):
         t = grid[(i - 1) % len(grid)]
         return (_slope_attempt(splice_substring(inst, t), rng) + t) % N
 
-    # verify the shift the slope implies, not the oracle relation (the
-    # spliced tokens wrap past N and break it)
-    return _las_vegas(inst, attempt, lambda s: _substring_check(inst, s, rng),
+    return _las_vegas(splice_substring(inst, 0), attempt,
                       _SUBSTRING_SWEEPS * len(grid))
 
 
@@ -299,22 +280,6 @@ def _coordinate_slope(o, A, j, rng, budget):
         targets, [q.label[j] for q in targets], Nj, refs, np.arange(Nj))))
 
 
-def _shift_check(p, cand, rng):
-    """f(a) = g(a + s) at random points; truncated coordinates are kept
-    away from the wrap-around window of the candidate."""
-    A = p.A
-    cut = A.rank - A.free_rank
-    for _ in range(_CHECK_SAMPLES):
-        a = []
-        for i, n in enumerate(A.orders):
-            hi = n if i < cut else max(1, n - cand[i])
-            a.append(int(rng.integers(0, hi)))
-        a = tuple(a)
-        if p.f(a) != p.g(A.add(a, cand)):
-            return False
-    return True
-
-
 def solve_abelian_shift(p, rng=None):
     """Hidden shift on a finite (possibly truncated) abelian group: view
     the pair as a reflection oracle on the generalized dihedral group,
@@ -326,12 +291,14 @@ def solve_abelian_shift(p, rng=None):
     budget = abelian_budget(A)
 
     def attempt(i):
-        if isinstance(o.ctx, GroupCtx):
+        if A.rank == 1:
             # rank 1 collapses to the plain dihedral problem
-            return (_slope_attempt(o, rng),)
+            return _slope_attempt(o, rng)
         return tuple(0 if A.orders[j] == 1
                      else _coordinate_slope(o, A, j, rng, budget)
                      for j in range(A.rank))
 
-    return _las_vegas(p, attempt, lambda cand: _shift_check(p, cand, rng),
-                      _MAX_RETRIES)
+    s, rep = _las_vegas(o, attempt, _MAX_RETRIES)
+    if A.rank == 1:
+        s = rep.secret = (s,)
+    return s, rep

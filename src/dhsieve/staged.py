@@ -11,7 +11,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
-from .errors import SieveExhaustedError
+from .errors import InsufficientCopiesError, SieveExhaustedError
 from .phase import (
     combine,
     cosine_observe,
@@ -265,10 +265,10 @@ def estimate_from_quadratures(ones, N):
     """Ettinger-Hoyer style readout: split psi_1 copies between reference
     slopes 0 and floor(N/4), estimate cos and sin of 2 pi s / N, and read
     the angle."""
+    if not ones:
+        raise InsufficientCopiesError("no copies supplied")
     tq = max(1, N // 4)
-    half = len(ones) // 2
-    if half == 0:
-        half = len(ones)
+    half = len(ones) // 2 or 1
     cos_obs = [cosine_observe(q, 0) for q in ones[:half]]
     sin_obs = [cosine_observe(q, tq) for q in ones[half:]]
     f0 = sum(cos_obs) / len(cos_obs)

@@ -377,6 +377,8 @@ def test_cli_bench_race_writes_record(tmp_path):
     ["bench", "--label", ".."],
     ["bench", "--label", "x y"],
     ["bench", "--seconds", "0"],
+    ["bench", "--seconds", "nan"],
+    ["bench", "--seconds", "inf"],
     ["bench", "--workload", "bogus"],
 ])
 def test_cli_bench_bad_value(argv, tmp_path, capsys):

@@ -119,6 +119,15 @@ def test_restriction_behavior():
     assert len(vals) == 16  # injective restriction
 
 
+def test_restriction_rejects_parity_outside_radix():
+    # a parity outside [0, r) names no subgroup: rejected when the
+    # restriction is built, not at its first evaluation
+    o = make_reflection_oracle(GroupCtx(16), 6)
+    for parity, r in ((5, 2), (-1, 2), (4, 4)):
+        with pytest.raises(ValueError, match="parity"):
+            restrict_reflection(o, parity, r)
+
+
 def test_automorphism_wrapper():
     N, s, u = 15, 7, 2
     o = make_reflection_oracle(GroupCtx(N), s)

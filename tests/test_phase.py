@@ -309,6 +309,12 @@ def test_tomography_insufficient():
         tomography_mod_r([], 2)
 
 
+@pytest.mark.parametrize("bias", [1.5, -0.1, float("nan")])
+def test_backend_rejects_coin_bias_outside_unit_interval(bias):
+    with pytest.raises(ValueError, match="coin_bias"):
+        backend(8, 3, coin_bias=bias)
+
+
 def test_tomography_rejects_radix_below_2():
     be = backend(8, 3)
     for r in (1, 0):

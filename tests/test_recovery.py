@@ -188,8 +188,8 @@ def test_substring_exact_guess_is_fast():
 
 
 def test_substring_sweeps_grid_twice(monkeypatch):
-    # every guess fails: the splices are the whole grid once, then again,
-    # with one slope attempt each
+    # every guess fails: after the check's splice at guess 0, the splices
+    # are the whole grid once, then again, with one slope attempt each
     N = 48
     grid = list(recover._substring_guesses(N))
     assert grid[:3] == [0, 24, 12] and sorted(grid) == list(range(N))
@@ -208,21 +208,21 @@ def test_substring_sweeps_grid_twice(monkeypatch):
     monkeypatch.setattr(recover, "_slope_attempt", fail)
     with pytest.raises(NoHiddenReflectionError):
         solve_substring(SubstringInstance(N, 31), rng=1)
-    assert [t for t, _ in spliced] == grid * 2
-    assert len(attempted) == len(spliced)
-    assert all(a is o for a, (_, o) in zip(attempted, spliced))
+    assert [t for t, _ in spliced] == [0] + grid * 2
+    assert len(attempted) == len(spliced) - 1
+    assert all(a is o for a, (_, o) in zip(attempted, spliced[1:]))
 
 
 def test_substring_attempts_count_guesses(monkeypatch):
-    # a solved instance splices a prefix of the two sweeps, one guess per
-    # reported attempt
+    # a solved instance splices the check's oracle at guess 0, then a
+    # prefix of the two sweeps, one guess per reported attempt
     spliced = []
     real = recover.splice_substring
     monkeypatch.setattr(recover, "splice_substring",
                         lambda inst, t: spliced.append(t) or real(inst, t))
     got, rep = solve_substring(SubstringInstance(64, 37), rng=9)
-    assert got == 37 and rep.attempts == len(spliced)
-    assert spliced == (list(recover._substring_guesses(64)) * 2)[:len(spliced)]
+    assert spliced[0] == 0 and got == 37 and rep.attempts == len(spliced) - 1
+    assert spliced[1:] == (list(recover._substring_guesses(64)) * 2)[:rep.attempts]
 
 
 def test_substring_small_trials():
@@ -329,3 +329,74 @@ def test_report_queries_are_the_instance_count(case):
         got, rep = solve(inst, rng=rng)
         assert got == secret and rep.verified
         assert rep.queries == inst.queries - q0 > 0
+
+
+CHECK_CASES = {
+    # instance, planted secret as the check's oracle reads it, solver,
+    # every candidate
+    "reflection-12": lambda: (make_reflection_oracle(GroupCtx(12), 7), 7,
+                              recover_slope_general, range(12)),
+    "substring-16": lambda: (SubstringInstance(16, 11), 11, solve_substring,
+                             range(16)),
+    "pair-4x3": lambda: (make_shift_pair(AbelianGroupSpec((4, 3)), (3, 2)),
+                         (3, 2), solve_abelian_shift,
+                         [(a, b) for a in range(4) for b in range(3)]),
+    "truncated-8": lambda: (
+        make_shift_pair(AbelianGroupSpec((8,), free_rank=1), (5,)), 5,
+        solve_abelian_shift, range(8)),
+    "rank1-9": lambda: (make_shift_pair(AbelianGroupSpec((9,)), (4,)), 4,
+                        solve_abelian_shift, range(9)),
+}
+
+
+@pytest.mark.parametrize("case", list(CHECK_CASES))
+def test_every_check_is_one_query_pair(case, monkeypatch):
+    # each solver's own loop and oracle, fed every candidate as a one-
+    # attempt recovery: the check accepts exactly the planted secret,
+    # costs the instance exactly one query pair and draws nothing
+    inst, secret, solve, cands = CHECK_CASES[case]()
+    rng = np.random.default_rng(4)
+    real = recover._las_vegas
+    verified = []
+    real_verify = recover.verify_reflection
+    monkeypatch.setattr(recover, "verify_reflection",
+                        lambda o, s: verified.append(s) or real_verify(o, s))
+
+    def each_candidate(o, attempt, max_retries):
+        for c in cands:
+            state, q0 = rng.bit_generator.state, inst.queries
+            try:
+                got, rep = real(o, lambda i: c, 1)
+                assert got == c == secret and rep.queries == 2
+            except NoHiddenReflectionError:
+                assert c != secret
+            assert inst.queries - q0 == 2 and verified[-1] == c
+            assert rng.bit_generator.state == state
+        assert len(verified) == len(cands)
+        return real(o, lambda i: secret, 1)
+
+    monkeypatch.setattr(recover, "_las_vegas", each_candidate)
+    got, rep = solve(inst, rng=rng)
+    # rank 1 wraps the slope as a 1-tuple
+    assert rep.verified and got == rep.secret and got in (secret, (secret,))
+
+
+@pytest.mark.parametrize("case", list(REPORT_CASES))
+def test_each_solver_verifies_each_candidate_once(case, monkeypatch):
+    # the five solvers check every candidate an attempt returns with one
+    # verify_reflection call, and nothing else
+    inst, secret, solve = REPORT_CASES[case]()
+    real = recover._las_vegas
+    cands, verified = [], []
+
+    def counted(o, attempt, max_retries):
+        return real(o, lambda i: cands.append(attempt(i)) or cands[-1],
+                    max_retries)
+
+    real_verify = recover.verify_reflection
+    monkeypatch.setattr(recover, "verify_reflection",
+                        lambda o, s: verified.append(s) or real_verify(o, s))
+    monkeypatch.setattr(recover, "_las_vegas", counted)
+    got, rep = solve(inst, rng=np.random.default_rng(22))
+    assert got == secret and verified == cands
+    assert 1 <= len(cands) <= rep.attempts

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dhsieve.staged as staged_mod
-from dhsieve.errors import SieveExhaustedError
+from dhsieve.errors import InsufficientCopiesError, SieveExhaustedError
 from dhsieve.group import GroupCtx
 from dhsieve.oracle import (
     SubstringInstance,
@@ -490,3 +490,8 @@ def test_quadrature_estimator_exact_bias():
             be = PhaseBackend(make_reflection_oracle(GroupCtx(N), s), rng=rng)
             ones = [PhaseQubit(1, be) for _ in range(4000)]
             assert estimate_from_quadratures(ones, N) == s, (N, s)
+
+
+def test_quadrature_estimator_needs_a_copy():
+    with pytest.raises(InsufficientCopiesError):
+        estimate_from_quadratures([], 40)
