@@ -47,6 +47,9 @@ BENCH_WORKLOADS = ("staged", "solvers", "race", "dense")
 TABLE1_FIELDS = ["budget", "trials", "mean", "stddev", "queries", "seconds"]
 SIM_FIELDS = ["trial", "secret", "recovered", "success", "attempts",
               "queries", "seconds"]
+# the instance flags each simulate algorithm reads
+SIM_FLAGS = {"staged": ("n",), "general": ("N",),
+             "greedy": ("n", "radix", "budget"), "abelian": ("orders",)}
 
 
 class UsageError(Exception):
@@ -143,7 +146,10 @@ def _cmd_scaling(args):
         for rec in csv.DictReader(fh):
             rows.append(ResultRow(**{name: _csv_value(rec, name)
                                      for name in TABLE1_FIELDS}))
-    slope, intercept, residuals = fit_scaling(rows)
+    try:
+        slope, intercept, residuals = fit_scaling(rows)
+    except ArithmeticError as exc:
+        raise UsageError(exc)
     payload = {"slope": _fmt(slope), "intercept": _fmt(intercept),
                "residuals": [_fmt(float(r)) for r in residuals]}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -176,8 +182,9 @@ def _sim_trial(args, rng):
     else:
         if need(args.n, "--n") < 0:
             raise UsageError("--n must be >= 0")
-        group = GroupCtx((2 if args.algorithm == "staged" else args.radix)
-                         ** args.n)
+        # staged never carries --radix (_cmd_simulate rejects it)
+        radix = 2 if args.radix is None else args.radix
+        group = GroupCtx(radix ** args.n)
     s = group.random_elements(rng, 1).tolist()[0]
     inst = make(group, s)
     solve = {
@@ -185,7 +192,7 @@ def _sim_trial(args, rng):
         "staged": lambda: recover_slope_power2(inst, args.n, rng=rng),
         "general": lambda: recover_slope_general(inst, rng=rng),
         "greedy": lambda: recover_slope_radix(
-            inst, args.radix, args.n, rng=rng, budget=args.budget),
+            inst, radix, args.n, rng=rng, budget=args.budget),
     }[args.algorithm]
     try:
         _, rep = solve()
@@ -197,6 +204,11 @@ def _sim_trial(args, rng):
 def _cmd_simulate(args):
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    for flag in ("n", "N", "orders", "radix", "budget"):
+        if (getattr(args, flag) is not None
+                and flag not in SIM_FLAGS[args.algorithm]):
+            raise UsageError(f"--{flag} is not read by the {args.algorithm}"
+                             " algorithm")
     rng = np.random.default_rng(args.seed)
     fmt = lambda v: ";".join(map(str, v)) if isinstance(v, tuple) else str(v)
     dicts = []
@@ -315,7 +327,8 @@ def build_parser():
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--orders", type=orders, default=None,
                    help="comma-separated cyclic orders")
-    p.add_argument("--radix", type=int, default=2)
+    p.add_argument("--radix", type=int, default=None,
+                   help="greedy only (default 2)")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--budget", type=int, default=None)
     _add_common(p, "seed", "format")

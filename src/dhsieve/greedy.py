@@ -6,7 +6,6 @@ label-only cancellation race used by the experiment harness.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from collections import defaultdict
 from operator import itemgetter
@@ -134,83 +133,59 @@ def _pair_order(depths):
     return np.concatenate(lefts), np.concatenate(rights)
 
 
-def _pair_sweep(entries, merge, put, stats):
-    """One sweep over a sorted min-alpha bucket of (key, x) entries:
-    merge adjacent pairs in _pair_order, the longest common key prefix
-    first, count each in stats.combines and put the result back, until
-    at most one entry is left.  Merges run lazily, so put may stop the
-    sweep between two of them.  Returns the leftover entry or None."""
-    n = len(entries)
-    stats.work += n
-    left, right = _pair_order([_match_len(entries[i][0], entries[i + 1][0])
-                               for i in range(n - 1)])
-    lone = np.ones(n, dtype=bool)
-    lone[left] = lone[right] = False
-    for i, j in zip(left.tolist(), right.tolist()):
-        stats.combines += 1
-        stats.work += 1
-        put(merge(entries[i][1], entries[j][1]))
-    return next((entries[i] for i in np.flatnonzero(lone)), None)
-
-
-def _pairing_race(items, place, merge, stats):
-    """The greedy sieve's bucket loop.  place(x) returns (alpha, key, x)
-    to bucket x under its key, or None when x leaves the race; each x is
-    ranked once, when it is placed.  The minimum-alpha bucket is
-    stable-sorted by key and swept with _pair_sweep; each merge(x, y)
-    result goes back through place, and results that stay at the same
-    alpha carry into the next sweep.  Runs until the buckets are empty."""
-    buckets = defaultdict(list)
-
-    def put(x):
-        placed = place(x)
-        if placed is not None:
-            alpha, key, x = placed
-            buckets[alpha].append((key, x))
-
-    for x in items:
-        put(x)
-    while buckets:
-        v = min(buckets)
-        group = buckets.pop(v)
-        while len(group) >= 2:
-            group.sort(key=itemgetter(0))
-            lone = _pair_sweep(group, merge, put, stats)
-            group = buckets.pop(v, []) + ([lone] if lone is not None else [])
-
-
-class _Enough(Exception):
-    """Raised by greedy_sieve's place once max_targets are collected."""
-
-
 def greedy_sieve(backend, obj, target, budget, max_targets=None):
     """Fill a list with budget sampled qubits, then greedily pair inside
     the minimum-alpha bucket to maximize the alpha of the extracted label.
     Collects qubits whose (canonicalized) labels satisfy target, and
     stops as soon as it holds max_targets of them.
 
+    Each qubit is ranked once, when it is placed.  The minimum-alpha
+    bucket is stable-sorted by key and swept in _pair_order; each merge
+    is placed as soon as it is made, so the stop can land mid-sweep, and
+    merges that stay at the same alpha carry into the next sweep with
+    the unpaired entry.
+
     Raises SieveExhaustedError when the buckets empty with no target."""
     if budget < 2:
         raise ValueError("budget must be at least 2")
     stats = SieveStats()
-    targets = []
+    targets, buckets = [], defaultdict(list)
     zero = backend.oracle.ctx.zero
 
     def place(q):
+        """Drop label 0, collect a target, bucket anything else by alpha
+        under its key; True once max_targets are held."""
         if q.label == zero:
-            return None
+            return False
         if obj.needs_flip(q.label):
             q = negate_label(q)
         if target(q.label):
             targets.append(q)
-            if max_targets is not None and len(targets) >= max_targets:
-                raise _Enough
-            return None
+            return max_targets is not None and len(targets) >= max_targets
         alpha, key = obj.rank(q.label)
-        return alpha, key, q
+        buckets[alpha].append((key, q))
+        return False
 
-    with contextlib.suppress(_Enough):
-        _pairing_race(sample_batch(backend, budget), place, combine, stats)
+    for q in sample_batch(backend, budget):
+        if place(q):
+            return targets, stats
+    while buckets:
+        v = min(buckets)
+        group = buckets.pop(v)
+        while len(group) >= 2:
+            group.sort(key=itemgetter(0))
+            stats.work += len(group)
+            left, right = _pair_order([_match_len(a[0], b[0])
+                                       for a, b in zip(group, group[1:])])
+            for i, j in zip(left.tolist(), right.tolist()):
+                stats.combines += 1
+                stats.work += 1
+                if place(combine(group[i][1], group[j][1])):
+                    return targets, stats
+            lone = np.ones(len(group), dtype=bool)
+            lone[left] = lone[right] = False
+            group = (buckets.pop(v, [])
+                     + [group[i] for i in np.flatnonzero(lone)])
     if not targets:
         raise SieveExhaustedError("greedy sieve exhausted with no target")
     return targets, stats
@@ -239,13 +214,6 @@ def run_radix_recovery(backend, r, n, budget=None, scale=1):
     obj = RadixObjective(r)
     step = N // r
     want = max(5, tomography_copies_needed(r))
-    if n == 1:
-        # every nonzero label is already final; sample directly
-        qs = [q for q in sample_batch(backend, max(budget, 4 * want))
-              if q.label != 0]
-        if not qs:
-            raise SieveExhaustedError("no nonzero label sampled")
-        return tomography_mod_r(qs[: 4 * want], r), SieveStats()
     targets, stats = run_passes(
         lambda held: greedy_sieve(backend, obj, lambda k: k % step == 0,
                                   budget, max_targets=4 * want - held),

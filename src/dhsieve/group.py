@@ -145,6 +145,8 @@ def subgroup_embed(parity, e, ctx, r=2):
     are the two index-2 dihedral subgroups used by the power-of-two
     recursion.
     """
+    if r < 2:
+        raise ValueError("radix must be at least 2")
     if not isinstance(ctx, GroupCtx):
         raise TypeError("subgroup_embed only applies to dihedral groups")
     if ctx.N % r != 0:

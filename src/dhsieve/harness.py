@@ -108,6 +108,11 @@ def fit_scaling(rows):
     a race obeying the Q = 3^sqrt(2 log_3 N) law gives slope 1."""
     if len(rows) < 3:
         raise ValueError("need at least 3 rows to fit")
+    for i, row in enumerate(rows, 1):
+        if row.budget < 2:
+            raise ValueError(f"row {i}: budget {row.budget} is below 2")
+        if row.mean < 0:
+            raise ValueError(f"row {i}: mean {row.mean} is below 0")
     x = np.array([math.sqrt(2 * row.mean * LOG3_2) for row in rows])
     y = np.array([math.log(row.budget, 3) for row in rows])
     if np.ptp(x) < 1e-12:

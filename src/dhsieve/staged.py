@@ -149,12 +149,10 @@ def run_staged_parity(backend, n):
             raise ValueError("oracle group order is not 2^n")
 
         if n == 1:
-            # Degenerate group D_2: sample until the label-1 state appears.
-            for _ in range(64):
-                q = sample_batch(backend, 1)[0]
-                if q.label == 1:
-                    return measure_pm(q), SieveStats()
-            raise SieveExhaustedError("no psi_1 sampled in D_2")
+            # D_2: passes of one label until psi_1 appears
+            held, stats = run_passes(
+                lambda _: _parity_pass(backend, 1, [], 1), 1, max_passes=64)
+            return measure_pm(held[0]), stats
 
         cfg = staged_config(n)
         size = C_0 << (2 * cfg.m)
@@ -190,19 +188,20 @@ def interval_config(N):
     return m, C_0 << (2 * m), widths
 
 
-def _interval_pass(backend, size, widths, ones):
+def _interval_pass(backend, size, widths):
     """One pass of the interval sieve over a fresh sample of size labels:
     each stage pairs sorted neighbours within a bucket of its width and
-    keeps the differences below it.  psi_1 copies are moved to ones as
-    they appear and psi_0 is dropped; neither is paired again.  Returns
-    the nonzero-label count after sampling and after each stage.
+    keeps the differences below it.  psi_1 copies are set aside as they
+    appear and psi_0 is dropped; neither is paired again.  Returns the
+    psi_1 copies and the pass's stats, the nonzero-label count after
+    sampling and after each stage.
 
     Sorted-neighbour pairing is the design, not the paper's pairing of a
     bucket in sample order: neighbours leave the smallest differences,
     and over 200 seeded passes the median psi_1 yield was 21 against 7
     at N = 360 and 53 against 6 at N = 4095."""
     N = backend.oracle.ctx.N
-    sizes = []
+    ones, sizes = [], []
 
     def route(qs):
         pool, before = [], len(ones)
@@ -227,7 +226,7 @@ def _interval_pass(backend, size, widths, ones):
         outs = (_normalize_halfrange(q, N)
                 for q in _differences(pairs, backend))
         current = route(q for q in outs if q.label < width)
-    return sizes
+    return ones, SieveStats(sizes)
 
 
 def run_passes(one_pass, need, max_passes=MAX_PASSES):
@@ -253,12 +252,7 @@ def interval_sieve(backend, want):
     if want < 1:
         raise ValueError("want must be >= 1")
     _, size, widths = interval_config(backend.oracle.ctx.N)
-
-    def one_pass(_):
-        ones = []
-        return ones, SieveStats(_interval_pass(backend, size, widths, ones))
-
-    return run_passes(one_pass, want)
+    return run_passes(lambda _: _interval_pass(backend, size, widths), want)
 
 
 def estimate_from_quadratures(ones, N):

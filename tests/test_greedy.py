@@ -4,7 +4,9 @@ cancellation race, and residue recovery."""
 import heapq
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from dhsieve.greedy import (
     RadixObjective,
     _match_len,
     _pair_order,
-    _pairing_race,
     _race_bucket,
     alpha_abelian,
     alpha_radix,
@@ -30,7 +31,13 @@ from dhsieve.greedy import (
 from dhsieve.group import GroupCtx
 from dhsieve.harness import _random_labels
 from dhsieve.oracle import make_reflection_oracle
-from dhsieve.phase import PhaseBackend, tomography_copies_needed
+from dhsieve.phase import (
+    PhaseBackend,
+    combine,
+    negate_label,
+    sample_batch,
+    tomography_copies_needed,
+)
 from dhsieve.recover import recover_slope_radix
 from dhsieve.staged import MAX_PASSES, SieveStats
 
@@ -242,6 +249,41 @@ def test_greedy_sieve_stops_in_the_first_placement():
     assert (st.combines, be.oracle.queries) == (0, 200)
 
 
+
+def _callback_sieve(backend, obj, target, budget):
+    """greedy_sieve with no max_targets, run on the callback loop."""
+    targets, stats = [], SieveStats()
+
+    def place(q):
+        if q.label == backend.oracle.ctx.zero:
+            return None
+        if obj.needs_flip(q.label):
+            q = negate_label(q)
+        if target(q.label):
+            targets.append(q)
+            return None
+        return (*obj.rank(q.label), q)
+
+    _pairing_race(sample_batch(backend, budget), place, combine, stats)
+    return targets, stats
+
+
+@pytest.mark.parametrize("r, n, t, budget", [(2, 10, 9, 300), (3, 6, 5, 300),
+                                             (5, 4, 3, 120)])
+def test_greedy_sieve_matches_callback_loop(r, n, t, budget):
+    # the same targets, stats and generator state as the callback loop
+    target = lambda k: k % r ** t == 0
+    for seed in range(6):
+        be, twin = (backend(r ** n, 100 + seed, seed) for _ in range(2))
+        ref, ref_st = _callback_sieve(twin, RadixObjective(r), target, budget)
+        try:
+            got, st = greedy_sieve(be, RadixObjective(r), target, budget)
+        except SieveExhaustedError:
+            got, st = [], ref_st
+        assert [q.label for q in got] == [q.label for q in ref]
+        assert (st.combines, st.work) == (ref_st.combines, ref_st.work)
+        assert be.rng.random() == twin.rng.random()
+
 def test_greedy_quasilinear_work():
     obj = RadixObjective(2)
     budget = 4096
@@ -342,10 +384,51 @@ def test_pair_order_matches_heap_sweep(depths):
     assert [i for i in range(len(depths) + 1) if i not in paired] == leftover
 
 
+def _pair_sweep(entries, merge, put, stats):
+    """One sweep over a sorted min-alpha bucket of (key, x) entries:
+    merge adjacent pairs in _pair_order, count each in stats and put the
+    result back.  Returns the leftover entry or None."""
+    n = len(entries)
+    stats.work += n
+    left, right = _pair_order([_match_len(entries[i][0], entries[i + 1][0])
+                               for i in range(n - 1)])
+    lone = np.ones(n, dtype=bool)
+    lone[left] = lone[right] = False
+    for i, j in zip(left.tolist(), right.tolist()):
+        stats.combines += 1
+        stats.work += 1
+        put(merge(entries[i][1], entries[j][1]))
+    return next((entries[i] for i in np.flatnonzero(lone)), None)
+
+
+def _pairing_race(items, place, merge, stats):
+    """The greedy bucket loop on callbacks: place(x) returns (alpha, key,
+    x) or None when x leaves the race; the minimum-alpha bucket is
+    stable-sorted by key and swept, each merge(x, y) goes back through
+    place, and same-alpha results carry into the next sweep."""
+    buckets = defaultdict(list)
+
+    def put(x):
+        placed = place(x)
+        if placed is not None:
+            alpha, key, x = placed
+            buckets[alpha].append((key, x))
+
+    for x in items:
+        put(x)
+    while buckets:
+        v = min(buckets)
+        group = buckets.pop(v)
+        while len(group) >= 2:
+            group.sort(key=itemgetter(0))
+            lone = _pair_sweep(group, merge, put, stats)
+            group = buckets.pop(v, []) + ([lone] if lone is not None else [])
+
+
 def _reference_race(labels, rng):
-    """The race on the greedy sieve's bucket loop with string keys, the
-    binary digits beyond alpha least significant first: the object path
-    the columnar cancellation_race replaces."""
+    """The race on the greedy sieve's bucket loop, run on callbacks, with
+    string keys, the binary digits beyond alpha least significant first:
+    the object path the columnar cancellation_race replaces."""
     stats = SieveStats()
     best = 0
 
@@ -441,9 +524,10 @@ def test_run_radix_recovery_r3():
 
 
 def test_radix_levels_sized_by_demand(monkeypatch):
-    # scale 1: every level n = 2..8 runs greedy passes until it holds the
+    # scale 1: every level n = 1..8 runs greedy passes until it holds the
     # copies tomography needs (at most 4 * want), and reports one
-    # SieveStats summed over its passes
+    # SieveStats summed over its passes; at n = 1 every nonzero label is
+    # a target, so that level combines nothing
     need = tomography_copies_needed(3)
     held, passes = [], []
     real_sieve, real_tomo = greedy.greedy_sieve, greedy.tomography_mod_r
@@ -457,7 +541,7 @@ def test_radix_levels_sized_by_demand(monkeypatch):
     monkeypatch.setattr(greedy, "tomography_mod_r",
                         lambda qs, r: held.append(len(qs)) or real_tomo(qs, r))
     rng = np.random.default_rng(11)
-    for n in range(2, 9):
+    for n in range(1, 9):
         for _ in range(10):
             s = int(rng.integers(0, 3 ** n))
             be = PhaseBackend(make_reflection_oracle(GroupCtx(3 ** n), s),
@@ -465,9 +549,10 @@ def test_radix_levels_sized_by_demand(monkeypatch):
             passes.clear()
             digit, stats = run_radix_recovery(be, 3, n)
             assert digit == s % 3
-            assert stats.combines == sum(p.combines for p in passes) > 0
+            assert stats.combines == sum(p.combines for p in passes)
+            assert (stats.combines > 0) == (n > 1)
             assert stats.work == sum(p.work for p in passes)
-    assert len(held) == 70
+    assert len(held) == 80
     assert need <= min(held) and max(held) <= 4 * need
 
 

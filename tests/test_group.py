@@ -83,6 +83,10 @@ def test_subgroup_embed_images():
     assert subgroup_embed(1, DihedralElement(1, 4), ctx) == DihedralElement(1, 9)
     with pytest.raises(ValueError):
         subgroup_embed(2, DihedralElement(0, 0), ctx, r=2)
+    # a radix below 2 names no subgroup
+    for r in (0, 1, -3):
+        with pytest.raises(ValueError, match="radix"):
+            subgroup_embed(0, DihedralElement(0, 0), ctx, r)
 
 
 def _odd_split(N):

@@ -265,6 +265,7 @@ def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     (["simulate", "--algorithm", "abelian"], {"orders": [16, 9]}),
     (["table1", "--budgets", "3^2"], {"trials": True}),
     (["table1", "--budgets", "3^2"], {"trial": 3}),
+    (["simulate", "--algorithm", "general", "--N", "9"], {"budget": 3}),
 ])
 def test_cli_config_value_checked_like_its_flag(cmd, cfg, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -303,6 +304,16 @@ ARGPARSE_ARGV = [
     ["table1", "--frob", "1"],
 ]
 
+# instance flags the chosen algorithm does not read, the last one named
+UNREAD_FLAG_ARGV = [
+    ["simulate", "--algorithm", "general", "--N", "9", "--budget", "3"],
+    ["simulate", "--algorithm", "general", "--N", "9", "--n", "3"],
+    ["simulate", "--algorithm", "staged", "--n", "4", "--radix", "2"],
+    ["simulate", "--algorithm", "staged", "--n", "4", "--N", "16"],
+    ["simulate", "--algorithm", "greedy", "--n", "2", "--orders", "4,3"],
+    ["simulate", "--algorithm", "abelian", "--orders", "4,3", "--radix", "0"],
+]
+
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--algorithm", "staged", "--n", "-1"],
@@ -332,12 +343,25 @@ ARGPARSE_ARGV = [
     ["table1", "--budgets", "1,9", "--trials", "2"],
     *NAMED_FLAG_ARGV,
     *ARGPARSE_ARGV,
+    ["scaling", "--in", "{tmp}/flat.csv"],
+    ["scaling", "--in", "{tmp}/budget-one.csv"],
+    ["scaling", "--in", "{tmp}/negative.csv"],
+    *UNREAD_FLAG_ARGV,
 ])
 def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "no-mean.csv").write_text(
         "budget,trials,stddev,queries,seconds\n9,2,1.0,9,0.1\n")
     (tmp_path / "bad-mean.csv").write_text(
         "budget,trials,mean,stddev,queries,seconds\n9,2,x,1.0,9,0.1\n")
+    # (budget, mean) rows: a degenerate fit (all means equal), a budget
+    # below 2 in row 1, a negative mean in row 2
+    fits = {"flat": [(3, 5), (9, 5), (27, 5)],
+            "budget-one": [(1, 1), (3, 2), (9, 3)],
+            "negative": [(3, 1), (9, -2), (27, 3)]}
+    for name, rows in fits.items():
+        (tmp_path / f"{name}.csv").write_text(
+            "budget,trials,mean,stddev,queries,seconds\n" + "".join(
+                f"{b},2,{m},1.0,{b},0.1\n" for b, m in rows))
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     captured = capsys.readouterr()
     assert len(captured.err.strip().splitlines()) == 1
@@ -349,6 +373,10 @@ def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
     if argv in ARGPARSE_ARGV:
         flag = "--algorithm" if argv == ["simulate", "--n", "3"] else argv[1]
         assert flag in captured.err
+    if argv in UNREAD_FLAG_ARGV:
+        assert argv[-2] in captured.err
+    if argv[-1].endswith(("budget-one.csv", "negative.csv")):
+        assert ("row 1" if "budget" in argv[-1] else "row 2") in captured.err
     assert not (tmp_path / "sim.csv").exists()
 
 
@@ -409,11 +437,14 @@ def test_race_is_binary_only(capsys):
 
 def test_cli_simulate_failed_trial_reports_cost(tmp_path):
     # lists of 2, 4, 8, 16, 16, 16 qubits over the six attempts.  Each
-    # level runs passes until it holds the 31 copies tomography needs, and
-    # an attempt ends at the first pass with no target.  Trial 1 fails
-    # after 1, 2, 1, 1, 7 and 5 passes: 2 + 8 + 8 + 16 + 112 + 80 = 226
-    # queries.  Trials 2, 3, 5, 8 and 9 fill every level from many small
-    # passes and verify.
+    # level, n = 1 included, runs passes until it holds the 31 copies
+    # tomography needs, and an attempt ends at the first pass with no
+    # target.  Trial 1 fails after 1, 2, 1, 1, 7 and 5 passes: 2 + 8 + 8
+    # + 16 + 112 + 80 = 226 queries.  Trials 2, 5 and 7 fill every level
+    # from many small passes and verify.  These figures depend on the
+    # n = 1 level running passes of the list size like the others (about
+    # 47 queries at these lists, not one list of max(budget, 4 * 31)):
+    # that level's draws set the generator stream of every later trial.
     out = tmp_path / "sim.csv"
     rc = main(["simulate", "--algorithm", "greedy", "--radix", "3",
                "--n", "4", "--budget", "2", "--seed", "1",
@@ -421,12 +452,11 @@ def test_cli_simulate_failed_trial_reports_cost(tmp_path):
     assert rc == 1
     recs = list(csv.DictReader(open(out)))
     assert [int(r["queries"]) for r in recs] == [
-        702, 226, 924, 778, 734, 656, 670, 310, 812, 652]
-    assert "".join(r["success"] for r in recs) == "0011010011"
-    # the pass cap bounds any trial: per attempt three greedy levels of
-    # MAX_PASSES passes, the n = 1 sample of 4 * 31 and one verification
-    cap = sum(3 * MAX_PASSES * b + max(b, 124) + 2
-              for b in (2, 4, 8, 16, 16, 16))
+        702, 226, 848, 286, 318, 640, 638, 876, 258, 366]
+    assert "".join(r["success"] for r in recs) == "0010010100"
+    # the pass cap bounds any trial: per attempt four greedy levels of
+    # MAX_PASSES passes and one verification
+    cap = sum(4 * MAX_PASSES * b + 2 for b in (2, 4, 8, 16, 16, 16))
     for r in recs:
         assert 0 <= int(r["secret"]) < 81 and int(r["queries"]) <= cap
         if r["success"] == "0":

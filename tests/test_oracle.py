@@ -126,6 +126,10 @@ def test_restriction_rejects_parity_outside_radix():
     for parity, r in ((5, 2), (-1, 2), (4, 4)):
         with pytest.raises(ValueError, match="parity"):
             restrict_reflection(o, parity, r)
+    # and a radix below 2 names no subgroup
+    for r in (0, 1, -3):
+        with pytest.raises(ValueError, match="radix"):
+            restrict_reflection(o, 0, r)
 
 
 def test_automorphism_wrapper():

@@ -22,6 +22,7 @@ from dhsieve.phase import (
     PhaseQubit,
     combine,
     cosine_observe,
+    measure_pm,
     sample_batch,
 )
 from dhsieve.staged import (
@@ -220,6 +221,41 @@ def test_staged_parity_exhausts_after_the_pass_cap(monkeypatch):
     assert cap // size == 2 ** staged_config(n).m
 
 
+
+def _d2_draws(backend):
+    """D_2 as 64 one-label draws, measuring the first psi_1."""
+    for _ in range(64):
+        q = sample_batch(backend, 1)[0]
+        if q.label == 1:
+            return measure_pm(q)
+    raise SieveExhaustedError("no psi_1 sampled in D_2")
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_staged_parity_d2_is_one_label_passes(s):
+    # n = 1 runs one-label parity passes: the same bit, queries and
+    # generator state as a twin backend drawing one label at a time
+    for seed in range(12):
+        be, twin = backend(2, s, seed=seed), backend(2, s, seed=seed)
+        bit, st = run_staged_parity(be, 1)
+        assert bit == _d2_draws(twin) == s
+        assert be.oracle.queries == twin.oracle.queries
+        assert st.list_sizes == [be.oracle.queries]
+        assert be.rng.random() == twin.rng.random()
+
+
+def test_staged_parity_d2_exhausts_after_64_queries(monkeypatch):
+    # label 1 never appears: 64 passes of one query each, then
+    # SieveExhaustedError carrying their summed stats
+    real = staged_mod.sample_batch
+    monkeypatch.setattr(staged_mod, "sample_batch", lambda backend, count: [
+        PhaseQubit(0, backend) for _ in real(backend, count)])
+    be = backend(2, 1)
+    with pytest.raises(SieveExhaustedError) as info:
+        run_staged_parity(be, 1)
+    assert be.oracle.queries == 64
+    assert info.value.stats.list_sizes == [64]
+
 def _count_sieve_calls(monkeypatch):
     """Replace staged's combine and match_by_suffix by counting wrappers,
     on the module binding the sieves call, the way the benchmark's layer
@@ -413,8 +449,9 @@ def test_interval_sieve_one_record_per_run():
     passes, rest = divmod(be.oracle.queries - q0, size)
     twin, twin_ones, totals = backend(N, 123, seed=8), [], [0] * (m + 1)
     for _ in range(passes):
-        sizes = _interval_pass(twin, size, widths, twin_ones)
-        totals = [t + k for t, k in zip(totals, sizes)]
+        got, pass_st = _interval_pass(twin, size, widths)
+        twin_ones += got
+        totals = [t + k for t, k in zip(totals, pass_st.list_sizes)]
     assert rest == 0 and twin.oracle.queries == be.oracle.queries - q0
     assert passes > 1 and len(twin_ones) == len(ones)
     assert st.list_sizes == totals and len(st.list_sizes) == m + 1
@@ -425,8 +462,8 @@ def test_interval_sieve_one_record_per_run():
 def test_interval_sieve_exhausts_after_max_passes(monkeypatch):
     calls = []
     monkeypatch.setattr(staged_mod, "_interval_pass",
-                        lambda backend, size, widths, ones:
-                        calls.append(size) or [0] * 4)
+                        lambda backend, size, widths:
+                        calls.append(size) or ([], SieveStats([0] * 4)))
     with pytest.raises(SieveExhaustedError):
         interval_sieve(backend(360, 5), 1)
     assert len(calls) == MAX_PASSES
