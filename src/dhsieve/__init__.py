@@ -40,11 +40,13 @@ from .oracle import (
 )
 from .phase import (
     PhaseBackend,
+    PhaseList,
     PhaseQubit,
     combine,
     cosine_observe,
     measure_pm,
     negate_label,
+    sample_batch,
     sample_phase_qubit,
     tomography_mod_r,
 )
@@ -65,7 +67,6 @@ from .staged import (
 from .greedy import (
     CoordinateObjective,
     RadixObjective,
-    alpha_abelian,
     alpha_radix,
     cancellation_race,
     greedy_sieve,

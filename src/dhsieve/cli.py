@@ -184,8 +184,11 @@ def _sim_trial(args, rng):
             raise UsageError("--n must be >= 0")
         # staged never carries --radix (_cmd_simulate rejects it)
         radix = 2 if args.radix is None else args.radix
+        if radix < 2:
+            raise UsageError("--radix must be >= 2")
         group = GroupCtx(radix ** args.n)
-    s = group.random_elements(rng, 1).tolist()[0]
+    # reduce makes an abelian draw (a matrix row) the tuple it stands for
+    s = group.reduce(group.random_elements(rng, 1).tolist()[0])
     inst = make(group, s)
     solve = {
         "abelian": lambda: solve_abelian_shift(inst, rng=rng),

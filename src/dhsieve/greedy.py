@@ -1,19 +1,25 @@
-"""Greedy radix sieve: bucket qubits by an objective function, pair the
+"""Greedy radix sieve: bucket sampled labels by an objective, pair the
 best-matching entries of the minimum bucket, and race labels toward a
-target divisibility.  Also hosts the abelian-coordinate objective and the
-label-only cancellation race used by the experiment harness.
+target alpha, on label arrays.  Also hosts the abelian-coordinate
+objective and the label-only cancellation race used by the experiment
+harness.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import SieveExhaustedError
-from .phase import negate_label, combine, sample_batch, tomography_copies_needed, tomography_mod_r
+from .phase import (
+    PhaseList,
+    combine,  # noqa: F401  (bound here for perfbench's tracer)
+    sample_batch,
+    tomography_copies_needed,
+    tomography_mod_r,
+)
 from .staged import SieveStats, run_passes
 
 
@@ -30,78 +36,105 @@ def alpha_radix(k, r):
     return a
 
 
-def alpha_abelian(k, orders):
-    """Cancellation score on a product of cyclic groups: credit for each
-    zeroed leading coordinate, discounted by the magnitude of the first
-    nonzero one; first-nonzero-in-the-last-slot (or zero) scores full."""
-    a = len(orders)
-    b = next((j for j, v in enumerate(k) if v != 0), a - 1)
-    coord_bits = [math.ceil(1 + math.log2(n + 1)) for n in orders]
-    if b == a - 1:
-        return sum(coord_bits)
-    return sum(coord_bits[: b + 1]) - math.ceil(math.log2(k[b] + 1))
+def _leading_zeros(rows):
+    """How many leading entries of each row of a matrix are zero, which
+    is the index of its first nonzero entry."""
+    return np.logical_and.accumulate(rows == 0, axis=1).sum(axis=1)
 
 
 class RadixObjective:
     """Objective on Z/r^n: alpha is the r-adic valuation, and the key is
     the digit string beyond the cancelled digits, least significant
-    first, so lexicographic order puts the best partners adjacent."""
+    first, so lexicographic order puts the best partners adjacent.  The
+    methods take an array of nonzero labels, int64 or object."""
 
     def __init__(self, r):
         self.r = r
 
-    def needs_flip(self, label):
-        """psi_k ~ psi_{-k}: orient so the first nonzero digit is small."""
-        if self.r == 2:
-            return False
-        v = alpha_radix(label, self.r)
-        return (label // self.r ** v) % self.r * 2 > self.r
+    def _digits(self, q):
+        """Digit matrix of the positive integers q, least significant
+        first and as wide as the largest, with the powers r^j of its
+        columns."""
+        top, w = int(q.max(initial=0)), 1
+        while self.r ** w <= top:
+            w += 1
+        pows = np.array([self.r ** j for j in range(w)], dtype=q.dtype)
+        digits = q[:, None] // pows
+        digits %= self.r
+        return digits, pows
 
-    def rank(self, label):
-        """(alpha, key) of a nonzero label."""
-        v = alpha_radix(label, self.r)
-        k = label // self.r ** v
-        digits = []
-        while k:
-            digits.append(k % self.r)
-            k //= self.r
-        return v, tuple(digits)
+    def score(self, labels):
+        """(flip, alpha): alpha is the valuation, which negation keeps,
+        and psi_k ~ psi_{-k}, so flip marks the labels whose first
+        nonzero digit is large."""
+        digits, _ = self._digits(labels)
+        v = _leading_zeros(digits)
+        return digits[np.arange(len(v)), v] * 2 > self.r, v
+
+    def keys(self, labels, alpha):
+        """Key matrix of labels of one alpha: row i holds the digits of
+        labels[i] // r^alpha, least significant first, padded with -1."""
+        q = labels // self.r ** alpha
+        keys, pows = self._digits(q)
+        keys[q[:, None] < pows] = -1
+        return keys.astype(np.int64, copy=False)
 
 
 class CoordinateObjective:
     """Per-coordinate abelian objective on a product of cyclic groups of
     the given orders.  A label is read in the coordinate order perm, so
     the sieve zeroes any chosen set of leading coordinates; the key is
-    the view from its first nonzero coordinate on."""
+    the view from its first nonzero coordinate b on.  alpha credits each
+    zeroed leading coordinate and is discounted by the magnitude of the
+    coordinate at b; a label whose first nonzero coordinate is the last
+    scores full_score.  The methods take a (count, rank) matrix of
+    nonzero labels in the original coordinate order."""
 
     def __init__(self, orders, perm):
-        self.perm = perm
-        self.orders = tuple(orders[i] for i in perm)
+        self.perm = list(perm)
+        orders = [orders[i] for i in perm]
+        bits = [math.ceil(1 + math.log2(n + 1)) for n in orders]
+        self.orders = np.array(orders)
+        self.full_score = sum(bits)
+        self._credit = np.cumsum(bits)
 
-    def _view(self, label):
-        return tuple(label[i] for i in self.perm)
+    def _lead(self, labels):
+        """The labels in view order, each row's first nonzero coordinate
+        b, and the value there."""
+        view = labels[:, self.perm]
+        b = _leading_zeros(view)
+        return view, b, view[np.arange(len(view)), b]
 
-    def needs_flip(self, label):
-        """psi_k ~ psi_{-k}: orient so the first nonzero coordinate is
-        small."""
-        label = self._view(label)
-        b = next((j for j, v in enumerate(label) if v != 0), None)
-        return b is not None and label[b] * 2 > self.orders[b]
+    def score(self, labels):
+        """(flip, alpha): psi_k ~ psi_{-k}, so flip marks the labels whose
+        first nonzero coordinate is large, and alpha is the score of the
+        flipped label.  ceil(log2(x + 1)) is the bit length of x, read
+        off the float exponent (exact below 2^53)."""
+        _, b, lead = self._lead(labels)
+        n = self.orders[b]
+        flip = lead * 2 > n
+        lead = np.where(flip, n - lead, lead)
+        loss = np.frexp(np.asarray(lead, dtype=float))[1]
+        return flip, np.where(b == len(self.perm) - 1, self.full_score,
+                              self._credit[b] - loss)
 
-    def rank(self, label):
-        """(alpha, key) of a nonzero label."""
-        label = self._view(label)
-        b = next((j for j, v in enumerate(label) if v != 0), len(label) - 1)
-        return alpha_abelian(label, self.orders), label[b:]
+    def keys(self, labels, alpha):
+        """Key matrix of labels of one alpha: row i holds the view of
+        labels[i] from b on, padded with -1."""
+        view, b, _ = self._lead(labels)
+        a = view.shape[1]
+        cols = b[:, None] + np.arange(a)
+        return np.where(cols < a, np.take_along_axis(
+            view, np.minimum(cols, a - 1), axis=1), -1)
 
 
-def _match_len(k1, k2):
-    m = 0
-    for a, b in zip(k1, k2):
-        if a != b:
-            break
-        m += 1
-    return m
+def _key_depths(keys):
+    """Match depth of adjacent rows of a sorted key matrix: how many
+    leading digits they share, up to the shorter digit string.  Padding
+    with -1 makes the rows sort as the digit tuples do (a tuple sorts
+    before its extensions)."""
+    same = (keys[1:] == keys[:-1]) & (keys[1:] >= 0)
+    return np.logical_and.accumulate(same, axis=1).sum(axis=1)
 
 
 def _pair_order(depths):
@@ -117,78 +150,116 @@ def _pair_order(depths):
     lefts, rights = [idx[:0]], [idx[:0]]
     while len(idx) >= 2:
         # the gaps at the deepest depth, and where each run of them starts
-        at = np.flatnonzero(gap == gap.max())
-        first = np.ones(len(at), dtype=bool)
+        at = (gap == gap.max()).nonzero()[0]
+        first = np.empty(len(at), dtype=bool)
+        first[0] = True
         first[1:] = at[1:] != at[:-1] + 1
         start = np.maximum.accumulate(np.where(first, at, 0))
         left = at[(at - start) % 2 == 0]
         lefts.append(idx[left])
         rights.append(idx[left + 1])
-        keep = np.ones(len(idx), dtype=bool)
+        keep = np.full(len(idx), True)
         keep[left] = keep[left + 1] = False
-        kept = np.flatnonzero(keep)
+        kept = keep.nonzero()[0]
         if len(kept) >= 2:
             gap = np.minimum.reduceat(gap[:kept[-1]], kept[:-1])
         idx = idx[kept]
     return np.concatenate(lefts), np.concatenate(rights)
 
 
-def greedy_sieve(backend, obj, target, budget, max_targets=None):
+def greedy_sieve(backend, obj, min_alpha, budget, max_targets=None):
     """Fill a list with budget sampled qubits, then greedily pair inside
     the minimum-alpha bucket to maximize the alpha of the extracted label.
-    Collects qubits whose (canonicalized) labels satisfy target, and
-    stops as soon as it holds max_targets of them.
+    Collects the nonzero labels (oriented as obj.score flips them) whose
+    alpha is at least min_alpha as targets, and stops as soon as it holds
+    max_targets of them.  Returns (targets as PhaseQubits, SieveStats).
 
-    Each qubit is ranked once, when it is placed.  The minimum-alpha
-    bucket is stable-sorted by key and swept in _pair_order; each merge
-    is placed as soon as it is made, so the stop can land mid-sweep, and
-    merges that stay at the same alpha carry into the next sweep with
-    the unpaired entry.
+    The sieve runs on label arrays: each batch (the sample, or the merges
+    of one sweep) is placed at once, in order.  The minimum-alpha bucket
+    is stable-sorted by key and swept in _pair_order, with one
+    rng.random(npairs) call for the extraction coins; merges that stay at
+    the same alpha carry into the next sweep with the unpaired entry.
+    This is the per-qubit loop's order and coin stream: when max_targets
+    is reached mid-sweep, the generator is rewound to before the sweep's
+    draw and draws only the coins of the merges made.
 
     Raises SieveExhaustedError when the buckets empty with no target."""
     if budget < 2:
         raise ValueError("budget must be at least 2")
+    if max_targets is not None and max_targets < 1:
+        raise ValueError("max_targets must be at least 1")
     stats = SieveStats()
-    targets, buckets = [], defaultdict(list)
-    zero = backend.oracle.ctx.zero
+    rng, mod = backend.rng, backend.oracle.ctx.modulus
+    hits, buckets = [], defaultdict(list)
+    held = 0
 
-    def place(q):
-        """Drop label 0, collect a target, bucket anything else by alpha
-        under its key; True once max_targets are held."""
-        if q.label == zero:
-            return False
-        if obj.needs_flip(q.label):
-            q = negate_label(q)
-        if target(q.label):
-            targets.append(q)
-            return max_targets is not None and len(targets) >= max_targets
-        alpha, key = obj.rank(q.label)
-        buckets[alpha].append((key, q))
-        return False
+    def place(labels, classical):
+        """Drop zero labels, orient the rest, set targets aside and bucket
+        the others by alpha.  Returns None, or how many leading entries
+        were placed when the max_targets-th target arrived."""
+        nonlocal held
+        keep = labels.reshape(len(labels), -1).any(axis=1)
+        labels, classical = labels[keep], classical[keep]
+        flip, alpha = obj.score(labels)
+        labels[flip] = -labels[flip] % mod
+        hit = alpha >= min_alpha
+        at = np.flatnonzero(hit)
+        stop = max_targets is not None and held + len(at) >= max_targets
+        if stop:
+            at = at[:max_targets - held]
+        hits.append((labels[at], classical[at]))
+        held += len(at)
+        if stop:
+            return int(np.flatnonzero(keep)[at[-1]]) + 1
+        rest = ~hit
+        labels, classical, alpha = labels[rest], classical[rest], alpha[rest]
+        for a in np.bincount(alpha).nonzero()[0].tolist():
+            sel = alpha == a
+            buckets[a].append((labels[sel], classical[sel]))
+        return None
 
-    for q in sample_batch(backend, budget):
-        if place(q):
-            return targets, stats
+    def targets():
+        return PhaseList(np.concatenate([h[0] for h in hits]),
+                         np.concatenate([h[1] for h in hits]),
+                         backend).qubits()
+
+    if place(*sample_batch(backend, budget).take()) is not None:
+        return targets(), stats
     while buckets:
         v = min(buckets)
-        group = buckets.pop(v)
-        while len(group) >= 2:
-            group.sort(key=itemgetter(0))
-            stats.work += len(group)
-            left, right = _pair_order([_match_len(a[0], b[0])
-                                       for a, b in zip(group, group[1:])])
-            for i, j in zip(left.tolist(), right.tolist()):
-                stats.combines += 1
-                stats.work += 1
-                if place(combine(group[i][1], group[j][1])):
-                    return targets, stats
-            lone = np.ones(len(group), dtype=bool)
+        chunks = buckets.pop(v)
+        while True:
+            labels = np.concatenate([c[0] for c in chunks])
+            classical = np.concatenate([c[1] for c in chunks])
+            if len(labels) < 2:
+                break
+            keys = obj.keys(labels, v)
+            order = np.lexsort(keys.T[::-1])
+            left, right = _pair_order(_key_depths(keys[order]))
+            left, right = order[left], order[right]
+            stats.work += len(labels)
+            # the state to rewind to, when this sweep may reach max_targets
+            state = (rng.bit_generator.state if max_targets is not None
+                     and held + len(left) >= max_targets else None)
+            minus = rng.random(len(left)) >= backend.coin_bias
+            other = labels[right]
+            other[minus] = -other[minus]
+            made = place((labels[left] + other) % mod,
+                         classical[left] | classical[right])
+            if made is not None:
+                rng.bit_generator.state = state
+                rng.random(made)
+                stats.combines += made
+                stats.work += made
+                return targets(), stats
+            stats.combines += len(left)
+            stats.work += len(left)
+            lone = np.ones(len(labels), dtype=bool)
             lone[left] = lone[right] = False
-            group = (buckets.pop(v, [])
-                     + [group[i] for i in np.flatnonzero(lone)])
-    if not targets:
+            chunks = buckets.pop(v, []) + [(labels[lone], classical[lone])]
+    if not held:
         raise SieveExhaustedError("greedy sieve exhausted with no target")
-    return targets, stats
+    return targets(), stats
 
 
 def default_radix_budget(r, n):
@@ -212,11 +283,10 @@ def run_radix_recovery(backend, r, n, budget=None, scale=1):
         budget = default_radix_budget(r, n)
     budget *= scale
     obj = RadixObjective(r)
-    step = N // r
     want = max(5, tomography_copies_needed(r))
     targets, stats = run_passes(
-        lambda held: greedy_sieve(backend, obj, lambda k: k % step == 0,
-                                  budget, max_targets=4 * want - held),
+        lambda held: greedy_sieve(backend, obj, n - 1, budget,
+                                  max_targets=4 * want - held),
         tomography_copies_needed(r))
     return tomography_mod_r(targets, r), stats
 

@@ -27,6 +27,11 @@ class GroupCtx:
     # the rotation exponents Z/N, with the operations AbelianGroupSpec has
     zero = 0
 
+    @property
+    def modulus(self):
+        """N, which reduces a label array."""
+        return self.N
+
     def reduce(self, b):
         return b % self.N
 
@@ -105,12 +110,25 @@ class AbelianGroupSpec:
             total += ((a * b) % n) / n
         return total % 1.0
 
+    @property
+    def modulus(self):
+        """The orders as an array, which reduces a (count, rank) label
+        matrix row by row: int64 while every order fits in 62 bits."""
+        if all(n.bit_length() <= 62 for n in self.orders):
+            return np.array(self.orders, dtype=np.int64)
+        return np.array(self.orders, dtype=object)
+
     def random_elements(self, rng, count):
-        """count uniform tuples, one element after another, as an array
-        whose tolist() gives the tuples."""
-        return np.fromiter(
-            (tuple(random_below(rng, n) for n in self.orders)
-             for _ in range(count)), dtype=object, count=count)
+        """count uniform elements, one after another, as the rows of a
+        (count, rank) matrix.  One rng.integers call draws them all when
+        every order fits in 62 bits; it takes the same values, and leaves
+        the same generator state, as a random_below call per coordinate."""
+        mod = self.modulus
+        if mod.dtype != object:
+            return rng.integers(0, mod, size=(count, self.rank))
+        rows = [[random_below(rng, n) for n in self.orders]
+                for _ in range(count)]
+        return np.array(rows, dtype=object).reshape(count, self.rank)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .phase import (
     PhaseQubit,
     combine,
     cosine_observe,
-    sample_measure_batch,
+    sample_batch,
     tomography_mod_r,
 )
 from .staged import run_staged_parity, staged_config
@@ -185,7 +185,8 @@ def _check_joint_law(name, make, samples, cases, law):
     worst = 0.0
     per = samples // len(cases)
     for N, s in cases:
-        labels, bits = sample_measure_batch(make(N, s), per)
+        sample = sample_batch(make(N, s), per)
+        labels, bits = sample.labels, sample.measure_pm()
         emp = np.zeros((N, 2))
         np.add.at(emp, (labels, bits), 1.0)
         emp /= per

@@ -69,31 +69,81 @@ class PhaseBackend:
 
 def _draw(backend, count):
     """The one draw behind every sampler: count oracle queries, then the
-    corruption flags (None unless the rate is positive), then count
-    uniform labels.  Returns (labels, flags)."""
+    corruption flags (drawn only when the rate is positive), then count
+    uniform labels.  Returns (labels, classical mask)."""
     o = backend.oracle
     o._counter.bump(count)
     rate = float(o.corruption_rate)
-    flags = backend.rng.random(count) < rate if rate > 0.0 else None
-    return o.ctx.random_elements(backend.rng, count), flags
+    if rate > 0.0:
+        classical = backend.rng.random(count) < rate
+    else:
+        classical = np.zeros(count, dtype=bool)
+    return o.ctx.random_elements(backend.rng, count), classical
+
+
+class PhaseList:
+    """Phase qubits held as columns: the labels (int64 on D_N up to 62
+    bits, an object array past that, a (count, rank) matrix on an
+    abelian group), the classical mask of corrupted qubits, and the
+    backend.  Labels are classical information, readable at any time;
+    the qubits are consumed whole, by take, qubits or measure_pm, and a
+    second use raises QubitConsumedError."""
+
+    __slots__ = ("labels", "classical", "backend", "consumed")
+
+    def __init__(self, labels, classical, backend):
+        self.labels = labels
+        self.classical = classical
+        self.backend = backend
+        self.consumed = False
+
+    def take(self):
+        """Consume the list: its (labels, classical mask)."""
+        if self.consumed:
+            raise QubitConsumedError("phase list already consumed")
+        self.consumed = True
+        return self.labels, self.classical
+
+    def qubits(self):
+        """Consume the list as PhaseQubits, abelian labels as tuples."""
+        labels, classical = self.take()
+        be = self.backend
+        rows = labels.tolist()
+        if labels.ndim == 2:
+            rows = map(tuple, rows)
+        if not classical.any():
+            return [PhaseQubit(k, be) for k in rows]
+        return [PhaseQubit(k, be, c) for k, c in zip(rows, classical.tolist())]
+
+    def measure_pm(self):
+        """Measure every qubit in the |+>/|-> basis with one
+        rng.random(count) draw: outcome 0 ("+") has probability
+        cos^2(pi k s / N), a fair coin on a classical qubit; the law of
+        measure_pm on each.  Dihedral lists only.  Returns the outcomes,
+        an int64 array."""
+        labels, classical = self.take()
+        be = self.backend
+        ctx = be.oracle.ctx
+        if not isinstance(ctx, GroupCtx):
+            raise TypeError("list measurement applies to dihedral backends")
+        dtype = np.int64 if ctx.N < 1 << 31 else object
+        k = labels.astype(dtype, copy=False)
+        turns = np.asarray(be.oracle._phase_turns(k), dtype=float)
+        p_plus = np.where(classical, 0.5, np.cos(np.pi * turns) ** 2)
+        return (be.rng.random(len(k)) >= p_plus).astype(np.int64)
 
 
 def sample_phase_qubit(backend):
     """Draw one phase qubit: uniform label, one oracle query; corrupted
     oracles yield a classical qubit with probability corruption_rate."""
-    labels, flags = _draw(backend, 1)
-    return PhaseQubit(labels.tolist()[0], backend,
-                      flags is not None and bool(flags[0]))
+    return PhaseList(*_draw(backend, 1), backend).qubits()[0]
 
 
 def sample_batch(backend, count):
-    """count phase qubits from one draw: the same law as count calls of
-    sample_phase_qubit, and the same draws when count is 1."""
-    labels, flags = _draw(backend, count)
-    if flags is None:
-        return [PhaseQubit(k, backend) for k in labels.tolist()]
-    return [PhaseQubit(k, backend, c)
-            for k, c in zip(labels.tolist(), flags.tolist())]
+    """count phase qubits from one draw, as a PhaseList: the same law as
+    count calls of sample_phase_qubit, and the same draws when count is
+    1."""
+    return PhaseList(*_draw(backend, count), backend)
 
 
 def combine(q1, q2, u=None):
@@ -210,28 +260,14 @@ def likelihood_readout(qs, labels, M, refs, cands, ll=None):
     ll = np.zeros(len(cands)) if ll is None else ll
     step = max(1, (1 << 20) // len(cands))
     for i in range(0, len(bits), step):
-        turns = (k[i:i + step] * cands - kt[i:i + step]) % M / M
-        p = np.cos(np.pi * np.asarray(turns, dtype=float)) ** 2
-        p = np.clip(p, _P_CLIP, 1 - _P_CLIP)
+        # one integer and one float block, each updated in place
+        turns = k[i:i + step] * cands
+        turns -= kt[i:i + step]
+        turns %= M
+        p = np.asarray(turns / M, dtype=float)
+        p *= np.pi
+        np.square(np.cos(p, out=p), out=p)
+        np.clip(p, _P_CLIP, 1 - _P_CLIP, out=p)
         for col, bit in zip(p.T, bits[i:i + step]):
             ll += np.log(col) if bit else np.log(1 - col)
     return ll
-
-
-def sample_measure_batch(backend, count):
-    """Fast path for the verification suite: count independent draws of
-    (label, measure_pm outcome), vectorized.
-
-    Same probability law as sample_phase_qubit followed by measure_pm:
-    outcome 0 has probability cos^2(pi k s / N).  Costs count queries."""
-    o = backend.oracle
-    if not isinstance(o.ctx, GroupCtx):
-        raise TypeError("batch sampling is dihedral-only")
-    if o.ctx.N.bit_length() > 30:
-        raise ValueError("batch path is for small N")
-    labels, flags = _draw(backend, count)
-    p_plus = np.cos(np.pi * o._phase_turns(labels)) ** 2
-    if flags is not None:
-        p_plus = np.where(flags, 0.5, p_plus)
-    bits = (backend.rng.random(count) >= p_plus).astype(np.int64)
-    return labels, bits

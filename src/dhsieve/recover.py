@@ -265,14 +265,11 @@ def _coordinate_slope(o, A, j, rng, budget):
         raise ValueError(
             "per-coordinate likelihood readout is limited to orders <= 4096;"
             " large coordinates are only supported in rank-1 groups")
+    # coordinate j read last: full_score is a label supported on it alone
     obj = CoordinateObjective(
         A.orders, tuple([i for i in range(rank) if i != j] + [j]))
-
-    def target(k):
-        return k[j] != 0 and all(v == 0 for i, v in enumerate(k) if i != j)
-
     backend = PhaseBackend(o, rng=rng)
-    targets, _ = greedy_sieve(backend, obj, target, budget,
+    targets, _ = greedy_sieve(backend, obj, obj.full_score, budget,
                               max_targets=_COORDINATE_COPIES)
     refs = [(t, tuple(t if i == j else 0 for i in range(rank)))
             for t in sorted({0, max(1, Nj // 4), max(1, Nj // 3)})]

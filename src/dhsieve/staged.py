@@ -121,7 +121,7 @@ def _parity_pass(backend, size, windows, top):
     each stage matches one bit window and keeps the differences, and a
     list that empties ends the pass.  Returns the first psi_top of the
     final list (as a list of at most one) and the pass's list sizes."""
-    current = sample_batch(backend, size)
+    current = sample_batch(backend, size).qubits()
     sizes = [len(current)]
     for window in windows:
         pairs, _leftovers = match_by_suffix(current, window)
@@ -214,7 +214,7 @@ def _interval_pass(backend, size, widths):
         return pool
 
     current = route(_normalize_halfrange(q, N)
-                    for q in sample_batch(backend, size))
+                    for q in sample_batch(backend, size).qubits())
     for width in widths:
         buckets = defaultdict(list)
         for q in current:

@@ -24,7 +24,7 @@ from dhsieve.phase import (
     PhaseBackend,
     PhaseQubit,
     cosine_observe,
-    sample_measure_batch,
+    sample_batch,
 )
 from dhsieve.recover import (
     recover_slope_general,
@@ -144,7 +144,8 @@ def test_05_backend_matches_exact_simulation():
         for s in range(N):
             be = PhaseBackend(make_reflection_oracle(GroupCtx(N), s),
                               rng=rng)
-            labels, bits = sample_measure_batch(be, samples)
+            sample = sample_batch(be, samples)
+            labels, bits = sample.labels, sample.measure_pm()
             emp = np.zeros((N, 2))
             np.add.at(emp, (labels, bits), 1.0)
             emp /= samples

@@ -6,6 +6,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import itemgetter
 
 import numpy as np
@@ -17,10 +18,8 @@ from dhsieve.errors import SieveExhaustedError
 from dhsieve.greedy import (
     CoordinateObjective,
     RadixObjective,
-    _match_len,
     _pair_order,
     _race_bucket,
-    alpha_abelian,
     alpha_radix,
     cancellation_race,
     default_radix_budget,
@@ -28,9 +27,9 @@ from dhsieve.greedy import (
     race_key,
     run_radix_recovery,
 )
-from dhsieve.group import GroupCtx
+from dhsieve.group import AbelianGroupSpec, GroupCtx
 from dhsieve.harness import _random_labels
-from dhsieve.oracle import make_reflection_oracle
+from dhsieve.oracle import HidingOracle, make_reflection_oracle
 from dhsieve.phase import (
     PhaseBackend,
     combine,
@@ -59,36 +58,66 @@ def test_alpha_radix_valuation(k, r):
     assert k % r ** a == 0 and (k // r ** a) % r != 0
 
 
+def _alpha_abelian(k, orders):
+    """The scalar coordinate score CoordinateObjective.score computes on
+    arrays, kept as its reference: credit for each zeroed leading
+    coordinate, discounted by the magnitude of the first nonzero one;
+    first-nonzero-in-the-last-slot (or zero) scores full."""
+    a = len(orders)
+    b = next((j for j, v in enumerate(k) if v != 0), a - 1)
+    coord_bits = [math.ceil(1 + math.log2(n + 1)) for n in orders]
+    if b == a - 1:
+        return sum(coord_bits)
+    return sum(coord_bits[: b + 1]) - math.ceil(math.log2(k[b] + 1))
+
+
+def _match_len(k1, k2):
+    m = 0
+    for a, b in zip(k1, k2):
+        if a != b:
+            break
+        m += 1
+    return m
+
+
+def _key_tuples(keys):
+    """The digit tuples of a key matrix: each row without its -1 padding."""
+    return [tuple(d for d in row if d >= 0) for row in keys.tolist()]
+
+
 def test_alpha_abelian_frozen():
-    A = (5, 7)
-    assert alpha_abelian((2, 3), A) == 2
-    assert alpha_abelian((0, 3), A) == 8
-    assert alpha_abelian((1, 0), A) == 3
-    assert alpha_abelian((0, 0), A) == 8
+    # (4, 0) flips to (1, 0) before it is scored
+    obj = CoordinateObjective((5, 7), (0, 1))
+    flip, alpha = obj.score(np.array([(2, 3), (0, 3), (1, 0), (4, 0)]))
+    assert flip.tolist() == [False, False, False, True]
+    assert alpha.tolist() == [2, 8, 3, 3] and obj.full_score == 8
+    assert [_alpha_abelian(k, (5, 7)) for k in ((2, 3), (0, 3), (1, 0))] \
+        == [2, 8, 3]
 
 
 def test_objective_canonicalization():
-    obj = RadixObjective(3)
-    assert not obj.needs_flip(9)       # leading digit 1
-    assert obj.needs_flip(18)          # leading digit 2 -> negate
-    obj_a = CoordinateObjective((16, 9), (0, 1))
-    assert obj_a.needs_flip((12, 3))
-    assert not obj_a.needs_flip((4, 8))
+    flip, alpha = RadixObjective(3).score(np.array([9, 18]))
+    assert flip.tolist() == [False, True]   # leading digit 1, 2 -> negate
+    assert alpha.tolist() == [2, 2]
+    flip, _ = CoordinateObjective((16, 9), (0, 1)).score(
+        np.array([(12, 3), (4, 8)]))
+    assert flip.tolist() == [True, False]
 
 
 def test_objective_key_orders_by_low_digits():
     obj = RadixObjective(2)
     # 0b0101 and 0b1101 share two low bits beyond alpha=0
-    k1, k2, k3 = 0b0101, 0b1101, 0b0011
-    key1, key2, key3 = (obj.rank(k)[1] for k in (k1, k2, k3))
+    key1, key2, key3 = _key_tuples(obj.keys(np.array([0b0101, 0b1101,
+                                                      0b0011]), 0))
     assert key1[:2] == key2[:2]
     assert key1[:2] != key3[:2]
 
 
 @dataclass
 class _ReferenceObjective:
-    """The single objective the two above replace, kept as a reference:
-    a kind switch between radix(r) and the permuted coordinate score."""
+    """The per-label objective the two array objectives follow, kept as a
+    reference: a kind switch between radix(r) and the permuted
+    coordinate score."""
 
     kind: str
     r: int = 2
@@ -103,7 +132,7 @@ class _ReferenceObjective:
     def alpha(self, label):
         if self.kind == "radix":
             return alpha_radix(label, self.r)
-        return alpha_abelian(self._view(label), self.orders)
+        return _alpha_abelian(self._view(label), self.orders)
 
     def needs_flip(self, label):
         if self.kind == "radix":
@@ -129,12 +158,21 @@ class _ReferenceObjective:
         return tuple(label[b:])
 
 
-@given(st.integers(1, 10 ** 12), st.sampled_from([2, 3, 5]))
-def test_radix_objective_matches_reference(k, r):
+@given(st.lists(st.integers(1, 3 ** 40), min_size=1, max_size=12),
+       st.sampled_from([2, 3, 5]), st.booleans())
+def test_radix_objective_matches_reference(ks, r, wide):
+    # int64 labels, and object labels past 62 bits
     ref = _ReferenceObjective("radix", r=r)
-    obj = RadixObjective(r)
-    assert obj.needs_flip(k) == ref.needs_flip(k)
-    assert obj.rank(k) == (ref.alpha(k), ref.key(k))
+    ks = [k % (1 << 62) or 1 for k in ks] if not wide else ks
+    labels = np.array(ks, dtype=object if wide else np.int64)
+    flip, alpha = RadixObjective(r).score(labels)
+    assert flip.tolist() == [ref.needs_flip(k) for k in ks]
+    assert alpha.tolist() == [ref.alpha(k) for k in ks]
+    for v in set(alpha.tolist()):
+        same = [k for k in ks if ref.alpha(k) == v]
+        keys = RadixObjective(r).keys(np.array(same, dtype=labels.dtype), v)
+        assert keys.dtype == np.int64
+        assert _key_tuples(keys) == [ref.key(k) for k in same]
 
 
 _COORDINATE_CASES = [(orders, perm)
@@ -142,15 +180,26 @@ _COORDINATE_CASES = [(orders, perm)
                      for perm in itertools.permutations(range(len(orders)))]
 
 
+def _coordinate_reference(orders, perm):
+    return _ReferenceObjective(
+        "abelian", orders=tuple(orders[i] for i in perm), perm=perm)
+
+
 @given(st.data())
 def test_coordinate_objective_matches_reference(data):
     orders, perm = data.draw(st.sampled_from(_COORDINATE_CASES))
-    label = tuple(data.draw(st.integers(0, n - 1)) for n in orders)
-    ref = _ReferenceObjective(
-        "abelian", orders=tuple(orders[i] for i in perm), perm=perm)
+    ref = _coordinate_reference(orders, perm)
+    A = AbelianGroupSpec(orders)
+    rows = data.draw(st.lists(
+        st.tuples(*(st.integers(0, n - 1) for n in orders)).filter(any),
+        min_size=1, max_size=12))
     obj = CoordinateObjective(orders, perm)
-    assert obj.needs_flip(label) == ref.needs_flip(label)
-    assert obj.rank(label) == (ref.alpha(label), ref.key(label))
+    flip, alpha = obj.score(np.array(rows))
+    assert flip.tolist() == [ref.needs_flip(k) for k in rows]
+    oriented = [A.neg(k) if f else k for k, f in zip(rows, flip.tolist())]
+    assert alpha.tolist() == [ref.alpha(k) for k in oriented]
+    assert _key_tuples(obj.keys(np.array(rows), None)) == [ref.key(k)
+                                                           for k in rows]
 
 
 @given(st.integers(1, 1 << 30), st.integers(1, 1 << 30), st.integers(2, 6))
@@ -168,14 +217,16 @@ def test_r2_match_bonus(a, b, t):
 def test_greedy_sieve_budget_validation():
     obj = RadixObjective(2)
     with pytest.raises(ValueError):
-        greedy_sieve(backend(16, 5), obj, lambda k: False, 1)
+        greedy_sieve(backend(16, 5), obj, 4, 1)
+    with pytest.raises(ValueError):
+        greedy_sieve(backend(16, 5), obj, 4, 16, max_targets=0)
 
 
 def test_greedy_sieve_no_deadlock_tiny_budget():
     obj = RadixObjective(2)
     be = backend(16, 5, seed=1)
     try:
-        targets, st = greedy_sieve(be, obj, lambda k: k % 8 == 0, 2)
+        targets, st = greedy_sieve(be, obj, 3, 2)
         assert targets
     except SieveExhaustedError:
         pass  # also acceptable: never hangs
@@ -184,7 +235,7 @@ def test_greedy_sieve_no_deadlock_tiny_budget():
 def test_greedy_sieve_targets_and_stats():
     obj = RadixObjective(2)
     be = backend(1 << 10, 345, seed=2)
-    targets, st = greedy_sieve(be, obj, lambda k: k % (1 << 9) == 0, 1024)
+    targets, st = greedy_sieve(be, obj, 9, 1024)
     assert all(q.label == 1 << 9 for q in targets)
     assert all(not q.consumed for q in targets)
     assert be.oracle.queries == 1024
@@ -195,8 +246,7 @@ def test_greedy_sieve_pinned_record():
     # which returns exactly the 4 targets asked for
     obj = RadixObjective(3)
     be = backend(3 ** 6, 100, seed=11)
-    targets, st = greedy_sieve(be, obj, lambda k: k % 243 == 0, 300,
-                               max_targets=4)
+    targets, st = greedy_sieve(be, obj, 5, 300, max_targets=4)
     assert [q.label for q in targets] == [243] * 4
     assert (st.combines, st.work, be.oracle.queries) == (44, 258, 300)
 
@@ -206,89 +256,205 @@ def test_greedy_sieve_pinned_record_below_max_targets():
     # record, and the generator state after it, are pinned
     obj = RadixObjective(3)
     be = backend(3 ** 6, 100, seed=11)
-    targets, st = greedy_sieve(be, obj, lambda k: k % 243 == 0, 300,
-                               max_targets=50)
+    targets, st = greedy_sieve(be, obj, 5, 300, max_targets=50)
     assert [q.label for q in targets] == [243] * 25
     assert (st.combines, st.work, be.oracle.queries) == (220, 667, 300)
     assert be.rng.random() == 0.9739700411195548
 
 
-@pytest.mark.parametrize("k", [1, 4, 124])
-def test_greedy_sieve_stops_at_the_kth_target(k, monkeypatch):
-    # no combine runs after the k-th target arrives
-    calls, hits, at_kth = [], [], []
-    real_combine = greedy.combine
+def _reference_sieve(backend, ref, target, budget, max_targets=None):
+    """The per-qubit greedy loop greedy_sieve runs on arrays, kept as its
+    reference: every qubit is a PhaseQubit, oriented by negate_label,
+    tested by the target callback and ranked when it is placed; each
+    merge is one combine, placed as soon as it is made.  Returns
+    (targets, stats, whether the max_targets stop came before the last
+    merge of a sweep)."""
+    stats = SieveStats()
+    targets, buckets = [], defaultdict(list)
+    zero = backend.oracle.ctx.zero
 
-    def counting_combine(q1, q2):
-        calls.append(1)
-        return real_combine(q1, q2)
-
-    def target(label):
-        if label % 3 ** 7 == 0:
-            hits.append(label)
-            if len(hits) == k:
-                at_kth.append(len(calls))
-            return True
+    def place(q):
+        if q.label == zero:
+            return False
+        if ref.needs_flip(q.label):
+            q = negate_label(q)
+        if target(q.label):
+            targets.append(q)
+            return max_targets is not None and len(targets) >= max_targets
+        buckets[ref.alpha(q.label)].append((ref.key(q.label), q))
         return False
 
-    monkeypatch.setattr(greedy, "combine", counting_combine)
-    be = backend(3 ** 8, 4321, seed=1)
-    targets, st = greedy_sieve(be, RadixObjective(3), target, 1944,
-                               max_targets=k)
-    assert len(targets) == k and at_kth
-    assert len(calls) == st.combines == at_kth[0]
+    for q in sample_batch(backend, budget).qubits():
+        if place(q):
+            return targets, stats, False
+    while buckets:
+        v = min(buckets)
+        group = buckets.pop(v)
+        while len(group) >= 2:
+            group.sort(key=itemgetter(0))
+            stats.work += len(group)
+            left, right = _pair_order([_match_len(a[0], b[0])
+                                       for a, b in zip(group, group[1:])])
+            for n, (i, j) in enumerate(zip(left.tolist(), right.tolist())):
+                stats.combines += 1
+                stats.work += 1
+                if place(combine(group[i][1], group[j][1])):
+                    return targets, stats, n + 1 < len(left)
+            lone = np.ones(len(group), dtype=bool)
+            lone[left] = lone[right] = False
+            group = (buckets.pop(v, [])
+                     + [group[i] for i in np.flatnonzero(lone)])
+    if not targets:
+        raise SieveExhaustedError("greedy sieve exhausted with no target")
+    return targets, stats, False
+
+
+def _radix_case(r, n, t):
+    """(objective, reference, min_alpha, target callback) for labels
+    divisible by r^t on Z/r^n."""
+    return (RadixObjective(r), _ReferenceObjective("radix", r=r), t,
+            lambda k: k % r ** t == 0)
+
+
+def _coordinate_case(orders, perm):
+    """The same for labels supported on coordinate perm[-1] alone, the
+    target of the abelian solver."""
+    j = perm[-1]
+    obj = CoordinateObjective(orders, perm)
+    return (obj, _coordinate_reference(orders, perm), obj.full_score,
+            lambda k: k[j] != 0 and not any(k[:j] + k[j + 1:]))
+
+
+def _assert_sieves_agree(ctx, case, seed, budget, max_targets=None,
+                         coin_bias=0.5, corrupted=False):
+    """greedy_sieve against _reference_sieve on twin backends: the same
+    target labels and classical flags, combines, work, queries and next
+    generator draw, or both exhausted.  Returns whether the reference
+    stopped before the last merge of a sweep."""
+    obj, ref, min_alpha, target = case
+    s = ctx.reduce(ctx.random_elements(np.random.default_rng(seed), 1)
+                   .tolist()[0])
+
+    def make():
+        o = make_reflection_oracle(ctx, s)
+        if corrupted:
+            o = HidingOracle(ctx, s, None, corruption_rate=Fraction(1, 4))
+        return PhaseBackend(o, rng=np.random.default_rng(seed),
+                            coin_bias=coin_bias)
+
+    be, twin = make(), make()
+    try:
+        want, want_st, mid_sweep = _reference_sieve(twin, ref, target,
+                                                    budget, max_targets)
+    except SieveExhaustedError:
+        with pytest.raises(SieveExhaustedError):
+            greedy_sieve(be, obj, min_alpha, budget, max_targets)
+        mid_sweep = False
+    else:
+        got, st = greedy_sieve(be, obj, min_alpha, budget, max_targets)
+        assert ([(q.label, q.classical) for q in got]
+                == [(q.label, q.classical) for q in want])
+        assert (st.combines, st.work) == (want_st.combines, want_st.work)
+        assert all(not q.consumed and q.backend is be for q in got)
+    assert be.oracle.queries == twin.oracle.queries == budget
+    assert be.rng.random() == twin.rng.random()
+    return mid_sweep
+
+
+# (group, case, budget, max_targets, coin_bias, corrupted); every case
+# with max_targets stops mid-sweep at some seed (checked below)
+_SIEVE_TABLE = [
+    (GroupCtx(2 ** 10), _radix_case(2, 10, 9), 300, None, 0.5, False),
+    (GroupCtx(2 ** 10), _radix_case(2, 10, 6), 300, 7, 0.5, False),
+    (GroupCtx(3 ** 6), _radix_case(3, 6, 5), 300, None, 0.5, False),
+    (GroupCtx(3 ** 6), _radix_case(3, 6, 4), 300, 9, 0.3, False),
+    (GroupCtx(3 ** 6), _radix_case(3, 6, 4), 300, None, 0.5, True),
+    (GroupCtx(3 ** 6), _radix_case(3, 6, 4), 300, 6, 0.5, True),
+    (GroupCtx(5 ** 4), _radix_case(5, 4, 3), 120, None, 0.5, False),
+    (GroupCtx(5 ** 4), _radix_case(5, 4, 2), 120, 5, 0.3, True),
+    (GroupCtx(3 ** 40), _radix_case(3, 40, 4), 300, None, 0.5, False),
+    (GroupCtx(3 ** 40), _radix_case(3, 40, 5), 300, 3, 0.5, True),
+    (AbelianGroupSpec((16, 9)), _coordinate_case((16, 9), (0, 1)), 300,
+     None, 0.5, False),
+    (AbelianGroupSpec((16, 9)), _coordinate_case((16, 9), (1, 0)), 300, 40,
+     0.3, True),
+    (AbelianGroupSpec((4, 4, 3)), _coordinate_case((4, 4, 3), (2, 0, 1)),
+     200, None, 0.3, True),
+    (AbelianGroupSpec((4, 4, 3)), _coordinate_case((4, 4, 3), (0, 1, 2)),
+     200, 8, 0.5, False),
+]
+
+
+@pytest.mark.parametrize("row", range(len(_SIEVE_TABLE)))
+def test_greedy_sieve_matches_reference_table(row):
+    ctx, case, budget, max_targets, coin_bias, corrupted = _SIEVE_TABLE[row]
+    mid = [_assert_sieves_agree(ctx, case, seed, budget, max_targets,
+                                coin_bias, corrupted) for seed in range(4)]
+    assert any(mid) == (max_targets is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_greedy_sieve_matches_reference(data):
+    # both objectives: radix r in {2, 3, 5} up to 3^40, every coordinate
+    # case; with and without max_targets, honest and biased coins,
+    # corrupted oracles
+    if data.draw(st.booleans()):
+        r = data.draw(st.sampled_from([2, 3, 5]))
+        n = data.draw(st.sampled_from([2, 4, 6, 9, 40]))
+        ctx = GroupCtx(r ** n)
+        case = _radix_case(r, n, data.draw(st.integers(1, min(n - 1, 5))))
+    else:
+        orders, perm = data.draw(st.sampled_from(_COORDINATE_CASES))
+        ctx, case = AbelianGroupSpec(orders), _coordinate_case(orders, perm)
+    _assert_sieves_agree(
+        ctx, case, data.draw(st.integers(0, 2 ** 32)),
+        data.draw(st.integers(2, 200)),
+        data.draw(st.one_of(st.none(), st.integers(1, 12))),
+        data.draw(st.sampled_from([0.5, 0.3])), data.draw(st.booleans()))
+
+
+@pytest.mark.parametrize("k", [1, 4, 124])
+def test_greedy_sieve_stops_at_the_kth_target(k):
+    # the sieve stops at the k-th target, mid-sweep: the generator state
+    # there, and the combines made, are the per-qubit loop's
+    def make():
+        return backend(3 ** 8, 4321, seed=1)
+
+    be, twin = make(), make()
+    want, want_st, mid_sweep = _reference_sieve(
+        twin, _ReferenceObjective("radix", r=3), lambda l: l % 3 ** 7 == 0,
+        1944, max_targets=k)
+    targets, st = greedy_sieve(be, RadixObjective(3), 7, 1944, max_targets=k)
+    assert len(targets) == len(want) == k and mid_sweep
+    assert (st.combines, st.work) == (want_st.combines, want_st.work)
+    assert be.rng.bit_generator.state == twin.rng.bit_generator.state
 
 
 def test_greedy_sieve_stops_in_the_first_placement():
     # at 3^3 sampled labels already hit the target: the sieve stops while
     # placing the sample, before any combine
     be = backend(3 ** 3, 7, seed=5)
-    targets, st = greedy_sieve(be, RadixObjective(3), lambda k: k % 9 == 0,
-                               200, max_targets=3)
+    targets, st = greedy_sieve(be, RadixObjective(3), 2, 200, max_targets=3)
     assert [q.label for q in targets] == [9] * 3
     assert (st.combines, be.oracle.queries) == (0, 200)
-
-
-
-def _callback_sieve(backend, obj, target, budget):
-    """greedy_sieve with no max_targets, run on the callback loop."""
-    targets, stats = [], SieveStats()
-
-    def place(q):
-        if q.label == backend.oracle.ctx.zero:
-            return None
-        if obj.needs_flip(q.label):
-            q = negate_label(q)
-        if target(q.label):
-            targets.append(q)
-            return None
-        return (*obj.rank(q.label), q)
-
-    _pairing_race(sample_batch(backend, budget), place, combine, stats)
-    return targets, stats
 
 
 @pytest.mark.parametrize("r, n, t, budget", [(2, 10, 9, 300), (3, 6, 5, 300),
                                              (5, 4, 3, 120)])
 def test_greedy_sieve_matches_callback_loop(r, n, t, budget):
-    # the same targets, stats and generator state as the callback loop
-    target = lambda k: k % r ** t == 0
+    # the same targets, stats and generator state as the per-qubit loop,
+    # which places every qubit through a callback
     for seed in range(6):
-        be, twin = (backend(r ** n, 100 + seed, seed) for _ in range(2))
-        ref, ref_st = _callback_sieve(twin, RadixObjective(r), target, budget)
-        try:
-            got, st = greedy_sieve(be, RadixObjective(r), target, budget)
-        except SieveExhaustedError:
-            got, st = [], ref_st
-        assert [q.label for q in got] == [q.label for q in ref]
-        assert (st.combines, st.work) == (ref_st.combines, ref_st.work)
-        assert be.rng.random() == twin.rng.random()
+        _assert_sieves_agree(GroupCtx(r ** n), _radix_case(r, n, t),
+                             100 + seed, budget)
+
 
 def test_greedy_quasilinear_work():
     obj = RadixObjective(2)
     budget = 4096
     be = backend(1 << 16, 54321, seed=3)
-    _, st = greedy_sieve(be, obj, lambda k: k % (1 << 15) == 0, budget)
+    _, st = greedy_sieve(be, obj, 15, budget)
     assert st.work <= 40 * budget * math.log2(budget)
 
 
@@ -301,8 +467,7 @@ def test_greedy_hit_rate_large_budget():
         be = PhaseBackend(make_reflection_oracle(GroupCtx(1 << 16), s), rng=rng)
         obj = RadixObjective(2)
         try:
-            t, _ = greedy_sieve(be, obj, lambda k: k % (1 << 15) == 0,
-                                3 * 8 ** 4, max_targets=1)
+            t, _ = greedy_sieve(be, obj, 15, 3 * 8 ** 4, max_targets=1)
             hits += bool(t)
         except SieveExhaustedError:
             pass
@@ -572,7 +737,7 @@ def test_radix_level_exhausts_after_max_passes(monkeypatch):
     # one target per pass never reaches the 31 copies tomography needs
     calls = []
 
-    def one_target(backend, obj, target, budget, max_targets=None):
+    def one_target(backend, obj, min_alpha, budget, max_targets=None):
         calls.append(max_targets)
         return [None], SieveStats(combines=1)
 

@@ -141,8 +141,23 @@ def test_one_element_draw_is_random_below(N):
 
 
 def test_abelian_draw_is_element_by_element():
+    # past 62 bits the rows are drawn one coordinate at a time
     A = AbelianGroupSpec((16, 9, 2 ** 70))
     a, b = np.random.default_rng(12), np.random.default_rng(12)
     got = A.random_elements(a, 5).tolist()
-    assert got == [tuple(random_below(b, n) for n in A.orders)
+    assert got == [[random_below(b, n) for n in A.orders]
                    for _ in range(5)]
+
+
+@pytest.mark.parametrize("orders", [(16, 9), (1, 4), (3, 2 ** 40),
+                                    (2 ** 33, 5, 7)])
+def test_abelian_one_call_draw_is_the_random_below_loop(orders):
+    # one rng.integers call over the orders takes the values, and leaves
+    # the generator state, of a random_below call per coordinate
+    A = AbelianGroupSpec(orders)
+    a, b = np.random.default_rng(13), np.random.default_rng(13)
+    got = A.random_elements(a, 300)
+    assert got.dtype == np.int64 and got.shape == (300, len(orders))
+    assert got.tolist() == [[random_below(b, n) for n in orders]
+                            for _ in range(300)]
+    assert a.bit_generator.state == b.bit_generator.state

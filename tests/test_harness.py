@@ -314,6 +314,13 @@ UNREAD_FLAG_ARGV = [
     ["simulate", "--algorithm", "abelian", "--orders", "4,3", "--radix", "0"],
 ]
 
+# greedy radices below 2: the error names --radix
+RADIX_ARGV = [
+    ["simulate", "--algorithm", "greedy", "--radix", "0", "--n", "2"],
+    ["simulate", "--algorithm", "greedy", "--radix", "1", "--n", "3"],
+    ["simulate", "--algorithm", "greedy", "--radix", "-3", "--n", "2"],
+]
+
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--algorithm", "staged", "--n", "-1"],
@@ -347,6 +354,7 @@ UNREAD_FLAG_ARGV = [
     ["scaling", "--in", "{tmp}/budget-one.csv"],
     ["scaling", "--in", "{tmp}/negative.csv"],
     *UNREAD_FLAG_ARGV,
+    *RADIX_ARGV,
 ])
 def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "no-mean.csv").write_text(
@@ -375,6 +383,8 @@ def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
         assert flag in captured.err
     if argv in UNREAD_FLAG_ARGV:
         assert argv[-2] in captured.err
+    if argv in RADIX_ARGV:
+        assert "--radix" in captured.err
     if argv[-1].endswith(("budget-one.csv", "negative.csv")):
         assert ("row 1" if "budget" in argv[-1] else "row 2") in captured.err
     assert not (tmp_path / "sim.csv").exists()

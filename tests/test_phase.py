@@ -28,8 +28,8 @@ from dhsieve.phase import (
     likelihood_readout,
     measure_pm,
     negate_label,
+    PhaseList,
     sample_batch,
-    sample_measure_batch,
     sample_phase_qubit,
     tomography_copies_needed,
     tomography_mod_r,
@@ -48,7 +48,7 @@ def test_single_use():
     measure_pm(q)
     with pytest.raises(QubitConsumedError):
         measure_pm(q)
-    q2, q3 = sample_batch(be, 2)
+    q2, q3 = sample_batch(be, 2).qubits()
     combine(q2, q3)
     with pytest.raises(QubitConsumedError):
         cosine_observe(q2, 0)
@@ -104,7 +104,7 @@ def test_one_qubit_sample_is_a_batch_of_one(ctx):
     flags = set()
     for _ in range(40):
         q = sample_phase_qubit(a)
-        [r] = sample_batch(b, 1)
+        [r] = sample_batch(b, 1).qubits()
         assert (q.label, q.classical) == (r.label, r.classical)
         assert type(q.classical) is bool and type(q.label) is type(r.label)
         assert a.oracle.queries == b.oracle.queries
@@ -117,7 +117,7 @@ def test_combine_label_arithmetic():
     be = backend(16, 5, seed=3)
     plus = minus = 0
     for _ in range(2000):
-        q1, q2 = sample_batch(be, 2)
+        q1, q2 = sample_batch(be, 2).qubits()
         k, l = q1.label, q2.label
         out = combine(q1, q2)
         if out.minus_branch:
@@ -160,7 +160,7 @@ def test_cosine_observe_law_vs_dense_states():
 def test_corrupted_qubits_are_coins():
     be = PhaseBackend(make_trivial_oracle(GroupCtx(16)),
                       rng=np.random.default_rng(6))
-    qs = sample_batch(be, 4000)
+    qs = sample_batch(be, 4000).qubits()
     assert all(q.classical for q in qs)
     ones = sum(measure_pm(q) for q in qs)
     assert abs(ones / 4000 - 0.5) < 4 * math.sqrt(0.25 / 4000)
@@ -322,10 +322,11 @@ def test_tomography_rejects_radix_below_2():
             tomography_mod_r([PhaseQubit(4, be)], r)
 
 
-def test_sample_measure_batch_same_law():
+def test_phase_list_measure_pm_same_law():
     N, s = 16, 9
     be = backend(N, s, seed=10)
-    labels, bits = sample_measure_batch(be, 50000)
+    sample = sample_batch(be, 50000)
+    labels, bits = sample.labels, sample.measure_pm()
     # label marginal uniform
     counts = np.bincount(labels, minlength=N) / 50000
     assert np.abs(counts - 1 / N).max() < 0.01
@@ -364,3 +365,63 @@ def test_measure_pm_is_one_minus_observe_at_zero(ctx, s, labels, classical):
             assert measure_pm(q) == 1 - cosine_observe(q2, ctx.zero)
     assert (twins[0].rng.bit_generator.state
             == twins[1].rng.bit_generator.state)
+
+
+def test_phase_list_is_consumed_whole():
+    # take, qubits and measure_pm each consume the whole list; a second
+    # use of any kind raises
+    uses = (PhaseList.take, PhaseList.qubits, PhaseList.measure_pm)
+    for first in uses:
+        for second in uses:
+            sample = sample_batch(backend(16, 5), 8)
+            first(sample)
+            with pytest.raises(QubitConsumedError):
+                second(sample)
+    assert len(sample.labels) == 8 and sample.consumed
+
+
+@pytest.mark.parametrize("ctx", [GroupCtx(97), GroupCtx(2 ** 70 + 5),
+                                 AbelianGroupSpec((16, 9))])
+def test_phase_list_columns(ctx):
+    # int64 labels up to 62 bits, an object array past that, a (count,
+    # rank) matrix on an abelian group; qubits() gives the labels as ints
+    # or tuples, with the corruption flags
+    o = HidingOracle(ctx, ctx.zero, None, corruption_rate=Fraction(1, 3))
+    be = PhaseBackend(o, rng=np.random.default_rng(9))
+    sample = sample_batch(be, 50)
+    assert sample.labels.dtype == (object if ctx == GroupCtx(2 ** 70 + 5)
+                                   else np.int64)
+    assert sample.labels.shape[1:] == (() if isinstance(ctx, GroupCtx)
+                                       else (2,))
+    qs = sample.qubits()
+    assert [q.label for q in qs] == [ctx.reduce(k)
+                                     for k in sample.labels.tolist()]
+    assert [q.classical for q in qs] == sample.classical.tolist()
+    assert {type(q.label) for q in qs} == {type(ctx.zero)}
+    assert all(q.backend is be for q in qs)
+
+
+@pytest.mark.parametrize("N", [16, 1 << 40])
+@pytest.mark.parametrize("corrupted", [False, True])
+def test_phase_list_measure_pm_is_measure_pm_on_each(N, corrupted):
+    # one rng.random(count) draw after the sample: the outcomes are those
+    # of measure_pm on each qubit fed the same uniforms, classical qubits
+    # included
+    def make():
+        o = make_reflection_oracle(GroupCtx(N), 5 * N // 16 + 3)
+        if corrupted:
+            o = HidingOracle(o.ctx, 0, None, corruption_rate=Fraction(1, 2))
+        return PhaseBackend(o, rng=np.random.default_rng(4))
+
+    a, b = make(), make()
+    sample = sample_batch(a, 400)
+    bits = sample.measure_pm()
+    qs = sample_batch(b, 400).qubits()
+    u = b.rng.random(400)
+    ref = []
+    for q, x in zip(qs, u.tolist()):
+        p_plus = 0.5 if q.classical else math.cos(
+            math.pi * q.backend.oracle._phase_turns(q.label)) ** 2
+        ref.append(int(x >= p_plus))
+    assert bits.tolist() == ref
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state

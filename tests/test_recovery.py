@@ -146,6 +146,32 @@ def test_general_pinned_queries(N, s, queries):
     assert N != 4095 or queries <= 15974
 
 
+@pytest.mark.parametrize("i, s, attempts, queries", [
+    (0, 716, 1, 8151), (1, 2981, 1, 7376), (2, 2738, 1, 7376)])
+def test_radix_pinned_queries(i, s, attempts, queries):
+    # a change to any draw of the greedy sieve, or to its pairing order,
+    # moves these counts (r = 3, n = 8; secrets from default_rng([3^8, i]))
+    N = 3 ** 8
+    assert int(np.random.default_rng([N, i]).integers(0, N)) == s
+    o = make_reflection_oracle(GroupCtx(N), s)
+    got, rep = recover_slope_radix(o, 3, 8, rng=np.random.default_rng([N, i, 1]))
+    assert (got, rep.attempts, rep.queries) == (s, attempts, queries)
+    assert o.queries == queries
+
+
+@pytest.mark.parametrize("i, s, attempts, queries", [
+    (0, (5, 7), 1, 1310), (1, (1, 1), 1, 1310), (2, (2, 6), 1, 1310)])
+def test_abelian_pinned_queries(i, s, attempts, queries):
+    # Z16 + Z9, secrets from default_rng([144, i]): each coordinate sieve
+    # samples abelian_budget = 654 labels, and the answer costs one
+    # verification pair
+    gen = np.random.default_rng([144, i])
+    assert tuple(int(gen.integers(0, n)) for n in (16, 9)) == s
+    p = make_shift_pair(AbelianGroupSpec((16, 9)), s)
+    got, rep = solve_abelian_shift(p, rng=np.random.default_rng([144, i, 1]))
+    assert (got, rep.attempts, rep.queries) == (s, attempts, queries)
+
+
 @pytest.mark.parametrize("N", [3 << 10, 3 << 14, 45 << 8])
 def test_general_with_power_of_two_factor(N):
     # N = 2^a M, M odd: the refinement reads s mod M and the parity

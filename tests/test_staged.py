@@ -19,6 +19,7 @@ from dhsieve.oracle import (
 )
 from dhsieve.phase import (
     PhaseBackend,
+    PhaseList,
     PhaseQubit,
     combine,
     cosine_observe,
@@ -96,7 +97,7 @@ def test_stage_invariant_trailing_zeros():
     # divisible by 2^hi
     n, N = 8, 256
     be = backend(N, 77, seed=3)
-    current = sample_batch(be, 1536)
+    current = sample_batch(be, 1536).qubits()
     for lo, hi in stage_windows(n, 3):
         pairs, _ = match_by_suffix(current, (lo, hi))
         nxt = []
@@ -136,7 +137,7 @@ def test_differences_batched_coins_match_reference_loop():
     def stage_pairs():
         o = splice_substring(SubstringInstance(256, 100), 36)
         be = PhaseBackend(o, rng=np.random.default_rng(11))
-        return match_by_suffix(sample_batch(be, 1536), (0, 3))[0], be
+        return match_by_suffix(sample_batch(be, 1536).qubits(), (0, 3))[0], be
 
     pairs, be = stage_pairs()
     ref_pairs, ref_be = stage_pairs()
@@ -225,7 +226,7 @@ def test_staged_parity_exhausts_after_the_pass_cap(monkeypatch):
 def _d2_draws(backend):
     """D_2 as 64 one-label draws, measuring the first psi_1."""
     for _ in range(64):
-        q = sample_batch(backend, 1)[0]
+        q = sample_batch(backend, 1).qubits()[0]
         if q.label == 1:
             return measure_pm(q)
     raise SieveExhaustedError("no psi_1 sampled in D_2")
@@ -248,8 +249,12 @@ def test_staged_parity_d2_exhausts_after_64_queries(monkeypatch):
     # label 1 never appears: 64 passes of one query each, then
     # SieveExhaustedError carrying their summed stats
     real = staged_mod.sample_batch
-    monkeypatch.setattr(staged_mod, "sample_batch", lambda backend, count: [
-        PhaseQubit(0, backend) for _ in real(backend, count)])
+
+    def zeros(backend, count):
+        sample = real(backend, count)
+        return PhaseList(0 * sample.labels, sample.classical, backend)
+
+    monkeypatch.setattr(staged_mod, "sample_batch", zeros)
     be = backend(2, 1)
     with pytest.raises(SieveExhaustedError) as info:
         run_staged_parity(be, 1)
@@ -317,7 +322,7 @@ def test_interval_sieve_calls_combine_per_pair(monkeypatch):
     # every bucket of normalized labels (0 and 1 routed out) pairs all
     # but one
     m, size, widths = interval_config(N)
-    labels = [min(q.label, N - q.label) for q in sample_batch(make(), size)]
+    labels = [min(k, N - k) for k in sample_batch(make(), size).labels.tolist()]
     buckets = Counter(k // widths[0] for k in labels if k > 1)
     seen = _count_sieve_calls(monkeypatch)
     be = make()
@@ -389,7 +394,7 @@ def test_unbiased_top_label():
     tops = finals = 0
     for _ in range(40):
         be = PhaseBackend(make_reflection_oracle(GroupCtx(N), 99), rng=rng)
-        current = sample_batch(be, 1536)
+        current = sample_batch(be, 1536).qubits()
         for lo, hi in stage_windows(n, 3):
             pairs, _ = match_by_suffix(current, (lo, hi))
             current = [out for kq, lq in pairs
