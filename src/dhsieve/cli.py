@@ -64,25 +64,19 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _rows_csv(dicts, fields):
+def _emit_rows(dicts, fields, args):
+    """Row dicts as --format asks: a JSON list, or CSV with these fields."""
+    if args.format == "json":
+        return _emit(json.dumps(dicts, indent=2) + "\n", args.out)
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     w.writeheader()
-    for d in dicts:
-        w.writerow(d)
-    return buf.getvalue()
+    w.writerows(dicts)
+    _emit(buf.getvalue(), args.out)
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return round(v, 6)
-    return v
-
-
-def _table1_dicts(rows):
-    return [{"budget": r.budget, "trials": r.trials, "mean": _fmt(r.mean),
-             "stddev": _fmt(r.stddev), "queries": r.queries,
-             "seconds": _fmt(r.seconds)} for r in rows]
+    return round(v, 6) if isinstance(v, float) else v
 
 
 def budgets(text):
@@ -119,11 +113,10 @@ def orders(text):
 def _cmd_table1(args):
     rows = run_table1(args.budgets, trials=args.trials, n_labels=args.labels,
                       rng=args.seed)
-    dicts = _table1_dicts(rows)
-    if args.format == "json":
-        _emit(json.dumps(dicts, indent=2) + "\n", args.out)
-    else:
-        _emit(_rows_csv(dicts, TABLE1_FIELDS), args.out)
+    _emit_rows([{"budget": r.budget, "trials": r.trials, "mean": _fmt(r.mean),
+                 "stddev": _fmt(r.stddev), "queries": r.queries,
+                 "seconds": _fmt(r.seconds)} for r in rows],
+               TABLE1_FIELDS, args)
     return 0
 
 
@@ -178,7 +171,9 @@ def _sim_trial(args, rng):
     if args.algorithm == "abelian":
         group, make = need(args.orders, "--orders"), make_shift_pair
     elif args.algorithm == "general":
-        group = GroupCtx(need(args.N, "--N"))
+        if need(args.N, "--N") < 1:
+            raise UsageError("--N must be >= 1")
+        group = GroupCtx(args.N)
     else:
         if need(args.n, "--n") < 0:
             raise UsageError("--n must be >= 0")
@@ -186,6 +181,8 @@ def _sim_trial(args, rng):
         radix = 2 if args.radix is None else args.radix
         if radix < 2:
             raise UsageError("--radix must be >= 2")
+        if args.budget is not None and args.budget < 2:
+            raise UsageError("--budget must be >= 2")
         group = GroupCtx(radix ** args.n)
     # reduce makes an abelian draw (a matrix row) the tuple it stands for
     s = group.reduce(group.random_elements(rng, 1).tolist()[0])
@@ -227,10 +224,7 @@ def _cmd_simulate(args):
                       "attempts": "" if rep is None else rep.attempts,
                       "queries": queries,
                       "seconds": _fmt(time.perf_counter() - t0)})
-    if args.format == "json":
-        _emit(json.dumps(dicts, indent=2) + "\n", args.out)
-    else:
-        _emit(_rows_csv(dicts, SIM_FIELDS), args.out)
+    _emit_rows(dicts, SIM_FIELDS, args)
     return 1 if failures else 0
 
 

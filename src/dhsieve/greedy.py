@@ -172,7 +172,7 @@ def greedy_sieve(backend, obj, min_alpha, budget, max_targets=None):
     the minimum-alpha bucket to maximize the alpha of the extracted label.
     Collects the nonzero labels (oriented as obj.score flips them) whose
     alpha is at least min_alpha as targets, and stops as soon as it holds
-    max_targets of them.  Returns (targets as PhaseQubits, SieveStats).
+    max_targets of them.  Returns (targets as a PhaseList, SieveStats).
 
     The sieve runs on label arrays: each batch (the sample, or the merges
     of one sweep) is placed at once, in order.  The minimum-alpha bucket
@@ -207,7 +207,7 @@ def greedy_sieve(backend, obj, min_alpha, budget, max_targets=None):
         stop = max_targets is not None and held + len(at) >= max_targets
         if stop:
             at = at[:max_targets - held]
-        hits.append((labels[at], classical[at]))
+        hits.append(PhaseList(labels[at], classical[at], backend))
         held += len(at)
         if stop:
             return int(np.flatnonzero(keep)[at[-1]]) + 1
@@ -218,13 +218,8 @@ def greedy_sieve(backend, obj, min_alpha, budget, max_targets=None):
             buckets[a].append((labels[sel], classical[sel]))
         return None
 
-    def targets():
-        return PhaseList(np.concatenate([h[0] for h in hits]),
-                         np.concatenate([h[1] for h in hits]),
-                         backend).qubits()
-
     if place(*sample_batch(backend, budget).take()) is not None:
-        return targets(), stats
+        return PhaseList.join(hits), stats
     while buckets:
         v = min(buckets)
         chunks = buckets.pop(v)
@@ -251,7 +246,7 @@ def greedy_sieve(backend, obj, min_alpha, budget, max_targets=None):
                 rng.random(made)
                 stats.combines += made
                 stats.work += made
-                return targets(), stats
+                return PhaseList.join(hits), stats
             stats.combines += len(left)
             stats.work += len(left)
             lone = np.ones(len(labels), dtype=bool)
@@ -259,7 +254,7 @@ def greedy_sieve(backend, obj, min_alpha, budget, max_targets=None):
             chunks = buckets.pop(v, []) + [(labels[lone], classical[lone])]
     if not held:
         raise SieveExhaustedError("greedy sieve exhausted with no target")
-    return targets(), stats
+    return PhaseList.join(hits), stats
 
 
 def default_radix_budget(r, n):

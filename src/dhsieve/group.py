@@ -42,8 +42,11 @@ class GroupCtx:
         return (-u) % self.N
 
     def turns(self, k, s):
-        """Phase of psi_k at slope s, as a fraction of a full turn."""
-        return ((k * s) % self.N) / self.N
+        """Phases of psi_k at slope s in turns, for an array k of labels and
+        s one slope or one per label; in Python ints once N >= 2^31."""
+        if self.N >= 1 << 31:
+            k, s = np.asarray(k, dtype=object), np.asarray(s, dtype=object)
+        return np.asarray(k * s % self.N / self.N, dtype=float)
 
     def random_elements(self, rng, count):
         """count uniform exponents, an array whose tolist() gives ints."""
@@ -104,10 +107,15 @@ class AbelianGroupSpec:
         return (0,) * self.rank
 
     def turns(self, k, s):
-        """Phase of psi_k at shift s, as a fraction of a full turn."""
+        """Phases of psi_k at shift s in turns, for a (count, rank) matrix
+        k of labels and s one shift or one per row; coordinates summed left
+        to right, in Python ints once an order reaches 2^31."""
+        if max(self.orders, default=0) >= 1 << 31:
+            k, s = np.asarray(k, dtype=object), np.asarray(s, dtype=object)
+        s = np.reshape(s, (-1, self.rank))
         total = 0.0
-        for a, b, n in zip(k, s, self.orders):
-            total += ((a * b) % n) / n
+        for j, n in enumerate(self.orders):
+            total = total + np.asarray(k[:, j] * s[:, j] % n / n, dtype=float)
         return total % 1.0
 
     @property

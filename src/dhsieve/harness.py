@@ -21,9 +21,11 @@ from .oracle import make_reflection_oracle
 from .group import GroupCtx
 from .phase import (
     PhaseBackend,
+    PhaseList,
     PhaseQubit,
     combine,
     cosine_observe,
+    measure_pm,
     sample_batch,
     tomography_mod_r,
 )
@@ -186,7 +188,7 @@ def _check_joint_law(name, make, samples, cases, law):
     per = samples // len(cases)
     for N, s in cases:
         sample = sample_batch(make(N, s), per)
-        labels, bits = sample.labels, sample.measure_pm()
+        labels, bits = sample.labels, measure_pm(sample)
         emp = np.zeros((N, 2))
         np.add.at(emp, (labels, bits), 1.0)
         emp /= per
@@ -200,10 +202,9 @@ def _check_cosine_freq(make, grid):
     per = _PER_CASE
     worst_sigma = 0.0
     for N, k, s, t in grid:
-        be = make(N, s)
-        hits = 0
-        for _ in range(per):
-            hits += cosine_observe(PhaseQubit(k, be), t)
+        copies = PhaseList(np.full(per, k), np.zeros(per, dtype=bool),
+                           make(N, s))
+        hits = int(cosine_observe(copies, t).sum())
         p = math.cos(math.pi * (((s - t) * k) % N) / N) ** 2
         sigma = math.sqrt(max(p * (1 - p), 1e-6) / per)
         worst_sigma = max(worst_sigma, abs(hits / per - p) / sigma)
@@ -274,9 +275,9 @@ def _check_parity_readout(make):
     N = 32
     bad = 0
     for s in (5, 12, 21, 30):
-        be = make(N, s)
-        qs = [PhaseQubit(N // 2, be) for _ in range(25)]
-        if tomography_mod_r(qs, 2) != s % 2:
+        copies = PhaseList(np.full(25, N // 2), np.zeros(25, dtype=bool),
+                           make(N, s))
+        if tomography_mod_r(copies, 2) != s % 2:
             bad += 1
     return CheckResult("parity tomography", bad == 0, bad, "0 mismatches")
 

@@ -86,8 +86,8 @@ class PhaseList:
     bits, an object array past that, a (count, rank) matrix on an
     abelian group), the classical mask of corrupted qubits, and the
     backend.  Labels are classical information, readable at any time;
-    the qubits are consumed whole, by take, qubits or measure_pm, and a
-    second use raises QubitConsumedError."""
+    the qubits are consumed whole, by take, qubits, join or an
+    observation, and a second use raises QubitConsumedError."""
 
     __slots__ = ("labels", "classical", "backend", "consumed")
 
@@ -97,6 +97,9 @@ class PhaseList:
         self.backend = backend
         self.consumed = False
 
+    def __len__(self):
+        return len(self.labels)
+
     def take(self):
         """Consume the list: its (labels, classical mask)."""
         if self.consumed:
@@ -105,38 +108,38 @@ class PhaseList:
         return self.labels, self.classical
 
     def qubits(self):
-        """Consume the list as PhaseQubits, abelian labels as tuples."""
+        """Consume a dihedral list as PhaseQubits with int labels."""
         labels, classical = self.take()
         be = self.backend
-        rows = labels.tolist()
-        if labels.ndim == 2:
-            rows = map(tuple, rows)
         if not classical.any():
-            return [PhaseQubit(k, be) for k in rows]
-        return [PhaseQubit(k, be, c) for k, c in zip(rows, classical.tolist())]
+            return [PhaseQubit(k, be) for k in labels.tolist()]
+        return [PhaseQubit(k, be, c)
+                for k, c in zip(labels.tolist(), classical.tolist())]
 
-    def measure_pm(self):
-        """Measure every qubit in the |+>/|-> basis with one
-        rng.random(count) draw: outcome 0 ("+") has probability
-        cos^2(pi k s / N), a fair coin on a classical qubit; the law of
-        measure_pm on each.  Dihedral lists only.  Returns the outcomes,
-        an int64 array."""
-        labels, classical = self.take()
-        be = self.backend
-        ctx = be.oracle.ctx
-        if not isinstance(ctx, GroupCtx):
-            raise TypeError("list measurement applies to dihedral backends")
-        dtype = np.int64 if ctx.N < 1 << 31 else object
-        k = labels.astype(dtype, copy=False)
-        turns = np.asarray(be.oracle._phase_turns(k), dtype=float)
-        p_plus = np.where(classical, 0.5, np.cos(np.pi * turns) ** 2)
-        return (be.rng.random(len(k)) >= p_plus).astype(np.int64)
+    @classmethod
+    def pack(cls, qubits, backend):
+        """Consume dihedral PhaseQubits into one list, labels typed as
+        sample_batch types them."""
+        for q in qubits:
+            q._consume()
+        dtype = object if backend.oracle.ctx.N.bit_length() > 62 else np.int64
+        return cls(np.array([q.label for q in qubits], dtype),
+                   np.array([q.classical for q in qubits], bool), backend)
+
+    @classmethod
+    def join(cls, parts):
+        """Consume lists of one backend into one, in order."""
+        cols = [p.take() for p in parts]
+        return cls(np.concatenate([c[0] for c in cols]),
+                   np.concatenate([c[1] for c in cols]), parts[0].backend)
 
 
 def sample_phase_qubit(backend):
     """Draw one phase qubit: uniform label, one oracle query; corrupted
     oracles yield a classical qubit with probability corruption_rate."""
-    return PhaseList(*_draw(backend, 1), backend).qubits()[0]
+    labels, classical = _draw(backend, 1)
+    return PhaseQubit(backend.oracle.ctx.reduce(labels.tolist()[0]),
+                      backend, classical.tolist()[0])
 
 
 def sample_batch(backend, count):
@@ -173,30 +176,31 @@ def negate_label(q):
                       classical=q.classical, minus_branch=q.minus_branch)
 
 
-def _observe(q, t):
-    """The one observation body: a coin that returns 1 with probability
-    cos^2(pi (s - t) k / N), or a fair coin on a classical qubit.
-    Consumes q."""
-    q._consume()
-    o = q.backend.oracle
-    if q.classical:
-        p_one = 0.5
-    else:
-        delta = o._phase_turns(q.label) - o.ctx.turns(q.label, t)
-        p_one = math.cos(math.pi * delta) ** 2
-    return 1 if q.backend.rng.random() < p_one else 0
+def _observe(plist, t):
+    """The one observation body: copy i returns 1 with probability
+    cos^2(pi (s - t_i) k_i / N), a fair coin on a classical copy, from
+    one rng.random(count) draw; t is one point or one point per copy.
+    Consumes the list; returns the bits, an int64 array."""
+    labels, classical = plist.take()
+    o = plist.backend.oracle
+    delta = o._phase_turns(labels) - o.ctx.turns(labels, t)
+    p_one = np.cos(np.pi * delta) ** 2
+    p_one[classical] = 0.5
+    return (plist.backend.rng.random(len(labels)) < p_one).astype(np.int64)
 
 
-def measure_pm(q):
-    """Measure in the |+->/|-> basis; returns 0 for "+" (probability
-    cos^2(pi k s / N)) and 1 for "-".  Consumes the qubit."""
-    return 1 - _observe(q, q.backend.oracle.ctx.zero)
+def measure_pm(plist):
+    """Measure every copy in the |+>/|-> basis: 0 ("+") with probability
+    cos^2(pi k s / N), 1 ("-") otherwise.  Consumes the list; returns the
+    outcomes, an int64 array."""
+    return 1 - _observe(plist, plist.backend.oracle.ctx.zero)
 
 
-def cosine_observe(q, t):
-    """A coin with bias cos^2(pi (s - t) k / N): measure against the
-    reference slope t.  Returns 1 with that probability; consumes q."""
-    return _observe(q, t)
+def cosine_observe(plist, t):
+    """Coins with bias cos^2(pi (s - t_i) k_i / N): measure each copy
+    against its reference slope, t one point or one per copy.  Returns
+    the bits, an int64 array; consumes the list."""
+    return _observe(plist, t)
 
 
 def tomography_copies_needed(r):
@@ -207,55 +211,57 @@ def tomography_copies_needed(r):
     return math.ceil(2 * r * math.log(r / TOMOGRAPHY_DELTA))
 
 
-def tomography_mod_r(qs, r):
-    """Read s mod r from qubits whose labels are multiples of N/r, by
+def tomography_mod_r(plist, r):
+    """Read s mod r from a list whose labels are multiples of N/r, by
     maximum likelihood over repeated cosine observations at references
-    spanning quadratures.  Consumes all qubits."""
+    spanning quadratures.  Consumes the list; returns an int."""
     if r < 2:
         raise ValueError("radix must be at least 2")
-    if not qs:
+    if not len(plist):
         raise InsufficientCopiesError("no copies supplied")
-    be = qs[0].backend
+    be = plist.backend
     if not isinstance(be.oracle.ctx, GroupCtx):
         raise TypeError("residue tomography applies to dihedral backends")
     N = be.oracle.ctx.N
     if N % r != 0:
         raise ValueError("radix must divide N")
     step = N // r
-    if any(q.label % step for q in qs):
+    if (plist.labels % step).any():
         raise ValueError("label is not a multiple of N/r")
 
     if r == 2:
-        votes = [measure_pm(q) for q in qs if q.label // step % 2 == 1]
-        if not votes:
+        odd = plist.labels // step % 2 == 1
+        if not odd.any():
             raise InsufficientCopiesError("no odd-weight copies for parity")
-        return int(sum(votes) * 2 >= len(votes))
+        labels, classical = plist.take()
+        votes = measure_pm(PhaseList(labels[odd], classical[odd], be))
+        return int(votes.sum() * 2 >= len(votes))
 
     needed = tomography_copies_needed(r)
-    if len(qs) < needed:
+    if len(plist) < needed:
         raise InsufficientCopiesError(
-            f"need at least {needed} copies for r={r}, got {len(qs)}")
+            f"need at least {needed} copies for r={r}, got {len(plist)}")
 
     # quadrature references: 0 and odd multiples of floor(N/(2r))
     q_step = max(1, N // (2 * r))
     refs = [0] + [((2 * i + 1) * q_step) % N for i in range(r)]
     return int(np.argmax(likelihood_readout(
-        qs, [q.label for q in qs], N, [(t, t) for t in refs], np.arange(r))))
+        plist, plist.labels, N, [(t, t) for t in refs], np.arange(r))))
 
 
-def likelihood_readout(qs, labels, M, refs, cands, ll=None):
-    """The maximum-likelihood readout of a slope mod M.  Copy i is
-    observed once, by cosine_observe at refs[i % len(refs)], a pair (t in
-    Z/M, the point cosine_observe takes: t itself on D_N).  Adds to ll
-    (zeros when None, returned), for each candidate c, the log-likelihood
-    of the bits under the exact turn ((labels[i] * (c - t)) mod M) / M,
-    clipped so one unlucky bit cannot veto c; in blocks of at most 2^20
-    entries, in Python ints once M >= 2^31.  Consumes qs."""
-    ts = [refs[i % len(refs)] for i in range(len(qs))]
-    bits = [cosine_observe(q, point) for q, (_, point) in zip(qs, ts)]
+def likelihood_readout(plist, labels, M, refs, cands, ll=None):
+    """The maximum-likelihood readout of a slope mod M.  One
+    cosine_observe call observes copy i at refs[i % len(refs)], a pair
+    (t in Z/M, the point cosine_observe takes: t itself on D_N).  Adds to
+    ll (zeros when None, returned), for each candidate c, the
+    log-likelihood of the bits under the exact turn ((labels[i] * (c - t))
+    mod M) / M, clipped so one unlucky bit cannot veto c; in blocks of at
+    most 2^20 entries, in Python ints once M >= 2^31.  Consumes plist."""
+    ts = [refs[i % len(refs)] for i in range(len(plist))]
+    bits = cosine_observe(plist, [point for _, point in ts]).tolist()
     dtype = np.int64 if M < 1 << 31 else object
-    k = np.array([x % M for x in labels], dtype=dtype)
-    kt = np.array([x * t % M for x, (t, _) in zip(labels, ts)], dtype=dtype)
+    k = np.asarray(labels).astype(dtype) % M
+    kt = k * np.array([t for t, _ in ts], dtype=dtype) % M
     cands = np.asarray(cands).astype(dtype)[:, None]
     ll = np.zeros(len(cands)) if ll is None else ll
     step = max(1, (1 << 20) // len(cands))

@@ -174,7 +174,7 @@ def _general_attempt(o, M, rng):
         uinv = pow(u, -1, N)
         best = uinv * int(cands[np.argmax(ll)])
         ts = [(best + d) % N for d in (0, max(1, N // 4), max(1, N // 8))]
-        ll = likelihood_readout(ones, [q.label for q in ones], N,
+        ll = likelihood_readout(ones, ones.labels, N,
                                 [(t, t) for t in ts], uinv * cands % N, ll)
         keep = ll > ll.max() - 8.0
         cands, ll = cands[keep], ll[keep]
@@ -268,13 +268,12 @@ def _coordinate_slope(o, A, j, rng, budget):
     # coordinate j read last: full_score is a label supported on it alone
     obj = CoordinateObjective(
         A.orders, tuple([i for i in range(rank) if i != j] + [j]))
-    backend = PhaseBackend(o, rng=rng)
-    targets, _ = greedy_sieve(backend, obj, obj.full_score, budget,
-                              max_targets=_COORDINATE_COPIES)
+    targets, _ = greedy_sieve(PhaseBackend(o, rng=rng), obj, obj.full_score,
+                              budget, max_targets=_COORDINATE_COPIES)
     refs = [(t, tuple(t if i == j else 0 for i in range(rank)))
             for t in sorted({0, max(1, Nj // 4), max(1, Nj // 3)})]
     return int(np.argmax(likelihood_readout(
-        targets, [q.label[j] for q in targets], Nj, refs, np.arange(Nj))))
+        targets, targets.labels[:, j], Nj, refs, np.arange(Nj))))
 
 
 def solve_abelian_shift(p, rng=None):

@@ -13,6 +13,7 @@ from itertools import zip_longest
 
 from .errors import InsufficientCopiesError, SieveExhaustedError
 from .phase import (
+    PhaseList,
     combine,
     cosine_observe,
     measure_pm,
@@ -120,7 +121,8 @@ def _parity_pass(backend, size, windows, top):
     """One pass of the parity sieve over a fresh sample of size labels:
     each stage matches one bit window and keeps the differences, and a
     list that empties ends the pass.  Returns the first psi_top of the
-    final list (as a list of at most one) and the pass's list sizes."""
+    final list (as a PhaseList of at most one) and the pass's list
+    sizes."""
     current = sample_batch(backend, size).qubits()
     sizes = [len(current)]
     for window in windows:
@@ -129,18 +131,20 @@ def _parity_pass(backend, size, windows, top):
         sizes.append(len(current))
         if not current:
             break
-    return [q for q in current if q.label == top][:1], SieveStats(sizes)
+    held = [q for q in current if q.label == top][:1]
+    return PhaseList.pack(held, backend), SieveStats(sizes)
 
 
 def run_staged_parity(backend, n):
-    """Power-of-two staged sieve: returns s mod 2 for the slope hidden by
-    the backend's oracle over D_{2^n}.  Passes of C_0 * 4^m fresh labels
-    (run_passes) run until one ends holding psi_{2^(n-1)}, and that copy
-    is measured; at most 2^m passes, so a call never samples more than
-    the C_0 * 8^m list of staged_config.  Raises SieveExhaustedError after
-    the last pass; the caller retries with a fresh run.  The cyclic
-    collector is paused for the call (its qubits trigger full collections
-    that free nothing), then restored to the caller's state."""
+    """Power-of-two staged sieve: returns s mod 2, an int, for the slope
+    hidden by the backend's oracle over D_{2^n}.  Passes of C_0 * 4^m
+    fresh labels (run_passes) run until one ends holding psi_{2^(n-1)},
+    and that copy is measured; at most 2^m passes, so a call never
+    samples more than the C_0 * 8^m list of staged_config (D_2: 64 passes
+    of one label).  Raises SieveExhaustedError after the last pass; the
+    caller retries with a fresh run.  The cyclic collector is paused for
+    the call (its qubits trigger full collections that free nothing),
+    then restored to the caller's state."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -149,18 +153,15 @@ def run_staged_parity(backend, n):
             raise ValueError("oracle group order is not 2^n")
 
         if n == 1:
-            # D_2: passes of one label until psi_1 appears
-            held, stats = run_passes(
-                lambda _: _parity_pass(backend, 1, [], 1), 1, max_passes=64)
-            return measure_pm(held[0]), stats
-
-        cfg = staged_config(n)
-        size = C_0 << (2 * cfg.m)
-        windows = stage_windows(n, cfg.m)
+            size, windows, cap = 1, [], 64
+        else:
+            cfg = staged_config(n)
+            size, windows = C_0 << (2 * cfg.m), stage_windows(n, cfg.m)
+            cap = cfg.initial_size // size
         held, stats = run_passes(
             lambda _: _parity_pass(backend, size, windows, 1 << (n - 1)), 1,
-            max_passes=cfg.initial_size // size)
-        return measure_pm(held[0]), stats
+            max_passes=cap)
+        return int(measure_pm(held)[0]), stats
     finally:
         if enabled:
             gc.enable()
@@ -193,8 +194,8 @@ def _interval_pass(backend, size, widths):
     each stage pairs sorted neighbours within a bucket of its width and
     keeps the differences below it.  psi_1 copies are set aside as they
     appear and psi_0 is dropped; neither is paired again.  Returns the
-    psi_1 copies and the pass's stats, the nonzero-label count after
-    sampling and after each stage.
+    psi_1 copies, as a PhaseList, and the pass's stats, the nonzero-label
+    count after sampling and after each stage.
 
     Sorted-neighbour pairing is the design, not the paper's pairing of a
     bucket in sample order: neighbours leave the smallest differences,
@@ -226,24 +227,26 @@ def _interval_pass(backend, size, widths):
         outs = (_normalize_halfrange(q, N)
                 for q in _differences(pairs, backend))
         current = route(q for q in outs if q.label < width)
-    return ones, SieveStats(sizes)
+    return PhaseList.pack(ones, backend), SieveStats(sizes)
 
 
 def run_passes(one_pass, need, max_passes=MAX_PASSES):
     """The demand loop of every staged and radix sieve: call
-    one_pass(copies held) -> (new copies, SieveStats), each pass over
-    fresh samples, until at least need copies are held.  Returns them
-    with the stats summed; after max_passes passes with fewer, raises
-    SieveExhaustedError carrying the summed stats."""
-    held, stats = [], SieveStats()
+    one_pass(copies held) -> (new copies as a PhaseList, SieveStats),
+    each pass over fresh samples, until at least need copies are held.
+    Returns them joined into one PhaseList, with the stats summed; after
+    max_passes passes with fewer, raises SieveExhaustedError carrying the
+    summed stats."""
+    parts, held, stats = [], 0, SieveStats()
     for _ in range(max_passes):
-        got, st = one_pass(len(held))
-        held += got
+        got, st = one_pass(held)
+        parts.append(got)
+        held += len(got)
         stats += st
-        if len(held) >= need:
-            return held, stats
+        if held >= need:
+            return PhaseList.join(parts), stats
     raise SieveExhaustedError(
-        f"{len(held)} of {need} copies after {max_passes} passes", stats)
+        f"{held} of {need} copies after {max_passes} passes", stats)
 
 
 def interval_sieve(backend, want):
@@ -256,23 +259,22 @@ def interval_sieve(backend, want):
 
 
 def estimate_from_quadratures(ones, N):
-    """Ettinger-Hoyer style readout: split psi_1 copies between reference
-    slopes 0 and floor(N/4), estimate cos and sin of 2 pi s / N, and read
+    """Ettinger-Hoyer style readout: observe the first half of a PhaseList
+    of psi_1 copies against reference slope 0 and the rest against
+    floor(N/4), in one call, estimate cos and sin of 2 pi s / N, and read
     the angle."""
-    if not ones:
+    count = len(ones)
+    if not count:
         raise InsufficientCopiesError("no copies supplied")
     tq = max(1, N // 4)
-    half = len(ones) // 2 or 1
-    cos_obs = [cosine_observe(q, 0) for q in ones[:half]]
-    sin_obs = [cosine_observe(q, tq) for q in ones[half:]]
-    f0 = sum(cos_obs) / len(cos_obs)
-    cos_phi = 2 * f0 - 1
-    if sin_obs:
+    half = count // 2 or 1
+    bits = cosine_observe(ones, [0] * half + [tq] * (count - half)).tolist()
+    cos_phi = 2 * (sum(bits[:half]) / half) - 1
+    sin_phi = 0.0
+    if count > half:
         gamma = 2 * math.pi * tq / N
-        fq = sum(sin_obs) / len(sin_obs)
+        fq = sum(bits[half:]) / (count - half)
         sin_phi = (2 * fq - 1 - cos_phi * math.cos(gamma)) / math.sin(gamma)
-    else:
-        sin_phi = 0.0
     phi = math.atan2(sin_phi, cos_phi)
     return round(phi / (2 * math.pi) * N) % N
 

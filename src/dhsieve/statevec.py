@@ -156,12 +156,6 @@ def extract_outcome_probs(k, l, s, N):
     return np.array([p0, 1 - p0])
 
 
-def cosine_overlap_sim(N, k, s, t):
-    """|<psi'_k|psi_k>|^2 for reference slope t: the exact bias of a
-    cosine observation, from explicit state vectors."""
-    return psi_vector(N, s, k).fidelity(psi_vector(N, t, k))
-
-
 def trace_distance(r1, r2):
     """(1/2) sum of absolute eigenvalues of r1 - r2.  Indices whose row
     and column of r1 - r2 are exactly zero add only zero eigenvalues, so

@@ -22,8 +22,9 @@ from dhsieve.oracle import (
 )
 from dhsieve.phase import (
     PhaseBackend,
-    PhaseQubit,
+    PhaseList,
     cosine_observe,
+    measure_pm,
     sample_batch,
 )
 from dhsieve.recover import (
@@ -145,7 +146,7 @@ def test_05_backend_matches_exact_simulation():
             be = PhaseBackend(make_reflection_oracle(GroupCtx(N), s),
                               rng=rng)
             sample = sample_batch(be, samples)
-            labels, bits = sample.labels, sample.measure_pm()
+            labels, bits = sample.labels, measure_pm(sample)
             emp = np.zeros((N, 2))
             np.add.at(emp, (labels, bits), 1.0)
             emp /= samples
@@ -196,8 +197,9 @@ def test_07_cosine_frequencies():
     for N, k, s, t in grid:
         be = PhaseBackend(make_reflection_oracle(GroupCtx(N), s), rng=rng)
         p = math.cos(math.pi * (((s - t) * k) % N) / N) ** 2
-        hits = sum(cosine_observe(PhaseQubit(k, be), t)
-                   for _ in range(samples))
+        copies = PhaseList(np.full(samples, k),
+                           np.zeros(samples, dtype=bool), be)
+        hits = int(cosine_observe(copies, t).sum())
         sigma = math.sqrt(max(p * (1 - p), 1e-6) / samples)
         worst = max(worst, abs(hits / samples - p) / sigma)
     ok = worst <= 3.0

@@ -32,6 +32,7 @@ from dhsieve.harness import _random_labels
 from dhsieve.oracle import HidingOracle, make_reflection_oracle
 from dhsieve.phase import (
     PhaseBackend,
+    PhaseQubit,
     combine,
     negate_label,
     sample_batch,
@@ -236,8 +237,8 @@ def test_greedy_sieve_targets_and_stats():
     obj = RadixObjective(2)
     be = backend(1 << 10, 345, seed=2)
     targets, st = greedy_sieve(be, obj, 9, 1024)
-    assert all(q.label == 1 << 9 for q in targets)
-    assert all(not q.consumed for q in targets)
+    assert targets.labels.tolist() == [1 << 9] * len(targets)
+    assert not targets.consumed
     assert be.oracle.queries == 1024
 
 
@@ -247,7 +248,7 @@ def test_greedy_sieve_pinned_record():
     obj = RadixObjective(3)
     be = backend(3 ** 6, 100, seed=11)
     targets, st = greedy_sieve(be, obj, 5, 300, max_targets=4)
-    assert [q.label for q in targets] == [243] * 4
+    assert targets.labels.tolist() == [243] * 4
     assert (st.combines, st.work, be.oracle.queries) == (44, 258, 300)
 
 
@@ -257,7 +258,7 @@ def test_greedy_sieve_pinned_record_below_max_targets():
     obj = RadixObjective(3)
     be = backend(3 ** 6, 100, seed=11)
     targets, st = greedy_sieve(be, obj, 5, 300, max_targets=50)
-    assert [q.label for q in targets] == [243] * 25
+    assert targets.labels.tolist() == [243] * 25
     assert (st.combines, st.work, be.oracle.queries) == (220, 667, 300)
     assert be.rng.random() == 0.9739700411195548
 
@@ -284,8 +285,9 @@ def _reference_sieve(backend, ref, target, budget, max_targets=None):
         buckets[ref.alpha(q.label)].append((ref.key(q.label), q))
         return False
 
-    for q in sample_batch(backend, budget).qubits():
-        if place(q):
+    labels, classical = sample_batch(backend, budget).take()
+    for k, c in zip(labels.tolist(), classical.tolist()):
+        if place(PhaseQubit(backend.oracle.ctx.reduce(k), backend, c)):
             return targets, stats, False
     while buckets:
         v = min(buckets)
@@ -352,10 +354,11 @@ def _assert_sieves_agree(ctx, case, seed, budget, max_targets=None,
         mid_sweep = False
     else:
         got, st = greedy_sieve(be, obj, min_alpha, budget, max_targets)
-        assert ([(q.label, q.classical) for q in got]
+        assert ([(ctx.reduce(k), c) for k, c in
+                 zip(got.labels.tolist(), got.classical.tolist())]
                 == [(q.label, q.classical) for q in want])
         assert (st.combines, st.work) == (want_st.combines, want_st.work)
-        assert all(not q.consumed and q.backend is be for q in got)
+        assert not got.consumed and got.backend is be
     assert be.oracle.queries == twin.oracle.queries == budget
     assert be.rng.random() == twin.rng.random()
     return mid_sweep
@@ -436,7 +439,7 @@ def test_greedy_sieve_stops_in_the_first_placement():
     # placing the sample, before any combine
     be = backend(3 ** 3, 7, seed=5)
     targets, st = greedy_sieve(be, RadixObjective(3), 2, 200, max_targets=3)
-    assert [q.label for q in targets] == [9] * 3
+    assert targets.labels.tolist() == [9] * 3
     assert (st.combines, be.oracle.queries) == (0, 200)
 
 

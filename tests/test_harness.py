@@ -288,11 +288,16 @@ def test_cli_config_null_keeps_the_default(tmp_path):
     assert [r["trials"] for r in csv.DictReader(open(out))] == ["100"]
 
 
-# values that do not parse: the error names the flag that carried them
+# values that do not parse, or fall below the flag's bound: the error
+# names the flag that carried them
 NAMED_FLAG_ARGV = [
     ["simulate", "--algorithm", "abelian", "--orders", ""],
     ["simulate", "--algorithm", "abelian", "--orders", "4,x"],
     ["table1", "--budgets", "x"],
+    ["simulate", "--algorithm", "general", "--N", "0"],
+    ["simulate", "--algorithm", "general", "--N", "-5"],
+    ["simulate", "--algorithm", "greedy", "--n", "3", "--budget", "0"],
+    ["simulate", "--algorithm", "greedy", "--n", "3", "--budget", "1"],
 ]
 
 # argparse's own rejections: a bad int, a bad choice, a missing required

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dhsieve.errors import (
     BackendMismatchError,
@@ -34,7 +35,8 @@ from dhsieve.phase import (
     tomography_copies_needed,
     tomography_mod_r,
 )
-from dhsieve.statevec import cosine_overlap_sim, psi_vector
+from dhsieve.staged import estimate_from_quadratures, run_staged_parity
+from dhsieve.statevec import psi_vector
 
 
 def backend(N, s, seed=0, **kw):
@@ -42,16 +44,354 @@ def backend(N, s, seed=0, **kw):
                         rng=np.random.default_rng(seed), **kw)
 
 
+def copies(labels, be, classical=None):
+    """A PhaseList of the given labels on be, typed as sample_batch types
+    them; honest copies unless a classical mask is given."""
+    ctx = be.oracle.ctx
+    wide = isinstance(ctx, GroupCtx) and ctx.N.bit_length() > 62
+    labels = np.array(labels, dtype=object if wide else np.int64)
+    if classical is None:
+        classical = np.zeros(len(labels), dtype=bool)
+    return PhaseList(labels, np.array(classical, dtype=bool), be)
+
+
+def cosine_overlap_sim(N, k, s, t):
+    """|<psi'_k|psi_k>|^2 for reference slope t: the exact bias of a
+    cosine observation, from explicit state vectors."""
+    return psi_vector(N, s, k).fidelity(psi_vector(N, t, k))
+
+
+# ---------------------------------------------------------------------------
+# The per-qubit readouts the list readouts replaced, kept as references:
+# one PhaseQubit and one rng.random() per observation, in Python floats.
+
+
+def _ref_turns(ctx, k, s):
+    """Phase of psi_k at slope (or shift) s, in turns, for one label."""
+    if isinstance(ctx, GroupCtx):
+        return ((k * s) % ctx.N) / ctx.N
+    total = 0.0
+    for a, b, n in zip(k, s, ctx.orders):
+        total += ((a * b) % n) / n
+    return total % 1.0
+
+
+def _ref_observe(q, t):
+    q._consume()
+    o = q.backend.oracle
+    if q.classical:
+        p_one = 0.5
+    else:
+        delta = _ref_turns(o.ctx, q.label, o._slope) - _ref_turns(
+            o.ctx, q.label, t)
+        p_one = math.cos(math.pi * delta) ** 2
+    return 1 if q.backend.rng.random() < p_one else 0
+
+
+def _ref_measure_pm(q):
+    return 1 - _ref_observe(q, q.backend.oracle.ctx.zero)
+
+
+def _ref_cosine_observe(q, t):
+    return _ref_observe(q, t)
+
+
+def _ref_likelihood_readout(qs, labels, M, refs, cands, ll=None):
+    ts = [refs[i % len(refs)] for i in range(len(qs))]
+    bits = [_ref_cosine_observe(q, point) for q, (_, point) in zip(qs, ts)]
+    dtype = np.int64 if M < 1 << 31 else object
+    k = np.array([x % M for x in labels], dtype=dtype)
+    kt = np.array([x * t % M for x, (t, _) in zip(labels, ts)], dtype=dtype)
+    cands = np.asarray(cands).astype(dtype)[:, None]
+    ll = np.zeros(len(cands)) if ll is None else ll
+    step = max(1, (1 << 20) // len(cands))
+    for i in range(0, len(bits), step):
+        turns = k[i:i + step] * cands
+        turns -= kt[i:i + step]
+        turns %= M
+        p = np.asarray(turns / M, dtype=float)
+        p *= np.pi
+        np.square(np.cos(p, out=p), out=p)
+        np.clip(p, 1e-9, 1 - 1e-9, out=p)
+        for col, bit in zip(p.T, bits[i:i + step]):
+            ll += np.log(col) if bit else np.log(1 - col)
+    return ll
+
+
+def _ref_tomography_mod_r(qs, r):
+    N = qs[0].backend.oracle.ctx.N
+    step = N // r
+    if r == 2:
+        votes = [_ref_measure_pm(q) for q in qs if q.label // step % 2 == 1]
+        return int(sum(votes) * 2 >= len(votes))
+    q_step = max(1, N // (2 * r))
+    refs = [0] + [((2 * i + 1) * q_step) % N for i in range(r)]
+    return int(np.argmax(_ref_likelihood_readout(
+        qs, [q.label for q in qs], N, [(t, t) for t in refs], np.arange(r))))
+
+
+def _ref_quadratures(ones, N):
+    tq = max(1, N // 4)
+    half = len(ones) // 2 or 1
+    cos_obs = [_ref_cosine_observe(q, 0) for q in ones[:half]]
+    sin_obs = [_ref_cosine_observe(q, tq) for q in ones[half:]]
+    f0 = sum(cos_obs) / len(cos_obs)
+    cos_phi = 2 * f0 - 1
+    if sin_obs:
+        gamma = 2 * math.pi * tq / N
+        fq = sum(sin_obs) / len(sin_obs)
+        sin_phi = (2 * fq - 1 - cos_phi * math.cos(gamma)) / math.sin(gamma)
+    else:
+        sin_phi = 0.0
+    phi = math.atan2(sin_phi, cos_phi)
+    return round(phi / (2 * math.pi) * N) % N
+
+
+def _assert_readout_matches_reference(ctx, s, labels, classical, readout,
+                                      seed=0):
+    """Run a list readout and its per-qubit reference on twin backends
+    over the same copies: the same output (bits, answer or
+    log-likelihoods, bit for bit) and the same next generator draw.
+    readout is (list readout, reference), each called with the copies."""
+    run, ref = readout
+
+    def make():
+        o = make_reflection_oracle(ctx, s)
+        return PhaseBackend(o, rng=np.random.default_rng(seed))
+
+    be, twin = make(), make()
+    got = run(copies(labels, be, classical))
+    want = ref([PhaseQubit(ctx.reduce(k), twin, bool(c))
+                for k, c in zip(labels, classical)])
+    if isinstance(got, np.ndarray):
+        assert got.dtype in (np.int64, np.float64)
+        assert np.array_equal(got, np.asarray(want))
+    else:
+        assert type(got) is int and got == want
+    assert be.rng.random() == twin.rng.random()
+
+
+def _pm():
+    return measure_pm, lambda qs: [_ref_measure_pm(q) for q in qs]
+
+
+def _cos(t):
+    return (lambda plist: cosine_observe(plist, t),
+            lambda qs: [_ref_cosine_observe(q, t) for q in qs])
+
+
+def _cos_each(points):
+    # one reference point per copy, cycled
+    def at(i):
+        return points[i % len(points)]
+
+    def run(plist):
+        return cosine_observe(plist, [at(i) for i in range(len(plist))])
+
+    return run, lambda qs: [_ref_cosine_observe(q, at(i))
+                            for i, q in enumerate(qs)]
+
+
+def _tomography(r):
+    return (lambda plist: tomography_mod_r(plist, r),
+            lambda qs: _ref_tomography_mod_r(qs, r))
+
+
+def _quadratures(N):
+    return (lambda plist: estimate_from_quadratures(plist, N),
+            lambda qs: _ref_quadratures(qs, N))
+
+
+def _likelihood(M, refs, cands, start, column=None):
+    # labels read mod M: a dihedral label, or one abelian coordinate
+    def pick(k):
+        return k if column is None else k[column]
+
+    def run(plist):
+        labels = (plist.labels if column is None
+                  else plist.labels[:, column])
+        return likelihood_readout(plist, labels, M, refs, cands,
+                                  start.copy())
+
+    return run, lambda qs: _ref_likelihood_readout(
+        qs, [pick(q.label) for q in qs], M, refs, cands, start.copy())
+
+
+def _every(n, count):
+    return [i % n == 0 for i in range(count)]
+
+
+def _readout_table():
+    """(id, group, slope, labels, classical mask, readout)."""
+    big = 2 ** 40 + 7          # past 2^31: turns in Python ints
+    huge = 2 ** 70 + 5         # past 2^63: object labels
+    N3 = 3 ** 40               # past 2^62: object labels, r = 3
+    rng = np.random.default_rng(21)
+    N = 360
+    uinv = pow(unit_for_odd_part(N, 2), -1, N)
+    cands = np.arange(40, 200)
+    return [
+        ("pm-honest", GroupCtx(16), 5, list(range(16)) * 3, [False] * 48,
+         _pm()),
+        ("pm-corrupted", GroupCtx(16), 5, list(range(16)) * 3,
+         _every(3, 48), _pm()),
+        ("pm-past-2^31", GroupCtx(big), big // 3 + 11,
+         [int(x) for x in rng.integers(0, big, 40)], _every(4, 40), _pm()),
+        ("pm-past-2^63", GroupCtx(huge), huge // 7,
+         [huge // (i + 2) + i for i in range(40)], _every(5, 40), _pm()),
+        ("cos-one-point", GroupCtx(24), 7, [5] * 30 + [7] * 10,
+         _every(6, 40), _cos(3)),
+        ("cos-per-copy", GroupCtx(4095), 1000, [1] * 37, _every(7, 37),
+         _cos_each([0, 1023, 2047, 4000])),
+        ("cos-past-2^63", GroupCtx(huge), 12345,
+         [huge // (i + 3) for i in range(30)], [False] * 30,
+         _cos_each([0, huge // 4, huge - 1])),
+        ("abelian-pm", AbelianGroupSpec((4, 6)), (1, 5),
+         [(a, b) for a in range(4) for b in range(6)] * 2, _every(5, 48),
+         _pm()),
+        ("abelian-past-2^31", AbelianGroupSpec((big, 6)), (big // 3, 5),
+         [(int(x), i % 6) for i, x in enumerate(rng.integers(0, big, 30))],
+         _every(4, 30), _cos_each([(0, 0), (big // 4, 1), (big - 2, 3)])),
+        ("abelian-points", AbelianGroupSpec((16, 9)), (11, 4),
+         [(0, 1 + i % 8) for i in range(24)], _every(5, 24),
+         _cos_each([(0, 0), (0, 2), (0, 3)])),
+        ("tomography-r2", GroupCtx(32), 21, [16] * 20 + [0] * 5,
+         _every(4, 25), _tomography(2)),
+        ("tomography-r2-corrupted", GroupCtx(32), 12, [0, 16] * 12,
+         _every(2, 24), _tomography(2)),
+        ("tomography-r3", GroupCtx(3 ** 5), 100,
+         [81 * (1 + i % 2) for i in range(31)], _every(5, 31),
+         _tomography(3)),
+        ("tomography-3^40", GroupCtx(N3), N3 // 5 + 2,
+         [N3 // 3 * (1 + i % 2) for i in range(31)], _every(6, 31),
+         _tomography(3)),
+        ("quadratures", GroupCtx(1000), 321, [1] * 24, _every(5, 24),
+         _quadratures(1000)),
+        ("quadratures-one-copy", GroupCtx(45), 17, [1], [False],
+         _quadratures(45)),
+        ("likelihood-general-round", GroupCtx(N), 123, [1] * 40,
+         _every(5, 40),
+         _likelihood(N, [(t, t) for t in (uinv * 120 % N, 180, 300)],
+                     uinv * cands % N, rng.random(len(cands)))),
+        ("likelihood-past-2^31", GroupCtx(big), 99, [1, 3, 5] * 8,
+         _every(4, 24),
+         _likelihood(big, [(t, t) for t in (0, big // 4, 999)],
+                     np.arange(0, big, big // 50), np.zeros(51))),
+        ("likelihood-coordinate", AbelianGroupSpec((4, 16)), (3, 5),
+         [(0, 1 + i % 8) for i in range(24)], _every(5, 24),
+         _likelihood(16, [(t, (0, t)) for t in (0, 4, 5)], np.arange(16),
+                     np.zeros(16), column=1)),
+    ]
+
+
+_READOUT_TABLE = _readout_table()
+
+
+@pytest.mark.parametrize("row", _READOUT_TABLE,
+                         ids=[r[0] for r in _READOUT_TABLE])
+def test_list_readouts_match_per_qubit_references(row):
+    _, ctx, s, labels, classical, readout = row
+    for seed in range(3):
+        _assert_readout_matches_reference(ctx, s, labels, classical,
+                                          readout, seed)
+
+
+_HYPOTHESIS_GROUPS = [GroupCtx(16), GroupCtx(360), GroupCtx(4095),
+                      GroupCtx(2 ** 40 + 7), GroupCtx(3 ** 40),
+                      GroupCtx(2 ** 70 + 5), AbelianGroupSpec((16, 9)),
+                      AbelianGroupSpec((4, 4, 3)),
+                      AbelianGroupSpec((2 ** 40 + 7, 6))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_list_readouts_match_per_qubit_references_hypothesis(data):
+    # any group, slope, labels and corruption: the +/- measurement, the
+    # cosine observation at one point or one point per copy, and on D_N
+    # the quadrature and likelihood readouts; tomography on D_{r^n}
+    ctx = data.draw(st.sampled_from(_HYPOTHESIS_GROUPS))
+    elem = (st.integers(0, ctx.N - 1) if isinstance(ctx, GroupCtx) else
+            st.tuples(*(st.integers(0, n - 1) for n in ctx.orders)))
+    count = data.draw(st.integers(1, 30))
+    labels = data.draw(st.lists(elem, min_size=count, max_size=count))
+    classical = data.draw(st.lists(st.booleans(), min_size=count,
+                                   max_size=count))
+    s = data.draw(elem)
+    kinds = ["pm", "cos", "cos-each"]
+    if isinstance(ctx, GroupCtx):
+        kinds += ["quadratures", "likelihood", "tomography"]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "pm":
+        readout = _pm()
+    elif kind == "cos":
+        readout = _cos(data.draw(elem))
+    elif kind == "cos-each":
+        readout = _cos_each(data.draw(st.lists(elem, min_size=1,
+                                               max_size=4)))
+    elif kind == "quadratures":
+        readout = _quadratures(ctx.N)
+    elif kind == "likelihood":
+        refs = [(t, t) for t in data.draw(st.lists(elem, min_size=1,
+                                                   max_size=4))]
+        cands = np.array(data.draw(st.lists(elem, min_size=1, max_size=8)),
+                         dtype=object if ctx.N >= 1 << 62 else np.int64)
+        readout = _likelihood(ctx.N, refs, cands, np.zeros(len(cands)))
+    else:
+        r, n = data.draw(st.sampled_from([(2, 6), (3, 5), (3, 40)]))
+        ctx, step = GroupCtx(r ** n), r ** (n - 1)
+        s = data.draw(st.integers(0, ctx.N - 1))
+        count = max(count, tomography_copies_needed(r))
+        labels = [step * (1 + i % (r - 1)) for i in range(count)]
+        classical = (classical * count)[:count]
+        readout = _tomography(r)
+    _assert_readout_matches_reference(ctx, s, labels, classical, readout,
+                                      data.draw(st.integers(0, 2 ** 32)))
+
+
+def test_observed_list_is_consumed():
+    # an observation consumes the whole list, so a second one raises; a
+    # pass's survivors pack into a list that consumes their PhaseQubits
+    be = backend(16, 5)
+    sample = sample_batch(be, 4)
+    cosine_observe(sample, 3)
+    for observe in (measure_pm, lambda p: cosine_observe(p, 0)):
+        with pytest.raises(QubitConsumedError):
+            observe(sample)
+    qs = sample_batch(be, 5).qubits()
+    packed = PhaseList.pack(qs, be)
+    assert all(q.consumed for q in qs)
+    assert packed.labels.tolist() == [q.label for q in qs]
+    assert packed.labels.dtype == np.int64 and not packed.consumed
+    with pytest.raises(QubitConsumedError):
+        PhaseList.pack(qs[:1], be)
+    measure_pm(packed)
+    with pytest.raises(QubitConsumedError):
+        measure_pm(packed)
+
+
+def test_digit_readouts_return_python_ints():
+    # _digit_recursion adds digit * r^i to a Python int; an np.int64
+    # digit would wrap that sum past 2^63
+    for n in (1, 6):
+        bit, _ = run_staged_parity(backend(1 << n, (1 << n) - 1, seed=n), n)
+        assert type(bit) is int
+    for N, r in ((2 ** 64, 2), (3 ** 4, 3), (3 ** 40, 3)):
+        labels = [N // r * (1 + i % (r - 1))
+                  for i in range(tomography_copies_needed(r))]
+        digit = tomography_mod_r(copies(labels, backend(N, N // 5)), r)
+        assert type(digit) is int
+
+
 def test_single_use():
     be = backend(16, 5)
-    q = sample_phase_qubit(be)
-    measure_pm(q)
+    sample = sample_batch(be, 3)
+    measure_pm(sample)
     with pytest.raises(QubitConsumedError):
-        measure_pm(q)
+        measure_pm(sample)
     q2, q3 = sample_batch(be, 2).qubits()
     combine(q2, q3)
     with pytest.raises(QubitConsumedError):
-        cosine_observe(q2, 0)
+        PhaseList.pack([q2], be)
 
 
 def test_backend_mismatch():
@@ -68,7 +408,7 @@ def test_combine_rejects_reuse():
     with pytest.raises(QubitConsumedError):
         combine(q, q)
     used, live = PhaseQubit(5, be), PhaseQubit(7, be)
-    measure_pm(used)
+    measure_pm(PhaseList.pack([used], be))
     with pytest.raises(QubitConsumedError):
         combine(used, live)
     with pytest.raises(QubitConsumedError):
@@ -104,9 +444,10 @@ def test_one_qubit_sample_is_a_batch_of_one(ctx):
     flags = set()
     for _ in range(40):
         q = sample_phase_qubit(a)
-        [r] = sample_batch(b, 1).qubits()
-        assert (q.label, q.classical) == (r.label, r.classical)
-        assert type(q.classical) is bool and type(q.label) is type(r.label)
+        labels, classical = sample_batch(b, 1).take()
+        assert (q.label, q.classical) == (ctx.reduce(labels.tolist()[0]),
+                                          classical.tolist()[0])
+        assert type(q.classical) is bool and type(q.label) is type(ctx.zero)
         assert a.oracle.queries == b.oracle.queries
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
         flags.add(q.classical)
@@ -143,7 +484,7 @@ def test_measure_pm_law_vs_dense_states():
     N, s, k = 16, 5, 3
     be = backend(N, s, seed=4)
     n = 20000
-    zeros = sum(measure_pm(PhaseQubit(k, be)) == 0 for _ in range(n))
+    zeros = int((measure_pm(copies([k] * n, be)) == 0).sum())
     p = psi_vector(N, s, k).fidelity(psi_vector(N, 0, k))
     assert abs(zeros / n - p) < 4 * math.sqrt(p * (1 - p) / n)
 
@@ -152,7 +493,7 @@ def test_cosine_observe_law_vs_dense_states():
     N, s, k, t = 24, 7, 5, 3
     be = backend(N, s, seed=5)
     n = 20000
-    ones = sum(cosine_observe(PhaseQubit(k, be), t) for _ in range(n))
+    ones = int(cosine_observe(copies([k] * n, be), t).sum())
     p = cosine_overlap_sim(N, k, s, t)
     assert abs(ones / n - p) < 4 * math.sqrt(p * (1 - p) / n)
 
@@ -160,17 +501,16 @@ def test_cosine_observe_law_vs_dense_states():
 def test_corrupted_qubits_are_coins():
     be = PhaseBackend(make_trivial_oracle(GroupCtx(16)),
                       rng=np.random.default_rng(6))
-    qs = sample_batch(be, 4000).qubits()
-    assert all(q.classical for q in qs)
-    ones = sum(measure_pm(q) for q in qs)
+    sample = sample_batch(be, 4000)
+    assert sample.classical.all()
+    ones = int(measure_pm(sample).sum())
     assert abs(ones / 4000 - 0.5) < 4 * math.sqrt(0.25 / 4000)
 
 
 def test_tomography_r2_parity():
     for s in (5, 12):
         be = backend(32, s, seed=8)
-        qs = [PhaseQubit(16, be) for _ in range(25)]
-        assert tomography_mod_r(qs, 2) == s % 2
+        assert tomography_mod_r(copies([16] * 25, be), 2) == s % 2
 
 
 def test_tomography_r3():
@@ -178,7 +518,7 @@ def test_tomography_r3():
     for s in (17, 30, 55):
         be = backend(N, s, seed=9)
         need = tomography_copies_needed(3)
-        qs = [PhaseQubit((N // 3) * (1 + i % 2), be) for i in range(need)]
+        qs = copies([(N // 3) * (1 + i % 2) for i in range(need)], be)
         assert tomography_mod_r(qs, 3) == s % 3
 
 
@@ -193,8 +533,8 @@ def test_tomography_exact_past_int64(n):
         rng = np.random.default_rng([n, i])
         s = int(rng.integers(0, N))
         be = PhaseBackend(make_reflection_oracle(GroupCtx(N), s), rng=rng)
-        qs = [PhaseQubit((N // 3) * int(w), be)
-              for w in rng.integers(1, 3, size=need)]
+        qs = copies([(N // 3) * int(w)
+                     for w in rng.integers(1, 3, size=need)], be)
         assert tomography_mod_r(qs, 3) == s % 3, (n, i)
 
 
@@ -204,7 +544,7 @@ def _scalar_readout(qs, labels, M, refs, cands, start):
     ll = [float(v) for v in start]
     for i, (q, x) in enumerate(zip(qs, labels)):
         t, point = refs[i % len(refs)]
-        bit = cosine_observe(q, point)
+        bit = _ref_cosine_observe(q, point)
         for j, c in enumerate(cands):
             p = math.cos(math.pi * (x * (int(c) - t) % M) / M) ** 2
             p = min(1 - 1e-9, max(1e-9, p))
@@ -242,16 +582,20 @@ def _readout_shapes():
 def test_likelihood_readout_matches_scalar_loop(shape):
     o, qlabels, labels, M, refs, cands, start = shape
 
-    def copies():
-        be = PhaseBackend(o, rng=np.random.default_rng(7))
-        return [PhaseQubit(k, be, classical=i % 5 == 0)
-                for i, k in enumerate(qlabels)]
+    def twin():
+        return PhaseBackend(o, rng=np.random.default_rng(7))
 
-    ll = likelihood_readout(copies(), labels, M, refs, cands, start.copy())
-    ref = _scalar_readout(copies(), labels, M, refs, cands, start)
+    mask = [i % 5 == 0 for i in range(len(qlabels))]
+    ll = likelihood_readout(copies(qlabels, twin(), mask), labels, M, refs,
+                            cands, start.copy())
+    be = twin()
+    ref = _scalar_readout([PhaseQubit(k, be, c) for k, c in
+                           zip(qlabels, mask)], labels, M, refs, cands, start)
     assert ll == pytest.approx(ref, rel=1e-12, abs=1e-12)
     # no copies leave ll as it was
-    assert np.array_equal(likelihood_readout([], [], M, refs, cands,
+    empty = copies(np.zeros((0,) + np.shape(qlabels)[1:], dtype=np.int64),
+                   twin())
+    assert np.array_equal(likelihood_readout(empty, [], M, refs, cands,
                                              start.copy()), start)
 
 
@@ -263,13 +607,15 @@ def test_likelihood_readout_scores_in_blocks():
     cands = np.arange(0, M, 4)[: (1 << 19) + 1]
     refs = [(t, t) for t in (0, M // 4, 999)]
 
-    def copies():
-        be = PhaseBackend(o, rng=np.random.default_rng(8))
-        return [PhaseQubit(k, be) for k in (1, 3, 1, 5, 1)]
+    def twin():
+        return PhaseBackend(o, rng=np.random.default_rng(8))
 
-    ll = likelihood_readout(copies(), [1, 3, 1, 5, 1], M, refs, cands)
+    ll = likelihood_readout(copies([1, 3, 1, 5, 1], twin()), [1, 3, 1, 5, 1],
+                            M, refs, cands)
     sample = slice(None, None, 4099)
-    ref = _scalar_readout(copies(), [1, 3, 1, 5, 1], M, refs, cands[sample],
+    be = twin()
+    ref = _scalar_readout([PhaseQubit(k, be) for k in (1, 3, 1, 5, 1)],
+                          [1, 3, 1, 5, 1], M, refs, cands[sample],
                           np.zeros(len(cands[sample])))
     assert ll[sample] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
@@ -287,26 +633,27 @@ def test_log_likelihood_columns_from_a_generator(step):
     start = rng.random(len(cands))
     o = make_reflection_oracle(GroupCtx(N), 1000)
 
-    def copies():
+    def thirty_sevens():
         be = PhaseBackend(o, rng=np.random.default_rng(9))
-        return [PhaseQubit(37, be, classical=i % 5 == 0) for i in range(40)]
+        return copies([37] * 40, be, [i % 5 == 0 for i in range(40)])
 
-    blocks = likelihood_readout(copies(), [37] * 40, N, refs, cands,
+    blocks = likelihood_readout(thirty_sevens(), [37] * 40, N, refs, cands,
                                 start.copy())
     sample = slice(None, None, 4099)
-    matrix = likelihood_readout(copies(), [37] * 40, N, refs, cands[sample],
-                                start[sample].copy())
+    matrix = likelihood_readout(thirty_sevens(), [37] * 40, N, refs,
+                                cands[sample], start[sample].copy())
     assert np.array_equal(blocks[sample], matrix)
-    assert np.array_equal(likelihood_readout([], [], N, refs, cands[:3],
-                                             np.zeros(3)), np.zeros(3))
+    assert np.array_equal(likelihood_readout(copies([], backend(N, 1)), [], N,
+                                             refs, cands[:3], np.zeros(3)),
+                          np.zeros(3))
 
 
 def test_tomography_insufficient():
     be = backend(27, 5)
     with pytest.raises(InsufficientCopiesError):
-        tomography_mod_r([PhaseQubit(9, be)], 3)
+        tomography_mod_r(copies([9], be), 3)
     with pytest.raises(InsufficientCopiesError):
-        tomography_mod_r([], 2)
+        tomography_mod_r(copies([], be), 2)
 
 
 @pytest.mark.parametrize("bias", [1.5, -0.1, float("nan")])
@@ -319,14 +666,14 @@ def test_tomography_rejects_radix_below_2():
     be = backend(8, 3)
     for r in (1, 0):
         with pytest.raises(ValueError):
-            tomography_mod_r([PhaseQubit(4, be)], r)
+            tomography_mod_r(copies([4], be), r)
 
 
 def test_phase_list_measure_pm_same_law():
     N, s = 16, 9
     be = backend(N, s, seed=10)
     sample = sample_batch(be, 50000)
-    labels, bits = sample.labels, sample.measure_pm()
+    labels, bits = sample.labels, measure_pm(sample)
     # label marginal uniform
     counts = np.bincount(labels, minlength=N) / 50000
     assert np.abs(counts - 1 / N).max() < 0.01
@@ -342,7 +689,7 @@ def test_fault_hooks_change_the_law():
     N, s, k, t = 16, 5, 3, 2
     be = _backends(np.random.default_rng(11), 0.5, -1)(N, s)
     n = 8000
-    ones = sum(cosine_observe(PhaseQubit(k, be), t) for _ in range(n))
+    ones = int(cosine_observe(copies([k] * n, be), t).sum())
     honest = math.cos(math.pi * (((s - t) * k) % N) / N) ** 2
     flipped = math.cos(math.pi * (((-s - t) * k) % N) / N) ** 2
     assert abs(ones / n - flipped) < 0.03
@@ -359,18 +706,18 @@ def test_measure_pm_is_one_minus_observe_at_zero(ctx, s, labels, classical):
     # complement of the observation against the zero slope
     twins = [PhaseBackend(make_reflection_oracle(ctx, s), rng=3)
              for _ in range(2)]
-    for _ in range(200):
-        for k in labels:
-            q, q2 = (PhaseQubit(k, be, classical) for be in twins)
-            assert measure_pm(q) == 1 - cosine_observe(q2, ctx.zero)
+    a, b = (copies(labels * 200, be, [classical] * (200 * len(labels)))
+            for be in twins)
+    assert np.array_equal(measure_pm(a), 1 - cosine_observe(b, ctx.zero))
     assert (twins[0].rng.bit_generator.state
             == twins[1].rng.bit_generator.state)
 
 
 def test_phase_list_is_consumed_whole():
-    # take, qubits and measure_pm each consume the whole list; a second
-    # use of any kind raises
-    uses = (PhaseList.take, PhaseList.qubits, PhaseList.measure_pm)
+    # take, qubits, join and the observations each consume the whole
+    # list; a second use of any kind raises
+    uses = (PhaseList.take, PhaseList.qubits, lambda p: PhaseList.join([p]),
+            measure_pm, lambda p: cosine_observe(p, 3))
     for first in uses:
         for second in uses:
             sample = sample_batch(backend(16, 5), 8)
@@ -384,8 +731,8 @@ def test_phase_list_is_consumed_whole():
                                  AbelianGroupSpec((16, 9))])
 def test_phase_list_columns(ctx):
     # int64 labels up to 62 bits, an object array past that, a (count,
-    # rank) matrix on an abelian group; qubits() gives the labels as ints
-    # or tuples, with the corruption flags
+    # rank) matrix on an abelian group; on D_N, qubits() gives the labels
+    # as ints, with the corruption flags
     o = HidingOracle(ctx, ctx.zero, None, corruption_rate=Fraction(1, 3))
     be = PhaseBackend(o, rng=np.random.default_rng(9))
     sample = sample_batch(be, 50)
@@ -393,6 +740,8 @@ def test_phase_list_columns(ctx):
                                    else np.int64)
     assert sample.labels.shape[1:] == (() if isinstance(ctx, GroupCtx)
                                        else (2,))
+    if not isinstance(ctx, GroupCtx):
+        return
     qs = sample.qubits()
     assert [q.label for q in qs] == [ctx.reduce(k)
                                      for k in sample.labels.tolist()]
@@ -405,8 +754,7 @@ def test_phase_list_columns(ctx):
 @pytest.mark.parametrize("corrupted", [False, True])
 def test_phase_list_measure_pm_is_measure_pm_on_each(N, corrupted):
     # one rng.random(count) draw after the sample: the outcomes are those
-    # of measure_pm on each qubit fed the same uniforms, classical qubits
-    # included
+    # of the per-qubit measure_pm on each qubit, classical qubits included
     def make():
         o = make_reflection_oracle(GroupCtx(N), 5 * N // 16 + 3)
         if corrupted:
@@ -414,14 +762,7 @@ def test_phase_list_measure_pm_is_measure_pm_on_each(N, corrupted):
         return PhaseBackend(o, rng=np.random.default_rng(4))
 
     a, b = make(), make()
-    sample = sample_batch(a, 400)
-    bits = sample.measure_pm()
-    qs = sample_batch(b, 400).qubits()
-    u = b.rng.random(400)
-    ref = []
-    for q, x in zip(qs, u.tolist()):
-        p_plus = 0.5 if q.classical else math.cos(
-            math.pi * q.backend.oracle._phase_turns(q.label)) ** 2
-        ref.append(int(x >= p_plus))
+    bits = measure_pm(sample_batch(a, 400))
+    ref = [_ref_measure_pm(q) for q in sample_batch(b, 400).qubits()]
     assert bits.tolist() == ref
     assert a.rng.bit_generator.state == b.rng.bit_generator.state

@@ -20,7 +20,6 @@ from dhsieve.oracle import (
 from dhsieve.phase import (
     PhaseBackend,
     PhaseList,
-    PhaseQubit,
     combine,
     cosine_observe,
     measure_pm,
@@ -226,9 +225,9 @@ def test_staged_parity_exhausts_after_the_pass_cap(monkeypatch):
 def _d2_draws(backend):
     """D_2 as 64 one-label draws, measuring the first psi_1."""
     for _ in range(64):
-        q = sample_batch(backend, 1).qubits()[0]
-        if q.label == 1:
-            return measure_pm(q)
+        sample = sample_batch(backend, 1)
+        if sample.labels[0] == 1:
+            return measure_pm(sample)[0]
     raise SieveExhaustedError("no psi_1 sampled in D_2")
 
 
@@ -438,7 +437,8 @@ def test_interval_sieve_yields_psi1():
             q0 = be.oracle.queries
             ones, st = interval_sieve(be, want)
             assert len(ones) >= want
-            assert all(q.label == 1 and not q.consumed for q in ones)
+            assert ones.labels.tolist() == [1] * len(ones)
+            assert not ones.consumed
             # whole passes only
             assert (be.oracle.queries - q0) % interval_config(N)[1] == 0
 
@@ -452,13 +452,13 @@ def test_interval_sieve_one_record_per_run():
     q0 = be.oracle.queries
     ones, st = interval_sieve(be, 100)
     passes, rest = divmod(be.oracle.queries - q0, size)
-    twin, twin_ones, totals = backend(N, 123, seed=8), [], [0] * (m + 1)
+    twin, twin_ones, totals = backend(N, 123, seed=8), 0, [0] * (m + 1)
     for _ in range(passes):
         got, pass_st = _interval_pass(twin, size, widths)
-        twin_ones += got
+        twin_ones += len(got)
         totals = [t + k for t, k in zip(totals, pass_st.list_sizes)]
     assert rest == 0 and twin.oracle.queries == be.oracle.queries - q0
-    assert passes > 1 and len(twin_ones) == len(ones)
+    assert passes > 1 and twin_ones == len(ones)
     assert st.list_sizes == totals and len(st.list_sizes) == m + 1
     assert st.survival_ratios == [b / a if a else 0.0
                                   for a, b in zip(totals, totals[1:])]
@@ -492,7 +492,7 @@ def test_interval_sieve_psi1_cosine_law(N, s):
     hits = total = 0
     for seed in range(12):
         ones, _ = interval_sieve(backend(N, s, seed=seed), 24)
-        hits += sum(cosine_observe(q, 0) for q in ones)
+        hits += int(cosine_observe(ones, 0).sum())
         total += len(ones)
     p = (1 + math.cos(2 * math.pi * s / N)) / 2
     assert abs(hits / total - p) <= 6 * math.sqrt(p * (1 - p) / total)
@@ -530,7 +530,8 @@ def test_quadrature_estimator_exact_bias():
     for N in (40, 45):
         for s in range(N):
             be = PhaseBackend(make_reflection_oracle(GroupCtx(N), s), rng=rng)
-            ones = [PhaseQubit(1, be) for _ in range(4000)]
+            ones = PhaseList(np.ones(4000, dtype=np.int64),
+                             np.zeros(4000, dtype=bool), be)
             assert estimate_from_quadratures(ones, N) == s, (N, s)
 
 
