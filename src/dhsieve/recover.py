@@ -26,10 +26,20 @@ from .oracle import (
     with_label_automorphism,
 )
 from .phase import PhaseBackend, likelihood_readout
-from .staged import interval_sieve, run_general_interval, run_staged_parity
+from .staged import (
+    COARSE_COPIES,
+    interval_sieve,
+    run_general_interval,
+    run_staged_parity,
+)
 
 # psi_1 copies a general-N refinement round asks for (it reads them all)
 _COPIES_PER_ROUND = 12
+# a refinement round keeps the candidates within this log-likelihood of
+# the best
+_PRUNE_LL = 8.0
+# candidates a round's multiplier choice scores at most
+_SCORED_CANDIDATES = 256
 # sweeps of the substring guess grid, one slope attempt per guess each
 _SUBSTRING_SWEEPS = 2
 # single-coordinate copies each abelian coordinate readout reads
@@ -148,12 +158,55 @@ def recover_slope_radix(o, r, n=None, rng=None, budget=None):
 # General N
 
 
+def _choose_unit(N, cands, copies):
+    """The multiplier of the next general-N refinement round.  Of the
+    units unit_for_odd_part(N, k), k over one period of 2 mod M (N = 2^a M,
+    M odd > 1) and at most ceil(log2 N) + a of them, returns the first
+    whose predicted psi_1 turns (u^-1 c mod N) / N leave the candidates c
+    the fewest pairs within the band a round of copies (>= 2) cannot split.
+
+    One cosine bit carries Fisher information 4 pi^2 about its turn at any
+    reference, so copies bits put a log-likelihood gap of about
+    2 pi^2 copies d^2 between turns d apart; the prune keeps what is
+    within _PRUNE_LL of the best, which makes the band
+    sqrt(_PRUNE_LL / (2 pi^2 copies)) turn (0.09 at 50 copies).  Scores at
+    most _SCORED_CANDIDATES of the sorted candidates, a golden-ratio
+    sample of them when there are more: unlike every k-th candidate, its
+    gaps share no stride that a power-of-two multiplier could alias.
+    Deterministic; draws nothing."""
+    a = (N & -N).bit_length() - 1
+    units = [1]
+    while len(units) < math.ceil(math.log2(N)) + a:
+        u = unit_for_odd_part(N, len(units))
+        if u == 1:
+            break
+        units.append(u)
+    if len(cands) > _SCORED_CANDIDATES:
+        golden = (math.sqrt(5) - 1) / 2
+        cands = cands[(np.arange(_SCORED_CANDIDATES) * golden % 1.0
+                       * len(cands)).astype(np.int64)]
+    inv = np.array([pow(u, -1, N) for u in units], dtype=np.int64)
+    turns = np.sort(inv[:, None] * cands % N, axis=1)
+    rows, n = turns.shape
+    w = int(N * math.sqrt(_PRUNE_LL / (2 * math.pi ** 2 * copies)))
+    # the rows 2N apart in one sorted array, so one search serves them all;
+    # a pair counts once: within w, or within w across the wrap at N
+    flat = (turns + 2 * N * np.arange(rows)[:, None]).ravel()
+    near = (np.searchsorted(flat, flat + w, side="right")
+            - np.arange(rows * n) - 1)
+    wrap = (np.repeat(n * np.arange(1, rows + 1), n)
+            - np.searchsorted(flat, flat + N - w))
+    return units[int(np.argmin((near + wrap).reshape(rows, n).sum(axis=1)))]
+
+
 def _general_attempt(o, M, rng):
     """One pass of the automorphism refinement, reading s mod M for M the
     odd part of N: coarse interval estimate, then rounds of psi_1 cosine
-    observations through the label-multiplier automorphisms, scored by
-    log-likelihood over a shrinking candidate window that keeps the
-    candidates within 8 units of the best, until they agree mod M."""
+    observations through the label-multiplier automorphism _choose_unit
+    picks for the live candidates (sized for as many copies as the last
+    sieve call held), scored by log-likelihood over a shrinking candidate
+    window that keeps the candidates within _PRUNE_LL of the best, until
+    they agree mod M."""
     N = o.ctx.N
     backend = PhaseBackend(o, rng=rng)
     t0, _ = run_general_interval(backend)
@@ -163,20 +216,21 @@ def _general_attempt(o, M, rng):
     arc[(t0 + np.arange(-radius, radius + 1)) % N] = True
     cands = np.flatnonzero(arc)
     ll = np.zeros(len(cands))
-    rounds = max(1, math.ceil(math.log2(N)) + 1)
-    for j in range(rounds):
+    copies = COARSE_COPIES
+    for _ in range(max(1, math.ceil(math.log2(N)) + 1)):
         if np.all(cands % M == cands[0] % M):
             break
-        u = unit_for_odd_part(N, j)
+        u = _choose_unit(N, cands, copies)
         wrapped = with_label_automorphism(o, u)
         ones, _ = interval_sieve(PhaseBackend(wrapped, rng=rng),
                                  _COPIES_PER_ROUND)
+        copies = len(ones)
         uinv = pow(u, -1, N)
         best = uinv * int(cands[np.argmax(ll)])
         ts = [(best + d) % N for d in (0, max(1, N // 4), max(1, N // 8))]
         ll = likelihood_readout(ones, ones.labels, N,
                                 [(t, t) for t in ts], uinv * cands % N, ll)
-        keep = ll > ll.max() - 8.0
+        keep = ll > ll.max() - _PRUNE_LL
         cands, ll = cands[keep], ll[keep]
     return int(cands[np.argmax(ll)]) % M
 
@@ -185,13 +239,19 @@ def _slope_attempt(o, rng):
     """One slope attempt over D_N, N = 2^a M with M odd: when M > 1 the
     automorphism refinement reads p = s mod M, and restricting to
     <x^M, y x^p> leaves a D_{2^a} hiding (s - p)/M, which the
-    power-of-two recursion reads."""
+    power-of-two recursion reads.  A tail that exhausts its sieve is run
+    once more on the same restriction, so p's queries are not thrown
+    away."""
     N = o.ctx.N
     a = (N & -N).bit_length() - 1
     M, p = N >> a, 0
     if M > 1:
         p = _general_attempt(o, M, rng)
         o = restrict_reflection(o, p, M)
+        try:
+            return p + M * _digit_recursion(o, 2, a, rng, run_staged_parity)
+        except SieveExhaustedError:
+            pass
     return p + M * _digit_recursion(o, 2, a, rng, run_staged_parity)
 
 

@@ -27,7 +27,7 @@ C_0 = 3
 # passes run_passes makes by default before it gives up on too few copies
 MAX_PASSES = 16
 # psi_1 copies the coarse quadrature readout averages over
-_COARSE_COPIES = 24
+COARSE_COPIES = 24
 
 
 @dataclass
@@ -282,5 +282,5 @@ def estimate_from_quadratures(ones, N):
 def run_general_interval(backend):
     """Interval sieve plus quadrature readout: estimates the hidden slope
     to within N/4 (circular) with probability at least 2/3."""
-    ones, stats = interval_sieve(backend, _COARSE_COPIES)
+    ones, stats = interval_sieve(backend, COARSE_COPIES)
     return estimate_from_quadratures(ones, backend.oracle.ctx.N), stats

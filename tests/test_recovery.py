@@ -1,12 +1,15 @@
 """End-to-end secret recovery: power-of-two recursion, general N,
 hidden substrings through spliced oracles, and abelian hidden shifts."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dhsieve import recover
 from dhsieve.errors import NoHiddenReflectionError, SieveExhaustedError
-from dhsieve.group import AbelianGroupSpec, GroupCtx
+from dhsieve.group import AbelianGroupSpec, GroupCtx, unit_for_odd_part
 from dhsieve.oracle import (
     ShiftPair,
     SubstringInstance,
@@ -126,19 +129,20 @@ def test_general_small_sweep_n45():
         assert got == s and rep.verified
 
 
-@pytest.mark.parametrize("N, s, queries", [(360, 123, 1215),
-                                           (4095, 1000, 8450)])
+@pytest.mark.parametrize("N, s, queries", [(360, 123, 1023),
+                                           (4095, 1000, 3842)])
 def test_general_pinned_queries(N, s, queries):
-    # a change to any draw of the sieve moves these counts.  One interval
-    # pass samples C_0 * 4^m labels (192 at N = 360, 768 at N = 4095) and
-    # the answer costs one verification pair.  N = 360 = 8 * 45 spends 2
-    # coarse passes and 4 refinement rounds of one pass reading
-    # s mod 45 = 33 (6 * 192), then the parity sieve reads (s - 33)/45 = 2
-    # over D_8, D_4 and D_2 with one pass each of C_0 * 4^m labels (48 at
-    # m = 2, 12 at m = 1) and 1 label: 1152 + 48 + 12 + 1 + 2 = 1215.
-    # N = 4095 spends 1 coarse pass and 10 rounds: 11 * 768 + 2 = 8450.
-    # N = 4095 stays at least 10x below the 159,746 queries of a fixed
-    # C_0 * 8^m sample per sieve call
+    # a change to any draw of the sieve, or to the multiplier a round
+    # picks, moves these counts.  One interval pass samples C_0 * 4^m
+    # labels (192 at N = 360, 768 at N = 4095) and the answer costs one
+    # verification pair: coarse passes + rounds x pass size + tail + 2.
+    # N = 360 = 8 * 45 spends 2 coarse passes and 3 refinement rounds of
+    # one pass reading s mod 45 = 33 (5 * 192), then the parity sieve
+    # reads (s - 33)/45 = 2 over D_8, D_4 and D_2 with one pass each of
+    # C_0 * 4^m labels (48 at m = 2, 12 at m = 1) and 1 label:
+    # 960 + 48 + 12 + 1 + 2 = 1023.  N = 4095 spends 1 coarse pass and
+    # 4 rounds: 5 * 768 + 2 = 3842.  N = 4095 stays at least 10x below
+    # the 159,746 queries of a fixed C_0 * 8^m sample per sieve call
     o = make_reflection_oracle(GroupCtx(N), s)
     got, rep = recover_slope_general(o, rng=np.random.default_rng(1))
     assert got == s and rep.attempts == 1
@@ -172,19 +176,137 @@ def test_abelian_pinned_queries(i, s, attempts, queries):
     assert (got, rep.attempts, rep.queries) == (s, attempts, queries)
 
 
-@pytest.mark.parametrize("N", [3 << 10, 3 << 14, 45 << 8])
+@pytest.mark.parametrize("N", [3 << 10, 3 << 14, 45 << 8, 360, 720, 1000])
 def test_general_with_power_of_two_factor(N):
     # N = 2^a M, M odd: the refinement reads s mod M and the parity
     # recursion reads the rest over the D_{2^a} that restricting to
     # <x^M, y x^(s mod M)> leaves.  A refinement over the whole slope
     # cannot read its 2-part (the multipliers are 1 mod 2^a): it
-    # recovered 2, 0 and 8 of these 10 secrets in six attempts.
+    # recovered 2, 0 and 8 of the first three N's 10 secrets in six
+    # attempts.  At 360, 720 and 1000 the 2-part puts candidates M apart
+    # k / 2^a turn apart under every multiplier, an alias that a
+    # multiplier picked from the window width alone does not see
     for i in range(10):
         s = int(np.random.default_rng([N, i]).integers(0, N))
         o = make_reflection_oracle(GroupCtx(N), s)
         got, rep = recover_slope_general(
             o, rng=np.random.default_rng([N, i, 1]))
         assert got == s and rep.attempts == 1, (N, i)
+
+
+def _pairs_within_band(N, u, cands, copies):
+    # brute force over every pair: predicted turns (u^-1 c mod N) / N
+    # closer (around the circle) than the band a round of copies cannot
+    # split, sqrt(prune margin / (2 pi^2 copies)) turn
+    w = int(N * math.sqrt(recover._PRUNE_LL / (2 * math.pi ** 2 * copies)))
+    x = [pow(u, -1, N) * int(c) % N for c in cands]
+    return sum(min((xi - xj) % N, (xj - xi) % N) <= w
+               for i, xi in enumerate(x) for xj in x[i + 1:])
+
+
+def _round_units(N):
+    a = (N & -N).bit_length() - 1
+    return {unit_for_odd_part(N, k)
+            for k in range(math.ceil(math.log2(N)) + a)}
+
+
+@pytest.mark.parametrize("N, lo, width, copies", [
+    (45, 0, 23, 24),         # the first window at N = 45
+    (255, 40, 30, 20),
+    (360, 0, 181, 24),       # 2^3 * 45: the first window
+    (360, 100, 30, 20),
+    (720, 10, 30, 20),       # 2^4 * 45
+    (1000, 0, 60, 20),       # 2^3 * 125
+    (1000, 500, 200, 40),
+    (4095, 1000, 32, 50),    # a window of 32 after a few rounds
+    (4095, 100, 64, 50),
+    (4095, -16, 32, 50),     # a window across 0
+    (3 << 14, 7, 200, 24),   # M = 3: only two multipliers
+])
+def test_choose_unit_minimizes_pairs_within_the_band(N, lo, width, copies):
+    # the chosen multiplier is a round unit (1 mod 2^a) and leaves no more
+    # candidate pairs inside the band than any other round unit
+    cands = np.arange(lo, lo + width) % N
+    u = recover._choose_unit(N, np.sort(cands), copies)
+    a = (N & -N).bit_length() - 1
+    assert u in _round_units(N) and u % (1 << a) == 1 % (1 << a)
+    best = min(_pairs_within_band(N, v, cands, copies)
+               for v in _round_units(N))
+    assert _pairs_within_band(N, u, cands, copies) == best
+
+
+def test_choose_unit_band_at_fifty_copies():
+    # the band is about 0.64 / sqrt(copies) turn: +-0.09 at 50 copies, so
+    # turns 0.088 apart are one cluster and 0.092 apart are split, also
+    # across the wrap at N.  Unit 1 already splits candidates 0.092 turn
+    # apart, and comes first
+    N = 4095
+    assert _pairs_within_band(N, 1, [10, N - 10], 50) == 1
+    assert recover._choose_unit(N, np.array([10, N - 10]), 50) != 1
+    assert _pairs_within_band(N, 1, [0, 360], 50) == 1
+    assert _pairs_within_band(N, 1, [0, 377], 50) == 0
+    assert _pairs_within_band(N, 1, [0, 377], 25) == 1
+    assert recover._choose_unit(N, np.array([0, 377, 754]), 50) == 1
+    assert recover._choose_unit(N, np.array([0, 377, 754]), 25) != 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12), st.sampled_from([3, 5, 9, 45, 63, 125, 255]),
+       st.integers(2, 700), st.integers(12, 80), st.integers(0, 2 ** 32))
+def test_choose_unit_is_deterministic_and_draws_nothing(a, M, size, copies,
+                                                         seed):
+    # any candidate set, scored whole or (past 256) through its fixed
+    # sample: a round unit, 1 mod 2^a, the same one on a second call, and
+    # neither numpy's global generator nor a live one moves
+    N = M << a
+    rng = np.random.default_rng(seed)
+    cands = np.sort(rng.choice(N, size=min(size, N), replace=False))
+    live = rng.bit_generator.state
+    legacy = np.random.get_state()[1].copy()
+    u = recover._choose_unit(N, cands, copies)
+    assert u in _round_units(N) and u % (1 << a) == 1 % (1 << a)
+    assert recover._choose_unit(N, cands.copy(), copies) == u
+    assert rng.bit_generator.state == live
+    assert np.array_equal(np.random.get_state()[1], legacy)
+
+
+def _count_calls(monkeypatch, name, fail_first=0):
+    # wrap recover.<name>: record each call's first argument, and raise
+    # SieveExhaustedError on the first fail_first calls
+    calls, real = [], getattr(recover, name)
+
+    def wrapped(*args):
+        calls.append(args[0])
+        if len(calls) <= fail_first:
+            raise SieveExhaustedError("dry")
+        return real(*args)
+
+    monkeypatch.setattr(recover, name, wrapped)
+    return calls
+
+
+def test_exhausted_tail_is_retried_on_the_same_restriction(monkeypatch):
+    # a power-of-two tail that exhausts runs once more on the restriction
+    # the odd-part reading named: the recovery still takes one attempt and
+    # one refinement
+    refinements = _count_calls(monkeypatch, "_general_attempt")
+    tails = _count_calls(monkeypatch, "_digit_recursion", fail_first=1)
+    o = make_reflection_oracle(GroupCtx(360), 123)
+    got, rep = recover_slope_general(o, rng=np.random.default_rng(1))
+    assert got == 123 and rep.attempts == 1
+    assert len(refinements) == 1 and len(tails) == 2
+    assert tails[0] is tails[1]
+
+
+def test_twice_exhausted_tail_ends_the_attempt(monkeypatch):
+    # the retry is one tail, not a loop: a second exhaustion fails the
+    # attempt, and the next attempt reads the odd part afresh
+    refinements = _count_calls(monkeypatch, "_general_attempt")
+    tails = _count_calls(monkeypatch, "_digit_recursion", fail_first=2)
+    o = make_reflection_oracle(GroupCtx(360), 123)
+    got, rep = recover_slope_general(o, rng=np.random.default_rng(1))
+    assert got == 123 and rep.attempts == 2
+    assert len(refinements) == 2 and len(tails) == 3
 
 
 def test_general_exhausted_round_ends_the_attempt(monkeypatch):

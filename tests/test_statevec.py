@@ -94,6 +94,38 @@ def test_state_validation():
         DensityMatrix(np.array([[0.5, 1j], [2j, 0.5]]))  # not Hermitian
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("dim", [2, 200])
+def test_density_matrix_checks_keep_their_tolerance(dim, dtype):
+    # trace and Hermitian checks at the old 1e-11 tolerance, with the same
+    # messages, on one block of the row-blocked check (dim 2) and past it
+    # (dim 200 checks 81 rows at a time), the fault in the first or the
+    # last block
+    rho = np.eye(dim, dtype=dtype) / dim
+    DensityMatrix(rho)
+    with pytest.raises(ValueError, match="trace must be 1"):
+        DensityMatrix(2 * rho)
+    with pytest.raises(ValueError, match="trace must be 1"):
+        DensityMatrix(rho + np.diag([1e-10] + [0.0] * (dim - 1)))
+    for i, j in ((0, dim - 1), (dim - 1, 0)):
+        for eps, ok in ((5e-12, True), (1e-10, False)):
+            bad = rho.copy()
+            bad[i, j] += eps
+            if ok:
+                DensityMatrix(bad)
+            else:
+                with pytest.raises(ValueError, match="must be Hermitian"):
+                    DensityMatrix(bad)
+    if dtype is complex:
+        # symmetric is not Hermitian: the conjugate is taken
+        sym = rho.copy()
+        sym[0, dim - 1] = sym[dim - 1, 0] = 1e-10j
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            DensityMatrix(sym)
+        sym[dim - 1, 0] = -1e-10j
+        DensityMatrix(sym)
+
+
 def test_coset_state_support():
     v = coset_state(8, 3, 2).entries
     assert abs(v[2] - 1 / np.sqrt(2)) < 1e-12
