@@ -167,7 +167,7 @@ def _pair_order(depths):
     return np.concatenate(lefts), np.concatenate(rights)
 
 
-def greedy_sieve(backend, obj, min_alpha, budget, max_targets=None):
+def greedy_sieve(backend, obj, min_alpha, budget, max_targets):
     """Fill a list with budget sampled qubits, then greedily pair inside
     the minimum-alpha bucket to maximize the alpha of the extracted label.
     Collects the nonzero labels (oriented as obj.score flips them) whose
@@ -186,7 +186,7 @@ def greedy_sieve(backend, obj, min_alpha, budget, max_targets=None):
     Raises SieveExhaustedError when the buckets empty with no target."""
     if budget < 2:
         raise ValueError("budget must be at least 2")
-    if max_targets is not None and max_targets < 1:
+    if max_targets < 1:
         raise ValueError("max_targets must be at least 1")
     stats = SieveStats()
     rng, mod = backend.rng, backend.oracle.ctx.modulus
@@ -204,7 +204,7 @@ def greedy_sieve(backend, obj, min_alpha, budget, max_targets=None):
         labels[flip] = -labels[flip] % mod
         hit = alpha >= min_alpha
         at = np.flatnonzero(hit)
-        stop = max_targets is not None and held + len(at) >= max_targets
+        stop = held + len(at) >= max_targets
         if stop:
             at = at[:max_targets - held]
         hits.append(PhaseList(labels[at], classical[at], backend))
@@ -234,8 +234,8 @@ def greedy_sieve(backend, obj, min_alpha, budget, max_targets=None):
             left, right = order[left], order[right]
             stats.work += len(labels)
             # the state to rewind to, when this sweep may reach max_targets
-            state = (rng.bit_generator.state if max_targets is not None
-                     and held + len(left) >= max_targets else None)
+            state = (rng.bit_generator.state
+                     if held + len(left) >= max_targets else None)
             minus = rng.random(len(left)) >= backend.coin_bias
             other = labels[right]
             other[minus] = -other[minus]
@@ -263,12 +263,12 @@ def default_radix_budget(r, n):
     return max(16, math.ceil(24 * 3.0 ** math.sqrt(2 * log3_N)))
 
 
-def run_radix_recovery(backend, r, n, budget=None, scale=1):
+def run_radix_recovery(backend, r, n, budget=None):
     """One level of the radix recursion: sieve for labels divisible by
-    N/r, then read s mod r by tomography.  Greedy sieves of budget * scale
-    qubits run (run_passes) until the level holds the copies tomography
-    needs; a sieve that finds no target ends the level.  scale multiplies
-    the list size; callers raise it when retrying after exhaustion."""
+    N/r, then read s mod r by tomography.  Greedy sieves of budget qubits
+    (default_radix_budget when None) run (run_passes) until the level
+    holds the copies tomography needs; a sieve that finds no target ends
+    the level."""
     N = r ** n
     if backend.oracle.ctx.N != N:
         raise ValueError("oracle group order is not r^n")
@@ -276,7 +276,6 @@ def run_radix_recovery(backend, r, n, budget=None, scale=1):
         return 0, SieveStats()
     if budget is None:
         budget = default_radix_budget(r, n)
-    budget *= scale
     obj = RadixObjective(r)
     want = max(5, tomography_copies_needed(r))
     targets, stats = run_passes(

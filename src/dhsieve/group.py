@@ -43,25 +43,40 @@ class GroupCtx:
 
     def turns(self, k, s):
         """Phases of psi_k at slope s in turns, for an array k of labels and
-        s one slope or one per label; in Python ints once N >= 2^31."""
-        if self.N >= 1 << 31:
-            k, s = np.asarray(k, dtype=object), np.asarray(s, dtype=object)
+        s one slope or one per label: the exact k s mod N, over N."""
+        dtype = int_dtype(self.N * self.N)
+        k, s = np.asarray(k, dtype=dtype), np.asarray(s, dtype=dtype)
         return np.asarray(k * s % self.N / self.N, dtype=float)
 
     def random_elements(self, rng, count):
         """count uniform exponents, an array whose tolist() gives ints."""
-        if self.N.bit_length() <= 62:
-            return rng.integers(0, self.N, size=count)
-        return np.array([random_below(rng, self.N) for _ in range(count)],
-                        dtype=object)
+        return uniform(rng, self.N, count)
 
 
-def random_below(rng, N):
-    """Uniform integer in [0, N) for any N >= 1, also past 64 bits."""
-    if N.bit_length() <= 62:
-        return int(rng.integers(0, N))
-    nbytes = (N.bit_length() + 64) // 8
-    return int.from_bytes(rng.bytes(nbytes), "little") % N
+def int_dtype(bound):
+    """The one width rule: int64 while it holds every integer below bound
+    with a bit to spare, so two of them add without overflow, else object
+    (Python ints).  Labels ask it with N (int64 up to 62 bits), products
+    of two labels with N * N (int64 for N < 2^31)."""
+    return np.int64 if bound.bit_length() <= 62 else object
+
+
+def uniform(rng, modulus, count):
+    """count uniform integers in [0, modulus), typed by int_dtype: one
+    rng.integers call while int64; past that, exactly the bits of a power
+    of two, all from one rng.bytes call, or else 64 spare bits per value,
+    one rng.bytes call each, so that the reduction's bias is below 2^-64."""
+    if int_dtype(modulus) is np.int64:
+        return rng.integers(0, modulus, size=count)
+    if modulus & (modulus - 1) == 0:
+        nbytes = (modulus.bit_length() + 6) // 8
+        raw = rng.bytes(nbytes * count)
+        chunks = [raw[i:i + nbytes] for i in range(0, len(raw), nbytes)]
+    else:
+        nbytes = (modulus.bit_length() + 64) // 8
+        chunks = [rng.bytes(nbytes) for _ in range(count)]
+    return np.array([int.from_bytes(c, "little") % modulus for c in chunks],
+                    dtype=object)
 
 
 @dataclass(frozen=True)
@@ -108,11 +123,11 @@ class AbelianGroupSpec:
 
     def turns(self, k, s):
         """Phases of psi_k at shift s in turns, for a (count, rank) matrix
-        k of labels and s one shift or one per row; coordinates summed left
-        to right, in Python ints once an order reaches 2^31."""
-        if max(self.orders, default=0) >= 1 << 31:
-            k, s = np.asarray(k, dtype=object), np.asarray(s, dtype=object)
-        s = np.reshape(s, (-1, self.rank))
+        k of labels and s one shift or one per row: the exact products,
+        coordinates summed left to right."""
+        dtype = int_dtype(max(self.orders, default=1) ** 2)
+        k = np.asarray(k, dtype=dtype)
+        s = np.reshape(np.asarray(s, dtype=dtype), (-1, self.rank))
         total = 0.0
         for j, n in enumerate(self.orders):
             total = total + np.asarray(k[:, j] * s[:, j] % n / n, dtype=float)
@@ -121,20 +136,20 @@ class AbelianGroupSpec:
     @property
     def modulus(self):
         """The orders as an array, which reduces a (count, rank) label
-        matrix row by row: int64 while every order fits in 62 bits."""
-        if all(n.bit_length() <= 62 for n in self.orders):
-            return np.array(self.orders, dtype=np.int64)
-        return np.array(self.orders, dtype=object)
+        matrix row by row, typed by int_dtype of the largest order."""
+        return np.array(self.orders,
+                        dtype=int_dtype(max(self.orders, default=1)))
 
     def random_elements(self, rng, count):
         """count uniform elements, one after another, as the rows of a
         (count, rank) matrix.  One rng.integers call draws them all when
-        every order fits in 62 bits; it takes the same values, and leaves
-        the same generator state, as a random_below call per coordinate."""
+        the labels are int64; it takes the same values, and leaves the
+        same generator state, as a one-value uniform draw per
+        coordinate, which is how wider rows are drawn."""
         mod = self.modulus
         if mod.dtype != object:
             return rng.integers(0, mod, size=(count, self.rank))
-        rows = [[random_below(rng, n) for n in self.orders]
+        rows = [[uniform(rng, n, 1).tolist()[0] for n in self.orders]
                 for _ in range(count)]
         return np.array(rows, dtype=object).reshape(count, self.rank)
 

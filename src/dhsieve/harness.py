@@ -18,7 +18,7 @@ import numpy as np
 from .errors import SieveExhaustedError
 from .greedy import cancellation_race
 from .oracle import make_reflection_oracle
-from .group import GroupCtx
+from .group import GroupCtx, uniform
 from .phase import (
     PhaseBackend,
     PhaseList,
@@ -64,14 +64,6 @@ class ResultRow:
             raise ValueError("stddev must be nonnegative")
 
 
-def _random_labels(rng, count, bits):
-    nbytes = (bits + 7) // 8
-    excess = 8 * nbytes - bits
-    raw = rng.bytes(nbytes * count)
-    return [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") >> excess
-            for i in range(count)]
-
-
 def run_table1(budgets, trials=100, r=2, n_labels=96, rng=None):
     """Cancellation race averages: for each query budget Q, feed Q uniform
     n_labels-bit labels to the greedy pairing race and record the maximum
@@ -93,7 +85,7 @@ def run_table1(budgets, trials=100, r=2, n_labels=96, rng=None):
         t0 = time.perf_counter()
         scores = np.empty(trials)
         for i in range(trials):
-            labels = _random_labels(rng, Q, n_labels)
+            labels = uniform(rng, 1 << n_labels, Q).tolist()
             best, _ = cancellation_race(labels, rng)
             scores[i] = best
         rows.append(ResultRow(

@@ -18,6 +18,8 @@ import hashlib
 import secrets as _secrets
 from fractions import Fraction
 
+import numpy as np
+
 from .group import DihedralElement, GroupCtx, subgroup_embed
 
 
@@ -99,9 +101,12 @@ class HidingOracle:
 
     # -- backend hook (not part of the algorithm-facing API) --
 
-    def _phase_turns(self, label):
-        """Phase of the qubit |psi_label> as a fraction of a full turn."""
-        return self.ctx.turns(label, self._slope)
+    def _phase_turns(self, labels, t):
+        """Turns of the qubits |psi_label> against the reference point t
+        (one, or one per label): the exact k (s - t), s - t in Python ints."""
+        s = np.asarray(self._slope, object)
+        t = np.reshape(np.asarray(t, object), (-1,) + s.shape)
+        return self.ctx.turns(labels, s - t)
 
 
 def make_reflection_oracle(ctx, s):

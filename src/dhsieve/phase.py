@@ -17,7 +17,7 @@ from .errors import (
     InsufficientCopiesError,
     QubitConsumedError,
 )
-from .group import GroupCtx
+from .group import GroupCtx, int_dtype
 
 _P_CLIP = 1e-9
 TOMOGRAPHY_DELTA = 0.02
@@ -122,7 +122,7 @@ class PhaseList:
         sample_batch types them."""
         for q in qubits:
             q._consume()
-        dtype = object if backend.oracle.ctx.N.bit_length() > 62 else np.int64
+        dtype = int_dtype(backend.oracle.ctx.N)
         return cls(np.array([q.label for q in qubits], dtype),
                    np.array([q.classical for q in qubits], bool), backend)
 
@@ -178,13 +178,12 @@ def negate_label(q):
 
 def _observe(plist, t):
     """The one observation body: copy i returns 1 with probability
-    cos^2(pi (s - t_i) k_i / N), a fair coin on a classical copy, from
-    one rng.random(count) draw; t is one point or one point per copy.
-    Consumes the list; returns the bits, an int64 array."""
+    cos^2(pi (k_i (s - t_i) mod N) / N), one exact product per copy, a
+    fair coin on a classical copy, from one rng.random(count) draw; t is
+    one point or one point per copy.  Consumes the list; returns the
+    bits, an int64 array."""
     labels, classical = plist.take()
-    o = plist.backend.oracle
-    delta = o._phase_turns(labels) - o.ctx.turns(labels, t)
-    p_one = np.cos(np.pi * delta) ** 2
+    p_one = np.cos(np.pi * plist.backend.oracle._phase_turns(labels, t)) ** 2
     p_one[classical] = 0.5
     return (plist.backend.rng.random(len(labels)) < p_one).astype(np.int64)
 
@@ -256,10 +255,10 @@ def likelihood_readout(plist, labels, M, refs, cands, ll=None):
     ll (zeros when None, returned), for each candidate c, the
     log-likelihood of the bits under the exact turn ((labels[i] * (c - t))
     mod M) / M, clipped so one unlucky bit cannot veto c; in blocks of at
-    most 2^20 entries, in Python ints once M >= 2^31.  Consumes plist."""
+    most 2^20 entries, typed by int_dtype(M * M).  Consumes plist."""
     ts = [refs[i % len(refs)] for i in range(len(plist))]
     bits = cosine_observe(plist, [point for _, point in ts]).tolist()
-    dtype = np.int64 if M < 1 << 31 else object
+    dtype = int_dtype(M * M)
     k = np.asarray(labels).astype(dtype) % M
     kt = k * np.array([t for t, _ in ts], dtype=dtype) % M
     cands = np.asarray(cands).astype(dtype)[:, None]

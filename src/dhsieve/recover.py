@@ -17,8 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoHiddenReflectionError, SieveExhaustedError
-from .greedy import CoordinateObjective, greedy_sieve, run_radix_recovery
-from .group import DihedralElement, identity, unit_for_odd_part
+from .greedy import (
+    CoordinateObjective,
+    default_radix_budget,
+    greedy_sieve,
+    run_radix_recovery,
+)
+from .group import DihedralElement, identity, int_dtype, unit_for_odd_part
 from .oracle import (
     restrict_reflection,
     shift_to_dihedral,
@@ -149,7 +154,7 @@ def recover_slope_radix(o, r, n=None, rng=None, budget=None):
         scale = min(1 << (i - 1), 8)
         return _digit_recursion(
             o, r, n, rng, lambda be, m: run_radix_recovery(
-                be, r, m, budget=budget, scale=scale))
+                be, r, m, scale * (budget or default_radix_budget(r, m))))
 
     return _las_vegas(o, attempt, _MAX_RETRIES)
 
@@ -185,8 +190,9 @@ def _choose_unit(N, cands, copies):
         golden = (math.sqrt(5) - 1) / 2
         cands = cands[(np.arange(_SCORED_CANDIDATES) * golden % 1.0
                        * len(cands)).astype(np.int64)]
-    inv = np.array([pow(u, -1, N) for u in units], dtype=np.int64)
-    turns = np.sort(inv[:, None] * cands % N, axis=1)
+    dtype = int_dtype(N * N)
+    inv = np.array([pow(u, -1, N) for u in units], dtype=dtype)
+    turns = np.sort(inv[:, None] * cands.astype(dtype) % N, axis=1)
     rows, n = turns.shape
     w = int(N * math.sqrt(_PRUNE_LL / (2 * math.pi ** 2 * copies)))
     # the rows 2N apart in one sorted array, so one search serves them all;
@@ -211,10 +217,8 @@ def _general_attempt(o, M, rng):
     backend = PhaseBackend(o, rng=rng)
     t0, _ = run_general_interval(backend)
     radius = N // 4 + 1
-    # the window's arc of Z/N, sorted and distinct (it wraps at small N)
-    arc = np.zeros(N, dtype=bool)
-    arc[(t0 + np.arange(-radius, radius + 1)) % N] = True
-    cands = np.flatnonzero(arc)
+    # the window's arc of Z/N, sorted; it covers Z/N at small N
+    cands = np.sort((t0 - radius + np.arange(min(N, 2 * radius + 1))) % N)
     ll = np.zeros(len(cands))
     copies = COARSE_COPIES
     for _ in range(max(1, math.ceil(math.log2(N)) + 1)):
@@ -228,8 +232,8 @@ def _general_attempt(o, M, rng):
         uinv = pow(u, -1, N)
         best = uinv * int(cands[np.argmax(ll)])
         ts = [(best + d) % N for d in (0, max(1, N // 4), max(1, N // 8))]
-        ll = likelihood_readout(ones, ones.labels, N,
-                                [(t, t) for t in ts], uinv * cands % N, ll)
+        ll = likelihood_readout(ones, ones.labels, N, [(t, t) for t in ts],
+                                uinv * cands.astype(int_dtype(N * N)) % N, ll)
         keep = ll > ll.max() - _PRUNE_LL
         cands, ll = cands[keep], ll[keep]
     return int(cands[np.argmax(ll)]) % M

@@ -18,8 +18,6 @@ from .group import DihedralElement
 
 _ATOL_STRUCT = 1e-12
 _MAX_DENSE_N = 1 << 10
-# entries of the largest temporary the Hermitian check makes
-_GAP_BLOCK = 1 << 14
 
 
 @dataclass
@@ -55,30 +53,15 @@ class DensityMatrix:
             raise ValueError("density matrix must be square")
         if abs(np.trace(self.entries) - 1.0) > _ATOL_STRUCT * 10:
             raise ValueError("trace must be 1")
-        if _hermitian_gap(self.entries) > _ATOL_STRUCT * 10:
+        # a - a^T is antisymmetric: for real a its max is its max |entry|
+        a = self.entries
+        gap = np.abs(a - a.T.conj()) if np.iscomplexobj(a) else a - a.T
+        if gap.max() > _ATOL_STRUCT * 10:
             raise ValueError("matrix must be Hermitian")
 
     @property
     def dim(self):
         return self.entries.shape[0]
-
-
-def _hermitian_gap(a):
-    """max |a - a^H| of a square matrix, a block of rows at a time, so no
-    temporary exceeds _GAP_BLOCK entries or one row.  a - a^H is
-    anti-Hermitian, so for real a the largest entry of a - a^T is that
-    maximum already: real blocks skip the conjugate and the absolute
-    value."""
-    n = a.shape[0]
-    step = max(1, _GAP_BLOCK // n)
-    gap = 0.0
-    for i in range(0, n, step):
-        rows, cols = a[i:i + step], a[:, i:i + step].T
-        if np.iscomplexobj(a):
-            gap = max(gap, float(np.abs(rows - cols.conj()).max()))
-        else:
-            gap = max(gap, float((rows - cols).max()))
-    return gap
 
 
 def rho_coset_mixture(N, s):

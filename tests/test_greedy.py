@@ -1,6 +1,7 @@
 """Greedy radix sieve: objective functions, suffix pairing, the
 cancellation race, and residue recovery."""
 
+import hashlib
 import heapq
 import itertools
 import math
@@ -27,8 +28,7 @@ from dhsieve.greedy import (
     race_key,
     run_radix_recovery,
 )
-from dhsieve.group import AbelianGroupSpec, GroupCtx
-from dhsieve.harness import _random_labels
+from dhsieve.group import AbelianGroupSpec, GroupCtx, uniform
 from dhsieve.oracle import HidingOracle, make_reflection_oracle
 from dhsieve.phase import (
     PhaseBackend,
@@ -218,7 +218,7 @@ def test_r2_match_bonus(a, b, t):
 def test_greedy_sieve_budget_validation():
     obj = RadixObjective(2)
     with pytest.raises(ValueError):
-        greedy_sieve(backend(16, 5), obj, 4, 1)
+        greedy_sieve(backend(16, 5), obj, 4, 1, 1)
     with pytest.raises(ValueError):
         greedy_sieve(backend(16, 5), obj, 4, 16, max_targets=0)
 
@@ -227,7 +227,7 @@ def test_greedy_sieve_no_deadlock_tiny_budget():
     obj = RadixObjective(2)
     be = backend(16, 5, seed=1)
     try:
-        targets, st = greedy_sieve(be, obj, 3, 2)
+        targets, st = greedy_sieve(be, obj, 3, 2, 2)
         assert targets
     except SieveExhaustedError:
         pass  # also acceptable: never hangs
@@ -236,7 +236,7 @@ def test_greedy_sieve_no_deadlock_tiny_budget():
 def test_greedy_sieve_targets_and_stats():
     obj = RadixObjective(2)
     be = backend(1 << 10, 345, seed=2)
-    targets, st = greedy_sieve(be, obj, 9, 1024)
+    targets, st = greedy_sieve(be, obj, 9, 1024, 1024)
     assert targets.labels.tolist() == [1 << 9] * len(targets)
     assert not targets.consumed
     assert be.oracle.queries == 1024
@@ -263,7 +263,7 @@ def test_greedy_sieve_pinned_record_below_max_targets():
     assert be.rng.random() == 0.9739700411195548
 
 
-def _reference_sieve(backend, ref, target, budget, max_targets=None):
+def _reference_sieve(backend, ref, target, budget, max_targets):
     """The per-qubit greedy loop greedy_sieve runs on arrays, kept as its
     reference: every qubit is a PhaseQubit, oriented by negate_label,
     tested by the target callback and ranked when it is placed; each
@@ -281,7 +281,7 @@ def _reference_sieve(backend, ref, target, budget, max_targets=None):
             q = negate_label(q)
         if target(q.label):
             targets.append(q)
-            return max_targets is not None and len(targets) >= max_targets
+            return len(targets) >= max_targets
         buckets[ref.alpha(q.label)].append((ref.key(q.label), q))
         return False
 
@@ -327,7 +327,7 @@ def _coordinate_case(orders, perm):
             lambda k: k[j] != 0 and not any(k[:j] + k[j + 1:]))
 
 
-def _assert_sieves_agree(ctx, case, seed, budget, max_targets=None,
+def _assert_sieves_agree(ctx, case, seed, budget, max_targets,
                          coin_bias=0.5, corrupted=False):
     """greedy_sieve against _reference_sieve on twin backends: the same
     target labels and classical flags, combines, work, queries and next
@@ -364,25 +364,26 @@ def _assert_sieves_agree(ctx, case, seed, budget, max_targets=None,
     return mid_sweep
 
 
-# (group, case, budget, max_targets, coin_bias, corrupted); every case
-# with max_targets stops mid-sweep at some seed (checked below)
+# (group, case, budget, max_targets, coin_bias, corrupted); a sieve never
+# holds its budget of targets, and every case with max_targets below the
+# budget stops mid-sweep at some seed (checked below)
 _SIEVE_TABLE = [
-    (GroupCtx(2 ** 10), _radix_case(2, 10, 9), 300, None, 0.5, False),
+    (GroupCtx(2 ** 10), _radix_case(2, 10, 9), 300, 300, 0.5, False),
     (GroupCtx(2 ** 10), _radix_case(2, 10, 6), 300, 7, 0.5, False),
-    (GroupCtx(3 ** 6), _radix_case(3, 6, 5), 300, None, 0.5, False),
+    (GroupCtx(3 ** 6), _radix_case(3, 6, 5), 300, 300, 0.5, False),
     (GroupCtx(3 ** 6), _radix_case(3, 6, 4), 300, 9, 0.3, False),
-    (GroupCtx(3 ** 6), _radix_case(3, 6, 4), 300, None, 0.5, True),
+    (GroupCtx(3 ** 6), _radix_case(3, 6, 4), 300, 300, 0.5, True),
     (GroupCtx(3 ** 6), _radix_case(3, 6, 4), 300, 6, 0.5, True),
-    (GroupCtx(5 ** 4), _radix_case(5, 4, 3), 120, None, 0.5, False),
+    (GroupCtx(5 ** 4), _radix_case(5, 4, 3), 120, 120, 0.5, False),
     (GroupCtx(5 ** 4), _radix_case(5, 4, 2), 120, 5, 0.3, True),
-    (GroupCtx(3 ** 40), _radix_case(3, 40, 4), 300, None, 0.5, False),
+    (GroupCtx(3 ** 40), _radix_case(3, 40, 4), 300, 300, 0.5, False),
     (GroupCtx(3 ** 40), _radix_case(3, 40, 5), 300, 3, 0.5, True),
     (AbelianGroupSpec((16, 9)), _coordinate_case((16, 9), (0, 1)), 300,
-     None, 0.5, False),
+     300, 0.5, False),
     (AbelianGroupSpec((16, 9)), _coordinate_case((16, 9), (1, 0)), 300, 40,
      0.3, True),
     (AbelianGroupSpec((4, 4, 3)), _coordinate_case((4, 4, 3), (2, 0, 1)),
-     200, None, 0.3, True),
+     200, 200, 0.3, True),
     (AbelianGroupSpec((4, 4, 3)), _coordinate_case((4, 4, 3), (0, 1, 2)),
      200, 8, 0.5, False),
 ]
@@ -393,7 +394,7 @@ def test_greedy_sieve_matches_reference_table(row):
     ctx, case, budget, max_targets, coin_bias, corrupted = _SIEVE_TABLE[row]
     mid = [_assert_sieves_agree(ctx, case, seed, budget, max_targets,
                                 coin_bias, corrupted) for seed in range(4)]
-    assert any(mid) == (max_targets is not None)
+    assert any(mid) == (max_targets < budget)
 
 
 @settings(max_examples=40, deadline=None)
@@ -410,10 +411,10 @@ def test_greedy_sieve_matches_reference(data):
     else:
         orders, perm = data.draw(st.sampled_from(_COORDINATE_CASES))
         ctx, case = AbelianGroupSpec(orders), _coordinate_case(orders, perm)
+    budget = data.draw(st.integers(2, 200))
     _assert_sieves_agree(
-        ctx, case, data.draw(st.integers(0, 2 ** 32)),
-        data.draw(st.integers(2, 200)),
-        data.draw(st.one_of(st.none(), st.integers(1, 12))),
+        ctx, case, data.draw(st.integers(0, 2 ** 32)), budget,
+        data.draw(st.one_of(st.just(budget), st.integers(1, 12))),
         data.draw(st.sampled_from([0.5, 0.3])), data.draw(st.booleans()))
 
 
@@ -450,14 +451,14 @@ def test_greedy_sieve_matches_callback_loop(r, n, t, budget):
     # which places every qubit through a callback
     for seed in range(6):
         _assert_sieves_agree(GroupCtx(r ** n), _radix_case(r, n, t),
-                             100 + seed, budget)
+                             100 + seed, budget, budget)
 
 
 def test_greedy_quasilinear_work():
     obj = RadixObjective(2)
     budget = 4096
     be = backend(1 << 16, 54321, seed=3)
-    _, st = greedy_sieve(be, obj, 15, budget)
+    _, st = greedy_sieve(be, obj, 15, budget, budget)
     assert st.work <= 40 * budget * math.log2(budget)
 
 
@@ -631,7 +632,7 @@ def test_cancellation_race_matches_string_key_race(seed, width, count,
     # widths 1-300 bits; duplicates from a pool of `distinct` labels, and
     # a share of zero labels
     gen = np.random.default_rng(seed)
-    pool = _random_labels(gen, min(distinct, count), width)
+    pool = uniform(gen, 1 << width, min(distinct, count)).tolist()
     labels = [pool[i] for i in gen.integers(0, len(pool), size=count)]
     labels = [0 if u < zeros else k
               for k, u in zip(labels, gen.random(count))]
@@ -639,7 +640,7 @@ def test_cancellation_race_matches_string_key_race(seed, width, count,
 
 
 def test_cancellation_race_matches_string_key_race_at_3_8():
-    labels = _random_labels(np.random.default_rng(3), 3 ** 8, 96)
+    labels = uniform(np.random.default_rng(3), 1 << 96, 3 ** 8).tolist()
     _assert_races_agree(labels, 4)
 
 
@@ -650,11 +651,29 @@ def test_cancellation_race_trivial_budget():
     assert st.combines <= 2
 
 
+def test_race_labels_pinned():
+    # 96-bit race labels: one rng.bytes call cut into 12-byte slices, the
+    # values and the generator state after them pinned
+    rng = np.random.default_rng(3)
+    assert uniform(rng, 1 << 96, 6).tolist() == [
+        14216759653208556285774971640, 63483503547902663017174637829,
+        3121517570735626694412338980, 34315851610361404744414056592,
+        20978683982377948851527535074, 58199197931114613158116107846]
+    assert rng.random() == 0.11367201992140341
+    rng = np.random.default_rng(5)
+    labels = uniform(rng, 1 << 96, 3 ** 8).tolist()
+    assert (labels[0], labels[-1]) == (1794772972681969722740762024,
+                                       38672696342910688517263134847)
+    assert hashlib.sha256(repr(labels).encode()).hexdigest()[:16] == (
+        "977d4f27790277ff")
+    assert rng.random() == 0.263678066944407
+
+
 def test_cancellation_race_pinned_record():
     # 729 labels of 96 bits: best alpha, combines, work and the generator
     # state after the race are pinned
     rng = np.random.default_rng(12)
-    best, st = cancellation_race(_random_labels(rng, 729, 96), rng)
+    best, st = cancellation_race(uniform(rng, 1 << 96, 729).tolist(), rng)
     assert (best, st.combines, st.work) == (35, 709, 2144)
     assert rng.random() == 0.6834520517859066
 
@@ -740,7 +759,7 @@ def test_radix_level_exhausts_after_max_passes(monkeypatch):
     # one target per pass never reaches the 31 copies tomography needs
     calls = []
 
-    def one_target(backend, obj, min_alpha, budget, max_targets=None):
+    def one_target(backend, obj, min_alpha, budget, max_targets):
         calls.append(max_targets)
         return [None], SieveStats(combines=1)
 

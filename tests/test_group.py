@@ -5,7 +5,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from dhsieve.group import (
     AbelianGroupSpec,
@@ -13,8 +13,9 @@ from dhsieve.group import (
     GroupCtx,
     dmul,
     identity,
-    random_below,
+    int_dtype,
     subgroup_embed,
+    uniform,
     unit_for_odd_part,
 )
 
@@ -132,11 +133,11 @@ def test_abelian_spec_arithmetic():
 @pytest.mark.parametrize("N", [7, 360, 2 ** 40 + 3, 2 ** 61, 2 ** 70 + 5])
 def test_one_element_draw_is_random_below(N):
     # a draw of one element takes the same value, and leaves the same
-    # generator state, as one random_below call: secrets drawn this way
-    # keep their values at every width
+    # generator state, as one one-value uniform draw: secrets drawn this
+    # way keep their values at every width
     a, b = np.random.default_rng(11), np.random.default_rng(11)
     got = GroupCtx(N).random_elements(a, 1).tolist()
-    assert got == [random_below(b, N)] and type(got[0]) is int
+    assert got == uniform(b, N, 1).tolist() and type(got[0]) is int
     assert a.bit_generator.state == b.bit_generator.state
 
 
@@ -145,7 +146,7 @@ def test_abelian_draw_is_element_by_element():
     A = AbelianGroupSpec((16, 9, 2 ** 70))
     a, b = np.random.default_rng(12), np.random.default_rng(12)
     got = A.random_elements(a, 5).tolist()
-    assert got == [[random_below(b, n) for n in A.orders]
+    assert got == [[uniform(b, n, 1).tolist()[0] for n in A.orders]
                    for _ in range(5)]
 
 
@@ -153,11 +154,82 @@ def test_abelian_draw_is_element_by_element():
                                     (2 ** 33, 5, 7)])
 def test_abelian_one_call_draw_is_the_random_below_loop(orders):
     # one rng.integers call over the orders takes the values, and leaves
-    # the generator state, of a random_below call per coordinate
+    # the generator state, of a one-value uniform draw per coordinate
     A = AbelianGroupSpec(orders)
     a, b = np.random.default_rng(13), np.random.default_rng(13)
     got = A.random_elements(a, 300)
     assert got.dtype == np.int64 and got.shape == (300, len(orders))
-    assert got.tolist() == [[random_below(b, n) for n in orders]
+    assert got.tolist() == [[uniform(b, n, 1).tolist()[0] for n in orders]
                             for _ in range(300)]
     assert a.bit_generator.state == b.bit_generator.state
+
+
+def _random_below(rng, N):
+    """The one-value draw the uniform draw replaced, kept as its
+    reference: rng.integers up to 62 bits, else 64 spare bits of
+    rng.bytes reduced mod N."""
+    if N.bit_length() <= 62:
+        return int(rng.integers(0, N))
+    nbytes = (N.bit_length() + 64) // 8
+    return int.from_bytes(rng.bytes(nbytes), "little") % N
+
+
+def _random_labels(rng, count, bits):
+    """The race's label draw the uniform draw replaced, kept as its
+    reference: one rng.bytes call, the top bits of each slice."""
+    nbytes = (bits + 7) // 8
+    excess = 8 * nbytes - bits
+    raw = rng.bytes(nbytes * count)
+    return [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
+            >> excess for i in range(count)]
+
+
+def test_width_rule_thresholds():
+    # labels stay int64 up to 62 bits, products of labels for N < 2^31
+    assert int_dtype((1 << 62) - 1) is np.int64
+    assert int_dtype(1 << 62) is object
+    assert int_dtype(((1 << 31) - 1) ** 2) is np.int64
+    assert int_dtype((1 << 31) ** 2) is object
+
+
+# moduli on both sides of 2^62, powers of two and their neighbours
+_MODULI = st.one_of(
+    st.integers(1, 1 << 90),
+    st.integers(0, 90).map(lambda b: 1 << b),
+    st.integers(58, 66).flatmap(
+        lambda b: st.integers((1 << b) - 2, (1 << b) + 2)))
+
+
+@given(_MODULI, st.integers(0, 30), st.integers(0, 2 ** 32))
+def test_uniform_draw_lies_in_range_typed_by_the_rule(modulus, count, seed):
+    got = uniform(np.random.default_rng(seed), modulus, count)
+    assert got.shape == (count,)
+    assert got.dtype == (np.int64 if modulus < 1 << 62 else object)
+    assert all(type(x) is int and 0 <= x < modulus for x in got.tolist())
+
+
+@given(_MODULI, st.integers(0, 12), st.integers(0, 2 ** 32))
+def test_uniform_draw_is_the_random_below_stream(modulus, count, seed):
+    # every modulus but a wide power of two draws what count random_below
+    # calls drew, and leaves the generator where they left it
+    assume(modulus < 1 << 62 or modulus & (modulus - 1))
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = uniform(a, modulus, count).tolist()
+    assert got == [_random_below(b, modulus) for _ in range(count)]
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@given(st.integers(63, 300), st.integers(0, 40), st.integers(0, 2 ** 32))
+def test_wide_power_of_two_takes_exactly_its_bits(bits, count, seed):
+    # one rng.bytes call of ceil(bits / 8) bytes per value: whole-byte
+    # widths draw the race's old labels, and others their low bits
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = uniform(a, 1 << bits, count).tolist()
+    nbytes = (bits + 7) // 8
+    raw = b.bytes(nbytes * count)
+    assert got == [int.from_bytes(raw[i:i + nbytes], "little") % (1 << bits)
+                   for i in range(0, len(raw), nbytes)]
+    assert a.bit_generator.state == b.bit_generator.state
+    if bits % 8 == 0:
+        c = np.random.default_rng(seed)
+        assert got == _random_labels(c, count, bits)

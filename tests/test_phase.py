@@ -14,7 +14,12 @@ from dhsieve.errors import (
     InsufficientCopiesError,
     QubitConsumedError,
 )
-from dhsieve.group import AbelianGroupSpec, GroupCtx, unit_for_odd_part
+from dhsieve.group import (
+    AbelianGroupSpec,
+    GroupCtx,
+    int_dtype,
+    unit_for_odd_part,
+)
 from dhsieve.harness import _backends
 from dhsieve.oracle import (
     HidingOracle,
@@ -48,8 +53,8 @@ def copies(labels, be, classical=None):
     """A PhaseList of the given labels on be, typed as sample_batch types
     them; honest copies unless a classical mask is given."""
     ctx = be.oracle.ctx
-    wide = isinstance(ctx, GroupCtx) and ctx.N.bit_length() > 62
-    labels = np.array(labels, dtype=object if wide else np.int64)
+    dtype = int_dtype(ctx.N) if isinstance(ctx, GroupCtx) else np.int64
+    labels = np.array(labels, dtype=dtype)
     if classical is None:
         classical = np.zeros(len(labels), dtype=bool)
     return PhaseList(labels, np.array(classical, dtype=bool), be)
@@ -346,6 +351,77 @@ def test_list_readouts_match_per_qubit_references_hypothesis(data):
         readout = _tomography(r)
     _assert_readout_matches_reference(ctx, s, labels, classical, readout,
                                       data.draw(st.integers(0, 2 ** 32)))
+
+
+# Observed bits of 64 sampled copies, and the next draw, pinned from the
+# observation that took the difference of two float turns: one exact
+# product per copy changes no bit.  On D_N: measure_pm, cosine_observe at
+# one point and at one point per copy; seeds 21, 22, 23.
+_DIHEDRAL_PINS = [
+    (4095, 1234,
+     "0101001000010011110110100000011100000110011110101001111110111101",
+     "0100111101001010111010011101011010001110110000101001000001110101",
+     "1000111111000000101000111111010001100101000010000010001010111011",
+     (0.7198383105396309, 0.7613409146232895, 0.07016998236605321)),
+    (2 ** 31 - 1, 2 ** 30 + 7,
+     "1011101100100100100110101000101100100100100010010101111010100111",
+     "1010110101100000111001111111111000001100100000100111010000001111",
+     "1100000101100101110100011111011001110101000111000001111010100010",
+     (0.7198383105396309, 0.7613409146232895, 0.07016998236605321)),
+    (2 ** 31, 12345,
+     "0000111000001011101010111000001001101000101101101001000100100110",
+     "1010100101000000101001101011111000001010000000011111010100001111",
+     "1100010101000101111101100100100111100001000010000010110010110111",
+     (0.7198383105396309, 0.7613409146232895, 0.07016998236605321)),
+    (2 ** 40 + 15, 2 ** 39 + 3,
+     "1010000000111110110001001010110010111000100010110110010001001100",
+     "0000101000111110011011001011101100100111001010010010001011000110",
+     "1110010011001011000011100000111000100111010010011000010101000000",
+     (0.7438850732737227, 0.02293302560771593, 0.8278654180975947)),
+    (2 ** 70 + 5, 2 ** 69 + 11,
+     "1000101101001111111110011111010100110000000011001010000000100110",
+     "1101101101011011101110011101001000001010111001100111111100110101",
+     "1101010110110100110110110011100010100100010101110100111011000100",
+     (0.4197942691977793, 0.3309698417210053, 0.4402149424262105)),
+]
+
+
+def _observe_pins():
+    """(group, slope, seed, reference points as a function of the
+    labels or None for measure_pm, bits, next draw)"""
+    rows = []
+    for N, s, pm, one, each, draws in _DIHEDRAL_PINS:
+        rows += [
+            (GroupCtx(N), s, 21, None, pm, draws[0]),
+            (GroupCtx(N), s, 22, lambda k, t=(s + N // 5) % N: t, one,
+             draws[1]),
+            (GroupCtx(N), s, 23, lambda k, N=N, s=s: [
+                (s + 3 * i * (N // 97)) % N for i in range(len(k))], each,
+             draws[2])]
+    big = AbelianGroupSpec((16, 9, 2 ** 35 + 3))
+    return rows + [
+        (big, (5, 7, 2 ** 34 + 1), 31, None,
+         "0111001001101100101001111111101010111000010111110110001111101110",
+         0.6778492500529724),
+        (big, (5, 7, 2 ** 34 + 1), 32,
+         lambda k: [(i % 16, 2 * i % 9, 3 * i * 1000003)
+                    for i in range(len(k))],
+         "1111111101011111111101011111001011011101010101001011011001011110",
+         0.5798501748495569),
+        (AbelianGroupSpec((16, 9)), (5, 7), 33, lambda k: (3, 4),
+         "0000001110111111010010111000100010010100110100001110110001000011",
+         0.5514056454197823)]
+
+
+@pytest.mark.parametrize("row", _observe_pins())
+def test_observed_bits_pinned(row):
+    ctx, s, seed, points, bits, draw = row
+    be = PhaseBackend(make_reflection_oracle(ctx, s), rng=seed)
+    plist = sample_batch(be, 64)
+    out = (measure_pm(plist) if points is None
+           else cosine_observe(plist, points(plist.labels)))
+    assert "".join(map(str, out.tolist())) == bits
+    assert be.rng.random() == draw
 
 
 def test_observed_list_is_consumed():

@@ -270,6 +270,27 @@ def test_choose_unit_is_deterministic_and_draws_nothing(a, M, size, copies,
     assert np.array_equal(np.random.get_state()[1], legacy)
 
 
+@pytest.mark.parametrize("N, count, step, copies", [
+    (2 ** 33 + 1, 32, 123456789, 2),
+    (2 ** 40 + 15, 32, 987654321, 12),
+    (45 << 30, 8, 123456789, 50),      # 2^30 * 45
+    (2 ** 31 - 1, 32, 987654321, 12),  # the widest N with int64 products
+])
+def test_choose_unit_scores_exact_turns_past_2_31(N, count, step, copies):
+    # products u^-1 c reach N^2, past int64 once N >= 2^31: the chosen
+    # unit is the first of the scored units with the fewest pairs under
+    # the exact Python-int turns
+    cands = np.sort((N // 3 + step * np.arange(count)) % N)
+    a = (N & -N).bit_length() - 1
+    units = [unit_for_odd_part(N, k)
+             for k in range(math.ceil(math.log2(N)) + a)]
+    if 1 in units[1:]:
+        units = units[:units.index(1, 1)]
+    pairs = [_pairs_within_band(N, u, cands, copies) for u in units]
+    assert recover._choose_unit(N, cands, copies) == units[
+        pairs.index(min(pairs))]
+
+
 def _count_calls(monkeypatch, name, fail_first=0):
     # wrap recover.<name>: record each call's first argument, and raise
     # SieveExhaustedError on the first fail_first calls
