@@ -327,7 +327,10 @@ def build_parser():
     p.add_argument("--radix", type=int, default=None,
                    help="greedy only (default 2)")
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="greedy only: fix every level's list size, "
+                        "overriding the list-size rule (doubled on each "
+                        "retry, up to 8x)")
     _add_common(p, "seed", "format")
 
     p = sub.add_parser("table1", help="cancellation race averages")

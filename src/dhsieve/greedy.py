@@ -36,10 +36,10 @@ def alpha_radix(k, r):
     return a
 
 
-def _leading_zeros(rows):
-    """How many leading entries of each row of a matrix are zero, which
-    is the index of its first nonzero entry."""
-    return np.logical_and.accumulate(rows == 0, axis=1).sum(axis=1)
+def _first_nonzero(rows):
+    """Index of the first nonzero entry of each row of a matrix whose
+    rows are not all zero."""
+    return (rows != 0).argmax(axis=1)
 
 
 class RadixObjective:
@@ -51,31 +51,31 @@ class RadixObjective:
     def __init__(self, r):
         self.r = r
 
-    def _digits(self, q):
-        """Digit matrix of the positive integers q, least significant
-        first and as wide as the largest, with the powers r^j of its
-        columns."""
+    def _powers(self, q):
+        """The powers r^0, ..., r^(w-1) that weigh the digits of the
+        positive integers q, w the digit count of the largest, in q's
+        dtype."""
         top, w = int(q.max(initial=0)), 1
         while self.r ** w <= top:
             w += 1
-        pows = np.array([self.r ** j for j in range(w)], dtype=q.dtype)
-        digits = q[:, None] // pows
-        digits %= self.r
-        return digits, pows
+        return np.array([self.r ** j for j in range(w)], dtype=q.dtype)
 
     def score(self, labels):
-        """(flip, alpha): alpha is the valuation, which negation keeps,
-        and psi_k ~ psi_{-k}, so flip marks the labels whose first
-        nonzero digit is large."""
-        digits, _ = self._digits(labels)
-        v = _leading_zeros(digits)
-        return digits[np.arange(len(v)), v] * 2 > self.r, v
+        """(flip, alpha): alpha is the valuation, which negation keeps:
+        gcd(k, r^(w-1)) = r^alpha, as no label reaches r^w; psi_k ~
+        psi_{-k}, so flip marks the labels whose first nonzero digit
+        (that of k / r^alpha) is large."""
+        pows = self._powers(labels)
+        g = np.gcd(labels, pows[-1])
+        return labels // g % self.r * 2 > self.r, np.searchsorted(pows, g)
 
     def keys(self, labels, alpha):
         """Key matrix of labels of one alpha: row i holds the digits of
         labels[i] // r^alpha, least significant first, padded with -1."""
         q = labels // self.r ** alpha
-        keys, pows = self._digits(q)
+        pows = self._powers(q)
+        keys = q[:, None] // pows
+        keys %= self.r
         keys[q[:, None] < pows] = -1
         return keys.astype(np.int64, copy=False)
 
@@ -102,7 +102,7 @@ class CoordinateObjective:
         """The labels in view order, each row's first nonzero coordinate
         b, and the value there."""
         view = labels[:, self.perm]
-        b = _leading_zeros(view)
+        b = _first_nonzero(view)
         return view, b, view[np.arange(len(view)), b]
 
     def score(self, labels):
@@ -122,10 +122,9 @@ class CoordinateObjective:
         """Key matrix of labels of one alpha: row i holds the view of
         labels[i] from b on, padded with -1."""
         view, b, _ = self._lead(labels)
-        a = view.shape[1]
-        cols = b[:, None] + np.arange(a)
-        return np.where(cols < a, np.take_along_axis(
-            view, np.minimum(cols, a - 1), axis=1), -1)
+        n, a = view.shape
+        padded = np.concatenate([view, np.full_like(view, -1)], axis=1)
+        return padded[np.arange(n)[:, None], b[:, None] + np.arange(a)]
 
 
 def _key_depths(keys):
@@ -142,29 +141,44 @@ def _pair_order(depths):
     share depths[i] leading key digits: (left, right) index arrays, the
     deepest match first and ties by left position, until at most one
     entry is left.  Keys are sorted, so two entries match to the minimum
-    depth over the gap between them; once every deeper run has left at
-    most one entry, the entries that match at depth d pair off left to
-    right, and no merge makes a new match at depth d."""
-    gap = np.asarray(depths, dtype=np.int64)
-    idx = np.arange(len(gap) + 1)
-    lefts, rights = [idx[:0]], [idx[:0]]
-    while len(idx) >= 2:
-        # the gaps at the deepest depth, and where each run of them starts
-        at = (gap == gap.max()).nonzero()[0]
-        first = np.empty(len(at), dtype=bool)
-        first[0] = True
-        first[1:] = at[1:] != at[:-1] + 1
-        start = np.maximum.accumulate(np.where(first, at, 0))
-        left = at[(at - start) % 2 == 0]
-        lefts.append(idx[left])
-        rights.append(idx[left + 1])
-        keep = np.full(len(idx), True)
-        keep[left] = keep[left + 1] = False
-        kept = keep.nonzero()[0]
-        if len(kept) >= 2:
-            gap = np.minimum.reduceat(gap[:kept[-1]], kept[:-1])
-        idx = idx[kept]
-    return np.concatenate(lefts), np.concatenate(rights)
+    depth over the gap between them, and the entries joined by gaps of
+    at least d form a node of depth d.  One left-to-right pass keeps the
+    open nodes on a stack, shallowest first; each node holds at most one
+    unpaired entry, pairs it with the next entry that reaches it, and
+    hands it to its parent when a shallower gap closes the node.  A
+    node's pairs come out left to right, and a node closes before any
+    node to its right opens at its depth, so listing each depth's pairs
+    in the order made sorts them by (-depth, left)."""
+    gaps = np.asarray(depths).tolist()
+    gaps.append(-1)
+    found = defaultdict(list)
+    # the open nodes' depths over a sentinel below every gap, and the
+    # entry each holds (-1 for none); c is the entry reaching the gap
+    depth, held, top = [-2], [-1], -2
+    for c, g in enumerate(gaps):
+        while top > g:
+            h = held.pop()
+            if h >= 0:
+                if c < 0:
+                    c = h
+                else:
+                    found[top] += (h, c)
+                    c = -1
+            depth.pop()
+            top = depth[-1]
+        if top < g:
+            depth.append(g)
+            held.append(c)
+            top = g
+        elif c >= 0:
+            if held[-1] < 0:
+                held[-1] = c
+            else:
+                found[g] += (held[-1], c)
+                held[-1] = -1
+    pairs = np.array([x for d in sorted(found, reverse=True)
+                      for x in found[d]], dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
 
 
 def greedy_sieve(backend, obj, min_alpha, budget, max_targets):
@@ -211,11 +225,17 @@ def greedy_sieve(backend, obj, min_alpha, budget, max_targets):
         held += len(at)
         if stop:
             return int(np.flatnonzero(keep)[at[-1]]) + 1
-        rest = ~hit
-        labels, classical, alpha = labels[rest], classical[rest], alpha[rest]
-        for a in np.bincount(alpha).nonzero()[0].tolist():
-            sel = alpha == a
-            buckets[a].append((labels[sel], classical[sel]))
+        # the rest stable-sorted by alpha, one slice per bucket
+        rest = np.flatnonzero(~hit)
+        alpha = alpha[rest]
+        rest = rest[np.argsort(alpha, kind="stable")]
+        labels, classical = labels[rest], classical[rest]
+        start = 0
+        for a, count in enumerate(np.bincount(alpha).tolist()):
+            if count:
+                end = start + count
+                buckets[a].append((labels[start:end], classical[start:end]))
+                start = end
         return None
 
     if place(*sample_batch(backend, budget).take()) is not None:
@@ -223,16 +243,17 @@ def greedy_sieve(backend, obj, min_alpha, budget, max_targets):
     while buckets:
         v = min(buckets)
         chunks = buckets.pop(v)
-        while True:
+        while chunks:
             labels = np.concatenate([c[0] for c in chunks])
             classical = np.concatenate([c[1] for c in chunks])
-            if len(labels) < 2:
+            n = len(labels)
+            if n < 2:
                 break
             keys = obj.keys(labels, v)
             order = np.lexsort(keys.T[::-1])
             left, right = _pair_order(_key_depths(keys[order]))
             left, right = order[left], order[right]
-            stats.work += len(labels)
+            stats.work += n
             # the state to rewind to, when this sweep may reach max_targets
             state = (rng.bit_generator.state
                      if held + len(left) >= max_targets else None)
@@ -249,39 +270,60 @@ def greedy_sieve(backend, obj, min_alpha, budget, max_targets):
                 return PhaseList.join(hits), stats
             stats.combines += len(left)
             stats.work += len(left)
-            lone = np.ones(len(labels), dtype=bool)
-            lone[left] = lone[right] = False
-            chunks = buckets.pop(v, []) + [(labels[lone], classical[lone])]
+            chunks = buckets.pop(v, [])
+            if n % 2:
+                # the one entry left unpaired: every index but it is paired
+                i = n * (n - 1) // 2 - int(left.sum()) - int(right.sum())
+                chunks.append((labels[i:i + 1], classical[i:i + 1]))
     if not held:
         raise SieveExhaustedError("greedy sieve exhausted with no target")
     return PhaseList.join(hits), stats
 
 
-def default_radix_budget(r, n):
-    """Empirical list size: a constant times the 3^sqrt(2 log_3 N) law."""
-    log3_N = n * math.log(r, 3)
-    return max(16, math.ceil(24 * 3.0 ** math.sqrt(2 * log3_N)))
+# The list-size rule, in laws of 3^sqrt(2 log_3 N) labels, chosen from
+# measured single-pass yields (CHANGES.md has the table).  At 12 laws a
+# pass holds a median of 2.7 copies per law over the levels and
+# coordinates measured, so sizing for _COPIES_PER_LAW lets most first
+# passes hold all they need; past _MAX_LAWS a copy costs more queries at
+# most levels, as colliding labels merge to zero; with passes of 4 laws,
+# one Z2^4 recovery in 20 lost its first attempt to a pass that held no
+# target (which ends the coordinate), and one in 40 with _MIN_LAWS.
+_COPIES_PER_LAW = 2
+_MIN_LAWS = 5
+_MAX_LAWS = 12
+
+
+def list_size(order, copies):
+    """Labels one greedy pass samples on a group of the given order when
+    it should add copies more target copies: copies / _COPIES_PER_LAW
+    laws of 3^sqrt(2 log_3 N) labels, at least _MIN_LAWS and at most
+    _MAX_LAWS of them.  Every radix level and abelian coordinate sizes
+    its passes by this rule, so a later pass samples only for the copies
+    still needed."""
+    law = 3.0 ** math.sqrt(2 * math.log(max(3, order), 3))
+    laws = min(_MAX_LAWS, max(_MIN_LAWS, copies / _COPIES_PER_LAW))
+    return math.ceil(law * laws)
 
 
 def run_radix_recovery(backend, r, n, budget=None):
     """One level of the radix recursion: sieve for labels divisible by
-    N/r, then read s mod r by tomography.  Greedy sieves of budget qubits
-    (default_radix_budget when None) run (run_passes) until the level
-    holds the copies tomography needs; a sieve that finds no target ends
-    the level."""
+    N/r, then read s mod r by tomography.  Greedy sieves run (run_passes)
+    until the level holds the copies tomography needs; each pass samples
+    budget qubits, or when budget is None list_size for the copies still
+    needed.  A sieve that finds no target ends the level."""
     N = r ** n
     if backend.oracle.ctx.N != N:
         raise ValueError("oracle group order is not r^n")
     if n == 0:
         return 0, SieveStats()
-    if budget is None:
-        budget = default_radix_budget(r, n)
     obj = RadixObjective(r)
-    want = max(5, tomography_copies_needed(r))
+    need = tomography_copies_needed(r)
+    cap = 4 * max(5, need)
     targets, stats = run_passes(
-        lambda held: greedy_sieve(backend, obj, n - 1, budget,
-                                  max_targets=4 * want - held),
-        tomography_copies_needed(r))
+        lambda held: greedy_sieve(backend, obj, n - 1,
+                                  budget or list_size(N, need - held),
+                                  max_targets=cap - held),
+        need)
     return tomography_mod_r(targets, r), stats
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import NoHiddenReflectionError, SieveExhaustedError
 from .greedy import (
     CoordinateObjective,
-    default_radix_budget,
     greedy_sieve,
+    list_size,
     run_radix_recovery,
 )
 from .group import DihedralElement, identity, int_dtype, unit_for_odd_part
@@ -35,6 +35,7 @@ from .staged import (
     COARSE_COPIES,
     interval_sieve,
     run_general_interval,
+    run_passes,
     run_staged_parity,
 )
 
@@ -134,9 +135,9 @@ def recover_slope_power2(o, n=None, rng=None):
 
 def recover_slope_radix(o, r, n=None, rng=None, budget=None):
     """Digit-by-digit recovery over D_{r^n} using the greedy sieve at each
-    level: read s mod r, restrict to the index-r subgroup, repeat.  Each
-    retry doubles the list size, up to 8 times the first.
-    Returns (s, RecoveryReport)."""
+    level: read s mod r, restrict to the index-r subgroup, repeat.  A
+    fixed budget (every pass's list size, overriding list_size) doubles
+    on each retry, up to 8 times the first.  Returns (s, RecoveryReport)."""
     N = o.ctx.N
     if r < 2:
         raise ValueError("radix must be at least 2")
@@ -151,10 +152,9 @@ def recover_slope_radix(o, r, n=None, rng=None, budget=None):
     rng = np.random.default_rng(rng)
 
     def attempt(i):
-        scale = min(1 << (i - 1), 8)
+        size = budget and min(1 << (i - 1), 8) * budget
         return _digit_recursion(
-            o, r, n, rng, lambda be, m: run_radix_recovery(
-                be, r, m, scale * (budget or default_radix_budget(r, m))))
+            o, r, n, rng, lambda be, m: run_radix_recovery(be, r, m, size))
 
     return _las_vegas(o, attempt, _MAX_RETRIES)
 
@@ -313,16 +313,11 @@ def solve_substring(inst, rng=None):
 # Abelian hidden shift
 
 
-def abelian_budget(A):
-    """Empirical per-coordinate list size for the abelian greedy sieve."""
-    log3 = math.log(max(3, A.size), 3)
-    return max(128, math.ceil(24 * 3.0 ** math.sqrt(2 * log3)))
-
-
-def _coordinate_slope(o, A, j, rng, budget):
-    """Sieve for labels supported on coordinate j alone, then read the
-    j-th shift coordinate by maximum likelihood over cosine
-    observations."""
+def _coordinate_slope(o, A, j, rng):
+    """Sieve for labels supported on coordinate j alone, in greedy passes
+    (run_passes) sized by list_size until _COORDINATE_COPIES copies are
+    held, then read the j-th shift coordinate by maximum likelihood over
+    cosine observations."""
     rank = A.rank
     Nj = A.orders[j]
     if Nj > 1 << 12:
@@ -332,8 +327,13 @@ def _coordinate_slope(o, A, j, rng, budget):
     # coordinate j read last: full_score is a label supported on it alone
     obj = CoordinateObjective(
         A.orders, tuple([i for i in range(rank) if i != j] + [j]))
-    targets, _ = greedy_sieve(PhaseBackend(o, rng=rng), obj, obj.full_score,
-                              budget, max_targets=_COORDINATE_COPIES)
+    backend = PhaseBackend(o, rng=rng)
+    targets, _ = run_passes(
+        lambda held: greedy_sieve(
+            backend, obj, obj.full_score,
+            list_size(A.size, _COORDINATE_COPIES - held),
+            max_targets=_COORDINATE_COPIES - held),
+        _COORDINATE_COPIES)
     refs = [(t, tuple(t if i == j else 0 for i in range(rank)))
             for t in sorted({0, max(1, Nj // 4), max(1, Nj // 3)})]
     return int(np.argmax(likelihood_readout(
@@ -348,14 +348,13 @@ def solve_abelian_shift(p, rng=None):
     A = p.A
     rng = np.random.default_rng(rng)
     o = shift_to_dihedral(p)
-    budget = abelian_budget(A)
 
     def attempt(i):
         if A.rank == 1:
             # rank 1 collapses to the plain dihedral problem
             return _slope_attempt(o, rng)
         return tuple(0 if A.orders[j] == 1
-                     else _coordinate_slope(o, A, j, rng, budget)
+                     else _coordinate_slope(o, A, j, rng)
                      for j in range(A.rank))
 
     s, rep = _las_vegas(o, attempt, _MAX_RETRIES)

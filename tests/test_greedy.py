@@ -23,8 +23,8 @@ from dhsieve.greedy import (
     _race_bucket,
     alpha_radix,
     cancellation_race,
-    default_radix_budget,
     greedy_sieve,
+    list_size,
     race_key,
     run_radix_recovery,
 )
@@ -544,13 +544,67 @@ _DEPTHS = st.one_of(
 )
 
 
-@given(_DEPTHS)
-def test_pair_order_matches_heap_sweep(depths):
+def _assert_pair_order_matches_heap(depths):
     left, right = _pair_order(depths)
     pairs, leftover = _heap_pair_order(depths)
     assert list(zip(left.tolist(), right.tolist())) == pairs
     paired = set(left.tolist()) | set(right.tolist())
     assert [i for i in range(len(depths) + 1) if i not in paired] == leftover
+
+
+@given(_DEPTHS)
+def test_pair_order_matches_heap_sweep(depths):
+    _assert_pair_order_matches_heap(depths)
+
+
+def _recorded_depths(monkeypatch, run):
+    """The depth arrays _pair_order is given while run() sweeps."""
+    seen = []
+
+    def spy(depths):
+        seen.append(np.array(depths))
+        return real(depths)
+
+    real = greedy._pair_order
+    monkeypatch.setattr(greedy, "_pair_order", spy)
+    run()
+    monkeypatch.setattr(greedy, "_pair_order", real)
+    return seen
+
+
+def _depth_table(name, monkeypatch):
+    if name == "race-3^8":
+        # every bucket of one 3^8 race of 96-bit labels
+        labels = uniform(np.random.default_rng(3), 1 << 96, 3 ** 8).tolist()
+        return _recorded_depths(monkeypatch, lambda: cancellation_race(
+            labels, np.random.default_rng(4)))
+    if name == "radix-sweeps":
+        # every sweep of a radix recovery at 3^8 and of one 2^16 level
+        return _recorded_depths(monkeypatch, lambda: (
+            recover_slope_radix(make_reflection_oracle(GroupCtx(3 ** 8), 100),
+                                3, 8, rng=5),
+            run_radix_recovery(backend(1 << 16, 77, seed=6), 2, 16)))
+    if name == "equal-runs":
+        return ([[d] * n for d in (0, 3, 96) for n in (1, 2, 999, 1000)]
+                + [([5] * 7 + [2]) * 50, [4] * 300 + [0] + [4] * 301,
+                   ([6] * 5 + [6, 1]) * 40 + [6] * 9])
+    # deep nests: mountains, valleys and nested sawtooths
+    up = list(range(400))
+    return [up + up[::-1], up[::-1] + up, up[::-1] + [400] + up,
+            [d for k in range(1, 40) for d in range(k)],
+            [d for k in range(1, 40) for d in range(k, 0, -1)],
+            [min(i, 999 - i) % 17 + 3 * (i % 5 == 0) for i in range(1000)]]
+
+
+@pytest.mark.parametrize("name", ["race-3^8", "radix-sweeps", "equal-runs",
+                                  "deep-nests"])
+def test_pair_order_matches_heap_sweep_on_real_depths(name, monkeypatch):
+    table = _depth_table(name, monkeypatch)
+    assert table
+    if name == "race-3^8":
+        assert max(map(len, table)) >= 3000
+    for depths in table:
+        _assert_pair_order_matches_heap(depths)
 
 
 def _pair_sweep(entries, merge, put, stats):
@@ -711,7 +765,7 @@ def test_run_radix_recovery_r3():
 
 
 def test_radix_levels_sized_by_demand(monkeypatch):
-    # scale 1: every level n = 1..8 runs greedy passes until it holds the
+    # every level n = 1..8 runs greedy passes until it holds the
     # copies tomography needs (at most 4 * want), and reports one
     # SieveStats summed over its passes; at n = 1 every nonzero label is
     # a target, so that level combines nothing
@@ -779,5 +833,40 @@ def test_run_radix_recovery_n1():
 
 
 def test_default_budget_monotone():
-    assert default_radix_budget(2, 8) < default_radix_budget(2, 16)
-    assert default_radix_budget(3, 6) > 100
+    # the default list size, list_size when no budget is given, grows
+    # with the group and with the copies still needed: copies /
+    # _COPIES_PER_LAW laws, from a floor of _MIN_LAWS laws to a cap of
+    # _MAX_LAWS
+    assert list_size(2 ** 8, 1) < list_size(2 ** 16, 1)
+    law = 3.0 ** math.sqrt(2 * math.log(3 ** 8, 3))
+    assert list_size(3 ** 8, 1) == list_size(3 ** 8, 10) == math.ceil(
+        greedy._MIN_LAWS * law)
+    assert list_size(3 ** 8, 16) == math.ceil(16 / greedy._COPIES_PER_LAW
+                                              * law)
+    assert list_size(3 ** 8, 31) == list_size(3 ** 8, 83) == math.ceil(
+        greedy._MAX_LAWS * law)
+
+
+@pytest.mark.parametrize("r, top", [(2, 20), (3, 8), (5, 4)])
+def test_list_size_holds_copies_within_pass_cap(r, top, monkeypatch):
+    # at every level the rule's passes, each sized for the copies still
+    # needed, hold what tomography needs within MAX_PASSES passes, and
+    # the level reads its digit
+    need = tomography_copies_needed(r)
+    cap = 4 * max(5, need)
+    passes, real = [], greedy.greedy_sieve
+
+    def sieve(backend, obj, min_alpha, budget, max_targets):
+        passes.append((budget, max_targets))
+        return real(backend, obj, min_alpha, budget, max_targets)
+
+    monkeypatch.setattr(greedy, "greedy_sieve", sieve)
+    for n in range(1, top + 1):
+        for seed in range(4):
+            s = (7919 * seed + 1) % r ** n
+            passes.clear()
+            digit, _ = run_radix_recovery(backend(r ** n, s, seed), r, n)
+            assert digit == s % r
+            assert 1 <= len(passes) <= MAX_PASSES
+            assert passes == [(list_size(r ** n, need - (cap - t)), t)
+                              for _, t in passes]

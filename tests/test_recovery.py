@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dhsieve import recover
 from dhsieve.errors import NoHiddenReflectionError, SieveExhaustedError
+from dhsieve.greedy import list_size
 from dhsieve.group import AbelianGroupSpec, GroupCtx, unit_for_odd_part
 from dhsieve.oracle import (
     ShiftPair,
@@ -16,6 +17,7 @@ from dhsieve.oracle import (
     make_reflection_oracle,
     make_shift_pair,
     make_trivial_oracle,
+    shift_to_dihedral,
     splice_substring,
 )
 from dhsieve.phase import PhaseBackend
@@ -28,7 +30,7 @@ from dhsieve.recover import (
     solve_substring,
     verify_reflection,
 )
-from dhsieve.staged import run_staged_parity
+from dhsieve.staged import MAX_PASSES, SieveStats, run_staged_parity
 
 
 def test_report_requires_verification():
@@ -151,10 +153,20 @@ def test_general_pinned_queries(N, s, queries):
 
 
 @pytest.mark.parametrize("i, s, attempts, queries", [
-    (0, 716, 1, 8151), (1, 2981, 1, 7376), (2, 2738, 1, 7376)])
+    (0, 716, 1, 3984), (1, 2981, 1, 3779), (2, 2738, 1, 4234)])
 def test_radix_pinned_queries(i, s, attempts, queries):
-    # a change to any draw of the greedy sieve, or to its pairing order,
-    # moves these counts (r = 3, n = 8; secrets from default_rng([3^8, i]))
+    # a change to any draw of the greedy sieve, to its pairing order or to
+    # the list-size rule moves these counts (r = 3, n = 8; secrets from
+    # default_rng([3^8, i])).  Level m runs passes of list_size(3^m,
+    # 31 - held) labels until it holds the 31 copies tomography needs.
+    # The first passes sample the 12-law cap, 972, 732, 540, 388, 269,
+    # 177, 108 and 57 labels at m = 8..1 (3243), a later one at least 5
+    # laws (162, 112, 74 and 45 at m = 5..2), and the answer costs one
+    # verification pair.  Later passes: i = 0 takes 162 at m = 5,
+    # 235 + 112 at m = 4, 111 + 74 at m = 3 and 45 at m = 2:
+    # 3243 + 739 + 2 = 3984.  i = 1 takes 162, 157, 96 + 74 and 45:
+    # 3243 + 534 + 2 = 3779.  i = 2 takes 259, 246 + 112 + 112, 141 + 74
+    # and 45: 3243 + 989 + 2 = 4234
     N = 3 ** 8
     assert int(np.random.default_rng([N, i]).integers(0, N)) == s
     o = make_reflection_oracle(GroupCtx(N), s)
@@ -164,16 +176,83 @@ def test_radix_pinned_queries(i, s, attempts, queries):
 
 
 @pytest.mark.parametrize("i, s, attempts, queries", [
-    (0, (5, 7), 1, 1310), (1, (1, 1), 1, 1310), (2, (2, 6), 1, 1310)])
+    (0, (5, 7), 1, 656), (1, (1, 1), 1, 656), (2, (2, 6), 1, 656)])
 def test_abelian_pinned_queries(i, s, attempts, queries):
-    # Z16 + Z9, secrets from default_rng([144, i]): each coordinate sieve
-    # samples abelian_budget = 654 labels, and the answer costs one
-    # verification pair
+    # Z16 + Z9, secrets from default_rng([144, i]): each coordinate's
+    # first pass samples list_size(144, 24) = 327 labels (the 12-law cap,
+    # law 27.2) and holds its 24 copies, and the answer costs one
+    # verification pair: 2 * 327 + 2 = 656
     gen = np.random.default_rng([144, i])
     assert tuple(int(gen.integers(0, n)) for n in (16, 9)) == s
     p = make_shift_pair(AbelianGroupSpec((16, 9)), s)
     got, rep = solve_abelian_shift(p, rng=np.random.default_rng([144, i, 1]))
     assert (got, rep.attempts, rep.queries) == (s, attempts, queries)
+
+
+_ABELIAN_GROUPS = [(16, 9), (8, 27), (5, 7, 4), (64, 3), (2, 2, 2, 2)]
+
+
+def test_coordinate_sieve_reads_exactly_its_copies(monkeypatch):
+    # each coordinate sieve runs greedy passes (run_passes), each sized by
+    # list_size for the copies still needed, until it holds exactly
+    # _COORDINATE_COPIES, and its readout reads them all.  Z2^4's passes
+    # hold a few copies each, so it takes several.  A pass that finds no
+    # target ends the coordinate: Z2^4's last, smallest passes do so a few
+    # times in a hundred coordinates, and no other group's did
+    need = recover._COORDINATE_COPIES
+    passes, read, dry = [], [], {}
+    real_sieve, real_readout = recover.greedy_sieve, recover.likelihood_readout
+
+    def sieve(backend, obj, min_alpha, budget, max_targets):
+        passes.append((budget, max_targets))
+        return real_sieve(backend, obj, min_alpha, budget, max_targets)
+
+    def readout(plist, *args):
+        read.append(len(plist))
+        return real_readout(plist, *args)
+
+    monkeypatch.setattr(recover, "greedy_sieve", sieve)
+    monkeypatch.setattr(recover, "likelihood_readout", readout)
+    most = 0
+    for orders in _ABELIAN_GROUPS:
+        A = AbelianGroupSpec(orders)
+        o = shift_to_dihedral(make_shift_pair(A, (1,) * A.rank))
+        for j in range(A.rank):
+            for seed in range(8):
+                passes.clear()
+                try:
+                    recover._coordinate_slope(
+                        o, A, j, np.random.default_rng([seed, j]))
+                except SieveExhaustedError:
+                    dry[orders] = dry.get(orders, 0) + 1
+                    continue
+                most = max(most, len(passes))
+                assert passes == [(list_size(A.size, t), t)
+                                  for _, t in passes]
+                assert passes[0][1] == need
+    assert read and set(read) == {need}
+    assert 3 <= most <= MAX_PASSES
+    assert set(dry) <= {(2, 2, 2, 2)} and sum(dry.values()) <= 2
+
+
+def test_coordinate_sieve_exhausts_after_max_passes(monkeypatch):
+    # one target per pass never reaches _COORDINATE_COPIES: the sieve
+    # raises after MAX_PASSES passes, with their stats summed
+    calls = []
+
+    def one_target(backend, obj, min_alpha, budget, max_targets):
+        calls.append(max_targets)
+        return [None], SieveStats(combines=1, work=3)
+
+    monkeypatch.setattr(recover, "greedy_sieve", one_target)
+    A = AbelianGroupSpec((16, 9))
+    o = shift_to_dihedral(make_shift_pair(A, (5, 7)))
+    with pytest.raises(SieveExhaustedError) as err:
+        recover._coordinate_slope(o, A, 1, np.random.default_rng(0))
+    need = recover._COORDINATE_COPIES
+    assert calls == [need - k for k in range(MAX_PASSES)]
+    assert (err.value.stats.combines, err.value.stats.work) == (
+        MAX_PASSES, 3 * MAX_PASSES)
 
 
 @pytest.mark.parametrize("N", [3 << 10, 3 << 14, 45 << 8, 360, 720, 1000])

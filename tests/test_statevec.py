@@ -97,10 +97,10 @@ def test_state_validation():
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("dim", [2, 200])
 def test_density_matrix_checks_keep_their_tolerance(dim, dtype):
-    # trace and Hermitian checks at the old 1e-11 tolerance, with the same
-    # messages, on one block of the row-blocked check (dim 2) and past it
-    # (dim 200 checks 81 rows at a time), the fault in the first or the
-    # last block
+    # trace and Hermitian checks at the 1e-11 tolerance, with the same
+    # messages, on a small and a large matrix, real and complex: the one
+    # vectorized a - a^H check finds a fault in the first row or the last,
+    # and for complex input it compares against the conjugate transpose
     rho = np.eye(dim, dtype=dtype) / dim
     DensityMatrix(rho)
     with pytest.raises(ValueError, match="trace must be 1"):
