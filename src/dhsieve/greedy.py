@@ -46,10 +46,16 @@ class RadixObjective:
     """Objective on Z/r^n: alpha is the r-adic valuation, and the key is
     the digit string beyond the cancelled digits, least significant
     first, so lexicographic order puts the best partners adjacent.  The
-    methods take an array of nonzero labels, int64 or object."""
+    key stops short of digit target, the target alpha, which a target
+    need not cancel: two labels that match on the key merge to a target
+    or to zero.  (Keyed on the digits past it too, equal labels would
+    match deepest, pair first and merge to zero or, for odd r, to a
+    label of the same alpha.)  The methods take an array of nonzero labels,
+    int64 or object."""
 
-    def __init__(self, r):
+    def __init__(self, r, target):
         self.r = r
+        self.target = target
 
     def _powers(self, q):
         """The powers r^0, ..., r^(w-1) that weigh the digits of the
@@ -62,18 +68,20 @@ class RadixObjective:
 
     def score(self, labels):
         """(flip, alpha): alpha is the valuation, which negation keeps:
-        gcd(k, r^(w-1)) = r^alpha, as no label reaches r^w; psi_k ~
+        the count of j >= 1 with r^j dividing k, as no label reaches r^w
+        (a gcd with r^(w-1) would read it only for prime r); psi_k ~
         psi_{-k}, so flip marks the labels whose first nonzero digit
         (that of k / r^alpha) is large."""
         pows = self._powers(labels)
-        g = np.gcd(labels, pows[-1])
-        return labels // g % self.r * 2 > self.r, np.searchsorted(pows, g)
+        alpha = (labels[:, None] % pows[1:] == 0).sum(axis=1)
+        return labels // pows[alpha] % self.r * 2 > self.r, alpha
 
     def keys(self, labels, alpha):
-        """Key matrix of labels of one alpha: row i holds the digits of
-        labels[i] // r^alpha, least significant first, padded with -1."""
+        """Key matrix of labels of one alpha below the target: row i
+        holds the digits of labels[i] // r^alpha, least significant
+        first, up to digit target, padded with -1."""
         q = labels // self.r ** alpha
-        pows = self._powers(q)
+        pows = self._powers(q)[:self.target - alpha]
         keys = q[:, None] // pows
         keys %= self.r
         keys[q[:, None] < pows] = -1
@@ -84,7 +92,11 @@ class CoordinateObjective:
     """Per-coordinate abelian objective on a product of cyclic groups of
     the given orders.  A label is read in the coordinate order perm, so
     the sieve zeroes any chosen set of leading coordinates; the key is
-    the view from its first nonzero coordinate b on.  alpha credits each
+    the view from its first nonzero coordinate b on, short of the last
+    coordinate, which a target need not cancel: two labels that match on
+    the key merge to a target or to zero.  (Keyed on the last coordinate
+    too, equal labels would match deepest, pair first and merge to zero
+    or to twice the label; in Z2^k always to zero.)  alpha credits each
     zeroed leading coordinate and is discounted by the magnitude of the
     coordinate at b; a label whose first nonzero coordinate is the last
     scores full_score.  The methods take a (count, rank) matrix of
@@ -119,12 +131,14 @@ class CoordinateObjective:
                               self._credit[b] - loss)
 
     def keys(self, labels, alpha):
-        """Key matrix of labels of one alpha: row i holds the view of
-        labels[i] from b on, padded with -1."""
+        """Key matrix of labels of one alpha below full_score: row i
+        holds the view of labels[i] from b to the last coordinate,
+        exclusive, padded with -1."""
         view, b, _ = self._lead(labels)
         n, a = view.shape
-        padded = np.concatenate([view, np.full_like(view, -1)], axis=1)
-        return padded[np.arange(n)[:, None], b[:, None] + np.arange(a)]
+        padded = np.concatenate([view[:, :-1], np.full_like(view, -1)],
+                                axis=1)
+        return padded[np.arange(n)[:, None], b[:, None] + np.arange(a - 1)]
 
 
 def _key_depths(keys):
@@ -282,14 +296,21 @@ def greedy_sieve(backend, obj, min_alpha, budget, max_targets):
 
 # The list-size rule, in laws of 3^sqrt(2 log_3 N) labels, chosen from
 # measured single-pass yields (CHANGES.md has the table).  At 12 laws a
-# pass holds a median of 2.7 copies per law over the levels and
-# coordinates measured, so sizing for _COPIES_PER_LAW lets most first
-# passes hold all they need; past _MAX_LAWS a copy costs more queries at
-# most levels, as colliding labels merge to zero; with passes of 4 laws,
-# one Z2^4 recovery in 20 lost its first attempt to a pass that held no
-# target (which ends the coordinate), and one in 40 with _MIN_LAWS.
+# pass holds 2 to 16 copies per law over the levels and coordinates
+# measured, and at least 3 at every level that asks for more than one,
+# so sizing for _COPIES_PER_LAW lets nearly every first pass hold all it
+# needs.  Sizing for 3, 4 or 6 copies per law spent fewer queries but
+# made more, smaller sweeps, whose fixed cost made Z16+Z9 recoveries
+# take about 1.2, 1.3 and 1.6 times as long as under this rule.
+# _MAX_LAWS caps the passes that ask for many copies (56 and 83 at
+# r = 5 and 7): at 12 laws every level that reads 24 copies or more
+# holds at least 37 on average, and a larger list holds copies that no
+# readout reads.  With _MIN_LAWS, r = 2 levels (one copy each) sample 3
+# laws; 100 seeded recoveries each at r = 2, n = 4, 12 and 20, and at
+# r = 3, 5 and 7, n = 2, verified in their first attempt, and 99 at
+# r = 2, n = 8.
 _COPIES_PER_LAW = 2
-_MIN_LAWS = 5
+_MIN_LAWS = 3
 _MAX_LAWS = 12
 
 
@@ -316,7 +337,7 @@ def run_radix_recovery(backend, r, n, budget=None):
         raise ValueError("oracle group order is not r^n")
     if n == 0:
         return 0, SieveStats()
-    obj = RadixObjective(r)
+    obj = RadixObjective(r, n - 1)
     need = tomography_copies_needed(r)
     cap = 4 * max(5, need)
     targets, stats = run_passes(

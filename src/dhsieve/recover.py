@@ -137,7 +137,9 @@ def recover_slope_radix(o, r, n=None, rng=None, budget=None):
     """Digit-by-digit recovery over D_{r^n} using the greedy sieve at each
     level: read s mod r, restrict to the index-r subgroup, repeat.  A
     fixed budget (every pass's list size, overriding list_size) doubles
-    on each retry, up to 8 times the first.  Returns (s, RecoveryReport)."""
+    on each retry, up to 8 times the first; without one, every retry
+    sizes its passes by list_size as the first attempt did.  Returns
+    (s, RecoveryReport)."""
     N = o.ctx.N
     if r < 2:
         raise ValueError("radix must be at least 2")

@@ -97,7 +97,7 @@ def test_alpha_abelian_frozen():
 
 
 def test_objective_canonicalization():
-    flip, alpha = RadixObjective(3).score(np.array([9, 18]))
+    flip, alpha = RadixObjective(3, 3).score(np.array([9, 18]))
     assert flip.tolist() == [False, True]   # leading digit 1, 2 -> negate
     assert alpha.tolist() == [2, 2]
     flip, _ = CoordinateObjective((16, 9), (0, 1)).score(
@@ -106,7 +106,7 @@ def test_objective_canonicalization():
 
 
 def test_objective_key_orders_by_low_digits():
-    obj = RadixObjective(2)
+    obj = RadixObjective(2, 4)
     # 0b0101 and 0b1101 share two low bits beyond alpha=0
     key1, key2, key3 = _key_tuples(obj.keys(np.array([0b0101, 0b1101,
                                                       0b0011]), 0))
@@ -122,6 +122,7 @@ class _ReferenceObjective:
 
     kind: str
     r: int = 2
+    target: int | None = None
     orders: tuple = ()
     perm: tuple = ()
 
@@ -153,25 +154,32 @@ class _ReferenceObjective:
             while k:
                 digits.append(k % self.r)
                 k //= self.r
-            return tuple(digits)
+            # digit target and past it: a target need not cancel them
+            return tuple(digits[:self.target - v])
+        # the last coordinate is left out: a target need not cancel it
         label = self._view(label)
         b = next((j for j, v in enumerate(label) if v != 0), len(label) - 1)
-        return tuple(label[b:])
+        return tuple(label[b:-1])
 
 
 @given(st.lists(st.integers(1, 3 ** 40), min_size=1, max_size=12),
-       st.sampled_from([2, 3, 5]), st.booleans())
-def test_radix_objective_matches_reference(ks, r, wide):
-    # int64 labels, and object labels past 62 bits
-    ref = _ReferenceObjective("radix", r=r)
+       st.sampled_from([2, 3, 4, 5, 6, 10]), st.booleans(),
+       st.sampled_from([2, 6, 30, 99]))
+def test_radix_objective_matches_reference(ks, r, wide, target):
+    # int64 labels, and object labels past 62 bits; composite radices
+    # too, whose valuation a gcd with a power of r does not give; keys
+    # stop short of the target alpha (99 lies past every label's top
+    # digit, so those keys run to it)
+    ref = _ReferenceObjective("radix", r=r, target=target)
+    obj = RadixObjective(r, target)
     ks = [k % (1 << 62) or 1 for k in ks] if not wide else ks
     labels = np.array(ks, dtype=object if wide else np.int64)
-    flip, alpha = RadixObjective(r).score(labels)
+    flip, alpha = obj.score(labels)
     assert flip.tolist() == [ref.needs_flip(k) for k in ks]
     assert alpha.tolist() == [ref.alpha(k) for k in ks]
-    for v in set(alpha.tolist()):
+    for v in {v for v in alpha.tolist() if v < target}:
         same = [k for k in ks if ref.alpha(k) == v]
-        keys = RadixObjective(r).keys(np.array(same, dtype=labels.dtype), v)
+        keys = obj.keys(np.array(same, dtype=labels.dtype), v)
         assert keys.dtype == np.int64
         assert _key_tuples(keys) == [ref.key(k) for k in same]
 
@@ -216,7 +224,7 @@ def test_r2_match_bonus(a, b, t):
 
 
 def test_greedy_sieve_budget_validation():
-    obj = RadixObjective(2)
+    obj = RadixObjective(2, 4)
     with pytest.raises(ValueError):
         greedy_sieve(backend(16, 5), obj, 4, 1, 1)
     with pytest.raises(ValueError):
@@ -224,7 +232,7 @@ def test_greedy_sieve_budget_validation():
 
 
 def test_greedy_sieve_no_deadlock_tiny_budget():
-    obj = RadixObjective(2)
+    obj = RadixObjective(2, 3)
     be = backend(16, 5, seed=1)
     try:
         targets, st = greedy_sieve(be, obj, 3, 2, 2)
@@ -234,7 +242,7 @@ def test_greedy_sieve_no_deadlock_tiny_budget():
 
 
 def test_greedy_sieve_targets_and_stats():
-    obj = RadixObjective(2)
+    obj = RadixObjective(2, 9)
     be = backend(1 << 10, 345, seed=2)
     targets, st = greedy_sieve(be, obj, 9, 1024, 1024)
     assert targets.labels.tolist() == [1 << 9] * len(targets)
@@ -244,23 +252,25 @@ def test_greedy_sieve_targets_and_stats():
 
 def test_greedy_sieve_pinned_record():
     # pinned record; r = 3 exercises the flips and the max_targets stop,
-    # which returns exactly the 4 targets asked for
-    obj = RadixObjective(3)
+    # which returns exactly the 4 targets asked for.  Keys to the top
+    # digit paired equal labels first and took 44 combines
+    obj = RadixObjective(3, 5)
     be = backend(3 ** 6, 100, seed=11)
     targets, st = greedy_sieve(be, obj, 5, 300, max_targets=4)
     assert targets.labels.tolist() == [243] * 4
-    assert (st.combines, st.work, be.oracle.queries) == (44, 258, 300)
+    assert (st.combines, st.work, be.oracle.queries) == (12, 226, 300)
 
 
 def test_greedy_sieve_pinned_record_below_max_targets():
     # a sieve that empties its buckets before max_targets: the whole
     # record, and the generator state after it, are pinned
-    obj = RadixObjective(3)
+    obj = RadixObjective(3, 5)
     be = backend(3 ** 6, 100, seed=11)
+    # (25 targets from 220 combines with keys to the top digit)
     targets, st = greedy_sieve(be, obj, 5, 300, max_targets=50)
-    assert targets.labels.tolist() == [243] * 25
-    assert (st.combines, st.work, be.oracle.queries) == (220, 667, 300)
-    assert be.rng.random() == 0.9739700411195548
+    assert targets.labels.tolist() == [243] * 45
+    assert (st.combines, st.work, be.oracle.queries) == (218, 663, 300)
+    assert be.rng.random() == 0.8106908479800631
 
 
 def _reference_sieve(backend, ref, target, budget, max_targets):
@@ -314,7 +324,8 @@ def _reference_sieve(backend, ref, target, budget, max_targets):
 def _radix_case(r, n, t):
     """(objective, reference, min_alpha, target callback) for labels
     divisible by r^t on Z/r^n."""
-    return (RadixObjective(r), _ReferenceObjective("radix", r=r), t,
+    return (RadixObjective(r, t),
+            _ReferenceObjective("radix", r=r, target=t), t,
             lambda k: k % r ** t == 0)
 
 
@@ -376,6 +387,8 @@ _SIEVE_TABLE = [
     (GroupCtx(3 ** 6), _radix_case(3, 6, 4), 300, 6, 0.5, True),
     (GroupCtx(5 ** 4), _radix_case(5, 4, 3), 120, 120, 0.5, False),
     (GroupCtx(5 ** 4), _radix_case(5, 4, 2), 120, 5, 0.3, True),
+    (GroupCtx(4 ** 5), _radix_case(4, 5, 4), 300, 300, 0.5, False),
+    (GroupCtx(6 ** 4), _radix_case(6, 4, 3), 300, 8, 0.3, True),
     (GroupCtx(3 ** 40), _radix_case(3, 40, 4), 300, 300, 0.5, False),
     (GroupCtx(3 ** 40), _radix_case(3, 40, 5), 300, 3, 0.5, True),
     (AbelianGroupSpec((16, 9)), _coordinate_case((16, 9), (0, 1)), 300,
@@ -400,11 +413,11 @@ def test_greedy_sieve_matches_reference_table(row):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_greedy_sieve_matches_reference(data):
-    # both objectives: radix r in {2, 3, 5} up to 3^40, every coordinate
+    # both objectives: radix r in {2, 3, 4, 5, 6} up to 3^40, every coordinate
     # case; with and without max_targets, honest and biased coins,
     # corrupted oracles
     if data.draw(st.booleans()):
-        r = data.draw(st.sampled_from([2, 3, 5]))
+        r = data.draw(st.sampled_from([2, 3, 4, 5, 6]))
         n = data.draw(st.sampled_from([2, 4, 6, 9, 40]))
         ctx = GroupCtx(r ** n)
         case = _radix_case(r, n, data.draw(st.integers(1, min(n - 1, 5))))
@@ -427,9 +440,11 @@ def test_greedy_sieve_stops_at_the_kth_target(k):
 
     be, twin = make(), make()
     want, want_st, mid_sweep = _reference_sieve(
-        twin, _ReferenceObjective("radix", r=3), lambda l: l % 3 ** 7 == 0,
+        twin, _ReferenceObjective("radix", r=3, target=7),
+        lambda l: l % 3 ** 7 == 0,
         1944, max_targets=k)
-    targets, st = greedy_sieve(be, RadixObjective(3), 7, 1944, max_targets=k)
+    targets, st = greedy_sieve(be, RadixObjective(3, 7), 7, 1944,
+                               max_targets=k)
     assert len(targets) == len(want) == k and mid_sweep
     assert (st.combines, st.work) == (want_st.combines, want_st.work)
     assert be.rng.bit_generator.state == twin.rng.bit_generator.state
@@ -439,7 +454,8 @@ def test_greedy_sieve_stops_in_the_first_placement():
     # at 3^3 sampled labels already hit the target: the sieve stops while
     # placing the sample, before any combine
     be = backend(3 ** 3, 7, seed=5)
-    targets, st = greedy_sieve(be, RadixObjective(3), 2, 200, max_targets=3)
+    targets, st = greedy_sieve(be, RadixObjective(3, 2), 2, 200,
+                               max_targets=3)
     assert targets.labels.tolist() == [9] * 3
     assert (st.combines, be.oracle.queries) == (0, 200)
 
@@ -455,7 +471,7 @@ def test_greedy_sieve_matches_callback_loop(r, n, t, budget):
 
 
 def test_greedy_quasilinear_work():
-    obj = RadixObjective(2)
+    obj = RadixObjective(2, 15)
     budget = 4096
     be = backend(1 << 16, 54321, seed=3)
     _, st = greedy_sieve(be, obj, 15, budget, budget)
@@ -469,7 +485,7 @@ def test_greedy_hit_rate_large_budget():
     for _ in range(20):
         s = int(rng.integers(0, 1 << 16))
         be = PhaseBackend(make_reflection_oracle(GroupCtx(1 << 16), s), rng=rng)
-        obj = RadixObjective(2)
+        obj = RadixObjective(2, 15)
         try:
             t, _ = greedy_sieve(be, obj, 15, 3 * 8 ** 4, max_targets=1)
             hits += bool(t)
@@ -839,7 +855,7 @@ def test_default_budget_monotone():
     # _MAX_LAWS
     assert list_size(2 ** 8, 1) < list_size(2 ** 16, 1)
     law = 3.0 ** math.sqrt(2 * math.log(3 ** 8, 3))
-    assert list_size(3 ** 8, 1) == list_size(3 ** 8, 10) == math.ceil(
+    assert list_size(3 ** 8, 1) == list_size(3 ** 8, 6) == math.ceil(
         greedy._MIN_LAWS * law)
     assert list_size(3 ** 8, 16) == math.ceil(16 / greedy._COPIES_PER_LAW
                                               * law)
