@@ -9,12 +9,15 @@ process ever "touches" the hidden subgroup.
 
 Oracle values are opaque fixed-width tokens: keyed hashes of a coset
 representative.  Two evaluations agree exactly when the arguments lie in
-the same coset.
+the same coset.  A representative is hashed by its value: numpy and
+Python integers (and tuples of them) that are equal name one
+representative, and each oracle hashes each representative once.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import secrets as _secrets
 from fractions import Fraction
 
@@ -46,15 +49,39 @@ class _Counter:
         self.value += n
 
 
+# Enough for every representative of the dense verifier's largest group
+# (2N <= 2048); past it, new representatives are hashed on each call, so
+# an oracle evaluated at many distinct points holds no more than this.
+_MEMO_SIZE = 1 << 12
+
+
+def _canonical(rep):
+    """rep with each integer a Python int, element-wise for tuples, so
+    np.int64(3) and 3 hash alike; a float raises TypeError."""
+    if type(rep) is tuple:
+        return tuple(map(_canonical, rep))
+    return operator.index(rep)
+
+
 def _tokenizer():
-    """Keyed injective encoding of coset representatives.  The keyed
-    state is built once; each token hashes a copy of it."""
+    """Keyed injective encoding of coset representatives, memoized by
+    canonical value.  The keyed state is built once; each new
+    representative hashes a copy of it.  The memo belongs to this
+    tokenizer, so it lives exactly as long as the oracle that owns it."""
     copy = hashlib.blake2b(digest_size=12, key=_secrets.token_bytes(16)).copy
+    memo = {}
 
     def tok(rep):
-        h = copy()
-        h.update(repr(rep).encode())
-        return OracleValue(h.digest())
+        if type(rep) is not int:
+            rep = _canonical(rep)
+        value = memo.get(rep)
+        if value is None:
+            h = copy()
+            h.update(repr(rep).encode())
+            value = OracleValue(h.digest())
+            if len(memo) < _MEMO_SIZE:
+                memo[rep] = value
+        return value
 
     return tok
 
@@ -115,10 +142,10 @@ def make_reflection_oracle(ctx, s):
     if ctx.reduce(s) != s:
         raise ValueError("slope out of range")
     tok = _tokenizer()
-    minus_s = ctx.neg(s)
+    add, reduce, minus_s = ctx.add, ctx.reduce, ctx.neg(s)
 
     def ev(e):
-        return tok(ctx.add(e.b, minus_s) if e.t else ctx.reduce(e.b))
+        return tok(add(e.b, minus_s) if e.t else reduce(e.b))
 
     return HidingOracle(ctx, s, ev)
 
@@ -213,9 +240,10 @@ def shift_to_dihedral(p):
         coords = lambda b: (b % ctx.N,)
     else:
         ctx, slope, coords = A, p._shift, A.reduce
+    f, g = p._f, p._g
 
     def ev(e):
-        return (p._g if e.t else p._f)(coords(e.b))
+        return (g if e.t else f)(coords(e.b))
 
     return HidingOracle(ctx, slope, ev,
                         corruption_rate=p.truncation_corruption(),
@@ -266,13 +294,14 @@ def splice_substring(inst, t):
     N = inst.N
     if not 0 <= t < inst.M - N:
         raise ValueError("guess out of range")
-    d = abs(inst._s - t)
-    u = (inst._s - t) % N
+    tok, s = inst._tok, inst._s
+    d = abs(s - t)
+    u = (s - t) % N
 
     def ev(e):
         if e.t:
-            return inst._tok((e.b % N) + t)  # h(y x^c) = g(c + t)
-        return inst._tok((e.b % N) + inst._s)  # h(x^b) = f(b)
+            return tok((e.b % N) + t)  # h(y x^c) = g(c + t)
+        return tok((e.b % N) + s)  # h(x^b) = f(b)
 
     return HidingOracle(GroupCtx(N), u, ev,
                         corruption_rate=Fraction(d, N),
@@ -300,9 +329,10 @@ def restrict_reflection(o, parity, r=2):
     if not 0 <= parity < r:
         raise ValueError("parity must lie in [0, r)")
     sub = GroupCtx(ctx.N // r)
+    inner = o._eval
 
     def ev(e):
-        return o._eval(subgroup_embed(parity, e, ctx, r))
+        return inner(subgroup_embed(parity, e, ctx, r))
 
     if o._slope % r == parity:
         slope = ((o._slope - parity) // r) % sub.N
@@ -322,9 +352,10 @@ def with_label_automorphism(o, u):
         raise TypeError("automorphism wrapper applies to dihedral oracles")
     N = ctx.N
     uinv = pow(u, -1, N)
+    inner = o._eval
 
     def ev(e):
-        return o._eval(DihedralElement(e.t, (u * e.b) % N))
+        return inner(DihedralElement(e.t, (u * e.b) % N))
 
     return HidingOracle(ctx, (uinv * o._slope) % N, ev,
                         corruption_rate=o.corruption_rate,

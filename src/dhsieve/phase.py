@@ -241,9 +241,13 @@ def tomography_mod_r(plist, r):
         raise InsufficientCopiesError(
             f"need at least {needed} copies for r={r}, got {len(plist)}")
 
-    # quadrature references: 0 and odd multiples of floor(N/(2r))
+    # quadrature references: 0 and odd multiples of floor(N/(2r)).  Only
+    # t mod r reaches the bits, and references with 2t = 0 mod r see c and
+    # -c alike; when 2 floor(N/(2r)) = 0 mod r (even r at N >= r^2) every
+    # odd multiple lies there, so those move up by 1
     q_step = max(1, N // (2 * r))
-    refs = [0] + [((2 * i + 1) * q_step) % N for i in range(r)]
+    off = int(2 * q_step % r == 0)
+    refs = [0] + [((2 * i + 1) * q_step + off) % N for i in range(r)]
     return int(np.argmax(likelihood_readout(
         plist, plist.labels, N, [(t, t) for t in refs], np.arange(r))))
 

@@ -47,15 +47,15 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        dtype = complex if np.iscomplexobj(self.entries) else float
-        self.entries = np.asarray(self.entries, dtype=dtype)
-        if self.entries.shape[0] != self.entries.shape[1]:
+        cplx = np.iscomplexobj(self.entries)
+        a = self.entries = np.asarray(self.entries,
+                                      dtype=complex if cplx else float)
+        if a.shape[0] != a.shape[1]:
             raise ValueError("density matrix must be square")
-        if abs(np.trace(self.entries) - 1.0) > _ATOL_STRUCT * 10:
+        if abs(a.trace() - 1.0) > _ATOL_STRUCT * 10:
             raise ValueError("trace must be 1")
         # a - a^T is antisymmetric: for real a its max is its max |entry|
-        a = self.entries
-        gap = np.abs(a - a.T.conj()) if np.iscomplexobj(a) else a - a.T
+        gap = np.abs(a - a.T.conj()) if cplx else a - a.T
         if gap.max() > _ATOL_STRUCT * 10:
             raise ValueError("matrix must be Hermitian")
 
@@ -77,8 +77,11 @@ def rho_coset_mixture(N, s):
 
 def _level_set_rho(idx):
     """1/(2N) on each pair of the 2N basis elements with equal level-set
-    index idx, 0 elsewhere."""
-    return DensityMatrix((idx[:, None] == idx[None, :]) / len(idx))
+    index idx, 0 elsewhere.  The entries are 0 or 1 before scaling, so
+    scaling in place by 1/(2N) is bit-identical to dividing by 2N."""
+    rho = np.equal.outer(idx, idx).astype(float)
+    rho *= 1 / len(idx)
+    return DensityMatrix(rho)
 
 
 @lru_cache(maxsize=4)
@@ -92,12 +95,13 @@ def rho_from_eval(N, eval_fn):
     function on D_N and discarding the output: entry (i, j) is 1/(2N) when
     elements i and j lie in the same level set, else 0.  eval_fn is
     called exactly once per element, t = 0 before t = 1; the traced
-    benchmark counts verifier queries by these calls."""
+    benchmark counts verifier queries by these calls.  A level set is
+    numbered by the index of its first element."""
     if N > _MAX_DENSE_N:
         raise ValueError("dense simulation limited to N <= 1024")
-    levels = {}
-    idx = np.fromiter((levels.setdefault(eval_fn(e), len(levels))
-                       for e in _elements(N)), dtype=np.intp, count=2 * N)
+    first = {}
+    idx = np.fromiter(map(first.setdefault, map(eval_fn, _elements(N)),
+                          range(2 * N)), dtype=np.intp, count=2 * N)
     return _level_set_rho(idx)
 
 
@@ -167,10 +171,9 @@ def trace_distance(r1, r2):
     if r1.dim != r2.dim:
         raise ValueError("dimension mismatch")
     diff = r1.entries - r2.entries
-    nonzero = diff != 0
-    keep = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    keep = np.flatnonzero(diff.any(axis=0) | diff.any(axis=1))
     if keep.size == 0:
         return 0.0
-    eigs = np.linalg.eigvalsh(diff[np.ix_(keep, keep)])
+    eigs = np.linalg.eigvalsh(diff.take(keep, 0).take(keep, 1))
     return 0.5 * float(np.sum(np.abs(eigs)))
 

@@ -5,8 +5,10 @@ approximations."""
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from dhsieve import oracle
 from dhsieve.group import AbelianGroupSpec, DihedralElement, GroupCtx
 from dhsieve.oracle import (
     SubstringInstance,
@@ -18,6 +20,7 @@ from dhsieve.oracle import (
     splice_substring,
     with_label_automorphism,
 )
+from dhsieve.recover import recover_slope_power2, verify_reflection
 
 
 def test_reflection_oracle_constant_exactly_on_cosets():
@@ -147,13 +150,14 @@ def test_automorphism_wrapper():
                 == w.evaluate(DihedralElement(1, (uinv_s + a) % N)))
 
 
-def _oracle_kinds(N):
+def _oracle_kinds(N, num=int):
     """(build, key) pairs for every oracle kind on D_N (or D_A at rank 2).
     build() makes a fresh oracle, with a fresh token key, for the same
     secret each call; key(t, b) names the level set of y^t x^b: the coset
-    of the hidden reflection, or a singleton for a broken element."""
+    of the hidden reflection, or a singleton for a broken element.  num
+    types the secret and the splice guess."""
     ctx = GroupCtx(N)
-    s, guess, u = N // 3, N // 2, max(N - 1, 1)  # u: x -> x^-1
+    s, guess, u = num(N // 3), num(N // 2), max(N - 1, 1)  # u: x -> x^-1
 
     def par():  # D_2N at an odd slope: parity 1 hides s, parity 0 is injective
         return make_reflection_oracle(GroupCtx(2 * N), 2 * s + 1)
@@ -202,3 +206,52 @@ def test_tokens_equal_exactly_on_level_sets():
                 assert re.fullmatch(r"OracleValue\([0-9a-f]{24}\)", repr(v))
             # a second oracle with the same secret has its own token key
             assert not set(toks) & {again.evaluate(e) for e in els}
+
+
+def _as_numpy(e):
+    b = tuple(map(np.int64, e.b)) if isinstance(e.b, tuple) else np.int64(e.b)
+    return DihedralElement(np.int64(e.t), b)
+
+
+@pytest.mark.parametrize("memo_size", [0, 3, oracle._MEMO_SIZE])
+def test_numpy_and_python_integers_give_equal_tokens(memo_size, monkeypatch):
+    # tokens hash a representative's value: with numpy 2,
+    # repr(np.int64(0)) is 'np.int64(0)', so hashing repr split a coset
+    # in two.  A memo of size 0 hashes on every call; one of size 3
+    # fills up at once, so most representatives are hashed each time.
+    monkeypatch.setattr(oracle, "_MEMO_SIZE", memo_size)
+    for N in range(1, 13):
+        for num in (int, np.int64):
+            for build, key in _oracle_kinds(N, num):
+                o = build()
+                els = _elements_of(o)
+                toks = [o.evaluate(_as_numpy(e)) for e in els]
+                assert [o.evaluate(e) for e in els] == toks
+                keys = [key(e.t, e.b) for e in els]
+                assert (len(set(zip(keys, toks))) == len(set(keys))
+                        == len(set(toks)))
+
+
+def test_numpy_secret_verifies_and_recovers():
+    assert verify_reflection(make_reflection_oracle(GroupCtx(8), np.int64(3)), 3)
+    o = make_reflection_oracle(GroupCtx(1 << 8), np.int64(77))
+    got, rep = recover_slope_power2(o, 8, rng=1)
+    assert got == 77 and rep.verified
+
+
+def test_floats_are_not_representatives():
+    o = make_reflection_oracle(GroupCtx(8), 3)
+    with pytest.raises(TypeError):
+        o.evaluate(DihedralElement(0, 3.0))
+
+
+def test_repeated_evaluations_count_every_query():
+    # the memo saves hashing, never a query
+    for build, _ in _oracle_kinds(6):
+        o = build()
+        els = _elements_of(o)
+        q0 = o.queries
+        first = [o.evaluate(e) for e in els]
+        for _ in range(2):
+            assert [o.evaluate(e) for e in els] == first
+        assert o.queries - q0 == 3 * len(els)

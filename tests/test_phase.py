@@ -29,6 +29,7 @@ from dhsieve.oracle import (
 from dhsieve.phase import (
     PhaseBackend,
     PhaseQubit,
+    TOMOGRAPHY_DELTA,
     combine,
     cosine_observe,
     likelihood_readout,
@@ -130,7 +131,8 @@ def _ref_tomography_mod_r(qs, r):
         votes = [_ref_measure_pm(q) for q in qs if q.label // step % 2 == 1]
         return int(sum(votes) * 2 >= len(votes))
     q_step = max(1, N // (2 * r))
-    refs = [0] + [((2 * i + 1) * q_step) % N for i in range(r)]
+    off = int(2 * q_step % r == 0)
+    refs = [0] + [((2 * i + 1) * q_step + off) % N for i in range(r)]
     return int(np.argmax(_ref_likelihood_readout(
         qs, [q.label for q in qs], N, [(t, t) for t in refs], np.arange(r))))
 
@@ -596,6 +598,26 @@ def test_tomography_r3():
         need = tomography_copies_needed(3)
         qs = copies([(N // 3) * (1 + i % 2) for i in range(need)], be)
         assert tomography_mod_r(qs, 3) == s % 3
+
+
+@pytest.mark.parametrize("r", [4, 6, 8])
+def test_tomography_even_radix_tells_s_from_minus_s(r):
+    # only t mod r of a reference t reaches the bits, and at N >= r^2 the
+    # odd multiples of N // 2r all lie at 0 or r/2 mod r, where c and -c
+    # give the same cosines: with references there, 236, 319 and 354 of
+    # 1,000 such readouts at N = r^2 returned -s mod r.  Now at most the
+    # readout's TOMOGRAPHY_DELTA share of these 60 may miss.
+    need, wrong = tomography_copies_needed(r), 0
+    for n in (1, 2, 3):
+        N = r ** n
+        for i in range(20):
+            rng = np.random.default_rng([r, n, i])
+            s = int(rng.integers(0, N))
+            be = PhaseBackend(make_reflection_oracle(GroupCtx(N), s), rng=rng)
+            qs = copies([(N // r) * int(w)
+                         for w in rng.integers(1, r, size=need)], be)
+            wrong += tomography_mod_r(qs, r) != s % r
+    assert wrong <= 60 * TOMOGRAPHY_DELTA
 
 
 @pytest.mark.parametrize("n", [30, 38])

@@ -119,12 +119,10 @@ def test_radix_recovery_r3():
 def test_radix_recovery_composite(r, n):
     # composite radices: a level's targets are the labels divisible by
     # N / r, which a valuation read off gcd(k, r^j) misplaces (it raised
-    # on every case here).  Even radices still retry often and some
-    # secrets exhaust every attempt, as tomography_mod_r reads s mod r
-    # as -s mod r in about a quarter of the levels above n = 1: 10, 9
-    # and 7 of these 10 secrets (default_rng([N, i])) verify, and 96,
-    # 86 and 82 of 100 (94, 83 and 79 with the digit-matrix valuation
-    # and keys to the top digit)
+    # on every case here).  Every one of these 10 secrets
+    # (default_rng([N, i])) verifies, and 100 of 100 at each (r, n),
+    # since tomography_mod_r's references at N >= r^2 no longer all sit
+    # at 0 or r/2 mod r, where even radices read s mod r as -s mod r
     N = r ** n
     found = 0
     for i in range(10):
@@ -137,7 +135,7 @@ def test_radix_recovery_composite(r, n):
             continue
         assert got == s and rep.verified
         found += 1
-    assert found >= 6
+    assert found == 10
 
 
 def test_general_agrees_with_power2():

@@ -19,6 +19,7 @@ from dhsieve.oracle import (
 from dhsieve.statevec import (
     DensityMatrix,
     PureState,
+    _level_set_rho,
     extract_outcome_probs,
     extract_sim,
     psi_vector,
@@ -226,6 +227,16 @@ def test_rho_from_eval_calls_evaluate_once_per_element(monkeypatch):
             rho_from_eval(N, o.evaluate)
             assert calls == order
             assert o.queries - q0 == 2 * N
+
+
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=70))
+def test_level_set_rho_is_bit_identical_to_dividing(ids):
+    # the 0/1 matrix is scaled in place by 1/(2N): the same doubles as
+    # dividing it by 2N
+    idx = np.array(ids, dtype=np.intp)
+    want = (idx[:, None] == idx[None, :]) / len(idx)
+    got = _level_set_rho(idx).entries
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_density_matrix_keeps_real_input_real():
