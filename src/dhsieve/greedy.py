@@ -36,12 +36,6 @@ def alpha_radix(k, r):
     return a
 
 
-def _first_nonzero(rows):
-    """Index of the first nonzero entry of each row of a matrix whose
-    rows are not all zero."""
-    return (rows != 0).argmax(axis=1)
-
-
 class RadixObjective:
     """Objective on Z/r^n: alpha is the r-adic valuation, and the key is
     the digit string beyond the cancelled digits, least significant
@@ -50,42 +44,46 @@ class RadixObjective:
     need not cancel: two labels that match on the key merge to a target
     or to zero.  (Keyed on the digits past it too, equal labels would
     match deepest, pair first and merge to zero or, for odd r, to a
-    label of the same alpha.)  The methods take an array of nonzero labels,
+    label of the same alpha.)  The methods take an array of labels,
     int64 or object."""
 
     def __init__(self, r, target):
         self.r = r
         self.target = target
-
-    def _powers(self, q):
-        """The powers r^0, ..., r^(w-1) that weigh the digits of the
-        positive integers q, w the digit count of the largest, in q's
-        dtype."""
-        top, w = int(q.max(initial=0)), 1
-        while self.r ** w <= top:
-            w += 1
-        return np.array([self.r ** j for j in range(w)], dtype=q.dtype)
+        # the powers score and keys read, per label dtype; past lies past
+        # every label (int64 labels lie below 2^62), and stands for any
+        # power int64 cannot hold
+        pows = [r ** j for j in range(target + 1)]
+        self._score_pows, self._key_pows = {}, {}
+        for dtype, past in ((np.dtype(np.int64), np.iinfo(np.int64).max),
+                            (np.dtype(object), math.inf)):
+            p = [min(q, past) for q in pows]
+            self._score_pows[dtype] = [np.array(t, dtype=dtype) for t in (
+                p[1:] + [past, 1], [0] * (target + 1) + [-1], p + [past])]
+            self._key_pows[dtype] = [np.array(t, dtype=dtype)
+                                     for t in (p[1:] + [1], p[:-1] + [past])]
 
     def score(self, labels):
-        """(flip, alpha): alpha is the valuation, which negation keeps:
-        the count of j >= 1 with r^j dividing k, as no label reaches r^w
-        (a gcd with r^(w-1) would read it only for prime r); psi_k ~
-        psi_{-k}, so flip marks the labels whose first nonzero digit
-        (that of k / r^alpha) is large."""
-        pows = self._powers(labels)
-        alpha = (labels[:, None] % pows[1:] == 0).sum(axis=1)
-        return labels // pows[alpha] % self.r * 2 > self.r, alpha
+        """(flip, alpha): alpha is the valuation up to the target, which
+        negation keeps: the first nonzero of k mod r^1, ..., mod r^target,
+        mod past (target for a multiple of r^target), or target + 1 for
+        zero; psi_k ~ psi_{-k}, so flip marks the labels whose digit
+        alpha, their first nonzero one, is large."""
+        mods, zeros, pows = self._score_pows[labels.dtype]
+        alpha = (labels[:, None] % mods != zeros).argmax(axis=1)
+        return labels // pows[alpha] % self.r > self.r // 2, alpha
 
     def keys(self, labels, alpha):
         """Key matrix of labels of one alpha below the target: row i
-        holds the digits of labels[i] // r^alpha, least significant
-        first, up to digit target, padded with -1."""
-        q = labels // self.r ** alpha
-        pows = self._powers(q)[:self.target - alpha]
-        keys = q[:, None] // pows
-        keys %= self.r
-        keys[q[:, None] < pows] = -1
-        return keys.astype(np.int64, copy=False)
+        holds labels[i] mod r^(alpha+1), ..., mod r^target, each -1 once
+        the label has no digit left, and a -1 that ends every row; rows
+        of one alpha sort and match on these as on their digits from
+        digit alpha on, least significant first."""
+        mods, tops = self._key_pows[labels.dtype]
+        col = labels[:, None]
+        keys = col % mods[alpha:]
+        np.copyto(keys, -1, where=col < tops[alpha:])
+        return keys
 
 
 class CoordinateObjective:
@@ -99,62 +97,53 @@ class CoordinateObjective:
     or to twice the label; in Z2^k always to zero.)  alpha credits each
     zeroed leading coordinate and is discounted by the magnitude of the
     coordinate at b; a label whose first nonzero coordinate is the last
-    scores full_score.  The methods take a (count, rank) matrix of
-    nonzero labels in the original coordinate order."""
+    scores target, and a zero label target + 1.  The methods take a
+    (count, rank) matrix of labels in the original coordinate order."""
 
     def __init__(self, orders, perm):
-        self.perm = list(perm)
+        self.perm = np.array(perm)
         orders = [orders[i] for i in perm]
         bits = [math.ceil(1 + math.log2(n + 1)) for n in orders]
         self.orders = np.array(orders)
-        self.full_score = sum(bits)
+        self.target = sum(bits)
         self._credit = np.cumsum(bits)
-
-    def _lead(self, labels):
-        """The labels in view order, each row's first nonzero coordinate
-        b, and the value there."""
-        view = labels[:, self.perm]
-        b = _first_nonzero(view)
-        return view, b, view[np.arange(len(view)), b]
 
     def score(self, labels):
         """(flip, alpha): psi_k ~ psi_{-k}, so flip marks the labels whose
         first nonzero coordinate is large, and alpha is the score of the
-        flipped label.  ceil(log2(x + 1)) is the bit length of x, read
-        off the float exponent (exact below 2^53)."""
-        _, b, lead = self._lead(labels)
+        flipped label.  The discount, the bit length of that coordinate
+        (read off the float exponent, exact below 2^53), lies between 1
+        and one less than its credit, so one alpha names one b."""
+        view = labels[:, self.perm]
+        b = (view != 0).argmax(axis=1)
+        lead = view[np.arange(len(view)), b]
         n = self.orders[b]
-        flip = lead * 2 > n
-        lead = np.where(flip, n - lead, lead)
-        loss = np.frexp(np.asarray(lead, dtype=float))[1]
-        return flip, np.where(b == len(self.perm) - 1, self.full_score,
-                              self._credit[b] - loss)
+        low = np.minimum(lead, n - lead)
+        loss = np.frexp(low.astype(float))[1]
+        alpha = np.where(b == len(self.perm) - 1, self.target,
+                         self._credit[b] - loss)
+        np.copyto(alpha, self.target + 1, where=lead == 0)
+        return low != lead, alpha
 
     def keys(self, labels, alpha):
-        """Key matrix of labels of one alpha below full_score: row i
-        holds the view of labels[i] from b to the last coordinate,
-        exclusive, padded with -1."""
-        view, b, _ = self._lead(labels)
-        n, a = view.shape
-        padded = np.concatenate([view[:, :-1], np.full_like(view, -1)],
-                                axis=1)
-        return padded[np.arange(n)[:, None], b[:, None] + np.arange(a - 1)]
-
-
-def _key_depths(keys):
-    """Match depth of adjacent rows of a sorted key matrix: how many
-    leading digits they share, up to the shorter digit string.  Padding
-    with -1 makes the rows sort as the digit tuples do (a tuple sorts
-    before its extensions)."""
-    same = (keys[1:] == keys[:-1]) & (keys[1:] >= 0)
-    return np.logical_and.accumulate(same, axis=1).sum(axis=1)
+        """Key matrix of labels of one alpha below the target, which names
+        their first nonzero coordinate b: row i holds the view of
+        labels[i] from b to the last coordinate, exclusive, and a -1
+        that ends every row."""
+        cols = self.perm[int(np.searchsorted(self._credit, alpha,
+                                             side="right")):-1]
+        keys = np.empty((len(labels), len(cols) + 1), dtype=labels.dtype)
+        keys[:, :-1] = labels[:, cols]
+        keys[:, -1] = -1
+        return keys
 
 
 def _pair_order(depths):
     """Pairing order of a sorted sweep whose adjacent entries i, i + 1
-    share depths[i] leading key digits: (left, right) index arrays, the
-    deepest match first and ties by left position, until at most one
-    entry is left.  Keys are sorted, so two entries match to the minimum
+    share depths[i] leading key digits: (pairs, lone), pairs a (count, 2)
+    array of (left, right) indices, the deepest match first and ties by
+    left position, until at most one entry is left, and lone that entry
+    (-1 for none).  Keys are sorted, so two entries match to the minimum
     depth over the gap between them, and the entries joined by gaps of
     at least d form a node of depth d.  One left-to-right pass keeps the
     open nodes on a stack, shallowest first; each node holds at most one
@@ -165,42 +154,41 @@ def _pair_order(depths):
     in the order made sorts them by (-depth, left)."""
     gaps = np.asarray(depths).tolist()
     gaps.append(-1)
-    found = defaultdict(list)
-    # the open nodes' depths over a sentinel below every gap, and the
-    # entry each holds (-1 for none); c is the entry reaching the gap
-    depth, held, top = [-2], [-1], -2
+    found = {}
+    # the open nodes below the top one, over a sentinel below every gap:
+    # (depth, the entry it holds or -1); top and h are the top node's,
+    # and c is the entry reaching the gap
+    stack, top, h = [], -2, -1
     for c, g in enumerate(gaps):
         while top > g:
-            h = held.pop()
             if h >= 0:
                 if c < 0:
                     c = h
                 else:
-                    found[top] += (h, c)
+                    found.setdefault(top, []).extend((h, c))
                     c = -1
-            depth.pop()
-            top = depth[-1]
+            top, h = stack.pop()
         if top < g:
-            depth.append(g)
-            held.append(c)
-            top = g
+            stack.append((top, h))
+            top, h = g, c
         elif c >= 0:
-            if held[-1] < 0:
-                held[-1] = c
+            if h < 0:
+                h = c
             else:
-                found[g] += (held[-1], c)
-                held[-1] = -1
+                found.setdefault(g, []).extend((h, c))
+                h = -1
     pairs = np.array([x for d in sorted(found, reverse=True)
-                      for x in found[d]], dtype=np.int64).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
+                      for x in found[d]], dtype=np.int64)
+    return pairs.reshape(-1, 2), h
 
 
-def greedy_sieve(backend, obj, min_alpha, budget, max_targets):
+def greedy_sieve(backend, obj, budget, max_targets):
     """Fill a list with budget sampled qubits, then greedily pair inside
     the minimum-alpha bucket to maximize the alpha of the extracted label.
-    Collects the nonzero labels (oriented as obj.score flips them) whose
-    alpha is at least min_alpha as targets, and stops as soon as it holds
-    max_targets of them.  Returns (targets as a PhaseList, SieveStats).
+    Collects the labels (oriented as obj.score flips them) that score
+    obj.target, the objective's top alpha, as targets, and stops as soon
+    as it holds max_targets of them.  Returns (targets as a PhaseList,
+    SieveStats).
 
     The sieve runs on label arrays: each batch (the sample, or the merges
     of one sweep) is placed at once, in order.  The minimum-alpha bucket
@@ -218,38 +206,36 @@ def greedy_sieve(backend, obj, min_alpha, budget, max_targets):
         raise ValueError("max_targets must be at least 1")
     stats = SieveStats()
     rng, mod = backend.rng, backend.oracle.ctx.modulus
+    bias, top = backend.coin_bias, obj.target
     hits, buckets = [], defaultdict(list)
     held = 0
 
     def place(labels, classical):
-        """Drop zero labels, orient the rest, set targets aside and bucket
-        the others by alpha.  Returns None, or how many leading entries
-        were placed when the max_targets-th target arrived."""
+        """Orient the labels and stable-sort them by alpha: below the top
+        buckets a label, the top makes it a target, and past it (a zero
+        label), last, drops it.  Returns None, or how many leading
+        entries were placed when the max_targets-th target arrived."""
         nonlocal held
-        keep = labels.reshape(len(labels), -1).any(axis=1)
-        labels, classical = labels[keep], classical[keep]
         flip, alpha = obj.score(labels)
-        labels[flip] = -labels[flip] % mod
-        hit = alpha >= min_alpha
-        at = np.flatnonzero(hit)
-        stop = held + len(at) >= max_targets
-        if stop:
-            at = at[:max_targets - held]
-        hits.append(PhaseList(labels[at], classical[at], backend))
-        held += len(at)
-        if stop:
-            return int(np.flatnonzero(keep)[at[-1]]) + 1
-        # the rest stable-sorted by alpha, one slice per bucket
-        rest = np.flatnonzero(~hit)
-        alpha = alpha[rest]
-        rest = rest[np.argsort(alpha, kind="stable")]
-        labels, classical = labels[rest], classical[rest]
+        np.negative(labels.T, out=labels.T, where=flip)
+        labels %= mod
+        order = alpha.argsort(kind="stable")
+        labels, classical = labels[order], classical[order]
+        counts = np.bincount(alpha, minlength=top + 2).tolist()
         start = 0
-        for a, count in enumerate(np.bincount(alpha).tolist()):
+        for a, count in enumerate(counts[:top]):
             if count:
                 end = start + count
                 buckets[a].append((labels[start:end], classical[start:end]))
                 start = end
+        count = min(counts[top], max_targets - held)
+        if count:
+            end = start + count
+            hits.append(PhaseList(labels[start:end], classical[start:end],
+                                  backend))
+            held += count
+            if held == max_targets:
+                return int(order[end - 1]) + 1
         return None
 
     if place(*sample_batch(backend, budget).take()) is not None:
@@ -258,36 +244,41 @@ def greedy_sieve(backend, obj, min_alpha, budget, max_targets):
         v = min(buckets)
         chunks = buckets.pop(v)
         while chunks:
-            labels = np.concatenate([c[0] for c in chunks])
-            classical = np.concatenate([c[1] for c in chunks])
+            labels, classical = (chunks[0] if len(chunks) == 1 else
+                                 map(np.concatenate, zip(*chunks)))
             n = len(labels)
             if n < 2:
                 break
+            # sorted keys (-1 pads sort a digit string before its
+            # extensions), and the digits adjacent rows share: every row
+            # ends in -1, so each pair fails to match in the matrix
             keys = obj.keys(labels, v)
-            order = np.lexsort(keys.T[::-1])
-            left, right = _pair_order(_key_depths(keys[order]))
-            left, right = order[left], order[right]
-            stats.work += n
+            order = np.lexsort(keys.T[-2::-1])
+            keys = keys.take(order, axis=0)
+            same = (keys[1:] == keys[:-1]) & (keys[1:] >= 0)
+            pairs, lone = _pair_order(same.argmin(axis=1))
+            pairs = order[pairs].T
+            npairs = pairs.shape[1]
             # the state to rewind to, when this sweep may reach max_targets
             state = (rng.bit_generator.state
-                     if held + len(left) >= max_targets else None)
-            minus = rng.random(len(left)) >= backend.coin_bias
-            other = labels[right]
-            other[minus] = -other[minus]
-            made = place((labels[left] + other) % mod,
-                         classical[left] | classical[right])
+                     if held + npairs >= max_targets else None)
+            # the minus branch negates the second label of a pair
+            first, second = labels[pairs]
+            minus = rng.random(npairs) >= bias
+            second[minus] = -second[minus]
+            left, right = classical[pairs]
+            made = place((first + second) % mod, left | right)
             if made is not None:
                 rng.bit_generator.state = state
                 rng.random(made)
                 stats.combines += made
-                stats.work += made
+                stats.work += n + made
                 return PhaseList.join(hits), stats
-            stats.combines += len(left)
-            stats.work += len(left)
+            stats.combines += npairs
+            stats.work += n + npairs
             chunks = buckets.pop(v, [])
-            if n % 2:
-                # the one entry left unpaired: every index but it is paired
-                i = n * (n - 1) // 2 - int(left.sum()) - int(right.sum())
+            if lone >= 0:
+                i = order[lone]
                 chunks.append((labels[i:i + 1], classical[i:i + 1]))
     if not held:
         raise SieveExhaustedError("greedy sieve exhausted with no target")
@@ -295,21 +286,15 @@ def greedy_sieve(backend, obj, min_alpha, budget, max_targets):
 
 
 # The list-size rule, in laws of 3^sqrt(2 log_3 N) labels, chosen from
-# measured single-pass yields (CHANGES.md has the table).  At 12 laws a
-# pass holds 2 to 16 copies per law over the levels and coordinates
-# measured, and at least 3 at every level that asks for more than one,
-# so sizing for _COPIES_PER_LAW lets nearly every first pass hold all it
-# needs.  Sizing for 3, 4 or 6 copies per law spent fewer queries but
-# made more, smaller sweeps, whose fixed cost made Z16+Z9 recoveries
-# take about 1.2, 1.3 and 1.6 times as long as under this rule.
-# _MAX_LAWS caps the passes that ask for many copies (56 and 83 at
-# r = 5 and 7): at 12 laws every level that reads 24 copies or more
-# holds at least 37 on average, and a larger list holds copies that no
-# readout reads.  With _MIN_LAWS, r = 2 levels (one copy each) sample 3
-# laws; 100 seeded recoveries each at r = 2, n = 4, 12 and 20, and at
-# r = 3, 5 and 7, n = 2, verified in their first attempt, and 99 at
-# r = 2, n = 8.
-_COPIES_PER_LAW = 2
+# measured recoveries (CHANGES.md has the tables): sized for 2, 3, 4 and
+# 6 copies per law, radix 3^8 spent median 2,164, 1,446, 1,171 and 1,067
+# queries and Z16+Z9 656, 438, 330 and 220, but past 3 the extra sweeps
+# made Z16+Z9 take 1.03 and 1.22 times the CPU time of the older 2-law
+# rule, and at 4 two of 100 radix 3^8 secrets took a second attempt.
+# _MAX_LAWS caps the passes that ask for many copies: a larger list holds
+# copies no readout reads.  With _MIN_LAWS, r = 2 levels (one copy each)
+# sample 3 laws.
+_COPIES_PER_LAW = 3
 _MIN_LAWS = 3
 _MAX_LAWS = 12
 
@@ -341,7 +326,7 @@ def run_radix_recovery(backend, r, n, budget=None):
     need = tomography_copies_needed(r)
     cap = 4 * max(5, need)
     targets, stats = run_passes(
-        lambda held: greedy_sieve(backend, obj, n - 1,
+        lambda held: greedy_sieve(backend, obj,
                                   budget or list_size(N, need - held),
                                   max_targets=cap - held),
         need)
@@ -406,12 +391,12 @@ def cancellation_race(labels, rng):
         if len(group) < 2:
             continue
         order, depth = _race_bucket([k >> v for k in group], nbytes)
-        left, right = _pair_order(depth)
-        coins = rng.random(len(left))
-        stats.work += len(group) + len(left)
-        stats.combines += len(left)
-        for i, j, c in zip(order[left].tolist(), order[right].tolist(),
-                           coins.tolist()):
+        pairs, _ = _pair_order(depth)
+        coins = rng.random(len(pairs))
+        stats.work += len(group) + len(pairs)
+        stats.combines += len(pairs)
+        left, right = order[pairs].T.tolist()
+        for i, j, c in zip(left, right, coins.tolist()):
             k, l = group[i], group[j]
             m = k + l if c < 0.5 else abs(k - l)
             if m:

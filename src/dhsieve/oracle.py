@@ -346,11 +346,11 @@ def restrict_reflection(o, parity, r=2):
 
 def with_label_automorphism(o, u):
     """Wrap the oracle with the rotation automorphism x -> x^u (u a unit
-    mod N).  The wrapped oracle hides slope u^-1 s."""
+    mod N, any integer type).  The wrapped oracle hides slope u^-1 s."""
     ctx = o.ctx
     if not isinstance(ctx, GroupCtx):
         raise TypeError("automorphism wrapper applies to dihedral oracles")
-    N = ctx.N
+    N, u = ctx.N, operator.index(u)
     uinv = pow(u, -1, N)
     inner = o._eval
 

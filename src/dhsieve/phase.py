@@ -202,12 +202,21 @@ def cosine_observe(plist, t):
     return _observe(plist, t)
 
 
+# Copies tomography_mod_r reads, per radix: the fewest tried that
+# misread under 0.2% of 2,000 readouts at N = r, r^2 and r^3 (CHANGES.md
+# has the table).  r = 8 and 10 misread 0.5% or more even at the
+# Chernoff count, so they, like the radices not measured, keep it.
+_TOMOGRAPHY_COPIES = {3: 16, 4: 24, 5: 20, 6: 48, 7: 24, 9: 28}
+
+
 def tomography_copies_needed(r):
-    """Copies required for the maximum-likelihood residue readout to fail
-    with probability at most TOMOGRAPHY_DELTA."""
+    """Copies the maximum-likelihood residue readout reads to fail with
+    probability at most TOMOGRAPHY_DELTA: the measured count, else the
+    Chernoff count."""
     if r <= 2:
         return 1
-    return math.ceil(2 * r * math.log(r / TOMOGRAPHY_DELTA))
+    return _TOMOGRAPHY_COPIES.get(
+        r, math.ceil(2 * r * math.log(r / TOMOGRAPHY_DELTA)))
 
 
 def tomography_mod_r(plist, r):
@@ -259,17 +268,19 @@ def likelihood_readout(plist, labels, M, refs, cands, ll=None):
     ll (zeros when None, returned), for each candidate c, the
     log-likelihood of the bits under the exact turn ((labels[i] * (c - t))
     mod M) / M, clipped so one unlucky bit cannot veto c; in blocks of at
-    most 2^20 entries, typed by int_dtype(M * M).  Consumes plist."""
+    most 2^20 entries, typed by int_dtype(M * M), one row per copy added
+    to ll after the one before (a running sum).  Consumes plist."""
     ts = [refs[i % len(refs)] for i in range(len(plist))]
-    bits = cosine_observe(plist, [point for _, point in ts]).tolist()
+    zero = cosine_observe(plist, [point for _, point in ts])[:, None] == 0
     dtype = int_dtype(M * M)
-    k = np.asarray(labels).astype(dtype) % M
-    kt = k * np.array([t for t, _ in ts], dtype=dtype) % M
-    cands = np.asarray(cands).astype(dtype)[:, None]
+    k = (np.asarray(labels).astype(dtype) % M)[:, None]
+    kt = k * np.array([t for t, _ in ts], dtype=dtype)[:, None] % M
+    cands = np.asarray(cands).astype(dtype)
     ll = np.zeros(len(cands)) if ll is None else ll
     step = max(1, (1 << 20) // len(cands))
-    for i in range(0, len(bits), step):
-        # one integer and one float block, each updated in place
+    for i in range(0, len(zero), step):
+        # one integer and one float block, each updated in place; a 0 bit
+        # reads 1 - p
         turns = k[i:i + step] * cands
         turns -= kt[i:i + step]
         turns %= M
@@ -277,6 +288,8 @@ def likelihood_readout(plist, labels, M, refs, cands, ll=None):
         p *= np.pi
         np.square(np.cos(p, out=p), out=p)
         np.clip(p, _P_CLIP, 1 - _P_CLIP, out=p)
-        for col, bit in zip(p.T, bits[i:i + step]):
-            ll += np.log(col) if bit else np.log(1 - col)
+        np.subtract(1, p, out=p, where=zero[i:i + step])
+        np.log(p, out=p)
+        p[0] += ll
+        ll[:] = np.add.accumulate(p, axis=0, out=p)[-1]
     return ll

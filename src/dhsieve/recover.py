@@ -326,13 +326,13 @@ def _coordinate_slope(o, A, j, rng):
         raise ValueError(
             "per-coordinate likelihood readout is limited to orders <= 4096;"
             " large coordinates are only supported in rank-1 groups")
-    # coordinate j read last: full_score is a label supported on it alone
+    # coordinate j read last: its target is a label supported on it alone
     obj = CoordinateObjective(
         A.orders, tuple([i for i in range(rank) if i != j] + [j]))
     backend = PhaseBackend(o, rng=rng)
     targets, _ = run_passes(
         lambda held: greedy_sieve(
-            backend, obj, obj.full_score,
+            backend, obj,
             list_size(A.size, _COORDINATE_COPIES - held),
             max_targets=_COORDINATE_COPIES - held),
         _COORDINATE_COPIES)

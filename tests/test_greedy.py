@@ -91,7 +91,7 @@ def test_alpha_abelian_frozen():
     obj = CoordinateObjective((5, 7), (0, 1))
     flip, alpha = obj.score(np.array([(2, 3), (0, 3), (1, 0), (4, 0)]))
     assert flip.tolist() == [False, False, False, True]
-    assert alpha.tolist() == [2, 8, 3, 3] and obj.full_score == 8
+    assert alpha.tolist() == [2, 8, 3, 3] and obj.target == 8
     assert [_alpha_abelian(k, (5, 7)) for k in ((2, 3), (0, 3), (1, 0))] \
         == [2, 8, 3]
 
@@ -133,14 +133,15 @@ class _ReferenceObjective:
 
     def alpha(self, label):
         if self.kind == "radix":
-            return alpha_radix(label, self.r)
+            # the valuation, up to the target
+            return min(alpha_radix(label, self.r), self.target)
         return _alpha_abelian(self._view(label), self.orders)
 
     def needs_flip(self, label):
         if self.kind == "radix":
             if self.r == 2:
                 return False
-            v = alpha_radix(label, self.r)
+            v = self.alpha(label)
             return (label // self.r ** v) % self.r * 2 > self.r
         label = self._view(label)
         b = next((j for j, v in enumerate(label) if v != 0), None)
@@ -180,8 +181,12 @@ def test_radix_objective_matches_reference(ks, r, wide, target):
     for v in {v for v in alpha.tolist() if v < target}:
         same = [k for k in ks if ref.alpha(k) == v]
         keys = obj.keys(np.array(same, dtype=labels.dtype), v)
-        assert keys.dtype == np.int64
-        assert _key_tuples(keys) == [ref.key(k) for k in same]
+        assert keys.dtype == labels.dtype
+        # the key holds the residues of the digit string's prefixes
+        assert _key_tuples(keys) == [
+            tuple(itertools.accumulate(d * r ** (v + j)
+                                       for j, d in enumerate(ref.key(k))))
+            for k in same]
 
 
 _COORDINATE_CASES = [(orders, perm)
@@ -207,8 +212,10 @@ def test_coordinate_objective_matches_reference(data):
     assert flip.tolist() == [ref.needs_flip(k) for k in rows]
     oriented = [A.neg(k) if f else k for k, f in zip(rows, flip.tolist())]
     assert alpha.tolist() == [ref.alpha(k) for k in oriented]
-    assert _key_tuples(obj.keys(np.array(rows), None)) == [ref.key(k)
-                                                           for k in rows]
+    for v in set(alpha.tolist()) - {obj.target}:
+        same = [k for k, a in zip(rows, alpha.tolist()) if a == v]
+        assert _key_tuples(obj.keys(np.array(same), v)) == [ref.key(k)
+                                                            for k in same]
 
 
 @given(st.integers(1, 1 << 30), st.integers(1, 1 << 30), st.integers(2, 6))
@@ -226,16 +233,16 @@ def test_r2_match_bonus(a, b, t):
 def test_greedy_sieve_budget_validation():
     obj = RadixObjective(2, 4)
     with pytest.raises(ValueError):
-        greedy_sieve(backend(16, 5), obj, 4, 1, 1)
+        greedy_sieve(backend(16, 5), obj, 1, 1)
     with pytest.raises(ValueError):
-        greedy_sieve(backend(16, 5), obj, 4, 16, max_targets=0)
+        greedy_sieve(backend(16, 5), obj, 16, max_targets=0)
 
 
 def test_greedy_sieve_no_deadlock_tiny_budget():
     obj = RadixObjective(2, 3)
     be = backend(16, 5, seed=1)
     try:
-        targets, st = greedy_sieve(be, obj, 3, 2, 2)
+        targets, st = greedy_sieve(be, obj, 2, 2)
         assert targets
     except SieveExhaustedError:
         pass  # also acceptable: never hangs
@@ -244,7 +251,7 @@ def test_greedy_sieve_no_deadlock_tiny_budget():
 def test_greedy_sieve_targets_and_stats():
     obj = RadixObjective(2, 9)
     be = backend(1 << 10, 345, seed=2)
-    targets, st = greedy_sieve(be, obj, 9, 1024, 1024)
+    targets, st = greedy_sieve(be, obj, 1024, 1024)
     assert targets.labels.tolist() == [1 << 9] * len(targets)
     assert not targets.consumed
     assert be.oracle.queries == 1024
@@ -256,7 +263,7 @@ def test_greedy_sieve_pinned_record():
     # digit paired equal labels first and took 44 combines
     obj = RadixObjective(3, 5)
     be = backend(3 ** 6, 100, seed=11)
-    targets, st = greedy_sieve(be, obj, 5, 300, max_targets=4)
+    targets, st = greedy_sieve(be, obj, 300, max_targets=4)
     assert targets.labels.tolist() == [243] * 4
     assert (st.combines, st.work, be.oracle.queries) == (12, 226, 300)
 
@@ -267,7 +274,7 @@ def test_greedy_sieve_pinned_record_below_max_targets():
     obj = RadixObjective(3, 5)
     be = backend(3 ** 6, 100, seed=11)
     # (25 targets from 220 combines with keys to the top digit)
-    targets, st = greedy_sieve(be, obj, 5, 300, max_targets=50)
+    targets, st = greedy_sieve(be, obj, 300, max_targets=50)
     assert targets.labels.tolist() == [243] * 45
     assert (st.combines, st.work, be.oracle.queries) == (218, 663, 300)
     assert be.rng.random() == 0.8106908479800631
@@ -305,15 +312,15 @@ def _reference_sieve(backend, ref, target, budget, max_targets):
         while len(group) >= 2:
             group.sort(key=itemgetter(0))
             stats.work += len(group)
-            left, right = _pair_order([_match_len(a[0], b[0])
-                                       for a, b in zip(group, group[1:])])
-            for n, (i, j) in enumerate(zip(left.tolist(), right.tolist())):
+            pairs, _ = _pair_order([_match_len(a[0], b[0])
+                                    for a, b in zip(group, group[1:])])
+            for n, (i, j) in enumerate(pairs.tolist()):
                 stats.combines += 1
                 stats.work += 1
                 if place(combine(group[i][1], group[j][1])):
-                    return targets, stats, n + 1 < len(left)
+                    return targets, stats, n + 1 < len(pairs)
             lone = np.ones(len(group), dtype=bool)
-            lone[left] = lone[right] = False
+            lone[pairs] = False
             group = (buckets.pop(v, [])
                      + [group[i] for i in np.flatnonzero(lone)])
     if not targets:
@@ -322,10 +329,10 @@ def _reference_sieve(backend, ref, target, budget, max_targets):
 
 
 def _radix_case(r, n, t):
-    """(objective, reference, min_alpha, target callback) for labels
-    divisible by r^t on Z/r^n."""
+    """(objective, reference, target callback) for labels divisible by
+    r^t on Z/r^n."""
     return (RadixObjective(r, t),
-            _ReferenceObjective("radix", r=r, target=t), t,
+            _ReferenceObjective("radix", r=r, target=t),
             lambda k: k % r ** t == 0)
 
 
@@ -334,7 +341,7 @@ def _coordinate_case(orders, perm):
     target of the abelian solver."""
     j = perm[-1]
     obj = CoordinateObjective(orders, perm)
-    return (obj, _coordinate_reference(orders, perm), obj.full_score,
+    return (obj, _coordinate_reference(orders, perm),
             lambda k: k[j] != 0 and not any(k[:j] + k[j + 1:]))
 
 
@@ -344,7 +351,7 @@ def _assert_sieves_agree(ctx, case, seed, budget, max_targets,
     target labels and classical flags, combines, work, queries and next
     generator draw, or both exhausted.  Returns whether the reference
     stopped before the last merge of a sweep."""
-    obj, ref, min_alpha, target = case
+    obj, ref, target = case
     s = ctx.reduce(ctx.random_elements(np.random.default_rng(seed), 1)
                    .tolist()[0])
 
@@ -361,10 +368,10 @@ def _assert_sieves_agree(ctx, case, seed, budget, max_targets,
                                                     budget, max_targets)
     except SieveExhaustedError:
         with pytest.raises(SieveExhaustedError):
-            greedy_sieve(be, obj, min_alpha, budget, max_targets)
+            greedy_sieve(be, obj, budget, max_targets)
         mid_sweep = False
     else:
-        got, st = greedy_sieve(be, obj, min_alpha, budget, max_targets)
+        got, st = greedy_sieve(be, obj, budget, max_targets)
         assert ([(ctx.reduce(k), c) for k, c in
                  zip(got.labels.tolist(), got.classical.tolist())]
                 == [(q.label, q.classical) for q in want])
@@ -443,7 +450,7 @@ def test_greedy_sieve_stops_at_the_kth_target(k):
         twin, _ReferenceObjective("radix", r=3, target=7),
         lambda l: l % 3 ** 7 == 0,
         1944, max_targets=k)
-    targets, st = greedy_sieve(be, RadixObjective(3, 7), 7, 1944,
+    targets, st = greedy_sieve(be, RadixObjective(3, 7), 1944,
                                max_targets=k)
     assert len(targets) == len(want) == k and mid_sweep
     assert (st.combines, st.work) == (want_st.combines, want_st.work)
@@ -454,7 +461,7 @@ def test_greedy_sieve_stops_in_the_first_placement():
     # at 3^3 sampled labels already hit the target: the sieve stops while
     # placing the sample, before any combine
     be = backend(3 ** 3, 7, seed=5)
-    targets, st = greedy_sieve(be, RadixObjective(3, 2), 2, 200,
+    targets, st = greedy_sieve(be, RadixObjective(3, 2), 200,
                                max_targets=3)
     assert targets.labels.tolist() == [9] * 3
     assert (st.combines, be.oracle.queries) == (0, 200)
@@ -474,7 +481,7 @@ def test_greedy_quasilinear_work():
     obj = RadixObjective(2, 15)
     budget = 4096
     be = backend(1 << 16, 54321, seed=3)
-    _, st = greedy_sieve(be, obj, 15, budget, budget)
+    _, st = greedy_sieve(be, obj, budget, budget)
     assert st.work <= 40 * budget * math.log2(budget)
 
 
@@ -487,7 +494,7 @@ def test_greedy_hit_rate_large_budget():
         be = PhaseBackend(make_reflection_oracle(GroupCtx(1 << 16), s), rng=rng)
         obj = RadixObjective(2, 15)
         try:
-            t, _ = greedy_sieve(be, obj, 15, 3 * 8 ** 4, max_targets=1)
+            t, _ = greedy_sieve(be, obj, 3 * 8 ** 4, max_targets=1)
             hits += bool(t)
         except SieveExhaustedError:
             pass
@@ -561,11 +568,12 @@ _DEPTHS = st.one_of(
 
 
 def _assert_pair_order_matches_heap(depths):
-    left, right = _pair_order(depths)
-    pairs, leftover = _heap_pair_order(depths)
-    assert list(zip(left.tolist(), right.tolist())) == pairs
-    paired = set(left.tolist()) | set(right.tolist())
+    pairs, lone = _pair_order(depths)
+    want, leftover = _heap_pair_order(depths)
+    assert list(map(tuple, pairs.tolist())) == want
+    paired = set(pairs.ravel().tolist())
     assert [i for i in range(len(depths) + 1) if i not in paired] == leftover
+    assert [lone] == leftover if leftover else lone == -1
 
 
 @given(_DEPTHS)
@@ -629,11 +637,11 @@ def _pair_sweep(entries, merge, put, stats):
     result back.  Returns the leftover entry or None."""
     n = len(entries)
     stats.work += n
-    left, right = _pair_order([_match_len(entries[i][0], entries[i + 1][0])
-                               for i in range(n - 1)])
+    pairs, _ = _pair_order([_match_len(entries[i][0], entries[i + 1][0])
+                            for i in range(n - 1)])
     lone = np.ones(n, dtype=bool)
-    lone[left] = lone[right] = False
-    for i, j in zip(left.tolist(), right.tolist()):
+    lone[pairs] = False
+    for i, j in pairs.tolist():
         stats.combines += 1
         stats.work += 1
         put(merge(entries[i][1], entries[j][1]))
@@ -826,17 +834,19 @@ def test_radix_recovery_first_attempt_succeeds():
 
 
 def test_radix_level_exhausts_after_max_passes(monkeypatch):
-    # one target per pass never reaches the 31 copies tomography needs
+    # one target per pass never reaches the 20 copies tomography needs at
+    # r = 5 within MAX_PASSES passes
     calls = []
 
-    def one_target(backend, obj, min_alpha, budget, max_targets):
+    def one_target(backend, obj, budget, max_targets):
         calls.append(max_targets)
         return [None], SieveStats(combines=1)
 
     monkeypatch.setattr(greedy, "greedy_sieve", one_target)
+    assert tomography_copies_needed(5) > MAX_PASSES
     with pytest.raises(SieveExhaustedError):
-        run_radix_recovery(backend(27, 5), 3, 3)
-    cap = 4 * tomography_copies_needed(3)
+        run_radix_recovery(backend(125, 5), 5, 3)
+    cap = 4 * tomography_copies_needed(5)
     assert calls == [cap - k for k in range(MAX_PASSES)]
 
 
@@ -852,15 +862,18 @@ def test_default_budget_monotone():
     # the default list size, list_size when no budget is given, grows
     # with the group and with the copies still needed: copies /
     # _COPIES_PER_LAW laws, from a floor of _MIN_LAWS laws to a cap of
-    # _MAX_LAWS
+    # _MAX_LAWS.  At 3^8 a law is 3^sqrt(2 * 8) = 81 labels: 1 to 9
+    # copies take the 3-law floor, 243; 16 copies (r = 3 tomography)
+    # take 16 / 3 laws, ceil(432.0) = 432; 36 copies and up the 12-law
+    # cap, 972
     assert list_size(2 ** 8, 1) < list_size(2 ** 16, 1)
     law = 3.0 ** math.sqrt(2 * math.log(3 ** 8, 3))
-    assert list_size(3 ** 8, 1) == list_size(3 ** 8, 6) == math.ceil(
-        greedy._MIN_LAWS * law)
+    assert list_size(3 ** 8, 1) == list_size(3 ** 8, 9) == math.ceil(
+        greedy._MIN_LAWS * law) == 243
     assert list_size(3 ** 8, 16) == math.ceil(16 / greedy._COPIES_PER_LAW
-                                              * law)
-    assert list_size(3 ** 8, 31) == list_size(3 ** 8, 83) == math.ceil(
-        greedy._MAX_LAWS * law)
+                                              * law) == 432
+    assert list_size(3 ** 8, 36) == list_size(3 ** 8, 83) == math.ceil(
+        greedy._MAX_LAWS * law) == 972
 
 
 @pytest.mark.parametrize("r, top", [(2, 20), (3, 8), (5, 4)])
@@ -872,9 +885,9 @@ def test_list_size_holds_copies_within_pass_cap(r, top, monkeypatch):
     cap = 4 * max(5, need)
     passes, real = [], greedy.greedy_sieve
 
-    def sieve(backend, obj, min_alpha, budget, max_targets):
+    def sieve(backend, obj, budget, max_targets):
         passes.append((budget, max_targets))
-        return real(backend, obj, min_alpha, budget, max_targets)
+        return real(backend, obj, budget, max_targets)
 
     monkeypatch.setattr(greedy, "greedy_sieve", sieve)
     for n in range(1, top + 1):

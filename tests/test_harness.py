@@ -452,27 +452,26 @@ def test_race_is_binary_only(capsys):
 
 def test_cli_simulate_failed_trial_reports_cost(tmp_path):
     # lists of 2, 4, 8, 16, 16, 16 qubits over the six attempts.  Each
-    # level, n = 1 included, runs passes until it holds the 31 copies
+    # level, n = 1 included, runs passes until it holds the 16 copies
     # tomography needs, and an attempt ends at the first pass with no
-    # target.  Trial 5 fails after 1, 1, 3, 5, 1 and 1 passes: 2 + 4 + 24
-    # + 80 + 16 + 16 = 142 queries.  The other trials fill every level
+    # target.  Trial 7 fails after 1, 1, 1, 4, 14 and 1 passes: 2 + 4 +
+    # 8 + 64 + 224 + 16 = 318 queries.  The other trials fill every level
     # from many small passes and verify: trial 0 in its fourth attempt,
-    # after 29 passes of 16 qubits, 2 + 4 + 8 + 464 + 2 = 480.  Keys that
-    # stop short of the digit a target need not cancel let these small
-    # lists reach targets (3 of 10 trials verified when the keys ran to
-    # the top digit, and equal labels paired first).  These figures
-    # depend on the n = 1 level running passes of the list size like the
-    # others (not one list of max(budget, 4 * 31)): that level's draws
-    # set the generator stream of every later trial.
+    # after 18 passes of 16 qubits, 2 + 8 + 24 + 288 + 2 = 324.  (At seed
+    # 1 all ten trials verify since the count fell from 31 to 16, so this
+    # seed keeps a failed trial to report.)  These figures depend on the
+    # n = 1 level running passes of the list size like the others (not
+    # one list of max(budget, 4 * 16)): that level's draws set the
+    # generator stream of every later trial.
     out = tmp_path / "sim.csv"
     rc = main(["simulate", "--algorithm", "greedy", "--radix", "3",
-               "--n", "4", "--budget", "2", "--seed", "1",
+               "--n", "4", "--budget", "2", "--seed", "2",
                "--out", str(out)])
     assert rc == 1
     recs = list(csv.DictReader(open(out)))
     assert [int(r["queries"]) for r in recs] == [
-        480, 472, 520, 656, 704, 142, 520, 516, 536, 520]
-    assert "".join(r["success"] for r in recs) == "1111101111"
+        324, 352, 504, 388, 364, 328, 296, 318, 288, 508]
+    assert "".join(r["success"] for r in recs) == "1111111011"
     # the pass cap bounds any trial: per attempt four greedy levels of
     # MAX_PASSES passes and one verification
     cap = sum(4 * MAX_PASSES * b + 2 for b in (2, 4, 8, 16, 16, 16))

@@ -150,6 +150,23 @@ def test_automorphism_wrapper():
                 == w.evaluate(DihedralElement(1, (uinv_s + a) % N)))
 
 
+@pytest.mark.parametrize("N, u", [(9, 2), (15, 7), (1 << 20, 12345)])
+def test_automorphism_takes_numpy_units(N, u):
+    # a numpy unit wraps as the same Python int does: the same hidden
+    # slope, the same evaluations and the same queries
+    o = make_reflection_oracle(GroupCtx(N), N // 3)
+    wraps = [with_label_automorphism(o, unit) for unit in (np.int64(u), u)]
+    assert wraps[0]._slope == wraps[1]._slope == pow(u, -1, N) * (N // 3) % N
+    assert type(wraps[0]._slope) is int
+    els = [DihedralElement(t, b) for t in (0, 1)
+           for b in range(0, N, max(1, N // 50))]
+    counts = []
+    for w in wraps:
+        q0 = o.queries
+        counts.append(([w.evaluate(e) for e in els], o.queries - q0))
+    assert counts[0] == counts[1] and counts[0][1] == len(els)
+
+
 def _oracle_kinds(N, num=int):
     """(build, key) pairs for every oracle kind on D_N (or D_A at rank 2).
     build() makes a fresh oracle, with a fresh token key, for the same

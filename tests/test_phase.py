@@ -288,6 +288,16 @@ def _readout_table():
          [(0, 1 + i % 8) for i in range(24)], _every(5, 24),
          _likelihood(16, [(t, (0, t)) for t in (0, 4, 5)], np.arange(16),
                      np.zeros(16), column=1)),
+        # one and two candidates: the copies' rows are added one after
+        # another, where a pairwise sum of a contiguous column would not
+        ("likelihood-one-candidate", GroupCtx(16), 11,
+         [1 + i % 15 for i in range(40)], _every(7, 40),
+         _likelihood(16, [(t, t) for t in (0, 4, 5)], np.array([11]),
+                     np.array([0.3]))),
+        ("likelihood-two-candidates", GroupCtx(16), 11,
+         [1 + i % 15 for i in range(40)], _every(7, 40),
+         _likelihood(16, [(t, t) for t in (0, 4, 5)], np.array([3, 11]),
+                     np.array([0.3, -0.7]))),
     ]
 
 

@@ -176,16 +176,16 @@ def test_general_pinned_queries(N, s, queries):
 
 
 @pytest.mark.parametrize("i, s, attempts, queries", [
-    (0, 716, 1, 3245), (1, 2981, 1, 3245), (2, 2738, 1, 3245)])
+    (0, 716, 1, 1446), (1, 2981, 1, 1446), (2, 2738, 1, 1446)])
 def test_radix_pinned_queries(i, s, attempts, queries):
     # a change to the list-size rule, or one that leaves a level short
     # after its first pass, moves these counts (r = 3, n = 8; secrets
     # from default_rng([3^8, i])).  Level m runs passes of
-    # list_size(3^m, 31 - held) labels until it holds the 31 copies
-    # tomography needs.  Each first pass samples the 12-law cap, 972,
-    # 732, 540, 388, 269, 177, 108 and 57 labels at m = 8..1, and holds
-    # 39 to 124 copies, so no level takes a second pass; the answer
-    # costs one verification pair: 3243 + 2 = 3245
+    # list_size(3^m, 16 - held) labels until it holds the 16 copies
+    # tomography needs.  Each first pass samples 16 / 3 laws of
+    # 3^sqrt(2m) labels, 432, 326, 240, 173, 120, 79, 48 and 26 at
+    # m = 8..1, and holds 16 to 44 copies, so no level takes a second
+    # pass; the answer costs one verification pair: 1444 + 2 = 1446
     N = 3 ** 8
     assert int(np.random.default_rng([N, i]).integers(0, N)) == s
     o = make_reflection_oracle(GroupCtx(N), s)
@@ -195,12 +195,12 @@ def test_radix_pinned_queries(i, s, attempts, queries):
 
 
 @pytest.mark.parametrize("i, s, attempts, queries", [
-    (0, (5, 7), 1, 656), (1, (1, 1), 1, 656), (2, (2, 6), 1, 656)])
+    (0, (5, 7), 1, 438), (1, (1, 1), 1, 438), (2, (2, 6), 1, 438)])
 def test_abelian_pinned_queries(i, s, attempts, queries):
     # Z16 + Z9, secrets from default_rng([144, i]): each coordinate's
-    # first pass samples list_size(144, 24) = 327 labels (the 12-law cap,
-    # law 27.2) and holds its 24 copies, and the answer costs one
-    # verification pair: 2 * 327 + 2 = 656
+    # first pass samples list_size(144, 24) = 218 labels (24 / 3 laws of
+    # 27.2) and holds its 24 copies, and the answer costs one
+    # verification pair: 2 * 218 + 2 = 438
     gen = np.random.default_rng([144, i])
     assert tuple(int(gen.integers(0, n)) for n in (16, 9)) == s
     p = make_shift_pair(AbelianGroupSpec((16, 9)), s)
@@ -216,16 +216,17 @@ def test_coordinate_sieve_reads_exactly_its_copies(monkeypatch, small):
     # each coordinate sieve runs greedy passes (run_passes), each sized by
     # list_size for the copies still needed, until it holds exactly
     # _COORDINATE_COPIES, and its readout reads them all.  Under the rule
-    # one pass holds them at every coordinate here; with the rule patched
+    # one pass holds them at every coordinate of the four larger groups,
+    # and Z2^4's 95-label passes take one or two; with the rule patched
     # to 32-label passes, every coordinate takes two to six
     need = recover._COORDINATE_COPIES
     passes, read = [], []
     real_sieve, real_readout = recover.greedy_sieve, recover.likelihood_readout
     size = (lambda order, copies: 32) if small else list_size
 
-    def sieve(backend, obj, min_alpha, budget, max_targets):
+    def sieve(backend, obj, budget, max_targets):
         passes.append((budget, max_targets))
-        return real_sieve(backend, obj, min_alpha, budget, max_targets)
+        return real_sieve(backend, obj, budget, max_targets)
 
     def readout(plist, *args):
         read.append(len(plist))
@@ -247,7 +248,7 @@ def test_coordinate_sieve_reads_exactly_its_copies(monkeypatch, small):
                 assert passes == [(size(A.size, t), t) for _, t in passes]
                 assert passes[0][1] == need
     assert read and set(read) == {need}
-    assert counts == ({2, 3, 4, 5, 6} if small else {1})
+    assert counts == ({2, 3, 4, 5, 6} if small else {1, 2})
 
 
 def test_coordinate_sieve_exhausts_after_max_passes(monkeypatch):
@@ -255,7 +256,7 @@ def test_coordinate_sieve_exhausts_after_max_passes(monkeypatch):
     # raises after MAX_PASSES passes, with their stats summed
     calls = []
 
-    def one_target(backend, obj, min_alpha, budget, max_targets):
+    def one_target(backend, obj, budget, max_targets):
         calls.append(max_targets)
         return [None], SieveStats(combines=1, work=3)
 
@@ -663,3 +664,45 @@ def test_each_solver_verifies_each_candidate_once(case, monkeypatch):
     got, rep = solve(inst, rng=np.random.default_rng(22))
     assert got == secret and verified == cands
     assert 1 <= len(cands) <= rep.attempts
+
+
+_TORSION_GROUPS = [(16, 9), (8, 27), (5, 7, 4), (4, 4), (2, 2, 2, 2), (3, 5)]
+
+
+def _radix_levels(r):
+    """The n >= 1 with r^n <= 20,000."""
+    return int(math.log(20_000, r) + 1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_small_inputs_recover_their_secret(data):
+    # every solver on small inputs: radix r = 2..10 at each level up to
+    # r^n <= 20,000 (the levels the list law and the tomography counts
+    # size), torsion groups, general N <= 300 with Python and numpy
+    # secrets, and substring N <= 100; each answer verifies and equals
+    # the secret
+    kind = data.draw(st.sampled_from(["radix", "abelian", "general",
+                                      "substring"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+    if kind == "radix":
+        r = data.draw(st.integers(2, 10))
+        n = data.draw(st.integers(1, _radix_levels(r)))
+        s = data.draw(st.integers(0, r ** n - 1))
+        got, rep = recover_slope_radix(
+            make_reflection_oracle(GroupCtx(r ** n), s), r, n, rng=rng)
+    elif kind == "abelian":
+        A = AbelianGroupSpec(data.draw(st.sampled_from(_TORSION_GROUPS)))
+        s = tuple(data.draw(st.integers(0, m - 1)) for m in A.orders)
+        got, rep = solve_abelian_shift(make_shift_pair(A, s), rng=rng)
+    elif kind == "general":
+        N = data.draw(st.integers(2, 300))
+        s = data.draw(st.integers(0, N - 1))
+        num = data.draw(st.sampled_from([int, np.int64]))
+        got, rep = recover_slope_general(
+            make_reflection_oracle(GroupCtx(N), num(s)), rng=rng)
+    else:
+        N = data.draw(st.integers(2, 100))
+        s = data.draw(st.integers(0, N - 1))
+        got, rep = solve_substring(SubstringInstance(N, s), rng=rng)
+    assert rep.verified and got == s
