@@ -21,9 +21,27 @@ from .phase import (
     sample_batch,
 )
 
-# list-size constant: each parity-sieve and interval-sieve pass samples
-# C_0 * 4^m qubits, and a parity call at most C_0 * 8^m
+# list-size constant: each interval-sieve pass samples C_0 * 4^m qubits,
+# and a parity call at most C_0 * 8^m
 C_0 = 3
+# parity-sieve layouts (stage width m, labels per first-stage bucket) for
+# n = 2, 3, ...; a pass samples that many times 2^m labels.  Each is its
+# n's fewest queries per held copy (pass size over the chance that a pass
+# ends holding psi_{2^(n-1)}), with at least 4 labels per bucket and
+# fewer than 1 in 1,000 calls exhausting the C_0 * 8^m cap.  Yields were
+# measured on the sieve to n = 40 and on a model of its list sizes to
+# n = 60; CHANGES.md has the table.
+_PARITY_LAYOUTS = (
+    (2, 4), (2, 4), (3, 4), (3, 4), (3, 4), (4, 4), (4, 4),  # n = 2..8
+    (4, 5), (5, 4), (5, 4), (6, 4), (6, 4), (6, 4), (6, 5),  # n = 9..15
+    (6, 6), (7, 4), (7, 4), (7, 5), (7, 6), (8, 4), (8, 4),  # n = 16..22
+    (8, 5), (8, 6), (8, 7), (9, 4), (9, 5), (9, 6), (10, 4),  # n = 23..29
+    (10, 4), (10, 4), (9, 10), (9, 12), (9, 14), (10, 8), (10, 10),  # n = 30..36
+    (10, 10), (10, 12), (10, 14), (11, 8), (11, 8), (11, 10), (11, 12),  # n = 37..43
+    (12, 7), (12, 8), (12, 8), (12, 10), (12, 12), (13, 7), (11, 28),  # n = 44..50
+    (11, 32), (11, 32), (11, 40), (12, 24), (12, 24), (12, 28), (12, 32),  # n = 51..57
+    (12, 32), (13, 20), (13, 24),  # n = 58..60
+)
 # passes run_passes makes by default before it gives up on too few copies
 MAX_PASSES = 16
 # psi_1 copies the coarse quadrature readout averages over
@@ -32,11 +50,12 @@ COARSE_COPIES = 24
 
 @dataclass
 class StagedConfig:
-    """Stage count parameter m and the paper's list size C_0 * 8^m, the
-    most one parity-sieve call samples."""
+    """A parity-sieve layout: stage width m, the labels each pass samples,
+    and the paper's list size C_0 * 8^m, the most one call samples."""
 
     m: int
-    initial_size: int
+    pass_size: int
+    cap: int
 
 
 @dataclass
@@ -65,13 +84,17 @@ class SieveStats:
 
 
 def staged_config(n):
-    """Configuration for the power-of-two sieve on N = 2^n."""
+    """Layout of the power-of-two sieve on N = 2^n, from _PARITY_LAYOUTS.
+    Past its last n, n takes the layout of n - 5 with stages one bit
+    wider: the same labels per bucket at every stage of a pass twice as
+    large, and a final window one bit wider."""
     if n < 2:
         raise ValueError("staged sieve needs n >= 2")
-    m = math.isqrt(n - 1)
-    if m * m < n - 1:
-        m += 1
-    return StagedConfig(m=m, initial_size=C_0 << (3 * m))
+    past = n - 1 - len(_PARITY_LAYOUTS)
+    wider = max(0, -(-past // 5))
+    m, per_bucket = _PARITY_LAYOUTS[n - 5 * wider - 2]
+    m += wider
+    return StagedConfig(m=m, pass_size=per_bucket << m, cap=C_0 << (3 * m))
 
 
 def stage_windows(n, m):
@@ -137,14 +160,15 @@ def _parity_pass(backend, size, windows, top):
 
 def run_staged_parity(backend, n):
     """Power-of-two staged sieve: returns s mod 2, an int, for the slope
-    hidden by the backend's oracle over D_{2^n}.  Passes of C_0 * 4^m
-    fresh labels (run_passes) run until one ends holding psi_{2^(n-1)},
-    and that copy is measured; at most 2^m passes, so a call never
-    samples more than the C_0 * 8^m list of staged_config (D_2: 64 passes
-    of one label).  Raises SieveExhaustedError after the last pass; the
-    caller retries with a fresh run.  The cyclic collector is paused for
-    the call (its qubits trigger full collections that free nothing),
-    then restored to the caller's state."""
+    hidden by the backend's oracle over D_{2^n}.  Passes of
+    staged_config(n).pass_size fresh labels (run_passes) run until one
+    ends holding psi_{2^(n-1)}, and that copy is measured; at most
+    cap // pass_size passes, so a call never samples more than the
+    C_0 * 8^m cap (D_2: 64 passes of one label).  Raises
+    SieveExhaustedError after the last pass; the caller retries with a
+    fresh run.  The cyclic collector is paused for the call (its qubits
+    trigger full collections that free nothing), then restored to the
+    caller's state."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -156,8 +180,8 @@ def run_staged_parity(backend, n):
             size, windows, cap = 1, [], 64
         else:
             cfg = staged_config(n)
-            size, windows = C_0 << (2 * cfg.m), stage_windows(n, cfg.m)
-            cap = cfg.initial_size // size
+            size, windows = cfg.pass_size, stage_windows(n, cfg.m)
+            cap = cfg.cap // size
         held, stats = run_passes(
             lambda _: _parity_pass(backend, size, windows, 1 << (n - 1)), 1,
             max_passes=cap)

@@ -57,11 +57,14 @@ def test_power2_exhaustive_n4():
 
 
 def test_power2_pinned_queries():
-    # a change to any draw of the sieve moves this count
+    # a change to any draw or layout of the sieve moves this count.
+    # Passes times pass size (staged_config) at levels n = 10..2, one
+    # label at D_2, and a verification pair: 128 + 80 + 64 + 2 * 64
+    # + 8 * 32 + 2 * 32 + 32 + 16 + 16 + 1 + 2 = 787
     o = make_reflection_oracle(GroupCtx(1 << 10), 777)
     got, rep = recover_slope_power2(o, 10, rng=np.random.default_rng(3))
     assert got == 777 and rep.attempts == 1
-    assert o.queries == rep.queries == 1131
+    assert o.queries == rep.queries == 787
 
 
 def test_power2_zero_and_n0():
@@ -154,7 +157,7 @@ def test_general_small_sweep_n45():
         assert got == s and rep.verified
 
 
-@pytest.mark.parametrize("N, s, queries", [(360, 123, 1023),
+@pytest.mark.parametrize("N, s, queries", [(360, 123, 999),
                                            (4095, 1000, 3842)])
 def test_general_pinned_queries(N, s, queries):
     # a change to any draw of the sieve, or to the multiplier a round
@@ -163,11 +166,12 @@ def test_general_pinned_queries(N, s, queries):
     # verification pair: coarse passes + rounds x pass size + tail + 2.
     # N = 360 = 8 * 45 spends 2 coarse passes and 3 refinement rounds of
     # one pass reading s mod 45 = 33 (5 * 192), then the parity sieve
-    # reads (s - 33)/45 = 2 over D_8, D_4 and D_2 with one pass each of
-    # C_0 * 4^m labels (48 at m = 2, 12 at m = 1) and 1 label:
-    # 960 + 48 + 12 + 1 + 2 = 1023.  N = 4095 spends 1 coarse pass and
-    # 4 rounds: 5 * 768 + 2 = 3842.  N = 4095 stays at least 10x below
-    # the 159,746 queries of a fixed C_0 * 8^m sample per sieve call
+    # reads (s - 33)/45 = 2 over D_8 and D_4 in one pass each of
+    # staged_config's 16 labels (m = 2 at n = 3 and 2), and over D_2 in 5
+    # one-label draws: 960 + 16 + 16 + 5 + 2 = 999.  N = 4095 spends 1
+    # coarse pass and 4 rounds: 5 * 768 + 2 = 3842.  N = 4095 stays at
+    # least 10x below the 159,746 queries of a fixed C_0 * 8^m sample per
+    # sieve call
     o = make_reflection_oracle(GroupCtx(N), s)
     got, rep = recover_slope_general(o, rng=np.random.default_rng(1))
     assert got == s and rep.attempts == 1

@@ -48,17 +48,56 @@ def backend(N, s, seed=0):
 
 
 def test_schedule_initial_size():
-    # n = 10 gives m = 3 and C_0 * 8^m qubits
-    assert staged_config(10).initial_size == 3 * 2 ** 9
+    # n = 10 takes m = 5 at 4 labels per bucket: passes of 4 * 2^5 = 128
+    # labels, and a cap of C_0 * 8^5 = 98,304
+    cfg = staged_config(10)
+    assert (cfg.pass_size, cfg.cap) == (128, 3 * 2 ** 15)
 
 
 def test_staged_config_m():
-    assert staged_config(2).m == 1
-    assert staged_config(8).m == 3
-    assert staged_config(10).m == 3
-    assert staged_config(17).m == 4
+    # the measured layouts: n = 2 takes m = 2, as m = 1's cap of 24 labels
+    # leaves more than 1 in 1,000 calls exhausted; n = 8, 10 and 17 take
+    # m = 4, 5 and 7, one to three bits wider than ceil(sqrt(n - 1))
+    assert staged_config(2).m == 2
+    assert staged_config(8).m == 4
+    assert staged_config(10).m == 5
+    assert staged_config(17).m == 7
     with pytest.raises(ValueError):
         staged_config(1)
+
+
+def test_parity_layouts_cover_fit_and_fill():
+    # every n to 60, and the extrapolated layouts past it: the windows
+    # cover bits 0..n-2 in order, none wider than m; a pass fits the
+    # C_0 * 8^m cap and puts at least 4 labels in each first-stage bucket
+    for n in range(2, 81):
+        cfg = staged_config(n)
+        ws = stage_windows(n, cfg.m)
+        assert ws[0][0] == 0 and ws[-1][1] == n - 1, n
+        assert all(b == c for (_, b), (c, _) in zip(ws, ws[1:])), n
+        assert all(0 < b - a <= cfg.m for a, b in ws), n
+        assert cfg.cap == 3 * 8 ** cfg.m, n
+        assert 4 << cfg.m <= cfg.pass_size <= cfg.cap, n
+        assert cfg.pass_size % (1 << cfg.m) == 0, n
+    # past n = 60, n takes n - 5's layout one bit wider
+    for n in range(61, 81):
+        a, b = staged_config(n - 5), staged_config(n)
+        assert (b.m, b.pass_size) == (a.m + 1, 2 * a.pass_size), n
+
+
+def test_staged_parity_holds_its_copy_within_the_cap():
+    # one seeded call at each n = 2..40 ends holding psi_{2^(n-1)}: the
+    # right bit, read after whole passes, within the cap
+    rng = np.random.default_rng(40)
+    for n in range(2, 41):
+        cfg = staged_config(n)
+        s = int(rng.integers(0, 1 << n))
+        be = PhaseBackend(make_reflection_oracle(GroupCtx(1 << n), s), rng=rng)
+        bit, st = run_staged_parity(be, n)
+        passes, rest = divmod(be.oracle.queries, cfg.pass_size)
+        assert bit == s % 2, n
+        assert rest == 0 and 1 <= passes <= cfg.cap // cfg.pass_size, n
+        assert st.list_sizes[0] == be.oracle.queries, n
 
 
 def test_stage_windows_cover_and_cap():
@@ -157,21 +196,24 @@ def test_staged_parity_pinned_record():
     be = PhaseBackend(make_reflection_oracle(GroupCtx(1 << 12), 1234),
                       rng=np.random.default_rng(12))
     bit, st = run_staged_parity(be, 12)
-    assert bit == 0 and be.oracle.queries == 768
-    assert st.list_sizes == [768, 185, 41, 10]
+    # n = 12 takes m = 6, windows (0, 6) and (6, 11), and passes of
+    # 4 * 2^6 = 256 labels; the first pass holds the copy
+    assert bit == 0 and be.oracle.queries == 256
+    assert st.list_sizes == [256, 51, 10]
 
 
 def _parity_pass_size(n):
-    return 3 * 4 ** staged_config(n).m
+    return staged_config(n).pass_size
 
 
 def test_staged_parity_never_exceeds_the_full_list():
     # every call stays within C_0 * 8^m queries (a call that reaches
-    # the pass cap spends exactly that: see the exhaustion test below)
+    # the pass cap spends cap // pass_size whole passes: see the
+    # exhaustion test below)
     rng = np.random.default_rng(21)
     for n in range(2, 15):
-        cap = staged_config(n).initial_size
-        assert cap == 2 ** staged_config(n).m * _parity_pass_size(n)
+        cap = staged_config(n).cap
+        assert cap == 3 * 8 ** staged_config(n).m
         for _ in range(8):
             s = int(rng.integers(0, 1 << n))
             be = PhaseBackend(make_reflection_oracle(GroupCtx(1 << n), s),
@@ -194,7 +236,7 @@ def test_staged_parity_stops_at_the_first_target_pass(n, seed, want_passes):
     be = make()
     bit, st = run_staged_parity(be, n)
     passes, rest = divmod(be.oracle.queries, size)
-    assert rest == 0 and passes == want_passes <= 2 ** m
+    assert rest == 0 and passes == want_passes <= staged_config(n).cap // size
     twin, totals = make(), SieveStats()
     for k in range(passes):
         got, pass_st = _parity_pass(twin, size, stage_windows(n, m),
@@ -207,18 +249,20 @@ def test_staged_parity_stops_at_the_first_target_pass(n, seed, want_passes):
 
 
 def test_staged_parity_exhausts_after_the_pass_cap(monkeypatch):
-    # every stage yields nothing: 2^m passes, each ended by its first
-    # stage, then SieveExhaustedError carrying their summed stats
+    # every stage yields nothing: cap // pass_size passes, each ended by
+    # its first stage, then SieveExhaustedError carrying their summed
+    # stats.  n = 8 takes m = 4 and passes of 64 labels: 192 passes of
+    # the 12,288-label cap, which they fill exactly
     n = 8
-    size, cap = _parity_pass_size(n), staged_config(n).initial_size
+    size, cap = _parity_pass_size(n), staged_config(n).cap
     monkeypatch.setattr(staged_mod, "_differences",
                         lambda pairs, backend: iter(()))
     be = backend(1 << n, 77)
     with pytest.raises(SieveExhaustedError) as info:
         run_staged_parity(be, n)
+    assert (size, cap) == (64, 12288)
     assert be.oracle.queries == cap
     assert info.value.stats.list_sizes == [cap, 0]
-    assert cap // size == 2 ** staged_config(n).m
 
 
 
@@ -376,7 +420,7 @@ def test_staged_parity_restores_gc_after_exhaustion(monkeypatch, gc_state):
     with pytest.raises(SieveExhaustedError):
         run_staged_parity(backend(1 << 8, 77), 8)
     # one pass per reading, each ended by its emptied first stage
-    assert seen == [False] * 2 ** staged_config(8).m
+    assert seen == [False] * (staged_config(8).cap // _parity_pass_size(8))
     assert gc.isenabled()
 
 
