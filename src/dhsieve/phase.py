@@ -202,27 +202,28 @@ def cosine_observe(plist, t):
     return _observe(plist, t)
 
 
-# Copies tomography_mod_r reads, per radix: the fewest tried that
+# Copies with a nonzero label tomography_mod_r reads, per radix: at r = 2
+# one honest copy reads s mod 2 exactly; otherwise the fewest tried that
 # misread under 0.2% of 2,000 readouts at N = r, r^2 and r^3 (CHANGES.md
 # has the table).  r = 8 and 10 misread 0.5% or more even at the
 # Chernoff count, so they, like the radices not measured, keep it.
-_TOMOGRAPHY_COPIES = {3: 16, 4: 24, 5: 20, 6: 48, 7: 24, 9: 28}
+_TOMOGRAPHY_COPIES = {2: 1, 3: 16, 4: 24, 5: 20, 6: 48, 7: 24, 9: 28}
 
 
 def tomography_copies_needed(r):
-    """Copies the maximum-likelihood residue readout reads to fail with
-    probability at most TOMOGRAPHY_DELTA: the measured count, else the
-    Chernoff count."""
-    if r <= 2:
-        return 1
+    """Nonzero copies the maximum-likelihood residue readout reads to
+    fail with probability at most TOMOGRAPHY_DELTA: the measured count,
+    else the Chernoff count."""
     return _TOMOGRAPHY_COPIES.get(
         r, math.ceil(2 * r * math.log(r / TOMOGRAPHY_DELTA)))
 
 
 def tomography_mod_r(plist, r):
     """Read s mod r from a list whose labels are multiples of N/r, by
-    maximum likelihood over repeated cosine observations at references
-    spanning quadratures.  Consumes the list; returns an int."""
+    maximum likelihood over cosine observations at references spanning
+    quadratures.  A label-0 copy carries nothing about s: those are
+    dropped unobserved, and tomography_copies_needed(r) of the rest must
+    remain.  Consumes the list; returns an int."""
     if r < 2:
         raise ValueError("radix must be at least 2")
     if not len(plist):
@@ -233,22 +234,15 @@ def tomography_mod_r(plist, r):
     N = be.oracle.ctx.N
     if N % r != 0:
         raise ValueError("radix must divide N")
-    step = N // r
-    if (plist.labels % step).any():
+    if (plist.labels % (N // r)).any():
         raise ValueError("label is not a multiple of N/r")
-
-    if r == 2:
-        odd = plist.labels // step % 2 == 1
-        if not odd.any():
-            raise InsufficientCopiesError("no odd-weight copies for parity")
-        labels, classical = plist.take()
-        votes = measure_pm(PhaseList(labels[odd], classical[odd], be))
-        return int(votes.sum() * 2 >= len(votes))
-
-    needed = tomography_copies_needed(r)
-    if len(plist) < needed:
+    nonzero = plist.labels != 0
+    needed, got = tomography_copies_needed(r), int(nonzero.sum())
+    if got < needed:
         raise InsufficientCopiesError(
-            f"need at least {needed} copies for r={r}, got {len(plist)}")
+            f"need at least {needed} nonzero copies for r={r}, got {got}")
+    labels, classical = plist.take()
+    labels, classical = labels[nonzero], classical[nonzero]
 
     # quadrature references: 0 and odd multiples of floor(N/(2r)).  Only
     # t mod r reaches the bits, and references with 2t = 0 mod r see c and
@@ -258,7 +252,8 @@ def tomography_mod_r(plist, r):
     off = int(2 * q_step % r == 0)
     refs = [0] + [((2 * i + 1) * q_step + off) % N for i in range(r)]
     return int(np.argmax(likelihood_readout(
-        plist, plist.labels, N, [(t, t) for t in refs], np.arange(r))))
+        PhaseList(labels, classical, be), labels, N,
+        [(t, t) for t in refs], np.arange(r))))
 
 
 def likelihood_readout(plist, labels, M, refs, cands, ll=None):

@@ -50,9 +50,7 @@ _SCORED_CANDIDATES = 256
 _SUBSTRING_SWEEPS = 2
 # single-coordinate copies each abelian coordinate readout reads
 _COORDINATE_COPIES = 24
-# attempts of a direct power-of-two recovery
-_POWER2_RETRIES = 8
-# attempts of the radix, general-N and abelian recoveries
+# attempts of every recovery but the substring grid sweep
 _MAX_RETRIES = 6
 
 
@@ -130,7 +128,7 @@ def recover_slope_power2(o, n=None, rng=None):
     if N != 1 << n:
         raise ValueError("group order is not 2^n")
     rng = np.random.default_rng(rng)
-    return _las_vegas(o, lambda i: _slope_attempt(o, rng), _POWER2_RETRIES)
+    return _las_vegas(o, lambda i: _slope_attempt(o, rng), _MAX_RETRIES)
 
 
 def recover_slope_radix(o, r, n=None, rng=None, budget=None):
@@ -245,19 +243,13 @@ def _slope_attempt(o, rng):
     """One slope attempt over D_N, N = 2^a M with M odd: when M > 1 the
     automorphism refinement reads p = s mod M, and restricting to
     <x^M, y x^p> leaves a D_{2^a} hiding (s - p)/M, which the
-    power-of-two recursion reads.  A tail that exhausts its sieve is run
-    once more on the same restriction, so p's queries are not thrown
-    away."""
+    power-of-two recursion reads."""
     N = o.ctx.N
     a = (N & -N).bit_length() - 1
     M, p = N >> a, 0
     if M > 1:
         p = _general_attempt(o, M, rng)
         o = restrict_reflection(o, p, M)
-        try:
-            return p + M * _digit_recursion(o, 2, a, rng, run_staged_parity)
-        except SieveExhaustedError:
-            pass
     return p + M * _digit_recursion(o, 2, a, rng, run_staged_parity)
 
 

@@ -126,10 +126,7 @@ def _ref_likelihood_readout(qs, labels, M, refs, cands, ll=None):
 
 def _ref_tomography_mod_r(qs, r):
     N = qs[0].backend.oracle.ctx.N
-    step = N // r
-    if r == 2:
-        votes = [_ref_measure_pm(q) for q in qs if q.label // step % 2 == 1]
-        return int(sum(votes) * 2 >= len(votes))
+    qs = [q for q in qs if q.label != 0]
     q_step = max(1, N // (2 * r))
     off = int(2 * q_step % r == 0)
     refs = [0] + [((2 * i + 1) * q_step + off) % N for i in range(r)]
@@ -762,6 +759,25 @@ def test_tomography_insufficient():
         tomography_mod_r(copies([9], be), 3)
     with pytest.raises(InsufficientCopiesError):
         tomography_mod_r(copies([], be), 2)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 8])
+def test_tomography_reads_only_nonzero_copies(r):
+    # a label-0 copy carries nothing about s: however many a list holds,
+    # fewer than the needed nonzero copies raise (r = 3, 4 and 5 read 0
+    # from 16-24 of them, where s mod r was not 0), and with enough the
+    # zeros are dropped unobserved: the same answer and next draw as
+    # the nonzero copies alone
+    N, need = r ** 3, tomography_copies_needed(r)
+    step, s = N // r, N - 1
+    nonzero = [step * (1 + i % (r - 1)) for i in range(need)]
+    for labels in ([0] * (need + 8), [0] * 8 + nonzero[1:]):
+        with pytest.raises(InsufficientCopiesError):
+            tomography_mod_r(copies(labels, backend(N, s)), r)
+    be, twin = backend(N, s), backend(N, s)
+    assert (tomography_mod_r(copies([0] * 8 + nonzero, be), r)
+            == tomography_mod_r(copies(nonzero, twin), r))
+    assert be.rng.random() == twin.rng.random()
 
 
 @pytest.mark.parametrize("bias", [1.5, -0.1, float("nan")])

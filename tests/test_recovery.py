@@ -92,7 +92,7 @@ def _unshifted_pair(orders):
 
 @pytest.mark.parametrize("solve, cap", [
     (lambda: recover_slope_power2(make_trivial_oracle(GroupCtx(8)), 3,
-                                  rng=2), 8),
+                                  rng=2), 6),
     (lambda: recover_slope_general(make_trivial_oracle(GroupCtx(8)),
                                    rng=2), 6),
     (lambda: solve_abelian_shift(_unshifted_pair((8,)), rng=2), 6),
@@ -405,28 +405,15 @@ def _count_calls(monkeypatch, name, fail_first=0):
     return calls
 
 
-def test_exhausted_tail_is_retried_on_the_same_restriction(monkeypatch):
-    # a power-of-two tail that exhausts runs once more on the restriction
-    # the odd-part reading named: the recovery still takes one attempt and
-    # one refinement
+def test_exhausted_tail_ends_the_attempt(monkeypatch):
+    # an exhausted power-of-two tail fails its attempt like any other
+    # exhausted sieve, and the next attempt reads the odd part afresh
     refinements = _count_calls(monkeypatch, "_general_attempt")
     tails = _count_calls(monkeypatch, "_digit_recursion", fail_first=1)
     o = make_reflection_oracle(GroupCtx(360), 123)
     got, rep = recover_slope_general(o, rng=np.random.default_rng(1))
-    assert got == 123 and rep.attempts == 1
-    assert len(refinements) == 1 and len(tails) == 2
-    assert tails[0] is tails[1]
-
-
-def test_twice_exhausted_tail_ends_the_attempt(monkeypatch):
-    # the retry is one tail, not a loop: a second exhaustion fails the
-    # attempt, and the next attempt reads the odd part afresh
-    refinements = _count_calls(monkeypatch, "_general_attempt")
-    tails = _count_calls(monkeypatch, "_digit_recursion", fail_first=2)
-    o = make_reflection_oracle(GroupCtx(360), 123)
-    got, rep = recover_slope_general(o, rng=np.random.default_rng(1))
     assert got == 123 and rep.attempts == 2
-    assert len(refinements) == 2 and len(tails) == 3
+    assert len(refinements) == 2 and len(tails) == 2
 
 
 def test_general_exhausted_round_ends_the_attempt(monkeypatch):

@@ -100,6 +100,35 @@ def test_staged_parity_holds_its_copy_within_the_cap():
         assert st.list_sizes[0] == be.oracle.queries, n
 
 
+@pytest.mark.parametrize("n", [9, 14, 20])
+def test_parity_stage_survivors_match_bucket_occupancy(n):
+    # every stage, the sparse later ones too, against its expectation: L
+    # labels in 2^w buckets (window (lo, hi), w = hi - lo) leave
+    # (L - 2^(w-1) (1 - (1 - 2^(1-w))^L)) / 2 pairs, and a pair survives
+    # on the minus branch (1/2) or on the plus branch at 2l = 0 (labels
+    # are multiples of 2^lo, so 2^(1-n+lo) of them).  Pooled over 100
+    # seeded passes; survivors given L are a sum of pair coins, whose
+    # variance is at most about their mean, so each stage is held to
+    # 4 sigma
+    cfg = staged_config(n)
+    windows = stage_windows(n, cfg.m)
+    kept, expected = Counter(), Counter()
+    for i in range(100):
+        be = PhaseBackend(make_reflection_oracle(GroupCtx(1 << n), 0),
+                          rng=np.random.default_rng([n, i]))
+        _, st = _parity_pass(be, cfg.pass_size, windows, 1 << (n - 1))
+        for j, (L, out) in enumerate(zip(st.list_sizes, st.list_sizes[1:])):
+            lo, hi = windows[j]
+            w = hi - lo
+            pairs = (L - 2 ** (w - 1) * (1 - (1 - 2 ** (1 - w)) ** L)) / 2
+            expected[j] += pairs * (1 + 2.0 ** (1 - n + lo)) / 2
+            kept[j] += out
+    assert sorted(kept) == list(range(len(windows)))
+    for j in kept:
+        assert abs(kept[j] - expected[j]) <= 4 * math.sqrt(expected[j]), (
+            j, kept[j], expected[j])
+
+
 def test_stage_windows_cover_and_cap():
     for n, m in ((8, 3), (12, 4), (10, 3), (2, 1)):
         ws = stage_windows(n, m)
