@@ -22,7 +22,6 @@ from .group import (
     GroupCtx,
     dmul,
     identity,
-    subgroup_embed,
     unit_for_odd_part,
 )
 from .oracle import (

@@ -1,5 +1,4 @@
-"""Arithmetic for dihedral groups D_N, generalized dihedral groups D_A,
-and the index-r subgroups used by the recursive recovery loops.
+"""Arithmetic for dihedral groups D_N and generalized dihedral groups D_A.
 
 Elements are kept in the normal form y^t x^b.  The rotation exponent b is
 an ordinary Python int (arbitrary precision), or a tuple of ints for
@@ -8,6 +7,7 @@ generalized dihedral groups over a product of cyclic factors.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -21,6 +21,8 @@ class GroupCtx:
     N: int
 
     def __post_init__(self):
+        # any integer type becomes a Python int; a float raises TypeError
+        object.__setattr__(self, "N", operator.index(self.N))
         if self.N < 1:
             raise ValueError("N must be >= 1")
 
@@ -92,6 +94,8 @@ class AbelianGroupSpec:
     free_rank: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "orders",
+                           tuple(map(operator.index, self.orders)))
         if any(n < 1 for n in self.orders):
             raise ValueError("all cyclic orders must be >= 1")
         if not 0 <= self.free_rank <= len(self.orders):
@@ -177,26 +181,6 @@ def dmul(a, c, ctx):
     """Product (y^ta x^ba)(y^tc x^bc) = y^(ta+tc) x^((-1)^tc ba + bc)."""
     ba = ctx.neg(a.b) if c.t else a.b
     return DihedralElement(a.t ^ c.t, ctx.add(ba, c.b))
-
-
-def subgroup_embed(parity, e, ctx, r=2):
-    """Embed D_{N/r} onto the subgroup F_parity = <x^r, y x^parity> of D_N.
-
-    t=0 maps to (0, r*b); t=1 maps to (1, parity + r*b).  With r=2 these
-    are the two index-2 dihedral subgroups used by the power-of-two
-    recursion.
-    """
-    if r < 2:
-        raise ValueError("radix must be at least 2")
-    if not isinstance(ctx, GroupCtx):
-        raise TypeError("subgroup_embed only applies to dihedral groups")
-    if ctx.N % r != 0:
-        raise ValueError("N must be divisible by the radix")
-    if not 0 <= parity < r:
-        raise ValueError("parity out of range")
-    if e.t == 0:
-        return DihedralElement(0, (r * e.b) % ctx.N)
-    return DihedralElement(1, (parity + r * e.b) % ctx.N)
 
 
 def unit_for_odd_part(N, j):

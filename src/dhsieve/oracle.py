@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .group import DihedralElement, GroupCtx, subgroup_embed
+from .group import DihedralElement, GroupCtx
 
 
 class OracleValue(bytes):
@@ -109,22 +109,6 @@ class HidingOracle:
         """Evaluate the hiding function; costs one query."""
         self._counter.value += 1
         return self._eval(element)
-
-    def to_dict(self):
-        """Serializable description; the secret is deliberately omitted."""
-        if isinstance(self.ctx, GroupCtx):
-            group = {"kind": "dihedral", "N": self.ctx.N}
-        else:
-            group = {"kind": "generalized", "orders": list(self.ctx.orders)}
-        return {
-            "group": group,
-            "corruption_rate": [self.corruption_rate.numerator,
-                                self.corruption_rate.denominator],
-            "queries": self.queries,
-        }
-
-    def __repr__(self):
-        return f"HidingOracle({self.to_dict()!r})"
 
     # -- backend hook (not part of the algorithm-facing API) --
 
@@ -259,6 +243,7 @@ class SubstringInstance:
     restriction of the injective g on {0..2N-1}, f(x) = g(x + s)."""
 
     def __init__(self, N, s):
+        N = operator.index(N)
         if not 0 <= s < N:
             raise ValueError("substring shift must satisfy 0 <= s < M - N")
         self.N = N
@@ -329,10 +314,11 @@ def restrict_reflection(o, parity, r=2):
     if not 0 <= parity < r:
         raise ValueError("parity must lie in [0, r)")
     sub = GroupCtx(ctx.N // r)
-    inner = o._eval
+    N, inner = ctx.N, o._eval
 
     def ev(e):
-        return inner(subgroup_embed(parity, e, ctx, r))
+        # y^t x^b -> y^t x^(t parity + r b), the embedding onto F_parity
+        return inner(DihedralElement(e.t, (e.t * parity + r * e.b) % N))
 
     if o._slope % r == parity:
         slope = ((o._slope - parity) // r) % sub.N

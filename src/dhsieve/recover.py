@@ -46,8 +46,6 @@ _COPIES_PER_ROUND = 12
 _PRUNE_LL = 8.0
 # candidates a round's multiplier choice scores at most
 _SCORED_CANDIDATES = 256
-# sweeps of the substring guess grid, one slope attempt per guess each
-_SUBSTRING_SWEEPS = 2
 # single-coordinate copies each abelian coordinate readout reads
 _COORDINATE_COPIES = 24
 # attempts of every recovery but the substring grid sweep
@@ -285,22 +283,21 @@ def solve_substring(inst, rng=None):
     (f, g(.+t)) into an approximately-hiding reflection oracle, run one
     slope-recovery attempt on it, and verify the implied shift on the
     splice at guess 0, h(x^b) = f(b), h(y x^c) = g(c), where neither
-    h(1) = f(0) nor h(y x^s) = g(s) wraps.  The whole grid is swept
-    _SUBSTRING_SWEEPS times, so a far guess costs one attempt before
-    every nearer one has had its own.
+    h(1) = f(0) nor h(y x^s) = g(s) wraps.  The grid is swept once, one
+    attempt per guess, so a far guess is tried only after every nearer
+    one has had its own.
 
     Returns (s, RecoveryReport) whose attempts count the guesses tried;
-    raises NoHiddenReflectionError when every sweep fails."""
+    raises NoHiddenReflectionError when every guess fails."""
     N = inst.N
     rng = np.random.default_rng(rng)
     grid = list(_substring_guesses(N))
 
     def attempt(i):
-        t = grid[(i - 1) % len(grid)]
+        t = grid[i - 1]
         return (_slope_attempt(splice_substring(inst, t), rng) + t) % N
 
-    return _las_vegas(splice_substring(inst, 0), attempt,
-                      _SUBSTRING_SWEEPS * len(grid))
+    return _las_vegas(splice_substring(inst, 0), attempt, len(grid))
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,6 @@ class PureState:
         if abs(norm - 1.0) > 1e-9:
             raise ValueError("state is not normalized")
 
-    @property
-    def dim(self):
-        return self.entries.shape[0]
-
     def fidelity(self, other):
         return abs(np.vdot(self.entries, other.entries)) ** 2
 
@@ -132,35 +128,28 @@ def qft_joint_law(N, s):
     return np.stack([diag + cross, diag - cross], axis=1)
 
 
+def _post_cnot(k, l, s, N):
+    """Amplitudes [a, measured bit] of psi_k (x) psi_l after the CNOT
+    |a, b> -> |a, a xor b> of the extraction step."""
+    joint = np.kron(psi_vector(N, s, k).entries,
+                    psi_vector(N, s, l).entries).reshape(2, 2)  # [a, b]
+    return np.stack([joint[0], joint[1, ::-1]])
+
+
 def extract_sim(k, l, s, N, rng):
     """Exact two-qubit simulation of the extraction step: CNOT on
     psi_k (x) psi_l, then measure the right qubit.  Returns the outcome
     bit and the residual left-qubit state."""
-    pk = psi_vector(N, s, k).entries
-    pl = psi_vector(N, s, l).entries
-    joint = np.kron(pk, pl)  # index 2*a + b
-    cnot = np.zeros((4, 4))
-    for a in (0, 1):
-        for b in (0, 1):
-            cnot[2 * a + (a ^ b), 2 * a + b] = 1.0
-    joint = cnot @ joint
-    joint = joint.reshape(2, 2)  # [a, measured bit]
-    probs = np.abs(joint) ** 2
-    pb = probs.sum(axis=0)
-    outcome = int(rng.random() >= pb[0])
-    residual = joint[:, outcome]
-    residual = residual / np.linalg.norm(residual)
-    return outcome, PureState(residual)
+    amps = _post_cnot(k, l, s, N)
+    outcome = int(rng.random() >= np.sum(np.abs(amps[:, 0]) ** 2))
+    residual = amps[:, outcome]
+    return outcome, PureState(residual / np.linalg.norm(residual))
 
 
 def extract_outcome_probs(k, l, s, N):
-    """Exact outcome distribution of the extraction measurement."""
-    pk = psi_vector(N, s, k).entries
-    pl = psi_vector(N, s, l).entries
-    joint = np.kron(pk, pl).reshape(2, 2)
-    # CNOT maps |a,b> -> |a, a xor b>; bit value columns after the gate
-    p0 = abs(joint[0, 0]) ** 2 + abs(joint[1, 1]) ** 2
-    return np.array([p0, 1 - p0])
+    """Exact outcome distribution of the extraction measurement: the
+    squared column norms of the post-CNOT amplitudes."""
+    return np.sum(np.abs(_post_cnot(k, l, s, N)) ** 2, axis=0)
 
 
 def trace_distance(r1, r2):

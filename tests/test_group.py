@@ -1,5 +1,6 @@
-"""Group arithmetic: dihedral normal forms, index-r subgroup embeddings,
-and the automorphism units used by the general-N recovery."""
+"""Group arithmetic: dihedral normal forms, the index-r subgroup
+embedding restrict_reflection evaluates through, and the automorphism
+units used by the general-N recovery."""
 
 from math import gcd
 
@@ -14,10 +15,10 @@ from dhsieve.group import (
     dmul,
     identity,
     int_dtype,
-    subgroup_embed,
     uniform,
     unit_for_odd_part,
 )
+from dhsieve.oracle import make_reflection_oracle, restrict_reflection
 
 
 def naive_mul(a, c, N):
@@ -64,6 +65,14 @@ def test_associativity(e1, e2, e3, N):
     assert dmul(dmul(a, b, ctx), c, ctx) == dmul(a, dmul(b, c, ctx), ctx)
 
 
+def subgroup_embed(parity, e, ctx, r=2):
+    """Reference embedding of D_{N/r} onto F_parity = <x^r, y x^parity> in
+    D_N: x^b -> x^(r b) and y x^b -> y x^(parity + r b)."""
+    if e.t == 0:
+        return DihedralElement(0, (r * e.b) % ctx.N)
+    return DihedralElement(1, (parity + r * e.b) % ctx.N)
+
+
 @given(elements, elements, st.integers(1, 7), st.integers(2, 3))
 def test_subgroup_embed_is_homomorphism(e1, e2, half, r):
     N = r * half
@@ -82,12 +91,24 @@ def test_subgroup_embed_images():
     # rotations land on <x^2>, reflections on y x^parity <x^2>
     assert subgroup_embed(0, DihedralElement(0, 5), ctx).b % 2 == 0
     assert subgroup_embed(1, DihedralElement(1, 4), ctx) == DihedralElement(1, 9)
-    with pytest.raises(ValueError):
-        subgroup_embed(2, DihedralElement(0, 0), ctx, r=2)
-    # a radix below 2 names no subgroup
-    for r in (0, 1, -3):
-        with pytest.raises(ValueError, match="radix"):
-            subgroup_embed(0, DihedralElement(0, 0), ctx, r)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_restriction_evaluates_through_the_embedding(r):
+    # restrict_reflection maps each element onto F_parity itself; at
+    # every N <= 36 divisible by r, every slope and every parity it reads
+    # the parent oracle at the reference embedding of every element
+    for N in range(r, 37, r):
+        ctx = GroupCtx(N)
+        for s in range(N):
+            o = make_reflection_oracle(ctx, s)
+            for parity in range(r):
+                sub = restrict_reflection(o, parity, r)
+                for t in (0, 1):
+                    for b in range(N // r):
+                        e = DihedralElement(t, b)
+                        assert sub.evaluate(e) == o.evaluate(
+                            subgroup_embed(parity, e, ctx, r))
 
 
 def _odd_split(N):

@@ -42,9 +42,8 @@ def test_query_counter_and_secrecy():
     o.evaluate(DihedralElement(0, 3))
     o.evaluate(DihedralElement(1, 3))
     assert o.queries == 2
-    d = o.to_dict()
-    assert set(d) == {"group", "corruption_rate", "queries"}
-    assert "slope" not in str(d)
+    # no public attribute holds the slope
+    assert 9 not in [v for k, v in vars(o).items() if not k.startswith("_")]
 
 
 def test_trivial_oracle_is_injective():

@@ -442,9 +442,9 @@ def test_substring_exact_guess_is_fast():
     assert got == 0 and rep.attempts == 1
 
 
-def test_substring_sweeps_grid_twice(monkeypatch):
+def test_substring_sweeps_grid_once(monkeypatch):
     # every guess fails: after the check's splice at guess 0, the splices
-    # are the whole grid once, then again, with one slope attempt each
+    # are the whole grid once, with one slope attempt each
     N = 48
     grid = list(recover._substring_guesses(N))
     assert grid[:3] == [0, 24, 12] and sorted(grid) == list(range(N))
@@ -463,21 +463,21 @@ def test_substring_sweeps_grid_twice(monkeypatch):
     monkeypatch.setattr(recover, "_slope_attempt", fail)
     with pytest.raises(NoHiddenReflectionError):
         solve_substring(SubstringInstance(N, 31), rng=1)
-    assert [t for t, _ in spliced] == [0] + grid * 2
+    assert [t for t, _ in spliced] == [0] + grid
     assert len(attempted) == len(spliced) - 1
     assert all(a is o for a, (_, o) in zip(attempted, spliced[1:]))
 
 
 def test_substring_attempts_count_guesses(monkeypatch):
     # a solved instance splices the check's oracle at guess 0, then a
-    # prefix of the two sweeps, one guess per reported attempt
+    # prefix of the grid, one guess per reported attempt
     spliced = []
     real = recover.splice_substring
     monkeypatch.setattr(recover, "splice_substring",
                         lambda inst, t: spliced.append(t) or real(inst, t))
     got, rep = solve_substring(SubstringInstance(64, 37), rng=9)
     assert spliced[0] == 0 and got == 37 and rep.attempts == len(spliced) - 1
-    assert spliced[1:] == (list(recover._substring_guesses(64)) * 2)[:rep.attempts]
+    assert spliced[1:] == list(recover._substring_guesses(64))[:rep.attempts]
 
 
 def test_substring_small_trials():
@@ -671,19 +671,21 @@ def test_small_inputs_recover_their_secret(data):
     # every solver on small inputs: radix r = 2..10 at each level up to
     # r^n <= 20,000 (the levels the list law and the tomography counts
     # size), torsion groups, general N <= 300 with Python and numpy
-    # secrets, and substring N <= 100; each answer verifies and equals
-    # the secret
+    # secrets, and substring N <= 100, each group order a Python or a
+    # numpy integer; each answer verifies and equals the secret
     kind = data.draw(st.sampled_from(["radix", "abelian", "general",
                                       "substring"]))
+    order = data.draw(st.sampled_from([int, np.int64]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
     if kind == "radix":
         r = data.draw(st.integers(2, 10))
         n = data.draw(st.integers(1, _radix_levels(r)))
         s = data.draw(st.integers(0, r ** n - 1))
         got, rep = recover_slope_radix(
-            make_reflection_oracle(GroupCtx(r ** n), s), r, n, rng=rng)
+            make_reflection_oracle(GroupCtx(order(r ** n)), s), r, n, rng=rng)
     elif kind == "abelian":
-        A = AbelianGroupSpec(data.draw(st.sampled_from(_TORSION_GROUPS)))
+        A = AbelianGroupSpec(tuple(map(
+            order, data.draw(st.sampled_from(_TORSION_GROUPS)))))
         s = tuple(data.draw(st.integers(0, m - 1)) for m in A.orders)
         got, rep = solve_abelian_shift(make_shift_pair(A, s), rng=rng)
     elif kind == "general":
@@ -691,9 +693,9 @@ def test_small_inputs_recover_their_secret(data):
         s = data.draw(st.integers(0, N - 1))
         num = data.draw(st.sampled_from([int, np.int64]))
         got, rep = recover_slope_general(
-            make_reflection_oracle(GroupCtx(N), num(s)), rng=rng)
+            make_reflection_oracle(GroupCtx(order(N)), num(s)), rng=rng)
     else:
         N = data.draw(st.integers(2, 100))
         s = data.draw(st.integers(0, N - 1))
-        got, rep = solve_substring(SubstringInstance(N, s), rng=rng)
+        got, rep = solve_substring(SubstringInstance(order(N), s), rng=rng)
     assert rep.verified and got == s
