@@ -49,7 +49,7 @@ SIM_FIELDS = ["trial", "secret", "recovered", "success", "attempts",
               "queries", "seconds"]
 # the instance flags each simulate algorithm reads
 SIM_FLAGS = {"staged": ("n",), "general": ("N",),
-             "greedy": ("n", "radix", "budget"), "abelian": ("orders",)}
+             "greedy": ("n", "radix"), "abelian": ("orders",)}
 
 
 class UsageError(Exception):
@@ -159,8 +159,8 @@ def _cmd_verify(args):
 
 def _sim_trial(args, rng):
     """Plant a random secret, run the chosen recovery on it, and return
-    (secret, its RecoveryReport or None on failure, queries the instance
-    counted)."""
+    (secret, the answer, its RecoveryReport, queries the instance
+    counted); answer and report are None on failure."""
     def need(value, flag):
         if value is None:
             raise UsageError(f"{flag} is required for the {args.algorithm}"
@@ -181,8 +181,6 @@ def _sim_trial(args, rng):
         radix = 2 if args.radix is None else args.radix
         if radix < 2:
             raise UsageError("--radix must be >= 2")
-        if args.budget is not None and args.budget < 2:
-            raise UsageError("--budget must be >= 2")
         group = GroupCtx(radix ** args.n)
     # reduce makes an abelian draw (a matrix row) the tuple it stands for
     s = group.reduce(group.random_elements(rng, 1).tolist()[0])
@@ -191,20 +189,19 @@ def _sim_trial(args, rng):
         "abelian": lambda: solve_abelian_shift(inst, rng=rng),
         "staged": lambda: recover_slope_power2(inst, args.n, rng=rng),
         "general": lambda: recover_slope_general(inst, rng=rng),
-        "greedy": lambda: recover_slope_radix(
-            inst, radix, args.n, rng=rng, budget=args.budget),
+        "greedy": lambda: recover_slope_radix(inst, radix, args.n, rng=rng),
     }[args.algorithm]
     try:
-        _, rep = solve()
+        got, rep = solve()
     except NoHiddenReflectionError:
-        rep = None
-    return s, rep, inst.queries
+        got = rep = None
+    return s, got, rep, inst.queries
 
 
 def _cmd_simulate(args):
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    for flag in ("n", "N", "orders", "radix", "budget"):
+    for flag in ("n", "N", "orders", "radix"):
         if (getattr(args, flag) is not None
                 and flag not in SIM_FLAGS[args.algorithm]):
             raise UsageError(f"--{flag} is not read by the {args.algorithm}"
@@ -215,11 +212,11 @@ def _cmd_simulate(args):
     failures = 0
     for trial in range(args.trials):
         t0 = time.perf_counter()
-        secret, rep, queries = _sim_trial(args, rng)
-        ok = rep is not None and rep.secret == secret
+        secret, got, rep, queries = _sim_trial(args, rng)
+        ok = got == secret
         failures += not ok
         dicts.append({"trial": trial, "secret": fmt(secret),
-                      "recovered": "" if rep is None else fmt(rep.secret),
+                      "recovered": "" if rep is None else fmt(got),
                       "success": int(ok),
                       "attempts": "" if rep is None else rep.attempts,
                       "queries": queries,
@@ -327,10 +324,6 @@ def build_parser():
     p.add_argument("--radix", type=int, default=None,
                    help="greedy only (default 2)")
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--budget", type=int, default=None,
-                   help="greedy only: fix every level's list size, "
-                        "overriding the list-size rule (doubled on each "
-                        "retry, up to 8x)")
     _add_common(p, "seed", "format")
 
     p = sub.add_parser("table1", help="cancellation race averages")

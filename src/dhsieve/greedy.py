@@ -8,6 +8,7 @@ harness.
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 
 import numpy as np
@@ -317,6 +318,7 @@ def run_radix_recovery(backend, r, n, budget=None):
     until the level holds the copies tomography needs; each pass samples
     budget qubits, or when budget is None list_size for the copies still
     needed.  A sieve that finds no target ends the level."""
+    r, n = operator.index(r), operator.index(n)
     N = r ** n
     if backend.oracle.ctx.N != N:
         raise ValueError("oracle group order is not r^n")

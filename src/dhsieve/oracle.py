@@ -304,6 +304,7 @@ def restrict_reflection(o, parity, r=2):
     When parity == s mod r the restriction hides slope (s - parity)/r;
     otherwise H is not contained in F_parity and the restriction is
     injective, i.e. fully corrupted."""
+    parity, r = operator.index(parity), operator.index(r)
     if r < 2:
         raise ValueError("radix must be at least 2")
     ctx = o.ctx

@@ -9,6 +9,7 @@ measurement outcomes, nothing else.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -224,6 +225,7 @@ def tomography_mod_r(plist, r):
     quadratures.  A label-0 copy carries nothing about s: those are
     dropped unobserved, and tomography_copies_needed(r) of the rest must
     remain.  Consumes the list; returns an int."""
+    r = operator.index(r)
     if r < 2:
         raise ValueError("radix must be at least 2")
     if not len(plist):

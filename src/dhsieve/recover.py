@@ -12,6 +12,7 @@ fixed cap.  Each entry point takes rng, a numpy Generator
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,17 +55,11 @@ _MAX_RETRIES = 6
 
 @dataclass
 class RecoveryReport:
-    """What a recovery run did: the secret, its cost, and proof it was
-    checked against the oracle before being returned."""
+    """What a recovery run cost: the queries its instance counted and the
+    attempts it took."""
 
-    secret: object
     queries: int
     attempts: int
-    verified: bool
-
-    def __post_init__(self):
-        if self.secret is not None and not self.verified:
-            raise ValueError("secrets are only reported after verification")
 
 
 def verify_reflection(o, s):
@@ -89,8 +84,7 @@ def _las_vegas(o, attempt, max_retries):
         except SieveExhaustedError:
             continue
         if verify_reflection(o, s):
-            return s, RecoveryReport(secret=s, queries=o.queries - q0,
-                                     attempts=i, verified=True)
+            return s, RecoveryReport(queries=o.queries - q0, attempts=i)
     raise NoHiddenReflectionError(
         f"no verified answer after {max_retries} attempts")
 
@@ -129,32 +123,24 @@ def recover_slope_power2(o, n=None, rng=None):
     return _las_vegas(o, lambda i: _slope_attempt(o, rng), _MAX_RETRIES)
 
 
-def recover_slope_radix(o, r, n=None, rng=None, budget=None):
+def recover_slope_radix(o, r, n=None, rng=None):
     """Digit-by-digit recovery over D_{r^n} using the greedy sieve at each
-    level: read s mod r, restrict to the index-r subgroup, repeat.  A
-    fixed budget (every pass's list size, overriding list_size) doubles
-    on each retry, up to 8 times the first; without one, every retry
-    sizes its passes by list_size as the first attempt did.  Returns
-    (s, RecoveryReport)."""
-    N = o.ctx.N
+    level: read s mod r, restrict to the index-r subgroup, repeat; every
+    level sizes its passes by list_size.  Returns (s, RecoveryReport)."""
+    N, r = o.ctx.N, operator.index(r)
     if r < 2:
         raise ValueError("radix must be at least 2")
-    if budget is not None and budget < 2:
-        raise ValueError("budget must be at least 2")
     if n is None:
         n, power = 0, 1
         while power < N:
             n, power = n + 1, power * r
+    n = operator.index(n)
     if r ** n != N:
         raise ValueError("group order is not r^n")
     rng = np.random.default_rng(rng)
-
-    def attempt(i):
-        size = budget and min(1 << (i - 1), 8) * budget
-        return _digit_recursion(
-            o, r, n, rng, lambda be, m: run_radix_recovery(be, r, m, size))
-
-    return _las_vegas(o, attempt, _MAX_RETRIES)
+    return _las_vegas(o, lambda i: _digit_recursion(
+        o, r, n, rng, lambda be, m: run_radix_recovery(be, r, m)),
+        _MAX_RETRIES)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +335,4 @@ def solve_abelian_shift(p, rng=None):
                      for j in range(A.rank))
 
     s, rep = _las_vegas(o, attempt, _MAX_RETRIES)
-    if A.rank == 1:
-        s = rep.secret = (s,)
-    return s, rep
+    return ((s,) if A.rank == 1 else s), rep

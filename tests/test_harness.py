@@ -18,7 +18,8 @@ import pytest
 import dhsieve
 import dhsieve.cli as cli_mod
 from dhsieve.cli import budgets, main
-from dhsieve.group import GroupCtx
+from dhsieve.errors import NoHiddenReflectionError
+from dhsieve.group import DihedralElement, GroupCtx
 from dhsieve.harness import (
     _LAW_CASES,
     ResultRow,
@@ -31,7 +32,6 @@ from dhsieve.harness import (
 )
 from dhsieve.oracle import make_reflection_oracle
 from dhsieve.phase import PhaseBackend
-from dhsieve.staged import MAX_PASSES
 
 
 def row(budget, mean):
@@ -296,22 +296,20 @@ NAMED_FLAG_ARGV = [
     ["table1", "--budgets", "x"],
     ["simulate", "--algorithm", "general", "--N", "0"],
     ["simulate", "--algorithm", "general", "--N", "-5"],
-    ["simulate", "--algorithm", "greedy", "--n", "3", "--budget", "0"],
-    ["simulate", "--algorithm", "greedy", "--n", "3", "--budget", "1"],
 ]
 
 # argparse's own rejections: a bad int, a bad choice, a missing required
-# flag and an unknown flag
+# flag and unknown flags
 ARGPARSE_ARGV = [
     ["simulate", "--n", "x"],
     ["simulate", "--algorithm", "bogus"],
     ["simulate", "--n", "3"],
     ["table1", "--frob", "1"],
+    ["simulate", "--budget", "2", "--algorithm", "greedy", "--n", "3"],
 ]
 
 # instance flags the chosen algorithm does not read, the last one named
 UNREAD_FLAG_ARGV = [
-    ["simulate", "--algorithm", "general", "--N", "9", "--budget", "3"],
     ["simulate", "--algorithm", "general", "--N", "9", "--n", "3"],
     ["simulate", "--algorithm", "staged", "--n", "4", "--radix", "2"],
     ["simulate", "--algorithm", "staged", "--n", "4", "--N", "16"],
@@ -347,8 +345,6 @@ RADIX_ARGV = [
     ["verify", "--coin-bias", "1.5"],
     ["verify", "--coin-bias", "-0.2"],
     ["verify", "--coin-bias", "nan"],
-    ["simulate", "--algorithm", "greedy", "--radix", "3", "--n", "1",
-     "--budget", "-4", "--seed", "1", "--out", "{tmp}/sim.csv"],
     ["table1", "--budgets", "0,9,27", "--trials", "2"],
     ["table1", "--budgets", "-3", "--trials", "2"],
     ["table1", "--budgets", "3^3..3^1", "--trials", "2"],
@@ -450,37 +446,33 @@ def test_race_is_binary_only(capsys):
     assert "--radix" in err
 
 
-def test_cli_simulate_failed_trial_reports_cost(tmp_path):
-    # lists of 2, 4, 8, 16, 16, 16 qubits over the six attempts.  Each
-    # level, n = 1 included, runs passes until it holds the 16 copies
-    # tomography needs, and an attempt ends at the first pass with no
-    # target.  Trial 7 fails after 1, 1, 1, 4, 14 and 1 passes: 2 + 4 +
-    # 8 + 64 + 224 + 16 = 318 queries.  The other trials fill every level
-    # from many small passes and verify: trial 0 in its fourth attempt,
-    # after 18 passes of 16 qubits, 2 + 8 + 24 + 288 + 2 = 324.  (At seed
-    # 1 all ten trials verify since the count fell from 31 to 16, so this
-    # seed keeps a failed trial to report.)  These figures depend on the
-    # n = 1 level running passes of the list size like the others (not
-    # one list of max(budget, 4 * 16)): that level's draws set the
-    # generator stream of every later trial.
+def test_cli_simulate_failed_trial_reports_cost(tmp_path, monkeypatch):
+    # a failed recovery keeps its cost in its row: the second trial's
+    # solver spends 7 queries on its instance and finds nothing, the
+    # others run the real solver and verify
+    real, calls = cli_mod.recover_slope_radix, []
+
+    def solver(inst, r, n, rng):
+        calls.append(inst)
+        if len(calls) == 2:
+            for b in range(7):
+                inst.evaluate(DihedralElement(0, b))
+            raise NoHiddenReflectionError("no verified answer")
+        return real(inst, r, n, rng=rng)
+
+    monkeypatch.setattr(cli_mod, "recover_slope_radix", solver)
     out = tmp_path / "sim.csv"
     rc = main(["simulate", "--algorithm", "greedy", "--radix", "3",
-               "--n", "4", "--budget", "2", "--seed", "2",
+               "--n", "4", "--trials", "3", "--seed", "2",
                "--out", str(out)])
-    assert rc == 1
+    assert rc == 1 and len(calls) == 3
     recs = list(csv.DictReader(open(out)))
-    assert [int(r["queries"]) for r in recs] == [
-        324, 352, 504, 388, 364, 328, 296, 318, 288, 508]
-    assert "".join(r["success"] for r in recs) == "1111111011"
-    # the pass cap bounds any trial: per attempt four greedy levels of
-    # MAX_PASSES passes and one verification
-    cap = sum(4 * MAX_PASSES * b + 2 for b in (2, 4, 8, 16, 16, 16))
-    for r in recs:
-        assert 0 <= int(r["secret"]) < 81 and int(r["queries"]) <= cap
-        if r["success"] == "0":
-            assert r["recovered"] == r["attempts"] == ""
-        else:
-            assert r["recovered"] == r["secret"] and int(r["attempts"]) >= 1
+    assert "".join(r["success"] for r in recs) == "101"
+    assert recs[1]["queries"] == "7"
+    assert recs[1]["recovered"] == recs[1]["attempts"] == ""
+    for r in recs[::2]:
+        assert r["recovered"] == r["secret"] and int(r["attempts"]) >= 1
+        assert int(r["queries"]) > 0
 
 
 @pytest.mark.parametrize("flags", [
