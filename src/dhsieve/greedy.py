@@ -13,12 +13,11 @@ from collections import defaultdict
 
 import numpy as np
 
-from .errors import SieveExhaustedError
 from .phase import (
     PhaseList,
     combine,  # noqa: F401  (bound here for perfbench's tracer)
+    residue_readout,
     sample_batch,
-    tomography_copies_needed,
     tomography_mod_r,
 )
 from .staged import SieveStats, run_passes
@@ -183,12 +182,14 @@ def _pair_order(depths):
     return pairs.reshape(-1, 2), h
 
 
-def greedy_sieve(backend, obj, budget, max_targets):
+def greedy_sieve(backend, obj, budget, readout):
     """Fill a list with budget sampled qubits, then greedily pair inside
     the minimum-alpha bucket to maximize the alpha of the extracted label.
-    Collects the labels (oriented as obj.score flips them) that score
-    obj.target, the objective's top alpha, as targets, and stops as soon
-    as it holds max_targets of them.  Returns (targets as a PhaseList,
+    The labels (oriented as obj.score flips them) that score obj.target,
+    the objective's top alpha, are targets: each batch of them placed at
+    once goes to readout as a PhaseList, in placement order, and the
+    sieve stops as soon as readout returns a value other than None.
+    Returns (that value, or None when the buckets empty first,
     SieveStats).
 
     The sieve runs on label arrays: each batch (the sample, or the merges
@@ -196,27 +197,20 @@ def greedy_sieve(backend, obj, budget, max_targets):
     is stable-sorted by key and swept in _pair_order, with one
     rng.random(npairs) call for the extraction coins; merges that stay at
     the same alpha carry into the next sweep with the unpaired entry.
-    This is the per-qubit loop's order and coin stream: when max_targets
-    is reached mid-sweep, the generator is rewound to before the sweep's
-    draw and draws only the coins of the merges made.
-
-    Raises SieveExhaustedError when the buckets empty with no target."""
+    This is the per-qubit loop's order and coin stream, with the readout
+    called after each sweep's draws."""
     if budget < 2:
         raise ValueError("budget must be at least 2")
-    if max_targets < 1:
-        raise ValueError("max_targets must be at least 1")
     stats = SieveStats()
     rng, mod = backend.rng, backend.oracle.ctx.modulus
     bias, top = backend.coin_bias, obj.target
-    hits, buckets = [], defaultdict(list)
-    held = 0
+    buckets = defaultdict(list)
 
     def place(labels, classical):
         """Orient the labels and stable-sort them by alpha: below the top
         buckets a label, the top makes it a target, and past it (a zero
-        label), last, drops it.  Returns None, or how many leading
-        entries were placed when the max_targets-th target arrived."""
-        nonlocal held
+        label), last, drops it.  Returns the readout's value (None
+        without targets)."""
         flip, alpha = obj.score(labels)
         np.negative(labels.T, out=labels.T, where=flip)
         labels %= mod
@@ -229,22 +223,17 @@ def greedy_sieve(backend, obj, budget, max_targets):
                 end = start + count
                 buckets[a].append((labels[start:end], classical[start:end]))
                 start = end
-        count = min(counts[top], max_targets - held)
-        if count:
-            end = start + count
-            hits.append(PhaseList(labels[start:end], classical[start:end],
-                                  backend))
-            held += count
-            if held == max_targets:
-                return int(order[end - 1]) + 1
-        return None
+        if not counts[top]:
+            return None
+        end = start + counts[top]
+        return readout(PhaseList(labels[start:end], classical[start:end],
+                                 backend))
 
-    if place(*sample_batch(backend, budget).take()) is not None:
-        return PhaseList.join(hits), stats
-    while buckets:
+    value = place(*sample_batch(backend, budget).take())
+    while value is None and buckets:
         v = min(buckets)
         chunks = buckets.pop(v)
-        while chunks:
+        while value is None and chunks:
             labels, classical = (chunks[0] if len(chunks) == 1 else
                                  map(np.concatenate, zip(*chunks)))
             n = len(labels)
@@ -260,64 +249,39 @@ def greedy_sieve(backend, obj, budget, max_targets):
             pairs, lone = _pair_order(same.argmin(axis=1))
             pairs = order[pairs].T
             npairs = pairs.shape[1]
-            # the state to rewind to, when this sweep may reach max_targets
-            state = (rng.bit_generator.state
-                     if held + npairs >= max_targets else None)
             # the minus branch negates the second label of a pair
             first, second = labels[pairs]
             minus = rng.random(npairs) >= bias
             second[minus] = -second[minus]
             left, right = classical[pairs]
-            made = place((first + second) % mod, left | right)
-            if made is not None:
-                rng.bit_generator.state = state
-                rng.random(made)
-                stats.combines += made
-                stats.work += n + made
-                return PhaseList.join(hits), stats
             stats.combines += npairs
             stats.work += n + npairs
+            value = place((first + second) % mod, left | right)
             chunks = buckets.pop(v, [])
             if lone >= 0:
                 i = order[lone]
                 chunks.append((labels[i:i + 1], classical[i:i + 1]))
-    if not held:
-        raise SieveExhaustedError("greedy sieve exhausted with no target")
-    return PhaseList.join(hits), stats
+    return value, stats
 
 
-# The list-size rule, in laws of 3^sqrt(2 log_3 N) labels, chosen from
-# measured recoveries (CHANGES.md has the tables): sized for 2, 3, 4 and
-# 6 copies per law, radix 3^8 spent median 2,164, 1,446, 1,171 and 1,067
-# queries and Z16+Z9 656, 438, 330 and 220, but past 3 the extra sweeps
-# made Z16+Z9 take 1.03 and 1.22 times the CPU time of the older 2-law
-# rule, and at 4 two of 100 radix 3^8 secrets took a second attempt.
-# _MAX_LAWS caps the passes that ask for many copies: a larger list holds
-# copies no readout reads.  With _MIN_LAWS, r = 2 levels (one copy each)
-# sample 3 laws.
-_COPIES_PER_LAW = 3
-_MIN_LAWS = 3
-_MAX_LAWS = 12
+# laws of 3^sqrt(2 log_3 N) labels one greedy pass samples (CHANGES.md
+# has the measured choices)
+_LAWS = 3
 
 
-def list_size(order, copies):
-    """Labels one greedy pass samples on a group of the given order when
-    it should add copies more target copies: copies / _COPIES_PER_LAW
-    laws of 3^sqrt(2 log_3 N) labels, at least _MIN_LAWS and at most
-    _MAX_LAWS of them.  Every radix level and abelian coordinate sizes
-    its passes by this rule, so a later pass samples only for the copies
-    still needed."""
-    law = 3.0 ** math.sqrt(2 * math.log(max(3, order), 3))
-    laws = min(_MAX_LAWS, max(_MIN_LAWS, copies / _COPIES_PER_LAW))
-    return math.ceil(law * laws)
+def list_size(order):
+    """Labels one greedy pass samples on a group of the given order; every
+    radix level and abelian coordinate runs such passes until it decides."""
+    return math.ceil(_LAWS * 3.0 ** math.sqrt(2 * math.log(max(3, order), 3)))
 
 
 def run_radix_recovery(backend, r, n, budget=None):
     """One level of the radix recursion: sieve for labels divisible by
-    N/r, then read s mod r by tomography.  Greedy sieves run (run_passes)
-    until the level holds the copies tomography needs; each pass samples
-    budget qubits, or when budget is None list_size for the copies still
-    needed.  A sieve that finds no target ends the level."""
+    N/r, and read s mod r from them by tomography, which stops on
+    evidence.  Greedy sieves run (run_passes), each over budget fresh
+    qubits (list_size when None) and each handing its targets to
+    tomography_mod_r as it places them, until the readout decides.
+    Returns (s mod r, SieveStats)."""
     r, n = operator.index(r), operator.index(n)
     N = r ** n
     if backend.oracle.ctx.N != N:
@@ -325,14 +289,10 @@ def run_radix_recovery(backend, r, n, budget=None):
     if n == 0:
         return 0, SieveStats()
     obj = RadixObjective(r, n - 1)
-    need = tomography_copies_needed(r)
-    cap = 4 * max(5, need)
-    targets, stats = run_passes(
-        lambda held: greedy_sieve(backend, obj,
-                                  budget or list_size(N, need - held),
-                                  max_targets=cap - held),
-        need)
-    return tomography_mod_r(targets, r), stats
+    readout = residue_readout(N, r)
+    return run_passes(lambda: greedy_sieve(
+        backend, obj, budget or list_size(N),
+        lambda targets: tomography_mod_r(targets, r, readout)))
 
 
 # each byte with its bits reversed, and its count of leading zero bits

@@ -21,7 +21,11 @@ from .errors import (
 from .group import GroupCtx, int_dtype
 
 _P_CLIP = 1e-9
-TOMOGRAPHY_DELTA = 0.02
+# Wald's sequential test (A. Wald, Ann. Math. Stat. 16, 1945): a readout
+# over C candidates stops once its best leads the runner-up by
+# ln((C - 1) / READOUT_DELTA) in log-likelihood; on an honest model with
+# equal priors it then misreads with probability at most READOUT_DELTA
+READOUT_DELTA = 0.002
 
 
 class PhaseQubit:
@@ -203,28 +207,24 @@ def cosine_observe(plist, t):
     return _observe(plist, t)
 
 
-# Copies with a nonzero label tomography_mod_r reads, per radix: at r = 2
-# one honest copy reads s mod 2 exactly; otherwise the fewest tried that
-# misread under 0.2% of 2,000 readouts at N = r, r^2 and r^3 (CHANGES.md
-# has the table).  r = 8 and 10 misread 0.5% or more even at the
-# Chernoff count, so they, like the radices not measured, keep it.
-_TOMOGRAPHY_COPIES = {2: 1, 3: 16, 4: 24, 5: 20, 6: 48, 7: 24, 9: 28}
+def residue_readout(N, r):
+    """The Readout of s mod r from labels that are multiples of N/r, at 0
+    and odd multiples of floor(N/(2r)).  Only t mod r of a reference t
+    reaches the bits, and with 2t = 0 mod r c and -c read alike: even r
+    at N >= r^2 puts every odd multiple there, so those move up by 1."""
+    q_step = max(1, N // (2 * r))
+    off = int(2 * q_step % r == 0)
+    refs = [0] + [((2 * i + 1) * q_step + off) % N for i in range(r)]
+    return Readout(N, [(t, t) for t in refs], np.arange(r))
 
 
-def tomography_copies_needed(r):
-    """Nonzero copies the maximum-likelihood residue readout reads to
-    fail with probability at most TOMOGRAPHY_DELTA: the measured count,
-    else the Chernoff count."""
-    return _TOMOGRAPHY_COPIES.get(
-        r, math.ceil(2 * r * math.log(r / TOMOGRAPHY_DELTA)))
-
-
-def tomography_mod_r(plist, r):
-    """Read s mod r from a list whose labels are multiples of N/r, by
-    maximum likelihood over cosine observations at references spanning
-    quadratures.  A label-0 copy carries nothing about s: those are
-    dropped unobserved, and tomography_copies_needed(r) of the rest must
-    remain.  Consumes the list; returns an int."""
+def tomography_mod_r(plist, r, readout=None):
+    """Read s mod r from a list whose labels are multiples of N/r: add the
+    copies, in order, to readout (a new residue_readout(N, r) when None)
+    and return its value, None while it is undecided.  A label-0 copy
+    carries nothing about s: those are dropped unobserved.  A new readout
+    must be decided by the list, or InsufficientCopiesError is raised.
+    Consumes the list; the value is an int."""
     r = operator.index(r)
     if r < 2:
         raise ValueError("radix must be at least 2")
@@ -238,24 +238,50 @@ def tomography_mod_r(plist, r):
         raise ValueError("radix must divide N")
     if (plist.labels % (N // r)).any():
         raise ValueError("label is not a multiple of N/r")
-    nonzero = plist.labels != 0
-    needed, got = tomography_copies_needed(r), int(nonzero.sum())
-    if got < needed:
-        raise InsufficientCopiesError(
-            f"need at least {needed} nonzero copies for r={r}, got {got}")
+    fresh = readout is None
+    if fresh:
+        readout = residue_readout(N, r)
     labels, classical = plist.take()
+    nonzero = labels != 0
     labels, classical = labels[nonzero], classical[nonzero]
+    value = readout.observe(PhaseList(labels, classical, be), labels)
+    if fresh and value is None:
+        raise InsufficientCopiesError(
+            f"{len(labels)} nonzero copies leave s mod {r} undecided")
+    return value
 
-    # quadrature references: 0 and odd multiples of floor(N/(2r)).  Only
-    # t mod r reaches the bits, and references with 2t = 0 mod r see c and
-    # -c alike; when 2 floor(N/(2r)) = 0 mod r (even r at N >= r^2) every
-    # odd multiple lies there, so those move up by 1
-    q_step = max(1, N // (2 * r))
-    off = int(2 * q_step % r == 0)
-    refs = [0] + [((2 * i + 1) * q_step + off) % N for i in range(r)]
-    return int(np.argmax(likelihood_readout(
-        PhaseList(labels, classical, be), labels, N,
-        [(t, t) for t in refs], np.arange(r))))
+
+class Readout:
+    """Sequential maximum-likelihood readout of a slope mod M over the
+    candidates cands: copy i of all observed is read at refs[i % len(refs)]
+    (pairs as likelihood_readout takes), ll sums the copies' rows, read
+    counts them, and value is None until the first copy where the best
+    candidate leads by ln((C - 1) / READOUT_DELTA), then that candidate."""
+
+    def __init__(self, M, refs, cands):
+        self.M, self.refs = M, refs
+        self.cands = np.asarray(cands)
+        self.ll = np.zeros(len(self.cands))
+        self.read = 0
+        self.value = None
+        self._lead = math.log((len(self.cands) - 1) / READOUT_DELTA)
+
+    def observe(self, plist, labels):
+        """Observe the copies of plist, whose labels mod M are labels, in
+        one cosine_observe call, and add their rows to ll up to the copy
+        that decides the readout.  Returns value; consumes plist."""
+        k = self.read % len(self.refs)
+        refs = self.refs[k:] + self.refs[:k]
+        for rows in _likelihood_rows(plist, labels, self.M, refs,
+                                     self.cands, self.ll):
+            top = np.partition(rows, -2, axis=1)
+            hit = np.flatnonzero(top[:, -1] - top[:, -2] >= self._lead)
+            last = hit[0] if len(hit) else len(rows) - 1
+            self.ll, self.read = rows[last].copy(), self.read + last + 1
+            if len(hit):
+                self.value = int(self.cands[np.argmax(self.ll)])
+                break
+        return self.value
 
 
 def likelihood_readout(plist, labels, M, refs, cands, ll=None):
@@ -264,16 +290,25 @@ def likelihood_readout(plist, labels, M, refs, cands, ll=None):
     (t in Z/M, the point cosine_observe takes: t itself on D_N).  Adds to
     ll (zeros when None, returned), for each candidate c, the
     log-likelihood of the bits under the exact turn ((labels[i] * (c - t))
-    mod M) / M, clipped so one unlucky bit cannot veto c; in blocks of at
-    most 2^20 entries, typed by int_dtype(M * M), one row per copy added
-    to ll after the one before (a running sum).  Consumes plist."""
+    mod M) / M, clipped so one unlucky bit cannot veto c (the rows of
+    _likelihood_rows).  Consumes plist."""
+    ll = np.zeros(len(cands)) if ll is None else ll
+    for rows in _likelihood_rows(plist, labels, M, refs, cands, ll):
+        ll[:] = rows[-1]
+    return ll
+
+
+def _likelihood_rows(plist, labels, M, refs, cands, ll):
+    """The running sums behind likelihood_readout: observes every copy in
+    one cosine_observe call, then yields, in blocks of at most 2^20
+    entries typed by int_dtype(M * M), row i the sum of ll and the
+    log-likelihood rows of copies 0..i."""
     ts = [refs[i % len(refs)] for i in range(len(plist))]
     zero = cosine_observe(plist, [point for _, point in ts])[:, None] == 0
     dtype = int_dtype(M * M)
     k = (np.asarray(labels).astype(dtype) % M)[:, None]
     kt = k * np.array([t for t, _ in ts], dtype=dtype)[:, None] % M
     cands = np.asarray(cands).astype(dtype)
-    ll = np.zeros(len(cands)) if ll is None else ll
     step = max(1, (1 << 20) // len(cands))
     for i in range(0, len(zero), step):
         # one integer and one float block, each updated in place; a 0 bit
@@ -288,5 +323,5 @@ def likelihood_readout(plist, labels, M, refs, cands, ll=None):
         np.subtract(1, p, out=p, where=zero[i:i + step])
         np.log(p, out=p)
         p[0] += ll
-        ll[:] = np.add.accumulate(p, axis=0, out=p)[-1]
-    return ll
+        ll = np.add.accumulate(p, axis=0, out=p)[-1]
+        yield p

@@ -31,7 +31,7 @@ from .oracle import (
     splice_substring,
     with_label_automorphism,
 )
-from .phase import PhaseBackend, likelihood_readout
+from .phase import PhaseBackend, Readout, likelihood_readout
 from .staged import (
     COARSE_COPIES,
     interval_sieve,
@@ -47,8 +47,6 @@ _COPIES_PER_ROUND = 12
 _PRUNE_LL = 8.0
 # candidates a round's multiplier choice scores at most
 _SCORED_CANDIDATES = 256
-# single-coordinate copies each abelian coordinate readout reads
-_COORDINATE_COPIES = 24
 # attempts of every recovery but the substring grid sweep
 _MAX_RETRIES = 6
 
@@ -115,8 +113,7 @@ def recover_slope_power2(o, n=None, rng=None):
     Returns (s, RecoveryReport); raises NoHiddenReflectionError when the
     retry cap is hit (e.g. the oracle hides no reflection at all)."""
     N = o.ctx.N
-    if n is None:
-        n = N.bit_length() - 1
+    n = N.bit_length() - 1 if n is None else operator.index(n)
     if N != 1 << n:
         raise ValueError("group order is not 2^n")
     rng = np.random.default_rng(rng)
@@ -126,7 +123,8 @@ def recover_slope_power2(o, n=None, rng=None):
 def recover_slope_radix(o, r, n=None, rng=None):
     """Digit-by-digit recovery over D_{r^n} using the greedy sieve at each
     level: read s mod r, restrict to the index-r subgroup, repeat; every
-    level sizes its passes by list_size.  Returns (s, RecoveryReport)."""
+    level runs passes of list_size labels until its readout decides.
+    Returns (s, RecoveryReport)."""
     N, r = o.ctx.N, operator.index(r)
     if r < 2:
         raise ValueError("radix must be at least 2")
@@ -292,9 +290,9 @@ def solve_substring(inst, rng=None):
 
 def _coordinate_slope(o, A, j, rng):
     """Sieve for labels supported on coordinate j alone, in greedy passes
-    (run_passes) sized by list_size until _COORDINATE_COPIES copies are
-    held, then read the j-th shift coordinate by maximum likelihood over
-    cosine observations."""
+    (run_passes) of list_size labels, each handing its targets to one
+    sequential readout of the j-th shift coordinate, by maximum
+    likelihood over cosine observations, until the readout decides."""
     rank = A.rank
     Nj = A.orders[j]
     if Nj > 1 << 12:
@@ -305,16 +303,13 @@ def _coordinate_slope(o, A, j, rng):
     obj = CoordinateObjective(
         A.orders, tuple([i for i in range(rank) if i != j] + [j]))
     backend = PhaseBackend(o, rng=rng)
-    targets, _ = run_passes(
-        lambda held: greedy_sieve(
-            backend, obj,
-            list_size(A.size, _COORDINATE_COPIES - held),
-            max_targets=_COORDINATE_COPIES - held),
-        _COORDINATE_COPIES)
     refs = [(t, tuple(t if i == j else 0 for i in range(rank)))
             for t in sorted({0, max(1, Nj // 4), max(1, Nj // 3)})]
-    return int(np.argmax(likelihood_readout(
-        targets, targets.labels[:, j], Nj, refs, np.arange(Nj))))
+    readout = Readout(Nj, refs, np.arange(Nj))
+    value, _ = run_passes(lambda: greedy_sieve(
+        backend, obj, list_size(A.size),
+        lambda targets: readout.observe(targets, targets.labels[:, j])))
+    return value
 
 
 def solve_abelian_shift(p, rng=None):

@@ -42,7 +42,7 @@ _PARITY_LAYOUTS = (
     (11, 32), (11, 32), (11, 40), (12, 24), (12, 24), (12, 28), (12, 32),  # n = 51..57
     (12, 32), (13, 20), (13, 24),  # n = 58..60
 )
-# passes run_passes makes by default before it gives up on too few copies
+# passes run_passes makes by default before it gives up on a demand
 MAX_PASSES = 16
 # psi_1 copies the coarse quadrature readout averages over
 COARSE_COPIES = 24
@@ -144,8 +144,8 @@ def _parity_pass(backend, size, windows, top):
     """One pass of the parity sieve over a fresh sample of size labels:
     each stage matches one bit window and keeps the differences, and a
     list that empties ends the pass.  Returns the first psi_top of the
-    final list (as a PhaseList of at most one) and the pass's list
-    sizes."""
+    final list (as a PhaseList of one, None when it holds none) and the
+    pass's list sizes."""
     current = sample_batch(backend, size).qubits()
     sizes = [len(current)]
     for window in windows:
@@ -155,7 +155,8 @@ def _parity_pass(backend, size, windows, top):
         if not current:
             break
     held = [q for q in current if q.label == top][:1]
-    return PhaseList.pack(held, backend), SieveStats(sizes)
+    return (PhaseList.pack(held, backend) if held else None,
+            SieveStats(sizes))
 
 
 def run_staged_parity(backend, n):
@@ -183,7 +184,7 @@ def run_staged_parity(backend, n):
             size, windows = cfg.pass_size, stage_windows(n, cfg.m)
             cap = cfg.cap // size
         held, stats = run_passes(
-            lambda _: _parity_pass(backend, size, windows, 1 << (n - 1)), 1,
+            lambda: _parity_pass(backend, size, windows, 1 << (n - 1)),
             max_passes=cap)
         return int(measure_pm(held)[0]), stats
     finally:
@@ -254,23 +255,20 @@ def _interval_pass(backend, size, widths):
     return PhaseList.pack(ones, backend), SieveStats(sizes)
 
 
-def run_passes(one_pass, need, max_passes=MAX_PASSES):
-    """The demand loop of every staged and radix sieve: call
-    one_pass(copies held) -> (new copies as a PhaseList, SieveStats),
-    each pass over fresh samples, until at least need copies are held.
-    Returns them joined into one PhaseList, with the stats summed; after
-    max_passes passes with fewer, raises SieveExhaustedError carrying the
-    summed stats."""
-    parts, held, stats = [], 0, SieveStats()
+def run_passes(one_pass, max_passes=MAX_PASSES):
+    """The demand loop of every staged, radix and coordinate sieve: call
+    one_pass() -> (result, SieveStats), each pass over fresh samples,
+    until a pass returns a result other than None, and return it with the
+    stats summed; after max_passes passes without one, raises
+    SieveExhaustedError carrying the summed stats."""
+    stats = SieveStats()
     for _ in range(max_passes):
-        got, st = one_pass(held)
-        parts.append(got)
-        held += len(got)
+        got, st = one_pass()
         stats += st
-        if held >= need:
-            return PhaseList.join(parts), stats
+        if got is not None:
+            return got, stats
     raise SieveExhaustedError(
-        f"{held} of {need} copies after {max_passes} passes", stats)
+        f"demand unmet after {max_passes} passes", stats)
 
 
 def interval_sieve(backend, want):
@@ -279,7 +277,16 @@ def interval_sieve(backend, want):
     if want < 1:
         raise ValueError("want must be >= 1")
     _, size, widths = interval_config(backend.oracle.ctx.N)
-    return run_passes(lambda _: _interval_pass(backend, size, widths), want)
+    parts = []
+
+    def one_pass():
+        got, stats = _interval_pass(backend, size, widths)
+        parts.append(got)
+        if sum(map(len, parts)) < want:
+            return None, stats
+        return PhaseList.join(parts), stats
+
+    return run_passes(one_pass)
 
 
 def estimate_from_quadratures(ones, N):

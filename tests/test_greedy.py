@@ -32,11 +32,11 @@ from dhsieve.group import AbelianGroupSpec, GroupCtx, uniform
 from dhsieve.oracle import HidingOracle, make_reflection_oracle
 from dhsieve.phase import (
     PhaseBackend,
+    PhaseList,
     PhaseQubit,
     combine,
     negate_label,
     sample_batch,
-    tomography_copies_needed,
 )
 from dhsieve.recover import recover_slope_radix
 from dhsieve.staged import MAX_PASSES, SieveStats
@@ -230,102 +230,129 @@ def test_r2_match_bonus(a, b, t):
     assert alpha_radix(a + b, 2) >= 1
 
 
+def _collector(ctx, batches, k=None):
+    """A readout for greedy_sieve that keeps each batch of targets it is
+    handed, as (label, classical) pairs, draws one uniform per copy from
+    the backend as an observation would, and decides, with the count of
+    targets held, once k or more are held (never when k is None)."""
+    def readout(targets):
+        labels, classical = targets.take()
+        targets.backend.rng.random(len(labels))
+        batches.append([(ctx.reduce(x), c) for x, c in
+                        zip(labels.tolist(), classical.tolist())])
+        held = sum(map(len, batches))
+        return held if k is not None and held >= k else None
+    return readout
+
+
 def test_greedy_sieve_budget_validation():
     obj = RadixObjective(2, 4)
     with pytest.raises(ValueError):
-        greedy_sieve(backend(16, 5), obj, 1, 1)
-    with pytest.raises(ValueError):
-        greedy_sieve(backend(16, 5), obj, 16, max_targets=0)
+        greedy_sieve(backend(16, 5), obj, 1, len)
 
 
 def test_greedy_sieve_no_deadlock_tiny_budget():
-    obj = RadixObjective(2, 3)
-    be = backend(16, 5, seed=1)
-    try:
-        targets, st = greedy_sieve(be, obj, 2, 2)
-        assert targets
-    except SieveExhaustedError:
-        pass  # also acceptable: never hangs
+    # a readout that decides at its first target; two labels may yield
+    # none, and the sieve then returns undecided: it never hangs
+    value, st = greedy_sieve(backend(16, 5, seed=1), RadixObjective(2, 3), 2,
+                             len)
+    assert value is None or value >= 1
 
 
 def test_greedy_sieve_targets_and_stats():
     obj = RadixObjective(2, 9)
     be = backend(1 << 10, 345, seed=2)
-    targets, st = greedy_sieve(be, obj, 1024, 1024)
-    assert targets.labels.tolist() == [1 << 9] * len(targets)
-    assert not targets.consumed
+    batches = []
+    value, st = greedy_sieve(be, obj, 1024, _collector(be.oracle.ctx,
+                                                       batches))
+    held = [x for batch in batches for x in batch]
+    assert value is None and held
+    assert held == [(1 << 9, False)] * len(held)
     assert be.oracle.queries == 1024
 
 
 def test_greedy_sieve_pinned_record():
-    # pinned record; r = 3 exercises the flips and the max_targets stop,
-    # which returns exactly the 4 targets asked for.  Keys to the top
-    # digit paired equal labels first and took 44 combines
+    # pinned record; r = 3 exercises the flips and the stop: the readout
+    # decides at its 4th target, and the first sweep to reach the top
+    # alpha places 23 at once, all its merges made; the sieve stops there
     obj = RadixObjective(3, 5)
     be = backend(3 ** 6, 100, seed=11)
-    targets, st = greedy_sieve(be, obj, 300, max_targets=4)
-    assert targets.labels.tolist() == [243] * 4
-    assert (st.combines, st.work, be.oracle.queries) == (12, 226, 300)
+    batches = []
+    value, st = greedy_sieve(be, obj, 300, _collector(be.oracle.ctx, batches,
+                                                      4))
+    assert batches == [[(243, False)] * 23] and value == 23
+    assert (st.combines, st.work, be.oracle.queries) == (107, 321, 300)
+    assert be.rng.random() == 0.15971464064360485
 
 
 def test_greedy_sieve_pinned_record_below_max_targets():
-    # a sieve that empties its buckets before max_targets: the whole
-    # record, and the generator state after it, are pinned
+    # a sieve whose readout never decides, and draws nothing: it empties
+    # its buckets, and the whole record, and the generator state after
+    # it, are pinned (45 targets from 218 combines)
     obj = RadixObjective(3, 5)
     be = backend(3 ** 6, 100, seed=11)
-    # (25 targets from 220 combines with keys to the top digit)
-    targets, st = greedy_sieve(be, obj, 300, max_targets=50)
-    assert targets.labels.tolist() == [243] * 45
+    kept = []
+    value, st = greedy_sieve(be, obj, 300, kept.append)
+    assert value is None
+    assert np.concatenate([t.labels for t in kept]).tolist() == [243] * 45
     assert (st.combines, st.work, be.oracle.queries) == (218, 663, 300)
     assert be.rng.random() == 0.8106908479800631
 
 
-def _reference_sieve(backend, ref, target, budget, max_targets):
+def _reference_sieve(backend, ref, target, budget, readout):
     """The per-qubit greedy loop greedy_sieve runs on arrays, kept as its
     reference: every qubit is a PhaseQubit, oriented by negate_label,
     tested by the target callback and ranked when it is placed; each
-    merge is one combine, placed as soon as it is made.  Returns
-    (targets, stats, whether the max_targets stop came before the last
-    merge of a sweep)."""
+    merge is one combine, placed as soon as it is made.  The targets of
+    the sample, and of each sweep once its merges are placed, go to
+    readout as one PhaseList.  Returns (the readout's value, or None when
+    the buckets empty first, stats)."""
     stats = SieveStats()
-    targets, buckets = [], defaultdict(list)
+    batch, buckets = [], defaultdict(list)
     zero = backend.oracle.ctx.zero
 
     def place(q):
         if q.label == zero:
-            return False
+            return
         if ref.needs_flip(q.label):
             q = negate_label(q)
         if target(q.label):
-            targets.append(q)
-            return len(targets) >= max_targets
-        buckets[ref.alpha(q.label)].append((ref.key(q.label), q))
-        return False
+            batch.append(q)
+        else:
+            buckets[ref.alpha(q.label)].append((ref.key(q.label), q))
+
+    def read():
+        if not batch:
+            return None
+        for q in batch:
+            q._consume()
+        targets = PhaseList(np.array([q.label for q in batch], dtype=object),
+                            np.array([q.classical for q in batch]), backend)
+        batch.clear()
+        return readout(targets)
 
     labels, classical = sample_batch(backend, budget).take()
     for k, c in zip(labels.tolist(), classical.tolist()):
-        if place(PhaseQubit(backend.oracle.ctx.reduce(k), backend, c)):
-            return targets, stats, False
-    while buckets:
+        place(PhaseQubit(backend.oracle.ctx.reduce(k), backend, c))
+    value = read()
+    while value is None and buckets:
         v = min(buckets)
         group = buckets.pop(v)
-        while len(group) >= 2:
+        while value is None and len(group) >= 2:
             group.sort(key=itemgetter(0))
             stats.work += len(group)
             pairs, _ = _pair_order([_match_len(a[0], b[0])
                                     for a, b in zip(group, group[1:])])
-            for n, (i, j) in enumerate(pairs.tolist()):
+            for i, j in pairs.tolist():
                 stats.combines += 1
                 stats.work += 1
-                if place(combine(group[i][1], group[j][1])):
-                    return targets, stats, n + 1 < len(pairs)
+                place(combine(group[i][1], group[j][1]))
+            value = read()
             lone = np.ones(len(group), dtype=bool)
             lone[pairs] = False
             group = (buckets.pop(v, [])
                      + [group[i] for i in np.flatnonzero(lone)])
-    if not targets:
-        raise SieveExhaustedError("greedy sieve exhausted with no target")
-    return targets, stats, False
+    return value, stats
 
 
 def _radix_case(r, n, t):
@@ -345,12 +372,12 @@ def _coordinate_case(orders, perm):
             lambda k: k[j] != 0 and not any(k[:j] + k[j + 1:]))
 
 
-def _assert_sieves_agree(ctx, case, seed, budget, max_targets,
-                         coin_bias=0.5, corrupted=False):
-    """greedy_sieve against _reference_sieve on twin backends: the same
-    target labels and classical flags, combines, work, queries and next
-    generator draw, or both exhausted.  Returns whether the reference
-    stopped before the last merge of a sweep."""
+def _assert_sieves_agree(ctx, case, seed, budget, k, coin_bias=0.5,
+                         corrupted=False):
+    """greedy_sieve against _reference_sieve on twin backends, each with a
+    _collector readout that decides at k targets: the same batches of
+    target labels and classical flags, value, combines, work, queries
+    and next generator draw.  Returns whether the readout decided."""
     obj, ref, target = case
     s = ctx.reduce(ctx.random_elements(np.random.default_rng(seed), 1)
                    .tolist()[0])
@@ -363,28 +390,20 @@ def _assert_sieves_agree(ctx, case, seed, budget, max_targets,
                             coin_bias=coin_bias)
 
     be, twin = make(), make()
-    try:
-        want, want_st, mid_sweep = _reference_sieve(twin, ref, target,
-                                                    budget, max_targets)
-    except SieveExhaustedError:
-        with pytest.raises(SieveExhaustedError):
-            greedy_sieve(be, obj, budget, max_targets)
-        mid_sweep = False
-    else:
-        got, st = greedy_sieve(be, obj, budget, max_targets)
-        assert ([(ctx.reduce(k), c) for k, c in
-                 zip(got.labels.tolist(), got.classical.tolist())]
-                == [(q.label, q.classical) for q in want])
-        assert (st.combines, st.work) == (want_st.combines, want_st.work)
-        assert not got.consumed and got.backend is be
+    got_batches, want_batches = [], []
+    want, want_st = _reference_sieve(twin, ref, target, budget,
+                                     _collector(ctx, want_batches, k))
+    got, st = greedy_sieve(be, obj, budget, _collector(ctx, got_batches, k))
+    assert got == want and got_batches == want_batches
+    assert (st.combines, st.work) == (want_st.combines, want_st.work)
     assert be.oracle.queries == twin.oracle.queries == budget
     assert be.rng.random() == twin.rng.random()
-    return mid_sweep
+    return got is not None
 
 
-# (group, case, budget, max_targets, coin_bias, corrupted); a sieve never
-# holds its budget of targets, and every case with max_targets below the
-# budget stops mid-sweep at some seed (checked below)
+# (group, case, budget, k, coin_bias, corrupted); a sieve never holds its
+# budget of targets, and every case with k below the budget decides at
+# some seed (checked below)
 _SIEVE_TABLE = [
     (GroupCtx(2 ** 10), _radix_case(2, 10, 9), 300, 300, 0.5, False),
     (GroupCtx(2 ** 10), _radix_case(2, 10, 6), 300, 7, 0.5, False),
@@ -411,17 +430,17 @@ _SIEVE_TABLE = [
 
 @pytest.mark.parametrize("row", range(len(_SIEVE_TABLE)))
 def test_greedy_sieve_matches_reference_table(row):
-    ctx, case, budget, max_targets, coin_bias, corrupted = _SIEVE_TABLE[row]
-    mid = [_assert_sieves_agree(ctx, case, seed, budget, max_targets,
-                                coin_bias, corrupted) for seed in range(4)]
-    assert any(mid) == (max_targets < budget)
+    ctx, case, budget, k, coin_bias, corrupted = _SIEVE_TABLE[row]
+    decided = [_assert_sieves_agree(ctx, case, seed, budget, k, coin_bias,
+                                    corrupted) for seed in range(4)]
+    assert any(decided) == (k < budget)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_greedy_sieve_matches_reference(data):
     # both objectives: radix r in {2, 3, 4, 5, 6} up to 3^40, every coordinate
-    # case; with and without max_targets, honest and biased coins,
+    # case; readouts that decide early or never, honest and biased coins,
     # corrupted oracles
     if data.draw(st.booleans()):
         r = data.draw(st.sampled_from([2, 3, 4, 5, 6]))
@@ -440,30 +459,40 @@ def test_greedy_sieve_matches_reference(data):
 
 @pytest.mark.parametrize("k", [1, 4, 124])
 def test_greedy_sieve_stops_at_the_kth_target(k):
-    # the sieve stops at the k-th target, mid-sweep: the generator state
-    # there, and the combines made, are the per-qubit loop's
+    # the sieve stops after the batch that holds the k-th target: the
+    # sweep that placed it draws all its coins, and none after it; the
+    # generator state there, and the combines made, are the per-qubit
+    # loop's, and fewer than a sieve that never decides makes
     def make():
         return backend(3 ** 8, 4321, seed=1)
 
-    be, twin = make(), make()
-    want, want_st, mid_sweep = _reference_sieve(
+    ctx = GroupCtx(3 ** 8)
+    be, twin, full = make(), make(), make()
+    got_batches, want_batches = [], []
+    want, want_st = _reference_sieve(
         twin, _ReferenceObjective("radix", r=3, target=7),
-        lambda l: l % 3 ** 7 == 0,
-        1944, max_targets=k)
-    targets, st = greedy_sieve(be, RadixObjective(3, 7), 1944,
-                               max_targets=k)
-    assert len(targets) == len(want) == k and mid_sweep
+        lambda l: l % 3 ** 7 == 0, 1944, _collector(ctx, want_batches, k))
+    got, st = greedy_sieve(be, RadixObjective(3, 7), 1944,
+                           _collector(ctx, got_batches, k))
+    held = list(itertools.accumulate(map(len, got_batches)))
+    assert got == want == held[-1] >= k > ([0] + held)[-2]
+    assert got_batches == want_batches
     assert (st.combines, st.work) == (want_st.combines, want_st.work)
     assert be.rng.bit_generator.state == twin.rng.bit_generator.state
+    _, full_st = greedy_sieve(full, RadixObjective(3, 7), 1944,
+                              _collector(ctx, []))
+    assert st.combines < full_st.combines
 
 
 def test_greedy_sieve_stops_in_the_first_placement():
-    # at 3^3 sampled labels already hit the target: the sieve stops while
-    # placing the sample, before any combine
+    # at 3^3 sampled labels already hit the target: the readout decides
+    # on the sample's targets, before any combine
     be = backend(3 ** 3, 7, seed=5)
-    targets, st = greedy_sieve(be, RadixObjective(3, 2), 200,
-                               max_targets=3)
-    assert targets.labels.tolist() == [9] * 3
+    batches = []
+    value, st = greedy_sieve(be, RadixObjective(3, 2), 200,
+                             _collector(be.oracle.ctx, batches, 3))
+    assert len(batches) == 1 and value == len(batches[0]) >= 3
+    assert {label for label, _ in batches[0]} == {9}
     assert (st.combines, be.oracle.queries) == (0, 200)
 
 
@@ -481,7 +510,7 @@ def test_greedy_quasilinear_work():
     obj = RadixObjective(2, 15)
     budget = 4096
     be = backend(1 << 16, 54321, seed=3)
-    _, st = greedy_sieve(be, obj, budget, budget)
+    _, st = greedy_sieve(be, obj, budget, lambda targets: None)
     assert st.work <= 40 * budget * math.log2(budget)
 
 
@@ -493,11 +522,8 @@ def test_greedy_hit_rate_large_budget():
         s = int(rng.integers(0, 1 << 16))
         be = PhaseBackend(make_reflection_oracle(GroupCtx(1 << 16), s), rng=rng)
         obj = RadixObjective(2, 15)
-        try:
-            t, _ = greedy_sieve(be, obj, 3 * 8 ** 4, max_targets=1)
-            hits += bool(t)
-        except SieveExhaustedError:
-            pass
+        value, _ = greedy_sieve(be, obj, 3 * 8 ** 4, len)
+        hits += value is not None
     assert hits >= 18  # >= 90% design point
 
 
@@ -789,36 +815,67 @@ def test_run_radix_recovery_r3():
 
 
 def test_radix_levels_sized_by_demand(monkeypatch):
-    # every level n = 1..8 runs greedy passes until it holds the
-    # copies tomography needs (at most 4 * want), and reports one
-    # SieveStats summed over its passes; at n = 1 every nonzero label is
-    # a target, so that level combines nothing
-    need = tomography_copies_needed(3)
-    held, passes = [], []
+    # every level n = 1..8 runs greedy passes until tomography decides:
+    # each batch of targets goes to tomography_mod_r with the level's one
+    # readout, the last batch decides it and no pass follows, and the
+    # level reports one SieveStats summed over its passes; at n = 1 every
+    # nonzero label is a target, so that level combines nothing (above
+    # it a level may still decide on its sample's targets)
+    reads, passes, combined = [], [], set()
     real_sieve, real_tomo = greedy.greedy_sieve, greedy.tomography_mod_r
 
-    def sieve(*args, **kwargs):
-        out = real_sieve(*args, **kwargs)
-        passes.append(out[1])
+    def sieve(*args):
+        out = real_sieve(*args)
+        passes.append(out)
         return out
 
+    def tomo(targets, r, readout):
+        value = real_tomo(targets, r, readout)
+        reads.append((readout, value))
+        return value
+
     monkeypatch.setattr(greedy, "greedy_sieve", sieve)
-    monkeypatch.setattr(greedy, "tomography_mod_r",
-                        lambda qs, r: held.append(len(qs)) or real_tomo(qs, r))
+    monkeypatch.setattr(greedy, "tomography_mod_r", tomo)
     rng = np.random.default_rng(11)
     for n in range(1, 9):
         for _ in range(10):
             s = int(rng.integers(0, 3 ** n))
             be = PhaseBackend(make_reflection_oracle(GroupCtx(3 ** n), s),
                               rng=rng)
+            reads.clear()
             passes.clear()
             digit, stats = run_radix_recovery(be, 3, n)
             assert digit == s % 3
-            assert stats.combines == sum(p.combines for p in passes)
-            assert (stats.combines > 0) == (n > 1)
-            assert stats.work == sum(p.work for p in passes)
-    assert len(held) == 80
-    assert need <= min(held) and max(held) <= 4 * need
+            assert len({id(readout) for readout, _ in reads}) == 1
+            assert [v for _, v in reads] == [None] * (len(reads) - 1) + [
+                digit]
+            assert [v for v, _ in passes] == ([None] * (len(passes) - 1)
+                                              + [digit])
+            assert stats.combines == sum(p.combines for _, p in passes)
+            assert stats.work == sum(p.work for _, p in passes)
+            if stats.combines:
+                combined.add(n)
+    assert combined == set(range(2, 9))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_radix_levels_at_r8_never_misread(n):
+    # 500 levels of 8^n (secret default_rng([8, n, i]), generator
+    # default_rng([8, n, i, 1])): a fixed 96 copies misread 3 of them at
+    # n = 2 and 2 at n = 3; the stopping rule misreads none, and a level
+    # whose readout stays undecided for MAX_PASSES passes raises
+    N, exhausted = 8 ** n, 0
+    for i in range(500):
+        s = int(np.random.default_rng([8, n, i]).integers(0, N))
+        be = PhaseBackend(make_reflection_oracle(GroupCtx(N), s),
+                          rng=np.random.default_rng([8, n, i, 1]))
+        try:
+            digit, _ = run_radix_recovery(be, 8, n)
+        except SieveExhaustedError:
+            exhausted += 1
+            continue
+        assert digit == s % 8, i
+    assert exhausted <= 2
 
 
 def test_radix_recovery_first_attempt_succeeds():
@@ -834,20 +891,19 @@ def test_radix_recovery_first_attempt_succeeds():
 
 
 def test_radix_level_exhausts_after_max_passes(monkeypatch):
-    # one target per pass never reaches the 20 copies tomography needs at
-    # r = 5 within MAX_PASSES passes
+    # passes whose readout never decides: the level runs MAX_PASSES of
+    # them, each of list_size labels, then raises with their stats summed
     calls = []
 
-    def one_target(backend, obj, budget, max_targets):
-        calls.append(max_targets)
-        return [None], SieveStats(combines=1)
+    def undecided(backend, obj, budget, readout):
+        calls.append(budget)
+        return None, SieveStats(combines=1)
 
-    monkeypatch.setattr(greedy, "greedy_sieve", one_target)
-    assert tomography_copies_needed(5) > MAX_PASSES
-    with pytest.raises(SieveExhaustedError):
+    monkeypatch.setattr(greedy, "greedy_sieve", undecided)
+    with pytest.raises(SieveExhaustedError) as err:
         run_radix_recovery(backend(125, 5), 5, 3)
-    cap = 4 * tomography_copies_needed(5)
-    assert calls == [cap - k for k in range(MAX_PASSES)]
+    assert calls == [list_size(125)] * MAX_PASSES
+    assert err.value.stats.combines == MAX_PASSES
 
 
 def test_run_radix_recovery_n1():
@@ -860,34 +916,22 @@ def test_run_radix_recovery_n1():
 
 def test_default_budget_monotone():
     # the default list size, list_size when no budget is given, grows
-    # with the group and with the copies still needed: copies /
-    # _COPIES_PER_LAW laws, from a floor of _MIN_LAWS laws to a cap of
-    # _MAX_LAWS.  At 3^8 a law is 3^sqrt(2 * 8) = 81 labels: 1 to 9
-    # copies take the 3-law floor, 243; 16 copies (r = 3 tomography)
-    # take 16 / 3 laws, ceil(432.0) = 432; 36 copies and up the 12-law
-    # cap, 972
-    assert list_size(2 ** 8, 1) < list_size(2 ** 16, 1)
+    # with the group: _LAWS laws of 3^sqrt(2 log_3 N) labels.  At 3^8 a
+    # law is 3^sqrt(2 * 8) = 81 labels, so a pass samples 243
+    assert list_size(2 ** 8) < list_size(2 ** 16)
     law = 3.0 ** math.sqrt(2 * math.log(3 ** 8, 3))
-    assert list_size(3 ** 8, 1) == list_size(3 ** 8, 9) == math.ceil(
-        greedy._MIN_LAWS * law) == 243
-    assert list_size(3 ** 8, 16) == math.ceil(16 / greedy._COPIES_PER_LAW
-                                              * law) == 432
-    assert list_size(3 ** 8, 36) == list_size(3 ** 8, 83) == math.ceil(
-        greedy._MAX_LAWS * law) == 972
+    assert list_size(3 ** 8) == math.ceil(greedy._LAWS * law) == 243
 
 
 @pytest.mark.parametrize("r, top", [(2, 20), (3, 8), (5, 4)])
 def test_list_size_holds_copies_within_pass_cap(r, top, monkeypatch):
-    # at every level the rule's passes, each sized for the copies still
-    # needed, hold what tomography needs within MAX_PASSES passes, and
-    # the level reads its digit
-    need = tomography_copies_needed(r)
-    cap = 4 * max(5, need)
+    # at every level the rule's passes, each of list_size labels, decide
+    # the readout within MAX_PASSES passes, and the level reads its digit
     passes, real = [], greedy.greedy_sieve
 
-    def sieve(backend, obj, budget, max_targets):
-        passes.append((budget, max_targets))
-        return real(backend, obj, budget, max_targets)
+    def sieve(backend, obj, budget, readout):
+        passes.append(budget)
+        return real(backend, obj, budget, readout)
 
     monkeypatch.setattr(greedy, "greedy_sieve", sieve)
     for n in range(1, top + 1):
@@ -897,5 +941,4 @@ def test_list_size_holds_copies_within_pass_cap(r, top, monkeypatch):
             digit, _ = run_radix_recovery(backend(r ** n, s, seed), r, n)
             assert digit == s % r
             assert 1 <= len(passes) <= MAX_PASSES
-            assert passes == [(list_size(r ** n, need - (cap - t)), t)
-                              for _, t in passes]
+            assert passes == [list_size(r ** n)] * len(passes)

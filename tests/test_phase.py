@@ -27,9 +27,10 @@ from dhsieve.oracle import (
     make_trivial_oracle,
 )
 from dhsieve.phase import (
+    READOUT_DELTA,
     PhaseBackend,
     PhaseQubit,
-    TOMOGRAPHY_DELTA,
+    Readout,
     combine,
     cosine_observe,
     likelihood_readout,
@@ -38,7 +39,6 @@ from dhsieve.phase import (
     PhaseList,
     sample_batch,
     sample_phase_qubit,
-    tomography_copies_needed,
     tomography_mod_r,
 )
 from dhsieve.staged import estimate_from_quadratures, run_staged_parity
@@ -125,13 +125,27 @@ def _ref_likelihood_readout(qs, labels, M, refs, cands, ll=None):
 
 
 def _ref_tomography_mod_r(qs, r):
+    # the stopping rule one copy at a time: observe each nonzero copy in
+    # turn and add its row, until the best candidate leads the runner-up
+    # by ln((r - 1) / READOUT_DELTA); the copies after it are observed
+    # and ignored.  Returns -1 when no copy decides.
     N = qs[0].backend.oracle.ctx.N
     qs = [q for q in qs if q.label != 0]
     q_step = max(1, N // (2 * r))
     off = int(2 * q_step % r == 0)
     refs = [0] + [((2 * i + 1) * q_step + off) % N for i in range(r)]
-    return int(np.argmax(_ref_likelihood_readout(
-        qs, [q.label for q in qs], N, [(t, t) for t in refs], np.arange(r))))
+    ll, value = np.zeros(r), -1
+    for i, q in enumerate(qs):
+        t = refs[i % len(refs)]
+        if value >= 0:
+            _ref_cosine_observe(q, t)
+            continue
+        ll = _ref_likelihood_readout([q], [q.label], N, [(t, t)],
+                                     np.arange(r), ll)
+        top = np.sort(ll)
+        if top[-1] - top[-2] >= math.log((r - 1) / READOUT_DELTA):
+            value = int(np.argmax(ll))
+    return value
 
 
 def _ref_quadratures(ones, N):
@@ -197,8 +211,14 @@ def _cos_each(points):
 
 
 def _tomography(r):
-    return (lambda plist: tomography_mod_r(plist, r),
-            lambda qs: _ref_tomography_mod_r(qs, r))
+    # -1 when the copies leave the readout undecided
+    def run(plist):
+        try:
+            return tomography_mod_r(plist, r)
+        except InsufficientCopiesError:
+            return -1
+
+    return run, lambda qs: _ref_tomography_mod_r(qs, r)
 
 
 def _quadratures(N):
@@ -354,7 +374,6 @@ def test_list_readouts_match_per_qubit_references_hypothesis(data):
         r, n = data.draw(st.sampled_from([(2, 6), (3, 5), (3, 40)]))
         ctx, step = GroupCtx(r ** n), r ** (n - 1)
         s = data.draw(st.integers(0, ctx.N - 1))
-        count = max(count, tomography_copies_needed(r))
         labels = [step * (1 + i % (r - 1)) for i in range(count)]
         classical = (classical * count)[:count]
         readout = _tomography(r)
@@ -461,8 +480,7 @@ def test_digit_readouts_return_python_ints():
         bit, _ = run_staged_parity(backend(1 << n, (1 << n) - 1, seed=n), n)
         assert type(bit) is int
     for N, r in ((2 ** 64, 2), (3 ** 4, 3), (3 ** 40, 3)):
-        labels = [N // r * (1 + i % (r - 1))
-                  for i in range(tomography_copies_needed(r))]
+        labels = [N // r * (1 + i % (r - 1)) for i in range(64)]
         digit = tomography_mod_r(copies(labels, backend(N, N // 5)), r)
         assert type(digit) is int
 
@@ -602,8 +620,7 @@ def test_tomography_r3():
     N = 3 ** 4
     for s in (17, 30, 55):
         be = backend(N, s, seed=9)
-        need = tomography_copies_needed(3)
-        qs = copies([(N // 3) * (1 + i % 2) for i in range(need)], be)
+        qs = copies([(N // 3) * (1 + i % 2) for i in range(64)], be)
         assert tomography_mod_r(qs, 3) == s % 3
 
 
@@ -612,9 +629,10 @@ def test_tomography_even_radix_tells_s_from_minus_s(r):
     # only t mod r of a reference t reaches the bits, and at N >= r^2 the
     # odd multiples of N // 2r all lie at 0 or r/2 mod r, where c and -c
     # give the same cosines: with references there, 236, 319 and 354 of
-    # 1,000 such readouts at N = r^2 returned -s mod r.  Now at most the
-    # readout's TOMOGRAPHY_DELTA share of these 60 may miss.
-    need, wrong = tomography_copies_needed(r), 0
+    # 1,000 such readouts at N = r^2 returned -s mod r.  Now the readout
+    # decides on at most 400 copies, and its READOUT_DELTA share of these
+    # 60 rounds down to no miss
+    wrong = 0
     for n in (1, 2, 3):
         N = r ** n
         for i in range(20):
@@ -622,9 +640,9 @@ def test_tomography_even_radix_tells_s_from_minus_s(r):
             s = int(rng.integers(0, N))
             be = PhaseBackend(make_reflection_oracle(GroupCtx(N), s), rng=rng)
             qs = copies([(N // r) * int(w)
-                         for w in rng.integers(1, r, size=need)], be)
+                         for w in rng.integers(1, r, size=400)], be)
             wrong += tomography_mod_r(qs, r) != s % r
-    assert wrong <= 60 * TOMOGRAPHY_DELTA
+    assert wrong <= 60 * READOUT_DELTA
 
 
 @pytest.mark.parametrize("n", [30, 38])
@@ -633,13 +651,13 @@ def test_tomography_exact_past_int64(n):
     # the turn must be reduced in exact integers: with exact turns all 40
     # cases read s mod 3 right, with an int64 turn 11 of the 20 at n = 30
     # read it wrong.
-    N, need = 3 ** n, tomography_copies_needed(3)
+    N = 3 ** n
     for i in range(20):
         rng = np.random.default_rng([n, i])
         s = int(rng.integers(0, N))
         be = PhaseBackend(make_reflection_oracle(GroupCtx(N), s), rng=rng)
         qs = copies([(N // 3) * int(w)
-                     for w in rng.integers(1, 3, size=need)], be)
+                     for w in rng.integers(1, 3, size=64)], be)
         assert tomography_mod_r(qs, 3) == s % 3, (n, i)
 
 
@@ -763,21 +781,76 @@ def test_tomography_insufficient():
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 8])
 def test_tomography_reads_only_nonzero_copies(r):
-    # a label-0 copy carries nothing about s: however many a list holds,
-    # fewer than the needed nonzero copies raise (r = 3, 4 and 5 read 0
-    # from 16-24 of them, where s mod r was not 0), and with enough the
-    # zeros are dropped unobserved: the same answer and next draw as
-    # the nonzero copies alone
-    N, need = r ** 3, tomography_copies_needed(r)
-    step, s = N // r, N - 1
-    nonzero = [step * (1 + i % (r - 1)) for i in range(need)]
-    for labels in ([0] * (need + 8), [0] * 8 + nonzero[1:]):
-        with pytest.raises(InsufficientCopiesError):
-            tomography_mod_r(copies(labels, backend(N, s)), r)
+    # a label-0 copy carries nothing about s: a list of them leaves the
+    # readout undecided and raises, and mixed in with nonzero copies they
+    # are dropped unobserved: the same answer and next draw as the
+    # nonzero copies alone
+    N, s = r ** 3, r ** 3 - 1
+    nonzero = [N // r * (1 + i % (r - 1)) for i in range(400)]
+    with pytest.raises(InsufficientCopiesError):
+        tomography_mod_r(copies([0] * 400, backend(N, s)), r)
     be, twin = backend(N, s), backend(N, s)
     assert (tomography_mod_r(copies([0] * 8 + nonzero, be), r)
-            == tomography_mod_r(copies(nonzero, twin), r))
+            == tomography_mod_r(copies(nonzero, twin), r) == s % r)
     assert be.rng.random() == twin.rng.random()
+
+
+def _scalar_stop(qs, labels, M, refs, cands):
+    # reference: _scalar_readout one copy at a time, stopped at the first
+    # copy where the best candidate leads the runner-up by
+    # ln((C - 1) / READOUT_DELTA).  Returns (value or None, ll, copies
+    # read).
+    ll, lead = np.zeros(len(cands)), math.log((len(cands) - 1) / READOUT_DELTA)
+    for i, (q, x) in enumerate(zip(qs, labels)):
+        ll = np.array(_scalar_readout([q], [x], M, [refs[i % len(refs)]],
+                                      cands, ll))
+        top = np.sort(ll)
+        if top[-1] - top[-2] >= lead:
+            return int(cands[np.argmax(ll)]), ll, i + 1
+    return None, ll, len(qs)
+
+
+@pytest.mark.parametrize("split", [[40], [1] * 40, [7, 3, 12, 18]])
+def test_readout_stops_at_the_first_deciding_copy(split):
+    # Z16 coordinate readout of s = 11 from copies of labels 1..8, every
+    # fifth classical, observed in batches of the given sizes: each batch
+    # starts where the last ended in the reference cycle, the readout
+    # stops at the copy the scalar loop stops at, and once decided it is
+    # handed no more batches
+    o = make_reflection_oracle(AbelianGroupSpec((4, 16)), (3, 11))
+    refs = [(t, (0, t)) for t in (0, 4, 5)]
+    ks = [1 + i % 8 for i in range(40)]
+    mask = [i % 5 == 0 for i in range(40)]
+    be = PhaseBackend(o, rng=np.random.default_rng(3))
+    readout, at = Readout(16, refs, np.arange(16)), 0
+    for size in split:
+        if readout.value is not None:
+            break
+        part = copies([(0, k) for k in ks[at:at + size]], be,
+                      mask[at:at + size])
+        readout.observe(part, part.labels[:, 1])
+        at += size
+    twin = PhaseBackend(o, rng=np.random.default_rng(3))
+    value, ll, read = _scalar_stop(
+        [PhaseQubit((0, k), twin, c) for k, c in zip(ks, mask)], ks, 16,
+        refs, np.arange(16))
+    assert (readout.value, readout.read) == (value, read) == (11, read)
+    assert read < 40
+    assert readout.ll == pytest.approx(ll, rel=1e-12, abs=1e-12)
+
+
+def test_readout_margin_grows_with_candidates():
+    # two candidates stop at a lead of ln(1 / 0.002) = 6.2, 64 at
+    # ln(63 / 0.002) = 10.4; one honest r = 2 copy (a 0/1 bit against
+    # the clipped 1e-9) leads by 20.7 and decides alone
+    assert Readout(2, [(0, 0)], np.arange(2))._lead == pytest.approx(
+        math.log(500))
+    assert Readout(64, [(0, 0)], np.arange(64))._lead == pytest.approx(
+        math.log(63 / READOUT_DELTA))
+    be = backend(32, 21, seed=2)
+    readout = Readout(32, [(0, 0)], np.arange(2))
+    assert readout.observe(copies([16, 16, 16], be), [16, 16, 16]) == 1
+    assert readout.read == 1
 
 
 @pytest.mark.parametrize("bias", [1.5, -0.1, float("nan")])

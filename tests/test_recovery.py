@@ -1,6 +1,7 @@
 """End-to-end secret recovery: power-of-two recursion, general N,
 hidden substrings through spliced oracles, and abelian hidden shifts."""
 
+import itertools
 import math
 
 import numpy as np
@@ -26,12 +27,7 @@ from dhsieve.oracle import (
     shift_to_dihedral,
     splice_substring,
 )
-from dhsieve.phase import (
-    PhaseBackend,
-    PhaseList,
-    tomography_copies_needed,
-    tomography_mod_r,
-)
+from dhsieve.phase import PhaseBackend, PhaseList, Readout, tomography_mod_r
 from dhsieve.recover import (
     recover_slope_general,
     recover_slope_power2,
@@ -132,8 +128,7 @@ def test_numpy_radix_and_parity_past_int64(monkeypatch):
     for parity, r in ((p, 3), (p, np.int64(3)), (np.int64(p), 3)):
         sub = restrict_reflection(o, parity, r)
         assert sub.ctx.N == N // 3 and verify_reflection(sub, (s - p) // 3)
-    labels = [(N // 3) * (1 + i % 2)
-              for i in range(tomography_copies_needed(3))]
+    labels = [(N // 3) * (1 + i % 2) for i in range(64)]
     for r in (3, np.int64(3)):
         copies = PhaseList(np.array(labels, dtype=int_dtype(N)),
                            np.zeros(len(labels), dtype=bool),
@@ -150,6 +145,21 @@ def test_numpy_radix_and_parity_past_int64(monkeypatch):
     recover_slope_radix(o, np.int64(3), 41)
     recover_slope_radix(o, np.int64(3), np.int64(41))
     assert reached == [o, o]
+
+
+def test_numpy_level_count_past_int64(monkeypatch):
+    # at N = 2^70, 1 << np.int64(70) wraps in int64, so
+    # recover_slope_power2 must read a numpy level count as the Python int
+    # it stands for: numpy and int arguments both reach the retry loop
+    o = make_reflection_oracle(GroupCtx(1 << 70), 12345)
+    reached = []
+    monkeypatch.setattr(recover, "_las_vegas",
+                        lambda o, attempt, max_retries: reached.append(o))
+    recover_slope_power2(o, 70)
+    recover_slope_power2(o, np.int64(70))
+    assert reached == [o, o]
+    with pytest.raises(ValueError, match="not 2\\^n"):
+        recover_slope_power2(o, np.int64(69))
 
 
 @pytest.mark.parametrize("r, n", [(4, 3), (6, 3), (10, 2)])
@@ -214,16 +224,15 @@ def test_general_pinned_queries(N, s, queries):
 
 
 @pytest.mark.parametrize("i, s, attempts, queries", [
-    (0, 716, 1, 1446), (1, 2981, 1, 1446), (2, 2738, 1, 1446)])
+    (0, 716, 1, 815), (1, 2981, 1, 815), (2, 2738, 1, 815)])
 def test_radix_pinned_queries(i, s, attempts, queries):
-    # a change to the list-size rule, or one that leaves a level short
-    # after its first pass, moves these counts (r = 3, n = 8; secrets
-    # from default_rng([3^8, i])).  Level m runs passes of
-    # list_size(3^m, 16 - held) labels until it holds the 16 copies
-    # tomography needs.  Each first pass samples 16 / 3 laws of
-    # 3^sqrt(2m) labels, 432, 326, 240, 173, 120, 79, 48 and 26 at
-    # m = 8..1, and holds 16 to 44 copies, so no level takes a second
-    # pass; the answer costs one verification pair: 1444 + 2 = 1446
+    # a change to the list-size rule, or one that leaves a level's
+    # readout undecided after its first pass, moves these counts (r = 3,
+    # n = 8; secrets from default_rng([3^8, i])).  Level m runs passes of
+    # list_size(3^m) labels, 3 laws of 3^sqrt(2m): 243, 183, 135, 97,
+    # 68, 45, 27 and 15 at m = 8..1, until its readout decides.  Every
+    # level decides in its first pass, and the answer costs one
+    # verification pair: 813 + 2 = 815
     N = 3 ** 8
     assert int(np.random.default_rng([N, i]).integers(0, N)) == s
     o = make_reflection_oracle(GroupCtx(N), s)
@@ -233,12 +242,12 @@ def test_radix_pinned_queries(i, s, attempts, queries):
 
 
 @pytest.mark.parametrize("i, s, attempts, queries", [
-    (0, (5, 7), 1, 438), (1, (1, 1), 1, 438), (2, (2, 6), 1, 438)])
+    (0, (5, 7), 1, 166), (1, (1, 1), 1, 166), (2, (2, 6), 1, 166)])
 def test_abelian_pinned_queries(i, s, attempts, queries):
     # Z16 + Z9, secrets from default_rng([144, i]): each coordinate's
-    # first pass samples list_size(144, 24) = 218 labels (24 / 3 laws of
-    # 27.2) and holds its 24 copies, and the answer costs one
-    # verification pair: 2 * 218 + 2 = 438
+    # first pass samples list_size(144) = 82 labels (3 laws of 27.2) and
+    # its readout decides on them, and the answer costs one verification
+    # pair: 2 * 82 + 2 = 166
     gen = np.random.default_rng([144, i])
     assert tuple(int(gen.integers(0, n)) for n in (16, 9)) == s
     p = make_shift_pair(AbelianGroupSpec((16, 9)), s)
@@ -246,32 +255,47 @@ def test_abelian_pinned_queries(i, s, attempts, queries):
     assert (got, rep.attempts, rep.queries) == (s, attempts, queries)
 
 
+def test_abelian_z64_coordinate_first_attempts():
+    # Z64 + Z3, secrets from default_rng([192, i]): the Z64 readout stops
+    # once its best candidate leads by ln(63 / READOUT_DELTA), where a
+    # fixed 24 copies misread it in about 5% of recoveries (380 of 400
+    # first attempts verified); at most one of these 200 may retry
+    A, first = AbelianGroupSpec((64, 3)), 0
+    for i in range(200):
+        gen = np.random.default_rng([192, i])
+        s = tuple(int(gen.integers(0, n)) for n in (64, 3))
+        got, rep = solve_abelian_shift(
+            make_shift_pair(A, s), rng=np.random.default_rng([192, i, 1]))
+        assert got == s
+        first += rep.attempts == 1
+    assert first >= 199
+
+
 _ABELIAN_GROUPS = [(16, 9), (8, 27), (5, 7, 4), (64, 3), (2, 2, 2, 2)]
 
 
 @pytest.mark.parametrize("small", [False, True])
 def test_coordinate_sieve_reads_exactly_its_copies(monkeypatch, small):
-    # each coordinate sieve runs greedy passes (run_passes), each sized by
-    # list_size for the copies still needed, until it holds exactly
-    # _COORDINATE_COPIES, and its readout reads them all.  Under the rule
-    # one pass holds them at every coordinate of the four larger groups,
-    # and Z2^4's 95-label passes take one or two; with the rule patched
-    # to 32-label passes, every coordinate takes two to six
-    need = recover._COORDINATE_COPIES
-    passes, read = [], []
-    real_sieve, real_readout = recover.greedy_sieve, recover.likelihood_readout
-    size = (lambda order, copies: 32) if small else list_size
+    # each coordinate sieve runs greedy passes (run_passes) of list_size
+    # labels, each handing every batch of targets to the coordinate's one
+    # readout, until it decides: the last batch decides it, no pass
+    # follows, and the readout reads its copies up to the deciding one.
+    # Under the rule one or two passes decide every coordinate of the
+    # five groups; with the rule patched to 16-label passes, 1 to 13
+    passes, batches = [], []
+    real_sieve, real_observe = recover.greedy_sieve, Readout.observe
+    size = (lambda order: 16) if small else list_size
 
-    def sieve(backend, obj, budget, max_targets):
-        passes.append((budget, max_targets))
-        return real_sieve(backend, obj, budget, max_targets)
+    def sieve(backend, obj, budget, readout):
+        passes.append(budget)
+        return real_sieve(backend, obj, budget, readout)
 
-    def readout(plist, *args):
-        read.append(len(plist))
-        return real_readout(plist, *args)
+    def observe(self, plist, labels):
+        batches.append((self, self.read, len(plist)))
+        return real_observe(self, plist, labels)
 
     monkeypatch.setattr(recover, "greedy_sieve", sieve)
-    monkeypatch.setattr(recover, "likelihood_readout", readout)
+    monkeypatch.setattr(Readout, "observe", observe)
     monkeypatch.setattr(recover, "list_size", size)
     counts = set()
     for orders in _ABELIAN_GROUPS:
@@ -280,31 +304,42 @@ def test_coordinate_sieve_reads_exactly_its_copies(monkeypatch, small):
         for j in range(A.rank):
             for seed in range(8):
                 passes.clear()
-                recover._coordinate_slope(
+                batches.clear()
+                got = recover._coordinate_slope(
                     o, A, j, np.random.default_rng([seed, j]))
+                assert got == 1 % orders[j]
                 counts.add(len(passes))
-                assert passes == [(size(A.size, t), t) for _, t in passes]
-                assert passes[0][1] == need
-    assert read and set(read) == {need}
-    assert counts == ({2, 3, 4, 5, 6} if small else {1, 2})
+                assert passes == [size(A.size)] * len(passes)
+                readout = batches[0][0]
+                assert {id(b[0]) for b in batches} == {id(readout)}
+                assert readout.value == got
+                # each batch starts where the one before ended, and the
+                # last is read up to the deciding copy
+                assert [b[1] for b in batches] == list(itertools.accumulate(
+                    [0] + [b[2] for b in batches[:-1]]))
+                assert batches[-1][1] < readout.read <= sum(
+                    b[2] for b in batches)
+    if small:
+        assert set(range(1, 11)) <= counts and max(counts) <= MAX_PASSES
+    else:
+        assert counts == {1, 2}
 
 
 def test_coordinate_sieve_exhausts_after_max_passes(monkeypatch):
-    # one target per pass never reaches _COORDINATE_COPIES: the sieve
-    # raises after MAX_PASSES passes, with their stats summed
+    # passes whose readout never decides: the sieve raises after
+    # MAX_PASSES passes, with their stats summed
     calls = []
 
-    def one_target(backend, obj, budget, max_targets):
-        calls.append(max_targets)
-        return [None], SieveStats(combines=1, work=3)
+    def undecided(backend, obj, budget, readout):
+        calls.append(budget)
+        return None, SieveStats(combines=1, work=3)
 
-    monkeypatch.setattr(recover, "greedy_sieve", one_target)
+    monkeypatch.setattr(recover, "greedy_sieve", undecided)
     A = AbelianGroupSpec((16, 9))
     o = shift_to_dihedral(make_shift_pair(A, (5, 7)))
     with pytest.raises(SieveExhaustedError) as err:
         recover._coordinate_slope(o, A, 1, np.random.default_rng(0))
-    need = recover._COORDINATE_COPIES
-    assert calls == [need - k for k in range(MAX_PASSES)]
+    assert calls == [list_size(A.size)] * MAX_PASSES
     assert (err.value.stats.combines, err.value.stats.work) == (
         MAX_PASSES, 3 * MAX_PASSES)
 

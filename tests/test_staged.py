@@ -270,7 +270,7 @@ def test_staged_parity_stops_at_the_first_target_pass(n, seed, want_passes):
     for k in range(passes):
         got, pass_st = _parity_pass(twin, size, stage_windows(n, m),
                                     1 << (n - 1))
-        assert len(got) == (k == passes - 1)
+        assert (got is not None) == (k == passes - 1)
         totals += pass_st
     assert twin.oracle.queries == be.oracle.queries
     assert st.list_sizes == totals.list_sizes
