@@ -392,9 +392,10 @@ def main(argv=None):
         args = build_parser().parse_args(
             argv[:1] + _config_flags(argv[1:]) + argv[1:])
         return COMMANDS[args.command](args)
-    except (UsageError, ValueError, OSError) as exc:
-        # library input checks raise ValueError and a path that cannot be
-        # opened raises OSError: a bad value, not a crash
+    except (UsageError, ValueError, OSError, MemoryError) as exc:
+        # library input checks raise ValueError, a path that cannot be
+        # opened raises OSError, and an instance too large to hold raises
+        # MemoryError: a bad value, not a crash
         print(f"{where}: {exc}", file=sys.stderr)
         return 2
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .phase import (
     PhaseList,
+    Readout,
     combine,  # noqa: F401  (bound here for perfbench's tracer)
-    residue_readout,
     sample_batch,
     tomography_mod_r,
 )
@@ -289,7 +289,7 @@ def run_radix_recovery(backend, r, n, budget=None):
     if n == 0:
         return 0, SieveStats()
     obj = RadixObjective(r, n - 1)
-    readout = residue_readout(N, r)
+    readout = Readout(N, range(r))
     return run_passes(lambda: greedy_sieve(
         backend, obj, budget or list_size(N),
         lambda targets: tomography_mod_r(targets, r, readout)))

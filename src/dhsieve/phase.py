@@ -207,20 +207,9 @@ def cosine_observe(plist, t):
     return _observe(plist, t)
 
 
-def residue_readout(N, r):
-    """The Readout of s mod r from labels that are multiples of N/r, at 0
-    and odd multiples of floor(N/(2r)).  Only t mod r of a reference t
-    reaches the bits, and with 2t = 0 mod r c and -c read alike: even r
-    at N >= r^2 puts every odd multiple there, so those move up by 1."""
-    q_step = max(1, N // (2 * r))
-    off = int(2 * q_step % r == 0)
-    refs = [0] + [((2 * i + 1) * q_step + off) % N for i in range(r)]
-    return Readout(N, [(t, t) for t in refs], np.arange(r))
-
-
 def tomography_mod_r(plist, r, readout=None):
     """Read s mod r from a list whose labels are multiples of N/r: add the
-    copies, in order, to readout (a new residue_readout(N, r) when None)
+    copies, in order, to readout (a new Readout(N, range(r)) when None)
     and return its value, None while it is undecided.  A label-0 copy
     carries nothing about s: those are dropped unobserved.  A new readout
     must be decided by the list, or InsufficientCopiesError is raised.
@@ -240,7 +229,7 @@ def tomography_mod_r(plist, r, readout=None):
         raise ValueError("label is not a multiple of N/r")
     fresh = readout is None
     if fresh:
-        readout = residue_readout(N, r)
+        readout = Readout(N, range(r))
     labels, classical = plist.take()
     nonzero = labels != 0
     labels, classical = labels[nonzero], classical[nonzero]
@@ -253,18 +242,20 @@ def tomography_mod_r(plist, r, readout=None):
 
 class Readout:
     """Sequential maximum-likelihood readout of a slope mod M over the
-    candidates cands: copy i of all observed is read at refs[i % len(refs)]
-    (pairs as likelihood_readout takes), ll sums the copies' rows, read
-    counts them, and value is None until the first copy where the best
-    candidate leads by ln((C - 1) / READOUT_DELTA), then that candidate."""
+    residues 0..C-1, C = len(points): copy i of all observed is scored at
+    reference i mod C and observed at points[i mod C], its point as
+    cosine_observe takes it (only t mod C of a reference t reaches a copy
+    whose label is a multiple of M/C, so every residue is read in turn);
+    ll sums the copies' rows, read counts them, and value is None until
+    the first copy where the best residue leads by
+    ln((C - 1) / READOUT_DELTA), then that residue."""
 
-    def __init__(self, M, refs, cands):
-        self.M, self.refs = M, refs
-        self.cands = np.asarray(cands)
-        self.ll = np.zeros(len(self.cands))
+    def __init__(self, M, points):
+        self.M, self.refs = M, list(enumerate(points))
+        self.ll = np.zeros(len(self.refs))
         self.read = 0
         self.value = None
-        self._lead = math.log((len(self.cands) - 1) / READOUT_DELTA)
+        self._lead = math.log((len(self.refs) - 1) / READOUT_DELTA)
 
     def observe(self, plist, labels):
         """Observe the copies of plist, whose labels mod M are labels, in
@@ -273,13 +264,13 @@ class Readout:
         k = self.read % len(self.refs)
         refs = self.refs[k:] + self.refs[:k]
         for rows in _likelihood_rows(plist, labels, self.M, refs,
-                                     self.cands, self.ll):
+                                     np.arange(len(self.refs)), self.ll):
             top = np.partition(rows, -2, axis=1)
             hit = np.flatnonzero(top[:, -1] - top[:, -2] >= self._lead)
             last = hit[0] if len(hit) else len(rows) - 1
             self.ll, self.read = rows[last].copy(), self.read + last + 1
             if len(hit):
-                self.value = int(self.cands[np.argmax(self.ll)])
+                self.value = int(np.argmax(self.ll))
                 break
         return self.value
 

@@ -303,9 +303,8 @@ def _coordinate_slope(o, A, j, rng):
     obj = CoordinateObjective(
         A.orders, tuple([i for i in range(rank) if i != j] + [j]))
     backend = PhaseBackend(o, rng=rng)
-    refs = [(t, tuple(t if i == j else 0 for i in range(rank)))
-            for t in sorted({0, max(1, Nj // 4), max(1, Nj // 3)})]
-    readout = Readout(Nj, refs, np.arange(Nj))
+    readout = Readout(Nj, [tuple(t if i == j else 0 for i in range(rank))
+                           for t in range(Nj)])
     value, _ = run_passes(lambda: greedy_sieve(
         backend, obj, list_size(A.size),
         lambda targets: readout.observe(targets, targets.labels[:, j])))

@@ -356,6 +356,12 @@ RADIX_ARGV = [
     ["scaling", "--in", "{tmp}/negative.csv"],
     *UNREAD_FLAG_ARGV,
     *RADIX_ARGV,
+    # N = 3 * 2^40: the general-N candidate window, about N/2 entries,
+    # which a rank-1 abelian group builds too, does not fit in memory
+    ["simulate", "--algorithm", "general", "--N", "3298534883328",
+     "--trials", "1", "--seed", "1"],
+    ["simulate", "--algorithm", "abelian", "--orders", "3298534883328",
+     "--trials", "1", "--seed", "1"],
 ])
 def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "no-mean.csv").write_text(

@@ -125,18 +125,15 @@ def _ref_likelihood_readout(qs, labels, M, refs, cands, ll=None):
 
 
 def _ref_tomography_mod_r(qs, r):
-    # the stopping rule one copy at a time: observe each nonzero copy in
-    # turn and add its row, until the best candidate leads the runner-up
-    # by ln((r - 1) / READOUT_DELTA); the copies after it are observed
-    # and ignored.  Returns -1 when no copy decides.
+    # the stopping rule one copy at a time: observe nonzero copy i at
+    # reference i mod r and add its row, until the best candidate leads
+    # the runner-up by ln((r - 1) / READOUT_DELTA); the copies after it
+    # are observed and ignored.  Returns -1 when no copy decides.
     N = qs[0].backend.oracle.ctx.N
     qs = [q for q in qs if q.label != 0]
-    q_step = max(1, N // (2 * r))
-    off = int(2 * q_step % r == 0)
-    refs = [0] + [((2 * i + 1) * q_step + off) % N for i in range(r)]
     ll, value = np.zeros(r), -1
     for i, q in enumerate(qs):
-        t = refs[i % len(refs)]
+        t = i % r
         if value >= 0:
             _ref_cosine_observe(q, t)
             continue
@@ -626,12 +623,13 @@ def test_tomography_r3():
 
 @pytest.mark.parametrize("r", [4, 6, 8])
 def test_tomography_even_radix_tells_s_from_minus_s(r):
-    # only t mod r of a reference t reaches the bits, and at N >= r^2 the
-    # odd multiples of N // 2r all lie at 0 or r/2 mod r, where c and -c
-    # give the same cosines: with references there, 236, 319 and 354 of
-    # 1,000 such readouts at N = r^2 returned -s mod r.  Now the readout
-    # decides on at most 400 copies, and its READOUT_DELTA share of these
-    # 60 rounds down to no miss
+    # only t mod r of a reference t reaches the bits, and c and -c give
+    # the same cosines at t = 0 or r/2 mod r: references all there (the
+    # odd multiples of N // 2r at N >= r^2) read 236, 319 and 354 of
+    # 1,000 such readouts at N = r^2 as -s mod r.  The readout reads copy
+    # i at t = i mod r, every residue in turn, decides on at most 400
+    # copies, and its READOUT_DELTA share of these 60 rounds down to no
+    # miss
     wrong = 0
     for n in (1, 2, 3):
         N = r ** n
@@ -647,10 +645,10 @@ def test_tomography_even_radix_tells_s_from_minus_s(r):
 
 @pytest.mark.parametrize("n", [30, 38])
 def test_tomography_exact_past_int64(n):
-    # at N = 3^n a label times a reference (about 3^(2n)) wraps int64, so
-    # the turn must be reduced in exact integers: with exact turns all 40
-    # cases read s mod 3 right, with an int64 turn 11 of the 20 at n = 30
-    # read it wrong.
+    # references lie below r, so a label times a reference (about 3^(n+1))
+    # stays in int64, but the observation's k (s - t) (about 3^(2n))
+    # wraps it, so the turn must be reduced in exact integers: with exact
+    # turns all 40 cases read s mod 3 right
     N = 3 ** n
     for i in range(20):
         rng = np.random.default_rng([n, i])
@@ -812,17 +810,18 @@ def _scalar_stop(qs, labels, M, refs, cands):
 
 @pytest.mark.parametrize("split", [[40], [1] * 40, [7, 3, 12, 18]])
 def test_readout_stops_at_the_first_deciding_copy(split):
-    # Z16 coordinate readout of s = 11 from copies of labels 1..8, every
-    # fifth classical, observed in batches of the given sizes: each batch
-    # starts where the last ended in the reference cycle, the readout
-    # stops at the copy the scalar loop stops at, and once decided it is
-    # handed no more batches
+    # Z16 coordinate readout of s = 11 from copies of labels 1..9 (a
+    # period prime to the 16 references, so each label meets every
+    # reference), every fifth classical, observed in batches of the given
+    # sizes: each batch starts where the last ended in the reference
+    # cycle, the readout stops at the copy the scalar loop stops at (the
+    # 15th), and once decided it is handed no more batches
     o = make_reflection_oracle(AbelianGroupSpec((4, 16)), (3, 11))
-    refs = [(t, (0, t)) for t in (0, 4, 5)]
-    ks = [1 + i % 8 for i in range(40)]
+    points = [(0, t) for t in range(16)]
+    ks = [1 + i % 9 for i in range(40)]
     mask = [i % 5 == 0 for i in range(40)]
     be = PhaseBackend(o, rng=np.random.default_rng(3))
-    readout, at = Readout(16, refs, np.arange(16)), 0
+    readout, at = Readout(16, points), 0
     for size in split:
         if readout.value is not None:
             break
@@ -833,9 +832,8 @@ def test_readout_stops_at_the_first_deciding_copy(split):
     twin = PhaseBackend(o, rng=np.random.default_rng(3))
     value, ll, read = _scalar_stop(
         [PhaseQubit((0, k), twin, c) for k, c in zip(ks, mask)], ks, 16,
-        refs, np.arange(16))
-    assert (readout.value, readout.read) == (value, read) == (11, read)
-    assert read < 40
+        list(enumerate(points)), np.arange(16))
+    assert (readout.value, readout.read) == (value, read) == (11, 15)
     assert readout.ll == pytest.approx(ll, rel=1e-12, abs=1e-12)
 
 
@@ -843,12 +841,11 @@ def test_readout_margin_grows_with_candidates():
     # two candidates stop at a lead of ln(1 / 0.002) = 6.2, 64 at
     # ln(63 / 0.002) = 10.4; one honest r = 2 copy (a 0/1 bit against
     # the clipped 1e-9) leads by 20.7 and decides alone
-    assert Readout(2, [(0, 0)], np.arange(2))._lead == pytest.approx(
-        math.log(500))
-    assert Readout(64, [(0, 0)], np.arange(64))._lead == pytest.approx(
+    assert Readout(2, range(2))._lead == pytest.approx(math.log(500))
+    assert Readout(64, range(64))._lead == pytest.approx(
         math.log(63 / READOUT_DELTA))
     be = backend(32, 21, seed=2)
-    readout = Readout(32, [(0, 0)], np.arange(2))
+    readout = Readout(32, range(2))
     assert readout.observe(copies([16, 16, 16], be), [16, 16, 16]) == 1
     assert readout.read == 1
 
