@@ -14,8 +14,9 @@ class BackendMismatchError(DhsieveError):
 
 
 class SieveExhaustedError(DhsieveError):
-    """A sieve run produced no target qubit; the caller may retry.  stats
-    is the run's SieveStats summed over its passes, when it ran any."""
+    """A sieve's demand stayed unmet after its last pass (run_passes);
+    the caller may retry.  stats is the run's SieveStats summed over its
+    passes, when it ran any."""
 
     def __init__(self, message, stats=None):
         super().__init__(message)

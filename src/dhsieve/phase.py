@@ -91,7 +91,7 @@ class PhaseList:
     bits, an object array past that, a (count, rank) matrix on an
     abelian group), the classical mask of corrupted qubits, and the
     backend.  Labels are classical information, readable at any time;
-    the qubits are consumed whole, by take, qubits, join or an
+    the qubits are consumed whole, by take, qubits or an
     observation, and a second use raises QubitConsumedError."""
 
     __slots__ = ("labels", "classical", "backend", "consumed")
@@ -130,13 +130,6 @@ class PhaseList:
         dtype = int_dtype(backend.oracle.ctx.N)
         return cls(np.array([q.label for q in qubits], dtype),
                    np.array([q.classical for q in qubits], bool), backend)
-
-    @classmethod
-    def join(cls, parts):
-        """Consume lists of one backend into one, in order."""
-        cols = [p.take() for p in parts]
-        return cls(np.concatenate([c[0] for c in cols]),
-                   np.concatenate([c[1] for c in cols]), parts[0].backend)
 
 
 def sample_phase_qubit(backend):
@@ -275,15 +268,14 @@ class Readout:
         return self.value
 
 
-def likelihood_readout(plist, labels, M, refs, cands, ll=None):
+def likelihood_readout(plist, labels, M, refs, cands, ll):
     """The maximum-likelihood readout of a slope mod M.  One
     cosine_observe call observes copy i at refs[i % len(refs)], a pair
     (t in Z/M, the point cosine_observe takes: t itself on D_N).  Adds to
-    ll (zeros when None, returned), for each candidate c, the
+    ll, in place (and returns it), for each candidate c, the
     log-likelihood of the bits under the exact turn ((labels[i] * (c - t))
     mod M) / M, clipped so one unlucky bit cannot veto c (the rows of
     _likelihood_rows).  Consumes plist."""
-    ll = np.zeros(len(cands)) if ll is None else ll
     for rows in _likelihood_rows(plist, labels, M, refs, cands, ll):
         ll[:] = rows[-1]
     return ll

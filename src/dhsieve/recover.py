@@ -172,29 +172,28 @@ def _choose_unit(N, cands, copies):
         golden = (math.sqrt(5) - 1) / 2
         cands = cands[(np.arange(_SCORED_CANDIDATES) * golden % 1.0
                        * len(cands)).astype(np.int64)]
-    dtype = int_dtype(N * N)
-    inv = np.array([pow(u, -1, N) for u in units], dtype=dtype)
-    turns = np.sort(inv[:, None] * cands.astype(dtype) % N, axis=1)
-    rows, n = turns.shape
+    cands = cands.astype(int_dtype(N * N))
     w = int(N * math.sqrt(_PRUNE_LL / (2 * math.pi ** 2 * copies)))
-    # the rows 2N apart in one sorted array, so one search serves them all;
-    # a pair counts once: within w, or within w across the wrap at N
-    flat = (turns + 2 * N * np.arange(rows)[:, None]).ravel()
-    near = (np.searchsorted(flat, flat + w, side="right")
-            - np.arange(rows * n) - 1)
-    wrap = (np.repeat(n * np.arange(1, rows + 1), n)
-            - np.searchsorted(flat, flat + N - w))
-    return units[int(np.argmin((near + wrap).reshape(rows, n).sum(axis=1)))]
+
+    def pairs(u):
+        # a pair counts once: within w, or within w across the wrap at N
+        turns = np.sort(pow(u, -1, N) * cands % N)
+        near = (np.searchsorted(turns, turns + w, side="right")
+                - np.arange(1, len(turns) + 1))
+        wrap = len(turns) - np.searchsorted(turns, turns + N - w)
+        return int(near.sum() + wrap.sum())
+
+    return min(units, key=pairs)
 
 
 def _general_attempt(o, M, rng):
     """One pass of the automorphism refinement, reading s mod M for M the
     odd part of N: coarse interval estimate, then rounds of psi_1 cosine
     observations through the label-multiplier automorphism _choose_unit
-    picks for the live candidates (sized for as many copies as the last
-    sieve call held), scored by log-likelihood over a shrinking candidate
-    window that keeps the candidates within _PRUNE_LL of the best, until
-    they agree mod M."""
+    picks for the live candidates (sized for COARSE_COPIES in the first
+    round, then for the copies the round before held), scored by
+    log-likelihood over a shrinking candidate window that keeps the
+    candidates within _PRUNE_LL of the best, until they agree mod M."""
     N = o.ctx.N
     backend = PhaseBackend(o, rng=rng)
     t0, _ = run_general_interval(backend)
@@ -247,18 +246,10 @@ def recover_slope_general(o, rng=None):
 
 
 def _substring_guesses(N):
-    """Coarse-to-fine grid: start at spacing N/2 and halve; each level
-    adds the midpoints of the previous one."""
-    seen = set()
-    yield 0
-    seen.add(0)
-    spacing = N // 2
-    while spacing >= 1:
-        for t in range(0, N, spacing):
-            if t not in seen:
-                seen.add(t)
-                yield t
-        spacing //= 2
+    """Coarse-to-fine grid: the points at spacing N, N // 2, N // 4, ...,
+    1, each where it first appears."""
+    return list(dict.fromkeys(t for j in range(N.bit_length())
+                              for t in range(0, N, N >> j)))
 
 
 def solve_substring(inst, rng=None):
@@ -275,7 +266,7 @@ def solve_substring(inst, rng=None):
     raises NoHiddenReflectionError when every guess fails."""
     N = inst.N
     rng = np.random.default_rng(rng)
-    grid = list(_substring_guesses(N))
+    grid = _substring_guesses(N)
 
     def attempt(i):
         t = grid[i - 1]

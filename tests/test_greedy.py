@@ -285,7 +285,7 @@ def test_greedy_sieve_pinned_record():
     assert be.rng.random() == 0.15971464064360485
 
 
-def test_greedy_sieve_pinned_record_below_max_targets():
+def test_greedy_sieve_pinned_record_undecided():
     # a sieve whose readout never decides, and draws nothing: it empties
     # its buckets, and the whole record, and the generator state after
     # it, are pinned (45 targets from 218 combines)

@@ -102,14 +102,13 @@ def _ref_cosine_observe(q, t):
     return _ref_observe(q, t)
 
 
-def _ref_likelihood_readout(qs, labels, M, refs, cands, ll=None):
+def _ref_likelihood_readout(qs, labels, M, refs, cands, ll):
     ts = [refs[i % len(refs)] for i in range(len(qs))]
     bits = [_ref_cosine_observe(q, point) for q, (_, point) in zip(qs, ts)]
     dtype = np.int64 if M < 1 << 31 else object
     k = np.array([x % M for x in labels], dtype=dtype)
     kt = np.array([x * t % M for x, (t, _) in zip(labels, ts)], dtype=dtype)
     cands = np.asarray(cands).astype(dtype)[:, None]
-    ll = np.zeros(len(cands)) if ll is None else ll
     step = max(1, (1 << 20) // len(cands))
     for i in range(0, len(bits), step):
         turns = k[i:i + step] * cands
@@ -732,7 +731,7 @@ def test_likelihood_readout_scores_in_blocks():
         return PhaseBackend(o, rng=np.random.default_rng(8))
 
     ll = likelihood_readout(copies([1, 3, 1, 5, 1], twin()), [1, 3, 1, 5, 1],
-                            M, refs, cands)
+                            M, refs, cands, np.zeros(len(cands)))
     sample = slice(None, None, 4099)
     be = twin()
     ref = _scalar_readout([PhaseQubit(k, be) for k in (1, 3, 1, 5, 1)],
@@ -908,10 +907,10 @@ def test_measure_pm_is_one_minus_observe_at_zero(ctx, s, labels, classical):
 
 
 def test_phase_list_is_consumed_whole():
-    # take, qubits, join and the observations each consume the whole
-    # list; a second use of any kind raises
-    uses = (PhaseList.take, PhaseList.qubits, lambda p: PhaseList.join([p]),
-            measure_pm, lambda p: cosine_observe(p, 3))
+    # take, qubits and the observations each consume the whole list; a
+    # second use of any kind raises
+    uses = (PhaseList.take, PhaseList.qubits, measure_pm,
+            lambda p: cosine_observe(p, 3))
     for first in uses:
         for second in uses:
             sample = sample_batch(backend(16, 5), 8)

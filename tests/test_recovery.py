@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dhsieve import recover
 from dhsieve.errors import NoHiddenReflectionError, SieveExhaustedError
@@ -461,6 +461,78 @@ def test_choose_unit_scores_exact_turns_past_2_31(N, count, step, copies):
         pairs.index(min(pairs))]
 
 
+def _ref_choose_unit(N, cands, copies):
+    # the multiplier choice as one search: every unit's sorted turns in
+    # one flattened array, rows 2N apart, and the first row with the
+    # fewest pairs
+    a = (N & -N).bit_length() - 1
+    units = [1]
+    while len(units) < math.ceil(math.log2(N)) + a:
+        u = unit_for_odd_part(N, len(units))
+        if u == 1:
+            break
+        units.append(u)
+    if len(cands) > recover._SCORED_CANDIDATES:
+        golden = (math.sqrt(5) - 1) / 2
+        cands = cands[(np.arange(recover._SCORED_CANDIDATES) * golden % 1.0
+                       * len(cands)).astype(np.int64)]
+    dtype = int_dtype(N * N)
+    inv = np.array([pow(u, -1, N) for u in units], dtype=dtype)
+    turns = np.sort(inv[:, None] * cands.astype(dtype) % N, axis=1)
+    rows, n = turns.shape
+    w = int(N * math.sqrt(recover._PRUNE_LL / (2 * math.pi ** 2 * copies)))
+    flat = (turns + 2 * N * np.arange(rows)[:, None]).ravel()
+    near = (np.searchsorted(flat, flat + w, side="right")
+            - np.arange(rows * n) - 1)
+    wrap = (np.repeat(n * np.arange(1, rows + 1), n)
+            - np.searchsorted(flat, flat + N - w))
+    return units[int(np.argmin((near + wrap).reshape(rows, n).sum(axis=1)))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.tuples(st.integers(0, 12),
+              st.sampled_from([3, 5, 9, 45, 63, 125, 255, 4095])),
+    # odd parts past 2^31: the turns are object products
+    st.tuples(st.integers(0, 3),
+              st.sampled_from([2 ** 31 + 1, 3 ** 20, 2 ** 33 + 1, 5 ** 17]))),
+    st.integers(0, 2 ** 62), st.integers(1, 1200), st.integers(1, 1 << 20),
+    st.integers(2, 80))
+# pairs exactly w apart across the wrap at N decide these two
+@example((3, 45), 306, 19, 1, 12)
+@example((0, 45), 7, 39, 4, 70)
+def test_choose_unit_matches_the_flattened_search(aM, lo, width, stride,
+                                                  copies):
+    # windows of up to 1,200 candidates (past 256, the golden-ratio
+    # sample is scored), on N up to 2^3 * 5^17: the unit scored on its own
+    # turns is the one the flattened search returns
+    a, M = aM
+    N = M << a
+    cands = np.unique((lo % N + stride * np.arange(width)) % N)
+    assert recover._choose_unit(N, cands, copies) == _ref_choose_unit(
+        N, cands, copies)
+
+
+def _ref_substring_guesses(N):
+    # the grid as a sweep: 0, then spacing N // 2 halved down to 1, each
+    # level adding the points no coarser level held
+    seen = {0}
+    yield 0
+    spacing = N // 2
+    while spacing >= 1:
+        for t in range(0, N, spacing):
+            if t not in seen:
+                seen.add(t)
+                yield t
+        spacing //= 2
+
+
+def test_substring_guesses_match_the_sweep():
+    for N in range(1, 3001):
+        assert recover._substring_guesses(N) == list(
+            _ref_substring_guesses(N)), N
+
+
 def _count_calls(monkeypatch, name, fail_first=0):
     # wrap recover.<name>: record each call's first argument, and raise
     # SieveExhaustedError on the first fail_first calls
@@ -517,7 +589,7 @@ def test_substring_sweeps_grid_once(monkeypatch):
     # every guess fails: after the check's splice at guess 0, the splices
     # are the whole grid once, with one slope attempt each
     N = 48
-    grid = list(recover._substring_guesses(N))
+    grid = recover._substring_guesses(N)
     assert grid[:3] == [0, 24, 12] and sorted(grid) == list(range(N))
     spliced, attempted = [], []
     real = recover.splice_substring
@@ -548,7 +620,7 @@ def test_substring_attempts_count_guesses(monkeypatch):
                         lambda inst, t: spliced.append(t) or real(inst, t))
     got, rep = solve_substring(SubstringInstance(64, 37), rng=9)
     assert spliced[0] == 0 and got == 37 and rep.attempts == len(spliced) - 1
-    assert spliced[1:] == list(recover._substring_guesses(64))[:rep.attempts]
+    assert spliced[1:] == recover._substring_guesses(64)[:rep.attempts]
 
 
 def test_substring_small_trials():

@@ -4,6 +4,7 @@ D_{2^n}, and the demand-sized interval sieve with quadrature readout."""
 import gc
 import math
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ import dhsieve.staged as staged_mod
 from dhsieve.errors import InsufficientCopiesError, SieveExhaustedError
 from dhsieve.group import GroupCtx
 from dhsieve.oracle import (
+    HidingOracle,
     SubstringInstance,
     make_reflection_oracle,
     splice_substring,
@@ -136,6 +138,23 @@ def test_stage_windows_cover_and_cap():
         for (a, b), (c, _) in zip(ws, ws[1:]):
             assert b == c
         assert all(b - a <= m for a, b in ws)
+
+
+def _ref_stage_windows(n, m):
+    # the windows as a loop: from bit 0, m bits at a time, capped at n - 1
+    windows = []
+    lo = 0
+    while lo < n - 1:
+        hi = min(lo + m, n - 1)
+        windows.append((lo, hi))
+        lo = hi
+    return windows
+
+
+def test_stage_windows_match_the_loop():
+    for n in range(120):
+        for m in range(1, 40):
+            assert stage_windows(n, m) == _ref_stage_windows(n, m), (n, m)
 
 
 def test_match_by_suffix_frozen_example():
@@ -525,23 +544,51 @@ def test_interval_sieve_one_record_per_run():
     q0 = be.oracle.queries
     ones, st = interval_sieve(be, 100)
     passes, rest = divmod(be.oracle.queries - q0, size)
-    twin, twin_ones, totals = backend(N, 123, seed=8), 0, [0] * (m + 1)
+    twin, twin_ones, totals = backend(N, 123, seed=8), [], [0] * (m + 1)
     for _ in range(passes):
-        got, pass_st = _interval_pass(twin, size, widths)
-        twin_ones += len(got)
+        pass_st = _interval_pass(twin, size, widths, twin_ones)
         totals = [t + k for t, k in zip(totals, pass_st.list_sizes)]
     assert rest == 0 and twin.oracle.queries == be.oracle.queries - q0
-    assert passes > 1 and twin_ones == len(ones)
+    assert passes > 1 and len(twin_ones) == len(ones)
     assert st.list_sizes == totals and len(st.list_sizes) == m + 1
     assert st.survival_ratios == [b / a if a else 0.0
                                   for a, b in zip(totals, totals[1:])]
 
 
+def test_interval_sieve_joins_its_passes_in_order():
+    # at N = 7 one 12-label pass holds about 4 psi_1 copies, so 24 copies
+    # take several passes: the call returns each pass's copies, one pass
+    # after another, from the draws of the same passes run one by one.
+    # Every copy is psi_1, so a half-corrupted oracle's classical flags
+    # tell the order
+    N = 7
+
+    def make():
+        o = HidingOracle(GroupCtx(N), 3, None, corruption_rate=Fraction(1, 2))
+        return PhaseBackend(o, rng=np.random.default_rng(4))
+
+    _, size, widths = interval_config(N)
+    be = make()
+    ones, st = interval_sieve(be, 24)
+    labels, classical = ones.labels, ones.classical
+    twin, parts = make(), []
+    while sum(map(len, parts)) < 24:
+        parts.append([])
+        _interval_pass(twin, size, widths, parts[-1])
+    assert len(parts) > 2 and len(st.list_sizes) == len(widths) + 1
+    assert labels.tolist() == [q.label for q in sum(parts, [])]
+    assert classical.tolist() == [q.classical for q in sum(parts, [])]
+    assert 0 < classical.sum() < len(classical)
+    assert classical.tolist() != classical[::-1].tolist()
+    assert be.rng.bit_generator.state == twin.rng.bit_generator.state
+    assert be.oracle.queries == twin.oracle.queries == len(parts) * size
+
+
 def test_interval_sieve_exhausts_after_max_passes(monkeypatch):
     calls = []
     monkeypatch.setattr(staged_mod, "_interval_pass",
-                        lambda backend, size, widths:
-                        calls.append(size) or ([], SieveStats([0] * 4)))
+                        lambda backend, size, widths, ones:
+                        calls.append(size) or SieveStats([0] * 4))
     with pytest.raises(SieveExhaustedError):
         interval_sieve(backend(360, 5), 1)
     assert len(calls) == MAX_PASSES
