@@ -13,6 +13,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from .group import int_dtype
 from .phase import (
     PhaseList,
     Readout,
@@ -104,7 +105,7 @@ class CoordinateObjective:
         self.perm = np.array(perm)
         orders = [orders[i] for i in perm]
         bits = [math.ceil(1 + math.log2(n + 1)) for n in orders]
-        self.orders = np.array(orders)
+        self.orders = np.array(orders, dtype=int_dtype(max(orders)))
         self.target = sum(bits)
         self._credit = np.cumsum(bits)
 

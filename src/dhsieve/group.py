@@ -43,12 +43,14 @@ class GroupCtx:
     def neg(self, u):
         return (-u) % self.N
 
-    def turns(self, k, s):
-        """Phases of psi_k at slope s in turns, for an array k of labels and
-        s one slope or one per label: the exact k s mod N, over N."""
+    def turns(self, k, s, t):
+        """Phases of psi_k at slope s against reference t in turns, for an
+        array k of labels and t one point or one per label: the exact
+        k (s - t) mod N, over N."""
         dtype = int_dtype(self.N * self.N)
-        k, s = np.asarray(k, dtype=dtype), np.asarray(s, dtype=dtype)
-        return np.asarray(k * s % self.N / self.N, dtype=float)
+        d = np.asarray(s, dtype=dtype) - np.asarray(t, dtype=dtype)
+        return np.asarray(np.asarray(k, dtype=dtype) * d % self.N / self.N,
+                          dtype=float)
 
     def random_elements(self, rng, count):
         """count uniform exponents, an array whose tolist() gives ints."""
@@ -125,16 +127,17 @@ class AbelianGroupSpec:
     def zero(self):
         return (0,) * self.rank
 
-    def turns(self, k, s):
-        """Phases of psi_k at shift s in turns, for a (count, rank) matrix
-        k of labels and s one shift or one per row: the exact products,
-        coordinates summed left to right."""
+    def turns(self, k, s, t):
+        """Phases of psi_k at shift s against reference t in turns, for a
+        (count, rank) matrix k of labels and t one point or one per row:
+        the exact products k (s - t), coordinates summed left to right."""
         dtype = int_dtype(max(self.orders, default=1) ** 2)
         k = np.asarray(k, dtype=dtype)
-        s = np.reshape(np.asarray(s, dtype=dtype), (-1, self.rank))
+        d = np.asarray(s, dtype=dtype) - np.reshape(
+            np.asarray(t, dtype=dtype), (-1, self.rank))
         total = 0.0
         for j, n in enumerate(self.orders):
-            total = total + np.asarray(k[:, j] * s[:, j] % n / n, dtype=float)
+            total = total + np.asarray(k[:, j] * d[:, j] % n / n, dtype=float)
         return total % 1.0
 
     @property

@@ -75,7 +75,7 @@ def run_table1(budgets, trials=100, r=2, n_labels=96, rng=None):
         raise ValueError("trials must be >= 1")
     if n_labels < 1:
         raise ValueError("label width must be >= 1 bit")
-    if not budgets or min(budgets) < 2:
+    if not len(budgets) or min(budgets) < 2:
         raise ValueError("budgets must be a non-empty list, each at least 2")
     if list(budgets) != sorted(budgets):
         raise ValueError("budgets must be ascending")

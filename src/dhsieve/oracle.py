@@ -21,8 +21,6 @@ import operator
 import secrets as _secrets
 from fractions import Fraction
 
-import numpy as np
-
 from .group import DihedralElement, GroupCtx
 
 
@@ -114,10 +112,8 @@ class HidingOracle:
 
     def _phase_turns(self, labels, t):
         """Turns of the qubits |psi_label> against the reference point t
-        (one, or one per label): the exact k (s - t), s - t in Python ints."""
-        s = np.asarray(self._slope, object)
-        t = np.reshape(np.asarray(t, object), (-1,) + s.shape)
-        return self.ctx.turns(labels, s - t)
+        (one, or one per label): the exact k (s - t) mod N, over N."""
+        return self.ctx.turns(labels, self._slope, t)
 
 
 def make_reflection_oracle(ctx, s):

@@ -286,10 +286,6 @@ def _coordinate_slope(o, A, j, rng):
     likelihood over cosine observations, until the readout decides."""
     rank = A.rank
     Nj = A.orders[j]
-    if Nj > 1 << 12:
-        raise ValueError(
-            "per-coordinate likelihood readout is limited to orders <= 4096;"
-            " large coordinates are only supported in rank-1 groups")
     # coordinate j read last: its target is a label supported on it alone
     obj = CoordinateObjective(
         A.orders, tuple([i for i in range(rank) if i != j] + [j]))
@@ -306,8 +302,14 @@ def solve_abelian_shift(p, rng=None):
     """Hidden shift on a finite (possibly truncated) abelian group: view
     the pair as a reflection oracle on the generalized dihedral group,
     sieve each coordinate down to single-coordinate labels, and read the
-    shift coordinate-wise.  Returns (s, RecoveryReport)."""
+    shift coordinate-wise; a group of rank 2 or more is refused before
+    the first query when an order passes 4096.  Returns
+    (s, RecoveryReport)."""
     A = p.A
+    if A.rank > 1 and max(A.orders) > 1 << 12:
+        raise ValueError(
+            "per-coordinate likelihood readout is limited to orders <= 4096;"
+            " large coordinates are only supported in rank-1 groups")
     rng = np.random.default_rng(rng)
     o = shift_to_dihedral(p)
 

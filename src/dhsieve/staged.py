@@ -21,16 +21,16 @@ from .phase import (
     sample_batch,
 )
 
-# list-size constant: each interval-sieve pass samples C_0 * 4^m qubits,
-# and a parity call at most C_0 * 8^m
+# list-size constant: each interval-sieve pass samples C_0 * 4^m qubits
 C_0 = 3
 # parity-sieve layouts (stage width m, labels per first-stage bucket) for
 # n = 2, 3, ...; a pass samples that many times 2^m labels.  Each is its
 # n's fewest queries per held copy (pass size over the chance that a pass
-# ends holding psi_{2^(n-1)}), with at least 4 labels per bucket and
-# fewer than 1 in 1,000 calls exhausting the C_0 * 8^m cap.  Yields were
-# measured on the sieve to n = 40 and on a model of its list sizes to
-# n = 60; CHANGES.md has the table.
+# ends holding psi_{2^(n-1)}), with at least 4 labels per bucket; every
+# one holds the copy in at least 0.599 of its passes, so MAX_PASSES of
+# them give up below 5e-7 of the time.  Yields were measured on the sieve
+# to n = 40 and on a model of its list sizes to n = 60; CHANGES.md has
+# the table.
 _PARITY_LAYOUTS = (
     (2, 4), (2, 4), (3, 4), (3, 4), (3, 4), (4, 4), (4, 4),  # n = 2..8
     (4, 5), (5, 4), (5, 4), (6, 4), (6, 4), (6, 4), (6, 5),  # n = 9..15
@@ -42,7 +42,7 @@ _PARITY_LAYOUTS = (
     (11, 32), (11, 32), (11, 40), (12, 24), (12, 24), (12, 28), (12, 32),  # n = 51..57
     (12, 32), (13, 20), (13, 24),  # n = 58..60
 )
-# passes run_passes makes by default before it gives up on a demand
+# passes run_passes makes before it gives up on a demand
 MAX_PASSES = 16
 # psi_1 copies the coarse quadrature readout averages over
 COARSE_COPIES = 24
@@ -50,12 +50,11 @@ COARSE_COPIES = 24
 
 @dataclass
 class StagedConfig:
-    """A parity-sieve layout: stage width m, the labels each pass samples,
-    and the paper's list size C_0 * 8^m, the most one call samples."""
+    """A parity-sieve layout: stage width m and the labels each pass
+    samples."""
 
     m: int
     pass_size: int
-    cap: int
 
 
 @dataclass
@@ -94,7 +93,7 @@ def staged_config(n):
     wider = max(0, -(-past // 5))
     m, per_bucket = _PARITY_LAYOUTS[n - 5 * wider - 2]
     m += wider
-    return StagedConfig(m=m, pass_size=per_bucket << m, cap=C_0 << (3 * m))
+    return StagedConfig(m=m, pass_size=per_bucket << m)
 
 
 def stage_windows(n, m):
@@ -156,14 +155,12 @@ def _parity_pass(backend, size, windows, top):
 def run_staged_parity(backend, n):
     """Power-of-two staged sieve: returns s mod 2, an int, for the slope
     hidden by the backend's oracle over D_{2^n}.  Passes of
-    staged_config(n).pass_size fresh labels (run_passes) run until one
-    ends holding psi_{2^(n-1)}, and that copy is measured; at most
-    cap // pass_size passes, so a call never samples more than the
-    C_0 * 8^m cap (D_2: 64 passes of one label).  Raises
-    SieveExhaustedError after the last pass; the caller retries with a
-    fresh run.  The cyclic collector is paused for the call (its qubits
-    trigger full collections that free nothing), then restored to the
-    caller's state."""
+    staged_config(n).pass_size fresh labels (run_passes; D_2: one label
+    and no stage) run until one ends holding psi_{2^(n-1)}, and that copy
+    is measured.  Raises SieveExhaustedError after MAX_PASSES passes; the
+    caller retries with a fresh run.  The cyclic collector is paused for
+    the call (its qubits trigger full collections that free nothing),
+    then restored to the caller's state."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -172,14 +169,12 @@ def run_staged_parity(backend, n):
             raise ValueError("oracle group order is not 2^n")
 
         if n == 1:
-            size, windows, cap = 1, [], 64
+            size, windows = 1, []
         else:
             cfg = staged_config(n)
             size, windows = cfg.pass_size, stage_windows(n, cfg.m)
-            cap = cfg.cap // size
         held, stats = run_passes(
-            lambda: _parity_pass(backend, size, windows, 1 << (n - 1)),
-            max_passes=cap)
+            lambda: _parity_pass(backend, size, windows, 1 << (n - 1)))
         return int(measure_pm(held)[0]), stats
     finally:
         if enabled:
@@ -249,20 +244,20 @@ def _interval_pass(backend, size, widths, ones):
     return SieveStats(sizes)
 
 
-def run_passes(one_pass, max_passes=MAX_PASSES):
+def run_passes(one_pass):
     """The demand loop of every staged, radix and coordinate sieve: call
     one_pass() -> (result, SieveStats), each pass over fresh samples,
     until a pass returns a result other than None, and return it with the
-    stats summed; after max_passes passes without one, raises
+    stats summed; after MAX_PASSES passes without one, raises
     SieveExhaustedError carrying the summed stats."""
     stats = SieveStats()
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         got, st = one_pass()
         stats += st
         if got is not None:
             return got, stats
     raise SieveExhaustedError(
-        f"demand unmet after {max_passes} passes", stats)
+        f"demand unmet after {MAX_PASSES} passes", stats)
 
 
 def interval_sieve(backend, want):

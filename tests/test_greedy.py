@@ -218,6 +218,45 @@ def test_coordinate_objective_matches_reference(data):
                                                             for k in same]
 
 
+@given(st.data())
+def test_coordinate_objective_past_int64_matches_reference(data):
+    # orders in [2^63, 2^64), where a plain np.array of the orders is
+    # float64 and n - lead rounds: object labels, as the group draws
+    # them, each within 2^40 of 0 or of its order, so that the
+    # reference's float log2 reads the flipped label's bit length exactly
+    orders, perm = data.draw(st.sampled_from(
+        [((3, 1 << 63), (0, 1)), ((3, 1 << 63), (1, 0)),
+         (((1 << 64) - 59, 5), (0, 1)), (((1 << 64) - 59, 5), (1, 0))]))
+    ref = _coordinate_reference(orders, perm)
+    A = AbelianGroupSpec(orders)
+    near = lambda n: st.builds(lambda d, up: (-d if up else d) % n,
+                               st.integers(0, 1 << 40), st.booleans())
+    rows = data.draw(st.lists(
+        st.tuples(*(near(n) for n in orders)).filter(any),
+        min_size=1, max_size=12))
+    obj = CoordinateObjective(orders, perm)
+    flip, alpha = obj.score(np.array(rows, dtype=object))
+    assert flip.tolist() == [ref.needs_flip(k) for k in rows]
+    oriented = [A.neg(k) if f else k for k, f in zip(rows, flip.tolist())]
+    assert alpha.tolist() == [ref.alpha(k) for k in oriented]
+    for v in set(alpha.tolist()) - {obj.target}:
+        same = [k for k, a in zip(rows, alpha.tolist()) if a == v]
+        assert _key_tuples(obj.keys(np.array(same, dtype=object), v)) \
+            == [ref.key(k) for k in same]
+
+
+def test_coordinate_objective_past_int64_pinned():
+    # the label (1, 2^63 - 5) read coordinate 1 first: its lead is 5
+    # below the order, so it flips to 5 and loses its 3 bits from the
+    # credit; float orders read it as 0 and scored it credit[0]
+    obj = CoordinateObjective((3, 1 << 63), (1, 0))
+    flip, alpha = obj.score(np.array([(1, (1 << 63) - 5)], dtype=object))
+    assert flip.tolist() == [True]
+    assert alpha.tolist() == [obj._credit[0] - 3]
+    assert _key_tuples(obj.keys(np.array([(1, 5)], dtype=object),
+                                alpha[0])) == [(5,)]
+
+
 @given(st.integers(1, 1 << 30), st.integers(1, 1 << 30), st.integers(2, 6))
 def test_r2_match_bonus(a, b, t):
     # two odd labels sharing t >= 2 low bits: the difference cancels at

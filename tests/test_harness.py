@@ -86,6 +86,17 @@ def test_run_table1_deterministic():
         run_table1([9], trials=2, n_labels=0)
 
 
+def test_run_table1_takes_numpy_budgets():
+    # a numpy array of budgets gives the rows a list gives (all but the
+    # timing), and an empty one is refused like an empty list
+    fields = lambda rows: [(r.budget, r.trials, r.mean, r.stddev, r.queries)
+                           for r in rows]
+    assert fields(run_table1(np.array([3, 9, 27]), trials=2, rng=1)) \
+        == fields(run_table1([3, 9, 27], trials=2, rng=1))
+    with pytest.raises(ValueError):
+        run_table1(np.array([], dtype=np.int64), trials=2)
+
+
 def test_run_table1_pinned_means():
     # pinned race means: the pairing loop and the race key may change
     # speed, never the race's results at a seed
@@ -361,6 +372,12 @@ RADIX_ARGV = [
     ["simulate", "--algorithm", "general", "--N", "3298534883328",
      "--trials", "1", "--seed", "1"],
     ["simulate", "--algorithm", "abelian", "--orders", "3298534883328",
+     "--trials", "1", "--seed", "1"],
+    # rank 2 with an order past 4096: refused before the first query,
+    # also past 2^63 and when the large order is not the first
+    ["simulate", "--algorithm", "abelian", "--orders",
+     "3,9223372036854775808", "--trials", "1", "--seed", "1"],
+    ["simulate", "--algorithm", "abelian", "--orders", "3,5000",
      "--trials", "1", "--seed", "1"],
 ])
 def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):

@@ -677,6 +677,18 @@ def test_abelian_rank2():
         assert got == s
 
 
+@pytest.mark.parametrize("orders", [(3, 5000), (5000, 3), (3, 1 << 63),
+                                    (4, 3, 4097)])
+def test_abelian_large_order_refused_before_any_query(orders):
+    # the coordinate readout reads orders up to 4096: a group of rank 2
+    # or more with a larger order is refused before the first query,
+    # wherever that order sits
+    p = make_shift_pair(AbelianGroupSpec(orders), (1,) * len(orders))
+    with pytest.raises(ValueError, match="orders <= 4096"):
+        solve_abelian_shift(p, rng=1)
+    assert p.queries == 0
+
+
 def test_abelian_rank1_uses_dihedral_path():
     A = AbelianGroupSpec((45,))
     p = make_shift_pair(A, (17,))

@@ -1,6 +1,7 @@
 """Staged sieves: list sizes, suffix matching, the parity sieve over
 D_{2^n}, and the demand-sized interval sieve with quadrature readout."""
 
+import dataclasses
 import gc
 import math
 from collections import Counter
@@ -51,9 +52,12 @@ def backend(N, s, seed=0):
 
 def test_schedule_initial_size():
     # n = 10 takes m = 5 at 4 labels per bucket: passes of 4 * 2^5 = 128
-    # labels, and a cap of C_0 * 8^5 = 98,304
+    # labels, and a call makes at most MAX_PASSES = 16 of them, 2,048
+    # labels; the layout is all a StagedConfig holds
     cfg = staged_config(10)
-    assert (cfg.pass_size, cfg.cap) == (128, 3 * 2 ** 15)
+    assert (cfg.m, cfg.pass_size, MAX_PASSES * cfg.pass_size) \
+        == (5, 128, 2048)
+    assert [f.name for f in dataclasses.fields(cfg)] == ["m", "pass_size"]
 
 
 def test_staged_config_m():
@@ -71,15 +75,15 @@ def test_staged_config_m():
 def test_parity_layouts_cover_fit_and_fill():
     # every n to 60, and the extrapolated layouts past it: the windows
     # cover bits 0..n-2 in order, none wider than m; a pass fits the
-    # C_0 * 8^m cap and puts at least 4 labels in each first-stage bucket
+    # paper's list size C_0 * 8^m and puts at least 4 labels in each
+    # first-stage bucket
     for n in range(2, 81):
         cfg = staged_config(n)
         ws = stage_windows(n, cfg.m)
         assert ws[0][0] == 0 and ws[-1][1] == n - 1, n
         assert all(b == c for (_, b), (c, _) in zip(ws, ws[1:])), n
         assert all(0 < b - a <= cfg.m for a, b in ws), n
-        assert cfg.cap == 3 * 8 ** cfg.m, n
-        assert 4 << cfg.m <= cfg.pass_size <= cfg.cap, n
+        assert 4 << cfg.m <= cfg.pass_size <= 3 * 8 ** cfg.m, n
         assert cfg.pass_size % (1 << cfg.m) == 0, n
     # past n = 60, n takes n - 5's layout one bit wider
     for n in range(61, 81):
@@ -89,7 +93,7 @@ def test_parity_layouts_cover_fit_and_fill():
 
 def test_staged_parity_holds_its_copy_within_the_cap():
     # one seeded call at each n = 2..40 ends holding psi_{2^(n-1)}: the
-    # right bit, read after whole passes, within the cap
+    # right bit, read after whole passes, within MAX_PASSES of them
     rng = np.random.default_rng(40)
     for n in range(2, 41):
         cfg = staged_config(n)
@@ -98,7 +102,7 @@ def test_staged_parity_holds_its_copy_within_the_cap():
         bit, st = run_staged_parity(be, n)
         passes, rest = divmod(be.oracle.queries, cfg.pass_size)
         assert bit == s % 2, n
-        assert rest == 0 and 1 <= passes <= cfg.cap // cfg.pass_size, n
+        assert rest == 0 and 1 <= passes <= MAX_PASSES, n
         assert st.list_sizes[0] == be.oracle.queries, n
 
 
@@ -255,13 +259,12 @@ def _parity_pass_size(n):
 
 
 def test_staged_parity_never_exceeds_the_full_list():
-    # every call stays within C_0 * 8^m queries (a call that reaches
-    # the pass cap spends cap // pass_size whole passes: see the
-    # exhaustion test below)
+    # every call stays within MAX_PASSES whole passes of queries (a call
+    # that reaches the pass cap spends all of them: see the exhaustion
+    # test below)
     rng = np.random.default_rng(21)
     for n in range(2, 15):
-        cap = staged_config(n).cap
-        assert cap == 3 * 8 ** staged_config(n).m
+        cap = MAX_PASSES * _parity_pass_size(n)
         for _ in range(8):
             s = int(rng.integers(0, 1 << n))
             be = PhaseBackend(make_reflection_oracle(GroupCtx(1 << n), s),
@@ -284,7 +287,7 @@ def test_staged_parity_stops_at_the_first_target_pass(n, seed, want_passes):
     be = make()
     bit, st = run_staged_parity(be, n)
     passes, rest = divmod(be.oracle.queries, size)
-    assert rest == 0 and passes == want_passes <= staged_config(n).cap // size
+    assert rest == 0 and passes == want_passes <= MAX_PASSES
     twin, totals = make(), SieveStats()
     for k in range(passes):
         got, pass_st = _parity_pass(twin, size, stage_windows(n, m),
@@ -297,26 +300,26 @@ def test_staged_parity_stops_at_the_first_target_pass(n, seed, want_passes):
 
 
 def test_staged_parity_exhausts_after_the_pass_cap(monkeypatch):
-    # every stage yields nothing: cap // pass_size passes, each ended by
-    # its first stage, then SieveExhaustedError carrying their summed
-    # stats.  n = 8 takes m = 4 and passes of 64 labels: 192 passes of
-    # the 12,288-label cap, which they fill exactly
+    # every stage yields nothing: MAX_PASSES passes, each ended by its
+    # first stage, then SieveExhaustedError carrying their summed stats.
+    # n = 8 takes m = 4 and passes of 64 labels: 16 passes, 1,024 labels
     n = 8
-    size, cap = _parity_pass_size(n), staged_config(n).cap
+    size = _parity_pass_size(n)
+    cap = MAX_PASSES * size
     monkeypatch.setattr(staged_mod, "_differences",
                         lambda pairs, backend: iter(()))
     be = backend(1 << n, 77)
     with pytest.raises(SieveExhaustedError) as info:
         run_staged_parity(be, n)
-    assert (size, cap) == (64, 12288)
+    assert (size, cap) == (64, 1024)
     assert be.oracle.queries == cap
     assert info.value.stats.list_sizes == [cap, 0]
 
 
 
 def _d2_draws(backend):
-    """D_2 as 64 one-label draws, measuring the first psi_1."""
-    for _ in range(64):
+    """D_2 as MAX_PASSES one-label draws, measuring the first psi_1."""
+    for _ in range(MAX_PASSES):
         sample = sample_batch(backend, 1)
         if sample.labels[0] == 1:
             return measure_pm(sample)[0]
@@ -336,9 +339,9 @@ def test_staged_parity_d2_is_one_label_passes(s):
         assert be.rng.random() == twin.rng.random()
 
 
-def test_staged_parity_d2_exhausts_after_64_queries(monkeypatch):
-    # label 1 never appears: 64 passes of one query each, then
-    # SieveExhaustedError carrying their summed stats
+def test_staged_parity_d2_exhausts_after_max_passes(monkeypatch):
+    # label 1 never appears: MAX_PASSES = 16 passes of one query each,
+    # then SieveExhaustedError carrying their summed stats
     real = staged_mod.sample_batch
 
     def zeros(backend, count):
@@ -349,8 +352,8 @@ def test_staged_parity_d2_exhausts_after_64_queries(monkeypatch):
     be = backend(2, 1)
     with pytest.raises(SieveExhaustedError) as info:
         run_staged_parity(be, 1)
-    assert be.oracle.queries == 64
-    assert info.value.stats.list_sizes == [64]
+    assert be.oracle.queries == 16
+    assert info.value.stats.list_sizes == [16]
 
 def _count_sieve_calls(monkeypatch):
     """Replace staged's combine and match_by_suffix by counting wrappers,
@@ -468,7 +471,7 @@ def test_staged_parity_restores_gc_after_exhaustion(monkeypatch, gc_state):
     with pytest.raises(SieveExhaustedError):
         run_staged_parity(backend(1 << 8, 77), 8)
     # one pass per reading, each ended by its emptied first stage
-    assert seen == [False] * (staged_config(8).cap // _parity_pass_size(8))
+    assert seen == [False] * MAX_PASSES
     assert gc.isenabled()
 
 
