@@ -104,23 +104,24 @@ class CoordinateObjective:
     def __init__(self, orders, perm):
         self.perm = np.array(perm)
         orders = [orders[i] for i in perm]
-        bits = [math.ceil(1 + math.log2(n + 1)) for n in orders]
+        bits = [1 + n.bit_length() for n in orders]
         self.orders = np.array(orders, dtype=int_dtype(max(orders)))
         self.target = sum(bits)
         self._credit = np.cumsum(bits)
+        self._pow2 = 1 << np.arange(max(bits) - 1, dtype=self.orders.dtype)
 
     def score(self, labels):
         """(flip, alpha): psi_k ~ psi_{-k}, so flip marks the labels whose
         first nonzero coordinate is large, and alpha is the score of the
         flipped label.  The discount, the bit length of that coordinate
-        (read off the float exponent, exact below 2^53), lies between 1
-        and one less than its credit, so one alpha names one b."""
+        (its place among the powers of two, exact at any width), lies
+        between 1 and one less than its credit, so one alpha names one b."""
         view = labels[:, self.perm]
         b = (view != 0).argmax(axis=1)
         lead = view[np.arange(len(view)), b]
         n = self.orders[b]
         low = np.minimum(lead, n - lead)
-        loss = np.frexp(low.astype(float))[1]
+        loss = np.searchsorted(self._pow2, low, side="right")
         alpha = np.where(b == len(self.perm) - 1, self.target,
                          self._credit[b] - loss)
         np.copyto(alpha, self.target + 1, where=lead == 0)

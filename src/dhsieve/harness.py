@@ -39,9 +39,9 @@ from .statevec import (
 
 LOG3_2 = math.log(2, 3)
 # draws per case of the cosine and coin-fairness checks
-_PER_CASE = 4000
+_PER_CASE = 10 ** 4
 # staged sieve runs the survival-ratio check pools
-_SURVIVAL_TRIALS = 5
+_SURVIVAL_TRIALS = 100
 # (N, s) cases of the measurement-law check
 _LAW_CASES = ((8, 3), (12, 5), (27, 8), (32, 13))
 
@@ -206,19 +206,19 @@ def _check_cosine_freq(make, grid):
 
 def _check_coin_fairness(make):
     """Extraction branch must be an unbiased coin, as the dense two-qubit
-    simulation of the extraction measurement confirms."""
+    simulation of the extraction measurement confirms at every pair."""
     N, s, per = 16, 7, _PER_CASE
+    worst = max(abs(extract_outcome_probs(k, l, s, N)[0] - 0.5)
+                for k in range(N) for l in range(N))
+    if worst > 1e-12:
+        return CheckResult("extraction coin fairness", False, float(worst),
+                           "exact |branch prob - 0.5| <= 1e-12")
     be = make(N, s)
     minus = 0
     for _ in range(per):
         k = int(be.rng.integers(0, N))
         l = int(be.rng.integers(0, N))
-        out = combine(PhaseQubit(k, be), PhaseQubit(l, be))
-        minus += out.minus_branch
-        exact = extract_outcome_probs(k, l, s, N)
-        if abs(exact[0] - 0.5) > 1e-12:
-            return CheckResult("extraction coin fairness", False,
-                               float(exact[0]), "exact branch prob 0.5")
+        minus += combine(PhaseQubit(k, be), PhaseQubit(l, be)).minus_branch
     sigma = math.sqrt(0.25 / per)
     dev = abs(minus / per - 0.5) / sigma
     return CheckResult("extraction coin fairness (sigma units)",

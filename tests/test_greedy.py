@@ -66,10 +66,10 @@ def _alpha_abelian(k, orders):
     first-nonzero-in-the-last-slot (or zero) scores full."""
     a = len(orders)
     b = next((j for j, v in enumerate(k) if v != 0), a - 1)
-    coord_bits = [math.ceil(1 + math.log2(n + 1)) for n in orders]
+    coord_bits = [1 + n.bit_length() for n in orders]
     if b == a - 1:
         return sum(coord_bits)
-    return sum(coord_bits[: b + 1]) - math.ceil(math.log2(k[b] + 1))
+    return sum(coord_bits[: b + 1]) - k[b].bit_length()
 
 
 def _match_len(k1, k2):
@@ -221,27 +221,28 @@ def test_coordinate_objective_matches_reference(data):
 @given(st.data())
 def test_coordinate_objective_past_int64_matches_reference(data):
     # orders in [2^63, 2^64), where a plain np.array of the orders is
-    # float64 and n - lead rounds: object labels, as the group draws
-    # them, each within 2^40 of 0 or of its order, so that the
-    # reference's float log2 reads the flipped label's bit length exactly
+    # float64 and n - lead rounds, and int64 orders past 2^53, where a
+    # float bit length rounds up: labels anywhere in [0, order), typed
+    # as the group draws them
     orders, perm = data.draw(st.sampled_from(
         [((3, 1 << 63), (0, 1)), ((3, 1 << 63), (1, 0)),
-         (((1 << 64) - 59, 5), (0, 1)), (((1 << 64) - 59, 5), (1, 0))]))
+         (((1 << 64) - 59, 5), (0, 1)), (((1 << 64) - 59, 5), (1, 0)),
+         ((3, 1 << 61), (0, 1)), ((3, 1 << 61), (1, 0)),
+         (((1 << 62) - 57, 7), (0, 1)), (((1 << 62) - 57, 7), (1, 0))]))
     ref = _coordinate_reference(orders, perm)
     A = AbelianGroupSpec(orders)
-    near = lambda n: st.builds(lambda d, up: (-d if up else d) % n,
-                               st.integers(0, 1 << 40), st.booleans())
     rows = data.draw(st.lists(
-        st.tuples(*(near(n) for n in orders)).filter(any),
+        st.tuples(*(st.integers(0, n - 1) for n in orders)).filter(any),
         min_size=1, max_size=12))
+    dtype = A.modulus.dtype
     obj = CoordinateObjective(orders, perm)
-    flip, alpha = obj.score(np.array(rows, dtype=object))
+    flip, alpha = obj.score(np.array(rows, dtype=dtype))
     assert flip.tolist() == [ref.needs_flip(k) for k in rows]
     oriented = [A.neg(k) if f else k for k, f in zip(rows, flip.tolist())]
     assert alpha.tolist() == [ref.alpha(k) for k in oriented]
     for v in set(alpha.tolist()) - {obj.target}:
         same = [k for k, a in zip(rows, alpha.tolist()) if a == v]
-        assert _key_tuples(obj.keys(np.array(same, dtype=object), v)) \
+        assert _key_tuples(obj.keys(np.array(same, dtype=dtype), v)) \
             == [ref.key(k) for k in same]
 
 
@@ -255,6 +256,15 @@ def test_coordinate_objective_past_int64_pinned():
     assert alpha.tolist() == [obj._credit[0] - 3]
     assert _key_tuples(obj.keys(np.array([(1, 5)], dtype=object),
                                 alpha[0])) == [(5,)]
+    # leads of 62 and 54 bits, whose float values round up to a power of
+    # two: credit 65 less their bit lengths, not less 63 and 55
+    flip, alpha = obj.score(np.array([(1, (1 << 62) - 1), (1, (1 << 54) - 1)],
+                                     dtype=object))
+    assert flip.tolist() == [False, False] and alpha.tolist() == [3, 11]
+    # the same at int64 orders: credit 63 less a 60-bit lead
+    obj = CoordinateObjective((3, 1 << 61), (1, 0))
+    _, alpha = obj.score(np.array([(1, (1 << 60) - 1)], dtype=np.int64))
+    assert alpha.tolist() == [3]
 
 
 @given(st.integers(1, 1 << 30), st.integers(1, 1 << 30), st.integers(2, 6))

@@ -17,6 +17,7 @@ import pytest
 
 import dhsieve
 import dhsieve.cli as cli_mod
+import dhsieve.harness as harness_mod
 from dhsieve.cli import budgets, main
 from dhsieve.errors import NoHiddenReflectionError
 from dhsieve.group import DihedralElement, GroupCtx
@@ -24,7 +25,10 @@ from dhsieve.harness import (
     _LAW_CASES,
     ResultRow,
     _backends,
+    _check_coin_fairness,
+    _check_cosine_freq,
     _check_joint_law,
+    _check_survival,
     _closed_form_law,
     fit_scaling,
     run_table1,
@@ -149,6 +153,51 @@ def test_verify_suite_detects_sign_flip():
     report = verify_suite(N_max=16, samples=20000, rng=9, phase_sign=-1)
     assert not report.passed
     assert any("cosine" in c.name and not c.ok for c in report.checks)
+
+
+def _counting(monkeypatch, name, record):
+    """Patch harness.<name> to append record(*args) on each call."""
+    inner = getattr(harness_mod, name)
+
+    def counted(*args):
+        calls.append(record(*args))
+        return inner(*args)
+
+    calls = []
+    monkeypatch.setattr(harness_mod, name, counted)
+    return calls
+
+
+def test_survival_check_pools_100_runs(monkeypatch):
+    # acceptance criterion 4 holds this check's mean to [0.20, 0.30]
+    calls = _counting(monkeypatch, "run_staged_parity", lambda be, n: n)
+    check = _check_survival(_backends(np.random.default_rng(1), 0.5, 1))
+    assert check.ok and calls == [9] * 100
+
+
+def test_cosine_check_observes_10_to_the_4_copies_per_point(monkeypatch):
+    # acceptance criterion 7 runs this check at 10^4 copies per point
+    calls = _counting(monkeypatch, "cosine_observe",
+                      lambda copies, t: len(copies))
+    grid = [(8, 3, 5, 2), (27, 10, 4, 11)]
+    check = _check_cosine_freq(_backends(np.random.default_rng(1), 0.5, 1),
+                               grid)
+    assert check.ok and calls == [10 ** 4] * len(grid)
+
+
+def test_coin_check_evaluates_each_label_pair_once(monkeypatch):
+    # the exact coin law is checked once per (k, l) at N = 16, before the
+    # sampled coin; a law off 1/2 anywhere fails the check
+    calls = _counting(monkeypatch, "extract_outcome_probs",
+                      lambda k, l, s, N: (k, l))
+    make = _backends(np.random.default_rng(1), 0.5, 1)
+    assert _check_coin_fairness(make).ok
+    assert sorted(calls) == [(k, l) for k in range(16) for l in range(16)]
+    monkeypatch.setattr(harness_mod, "extract_outcome_probs",
+                        lambda k, l, s, N: np.array([0.75, 0.25])
+                        if (k, l) == (3, 5) else np.array([0.5, 0.5]))
+    check = _check_coin_fairness(make)
+    assert not check.ok and check.observed == 0.25
 
 
 # ---------------------------------------------------------------------------
