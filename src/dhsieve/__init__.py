@@ -64,8 +64,7 @@ from .staged import (
     run_staged_parity,
 )
 from .greedy import (
-    CoordinateObjective,
-    RadixObjective,
+    Objective,
     alpha_radix,
     cancellation_race,
     greedy_sieve,

@@ -1,8 +1,8 @@
-"""Greedy radix sieve: bucket sampled labels by an objective, pair the
+"""Greedy sieve: bucket sampled labels by an objective, pair the
 best-matching entries of the minimum bucket, and race labels toward a
-target alpha, on label arrays.  Also hosts the abelian-coordinate
-objective and the label-only cancellation race used by the experiment
-harness.
+target alpha, on label arrays; one objective serves the radix levels and
+the abelian coordinates.  Also hosts the label-only cancellation race
+used by the experiment harness.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .phase import (
     PhaseList,
     Readout,
     combine,  # noqa: F401  (bound here for perfbench's tracer)
+    combine_pairs,
     sample_batch,
     tomography_mod_r,
 )
@@ -37,105 +38,46 @@ def alpha_radix(k, r):
     return a
 
 
-class RadixObjective:
-    """Objective on Z/r^n: alpha is the r-adic valuation, and the key is
-    the digit string beyond the cancelled digits, least significant
-    first, so lexicographic order puts the best partners adjacent.  The
-    key stops short of digit target, the target alpha, which a target
-    need not cancel: two labels that match on the key merge to a target
-    or to zero.  (Keyed on the digits past it too, equal labels would
-    match deepest, pair first and merge to zero or, for odd r, to a
-    label of the same alpha.)  The methods take an array of labels,
-    int64 or object."""
+class Objective:
+    """The one greedy objective: label k is read as the row of residues
+    k[columns[i]] mod moduli[i], and merges move labels toward rows that
+    are zero up to the last entry.  On Z/r^n the row is k mod r, ...,
+    mod r^n (columns all 0, the label itself); on a product of cyclic
+    groups it is the coordinates in the order they are zeroed.  alpha is
+    the place of the row's first nonzero entry, D = len(moduli) for a
+    zero label, so a target scores target = D - 1, and the key is the
+    row from alpha up to the target, then -1: two labels that match on
+    the key merge to a target or to zero.  (Keyed on the last entry too,
+    equal labels would match deepest, pair first and merge to zero or to
+    twice the label.)  The methods take an array of labels, int64 or
+    object, one label per row."""
 
-    def __init__(self, r, target):
-        self.r = r
-        self.target = target
-        # the powers score and keys read, per label dtype; past lies past
-        # every label (int64 labels lie below 2^62), and stands for any
-        # power int64 cannot hold
-        pows = [r ** j for j in range(target + 1)]
-        self._score_pows, self._key_pows = {}, {}
-        for dtype, past in ((np.dtype(np.int64), np.iinfo(np.int64).max),
-                            (np.dtype(object), math.inf)):
-            p = [min(q, past) for q in pows]
-            self._score_pows[dtype] = [np.array(t, dtype=dtype) for t in (
-                p[1:] + [past, 1], [0] * (target + 1) + [-1], p + [past])]
-            self._key_pows[dtype] = [np.array(t, dtype=dtype)
-                                     for t in (p[1:] + [1], p[:-1] + [past])]
+    def __init__(self, columns, moduli):
+        self.columns = np.array(columns, dtype=np.int64)
+        self.moduli = np.array(moduli, dtype=int_dtype(max(moduli)))
+        self.target = len(self.moduli) - 1
+
+    def _rows(self, labels, start=0):
+        """Entries start.. of every label's row."""
+        return (labels.reshape(len(labels), -1)[:, self.columns[start:]]
+                % self.moduli[start:])
 
     def score(self, labels):
-        """(flip, alpha): alpha is the valuation up to the target, which
-        negation keeps: the first nonzero of k mod r^1, ..., mod r^target,
-        mod past (target for a multiple of r^target), or target + 1 for
-        zero; psi_k ~ psi_{-k}, so flip marks the labels whose digit
-        alpha, their first nonzero one, is large."""
-        mods, zeros, pows = self._score_pows[labels.dtype]
-        alpha = (labels[:, None] % mods != zeros).argmax(axis=1)
-        return labels // pows[alpha] % self.r > self.r // 2, alpha
+        """(flip, alpha): psi_k ~ psi_{-k}, and negation keeps alpha, so
+        flip marks the labels whose first nonzero entry v lies past half
+        its modulus (2v > modulus)."""
+        rows = self._rows(labels)
+        alpha = (rows != 0).argmax(axis=1)
+        lead = rows[np.arange(len(rows)), alpha]
+        flip = 2 * lead > self.moduli[alpha]
+        alpha[lead == 0] = self.target + 1
+        return flip, alpha
 
     def keys(self, labels, alpha):
-        """Key matrix of labels of one alpha below the target: row i
-        holds labels[i] mod r^(alpha+1), ..., mod r^target, each -1 once
-        the label has no digit left, and a -1 that ends every row; rows
-        of one alpha sort and match on these as on their digits from
-        digit alpha on, least significant first."""
-        mods, tops = self._key_pows[labels.dtype]
-        col = labels[:, None]
-        keys = col % mods[alpha:]
-        np.copyto(keys, -1, where=col < tops[alpha:])
-        return keys
-
-
-class CoordinateObjective:
-    """Per-coordinate abelian objective on a product of cyclic groups of
-    the given orders.  A label is read in the coordinate order perm, so
-    the sieve zeroes any chosen set of leading coordinates; the key is
-    the view from its first nonzero coordinate b on, short of the last
-    coordinate, which a target need not cancel: two labels that match on
-    the key merge to a target or to zero.  (Keyed on the last coordinate
-    too, equal labels would match deepest, pair first and merge to zero
-    or to twice the label; in Z2^k always to zero.)  alpha credits each
-    zeroed leading coordinate and is discounted by the magnitude of the
-    coordinate at b; a label whose first nonzero coordinate is the last
-    scores target, and a zero label target + 1.  The methods take a
-    (count, rank) matrix of labels in the original coordinate order."""
-
-    def __init__(self, orders, perm):
-        self.perm = np.array(perm)
-        orders = [orders[i] for i in perm]
-        bits = [1 + n.bit_length() for n in orders]
-        self.orders = np.array(orders, dtype=int_dtype(max(orders)))
-        self.target = sum(bits)
-        self._credit = np.cumsum(bits)
-        self._pow2 = 1 << np.arange(max(bits) - 1, dtype=self.orders.dtype)
-
-    def score(self, labels):
-        """(flip, alpha): psi_k ~ psi_{-k}, so flip marks the labels whose
-        first nonzero coordinate is large, and alpha is the score of the
-        flipped label.  The discount, the bit length of that coordinate
-        (its place among the powers of two, exact at any width), lies
-        between 1 and one less than its credit, so one alpha names one b."""
-        view = labels[:, self.perm]
-        b = (view != 0).argmax(axis=1)
-        lead = view[np.arange(len(view)), b]
-        n = self.orders[b]
-        low = np.minimum(lead, n - lead)
-        loss = np.searchsorted(self._pow2, low, side="right")
-        alpha = np.where(b == len(self.perm) - 1, self.target,
-                         self._credit[b] - loss)
-        np.copyto(alpha, self.target + 1, where=lead == 0)
-        return low != lead, alpha
-
-    def keys(self, labels, alpha):
-        """Key matrix of labels of one alpha below the target, which names
-        their first nonzero coordinate b: row i holds the view of
-        labels[i] from b to the last coordinate, exclusive, and a -1
+        """Key matrix of labels of one alpha below the target: row i holds
+        the entries alpha, ..., target - 1 of labels[i]'s row, and a -1
         that ends every row."""
-        cols = self.perm[int(np.searchsorted(self._credit, alpha,
-                                             side="right")):-1]
-        keys = np.empty((len(labels), len(cols) + 1), dtype=labels.dtype)
-        keys[:, :-1] = labels[:, cols]
+        keys = self._rows(labels, alpha)
         keys[:, -1] = -1
         return keys
 
@@ -204,8 +146,7 @@ def greedy_sieve(backend, obj, budget, readout):
     if budget < 2:
         raise ValueError("budget must be at least 2")
     stats = SieveStats()
-    rng, mod = backend.rng, backend.oracle.ctx.modulus
-    bias, top = backend.coin_bias, obj.target
+    mod, top = backend.oracle.ctx.modulus, obj.target
     buckets = defaultdict(list)
 
     def place(labels, classical):
@@ -241,8 +182,7 @@ def greedy_sieve(backend, obj, budget, readout):
             n = len(labels)
             if n < 2:
                 break
-            # sorted keys (-1 pads sort a digit string before its
-            # extensions), and the digits adjacent rows share: every row
+            # sorted keys, and the entries adjacent rows share: every row
             # ends in -1, so each pair fails to match in the matrix
             keys = obj.keys(labels, v)
             order = np.lexsort(keys.T[-2::-1])
@@ -251,14 +191,11 @@ def greedy_sieve(backend, obj, budget, readout):
             pairs, lone = _pair_order(same.argmin(axis=1))
             pairs = order[pairs].T
             npairs = pairs.shape[1]
-            # the minus branch negates the second label of a pair
-            first, second = labels[pairs]
-            minus = rng.random(npairs) >= bias
-            second[minus] = -second[minus]
-            left, right = classical[pairs]
+            merged, merged_classical, _ = combine_pairs(backend, labels,
+                                                        classical, pairs)
             stats.combines += npairs
             stats.work += n + npairs
-            value = place((first + second) % mod, left | right)
+            value = place(merged, merged_classical)
             chunks = buckets.pop(v, [])
             if lone >= 0:
                 i = order[lone]
@@ -290,7 +227,7 @@ def run_radix_recovery(backend, r, n, budget=None):
         raise ValueError("oracle group order is not r^n")
     if n == 0:
         return 0, SieveStats()
-    obj = RadixObjective(r, n - 1)
+    obj = Objective([0] * n, [r ** i for i in range(1, n + 1)])
     readout = Readout(N, range(r))
     return run_passes(lambda: greedy_sieve(
         backend, obj, budget or list_size(N),

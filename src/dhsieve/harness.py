@@ -22,8 +22,7 @@ from .group import GroupCtx, uniform
 from .phase import (
     PhaseBackend,
     PhaseList,
-    PhaseQubit,
-    combine,
+    combine_pairs,
     cosine_observe,
     measure_pm,
     sample_batch,
@@ -206,7 +205,9 @@ def _check_cosine_freq(make, grid):
 
 def _check_coin_fairness(make):
     """Extraction branch must be an unbiased coin, as the dense two-qubit
-    simulation of the extraction measurement confirms at every pair."""
+    simulation of the extraction measurement confirms at every pair; the
+    sieves' column merge, combine_pairs, then draws the coins of per
+    uniform label pairs in one call."""
     N, s, per = 16, 7, _PER_CASE
     worst = max(abs(extract_outcome_probs(k, l, s, N)[0] - 0.5)
                 for k in range(N) for l in range(N))
@@ -214,13 +215,11 @@ def _check_coin_fairness(make):
         return CheckResult("extraction coin fairness", False, float(worst),
                            "exact |branch prob - 0.5| <= 1e-12")
     be = make(N, s)
-    minus = 0
-    for _ in range(per):
-        k = int(be.rng.integers(0, N))
-        l = int(be.rng.integers(0, N))
-        minus += combine(PhaseQubit(k, be), PhaseQubit(l, be)).minus_branch
+    _, _, minus = combine_pairs(be, be.rng.integers(0, N, 2 * per),
+                                np.zeros(2 * per, dtype=bool),
+                                np.arange(2 * per).reshape(2, per))
     sigma = math.sqrt(0.25 / per)
-    dev = abs(minus / per - 0.5) / sigma
+    dev = abs(minus.mean() - 0.5) / sigma
     return CheckResult("extraction coin fairness (sigma units)",
                        dev < 4.5, dev, "< 4.5 sigma")
 

@@ -26,6 +26,10 @@ _P_CLIP = 1e-9
 # ln((C - 1) / READOUT_DELTA) in log-likelihood; on an honest model with
 # equal priors it then misreads with probability at most READOUT_DELTA
 READOUT_DELTA = 0.002
+# entries a likelihood block scores at most: a sequential readout scores
+# its copies a block at a time and stops at the block that decides it, so
+# at 4096 candidates a block of 16 copies reads few past the deciding one
+_BLOCK_ENTRIES = 1 << 16
 
 
 class PhaseQubit:
@@ -167,6 +171,20 @@ def combine(q1, q2, u=None):
     return PhaseQubit(label, be, q1.classical or q2.classical, minus)
 
 
+def combine_pairs(backend, labels, classical, pairs):
+    """combine on columns: extract one qubit from each pair of copies
+    (pairs[0][i], pairs[1][i]) of the labels and classical mask, with one
+    rng.random(npairs) draw for the coins, the stream one combine call
+    per pair draws.  The minus branch negates the second label, the sum
+    is taken mod the group, and corruption propagates by OR.  Returns
+    (labels, classical mask, minus-branch mask)."""
+    first, second = labels[pairs]
+    minus = backend.rng.random(pairs.shape[1]) >= backend.coin_bias
+    second[minus] = -second[minus]
+    left, right = classical[pairs]
+    return (first + second) % backend.oracle.ctx.modulus, left | right, minus
+
+
 def negate_label(q):
     """Relabel k -> -k; the states are information-equivalent (bit flip)."""
     q._consume()
@@ -283,16 +301,16 @@ def likelihood_readout(plist, labels, M, refs, cands, ll):
 
 def _likelihood_rows(plist, labels, M, refs, cands, ll):
     """The running sums behind likelihood_readout: observes every copy in
-    one cosine_observe call, then yields, in blocks of at most 2^20
-    entries typed by int_dtype(M * M), row i the sum of ll and the
-    log-likelihood rows of copies 0..i."""
+    one cosine_observe call, then yields, in blocks of at most
+    _BLOCK_ENTRIES entries typed by int_dtype(M * M), row i the sum of ll
+    and the log-likelihood rows of copies 0..i."""
     ts = [refs[i % len(refs)] for i in range(len(plist))]
     zero = cosine_observe(plist, [point for _, point in ts])[:, None] == 0
     dtype = int_dtype(M * M)
     k = (np.asarray(labels).astype(dtype) % M)[:, None]
     kt = k * np.array([t for t, _ in ts], dtype=dtype)[:, None] % M
     cands = np.asarray(cands).astype(dtype)
-    step = max(1, (1 << 20) // len(cands))
+    step = max(1, _BLOCK_ENTRIES // len(cands))
     for i in range(0, len(zero), step):
         # one integer and one float block, each updated in place; a 0 bit
         # reads 1 - p

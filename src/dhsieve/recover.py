@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoHiddenReflectionError, SieveExhaustedError
-from .greedy import (
-    CoordinateObjective,
-    greedy_sieve,
-    list_size,
-    run_radix_recovery,
-)
+from .greedy import Objective, greedy_sieve, list_size, run_radix_recovery
 from .group import DihedralElement, identity, int_dtype, unit_for_odd_part
 from .oracle import (
     restrict_reflection,
@@ -287,8 +282,8 @@ def _coordinate_slope(o, A, j, rng):
     rank = A.rank
     Nj = A.orders[j]
     # coordinate j read last: its target is a label supported on it alone
-    obj = CoordinateObjective(
-        A.orders, tuple([i for i in range(rank) if i != j] + [j]))
+    perm = [i for i in range(rank) if i != j] + [j]
+    obj = Objective(perm, [A.orders[i] for i in perm])
     backend = PhaseBackend(o, rng=rng)
     readout = Readout(Nj, [tuple(t if i == j else 0 for i in range(rank))
                            for t in range(Nj)])

@@ -27,11 +27,13 @@ from dhsieve.oracle import (
     make_trivial_oracle,
 )
 from dhsieve.phase import (
+    _BLOCK_ENTRIES,
     READOUT_DELTA,
     PhaseBackend,
     PhaseQubit,
     Readout,
     combine,
+    combine_pairs,
     cosine_observe,
     likelihood_readout,
     measure_pm,
@@ -109,7 +111,7 @@ def _ref_likelihood_readout(qs, labels, M, refs, cands, ll):
     k = np.array([x % M for x in labels], dtype=dtype)
     kt = np.array([x * t % M for x, (t, _) in zip(labels, ts)], dtype=dtype)
     cands = np.asarray(cands).astype(dtype)[:, None]
-    step = max(1, (1 << 20) // len(cands))
+    step = max(1, _BLOCK_ENTRIES // len(cands))
     for i in range(0, len(bits), step):
         turns = k[i:i + step] * cands
         turns -= kt[i:i + step]
@@ -570,6 +572,29 @@ def test_combine_label_arithmetic():
     assert abs(minus / 2000 - 0.5) < 4 * math.sqrt(0.25 / 2000)
 
 
+@pytest.mark.parametrize("ctx", [GroupCtx(97), GroupCtx(2 ** 70 + 5),
+                                 AbelianGroupSpec((16, 9))])
+def test_combine_pairs_matches_combine(ctx):
+    # the column merge against one combine per pair on a twin backend,
+    # with a biased coin and a corrupted oracle: the same labels,
+    # classical flags, branches and generator state
+    def twin():
+        o = HidingOracle(ctx, ctx.zero, None, corruption_rate=Fraction(1, 3))
+        return PhaseBackend(o, rng=np.random.default_rng(4), coin_bias=0.3)
+
+    a, b = twin(), twin()
+    labels, classical = sample_batch(a, 60).take()
+    pairs = np.random.default_rng(5).permutation(60)[:50].reshape(2, 25)
+    got, flags, minus = combine_pairs(a, labels, classical, pairs)
+    qs = [PhaseQubit(ctx.reduce(k), b, c) for k, c in
+          zip(sample_batch(b, 60).labels.tolist(), classical.tolist())]
+    want = [combine(qs[i], qs[j]) for i, j in pairs.T.tolist()]
+    assert [ctx.reduce(k) for k in got.tolist()] == [q.label for q in want]
+    assert flags.tolist() == [q.classical for q in want]
+    assert minus.tolist() == [q.minus_branch for q in want]
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
 def test_negate_label():
     be = backend(16, 5)
     q = PhaseQubit(3, be)
@@ -720,11 +745,13 @@ def test_likelihood_readout_matches_scalar_loop(shape):
 
 
 def test_likelihood_readout_scores_in_blocks():
-    # 2^19 + 1 candidates leave one copy per block of at most 2^20
-    # entries; the totals match the scalar loop on a sample of candidates
+    # half a block's entries and one more candidates leave one copy per
+    # block of at most _BLOCK_ENTRIES entries; the totals match the scalar
+    # loop on a sample of candidates
     M = 1 << 21
     o = make_reflection_oracle(GroupCtx(M), 12345)
-    cands = np.arange(0, M, 4)[: (1 << 19) + 1]
+    cands = np.arange(0, M, 4)[: _BLOCK_ENTRIES // 2 + 1]
+    assert _BLOCK_ENTRIES // len(cands) == 1
     refs = [(t, t) for t in (0, M // 4, 999)]
 
     def twin():
@@ -732,7 +759,7 @@ def test_likelihood_readout_scores_in_blocks():
 
     ll = likelihood_readout(copies([1, 3, 1, 5, 1], twin()), [1, 3, 1, 5, 1],
                             M, refs, cands, np.zeros(len(cands)))
-    sample = slice(None, None, 4099)
+    sample = slice(None, None, 1021)
     be = twin()
     ref = _scalar_readout([PhaseQubit(k, be) for k in (1, 3, 1, 5, 1)],
                           [1, 3, 1, 5, 1], M, refs, cands[sample],
@@ -747,8 +774,8 @@ def test_log_likelihood_columns_from_a_generator(step):
     # one-matrix totals bit for bit; no copies leave ll as it was
     rng = np.random.default_rng(5)
     N = 4095
-    cands = np.arange((1 << 20) // step)
-    assert max(1, (1 << 20) // len(cands)) == step
+    cands = np.arange(_BLOCK_ENTRIES // step)
+    assert max(1, _BLOCK_ENTRIES // len(cands)) == step
     refs = [(t, t) for t in rng.integers(0, N, size=40).tolist()]
     start = rng.random(len(cands))
     o = make_reflection_oracle(GroupCtx(N), 1000)
@@ -759,7 +786,7 @@ def test_log_likelihood_columns_from_a_generator(step):
 
     blocks = likelihood_readout(thirty_sevens(), [37] * 40, N, refs, cands,
                                 start.copy())
-    sample = slice(None, None, 4099)
+    sample = slice(None, None, 1021)
     matrix = likelihood_readout(thirty_sevens(), [37] * 40, N, refs,
                                 cands[sample], start[sample].copy())
     assert np.array_equal(blocks[sample], matrix)

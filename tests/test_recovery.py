@@ -224,7 +224,8 @@ def test_general_pinned_queries(N, s, queries):
 
 
 @pytest.mark.parametrize("i, s, attempts, queries", [
-    (0, 716, 1, 842), (1, 2981, 1, 860), (2, 2738, 1, 815)])
+    (0, 716, 1, 815), (1, 2981, 1, 815), (2, 2738, 1, 815), (3, 5147, 1, 842),
+    (9, 1685, 1, 860)])
 def test_radix_pinned_queries(i, s, attempts, queries):
     # a change to the list-size rule, or one that changes when a level's
     # readout decides, moves these counts (r = 3, n = 8; secrets from
@@ -232,8 +233,9 @@ def test_radix_pinned_queries(i, s, attempts, queries):
     # labels, 3 laws of 3^sqrt(2m): 243, 183, 135, 97, 68, 45, 27 and 15
     # at m = 8..1, until its readout decides, and the answer costs one
     # verification pair: 813 + 2 = 815 when every level decides in its
-    # first pass.  Secret 716's level m = 2 takes a second pass, 815 + 27
-    # = 842, and secret 2981's level m = 3 does, 815 + 45 = 860
+    # first pass.  Secret 5147's level m = 2 takes a second pass, 815 + 27
+    # = 842, and secret 1685's level m = 3 does, 815 + 45 = 860 (measured
+    # pass sizes)
     N = 3 ** 8
     assert int(np.random.default_rng([N, i]).integers(0, N)) == s
     o = make_reflection_oracle(GroupCtx(N), s)
@@ -243,13 +245,15 @@ def test_radix_pinned_queries(i, s, attempts, queries):
 
 
 @pytest.mark.parametrize("i, s, attempts, queries", [
-    (0, (5, 7), 1, 166), (1, (1, 1), 1, 248), (2, (2, 6), 1, 166)])
+    (0, (5, 7), 1, 166), (1, (1, 1), 1, 166), (2, (2, 6), 1, 166),
+    (58, (15, 4), 1, 330)])
 def test_abelian_pinned_queries(i, s, attempts, queries):
     # Z16 + Z9, secrets from default_rng([144, i]): each coordinate's
     # passes sample list_size(144) = 82 labels (3 laws of 27.2) until its
     # readout decides, and the answer costs one verification pair.  When
     # each readout decides on its first pass that is 2 * 82 + 2 = 166;
-    # secret (1, 1)'s Z16 coordinate takes a second pass, 3 * 82 + 2 = 248
+    # secret (15, 4)'s coordinates take two passes each, 4 * 82 + 2 = 330
+    # (measured)
     gen = np.random.default_rng([144, i])
     assert tuple(int(gen.integers(0, n)) for n in (16, 9)) == s
     p = make_shift_pair(AbelianGroupSpec((16, 9)), s)
@@ -283,7 +287,8 @@ def test_coordinate_sieve_reads_exactly_its_copies(monkeypatch, small):
     # readout, until it decides: the last batch decides it, no pass
     # follows, and the readout reads its copies up to the deciding one.
     # Under the rule one or two passes decide every coordinate of the
-    # five groups; with the rule patched to 16-label passes, 1 to 7
+    # five groups; with the rule patched to 16-label passes, 1 to 9, and
+    # never 7 (measured)
     passes, batches = [], []
     real_sieve, real_observe = recover.greedy_sieve, Readout.observe
     size = (lambda order: 16) if small else list_size
@@ -322,7 +327,7 @@ def test_coordinate_sieve_reads_exactly_its_copies(monkeypatch, small):
                 assert batches[-1][1] < readout.read <= sum(
                     b[2] for b in batches)
     if small:
-        assert counts == set(range(1, 8))
+        assert counts == {1, 2, 3, 4, 5, 6, 8, 9}
     else:
         assert counts == {1, 2}
 
