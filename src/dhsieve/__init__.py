@@ -65,7 +65,6 @@ from .staged import (
 )
 from .greedy import (
     Objective,
-    alpha_radix,
     cancellation_race,
     greedy_sieve,
     run_radix_recovery,

@@ -25,19 +25,6 @@ from .phase import (
 from .staged import SieveStats, run_passes
 
 
-def alpha_radix(k, r):
-    """Number of factors of r in k, except alpha(0) = 0."""
-    if k == 0:
-        return 0
-    if r == 2:
-        return (k & -k).bit_length() - 1
-    a = 0
-    while k % r == 0:
-        k //= r
-        a += 1
-    return a
-
-
 class Objective:
     """The one greedy objective: label k is read as the row of residues
     k[columns[i]] mod moduli[i], and merges move labels toward rows that
@@ -245,7 +232,7 @@ def race_key(odd, nbytes):
     odd[i], least significant first, zero-padded to nbytes bytes.  Rows
     compare bytewise like the digit strings do (a string sorts before its
     extensions), and adjacent rows share the longest low-bit suffixes."""
-    raw = b"".join(k.to_bytes(nbytes, "little") for k in odd)
+    raw = b"".join([k.to_bytes(nbytes, "little") for k in odd])
     return _REV8[np.frombuffer(raw, dtype=np.uint8).reshape(len(odd), nbytes)]
 
 
@@ -255,12 +242,13 @@ def _race_bucket(odd, nbytes):
     common leading key bits, capped at the shorter digit string."""
     keys = race_key(odd, nbytes)
     order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
+    keys = keys.take(order, axis=0)
     diff = keys[1:] ^ keys[:-1]
     first = (diff != 0).argmax(axis=1)
     depth = 8 * first + _CLZ8[diff[np.arange(len(diff)), first]]
     depth[~diff.any(axis=1)] = 8 * nbytes
-    bits = np.array([k.bit_length() for k in odd])[order]
+    bits = np.fromiter(map(int.bit_length, odd), dtype=np.int64,
+                       count=len(odd)).take(order)
     return order, np.minimum(depth, np.minimum(bits[1:], bits[:-1]))
 
 
@@ -271,19 +259,27 @@ def cancellation_race(labels, rng):
 
     Each bucket is swept once, in ascending alpha v: two labels of alpha
     v merge to a label of larger alpha (or zero, which leaves the race),
-    so the buckets above v only grow while v is swept.  A bucket is
-    keyed by the odd parts k >> v, which never outgrow the widest input
-    label, and paired in _pair_order; one rng.random(npairs) call draws
-    the coins, the stream one call per merge would draw.
+    so the buckets above v only grow while v is swept.  A bucket holds
+    the odd parts k >> v of its labels, which never outgrow the widest
+    input label: two odd parts merge to an even m, whose label lands in
+    bucket v + t with odd part m >> t, t the 2-adic valuation of m.  A
+    bucket is paired in _pair_order by race_key; one rng.random(npairs)
+    call draws the coins, the stream one call per merge would draw.
 
-    The race is binary: for r > 2 it would have to reorient labels by
-    k ~ -k modulo r^n, which labels kept in Z cannot express."""
+    Labels are nonnegative integers (numpy integers included); a
+    negative one is refused before anything is drawn.  The race is
+    binary: for r > 2 it would have to reorient labels by k ~ -k modulo
+    r^n, which labels kept in Z cannot express."""
+    labels = list(map(operator.index, labels))
+    if min(labels, default=0) < 0:
+        raise ValueError("race labels must be nonnegative")
     stats = SieveStats()
     nbytes = max(1, (max(labels, default=0).bit_length() + 7) // 8)
     buckets = defaultdict(list)
     for k in labels:
         if k:
-            buckets[alpha_radix(k, 2)].append(k)
+            t = (k & -k).bit_length() - 1
+            buckets[t].append(k >> t)
     best = 0
     while buckets:
         v = min(buckets)
@@ -291,7 +287,7 @@ def cancellation_race(labels, rng):
         best = max(best, v)
         if len(group) < 2:
             continue
-        order, depth = _race_bucket([k >> v for k in group], nbytes)
+        order, depth = _race_bucket(group, nbytes)
         pairs, _ = _pair_order(depth)
         coins = rng.random(len(pairs))
         stats.work += len(group) + len(pairs)
@@ -301,5 +297,6 @@ def cancellation_race(labels, rng):
             k, l = group[i], group[j]
             m = k + l if c < 0.5 else abs(k - l)
             if m:
-                buckets[alpha_radix(m, 2)].append(m)
+                t = (m & -m).bit_length() - 1
+                buckets[v + t].append(m >> t)
     return best, stats

@@ -69,18 +69,27 @@ def uniform(rng, modulus, count):
     """count uniform integers in [0, modulus), typed by int_dtype: one
     rng.integers call while int64; past that, exactly the bits of a power
     of two, all from one rng.bytes call, or else 64 spare bits per value,
-    one rng.bytes call each, so that the reduction's bias is below 2^-64."""
+    one rng.bytes call each, so that the reduction's bias is below 2^-64.
+    A power of two cuts its draw into whole-byte chunks, one per value,
+    and reads each chunk as little-endian 64-bit words, the top one
+    masked to the value's bits."""
     if int_dtype(modulus) is np.int64:
         return rng.integers(0, modulus, size=count)
     if modulus & (modulus - 1) == 0:
-        nbytes = (modulus.bit_length() + 6) // 8
-        raw = rng.bytes(nbytes * count)
-        chunks = [raw[i:i + nbytes] for i in range(0, len(raw), nbytes)]
-    else:
-        nbytes = (modulus.bit_length() + 64) // 8
-        chunks = [rng.bytes(nbytes) for _ in range(count)]
-    return np.array([int.from_bytes(c, "little") % modulus for c in chunks],
-                    dtype=object)
+        bits = modulus.bit_length() - 1
+        nbytes, nwords = (bits + 7) // 8, (bits + 63) // 64
+        words = np.zeros((count, 8 * nwords), dtype=np.uint8)
+        words[:, :nbytes] = np.frombuffer(
+            rng.bytes(nbytes * count), dtype=np.uint8).reshape(count, nbytes)
+        words = words.view("<u8")
+        top = np.uint64((1 << (bits - 64 * (nwords - 1))) - 1)
+        values = (words[:, -1] & top).astype(object)
+        for j in range(nwords - 2, -1, -1):
+            values = values << 64 | words[:, j].astype(object)
+        return values
+    nbytes = (modulus.bit_length() + 64) // 8
+    return np.array([int.from_bytes(rng.bytes(nbytes), "little") % modulus
+                     for _ in range(count)], dtype=object)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ each faulty backend itself, and the defaults are the honest physics.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -67,16 +68,19 @@ def run_table1(budgets, trials=100, r=2, n_labels=96, rng=None):
     """Cancellation race averages: for each query budget Q, feed Q uniform
     n_labels-bit labels to the greedy pairing race and record the maximum
     number of cancelled low bits reached before exhaustion.  The race is
-    binary, so r must be 2.  rng is a Generator or a seed."""
+    binary, so r must be 2.  budgets, trials and n_labels are integers
+    of any integer type; rng is a Generator or a seed."""
+    budgets = [operator.index(Q) for Q in budgets]
+    trials, n_labels = operator.index(trials), operator.index(n_labels)
     if r != 2:
         raise ValueError("the cancellation race is defined for r = 2 only")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if n_labels < 1:
         raise ValueError("label width must be >= 1 bit")
-    if not len(budgets) or min(budgets) < 2:
+    if not budgets or min(budgets) < 2:
         raise ValueError("budgets must be a non-empty list, each at least 2")
-    if list(budgets) != sorted(budgets):
+    if budgets != sorted(budgets):
         raise ValueError("budgets must be ascending")
     rng = np.random.default_rng(rng)
     rows = []
@@ -88,10 +92,10 @@ def run_table1(budgets, trials=100, r=2, n_labels=96, rng=None):
             best, _ = cancellation_race(labels, rng)
             scores[i] = best
         rows.append(ResultRow(
-            budget=int(Q), trials=trials,
+            budget=Q, trials=trials,
             mean=float(scores.mean()),
             stddev=float(scores.std(ddof=1)) if trials > 1 else 0.0,
-            queries=int(Q),
+            queries=Q,
             seconds=time.perf_counter() - t0))
     return rows
 

@@ -20,7 +20,6 @@ from dhsieve.greedy import (
     Objective,
     _pair_order,
     _race_bucket,
-    alpha_radix,
     cancellation_race,
     greedy_sieve,
     list_size,
@@ -44,6 +43,18 @@ from dhsieve.staged import MAX_PASSES, SieveStats
 def backend(N, s, seed=0):
     return PhaseBackend(make_reflection_oracle(GroupCtx(N), s),
                         rng=np.random.default_rng(seed))
+
+
+def alpha_radix(k, r):
+    """Number of factors of r in k, except alpha(0) = 0: the valuation
+    the race once called per label, kept as the reference race's."""
+    if k == 0:
+        return 0
+    a = 0
+    while k % r == 0:
+        k //= r
+        a += 1
+    return a
 
 
 def test_alpha_radix_frozen():
@@ -765,6 +776,28 @@ def test_cancellation_race_trivial_budget():
     best, st = cancellation_race([0b1010, 0b0110], rng)
     assert 0 <= best <= 96
     assert st.combines <= 2
+
+
+def test_cancellation_race_reads_numpy_labels():
+    # an int64 array races like the list of its values: the same record,
+    # and the generator left where the list leaves it
+    labels = [6, 10, 3, 5, 12, 40, 7, 9, 96, 3]
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    best, st = cancellation_race(np.array(labels, dtype=np.int64), a)
+    want, want_st = cancellation_race(labels, b)
+    assert (best, st.combines, st.work) == (want, want_st.combines,
+                                            want_st.work)
+    assert a.random() == b.random()
+
+
+def test_cancellation_race_refuses_bad_labels_before_drawing():
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        cancellation_race([6, -10, 3], rng)
+    with pytest.raises(TypeError):
+        cancellation_race([6, 10.0, 3], rng)
+    assert rng.bit_generator.state == state
 
 
 def test_race_labels_pinned():

@@ -240,16 +240,35 @@ def test_uniform_draw_is_the_random_below_stream(modulus, count, seed):
     assert a.bit_generator.state == b.bit_generator.state
 
 
+def _power_of_two_chunks(rng, bits, count):
+    """The per-value read the word path replaced, kept as its reference:
+    one rng.bytes call cut into ceil(bits / 8)-byte chunks, each read
+    with int.from_bytes and reduced mod 2^bits."""
+    nbytes = (bits + 7) // 8
+    raw = rng.bytes(nbytes * count)
+    return [int.from_bytes(raw[i:i + nbytes], "little") % (1 << bits)
+            for i in range(0, len(raw), nbytes)]
+
+
+@pytest.mark.parametrize("bits", [63, 64, 65, 96, 127, 128, 129, 300])
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_power_of_two_words_are_the_per_chunk_read(bits, count):
+    # whole 64-bit words, a partial top word, and the word boundaries
+    a, b = np.random.default_rng(21), np.random.default_rng(21)
+    got = uniform(a, 1 << bits, count)
+    assert got.dtype == object and got.shape == (count,)
+    assert all(type(x) is int for x in got.tolist())
+    assert got.tolist() == _power_of_two_chunks(b, bits, count)
+    assert a.random() == b.random()
+
+
 @given(st.integers(63, 300), st.integers(0, 40), st.integers(0, 2 ** 32))
 def test_wide_power_of_two_takes_exactly_its_bits(bits, count, seed):
     # one rng.bytes call of ceil(bits / 8) bytes per value: whole-byte
     # widths draw the race's old labels, and others their low bits
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
     got = uniform(a, 1 << bits, count).tolist()
-    nbytes = (bits + 7) // 8
-    raw = b.bytes(nbytes * count)
-    assert got == [int.from_bytes(raw[i:i + nbytes], "little") % (1 << bits)
-                   for i in range(0, len(raw), nbytes)]
+    assert got == _power_of_two_chunks(b, bits, count)
     assert a.bit_generator.state == b.bit_generator.state
     if bits % 8 == 0:
         c = np.random.default_rng(seed)

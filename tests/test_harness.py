@@ -101,6 +101,20 @@ def test_run_table1_takes_numpy_budgets():
         run_table1(np.array([], dtype=np.int64), trials=2)
 
 
+def test_run_table1_reads_integer_arguments():
+    # numpy integers give the rows Python ints give; a float budget,
+    # trial count or width is refused with a TypeError
+    fields = lambda rows: [(r.budget, r.trials, r.mean, r.stddev, r.queries)
+                           for r in rows]
+    got = run_table1([9, 27], trials=np.int64(3), n_labels=np.int64(96),
+                     rng=2)
+    assert fields(got) == fields(run_table1([9, 27], trials=3, rng=2))
+    assert all(type(r.budget) is int and type(r.trials) is int for r in got)
+    for kwargs in ({"budgets": [9.0]}, {"trials": 3.0}, {"n_labels": 96.0}):
+        with pytest.raises(TypeError):
+            run_table1(**{"budgets": [9], "trials": 3, **kwargs})
+
+
 def test_run_table1_pinned_means():
     # pinned race means: the pairing loop and the race key may change
     # speed, never the race's results at a seed
