@@ -13,6 +13,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from .errors import BackendMismatchError, SieveExhaustedError
 from .group import int_dtype
 from .phase import (
     PhaseList,
@@ -22,7 +23,7 @@ from .phase import (
     sample_batch,
     tomography_mod_r,
 )
-from .staged import SieveStats, run_passes
+from .staged import MAX_PASSES, SieveStats
 
 
 class Objective:
@@ -113,28 +114,43 @@ def _pair_order(depths):
     return pairs.reshape(-1, 2), h
 
 
-def greedy_sieve(backend, obj, budget, readout):
-    """Fill a list with budget sampled qubits, then greedily pair inside
-    the minimum-alpha bucket to maximize the alpha of the extracted label.
-    The labels (oriented as obj.score flips them) that score obj.target,
-    the objective's top alpha, are targets: each batch of them placed at
-    once goes to readout as a PhaseList, in placement order, and the
-    sieve stops as soon as readout returns a value other than None.
-    Returns (that value, or None when the buckets empty first,
-    SieveStats).
+def _join(chunks):
+    """One (labels, classical) pair from a nonempty list of them."""
+    return (chunks[0] if len(chunks) == 1 else
+            tuple(map(np.concatenate, zip(*chunks))))
 
-    The sieve runs on label arrays: each batch (the sample, or the merges
-    of one sweep) is placed at once, in order.  The minimum-alpha bucket
-    is stable-sorted by key and swept in _pair_order, with one
-    rng.random(npairs) call for the extraction coins; merges that stay at
-    the same alpha carry into the next sweep with the unpaired entry.
-    This is the per-qubit loop's order and coin stream, with the readout
-    called after each sweep's draws."""
+
+def greedy_sieve(backend, obj, budget, readout, carried=None):
+    """Greedily pair inside the minimum-alpha bucket to maximize the alpha
+    of the extracted label, on a sieve state that outlives the call: the
+    carried labels (a PhaseList, or None) are placed first, and a fresh
+    pass of budget sampled qubits is placed only when the buckets are
+    empty.  The labels (oriented as obj.score flips them) that score
+    obj.target, the objective's top alpha, are targets: each batch of them
+    placed at once goes to readout as a PhaseList, in placement order, and
+    the sieve stops as soon as readout returns a value other than None.
+    Labels that score past the target (zero under obj) drop.  Returns
+    (that value, SieveStats, leftovers), leftovers a PhaseList of every
+    label the call still holds (None for none), for the next call to
+    carry; raises SieveExhaustedError, with the call's SieveStats, when
+    the buckets are empty after MAX_PASSES fresh passes.
+
+    The sieve runs on label arrays: each batch (the carried labels, a
+    fresh pass, or the merges of one sweep) is placed at once, in order.
+    The minimum-alpha bucket is stable-sorted by key and swept in
+    _pair_order, with one rng.random(npairs) call for the extraction
+    coins; merges that stay at the same alpha carry into the next sweep
+    with the unpaired entry, and an entry left alone in its bucket is held
+    and placed again, before the sample, with the next fresh pass.  This
+    is the per-qubit loop's order and coin stream, with the readout called
+    after each sweep's draws."""
     if budget < 2:
         raise ValueError("budget must be at least 2")
+    if carried is not None and carried.backend is not backend:
+        raise BackendMismatchError("carried qubits belong to another backend")
     stats = SieveStats()
     mod, top = backend.oracle.ctx.modulus, obj.target
-    buckets = defaultdict(list)
+    buckets, held = defaultdict(list), []
 
     def place(labels, classical):
         """Orient the labels and stable-sort them by alpha: below the top
@@ -159,35 +175,44 @@ def greedy_sieve(backend, obj, budget, readout):
         return readout(PhaseList(labels[start:end], classical[start:end],
                                  backend))
 
-    value = place(*sample_batch(backend, budget).take())
-    while value is None and buckets:
+    value = place(*carried.take()) if carried else None
+    passes = 0
+    while value is None:
+        if not buckets:
+            if passes == MAX_PASSES:
+                raise SieveExhaustedError(
+                    f"readout undecided after {passes} passes of {budget}"
+                    " labels", stats)
+            passes += 1
+            value = place(*_join(held + [sample_batch(backend, budget)
+                                         .take()]))
+            held = []
+            continue
         v = min(buckets)
-        chunks = buckets.pop(v)
-        while value is None and chunks:
-            labels, classical = (chunks[0] if len(chunks) == 1 else
-                                 map(np.concatenate, zip(*chunks)))
-            n = len(labels)
-            if n < 2:
-                break
-            # sorted keys, and the entries adjacent rows share: every row
-            # ends in -1, so each pair fails to match in the matrix
-            keys = obj.keys(labels, v)
-            order = np.lexsort(keys.T[-2::-1])
-            keys = keys.take(order, axis=0)
-            same = (keys[1:] == keys[:-1]) & (keys[1:] >= 0)
-            pairs, lone = _pair_order(same.argmin(axis=1))
-            pairs = order[pairs].T
-            npairs = pairs.shape[1]
-            merged, merged_classical, _ = combine_pairs(backend, labels,
-                                                        classical, pairs)
-            stats.combines += npairs
-            stats.work += n + npairs
-            value = place(merged, merged_classical)
-            chunks = buckets.pop(v, [])
-            if lone >= 0:
-                i = order[lone]
-                chunks.append((labels[i:i + 1], classical[i:i + 1]))
-    return value, stats
+        labels, classical = _join(buckets.pop(v))
+        n = len(labels)
+        if n < 2:
+            held.append((labels, classical))
+            continue
+        # sorted keys, and the entries adjacent rows share: every row ends
+        # in -1, so each pair fails to match in the matrix
+        keys = obj.keys(labels, v)
+        order = np.lexsort(keys.T[-2::-1])
+        keys = keys.take(order, axis=0)
+        same = (keys[1:] == keys[:-1]) & (keys[1:] >= 0)
+        pairs, lone = _pair_order(same.argmin(axis=1))
+        pairs = order[pairs].T
+        npairs = pairs.shape[1]
+        merged, merged_classical, _ = combine_pairs(backend, labels,
+                                                    classical, pairs)
+        stats.combines += npairs
+        stats.work += n + npairs
+        value = place(merged, merged_classical)
+        if lone >= 0:
+            i = order[lone]
+            buckets[v].append((labels[i:i + 1], classical[i:i + 1]))
+    left = held + [chunk for a in sorted(buckets) for chunk in buckets[a]]
+    return value, stats, PhaseList(*_join(left), backend) if left else None
 
 
 # laws of 3^sqrt(2 log_3 N) labels one greedy pass samples (CHANGES.md
@@ -196,29 +221,39 @@ _LAWS = 3
 
 
 def list_size(order):
-    """Labels one greedy pass samples on a group of the given order; every
-    radix level and abelian coordinate runs such passes until it decides."""
+    """Labels one greedy pass samples on a group of the given order: a
+    radix level with m digits left samples passes of list_size(r^m), an
+    abelian coordinate of the group A passes of list_size(|A|)."""
     return math.ceil(_LAWS * 3.0 ** math.sqrt(2 * math.log(max(3, order), 3)))
 
 
 def run_radix_recovery(backend, r, n, budget=None):
-    """One level of the radix recursion: sieve for labels divisible by
-    N/r, and read s mod r from them by tomography, which stops on
-    evidence.  Greedy sieves run (run_passes), each over budget fresh
-    qubits (list_size when None) and each handing its targets to
-    tomography_mod_r as it places them, until the readout decides.
-    Returns (s mod r, SieveStats)."""
+    """The radix recursion over Z/r^n on the backend's own oracle, one
+    greedy sieve state carried through every level.  Level i knows
+    p = s mod r^i and sieves with the objective k mod r, ..., mod
+    r^(n-i), whose targets are the labels of r-adic valuation exactly
+    n - 1 - i; tomography_mod_r reads digit i from them by a readout that
+    stops on evidence, observing copy j at p + r^i (j mod r).  The labels
+    a level leaves are placed first under the next level's objective,
+    where those of higher valuation score zero and drop; a level samples
+    passes of budget labels (list_size(r^(n-i)) when None) only when its
+    buckets run empty.  Returns (s, SieveStats summed over the levels);
+    an undecided level raises SieveExhaustedError."""
     r, n = operator.index(r), operator.index(n)
-    N = r ** n
-    if backend.oracle.ctx.N != N:
+    if backend.oracle.ctx.N != r ** n:
         raise ValueError("oracle group order is not r^n")
-    if n == 0:
-        return 0, SieveStats()
-    obj = Objective([0] * n, [r ** i for i in range(1, n + 1)])
-    readout = Readout(N, range(r))
-    return run_passes(lambda: greedy_sieve(
-        backend, obj, budget or list_size(N),
-        lambda targets: tomography_mod_r(targets, r, readout)))
+    s, stats, carried = 0, SieveStats(), None
+    for i in range(n):
+        m = n - i
+        obj = Objective([0] * m, [r ** j for j in range(1, m + 1)])
+        readout = Readout(r, [s + r ** i * t for t in range(r)])
+        digit, level, carried = greedy_sieve(
+            backend, obj, budget or list_size(r ** m),
+            lambda targets: tomography_mod_r(targets, r, readout, s, i),
+            carried)
+        s += digit * r ** i
+        stats += level
+    return s, stats
 
 
 # each byte with its bits reversed, and its count of leading zero bits

@@ -218,14 +218,18 @@ def cosine_observe(plist, t):
     return _observe(plist, t)
 
 
-def tomography_mod_r(plist, r, readout=None):
-    """Read s mod r from a list whose labels are multiples of N/r: add the
-    copies, in order, to readout (a new Readout(N, range(r)) when None)
-    and return its value, None while it is undecided.  A label-0 copy
-    carries nothing about s: those are dropped unobserved.  A new readout
-    must be decided by the list, or InsufficientCopiesError is raised.
-    Consumes the list; the value is an int."""
-    r = operator.index(r)
+def tomography_mod_r(plist, r, readout=None, p=0, i=0):
+    """Read digit i of s in base r, p = s mod r^i known, from a list whose
+    labels are multiples of N/r^(i+1): label k = (N/r^(i+1)) u observed
+    at p + r^i t turns by u (d_i - t)/r mod 1, so the copies go, in order,
+    to readout over the unit parts u mod r (a new
+    Readout(r, [p + r^i t for t < r]) when None), and its value, None
+    while it is undecided, is returned.  A copy with u = 0 mod r carries
+    nothing about d_i: those are dropped unobserved.  At i = 0 this reads
+    s mod r from multiples of N/r.  A new readout must be decided by the
+    list, or InsufficientCopiesError is raised.  Consumes the list; the
+    value is an int."""
+    r, p, i = operator.index(r), operator.index(p), operator.index(i)
     if r < 2:
         raise ValueError("radix must be at least 2")
     if not len(plist):
@@ -234,20 +238,22 @@ def tomography_mod_r(plist, r, readout=None):
     if not isinstance(be.oracle.ctx, GroupCtx):
         raise TypeError("residue tomography applies to dihedral backends")
     N = be.oracle.ctx.N
-    if N % r != 0:
-        raise ValueError("radix must divide N")
-    if (plist.labels % (N // r)).any():
-        raise ValueError("label is not a multiple of N/r")
+    if N % r ** (i + 1) != 0:
+        raise ValueError(f"r^{i + 1} must divide N")
+    step = N // r ** (i + 1)
+    if (plist.labels % step).any():
+        raise ValueError(f"label is not a multiple of N/r^{i + 1}")
     fresh = readout is None
     if fresh:
-        readout = Readout(N, range(r))
+        readout = Readout(r, [p + r ** i * t for t in range(r)])
     labels, classical = plist.take()
-    nonzero = labels != 0
-    labels, classical = labels[nonzero], classical[nonzero]
-    value = readout.observe(PhaseList(labels, classical, be), labels)
+    units = labels // step % r
+    keep = units != 0
+    value = readout.observe(PhaseList(labels[keep], classical[keep], be),
+                            units[keep])
     if fresh and value is None:
         raise InsufficientCopiesError(
-            f"{len(labels)} nonzero copies leave s mod {r} undecided")
+            f"{keep.sum()} nonzero copies leave digit {i} of s undecided")
     return value
 
 

@@ -31,7 +31,6 @@ from .staged import (
     COARSE_COPIES,
     interval_sieve,
     run_general_interval,
-    run_passes,
     run_staged_parity,
 )
 
@@ -86,17 +85,16 @@ def _las_vegas(o, attempt, max_retries):
 # Power-of-two and radix recursions
 
 
-def _digit_recursion(o, r, n, rng, read_digit):
-    """One attempt of a recursion over D_{r^n}: read s mod r with
-    read_digit(backend, levels left), restrict to the index-r subgroup
-    that digit names, and repeat.  Returns s."""
-    cur, s, mul = o, 0, 1
+def _digit_recursion(o, n, rng):
+    """One attempt of the power-of-two recursion over D_{2^n}: read
+    s mod 2 with the staged parity sieve, restrict to the index-2
+    subgroup that bit names, and repeat.  Returns s."""
+    cur, s = o, 0
     for i in range(n):
-        digit, _ = read_digit(PhaseBackend(cur, rng=rng), n - i)
-        s += digit * mul
-        mul *= r
+        bit, _ = run_staged_parity(PhaseBackend(cur, rng=rng), n - i)
+        s += bit << i
         if i < n - 1:
-            cur = restrict_reflection(cur, digit, r)
+            cur = restrict_reflection(cur, bit, 2)
     return s
 
 
@@ -116,10 +114,9 @@ def recover_slope_power2(o, n=None, rng=None):
 
 
 def recover_slope_radix(o, r, n=None, rng=None):
-    """Digit-by-digit recovery over D_{r^n} using the greedy sieve at each
-    level: read s mod r, restrict to the index-r subgroup, repeat; every
-    level runs passes of list_size labels until its readout decides.
-    Returns (s, RecoveryReport)."""
+    """Digit-by-digit recovery over D_{r^n} by the greedy sieve on o
+    itself: run_radix_recovery reads every digit from one sieve state
+    carried through the levels.  Returns (s, RecoveryReport)."""
     N, r = o.ctx.N, operator.index(r)
     if r < 2:
         raise ValueError("radix must be at least 2")
@@ -131,9 +128,8 @@ def recover_slope_radix(o, r, n=None, rng=None):
     if r ** n != N:
         raise ValueError("group order is not r^n")
     rng = np.random.default_rng(rng)
-    return _las_vegas(o, lambda i: _digit_recursion(
-        o, r, n, rng, lambda be, m: run_radix_recovery(be, r, m)),
-        _MAX_RETRIES)
+    return _las_vegas(o, lambda i: run_radix_recovery(
+        PhaseBackend(o, rng=rng), r, n)[0], _MAX_RETRIES)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +222,7 @@ def _slope_attempt(o, rng):
     if M > 1:
         p = _general_attempt(o, M, rng)
         o = restrict_reflection(o, p, M)
-    return p + M * _digit_recursion(o, 2, a, rng, run_staged_parity)
+    return p + M * _digit_recursion(o, a, rng)
 
 
 def recover_slope_general(o, rng=None):
@@ -274,30 +270,32 @@ def solve_substring(inst, rng=None):
 # Abelian hidden shift
 
 
-def _coordinate_slope(o, A, j, rng):
-    """Sieve for labels supported on coordinate j alone, in greedy passes
-    (run_passes) of list_size labels, each handing its targets to one
-    sequential readout of the j-th shift coordinate, by maximum
-    likelihood over cosine observations, until the readout decides."""
+def _coordinate_slope(backend, A, j, carried):
+    """Sieve for labels supported on coordinate j alone, on the labels
+    carried from the coordinates before it and passes of list_size labels,
+    handing the targets to one sequential readout of the j-th shift
+    coordinate, by maximum likelihood over cosine observations, until the
+    readout decides.  Returns greedy_sieve's (value, SieveStats,
+    leftovers)."""
     rank = A.rank
     Nj = A.orders[j]
     # coordinate j read last: its target is a label supported on it alone
     perm = [i for i in range(rank) if i != j] + [j]
     obj = Objective(perm, [A.orders[i] for i in perm])
-    backend = PhaseBackend(o, rng=rng)
     readout = Readout(Nj, [tuple(t if i == j else 0 for i in range(rank))
                            for t in range(Nj)])
-    value, _ = run_passes(lambda: greedy_sieve(
+    return greedy_sieve(
         backend, obj, list_size(A.size),
-        lambda targets: readout.observe(targets, targets.labels[:, j])))
-    return value
+        lambda targets: readout.observe(targets, targets.labels[:, j]),
+        carried)
 
 
 def solve_abelian_shift(p, rng=None):
     """Hidden shift on a finite (possibly truncated) abelian group: view
     the pair as a reflection oracle on the generalized dihedral group,
-    sieve each coordinate down to single-coordinate labels, and read the
-    shift coordinate-wise; a group of rank 2 or more is refused before
+    sieve each coordinate in turn down to single-coordinate labels, on one
+    sieve state the coordinates carry, and read the shift
+    coordinate-wise; a group of rank 2 or more is refused before
     the first query when an order passes 4096.  Returns
     (s, RecoveryReport)."""
     A = p.A
@@ -312,9 +310,13 @@ def solve_abelian_shift(p, rng=None):
         if A.rank == 1:
             # rank 1 collapses to the plain dihedral problem
             return _slope_attempt(o, rng)
-        return tuple(0 if A.orders[j] == 1
-                     else _coordinate_slope(o, A, j, rng)
-                     for j in range(A.rank))
+        backend, s, carried = PhaseBackend(o, rng=rng), [], None
+        for j in range(A.rank):
+            value = 0
+            if A.orders[j] > 1:
+                value, _, carried = _coordinate_slope(backend, A, j, carried)
+            s.append(value)
+        return tuple(s)
 
     s, rep = _las_vegas(o, attempt, _MAX_RETRIES)
     return ((s,) if A.rank == 1 else s), rep
