@@ -1,12 +1,13 @@
 """Greedy sieve: bucket sampled labels by an objective, pair the
 best-matching entries of the minimum bucket, and race labels toward a
-target alpha, on label arrays; one objective serves the radix levels and
-the abelian coordinates.  Also hosts the label-only cancellation race
-used by the experiment harness.
+target alpha, on label arrays, through the chain recursion that reads
+every smooth group a digit at a time.  Also hosts the label-only
+cancellation race used by the experiment harness.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import defaultdict
@@ -28,17 +29,15 @@ from .staged import MAX_PASSES, SieveStats
 
 class Objective:
     """The one greedy objective: label k is read as the row of residues
-    k[columns[i]] mod moduli[i], and merges move labels toward rows that
-    are zero up to the last entry.  On Z/r^n the row is k mod r, ...,
-    mod r^n (columns all 0, the label itself); on a product of cyclic
-    groups it is the coordinates in the order they are zeroed.  alpha is
-    the place of the row's first nonzero entry, D = len(moduli) for a
-    zero label, so a target scores target = D - 1, and the key is the
-    row from alpha up to the target, then -1: two labels that match on
-    the key merge to a target or to zero.  (Keyed on the last entry too,
-    equal labels would match deepest, pair first and merge to zero or to
-    twice the label.)  The methods take an array of labels, int64 or
-    object, one label per row."""
+    k[columns[i]] mod moduli[i] (run_chain builds one per step), and
+    merges move labels toward rows that are zero up to the last entry.
+    alpha is the place of the row's first nonzero entry, D = len(moduli)
+    for a zero label, so a target scores target = D - 1, and the key is
+    the row from alpha up to the target, then -1: two labels that match
+    on the key merge to a target or to zero.  (Keyed on the last entry
+    too, equal labels would match deepest, pair first and merge to zero
+    or to twice the label.)  The methods take an array of labels, int64
+    or object, one label per row."""
 
     def __init__(self, columns, moduli):
         self.columns = np.array(columns, dtype=np.int64)
@@ -46,9 +45,10 @@ class Objective:
         self.target = len(self.moduli) - 1
 
     def _rows(self, labels, start=0):
-        """Entries start.. of every label's row."""
-        return (labels.reshape(len(labels), -1)[:, self.columns[start:]]
-                % self.moduli[start:])
+        """Entries start.. of each label's row (a 1-D array: one column)."""
+        if labels.ndim == 1:
+            labels = labels[:, None]
+        return labels[:, self.columns[start:]] % self.moduli[start:]
 
     def score(self, labels):
         """(flip, alpha): psi_k ~ psi_{-k}, and negation keeps alpha, so
@@ -222,37 +222,58 @@ _LAWS = 3
 
 def list_size(order):
     """Labels one greedy pass samples on a group of the given order: a
-    radix level with m digits left samples passes of list_size(r^m), an
-    abelian coordinate of the group A passes of list_size(|A|)."""
+    chain step samples passes of list_size of the unread order, r^m on a
+    radix level with m digits left."""
     return math.ceil(_LAWS * 3.0 ** math.sqrt(2 * math.log(max(3, order), 3)))
 
 
+def run_chain(backend, steps, budget=None):
+    """Read s one digit per step, on the backend's own oracle and one
+    carried greedy sieve state: steps[j] lists coordinate j's step moduli
+    in read order (one coordinate on D_N).  The step reading p from
+    coordinate j sieves for tomography_mod_r's targets, with the row of
+    the unread part of the group: the coordinates after j in reverse read
+    order, then j, each as the divisor chain of its unread steps
+    multiplied in from the last (k mod r, ..., mod r^m on a radix level
+    with m digits left).  So each row is a prefix of the one before, and
+    a step samples passes of budget labels (list_size of the unread order
+    when None) only when its carried buckets run empty.  Returns
+    (s, SieveStats summed), s a list of coordinates; an undecided step
+    raises SieveExhaustedError."""
+    mod = backend.oracle.ctx.modulus
+    if list(map(math.prod, steps)) != np.reshape(mod, -1).tolist():
+        raise ValueError("chain steps do not multiply to the group's orders")
+    s, stats, carried = [0] * len(steps), SieveStats(), None
+    for j, chain in enumerate(steps):
+        q = 1
+        for a, p in enumerate(chain):
+            columns, moduli, unread = [], [], 1
+            for i in range(len(steps) - 1, j - 1, -1):
+                rest = chain[a:] if i == j else steps[i]
+                columns += [i] * len(rest)
+                moduli += itertools.accumulate(rest[::-1], operator.mul)
+                unread *= math.prod(rest)
+            # group rows, read coordinates at their values; D_N has one entry
+            points = [(*s[:j], s[j] + q * t, *s[j + 1:]) for t in range(p)]
+            readout = Readout(p, points if np.ndim(mod) else
+                              [x for x, in points])
+            digit, level, carried = greedy_sieve(
+                backend, Objective(columns, moduli),
+                budget or list_size(unread),
+                lambda targets: tomography_mod_r(targets, p, readout, s[j],
+                                                 q, j),
+                carried)
+            s[j] += digit * q
+            q *= p
+            stats += level
+    return s, stats
+
+
 def run_radix_recovery(backend, r, n, budget=None):
-    """The radix recursion over Z/r^n on the backend's own oracle, one
-    greedy sieve state carried through every level.  Level i knows
-    p = s mod r^i and sieves with the objective k mod r, ..., mod
-    r^(n-i), whose targets are the labels of r-adic valuation exactly
-    n - 1 - i; tomography_mod_r reads digit i from them by a readout that
-    stops on evidence, observing copy j at p + r^i (j mod r).  The labels
-    a level leaves are placed first under the next level's objective,
-    where those of higher valuation score zero and drop; a level samples
-    passes of budget labels (list_size(r^(n-i)) when None) only when its
-    buckets run empty.  Returns (s, SieveStats summed over the levels);
-    an undecided level raises SieveExhaustedError."""
-    r, n = operator.index(r), operator.index(n)
-    if backend.oracle.ctx.N != r ** n:
-        raise ValueError("oracle group order is not r^n")
-    s, stats, carried = 0, SieveStats(), None
-    for i in range(n):
-        m = n - i
-        obj = Objective([0] * m, [r ** j for j in range(1, m + 1)])
-        readout = Readout(r, [s + r ** i * t for t in range(r)])
-        digit, level, carried = greedy_sieve(
-            backend, obj, budget or list_size(r ** m),
-            lambda targets: tomography_mod_r(targets, r, readout, s, i),
-            carried)
-        s += digit * r ** i
-        stats += level
+    """The radix recursion over Z/r^n, run_chain's [r] * n: step i reads
+    digit i of s in base r.  Returns (s, SieveStats)."""
+    (s,), stats = run_chain(backend, [[operator.index(r)] * operator.index(n)],
+                            budget)
     return s, stats
 
 

@@ -218,42 +218,39 @@ def cosine_observe(plist, t):
     return _observe(plist, t)
 
 
-def tomography_mod_r(plist, r, readout=None, p=0, i=0):
-    """Read digit i of s in base r, p = s mod r^i known, from a list whose
-    labels are multiples of N/r^(i+1): label k = (N/r^(i+1)) u observed
-    at p + r^i t turns by u (d_i - t)/r mod 1, so the copies go, in order,
-    to readout over the unit parts u mod r (a new
-    Readout(r, [p + r^i t for t < r]) when None), and its value, None
-    while it is undecided, is returned.  A copy with u = 0 mod r carries
-    nothing about d_i: those are dropped unobserved.  At i = 0 this reads
-    s mod r from multiples of N/r.  A new readout must be decided by the
-    list, or InsufficientCopiesError is raised.  Consumes the list; the
-    value is an int."""
-    r, p, i = operator.index(r), operator.index(p), operator.index(i)
+def tomography_mod_r(plist, r, readout=None, p=0, q=1, j=0):
+    """Read d = (s_j // q) mod r, the next digit of coordinate j of s (s
+    itself on D_N; digit i in base r at q = r^i), p = s_j mod q known,
+    from labels (n_j/(q r)) u on coordinate j, n_j its order, and zero
+    after it: observed at s_j = p + q t, and at the known values before
+    j, they turn by u (d - t)/r mod 1.  The copies go in order to readout
+    over u mod r, dropping those with u = 0 mod r unobserved, and its
+    value (None while undecided) is returned.  With no readout a dihedral
+    backend builds Readout(r, [p + q t for t < r]), which the list must
+    decide, or InsufficientCopiesError is raised.  Consumes the list."""
+    r, p, q, j = map(operator.index, (r, p, q, j))
     if r < 2:
         raise ValueError("radix must be at least 2")
     if not len(plist):
         raise InsufficientCopiesError("no copies supplied")
     be = plist.backend
-    if not isinstance(be.oracle.ctx, GroupCtx):
-        raise TypeError("residue tomography applies to dihedral backends")
-    N = be.oracle.ctx.N
-    if N % r ** (i + 1) != 0:
-        raise ValueError(f"r^{i + 1} must divide N")
-    step = N // r ** (i + 1)
-    if (plist.labels % step).any():
-        raise ValueError(f"label is not a multiple of N/r^{i + 1}")
+    step, rest = divmod(int(np.reshape(be.oracle.ctx.modulus, -1)[j]), q * r)
+    column = np.reshape(plist.labels, (len(plist), -1))[:, j]
+    if rest or (column % step).any():
+        raise ValueError("labels are not multiples of n_j/(q r)")
     fresh = readout is None
     if fresh:
-        readout = Readout(r, [p + r ** i * t for t in range(r)])
+        if not isinstance(be.oracle.ctx, GroupCtx):
+            raise TypeError("residue tomography applies to dihedral backends")
+        readout = Readout(r, [p + q * t for t in range(r)])
     labels, classical = plist.take()
-    units = labels // step % r
+    units = column // step % r
     keep = units != 0
     value = readout.observe(PhaseList(labels[keep], classical[keep], be),
                             units[keep])
     if fresh and value is None:
         raise InsufficientCopiesError(
-            f"{keep.sum()} nonzero copies leave digit {i} of s undecided")
+            f"{keep.sum()} nonzero copies leave the digit undecided")
     return value
 
 

@@ -1,6 +1,7 @@
 """Full-secret recovery loops: bit-by-bit recursion for N = 2^n, the
 general-N automorphism refinement, substring solving through spliced
-oracles, and the abelian hidden shift assembled coordinate by coordinate.
+oracles, and the abelian hidden shift read one prime digit at a time on
+the radix recursion's carried chain.
 
 Every recovery is Las Vegas: one attempt function run by _las_vegas, which
 returns a candidate only after verify_reflection's query pair on the
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoHiddenReflectionError, SieveExhaustedError
-from .greedy import Objective, greedy_sieve, list_size, run_radix_recovery
+from .greedy import run_chain, run_radix_recovery
 from .group import DihedralElement, identity, int_dtype, unit_for_odd_part
 from .oracle import (
     restrict_reflection,
@@ -26,7 +27,7 @@ from .oracle import (
     splice_substring,
     with_label_automorphism,
 )
-from .phase import PhaseBackend, Readout, likelihood_readout
+from .phase import PhaseBackend, likelihood_readout
 from .staged import (
     COARSE_COPIES,
     interval_sieve,
@@ -43,6 +44,8 @@ _PRUNE_LL = 8.0
 _SCORED_CANDIDATES = 256
 # attempts of every recovery but the substring grid sweep
 _MAX_RETRIES = 6
+# largest prime a rank >= 2 abelian chain reads as one digit
+_MAX_PRIME = 1 << 12
 
 
 @dataclass
@@ -124,9 +127,6 @@ def recover_slope_radix(o, r, n=None, rng=None):
         n, power = 0, 1
         while power < N:
             n, power = n + 1, power * r
-    n = operator.index(n)
-    if r ** n != N:
-        raise ValueError("group order is not r^n")
     rng = np.random.default_rng(rng)
     return _las_vegas(o, lambda i: run_radix_recovery(
         PhaseBackend(o, rng=rng), r, n)[0], _MAX_RETRIES)
@@ -270,53 +270,34 @@ def solve_substring(inst, rng=None):
 # Abelian hidden shift
 
 
-def _coordinate_slope(backend, A, j, carried):
-    """Sieve for labels supported on coordinate j alone, on the labels
-    carried from the coordinates before it and passes of list_size labels,
-    handing the targets to one sequential readout of the j-th shift
-    coordinate, by maximum likelihood over cosine observations, until the
-    readout decides.  Returns greedy_sieve's (value, SieveStats,
-    leftovers)."""
-    rank = A.rank
-    Nj = A.orders[j]
-    # coordinate j read last: its target is a label supported on it alone
-    perm = [i for i in range(rank) if i != j] + [j]
-    obj = Objective(perm, [A.orders[i] for i in perm])
-    readout = Readout(Nj, [tuple(t if i == j else 0 for i in range(rank))
-                           for t in range(Nj)])
-    return greedy_sieve(
-        backend, obj, list_size(A.size),
-        lambda targets: readout.observe(targets, targets.labels[:, j]),
-        carried)
+def _prime_steps(n):
+    """The prime factors of n, ascending and repeated, by trial division
+    up to _MAX_PRIME; raises ValueError when a factor past it is left."""
+    steps, d = [], 2
+    while d * d <= n and d <= _MAX_PRIME:
+        while n % d == 0:
+            steps.append(d)
+            n //= d
+        d += 1
+    if n > _MAX_PRIME:
+        raise ValueError("groups of rank 2 or more need prime factors"
+                         f" <= {_MAX_PRIME}; rank 1 takes any order")
+    return steps + [n] * (n > 1)
 
 
 def solve_abelian_shift(p, rng=None):
-    """Hidden shift on a finite (possibly truncated) abelian group: view
-    the pair as a reflection oracle on the generalized dihedral group,
-    sieve each coordinate in turn down to single-coordinate labels, on one
-    sieve state the coordinates carry, and read the shift
-    coordinate-wise; a group of rank 2 or more is refused before
-    the first query when an order passes 4096.  Returns
-    (s, RecoveryReport)."""
-    A = p.A
-    if A.rank > 1 and max(A.orders) > 1 << 12:
-        raise ValueError(
-            "per-coordinate likelihood readout is limited to orders <= 4096;"
-            " large coordinates are only supported in rank-1 groups")
-    rng = np.random.default_rng(rng)
+    """Hidden shift on a finite (possibly truncated) abelian group, as a
+    reflection oracle on the generalized dihedral group: run_chain reads
+    the shift one prime digit at a time, each order's primes ascending.
+    A group of rank 2 or more is refused before the first query when an
+    order has a prime factor past _MAX_PRIME, whose readout would score
+    that many residues per copy.  Returns (s, RecoveryReport)."""
     o = shift_to_dihedral(p)
-
-    def attempt(i):
-        if A.rank == 1:
-            # rank 1 collapses to the plain dihedral problem
-            return _slope_attempt(o, rng)
-        backend, s, carried = PhaseBackend(o, rng=rng), [], None
-        for j in range(A.rank):
-            value = 0
-            if A.orders[j] > 1:
-                value, _, carried = _coordinate_slope(backend, A, j, carried)
-            s.append(value)
-        return tuple(s)
-
-    s, rep = _las_vegas(o, attempt, _MAX_RETRIES)
-    return ((s,) if A.rank == 1 else s), rep
+    if p.A.rank == 1:
+        # rank 1 collapses to the plain dihedral problem
+        s, rep = recover_slope_general(o, rng)
+        return (s,), rep
+    steps = [_prime_steps(n) for n in p.A.orders]
+    rng = np.random.default_rng(rng)
+    return _las_vegas(o, lambda i: tuple(run_chain(
+        PhaseBackend(o, rng=rng), steps)[0]), _MAX_RETRIES)

@@ -245,7 +245,7 @@ def _interval_pass(backend, size, widths, ones):
 
 
 def run_passes(one_pass):
-    """The demand loop of every staged, radix and coordinate sieve: call
+    """The demand loop of every staged and interval sieve: call
     one_pass() -> (result, SieveStats), each pass over fresh samples,
     until a pass returns a result other than None, and return it with the
     stats summed; after MAX_PASSES passes without one, raises

@@ -42,7 +42,7 @@ from dhsieve.phase import (
     sample_batch,
     tomography_mod_r,
 )
-from dhsieve.recover import recover_slope_radix
+from dhsieve.recover import _prime_steps, recover_slope_radix
 from dhsieve.staged import MAX_PASSES, SieveStats
 
 
@@ -149,6 +149,17 @@ def test_objective_canonicalization():
     assert alpha.tolist() == [2, 2]
     flip, _ = Objective((0, 1), (16, 9)).score(np.array([(12, 3), (4, 8)]))
     assert flip.tolist() == [True, False]
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 2)])
+def test_objective_on_no_labels(shape):
+    # an empty label array, one column (D_N) or (0, rank), scores and
+    # keys to empty results that keep the row's width
+    obj = Objective([0, 0] if len(shape) == 1 else [1, 0], [3, 9])
+    labels = np.zeros(shape, np.int64)
+    flip, alpha = obj.score(labels)
+    assert flip.shape == alpha.shape == (0,)
+    assert obj.keys(labels, 0).shape == (0, 2)
 
 
 def test_objective_key_orders_by_low_digits():
@@ -1005,7 +1016,7 @@ def test_carried_labels_read_their_digit_exactly(r, n):
     # secret, level, such label and reference, in integers (k (s - p -
     # r^i t) mod N is N/r times u (d_i - t) mod r) and on GroupCtx.turns.
     # On an honest oracle a carried read, copies of every such label in
-    # turn handed to tomography_mod_r at level i, returns d_i for every
+    # turn handed to tomography_mod_r at q = r^i, returns d_i for every
     # (s, i) at r = 2, where each bit observed is certain; at r > 2 each
     # bit is a coin, and the readout's stopping rule misreads at most
     # READOUT_DELTA of the reads (1 of the 10,279 here, at 5^4)
@@ -1023,8 +1034,61 @@ def test_carried_labels_read_their_digit_exactly(r, n):
             assert ctx.turns(k, s, p + r ** i * t).tolist() == (
                 want / r).tolist()
             copies = PhaseList(np.resize(k, 8 * r), np.zeros(8 * r, bool), be)
-            misread += tomography_mod_r(copies, r, None, p, i) != d
+            misread += tomography_mod_r(copies, r, None, p, r ** i) != d
     assert misread <= (0 if r == 2 else READOUT_DELTA * N * n)
+
+
+@pytest.mark.parametrize("orders", [(4, 6), (2, 9), (8, 3), (2, 3, 5)])
+def test_chain_targets_read_their_digit_exactly(orders, monkeypatch):
+    # the chain reads each order's prime factors, ascending.  The step
+    # that reads p from coordinate j, q the product of j's steps already
+    # read and s0 = s_j mod q, has targets (n_j/(q p)) u on coordinate j,
+    # u != 0 mod p, and zero on the coordinates after it; observed at
+    # s_j = s0 + q t and at s_i on the coordinates i < j, such a label
+    # turns by exactly u (d - t)/p mod 1, d = (s_j // q) mod p.  Checked
+    # for every secret, step, target of the step's objective (over all
+    # labels of the group) and reference, in integers and on
+    # AbelianGroupSpec.turns; and the honest carried read returns every
+    # coordinate
+    A = AbelianGroupSpec(orders)
+    steps = [_prime_steps(n) for n in orders]
+    labels = np.array(list(itertools.product(*map(range, orders))))
+    seen = []
+    real_sieve, real_tomo = greedy.greedy_sieve, greedy.tomography_mod_r
+
+    def sieve(backend, obj, budget, readout, carried):
+        seen.append([obj])
+        return real_sieve(backend, obj, budget, readout, carried)
+
+    def tomo(targets, p, readout, s0, q, j):
+        seen[-1][1:] = [(p, readout, s0, q, j)]
+        return real_tomo(targets, p, readout, s0, q, j)
+
+    monkeypatch.setattr(greedy, "greedy_sieve", sieve)
+    monkeypatch.setattr(greedy, "tomography_mod_r", tomo)
+    for s in itertools.product(*map(range, orders)):
+        seen.clear()
+        be = PhaseBackend(make_reflection_oracle(A, s),
+                          rng=np.random.default_rng([A.size, *s]))
+        got, _ = greedy.run_chain(be, steps)
+        assert tuple(got) == s
+        assert [(p, j) for _, (p, *_, j) in seen] == [
+            (p, j) for j, chain in enumerate(steps) for p in chain]
+        for obj, (p, readout, s0, q, j) in seen:
+            n, d = orders[j], s[j] // q % p
+            assert s0 == s[j] % q and readout.value == d
+            _, alpha = obj.score(labels.copy())
+            k = labels[alpha == obj.target]
+            assert len(k) and not k[:, j + 1:].any()
+            assert not (k[:, j] % (n // (q * p))).any()
+            u = k[:, j] // (n // (q * p))
+            for t, point in readout.refs:
+                assert point == (*s[:j], s0 + q * t, *[0] * (A.rank - j - 1))
+                want = u * (d - t) % p
+                assert (k * (np.array(s) - point) % orders).tolist() == [
+                    [0] * j + [n // p * w] + [0] * (A.rank - j - 1)
+                    for w in want]
+                assert A.turns(k, s, point).tolist() == (want / p).tolist()
 
 
 def test_radix_levels_sized_by_demand(monkeypatch):
@@ -1044,9 +1108,9 @@ def test_radix_levels_sized_by_demand(monkeypatch):
         calls.append((obj.target, budget, carried, out))
         return out
 
-    def tomo(targets, r, readout, p, i):
-        value = real_tomo(targets, r, readout, p, i)
-        reads.append((readout, p, i, value))
+    def tomo(targets, r, readout, p, q, j):
+        value = real_tomo(targets, r, readout, p, q, j)
+        reads.append((readout, p, q, value))
         return value
 
     monkeypatch.setattr(greedy, "greedy_sieve", sieve)
@@ -1069,7 +1133,7 @@ def test_radix_levels_sized_by_demand(monkeypatch):
             assert [out[0] for *_, out in calls] == [
                 s // 3 ** i % 3 for i in range(n)]
             for i in range(n):
-                level = [x for x in reads if x[2] == i]
+                level = [x for x in reads if x[2] == 3 ** i]
                 assert len({id(x[0]) for x in level}) == 1
                 assert {x[1] for x in level} == {s % 3 ** i}
                 assert [x[3] for x in level] == [None] * (len(level) - 1) + [
@@ -1141,8 +1205,8 @@ def test_radix_level_exhausts_after_max_passes(monkeypatch):
     # their stats, and the recursion reads no further level
     levels = []
 
-    def undecided(targets, r, readout, p, i):
-        levels.append(i)
+    def undecided(targets, r, readout, p, q, j):
+        levels.append(q)
         targets.take()
 
     monkeypatch.setattr(greedy, "tomography_mod_r", undecided)
@@ -1150,7 +1214,7 @@ def test_radix_level_exhausts_after_max_passes(monkeypatch):
     with pytest.raises(SieveExhaustedError) as err:
         run_radix_recovery(be, 5, 3)
     assert be.oracle.queries == list_size(125) * MAX_PASSES
-    assert set(levels) == {0} and err.value.stats.combines > 0
+    assert set(levels) == {1} and err.value.stats.combines > 0
 
 
 def test_run_radix_recovery_n1():

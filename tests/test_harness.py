@@ -436,11 +436,14 @@ RADIX_ARGV = [
      "--trials", "1", "--seed", "1"],
     ["simulate", "--algorithm", "abelian", "--orders", "3298534883328",
      "--trials", "1", "--seed", "1"],
-    # rank 2 with an order past 4096: refused before the first query,
-    # also past 2^63 and when the large order is not the first
+    # rank 2 with a prime factor past 4096 (4099, 2^64 - 59): refused
+    # before the first query, also past 2^63 and when the rough order is
+    # the first
     ["simulate", "--algorithm", "abelian", "--orders",
-     "3,9223372036854775808", "--trials", "1", "--seed", "1"],
-    ["simulate", "--algorithm", "abelian", "--orders", "3,5000",
+     "3,18446744073709551557", "--trials", "1", "--seed", "1"],
+    ["simulate", "--algorithm", "abelian", "--orders", "3,4099",
+     "--trials", "1", "--seed", "1"],
+    ["simulate", "--algorithm", "abelian", "--orders", "4099,3",
      "--trials", "1", "--seed", "1"],
 ])
 def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):

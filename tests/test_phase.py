@@ -889,6 +889,21 @@ def test_tomography_rejects_radix_below_2():
             tomography_mod_r(copies([4], be), r)
 
 
+def test_tomography_builds_readouts_on_dihedral_backends_only():
+    # on Z4 + Z9 with s = (1, 5), the chain hands tomography_mod_r its
+    # own readout, observing coordinate 1 at (s_0, t): labels (0, 3u)
+    # read s_1 mod 3 = 2.  Without one, the readout tomography_mod_r
+    # would build observes at D_N points, so an abelian backend refuses
+    be = PhaseBackend(make_reflection_oracle(AbelianGroupSpec((4, 9)),
+                                             (1, 5)),
+                      rng=np.random.default_rng(4))
+    with pytest.raises(TypeError):
+        tomography_mod_r(copies([(0, 3)] * 60, be), 3, None, 0, 1, 1)
+    readout = Readout(3, [(1, t) for t in range(3)])
+    assert tomography_mod_r(copies([(0, 3), (0, 6)] * 30, be), 3, readout,
+                            0, 1, 1) == 2
+
+
 def test_phase_list_measure_pm_same_law():
     N, s = 16, 9
     be = backend(N, s, seed=10)

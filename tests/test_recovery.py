@@ -135,12 +135,13 @@ def test_numpy_radix_and_parity_past_int64(monkeypatch):
                            PhaseBackend(o, rng=np.random.default_rng(1)))
         assert tomography_mod_r(copies, r) == p
     # the last digit, d_40 = 1, from labels of valuation 0 read against
-    # p = s mod 3^40 = 7, with numpy p and i
+    # p = s mod 3^40 = 7 at q = 3^40, with numpy p and q: q r = 3^41
+    # wraps in int64 and uint64 alike
     copies = PhaseList(np.array([1, 2] * 32, dtype=int_dtype(N)),
                        np.zeros(64, dtype=bool),
                        PhaseBackend(o, rng=np.random.default_rng(1)))
     assert tomography_mod_r(copies, np.int64(3), None, np.int64(7),
-                            np.int64(40)) == 1
+                            np.uint64(3 ** 40)) == 1
     # a level on lists of 2 labels finds no target
     for r, n in ((3, 41), (np.int64(3), np.int64(41))):
         be = PhaseBackend(o, rng=np.random.default_rng(2))
@@ -253,16 +254,20 @@ def test_radix_pinned_queries(i, s, attempts, queries):
 
 
 @pytest.mark.parametrize("i, s, attempts, queries", [
-    (0, (5, 7), 1, 166), (1, (1, 1), 1, 166), (2, (2, 6), 1, 84),
-    (58, (15, 4), 1, 166)])
+    (0, (5, 7), 1, 84), (1, (1, 1), 1, 84), (2, (2, 6), 1, 84),
+    (58, (15, 4), 1, 84), (8, (14, 2), 1, 99), (30, (2, 3), 1, 111)])
 def test_abelian_pinned_queries(i, s, attempts, queries):
-    # Z16 + Z9, secrets from default_rng([144, i]): the coordinates run in
-    # order on one carried sieve state, and each samples passes of
-    # list_size(144) = 82 labels (3 laws of 27.2) only when the labels it
-    # carries leave its readout undecided; the answer costs one
-    # verification pair.  When each coordinate takes one pass that is
-    # 2 * 82 + 2 = 166; secret (2, 6)'s second coordinate decides on the
-    # labels the first left, 82 + 2 = 84 (measured)
+    # Z16 + Z9, secrets from default_rng([144, i]): the chain reads four
+    # bits of the first coordinate, then two ternary digits of the
+    # second, on one carried sieve state.  The step with unread order m
+    # (144, 72, 36, 18, 9, 3) samples passes of list_size(m) = 82, 65,
+    # 50, 38, 27 and 15 labels only when the labels it carries leave its
+    # readout undecided, and the answer costs one verification pair.
+    # When only the first step samples, that is 82 + 2 = 84; the last
+    # step of secret (14, 2) samples one pass of 15, 82 + 15 + 2 = 99,
+    # and the fifth of (2, 3) one of 27, 82 + 27 + 2 = 111.  At the
+    # coordinate readouts these were 166, 166, 84 and 166 for the first
+    # four (measured)
     gen = np.random.default_rng([144, i])
     assert tuple(int(gen.integers(0, n)) for n in (16, 9)) == s
     p = make_shift_pair(AbelianGroupSpec((16, 9)), s)
@@ -271,9 +276,10 @@ def test_abelian_pinned_queries(i, s, attempts, queries):
 
 
 def test_abelian_z64_coordinate_first_attempts():
-    # Z64 + Z3, secrets from default_rng([192, i]): the Z64 readout stops
-    # once its best candidate leads by ln(63 / READOUT_DELTA), where a
-    # fixed 24 copies misread it in about 5% of recoveries (380 of 400
+    # Z64 + Z3, secrets from default_rng([192, i]): the chain reads Z64 in
+    # six bits, each readout stopping once its best residue leads by
+    # ln(1 / READOUT_DELTA); a fixed 24 copies read the whole Z64
+    # coordinate at once misread it in about 5% of recoveries (380 of 400
     # first attempts verified); at most one of these 200 may retry
     A, first = AbelianGroupSpec((64, 3)), 0
     for i in range(200):
@@ -291,66 +297,77 @@ _ABELIAN_GROUPS = [(16, 9), (8, 27), (5, 7, 4), (64, 3), (2, 2, 2, 2)]
 
 @pytest.mark.parametrize("small", [False, True])
 def test_coordinate_sieve_reads_exactly_its_copies(monkeypatch, small):
-    # the coordinates run in order on one carried sieve state: each
-    # coordinate's sieve places the labels the one before it left, samples
-    # passes of list_size labels only while its readout is undecided and
-    # its buckets are empty, and hands every batch of targets to the
-    # coordinate's one readout, until it decides: the last batch decides
-    # it, no pass follows, and the readout reads its copies up to the
-    # deciding one.  Under the rule at most two passes decide every
-    # coordinate of the five groups, and a coordinate after the first
-    # may take none; with the rule patched to 16-label passes, 0 to 6
-    # (measured)
-    passes, batches = [], []
-    real_sample, real_observe = greedy.sample_batch, Readout.observe
+    # the chain's steps run in order on one carried sieve state: each
+    # step's sieve places the labels the step before it left, samples
+    # passes of list_size(unread order) labels only while its readout is
+    # undecided and its buckets are empty, and hands every batch of
+    # targets to the step's one readout, until it decides: the last batch
+    # decides it, no pass follows, and the readout reads its copies up to
+    # the deciding one.  Under the rule at most two passes decide every
+    # step of the five groups, and a step after the first may take none;
+    # with the rule patched to 16-label passes, 0 to 4 (measured; 0 to 6
+    # when each coordinate was read whole)
+    steps, batches = [], []
+    real_sieve, real_sample = greedy.greedy_sieve, greedy.sample_batch
+    real_observe = Readout.observe
     size = (lambda order: 16) if small else list_size
 
+    def sieve(backend, obj, budget, readout, carried):
+        steps.append((budget, []))
+        batches.clear()
+        value, stats, left = real_sieve(backend, obj, budget, readout, carried)
+        steps[-1] += (value, list(batches))
+        return value, stats, left
+
     def sample(backend, count):
-        passes.append(count)
+        steps[-1][1].append(count)
         return real_sample(backend, count)
 
     def observe(self, plist, labels):
         batches.append((self, self.read, len(plist)))
         return real_observe(self, plist, labels)
 
+    monkeypatch.setattr(greedy, "greedy_sieve", sieve)
     monkeypatch.setattr(greedy, "sample_batch", sample)
+    monkeypatch.setattr(greedy, "list_size", size)
     monkeypatch.setattr(Readout, "observe", observe)
-    monkeypatch.setattr(recover, "list_size", size)
     counts = set()
     for orders in _ABELIAN_GROUPS:
         A = AbelianGroupSpec(orders)
         o = shift_to_dihedral(make_shift_pair(A, (1,) * A.rank))
+        chain = [recover._prime_steps(n) for n in orders]
+        # (unread order, digit of s = (1, ..., 1)) of every step
+        want = [(math.prod(orders[j + 1:]) * math.prod(c[a:]), int(a == 0))
+                for j, c in enumerate(chain) for a in range(len(c))]
         for seed in range(8):
-            backend = PhaseBackend(o, rng=np.random.default_rng([seed, 1]))
-            carried = None
-            for j in range(A.rank):
-                passes.clear()
-                batches.clear()
-                got, _, carried = recover._coordinate_slope(backend, A, j,
-                                                            carried)
-                assert got == 1 % orders[j]
+            steps.clear()
+            got, _ = greedy.run_chain(
+                PhaseBackend(o, rng=np.random.default_rng([seed, 1])), chain)
+            assert got == [1] * A.rank
+            assert [(b, v) for b, _, v, _ in steps] == [
+                (size(m), d) for m, d in want]
+            assert steps[0][1]
+            for budget, passes, value, seen in steps:
                 counts.add(len(passes))
-                assert passes == [size(A.size)] * len(passes)
-                assert j > 0 or passes
-                readout = batches[0][0]
-                assert {id(b[0]) for b in batches} == {id(readout)}
-                assert readout.value == got
+                assert passes == [budget] * len(passes)
+                readout = seen[0][0]
+                assert {id(b[0]) for b in seen} == {id(readout)}
+                assert readout.value == value
                 # each batch starts where the one before ended, and the
                 # last is read up to the deciding copy
-                assert [b[1] for b in batches] == list(itertools.accumulate(
-                    [0] + [b[2] for b in batches[:-1]]))
-                assert batches[-1][1] < readout.read <= sum(
-                    b[2] for b in batches)
+                assert [b[1] for b in seen] == list(itertools.accumulate(
+                    [0] + [b[2] for b in seen[:-1]]))
+                assert seen[-1][1] < readout.read <= sum(b[2] for b in seen)
     if small:
-        assert counts == set(range(7))
+        assert counts == set(range(5))
     else:
         assert counts == {0, 1, 2}
 
 
 def test_coordinate_sieve_exhausts_after_max_passes(monkeypatch):
-    # a coordinate whose readout never decides: its sieve places
-    # MAX_PASSES fresh passes of list_size labels, then raises with their
-    # stats
+    # a chain step whose readout never decides: the first step's sieve
+    # places MAX_PASSES fresh passes of list_size(144) labels, 144 the
+    # whole group's order, all unread, then raises with their stats
     def undecided(self, plist, labels):
         plist.take()
 
@@ -358,8 +375,8 @@ def test_coordinate_sieve_exhausts_after_max_passes(monkeypatch):
     A = AbelianGroupSpec((16, 9))
     o = shift_to_dihedral(make_shift_pair(A, (5, 7)))
     with pytest.raises(SieveExhaustedError) as err:
-        recover._coordinate_slope(
-            PhaseBackend(o, rng=np.random.default_rng(0)), A, 1, None)
+        greedy.run_chain(PhaseBackend(o, rng=np.random.default_rng(0)),
+                         [[2, 2, 2, 2], [3, 3]])
     assert o.queries == list_size(A.size) * MAX_PASSES
     assert err.value.stats.combines > 0
 
@@ -372,7 +389,8 @@ def test_carried_solvers_derive_no_oracle(monkeypatch, record_property):
     # MAX_PASSES * list_size(N), the most MAX_PASSES fresh passes of the
     # largest list could place.  Peak carried over 20 secrets each
     # (recorded as peak_carried, measured): 158 of 3,888 at 3^8, 416 of
-    # 6,688 at 2^16, 79 of 1,312 on Z16+Z9 and 78 of 1,296 on Z5+Z7+Z4
+    # 6,688 at 2^16, 81 of 1,312 on Z16+Z9 and 76 of 1,296 on Z5+Z7+Z4
+    # (79 and 78 when each coordinate was read whole)
     derived, peaks = [], {}
     for name in ("restrict_reflection", "with_label_automorphism"):
         monkeypatch.setattr(recover, name,
@@ -386,7 +404,6 @@ def test_carried_solvers_derive_no_oracle(monkeypatch, record_property):
         return sieve
 
     monkeypatch.setattr(greedy, "greedy_sieve", spy(greedy.greedy_sieve))
-    monkeypatch.setattr(recover, "greedy_sieve", spy(recover.greedy_sieve))
     for r, n in ((3, 8), (2, 16)):
         key = N = r ** n
         for i in range(20):
@@ -742,16 +759,35 @@ def test_abelian_rank2():
         assert got == s
 
 
-@pytest.mark.parametrize("orders", [(3, 5000), (5000, 3), (3, 1 << 63),
-                                    (4, 3, 4097)])
+@pytest.mark.parametrize("orders", [(3, 4099), (4099, 3),
+                                    (3, (1 << 64) - 59), (4, 3, 4099 ** 2)])
 def test_abelian_large_order_refused_before_any_query(orders):
-    # the coordinate readout reads orders up to 4096: a group of rank 2
-    # or more with a larger order is refused before the first query,
-    # wherever that order sits
+    # a digit readout scores p candidates per copy, and the chain reads
+    # primes up to 4096: a group of rank 2 or more with a prime
+    # factor past 4096 (4099 and 2^64 - 59 are prime) is refused before
+    # the first query, wherever that order sits, after trial division
+    # up to 4096 alone
     p = make_shift_pair(AbelianGroupSpec(orders), (1,) * len(orders))
-    with pytest.raises(ValueError, match="orders <= 4096"):
+    with pytest.raises(ValueError, match="prime factors <= 4096"):
         solve_abelian_shift(p, rng=1)
     assert p.queries == 0
+
+
+@pytest.mark.parametrize("orders", [(3, 5000), (5000, 3), (4, 3, 4097)])
+def test_abelian_smooth_large_order_recovers(orders):
+    # orders past 4096 whose primes are not (5000 = 2^3 5^4,
+    # 4097 = 17 * 241) are read one prime digit at a time
+    A = AbelianGroupSpec(orders)
+    assert [recover._prime_steps(n) for n in orders[-2:]] == {
+        (3, 5000): [[3], [2, 2, 2, 5, 5, 5, 5]],
+        (5000, 3): [[2, 2, 2, 5, 5, 5, 5], [3]],
+        (4, 3, 4097): [[3], [17, 241]]}[orders]
+    for i in range(3):
+        gen = np.random.default_rng([A.size, i])
+        s = tuple(int(gen.integers(0, n)) for n in orders)
+        got, _ = solve_abelian_shift(make_shift_pair(A, s),
+                                     rng=np.random.default_rng([A.size, i, 1]))
+        assert got == s
 
 
 def test_abelian_rank1_uses_dihedral_path():
