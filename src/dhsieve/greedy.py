@@ -14,7 +14,11 @@ from collections import defaultdict
 
 import numpy as np
 
-from .errors import BackendMismatchError, SieveExhaustedError
+from .errors import (
+    BackendMismatchError,
+    QubitConsumedError,
+    SieveExhaustedError,
+)
 from .group import int_dtype
 from .phase import (
     PhaseList,
@@ -120,37 +124,72 @@ def _join(chunks):
             tuple(map(np.concatenate, zip(*chunks))))
 
 
+class Carried:
+    """The labels a greedy sieve call leaves for the next, as it placed
+    them under obj: oriented, reduced and bucketed by alpha.  buckets[a]
+    lists (labels, classical) chunks in placement order, and held the
+    entries left alone in their buckets, as (alpha, labels, classical).
+    A call under an objective whose row is a prefix of obj's keeps each
+    alpha and orientation; a label past the shorter row is zero there."""
+
+    __slots__ = ("obj", "buckets", "held", "backend", "consumed")
+
+    def __init__(self, obj, buckets, held, backend):
+        self.obj, self.buckets, self.held = obj, buckets, held
+        self.backend, self.consumed = backend, False
+
+    def take(self, backend, obj):
+        """Consume the state for a call on backend under obj: its
+        (alpha, labels, classical) chunks by alpha, each bucket's held
+        entries first, where placing them again would put them.  Raises
+        before it consumes anything."""
+        if self.backend is not backend:
+            raise BackendMismatchError(
+                "carried qubits belong to another backend")
+        n = len(obj.moduli)
+        if (self.obj.columns[:n].tolist() != obj.columns.tolist()
+                or self.obj.moduli[:n].tolist() != obj.moduli.tolist()):
+            raise ValueError("objective is not a prefix of the carried one")
+        if self.consumed:
+            raise QubitConsumedError("carried state already consumed")
+        self.consumed = True
+        return sorted(self.held + [(a, *chunk) for a, chunks in
+                                   self.buckets.items() for chunk in chunks],
+                      key=operator.itemgetter(0))
+
+
 def greedy_sieve(backend, obj, budget, readout, carried=None):
     """Greedily pair inside the minimum-alpha bucket to maximize the alpha
-    of the extracted label, on a sieve state that outlives the call: the
-    carried labels (a PhaseList, or None) are placed first, and a fresh
-    pass of budget sampled qubits is placed only when the buckets are
-    empty.  The labels (oriented as obj.score flips them) that score
-    obj.target, the objective's top alpha, are targets: each batch of them
-    placed at once goes to readout as a PhaseList, in placement order, and
-    the sieve stops as soon as readout returns a value other than None.
-    Labels that score past the target (zero under obj) drop.  Returns
-    (that value, SieveStats, leftovers), leftovers a PhaseList of every
-    label the call still holds (None for none), for the next call to
-    carry; raises SieveExhaustedError, with the call's SieveStats, when
-    the buckets are empty after MAX_PASSES fresh passes.
+    of the extracted label, on a sieve state that outlives the call.  The
+    labels (oriented as obj.score flips them) that score obj.target, the
+    objective's top alpha, are targets: each batch of them placed at once
+    goes to readout as a PhaseList, in placement order, and the sieve
+    stops as soon as readout returns a value other than None.  Labels
+    that score past the target (zero under obj) drop.  carried is the
+    Carried state an earlier call left, or None; obj's row must be a
+    prefix of that call's, so no carried label is scored again: its
+    bucket at obj.target is the first batch of targets, its buckets past
+    it drop, and the rest stay bucketed.  A fresh pass of budget sampled
+    qubits is placed only when the buckets are empty.  Returns (that value,
+    SieveStats, the Carried state of every label the call still holds,
+    for the next call); raises SieveExhaustedError, with the call's
+    SieveStats, when the buckets are empty after MAX_PASSES fresh
+    passes.
 
-    The sieve runs on label arrays: each batch (the carried labels, a
-    fresh pass, or the merges of one sweep) is placed at once, in order.
-    The minimum-alpha bucket is stable-sorted by key and swept in
+    The sieve runs on label arrays: each batch (a fresh pass, or the
+    merges of one sweep) is scored and placed at once, in order.  The
+    minimum-alpha bucket is stable-sorted by key and swept in
     _pair_order, with one rng.random(npairs) call for the extraction
     coins; merges that stay at the same alpha carry into the next sweep
-    with the unpaired entry, and an entry left alone in its bucket is held
-    and placed again, before the sample, with the next fresh pass.  This
-    is the per-qubit loop's order and coin stream, with the readout called
-    after each sweep's draws."""
+    with the unpaired entry, and an entry left alone in its bucket is
+    held and placed again, before the sample, with the next fresh pass.
+    This is the per-qubit loop's order and coin stream, with the readout
+    called after each sweep's draws."""
     if budget < 2:
         raise ValueError("budget must be at least 2")
-    if carried is not None and carried.backend is not backend:
-        raise BackendMismatchError("carried qubits belong to another backend")
     stats = SieveStats()
     mod, top = backend.oracle.ctx.modulus, obj.target
-    buckets, held = defaultdict(list), []
+    buckets, held, targets = defaultdict(list), [], []
 
     def place(labels, classical):
         """Orient the labels and stable-sort them by alpha: below the top
@@ -175,7 +214,12 @@ def greedy_sieve(backend, obj, budget, readout, carried=None):
         return readout(PhaseList(labels[start:end], classical[start:end],
                                  backend))
 
-    value = place(*carried.take()) if carried else None
+    for a, *chunk in carried.take(backend, obj) if carried else ():
+        if a < top:
+            buckets[a].append(chunk)
+        elif a == top:
+            targets.append(chunk)
+    value = readout(PhaseList(*_join(targets), backend)) if targets else None
     passes = 0
     while value is None:
         if not buckets:
@@ -184,15 +228,15 @@ def greedy_sieve(backend, obj, budget, readout, carried=None):
                     f"readout undecided after {passes} passes of {budget}"
                     " labels", stats)
             passes += 1
-            value = place(*_join(held + [sample_batch(backend, budget)
-                                         .take()]))
+            value = place(*_join([chunk for _, *chunk in held]
+                                 + [sample_batch(backend, budget).take()]))
             held = []
             continue
         v = min(buckets)
         labels, classical = _join(buckets.pop(v))
         n = len(labels)
         if n < 2:
-            held.append((labels, classical))
+            held.append((v, labels, classical))
             continue
         # sorted keys, and the entries adjacent rows share: every row ends
         # in -1, so each pair fails to match in the matrix
@@ -211,8 +255,7 @@ def greedy_sieve(backend, obj, budget, readout, carried=None):
         if lone >= 0:
             i = order[lone]
             buckets[v].append((labels[i:i + 1], classical[i:i + 1]))
-    left = held + [chunk for a in sorted(buckets) for chunk in buckets[a]]
-    return value, stats, PhaseList(*_join(left), backend) if left else None
+    return value, stats, Carried(obj, buckets, held, backend)
 
 
 # laws of 3^sqrt(2 log_3 N) labels one greedy pass samples (CHANGES.md
@@ -235,11 +278,13 @@ def run_chain(backend, steps, budget=None):
     the unread part of the group: the coordinates after j in reverse read
     order, then j, each as the divisor chain of its unread steps
     multiplied in from the last (k mod r, ..., mod r^m on a radix level
-    with m digits left).  So each row is a prefix of the one before, and
-    a step samples passes of budget labels (list_size of the unread order
-    when None) only when its carried buckets run empty.  Returns
-    (s, SieveStats summed), s a list of coordinates; an undecided step
-    raises SieveExhaustedError."""
+    with m digits left).  So each row is the one before without its last
+    entry: the Carried state keeps every label's alpha and orientation,
+    and a step hands its bucket at the new target to the readout and
+    scores only what it samples or merges.  A step samples passes of
+    budget labels (list_size of the unread order when None) only when
+    its carried buckets run empty.  Returns (s, SieveStats summed), s a
+    list of coordinates; an undecided step raises SieveExhaustedError."""
     mod = backend.oracle.ctx.modulus
     if list(map(math.prod, steps)) != np.reshape(mod, -1).tolist():
         raise ValueError("chain steps do not multiply to the group's orders")

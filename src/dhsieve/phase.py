@@ -8,6 +8,7 @@ measurement outcomes, nothing else.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -254,6 +255,22 @@ def tomography_mod_r(plist, r, readout=None, p=0, q=1, j=0):
     return value
 
 
+@functools.lru_cache(maxsize=16)
+def _log_table(M):
+    """The (2, M) table a Readout over a slope mod M scores from: entry
+    (b, x) is the clipped log-likelihood of bit b at the turn x / M,
+    log(1 - p) for b = 0 and log p for b = 1, p = cos^2(pi x / M) clipped
+    to [_P_CLIP, 1 - _P_CLIP]: likelihood_readout's entries, bit for bit,
+    from the same operations."""
+    p = np.arange(M, dtype=np.int64) / M
+    p *= np.pi
+    np.square(np.cos(p, out=p), out=p)
+    np.clip(p, _P_CLIP, 1 - _P_CLIP, out=p)
+    table = np.log(np.stack([1 - p, p])).ravel()
+    table.flags.writeable = False
+    return table
+
+
 class Readout:
     """Sequential maximum-likelihood readout of a slope mod M over the
     residues 0..C-1, C = len(points): copy i of all observed is scored at
@@ -262,7 +279,8 @@ class Readout:
     whose label is a multiple of M/C, so every residue is read in turn);
     ll sums the copies' rows, read counts them, and value is None until
     the first copy where the best residue leads by
-    ln((C - 1) / READOUT_DELTA), then that residue."""
+    ln((C - 1) / READOUT_DELTA), then that residue.  A copy's row is
+    gathered from _log_table(M) at its turns k (c - t) mod M."""
 
     def __init__(self, M, points):
         self.M, self.refs = M, list(enumerate(points))
@@ -270,17 +288,31 @@ class Readout:
         self.read = 0
         self.value = None
         self._lead = math.log((len(self.refs) - 1) / READOUT_DELTA)
+        self._table, self._cands = _log_table(M), np.arange(len(points))
 
     def observe(self, plist, labels):
         """Observe the copies of plist, whose labels mod M are labels, in
         one cosine_observe call, and add their rows to ll up to the copy
-        that decides the readout.  Returns value; consumes plist."""
-        k = self.read % len(self.refs)
-        refs = self.refs[k:] + self.refs[:k]
-        for rows in _likelihood_rows(plist, labels, self.M, refs,
-                                     np.arange(len(self.refs)), self.ll):
-            top = np.partition(rows, -2, axis=1)
-            hit = np.flatnonzero(top[:, -1] - top[:, -2] >= self._lead)
+        that decides the readout, scoring _BLOCK_ENTRIES entries at a
+        time.  Returns value; consumes plist."""
+        M, C, n = self.M, len(self.refs), len(plist)
+        t = np.arange(self.read, self.read + n) % C
+        bits = cosine_observe(plist, [self.refs[i][1] for i in t.tolist()])
+        k = (np.asarray(labels, dtype=np.int64) % M)[:, None]
+        # a copy's row starts at its bit's half of the table
+        start = M * bits[:, None]
+        step = max(1, _BLOCK_ENTRIES // C)
+        for i in range(0, n, step):
+            turns = self._cands - t[i:i + step, None]
+            turns *= k[i:i + step]
+            turns %= M
+            turns += start[i:i + step]
+            rows = self._table.take(turns)
+            rows[0] += self.ll
+            np.add.accumulate(rows, axis=0, out=rows)
+            top = rows.copy()
+            top.partition(-2, axis=1)
+            hit = (top[:, -1] - top[:, -2] >= self._lead).nonzero()[0]
             last = hit[0] if len(hit) else len(rows) - 1
             self.ll, self.read = rows[last].copy(), self.read + last + 1
             if len(hit):
@@ -295,18 +327,9 @@ def likelihood_readout(plist, labels, M, refs, cands, ll):
     (t in Z/M, the point cosine_observe takes: t itself on D_N).  Adds to
     ll, in place (and returns it), for each candidate c, the
     log-likelihood of the bits under the exact turn ((labels[i] * (c - t))
-    mod M) / M, clipped so one unlucky bit cannot veto c (the rows of
-    _likelihood_rows).  Consumes plist."""
-    for rows in _likelihood_rows(plist, labels, M, refs, cands, ll):
-        ll[:] = rows[-1]
-    return ll
-
-
-def _likelihood_rows(plist, labels, M, refs, cands, ll):
-    """The running sums behind likelihood_readout: observes every copy in
-    one cosine_observe call, then yields, in blocks of at most
-    _BLOCK_ENTRIES entries typed by int_dtype(M * M), row i the sum of ll
-    and the log-likelihood rows of copies 0..i."""
+    mod M) / M, clipped so one unlucky bit cannot veto c.  Scores blocks
+    of at most _BLOCK_ENTRIES entries, typed by int_dtype(M * M), entry by
+    entry: M may be as large as N.  Consumes plist."""
     ts = [refs[i % len(refs)] for i in range(len(plist))]
     zero = cosine_observe(plist, [point for _, point in ts])[:, None] == 0
     dtype = int_dtype(M * M)
@@ -327,5 +350,5 @@ def _likelihood_rows(plist, labels, M, refs, cands, ll):
         np.subtract(1, p, out=p, where=zero[i:i + step])
         np.log(p, out=p)
         p[0] += ll
-        ll = np.add.accumulate(p, axis=0, out=p)[-1]
-        yield p
+        ll[:] = np.add.accumulate(p, axis=0, out=p)[-1]
+    return ll

@@ -396,32 +396,59 @@ def test_greedy_sieve_exhausts_holding_its_singles(monkeypatch):
     assert err.value.stats.combines == 3569
 
 
-def test_greedy_sieve_places_carried_labels_first():
-    # carried labels are placed under the call's objective before any
-    # sample: here the second level of 3^6 (targets 81 u, u = 1 or 2 mod
-    # 3), where the multiples of 243 score zero and drop; 162 = 2 * 81
-    # and 728 = -1 flip to 567 and 1.  A readout that decides on the
-    # carried targets leaves the rest bucketed by alpha, in placement
-    # order, and samples nothing
+def _held(state):
+    """The (label, classical) pairs a Carried state holds: its held
+    entries, then its buckets by alpha, each in placement order."""
+    chunks = [chunk for _, *chunk in state.held] + [
+        chunk for a in sorted(state.buckets) for chunk in state.buckets[a]]
+    return [(k, c) for labels, classical in chunks
+            for k, c in zip(labels.tolist(), classical.tolist())]
+
+
+def test_greedy_sieve_places_carried_labels_first(monkeypatch):
+    # a first call on 3^6 places one given pass under the first level
+    # (targets 243 u): 486 = 2 * 243 flips to its target 243 and 0
+    # drops, and a readout that decides on those targets leaves the rest
+    # bucketed by alpha, 162 = 2 * 81 and 728 = -1 flipped to 567 and 1.
+    # The carried labels go first in a call under a prefix of that row:
+    # the second level (targets 81 u) reads the carried 81 and 567
+    # before any sample or combine, and leaves [1, 1, 3, 9] bucketed by
+    # alpha, in placement order; at the row k mod 3, mod 9 the carried 9
+    # scores zero and drops, and 3 is the target
     be = backend(3 ** 6, 100, seed=11)
     labels = np.array([243, 81, 1, 486, 0, 162, 9, 728, 3], dtype=np.int64)
-    carried = PhaseList(labels, np.arange(9) % 2 == 1, be)
+    passes = []
+
+    def sample(backend, count):
+        passes.append(count)
+        return PhaseList(labels.copy(), np.arange(9) % 2 == 1, backend)
+
+    monkeypatch.setattr(greedy, "sample_batch", sample)
+    batches = []
+    value, _, first = greedy_sieve(be, _level(3, 6), 300,
+                                   _collector(be.oracle.ctx, batches, 1))
+    assert value == 2 and batches == [[(243, False), (243, True)]]
     batches = []
     value, st, left = greedy_sieve(be, _level(3, 5), 300,
                                    _collector(be.oracle.ctx, batches, 1),
-                                   carried)
+                                   first)
     assert value == 2 and batches == [[(81, True), (567, True)]]
-    assert left.labels.tolist() == [1, 1, 3, 9]
-    assert left.classical.tolist() == [False, True, False, False]
-    assert (st.combines, be.oracle.queries) == (0, 0)
+    assert _held(left) == [(1, False), (1, True), (3, False), (9, False)]
+    assert (st.combines, passes) == (0, [300])
     with pytest.raises(QubitConsumedError):
-        carried.take()
-    # qubits of another backend are refused before anything is drawn
+        greedy_sieve(be, _level(3, 5), 300, len, first)
+    batches = []
+    value, _, last = greedy_sieve(be, _level(3, 2), 300,
+                                  _collector(be.oracle.ctx, batches, 1), left)
+    assert value == 1 and batches == [[(3, False)]]
+    assert _held(last) == [(1, False), (1, True)] and passes == [300]
+    # a state of another backend is refused before anything is drawn
     other = backend(3 ** 6, 100, seed=11)
     with pytest.raises(BackendMismatchError):
-        greedy_sieve(be, _level(3, 5), 300, len, PhaseList(labels, labels > 0,
-                                                          other))
-    assert be.oracle.queries == other.oracle.queries == 0
+        greedy_sieve(other, _level(3, 1), 300, len, last)
+    assert not last.consumed and other.oracle.queries == 0
+    assert (other.rng.bit_generator.state
+            == backend(3 ** 6, 100, seed=11).rng.bit_generator.state)
 
 
 def _reference_sieve(backend, ref, budget, readout, carried=()):
@@ -518,8 +545,9 @@ def _assert_sieves_agree(ctx, case, seed, budget, k, coin_bias=0.5,
     the same batches of target labels and classical flags, value,
     combines, work, queries and next generator draw.  A sieve that
     decided carries its leftovers, the same labels and flags in the same
-    order, into a second sieve that never decides, and the two agree
-    again.  Returns whether the readout decided."""
+    order, into a second sieve that never decides, under the row without
+    its last entry, and the two agree again.  Returns whether the readout
+    decided."""
     obj, ref = case
     s = ctx.reduce(ctx.random_elements(np.random.default_rng(seed), 1)
                    .tolist()[0])
@@ -556,10 +584,10 @@ def _assert_sieves_agree(ctx, case, seed, budget, k, coin_bias=0.5,
                 (budget, 2 * budget) if decided else (2 * budget,))
         if got is None:
             break
-        held = [] if left is None else list(zip(
-            map(ctx.reduce, left.labels.tolist()), left.classical.tolist()))
+        held = [(ctx.reduce(k), c) for k, c in _held(left)]
         assert held == [(ctx.reduce(q.label), q.classical) for q in want_left]
         got_carried, want_carried = left, want_left
+        obj, ref = _case(ref.columns[:-1], ref.moduli[:-1])
     return decided
 
 
@@ -1144,6 +1172,72 @@ def test_radix_levels_sized_by_demand(monkeypatch):
             if stats.combines:
                 combined.add(n)
     assert combined == set(range(2, 9))
+
+
+def test_chain_scores_only_what_it_samples_or_merges(monkeypatch):
+    # run_chain over 3^8 keeps its carried state placed: Objective.score
+    # runs only on a fresh pass (the sample, after the entries held alone
+    # in their buckets, at most one per alpha below the target) or on one
+    # sweep's merges, never on the labels a step carries in, though later
+    # steps do carry labels.  A call under an objective whose row is no
+    # prefix of the state's (in columns and moduli) raises ValueError
+    # before anything is drawn, and leaves the state to a prefix call
+    events, carried = [], []
+    real_score, real_sieve = Objective.score, greedy.greedy_sieve
+    real_sample, real_combine = greedy.sample_batch, greedy.combine_pairs
+
+    def score(self, labels):
+        events.append(("score", len(labels), self.target))
+        return real_score(self, labels)
+
+    def sample(backend, count):
+        events.append(("sample", count))
+        return real_sample(backend, count)
+
+    def combine(backend, labels, classical, pairs):
+        events.append(("merge", pairs.shape[1]))
+        return real_combine(backend, labels, classical, pairs)
+
+    def sieve(backend, obj, budget, readout, state):
+        carried.append(len(_held(state)) if state else 0)
+        return real_sieve(backend, obj, budget, readout, state)
+
+    monkeypatch.setattr(Objective, "score", score)
+    monkeypatch.setattr(greedy, "sample_batch", sample)
+    monkeypatch.setattr(greedy, "combine_pairs", combine)
+    monkeypatch.setattr(greedy, "greedy_sieve", sieve)
+    N = 3 ** 8
+    for i in range(10):
+        s = int(np.random.default_rng([N, i]).integers(0, N))
+        events.clear()
+        got, stats = run_radix_recovery(backend(N, s, seed=i), 3, 8)
+        assert got == s
+        held = 0
+        for before, (what, *after) in zip(events, events[1:]):
+            if what == "score":
+                count, top = after
+                assert before[0] in ("sample", "merge")
+                extra = count - before[1]
+                assert extra == 0 or before[0] == "sample" and extra <= top
+                held += extra
+        scored = sum(e[1] for e in events if e[0] == "score")
+        merged = sum(e[1] for e in events if e[0] == "merge")
+        sampled = sum(e[1] for e in events if e[0] == "sample")
+        assert merged == stats.combines
+        assert scored == sampled + merged + held
+    assert sum(carried[1:]) > 0
+    be = backend(N, 4321, seed=1)
+    _, _, state = real_sieve(be, _level(3, 8), 243, len)
+    queries, draw = be.oracle.queries, be.rng.bit_generator.state
+    for obj in (Objective([0] * 7, [3 ** i for i in range(2, 9)]),
+                Objective([0] * 6 + [1], [3 ** i for i in range(1, 8)]),
+                _level(3, 9)):
+        with pytest.raises(ValueError):
+            real_sieve(be, obj, 243, len, state)
+        assert not state.consumed
+    assert (be.oracle.queries, be.rng.bit_generator.state) == (queries, draw)
+    real_sieve(be, _level(3, 7), 243, len, state)
+    assert state.consumed
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -14,6 +14,7 @@ from dhsieve.errors import (
     InsufficientCopiesError,
     QubitConsumedError,
 )
+from dhsieve import phase
 from dhsieve.group import (
     AbelianGroupSpec,
     GroupCtx,
@@ -861,6 +862,71 @@ def test_readout_stops_at_the_first_deciding_copy(split):
         list(enumerate(points)), np.arange(16))
     assert (readout.value, readout.read) == (value, read) == (11, 15)
     assert readout.ll == pytest.approx(ll, rel=1e-12, abs=1e-12)
+
+
+def _ref_sequential_readout(qs, labels, M, points, split):
+    # reference for Readout: the batches of split in turn, until one
+    # decides; copy i is scored at residue i mod C by
+    # _ref_likelihood_readout, the per-entry formula, and the copies of
+    # a batch after the deciding one are observed and ignored.  Returns
+    # (value or None, ll, copies read)
+    C = len(points)
+    lead = math.log((C - 1) / READOUT_DELTA)
+    ll, value, at = np.zeros(C), None, 0
+    for size in split:
+        if value is not None:
+            break
+        for i in range(at, at + size):
+            t = i % C
+            if value is not None:
+                _ref_cosine_observe(qs[i], points[t])
+                continue
+            ll = _ref_likelihood_readout([qs[i]], [labels[i]], M,
+                                         [(t, points[t])], np.arange(C), ll)
+            top = np.sort(ll)
+            if top[-1] - top[-2] >= lead:
+                value, read = int(np.argmax(ll)), i + 1
+        at += size
+    return value, ll, read if value is not None else at
+
+
+@pytest.mark.parametrize("M, split", [
+    (2, [1, 2, 5, 30]), (3, [2, 1, 9, 40]), (16, [3, 1, 20, 7, 60]),
+    (4093, [5, 1, 40, 7, 60, 200])])
+def test_readout_table_scores_the_per_entry_formula(M, split):
+    # a Readout over the residues mod M scores each copy from one (2, M)
+    # table of clipped log-likelihoods per modulus, whose entries are the
+    # per-entry formula's bit for bit: over random secrets, labels (zero
+    # included) and classical copies, observed in batches split at
+    # several points (at 4093 a block holds 16 copies, so the batches of
+    # 40, 60 and 200 span blocks), ll, read and value are the per-entry
+    # formula's exactly, and so is the generator state: one draw per
+    # batch observed
+    p = np.clip(np.cos(np.pi * (np.arange(M) / M)) ** 2, 1e-9, 1 - 1e-9)
+    assert np.array_equal(phase._log_table(M).reshape(2, M),
+                          np.log([1 - p, p]))
+    points = list(range(M))
+    for seed in range(6):
+        rng = np.random.default_rng([M, seed])
+        count = sum(split)
+        ks = rng.integers(0, M, count).tolist()
+        mask = (rng.random(count) < 0.2).tolist()
+        o = make_reflection_oracle(GroupCtx(M), int(rng.integers(0, M)))
+        be = PhaseBackend(o, rng=np.random.default_rng(seed))
+        twin = PhaseBackend(o, rng=np.random.default_rng(seed))
+        readout, at = Readout(M, points), 0
+        for size in split:
+            if readout.value is not None:
+                break
+            readout.observe(copies(ks[at:at + size], be, mask[at:at + size]),
+                            ks[at:at + size])
+            at += size
+        value, ll, read = _ref_sequential_readout(
+            [PhaseQubit(k, twin, c) for k, c in zip(ks, mask)], ks, M,
+            points, split)
+        assert (readout.value, readout.read) == (value, read)
+        assert np.array_equal(readout.ll, ll)
+        assert be.rng.bit_generator.state == twin.rng.bit_generator.state
 
 
 def test_readout_margin_grows_with_candidates():

@@ -399,7 +399,10 @@ def test_carried_solvers_derive_no_oracle(monkeypatch, record_property):
     def spy(real):
         def sieve(backend, obj, budget, readout, carried):
             value, stats, left = real(backend, obj, budget, readout, carried)
-            peaks[key] = max(peaks.get(key, 0), len(left or ()))
+            held = sum(len(labels) for _, labels, _ in left.held) + sum(
+                len(labels) for chunks in left.buckets.values()
+                for labels, _ in chunks)
+            peaks[key] = max(peaks.get(key, 0), held)
             return value, stats, left
         return sieve
 
