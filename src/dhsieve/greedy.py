@@ -19,7 +19,7 @@ from .errors import (
     QubitConsumedError,
     SieveExhaustedError,
 )
-from .group import int_dtype
+from .group import GroupCtx, int_dtype
 from .phase import (
     PhaseList,
     Readout,
@@ -33,10 +33,11 @@ from .staged import MAX_PASSES, SieveStats
 
 class Objective:
     """The one greedy objective: label k is read as the row of residues
-    k[columns[i]] mod moduli[i] (run_chain builds one per step), and
-    merges move labels toward rows that are zero up to the last entry.
-    alpha is the place of the row's first nonzero entry, D = len(moduli)
-    for a zero label, so a target scores target = D - 1, and the key is
+    k[columns[i]] mod moduli[i] (run_chain builds one per chain, and each
+    step takes a prefix of it), and merges move labels toward rows that
+    are zero up to the last entry.  alpha is the place of the row's
+    first nonzero entry, D = len(moduli) for a zero label, so a target
+    scores target = D - 1, and the key is
     the row from alpha up to the target, then -1: two labels that match
     on the key merge to a target or to zero.  (Keyed on the last entry
     too, equal labels would match deepest, pair first and merge to zero
@@ -47,6 +48,16 @@ class Objective:
         self.columns = np.array(columns, dtype=np.int64)
         self.moduli = np.array(moduli, dtype=int_dtype(max(moduli)))
         self.target = len(self.moduli) - 1
+        # the row's (column, modulus) entries: Carried.take compares prefixes
+        self.row = tuple(zip(self.columns.tolist(), self.moduli.tolist()))
+
+    def prefix(self, n):
+        """The objective on the first n entries of the row, its arrays
+        views of this one's."""
+        obj = object.__new__(Objective)
+        obj.columns, obj.moduli = self.columns[:n], self.moduli[:n]
+        obj.target, obj.row = n - 1, self.row[:n]
+        return obj
 
     def _rows(self, labels, start=0):
         """Entries start.. of each label's row (a 1-D array: one column)."""
@@ -139,23 +150,22 @@ class Carried:
         self.backend, self.consumed = backend, False
 
     def take(self, backend, obj):
-        """Consume the state for a call on backend under obj: its
-        (alpha, labels, classical) chunks by alpha, each bucket's held
+        """Consume the state for a call on backend under obj: its buckets,
+        lists of (labels, classical) chunks by alpha, each with its held
         entries first, where placing them again would put them.  Raises
         before it consumes anything."""
         if self.backend is not backend:
             raise BackendMismatchError(
                 "carried qubits belong to another backend")
-        n = len(obj.moduli)
-        if (self.obj.columns[:n].tolist() != obj.columns.tolist()
-                or self.obj.moduli[:n].tolist() != obj.moduli.tolist()):
+        if self.obj.row[:len(obj.row)] != obj.row:
             raise ValueError("objective is not a prefix of the carried one")
         if self.consumed:
             raise QubitConsumedError("carried state already consumed")
         self.consumed = True
-        return sorted(self.held + [(a, *chunk) for a, chunks in
-                                   self.buckets.items() for chunk in chunks],
-                      key=operator.itemgetter(0))
+        buckets = self.buckets
+        for a, *chunk in reversed(self.held):
+            buckets[a].insert(0, chunk)
+        return buckets
 
 
 def greedy_sieve(backend, obj, budget, readout, carried=None):
@@ -189,7 +199,10 @@ def greedy_sieve(backend, obj, budget, readout, carried=None):
         raise ValueError("budget must be at least 2")
     stats = SieveStats()
     mod, top = backend.oracle.ctx.modulus, obj.target
-    buckets, held, targets = defaultdict(list), [], []
+    buckets = carried.take(backend, obj) if carried else defaultdict(list)
+    held, targets = [], buckets.pop(top, None)
+    for a in [a for a in buckets if a > top]:
+        del buckets[a]
 
     def place(labels, classical):
         """Orient the labels and stable-sort them by alpha: below the top
@@ -214,11 +227,6 @@ def greedy_sieve(backend, obj, budget, readout, carried=None):
         return readout(PhaseList(labels[start:end], classical[start:end],
                                  backend))
 
-    for a, *chunk in carried.take(backend, obj) if carried else ():
-        if a < top:
-            buckets[a].append(chunk)
-        elif a == top:
-            targets.append(chunk)
     value = readout(PhaseList(*_join(targets), backend)) if targets else None
     passes = 0
     while value is None:
@@ -285,31 +293,36 @@ def run_chain(backend, steps, budget=None):
     budget labels (list_size of the unread order when None) only when
     its carried buckets run empty.  Returns (s, SieveStats summed), s a
     list of coordinates; an undecided step raises SieveExhaustedError."""
-    mod = backend.oracle.ctx.modulus
-    if list(map(math.prod, steps)) != np.reshape(mod, -1).tolist():
+    ctx = backend.oracle.ctx
+    orders, dihedral = ctx.orders, isinstance(ctx, GroupCtx)
+    dtype = int_dtype(max(orders))
+    if list(map(math.prod, steps)) != list(orders):
         raise ValueError("chain steps do not multiply to the group's orders")
+    columns, moduli = [], []
+    for i in range(len(steps) - 1, -1, -1):
+        columns += [i] * len(steps[i])
+        moduli += itertools.accumulate(steps[i][::-1], operator.mul)
+    row, depth = Objective(columns, moduli), len(moduli)
+    unread = math.prod(orders)
     s, stats, carried = [0] * len(steps), SieveStats(), None
     for j, chain in enumerate(steps):
         q = 1
-        for a, p in enumerate(chain):
-            columns, moduli, unread = [], [], 1
-            for i in range(len(steps) - 1, j - 1, -1):
-                rest = chain[a:] if i == j else steps[i]
-                columns += [i] * len(rest)
-                moduli += itertools.accumulate(rest[::-1], operator.mul)
-                unread *= math.prod(rest)
-            # group rows, read coordinates at their values; D_N has one entry
-            points = [(*s[:j], s[j] + q * t, *s[j + 1:]) for t in range(p)]
-            readout = Readout(p, points if np.ndim(mod) else
-                              [x for x, in points])
+        for p in chain:
+            # the read coordinates at their values and j at s_j + q t: a
+            # group row per point, one value on D_N
+            points = np.empty((p, len(s)), dtype=dtype)
+            points[:] = s
+            points[:, j] += q * np.arange(p, dtype=dtype)
+            readout = Readout(p, points[:, 0] if dihedral else points)
             digit, level, carried = greedy_sieve(
-                backend, Objective(columns, moduli),
-                budget or list_size(unread),
+                backend, row.prefix(depth), budget or list_size(unread),
                 lambda targets: tomography_mod_r(targets, p, readout, s[j],
                                                  q, j),
                 carried)
             s[j] += digit * q
             q *= p
+            depth -= 1
+            unread //= p
             stats += level
     return s, stats
 

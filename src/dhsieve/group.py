@@ -25,6 +25,8 @@ class GroupCtx:
         object.__setattr__(self, "N", operator.index(self.N))
         if self.N < 1:
             raise ValueError("N must be >= 1")
+        # int_dtype of the product of two exponents, which turns computes in
+        object.__setattr__(self, "turn_dtype", int_dtype(self.N * self.N))
 
     # the rotation exponents Z/N, with the operations AbelianGroupSpec has
     zero = 0
@@ -33,6 +35,11 @@ class GroupCtx:
     def modulus(self):
         """N, which reduces a label array."""
         return self.N
+
+    @property
+    def orders(self):
+        """(N,): the one cyclic order, as AbelianGroupSpec lists its own."""
+        return (self.N,)
 
     def reduce(self, b):
         return b % self.N
@@ -47,7 +54,7 @@ class GroupCtx:
         """Phases of psi_k at slope s against reference t in turns, for an
         array k of labels and t one point or one per label: the exact
         k (s - t) mod N, over N."""
-        dtype = int_dtype(self.N * self.N)
+        dtype = self.turn_dtype
         d = np.asarray(s, dtype=dtype) - np.asarray(t, dtype=dtype)
         return np.asarray(np.asarray(k, dtype=dtype) * d % self.N / self.N,
                           dtype=float)
@@ -111,6 +118,15 @@ class AbelianGroupSpec:
             raise ValueError("all cyclic orders must be >= 1")
         if not 0 <= self.free_rank <= len(self.orders):
             raise ValueError("free_rank must lie in [0, rank]")
+        # modulus: the orders as one read-only array, which reduces a
+        # (count, rank) label matrix row by row, typed by int_dtype of the
+        # largest order; turn_dtype: int_dtype of the product of two
+        # coordinates, which turns computes in
+        largest = max(self.orders, default=1)
+        modulus = np.array(self.orders, dtype=int_dtype(largest))
+        modulus.flags.writeable = False
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "turn_dtype", int_dtype(largest ** 2))
 
     @property
     def rank(self):
@@ -140,21 +156,15 @@ class AbelianGroupSpec:
         """Phases of psi_k at shift s against reference t in turns, for a
         (count, rank) matrix k of labels and t one point or one per row:
         the exact products k (s - t), coordinates summed left to right."""
-        dtype = int_dtype(max(self.orders, default=1) ** 2)
-        k = np.asarray(k, dtype=dtype)
+        dtype = self.turn_dtype
         d = np.asarray(s, dtype=dtype) - np.reshape(
             np.asarray(t, dtype=dtype), (-1, self.rank))
-        total = 0.0
-        for j, n in enumerate(self.orders):
-            total = total + np.asarray(k[:, j] * d[:, j] % n / n, dtype=float)
+        mod = self.modulus
+        x = np.asarray(np.asarray(k, dtype=dtype) * d % mod / mod, dtype=float)
+        total = x[:, 0]
+        for j in range(1, self.rank):
+            total = total + x[:, j]
         return total % 1.0
-
-    @property
-    def modulus(self):
-        """The orders as an array, which reduces a (count, rank) label
-        matrix row by row, typed by int_dtype of the largest order."""
-        return np.array(self.orders,
-                        dtype=int_dtype(max(self.orders, default=1)))
 
     def random_elements(self, rng, count):
         """count uniform elements, one after another, as the rows of a

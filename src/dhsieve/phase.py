@@ -235,23 +235,31 @@ def tomography_mod_r(plist, r, readout=None, p=0, q=1, j=0):
     if not len(plist):
         raise InsufficientCopiesError("no copies supplied")
     be = plist.backend
-    step, rest = divmod(int(np.reshape(be.oracle.ctx.modulus, -1)[j]), q * r)
-    column = np.reshape(plist.labels, (len(plist), -1))[:, j]
-    if rest or (column % step).any():
+    step, rest = divmod(be.oracle.ctx.orders[j], q * r)
+    column = plist.labels if plist.labels.ndim == 1 else plist.labels[:, j]
+    if not rest:
+        # object labels (past 62 bits) have no divmod loop
+        units, off = (np.divmod(column, step) if column.dtype != object
+                      else (column // step, column % step))
+        rest = np.count_nonzero(off)
+    if rest:
         raise ValueError("labels are not multiples of n_j/(q r)")
     fresh = readout is None
     if fresh:
         if not isinstance(be.oracle.ctx, GroupCtx):
             raise TypeError("residue tomography applies to dihedral backends")
         readout = Readout(r, [p + q * t for t in range(r)])
-    labels, classical = plist.take()
-    units = column // step % r
-    keep = units != 0
-    value = readout.observe(PhaseList(labels[keep], classical[keep], be),
-                            units[keep])
+    units %= r
+    kept = np.count_nonzero(units)
+    if kept < len(units):
+        labels, classical = plist.take()
+        keep = units != 0
+        plist = PhaseList(labels[keep], classical[keep], be)
+        units = units[keep]
+    value = readout.observe(plist, units)
     if fresh and value is None:
         raise InsufficientCopiesError(
-            f"{keep.sum()} nonzero copies leave the digit undecided")
+            f"{kept} nonzero copies leave the digit undecided")
     return value
 
 
@@ -271,37 +279,57 @@ def _log_table(M):
     return table
 
 
+@functools.lru_cache(maxsize=16)
+def _residues(C):
+    """What a Readout over C residues needs besides its table: the
+    residues 0..C-1 (read-only), Wald's lead ln((C - 1) / READOUT_DELTA),
+    and the copies a _BLOCK_ENTRIES block scores."""
+    cands = np.arange(C)
+    cands.flags.writeable = False
+    return (cands, math.log((C - 1) / READOUT_DELTA),
+            max(1, _BLOCK_ENTRIES // C))
+
+
 class Readout:
     """Sequential maximum-likelihood readout of a slope mod M over the
-    residues 0..C-1, C = len(points): copy i of all observed is scored at
-    reference i mod C and observed at points[i mod C], its point as
-    cosine_observe takes it (only t mod C of a reference t reaches a copy
-    whose label is a multiple of M/C, so every residue is read in turn);
-    ll sums the copies' rows, read counts them, and value is None until
-    the first copy where the best residue leads by
+    residues 0..C-1, C = len(points) >= 2: copy i of all observed is
+    scored at reference i mod C and observed at points[i mod C], its
+    point as cosine_observe takes it (only t mod C of a reference t
+    reaches a copy whose label is a multiple of M/C, so every residue is
+    read in turn); points holds them as one array, a row per point on an
+    abelian group.  ll sums the copies' rows, read counts them, and value
+    is None until the first copy where the best residue leads by
     ln((C - 1) / READOUT_DELTA), then that residue.  A copy's row is
     gathered from _log_table(M) at its turns k (c - t) mod M."""
 
     def __init__(self, M, points):
-        self.M, self.refs = M, list(enumerate(points))
-        self.ll = np.zeros(len(self.refs))
+        if len(points) < 2:
+            raise ValueError("a readout needs at least two reference points")
+        self.M, C = M, len(points)
+        try:
+            # int64 while every coordinate fits, so cosine_observe takes
+            # the points as they are; Python ints past that
+            self.points = np.array(points, dtype=np.int64)
+        except OverflowError:
+            self.points = np.array(points, dtype=object)
+        self.ll = np.zeros(C)
         self.read = 0
         self.value = None
-        self._lead = math.log((len(self.refs) - 1) / READOUT_DELTA)
-        self._table, self._cands = _log_table(M), np.arange(len(points))
+        self._table = _log_table(M)
+        self._cands, self._lead, self._step = _residues(C)
 
     def observe(self, plist, labels):
-        """Observe the copies of plist, whose labels mod M are labels, in
-        one cosine_observe call, and add their rows to ll up to the copy
-        that decides the readout, scoring _BLOCK_ENTRIES entries at a
-        time.  Returns value; consumes plist."""
-        M, C, n = self.M, len(self.refs), len(plist)
-        t = np.arange(self.read, self.read + n) % C
-        bits = cosine_observe(plist, [self.refs[i][1] for i in t.tolist()])
-        k = (np.asarray(labels, dtype=np.int64) % M)[:, None]
+        """Observe the copies of plist, whose labels mod M are labels
+        (each in [0, M)), in one cosine_observe call, and add their rows
+        to ll up to the copy that decides the readout, scoring
+        _BLOCK_ENTRIES entries at a time.  Returns value; consumes
+        plist."""
+        M, step, n = self.M, self._step, len(plist)
+        t = self._cands.take(np.arange(self.read, self.read + n), mode="wrap")
+        bits = cosine_observe(plist, self.points[t])
+        k = np.asarray(labels, dtype=np.int64)[:, None]
         # a copy's row starts at its bit's half of the table
         start = M * bits[:, None]
-        step = max(1, _BLOCK_ENTRIES // C)
         for i in range(0, n, step):
             turns = self._cands - t[i:i + step, None]
             turns *= k[i:i + step]
@@ -310,13 +338,15 @@ class Readout:
             rows = self._table.take(turns)
             rows[0] += self.ll
             np.add.accumulate(rows, axis=0, out=rows)
-            top = rows.copy()
-            top.partition(-2, axis=1)
-            hit = (top[:, -1] - top[:, -2] >= self._lead).nonzero()[0]
-            last = hit[0] if len(hit) else len(rows) - 1
+            top = np.partition(rows, -2, axis=1)
+            won = top[:, -1] - top[:, -2] >= self._lead
+            last = won.argmax()
+            decided = won[last]
+            if not decided:
+                last = len(rows) - 1
             self.ll, self.read = rows[last].copy(), self.read + last + 1
-            if len(hit):
-                self.value = int(np.argmax(self.ll))
+            if decided:
+                self.value = int(self.ll.argmax())
                 break
         return self.value
 

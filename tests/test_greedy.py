@@ -1110,7 +1110,7 @@ def test_chain_targets_read_their_digit_exactly(orders, monkeypatch):
             assert len(k) and not k[:, j + 1:].any()
             assert not (k[:, j] % (n // (q * p))).any()
             u = k[:, j] // (n // (q * p))
-            for t, point in readout.refs:
+            for t, point in enumerate(map(tuple, readout.points.tolist())):
                 assert point == (*s[:j], s0 + q * t, *[0] * (A.rank - j - 1))
                 want = u * (d - t) % p
                 assert (k * (np.array(s) - point) % orders).tolist() == [

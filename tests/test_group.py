@@ -151,6 +151,40 @@ def test_abelian_spec_arithmetic():
             AbelianGroupSpec((4,), free_rank=bad)
 
 
+@pytest.mark.parametrize("orders", [(16, 9), (5, 7, 4), (2 ** 40 + 7, 6),
+                                    (2 ** 70, 3)])
+def test_abelian_modulus_and_turn_dtype_are_built_once(orders):
+    # the modulus is one read-only array, the orders typed by int_dtype
+    # of the largest (object past 62 bits), and the turn dtype is read
+    # once too; neither changes equality or hashing, which see only the
+    # fields
+    A = AbelianGroupSpec(orders)
+    mod = A.modulus
+    assert A.modulus is mod and mod.tolist() == list(orders)
+    assert mod.dtype == int_dtype(max(orders))
+    with pytest.raises(ValueError):
+        mod[0] = 1
+    with pytest.raises(ValueError):
+        mod += 1
+    assert mod.tolist() == list(orders)
+    assert A.turn_dtype is A.turn_dtype is int_dtype(max(orders) ** 2)
+    twin = AbelianGroupSpec(orders)
+    assert twin == A and hash(twin) == hash(A) and {A: 1}[twin] == 1
+    assert repr(twin) == repr(A)
+    assert AbelianGroupSpec(orders, free_rank=1) != A
+
+
+@pytest.mark.parametrize("N", [7, 2 ** 31 - 1, 2 ** 31, 3 ** 40])
+def test_dihedral_orders_and_turn_dtype(N):
+    # D_N lists its one order as AbelianGroupSpec lists its orders, and
+    # reads its turn dtype (int64 for N < 2^31) once, outside equality
+    ctx = GroupCtx(N)
+    assert ctx.orders == (N,)
+    assert ctx.turn_dtype is ctx.turn_dtype is int_dtype(N * N)
+    assert (ctx.turn_dtype is np.int64) == (N < 2 ** 31)
+    assert ctx == GroupCtx(N) and hash(ctx) == hash(GroupCtx(N))
+
+
 @pytest.mark.parametrize("N", [7, 360, 2 ** 40 + 3, 2 ** 61, 2 ** 70 + 5])
 def test_one_element_draw_is_random_below(N):
     # a draw of one element takes the same value, and leaves the same

@@ -955,6 +955,59 @@ def test_tomography_rejects_radix_below_2():
             tomography_mod_r(copies([4], be), r)
 
 
+@pytest.mark.parametrize("points", [[], [0]])
+def test_readout_needs_two_reference_points(points):
+    # Wald's lead ln((C - 1) / READOUT_DELTA) needs a runner-up
+    with pytest.raises(ValueError, match="two reference points"):
+        Readout(5, points)
+
+
+def _tomography_cases():
+    """(name, backend, valid labels, a label off the multiples, j): int64
+    labels on D_{3^8}, object labels on D_{3^40}, and rows of Z16 + Z9
+    read on coordinate 1, each at r = 3 and q = 1."""
+    N3 = 3 ** 40
+    abelian = PhaseBackend(make_reflection_oracle(AbelianGroupSpec((16, 9)),
+                                                  (5, 7)),
+                           rng=np.random.default_rng(4))
+    return [("3^8", backend(3 ** 8, 1234, seed=4), [3 ** 7, 2 * 3 ** 7],
+             3 ** 7 + 1, 0),
+            ("3^40", backend(N3, N3 // 5, seed=4), [N3 // 3, 2 * (N3 // 3)],
+             N3 // 3 + 1, 0),
+            ("Z16+Z9", abelian, [(0, 3), (7, 6)], (0, 4), 1)]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["3^8", "3^40", "Z16+Z9"])
+def test_tomography_input_checks_fire_before_anything_is_drawn(case):
+    # every input check raises before the list is consumed or anything
+    # is drawn: r < 2, an empty list, a label off the multiples of
+    # n_j/(q r), q r not dividing n_j, and a fresh readout on an abelian
+    # backend; a fresh readout left undecided on D_N raises after its
+    # one observation
+    _, be, good, bad, j = _tomography_cases()[case]
+    dihedral = isinstance(be.oracle.ctx, GroupCtx)
+    calls = [(ValueError, good, dict(r=1)),
+             (InsufficientCopiesError, [], {}),
+             (ValueError, good[:1] + [bad], {}),
+             (ValueError, good, dict(q=2))]
+    if not dihedral:
+        calls.append((TypeError, good, {}))
+    for error, labels, kw in calls:
+        kw = {"r": 3, "q": 1, **kw}
+        state, queries = be.rng.bit_generator.state, be.oracle.queries
+        plist = copies(labels, be)
+        with pytest.raises(error):
+            tomography_mod_r(plist, kw["r"], None, 0, kw["q"], j)
+        assert not plist.consumed
+        assert be.rng.bit_generator.state == state
+        assert be.oracle.queries == queries
+    if dihedral:
+        plist = copies(good[:1], be)
+        with pytest.raises(InsufficientCopiesError):
+            tomography_mod_r(plist, 3)
+        assert plist.consumed
+
+
 def test_tomography_builds_readouts_on_dihedral_backends_only():
     # on Z4 + Z9 with s = (1, 5), the chain hands tomography_mod_r its
     # own readout, observing coordinate 1 at (s_0, t): labels (0, 3u)
