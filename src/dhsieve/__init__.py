@@ -41,6 +41,7 @@ from .phase import (
     PhaseBackend,
     PhaseList,
     PhaseQubit,
+    Readout,
     combine,
     cosine_observe,
     measure_pm,

@@ -138,22 +138,20 @@ def _join(chunks):
 class Carried:
     """The labels a greedy sieve call leaves for the next, as it placed
     them under obj: oriented, reduced and bucketed by alpha.  buckets[a]
-    lists (labels, classical) chunks in placement order, and held the
-    entries left alone in their buckets, as (alpha, labels, classical).
-    A call under an objective whose row is a prefix of obj's keeps each
-    alpha and orientation; a label past the shorter row is zero there."""
+    lists (labels, classical) chunks in placement order, an entry the
+    call held alone in its bucket included.  A call under an objective
+    whose row is a prefix of obj's keeps each alpha and orientation; a
+    label past the shorter row is zero there."""
 
-    __slots__ = ("obj", "buckets", "held", "backend", "consumed")
+    __slots__ = ("obj", "buckets", "backend", "consumed")
 
-    def __init__(self, obj, buckets, held, backend):
-        self.obj, self.buckets, self.held = obj, buckets, held
+    def __init__(self, obj, buckets, backend):
+        self.obj, self.buckets = obj, buckets
         self.backend, self.consumed = backend, False
 
     def take(self, backend, obj):
-        """Consume the state for a call on backend under obj: its buckets,
-        lists of (labels, classical) chunks by alpha, each with its held
-        entries first, where placing them again would put them.  Raises
-        before it consumes anything."""
+        """Consume the state for a call on backend under obj: its buckets.
+        Raises before it consumes anything."""
         if self.backend is not backend:
             raise BackendMismatchError(
                 "carried qubits belong to another backend")
@@ -162,10 +160,7 @@ class Carried:
         if self.consumed:
             raise QubitConsumedError("carried state already consumed")
         self.consumed = True
-        buckets = self.buckets
-        for a, *chunk in reversed(self.held):
-            buckets[a].insert(0, chunk)
-        return buckets
+        return self.buckets
 
 
 def greedy_sieve(backend, obj, budget, readout, carried=None):
@@ -192,9 +187,10 @@ def greedy_sieve(backend, obj, budget, readout, carried=None):
     _pair_order, with one rng.random(npairs) call for the extraction
     coins; merges that stay at the same alpha carry into the next sweep
     with the unpaired entry, and an entry left alone in its bucket is
-    held and placed again, before the sample, with the next fresh pass.
-    This is the per-qubit loop's order and coin stream, with the readout
-    called after each sweep's draws."""
+    held and placed again, before the sample, with the next fresh pass
+    (or put back in its bucket when the call returns).  This is the
+    per-qubit loop's order and coin stream, with the readout called after
+    each sweep's draws."""
     if budget < 2:
         raise ValueError("budget must be at least 2")
     stats = SieveStats()
@@ -263,7 +259,11 @@ def greedy_sieve(backend, obj, budget, readout, carried=None):
         if lone >= 0:
             i = order[lone]
             buckets[v].append((labels[i:i + 1], classical[i:i + 1]))
-    return value, stats, Carried(obj, buckets, held, backend)
+    # each held entry's bucket was the minimum one, and nothing has
+    # reached it since: the entry goes back alone
+    for a, *chunk in held:
+        buckets[a] = [chunk]
+    return value, stats, Carried(obj, buckets, backend)
 
 
 # laws of 3^sqrt(2 log_3 N) labels one greedy pass samples (CHANGES.md
@@ -313,11 +313,10 @@ def run_chain(backend, steps, budget=None):
             points = np.empty((p, len(s)), dtype=dtype)
             points[:] = s
             points[:, j] += q * np.arange(p, dtype=dtype)
-            readout = Readout(p, points[:, 0] if dihedral else points)
+            readout = Readout(points[:, 0] if dihedral else points)
             digit, level, carried = greedy_sieve(
                 backend, row.prefix(depth), budget or list_size(unread),
-                lambda targets: tomography_mod_r(targets, p, readout, s[j],
-                                                 q, j),
+                lambda targets: tomography_mod_r(targets, readout, q, j),
                 carried)
             s[j] += digit * q
             q *= p

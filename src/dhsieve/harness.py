@@ -23,6 +23,7 @@ from .group import GroupCtx, uniform
 from .phase import (
     PhaseBackend,
     PhaseList,
+    Readout,
     combine_pairs,
     cosine_observe,
     measure_pm,
@@ -266,13 +267,14 @@ def _check_survival(make):
 
 
 def _check_parity_readout(make):
-    """Residue tomography at r=2 reads s mod 2 from psi_{N/2} copies."""
+    """Residue tomography at r=2 reads s mod 2 from psi_{N/2} copies; an
+    undecided read counts as a mismatch."""
     N = 32
     bad = 0
     for s in (5, 12, 21, 30):
         copies = PhaseList(np.full(25, N // 2), np.zeros(25, dtype=bool),
                            make(N, s))
-        if tomography_mod_r(copies, 2) != s % 2:
+        if tomography_mod_r(copies, Readout([0, 1])) != s % 2:
             bad += 1
     return CheckResult("parity tomography", bad == 0, bad, "0 mismatches")
 

@@ -19,7 +19,7 @@ from .errors import (
     InsufficientCopiesError,
     QubitConsumedError,
 )
-from .group import GroupCtx, int_dtype
+from .group import int_dtype
 
 _P_CLIP = 1e-9
 # Wald's sequential test (A. Wald, Ann. Math. Stat. 16, 1945): a readout
@@ -219,23 +219,20 @@ def cosine_observe(plist, t):
     return _observe(plist, t)
 
 
-def tomography_mod_r(plist, r, readout=None, p=0, q=1, j=0):
-    """Read d = (s_j // q) mod r, the next digit of coordinate j of s (s
-    itself on D_N; digit i in base r at q = r^i), p = s_j mod q known,
+def tomography_mod_r(plist, readout, q=1, j=0):
+    """Read d = (s_j // q) mod r, r = readout.M, the next digit of
+    coordinate j of s (s itself on D_N; digit i in base r at q = r^i),
     from labels (n_j/(q r)) u on coordinate j, n_j its order, and zero
-    after it: observed at s_j = p + q t, and at the known values before
-    j, they turn by u (d - t)/r mod 1.  The copies go in order to readout
-    over u mod r, dropping those with u = 0 mod r unobserved, and its
-    value (None while undecided) is returned.  With no readout a dihedral
-    backend builds Readout(r, [p + q t for t < r]), which the list must
-    decide, or InsufficientCopiesError is raised.  Consumes the list."""
-    r, p, q, j = map(operator.index, (r, p, q, j))
-    if r < 2:
-        raise ValueError("radix must be at least 2")
+    after it: observed at readout's points, s_j = p + q t with
+    p = s_j mod q and the known values before j, they turn by
+    u (d - t)/r mod 1.  The copies go in
+    order to readout over u mod r, and its value (None while undecided)
+    is returned; a copy with u = 0 mod r adds the same row to every
+    residue.  Consumes the list."""
+    q, j = map(operator.index, (q, j))
     if not len(plist):
         raise InsufficientCopiesError("no copies supplied")
-    be = plist.backend
-    step, rest = divmod(be.oracle.ctx.orders[j], q * r)
+    step, rest = divmod(plist.backend.oracle.ctx.orders[j], q * readout.M)
     column = plist.labels if plist.labels.ndim == 1 else plist.labels[:, j]
     if not rest:
         # object labels (past 62 bits) have no divmod loop
@@ -244,79 +241,53 @@ def tomography_mod_r(plist, r, readout=None, p=0, q=1, j=0):
         rest = np.count_nonzero(off)
     if rest:
         raise ValueError("labels are not multiples of n_j/(q r)")
-    fresh = readout is None
-    if fresh:
-        if not isinstance(be.oracle.ctx, GroupCtx):
-            raise TypeError("residue tomography applies to dihedral backends")
-        readout = Readout(r, [p + q * t for t in range(r)])
-    units %= r
-    kept = np.count_nonzero(units)
-    if kept < len(units):
-        labels, classical = plist.take()
-        keep = units != 0
-        plist = PhaseList(labels[keep], classical[keep], be)
-        units = units[keep]
-    value = readout.observe(plist, units)
-    if fresh and value is None:
-        raise InsufficientCopiesError(
-            f"{kept} nonzero copies leave the digit undecided")
-    return value
+    return readout.observe(plist, units % readout.M)
 
 
 @functools.lru_cache(maxsize=16)
 def _log_table(M):
-    """The (2, M) table a Readout over a slope mod M scores from: entry
-    (b, x) is the clipped log-likelihood of bit b at the turn x / M,
-    log(1 - p) for b = 0 and log p for b = 1, p = cos^2(pi x / M) clipped
-    to [_P_CLIP, 1 - _P_CLIP]: likelihood_readout's entries, bit for bit,
-    from the same operations."""
+    """What a Readout over a slope mod M scores from: the read-only (2, M)
+    table, raveled, of clipped log-likelihoods (entry (b, x) of bit b at
+    the turn x / M: log(1 - p) for b = 0, log p for b = 1, p =
+    cos^2(pi x / M) clipped to [_P_CLIP, 1 - _P_CLIP], likelihood_readout's
+    entries bit for bit); the read-only residues 0..M-1; Wald's lead
+    ln((M - 1) / READOUT_DELTA); and the copies a _BLOCK_ENTRIES block
+    scores."""
     p = np.arange(M, dtype=np.int64) / M
     p *= np.pi
     np.square(np.cos(p, out=p), out=p)
     np.clip(p, _P_CLIP, 1 - _P_CLIP, out=p)
     table = np.log(np.stack([1 - p, p])).ravel()
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=16)
-def _residues(C):
-    """What a Readout over C residues needs besides its table: the
-    residues 0..C-1 (read-only), Wald's lead ln((C - 1) / READOUT_DELTA),
-    and the copies a _BLOCK_ENTRIES block scores."""
-    cands = np.arange(C)
-    cands.flags.writeable = False
-    return (cands, math.log((C - 1) / READOUT_DELTA),
-            max(1, _BLOCK_ENTRIES // C))
+    cands = np.arange(M)
+    table.flags.writeable = cands.flags.writeable = False
+    return (table, cands, math.log((M - 1) / READOUT_DELTA),
+            max(1, _BLOCK_ENTRIES // M))
 
 
 class Readout:
-    """Sequential maximum-likelihood readout of a slope mod M over the
-    residues 0..C-1, C = len(points) >= 2: copy i of all observed is
-    scored at reference i mod C and observed at points[i mod C], its
-    point as cosine_observe takes it (only t mod C of a reference t
-    reaches a copy whose label is a multiple of M/C, so every residue is
-    read in turn); points holds them as one array, a row per point on an
-    abelian group.  ll sums the copies' rows, read counts them, and value
-    is None until the first copy where the best residue leads by
-    ln((C - 1) / READOUT_DELTA), then that residue.  A copy's row is
-    gathered from _log_table(M) at its turns k (c - t) mod M."""
+    """Sequential maximum-likelihood readout of a slope mod M over its
+    residues, M = len(points) >= 2: copy i of all observed is scored at
+    reference i mod M and observed at points[i mod M], its point as
+    cosine_observe takes it; points holds them as one array, a row per
+    point on an abelian group.  ll sums the copies' rows, read counts
+    them, and value is None until the first copy where the best residue
+    leads by ln((M - 1) / READOUT_DELTA), then that residue.  A copy's
+    row is gathered from _log_table(M) at its turns k (c - t) mod M."""
 
-    def __init__(self, M, points):
+    def __init__(self, points):
         if len(points) < 2:
             raise ValueError("a readout needs at least two reference points")
-        self.M, C = M, len(points)
+        self.M = len(points)
         try:
             # int64 while every coordinate fits, so cosine_observe takes
             # the points as they are; Python ints past that
             self.points = np.array(points, dtype=np.int64)
         except OverflowError:
             self.points = np.array(points, dtype=object)
-        self.ll = np.zeros(C)
+        self.ll = np.zeros(self.M)
         self.read = 0
         self.value = None
-        self._table = _log_table(M)
-        self._cands, self._lead, self._step = _residues(C)
+        self._table, self._cands, self._lead, self._step = _log_table(self.M)
 
     def observe(self, plist, labels):
         """Observe the copies of plist, whose labels mod M are labels
@@ -351,20 +322,20 @@ class Readout:
         return self.value
 
 
-def likelihood_readout(plist, labels, M, refs, cands, ll):
-    """The maximum-likelihood readout of a slope mod M.  One
-    cosine_observe call observes copy i at refs[i % len(refs)], a pair
-    (t in Z/M, the point cosine_observe takes: t itself on D_N).  Adds to
-    ll, in place (and returns it), for each candidate c, the
-    log-likelihood of the bits under the exact turn ((labels[i] * (c - t))
-    mod M) / M, clipped so one unlucky bit cannot veto c.  Scores blocks
-    of at most _BLOCK_ENTRIES entries, typed by int_dtype(M * M), entry by
-    entry: M may be as large as N.  Consumes plist."""
-    ts = [refs[i % len(refs)] for i in range(len(plist))]
-    zero = cosine_observe(plist, [point for _, point in ts])[:, None] == 0
+def likelihood_readout(plist, M, points, cands, ll):
+    """The maximum-likelihood readout of a slope mod M on D_N.  One
+    cosine_observe call observes copy i at points[i % len(points)].  Adds
+    to ll, in place (and returns it), for each candidate c, the
+    log-likelihood of the bits under the exact turn
+    ((k_i * (c - t_i)) mod M) / M, k_i the copy's label and t_i its point,
+    clipped so one unlucky bit cannot veto c.  Scores blocks of at most
+    _BLOCK_ENTRIES entries, typed by int_dtype(M * M), entry by entry: M
+    may be as large as N.  Consumes plist."""
     dtype = int_dtype(M * M)
-    k = (np.asarray(labels).astype(dtype) % M)[:, None]
-    kt = k * np.array([t for t, _ in ts], dtype=dtype)[:, None] % M
+    k = (plist.labels.astype(dtype) % M)[:, None]
+    ts = [points[i % len(points)] for i in range(len(plist))]
+    zero = cosine_observe(plist, ts)[:, None] == 0
+    kt = k * np.array(ts, dtype=dtype)[:, None] % M
     cands = np.asarray(cands).astype(dtype)
     step = max(1, _BLOCK_ENTRIES // len(cands))
     for i in range(0, len(zero), step):

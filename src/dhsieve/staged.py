@@ -277,14 +277,15 @@ def interval_sieve(backend, want):
     return run_passes(one_pass)
 
 
-def estimate_from_quadratures(ones, N):
+def estimate_from_quadratures(ones):
     """Ettinger-Hoyer style readout: observe the first half of a PhaseList
-    of psi_1 copies against reference slope 0 and the rest against
+    of psi_1 copies on D_N against reference slope 0 and the rest against
     floor(N/4), in one call, estimate cos and sin of 2 pi s / N, and read
     the angle."""
     count = len(ones)
     if not count:
         raise InsufficientCopiesError("no copies supplied")
+    N = ones.backend.oracle.ctx.N
     tq = max(1, N // 4)
     half = count // 2 or 1
     bits = cosine_observe(ones, [0] * half + [tq] * (count - half)).tolist()
@@ -302,4 +303,4 @@ def run_general_interval(backend):
     """Interval sieve plus quadrature readout: estimates the hidden slope
     to within N/4 (circular) with probability at least 2/3."""
     ones, stats = interval_sieve(backend, COARSE_COPIES)
-    return estimate_from_quadratures(ones, backend.oracle.ctx.N), stats
+    return estimate_from_quadratures(ones), stats

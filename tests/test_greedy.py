@@ -37,6 +37,7 @@ from dhsieve.phase import (
     PhaseBackend,
     PhaseList,
     PhaseQubit,
+    Readout,
     combine,
     negate_label,
     sample_batch,
@@ -397,10 +398,10 @@ def test_greedy_sieve_exhausts_holding_its_singles(monkeypatch):
 
 
 def _held(state):
-    """The (label, classical) pairs a Carried state holds: its held
-    entries, then its buckets by alpha, each in placement order."""
-    chunks = [chunk for _, *chunk in state.held] + [
-        chunk for a in sorted(state.buckets) for chunk in state.buckets[a]]
+    """The (label, classical) pairs a Carried state holds: its buckets by
+    alpha, each in order."""
+    chunks = [chunk for a in sorted(state.buckets)
+              for chunk in state.buckets[a]]
     return [(k, c) for labels, classical in chunks
             for k, c in zip(labels.tolist(), classical.tolist())]
 
@@ -451,6 +452,38 @@ def test_greedy_sieve_places_carried_labels_first(monkeypatch):
             == backend(3 ** 6, 100, seed=11).rng.bit_generator.state)
 
 
+def test_greedy_sieve_carries_the_entries_it_holds(monkeypatch):
+    # on 3^3 at the first level (targets 9 u), a pass of 1, 3 and 12
+    # buckets 1 alone at alpha 0 and 3, 12 at alpha 1: the sweep of
+    # alpha 0 holds 1, and the sweep of alpha 1 merges 3 - 12 = -9 (every
+    # coin the minus branch), oriented to the target 9, which decides.
+    # The call returns with 1 still held, and carries it bucketed at
+    # alpha 0, as the per-qubit reference does
+    passes = []
+
+    def sample(backend, count):
+        passes.append(count)
+        return PhaseList(np.array([1, 3, 12]), np.zeros(3, bool), backend)
+
+    monkeypatch.setattr(greedy, "sample_batch", sample)
+    monkeypatch.setitem(globals(), "sample_batch", sample)
+
+    def make():
+        return PhaseBackend(make_reflection_oracle(GroupCtx(27), 5),
+                            rng=np.random.default_rng(2), coin_bias=0.0)
+
+    batches, ref_batches = [], []
+    value, st, left = greedy_sieve(make(), _level(3, 3), 4,
+                                   _collector(GroupCtx(27), batches, 1))
+    _, _, want = _reference_sieve(make(), _case([0] * 3, [3, 9, 27])[1], 4,
+                                  _collector(GroupCtx(27), ref_batches, 1))
+    assert value == 1 and batches == ref_batches == [[(9, False)]]
+    assert (st.combines, passes) == (1, [4, 4])
+    assert _held(left) == [(q.label, q.classical) for q in want] == [
+        (1, False)]
+    assert list(left.buckets) == [0]
+
+
 def _reference_sieve(backend, ref, budget, readout, carried=()):
     """The per-qubit greedy loop greedy_sieve runs on arrays, kept as its
     reference: every qubit is a PhaseQubit, oriented by negate_label and
@@ -461,9 +494,9 @@ def _reference_sieve(backend, ref, budget, readout, carried=()):
     after the qubits left alone in their buckets.  The targets of each
     placement (the carried qubits, a pass, a sweep once its merges are
     placed) go to readout as one PhaseList.  Returns (the readout's
-    value, stats, the qubits left: those held alone, then the buckets by
-    alpha); raises SieveExhaustedError when the buckets are empty after
-    greedy.MAX_PASSES passes."""
+    value, stats, the qubits left: the buckets by alpha, each with the
+    qubits held alone in it first); raises SieveExhaustedError when the
+    buckets are empty after greedy.MAX_PASSES passes."""
     stats = SieveStats()
     batch, buckets, held = [], defaultdict(list), []
 
@@ -497,7 +530,7 @@ def _reference_sieve(backend, ref, budget, readout, carried=()):
                 raise SieveExhaustedError("undecided", stats)
             passes += 1
             labels, classical = sample_batch(backend, budget).take()
-            value = place_all(held + [
+            value = place_all([q for _, q in held] + [
                 PhaseQubit(backend.oracle.ctx.reduce(k), backend, c)
                 for k, c in zip(labels.tolist(), classical.tolist())])
             held = []
@@ -505,7 +538,7 @@ def _reference_sieve(backend, ref, budget, readout, carried=()):
         v = min(buckets)
         group = buckets.pop(v)
         if len(group) < 2:
-            held.append(group[0][1])
+            held.append((v, group[0][1]))
             continue
         group.sort(key=itemgetter(0))
         stats.work += len(group)
@@ -521,8 +554,9 @@ def _reference_sieve(backend, ref, budget, readout, carried=()):
         lone[pairs] = False
         if lone.any():
             buckets[v].append(group[np.flatnonzero(lone)[0]])
-    return value, stats, held + [q for a in sorted(buckets)
-                                 for _, q in buckets[a]]
+    for v, q in reversed(held):
+        buckets[v].insert(0, (None, q))
+    return value, stats, [q for a in sorted(buckets) for _, q in buckets[a]]
 
 
 def _radix_case(r, n, t):
@@ -1062,7 +1096,8 @@ def test_carried_labels_read_their_digit_exactly(r, n):
             assert ctx.turns(k, s, p + r ** i * t).tolist() == (
                 want / r).tolist()
             copies = PhaseList(np.resize(k, 8 * r), np.zeros(8 * r, bool), be)
-            misread += tomography_mod_r(copies, r, None, p, r ** i) != d
+            readout = Readout([p + r ** i * t for t in range(r)])
+            misread += tomography_mod_r(copies, readout, r ** i) != d
     assert misread <= (0 if r == 2 else READOUT_DELTA * N * n)
 
 
@@ -1088,9 +1123,9 @@ def test_chain_targets_read_their_digit_exactly(orders, monkeypatch):
         seen.append([obj])
         return real_sieve(backend, obj, budget, readout, carried)
 
-    def tomo(targets, p, readout, s0, q, j):
-        seen[-1][1:] = [(p, readout, s0, q, j)]
-        return real_tomo(targets, p, readout, s0, q, j)
+    def tomo(targets, readout, q, j):
+        seen[-1][1:] = [(readout, q, j)]
+        return real_tomo(targets, readout, q, j)
 
     monkeypatch.setattr(greedy, "greedy_sieve", sieve)
     monkeypatch.setattr(greedy, "tomography_mod_r", tomo)
@@ -1100,11 +1135,12 @@ def test_chain_targets_read_their_digit_exactly(orders, monkeypatch):
                           rng=np.random.default_rng([A.size, *s]))
         got, _ = greedy.run_chain(be, steps)
         assert tuple(got) == s
-        assert [(p, j) for _, (p, *_, j) in seen] == [
+        assert [(readout.M, j) for _, (readout, _, j) in seen] == [
             (p, j) for j, chain in enumerate(steps) for p in chain]
-        for obj, (p, readout, s0, q, j) in seen:
-            n, d = orders[j], s[j] // q % p
-            assert s0 == s[j] % q and readout.value == d
+        for obj, (readout, q, j) in seen:
+            n, p, s0 = orders[j], readout.M, s[j] % q
+            d = s[j] // q % p
+            assert readout.value == d
             _, alpha = obj.score(labels.copy())
             k = labels[alpha == obj.target]
             assert len(k) and not k[:, j + 1:].any()
@@ -1136,9 +1172,9 @@ def test_radix_levels_sized_by_demand(monkeypatch):
         calls.append((obj.target, budget, carried, out))
         return out
 
-    def tomo(targets, r, readout, p, q, j):
-        value = real_tomo(targets, r, readout, p, q, j)
-        reads.append((readout, p, q, value))
+    def tomo(targets, readout, q, j):
+        value = real_tomo(targets, readout, q, j)
+        reads.append((readout, q, value))
         return value
 
     monkeypatch.setattr(greedy, "greedy_sieve", sieve)
@@ -1161,10 +1197,11 @@ def test_radix_levels_sized_by_demand(monkeypatch):
             assert [out[0] for *_, out in calls] == [
                 s // 3 ** i % 3 for i in range(n)]
             for i in range(n):
-                level = [x for x in reads if x[2] == 3 ** i]
+                level = [x for x in reads if x[1] == 3 ** i]
                 assert len({id(x[0]) for x in level}) == 1
-                assert {x[1] for x in level} == {s % 3 ** i}
-                assert [x[3] for x in level] == [None] * (len(level) - 1) + [
+                assert level[0][0].points.tolist() == [
+                    s % 3 ** i + 3 ** i * t for t in range(3)]
+                assert [x[2] for x in level] == [None] * (len(level) - 1) + [
                     s // 3 ** i % 3]
             assert stats.combines == sum(out[1].combines for *_, out in calls)
             assert stats.work == sum(out[1].work for *_, out in calls)
@@ -1299,7 +1336,7 @@ def test_radix_level_exhausts_after_max_passes(monkeypatch):
     # their stats, and the recursion reads no further level
     levels = []
 
-    def undecided(targets, r, readout, p, q, j):
+    def undecided(targets, readout, q, j):
         levels.append(q)
         targets.take()
 

@@ -105,12 +105,12 @@ def _ref_cosine_observe(q, t):
     return _ref_observe(q, t)
 
 
-def _ref_likelihood_readout(qs, labels, M, refs, cands, ll):
-    ts = [refs[i % len(refs)] for i in range(len(qs))]
-    bits = [_ref_cosine_observe(q, point) for q, (_, point) in zip(qs, ts)]
+def _ref_likelihood_readout(qs, M, points, cands, ll):
+    ts = [points[i % len(points)] for i in range(len(qs))]
+    bits = [_ref_cosine_observe(q, t) for q, t in zip(qs, ts)]
     dtype = np.int64 if M < 1 << 31 else object
-    k = np.array([x % M for x in labels], dtype=dtype)
-    kt = np.array([x * t % M for x, (t, _) in zip(labels, ts)], dtype=dtype)
+    k = np.array([q.label % M for q in qs], dtype=dtype)
+    kt = np.array([q.label * t % M for q, t in zip(qs, ts)], dtype=dtype)
     cands = np.asarray(cands).astype(dtype)[:, None]
     step = max(1, _BLOCK_ENTRIES // len(cands))
     for i in range(0, len(bits), step):
@@ -127,20 +127,19 @@ def _ref_likelihood_readout(qs, labels, M, refs, cands, ll):
 
 
 def _ref_tomography_mod_r(qs, r):
-    # the stopping rule one copy at a time: observe nonzero copy i at
-    # reference i mod r and add its row, until the best candidate leads
-    # the runner-up by ln((r - 1) / READOUT_DELTA); the copies after it
-    # are observed and ignored.  Returns -1 when no copy decides.
+    # the stopping rule one copy at a time: observe copy i at reference
+    # i mod r and add its row (a label-0 copy's is the same for every
+    # candidate), until the best candidate leads the runner-up by
+    # ln((r - 1) / READOUT_DELTA); the copies after it are observed and
+    # ignored.  Returns -1 when no copy decides.
     N = qs[0].backend.oracle.ctx.N
-    qs = [q for q in qs if q.label != 0]
     ll, value = np.zeros(r), -1
     for i, q in enumerate(qs):
         t = i % r
         if value >= 0:
             _ref_cosine_observe(q, t)
             continue
-        ll = _ref_likelihood_readout([q], [q.label], N, [(t, t)],
-                                     np.arange(r), ll)
+        ll = _ref_likelihood_readout([q], N, [t], np.arange(r), ll)
         top = np.sort(ll)
         if top[-1] - top[-2] >= math.log((r - 1) / READOUT_DELTA):
             value = int(np.argmax(ll))
@@ -212,32 +211,22 @@ def _cos_each(points):
 def _tomography(r):
     # -1 when the copies leave the readout undecided
     def run(plist):
-        try:
-            return tomography_mod_r(plist, r)
-        except InsufficientCopiesError:
-            return -1
+        value = tomography_mod_r(plist, Readout(range(r)))
+        return -1 if value is None else value
 
     return run, lambda qs: _ref_tomography_mod_r(qs, r)
 
 
 def _quadratures(N):
-    return (lambda plist: estimate_from_quadratures(plist, N),
+    return (estimate_from_quadratures,
             lambda qs: _ref_quadratures(qs, N))
 
 
-def _likelihood(M, refs, cands, start, column=None):
-    # labels read mod M: a dihedral label, or one abelian coordinate
-    def pick(k):
-        return k if column is None else k[column]
-
-    def run(plist):
-        labels = (plist.labels if column is None
-                  else plist.labels[:, column])
-        return likelihood_readout(plist, labels, M, refs, cands,
-                                  start.copy())
-
-    return run, lambda qs: _ref_likelihood_readout(
-        qs, [pick(q.label) for q in qs], M, refs, cands, start.copy())
+def _likelihood(M, points, cands, start):
+    return (lambda plist: likelihood_readout(plist, M, points, cands,
+                                             start.copy()),
+            lambda qs: _ref_likelihood_readout(qs, M, points, cands,
+                                               start.copy()))
 
 
 def _every(n, count):
@@ -294,25 +283,20 @@ def _readout_table():
          _quadratures(45)),
         ("likelihood-general-round", GroupCtx(N), 123, [1] * 40,
          _every(5, 40),
-         _likelihood(N, [(t, t) for t in (uinv * 120 % N, 180, 300)],
-                     uinv * cands % N, rng.random(len(cands)))),
+         _likelihood(N, [uinv * 120 % N, 180, 300], uinv * cands % N,
+                     rng.random(len(cands)))),
         ("likelihood-past-2^31", GroupCtx(big), 99, [1, 3, 5] * 8,
          _every(4, 24),
-         _likelihood(big, [(t, t) for t in (0, big // 4, 999)],
-                     np.arange(0, big, big // 50), np.zeros(51))),
-        ("likelihood-coordinate", AbelianGroupSpec((4, 16)), (3, 5),
-         [(0, 1 + i % 8) for i in range(24)], _every(5, 24),
-         _likelihood(16, [(t, (0, t)) for t in (0, 4, 5)], np.arange(16),
-                     np.zeros(16), column=1)),
+         _likelihood(big, [0, big // 4, 999], np.arange(0, big, big // 50),
+                     np.zeros(51))),
         # one and two candidates: the copies' rows are added one after
         # another, where a pairwise sum of a contiguous column would not
         ("likelihood-one-candidate", GroupCtx(16), 11,
          [1 + i % 15 for i in range(40)], _every(7, 40),
-         _likelihood(16, [(t, t) for t in (0, 4, 5)], np.array([11]),
-                     np.array([0.3]))),
+         _likelihood(16, [0, 4, 5], np.array([11]), np.array([0.3]))),
         ("likelihood-two-candidates", GroupCtx(16), 11,
          [1 + i % 15 for i in range(40)], _every(7, 40),
-         _likelihood(16, [(t, t) for t in (0, 4, 5)], np.array([3, 11]),
+         _likelihood(16, [0, 4, 5], np.array([3, 11]),
                      np.array([0.3, -0.7]))),
     ]
 
@@ -364,11 +348,10 @@ def test_list_readouts_match_per_qubit_references_hypothesis(data):
     elif kind == "quadratures":
         readout = _quadratures(ctx.N)
     elif kind == "likelihood":
-        refs = [(t, t) for t in data.draw(st.lists(elem, min_size=1,
-                                                   max_size=4))]
+        points = data.draw(st.lists(elem, min_size=1, max_size=4))
         cands = np.array(data.draw(st.lists(elem, min_size=1, max_size=8)),
                          dtype=object if ctx.N >= 1 << 62 else np.int64)
-        readout = _likelihood(ctx.N, refs, cands, np.zeros(len(cands)))
+        readout = _likelihood(ctx.N, points, cands, np.zeros(len(cands)))
     else:
         r, n = data.draw(st.sampled_from([(2, 6), (3, 5), (3, 40)]))
         ctx, step = GroupCtx(r ** n), r ** (n - 1)
@@ -480,7 +463,8 @@ def test_digit_readouts_return_python_ints():
         assert type(bit) is int
     for N, r in ((2 ** 64, 2), (3 ** 4, 3), (3 ** 40, 3)):
         labels = [N // r * (1 + i % (r - 1)) for i in range(64)]
-        digit = tomography_mod_r(copies(labels, backend(N, N // 5)), r)
+        digit = tomography_mod_r(copies(labels, backend(N, N // 5)),
+                                 Readout(range(r)))
         assert type(digit) is int
 
 
@@ -635,7 +619,8 @@ def test_corrupted_qubits_are_coins():
 def test_tomography_r2_parity():
     for s in (5, 12):
         be = backend(32, s, seed=8)
-        assert tomography_mod_r(copies([16] * 25, be), 2) == s % 2
+        readout = Readout([0, 1])
+        assert tomography_mod_r(copies([16] * 25, be), readout) == s % 2
 
 
 def test_tomography_r3():
@@ -643,7 +628,7 @@ def test_tomography_r3():
     for s in (17, 30, 55):
         be = backend(N, s, seed=9)
         qs = copies([(N // 3) * (1 + i % 2) for i in range(64)], be)
-        assert tomography_mod_r(qs, 3) == s % 3
+        assert tomography_mod_r(qs, Readout(range(3))) == s % 3
 
 
 @pytest.mark.parametrize("r", [4, 6, 8])
@@ -664,7 +649,7 @@ def test_tomography_even_radix_tells_s_from_minus_s(r):
             be = PhaseBackend(make_reflection_oracle(GroupCtx(N), s), rng=rng)
             qs = copies([(N // r) * int(w)
                          for w in rng.integers(1, r, size=400)], be)
-            wrong += tomography_mod_r(qs, r) != s % r
+            wrong += tomography_mod_r(qs, Readout(range(r))) != s % r
     assert wrong <= 60 * READOUT_DELTA
 
 
@@ -681,7 +666,7 @@ def test_tomography_exact_past_int64(n):
         be = PhaseBackend(make_reflection_oracle(GroupCtx(N), s), rng=rng)
         qs = copies([(N // 3) * int(w)
                      for w in rng.integers(1, 3, size=64)], be)
-        assert tomography_mod_r(qs, 3) == s % 3, (n, i)
+        assert tomography_mod_r(qs, Readout(range(3))) == s % 3, (n, i)
 
 
 def _scalar_readout(qs, labels, M, refs, cands, start):
@@ -699,50 +684,44 @@ def _scalar_readout(qs, labels, M, refs, cands, start):
 
 
 def _readout_shapes():
-    """(oracle, qubit labels, readout labels, M, refs, candidates, start)
-    for the three callers; every fifth copy is classical, a fair coin, so
-    turns of 0 and 1/2 meet both bits and hit the clip."""
+    """(oracle, labels, M, points, candidates, start) for the two kinds of
+    read; every fifth copy is classical, a fair coin, so turns of 0 and
+    1/2 meet both bits and hit the clip."""
     rng = np.random.default_rng(4)
     # residue tomography: labels multiples of N/3, candidates Z/3
     N = 3 ** 5
     labels = [(N // 3) * (1 + i % 2) for i in range(31)]
-    yield (make_reflection_oracle(GroupCtx(N), 100), labels, labels, N,
-           [(t, t) for t in (0, 40, 120, 200)], np.arange(3), np.zeros(3))
-    # abelian coordinate 1 of Z/4 + Z/16: labels (0, k), candidates Z/16
-    ks = [1 + i % 8 for i in range(24)]
-    yield (make_reflection_oracle(AbelianGroupSpec((4, 16)), (3, 5)),
-           [(0, k) for k in ks], ks, 16,
-           [(t, (0, t)) for t in (0, 4, 5)], np.arange(16), np.zeros(16))
+    yield (make_reflection_oracle(GroupCtx(N), 100), labels, N,
+           [0, 40, 120, 200], np.arange(3), np.zeros(3))
     # a general-N round: psi_1 copies, candidates multiplied by u^-1, and
     # the running ll of earlier rounds
     N = 360
     uinv = pow(unit_for_odd_part(N, 2), -1, N)
     cands = np.arange(40, 200)
-    yield (make_reflection_oracle(GroupCtx(N), 123), [1] * 40, [1] * 40, N,
-           [(t, t) for t in (uinv * 120 % N, 180, 300)], uinv * cands % N,
+    yield (make_reflection_oracle(GroupCtx(N), 123), [1] * 40, N,
+           [uinv * 120 % N, 180, 300], uinv * cands % N,
            rng.random(len(cands)))
 
 
 @pytest.mark.parametrize("shape", list(_readout_shapes()),
-                         ids=["tomography", "coordinate", "general"])
+                         ids=["tomography", "general"])
 def test_likelihood_readout_matches_scalar_loop(shape):
-    o, qlabels, labels, M, refs, cands, start = shape
+    o, labels, M, points, cands, start = shape
 
     def twin():
         return PhaseBackend(o, rng=np.random.default_rng(7))
 
-    mask = [i % 5 == 0 for i in range(len(qlabels))]
-    ll = likelihood_readout(copies(qlabels, twin(), mask), labels, M, refs,
-                            cands, start.copy())
+    mask = [i % 5 == 0 for i in range(len(labels))]
+    ll = likelihood_readout(copies(labels, twin(), mask), M, points, cands,
+                            start.copy())
     be = twin()
     ref = _scalar_readout([PhaseQubit(k, be, c) for k, c in
-                           zip(qlabels, mask)], labels, M, refs, cands, start)
+                           zip(labels, mask)], labels, M,
+                          [(t, t) for t in points], cands, start)
     assert ll == pytest.approx(ref, rel=1e-12, abs=1e-12)
     # no copies leave ll as it was
-    empty = copies(np.zeros((0,) + np.shape(qlabels)[1:], dtype=np.int64),
-                   twin())
-    assert np.array_equal(likelihood_readout(empty, [], M, refs, cands,
-                                             start.copy()), start)
+    assert np.array_equal(likelihood_readout(copies([], twin()), M, points,
+                                             cands, start.copy()), start)
 
 
 def test_likelihood_readout_scores_in_blocks():
@@ -753,18 +732,18 @@ def test_likelihood_readout_scores_in_blocks():
     o = make_reflection_oracle(GroupCtx(M), 12345)
     cands = np.arange(0, M, 4)[: _BLOCK_ENTRIES // 2 + 1]
     assert _BLOCK_ENTRIES // len(cands) == 1
-    refs = [(t, t) for t in (0, M // 4, 999)]
+    points = [0, M // 4, 999]
 
     def twin():
         return PhaseBackend(o, rng=np.random.default_rng(8))
 
-    ll = likelihood_readout(copies([1, 3, 1, 5, 1], twin()), [1, 3, 1, 5, 1],
-                            M, refs, cands, np.zeros(len(cands)))
+    ll = likelihood_readout(copies([1, 3, 1, 5, 1], twin()), M, points,
+                            cands, np.zeros(len(cands)))
     sample = slice(None, None, 1021)
     be = twin()
     ref = _scalar_readout([PhaseQubit(k, be) for k in (1, 3, 1, 5, 1)],
-                          [1, 3, 1, 5, 1], M, refs, cands[sample],
-                          np.zeros(len(cands[sample])))
+                          [1, 3, 1, 5, 1], M, [(t, t) for t in points],
+                          cands[sample], np.zeros(len(cands[sample])))
     assert ll[sample] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
@@ -777,7 +756,7 @@ def test_log_likelihood_columns_from_a_generator(step):
     N = 4095
     cands = np.arange(_BLOCK_ENTRIES // step)
     assert max(1, _BLOCK_ENTRIES // len(cands)) == step
-    refs = [(t, t) for t in rng.integers(0, N, size=40).tolist()]
+    points = rng.integers(0, N, size=40).tolist()
     start = rng.random(len(cands))
     o = make_reflection_oracle(GroupCtx(N), 1000)
 
@@ -785,39 +764,57 @@ def test_log_likelihood_columns_from_a_generator(step):
         be = PhaseBackend(o, rng=np.random.default_rng(9))
         return copies([37] * 40, be, [i % 5 == 0 for i in range(40)])
 
-    blocks = likelihood_readout(thirty_sevens(), [37] * 40, N, refs, cands,
+    blocks = likelihood_readout(thirty_sevens(), N, points, cands,
                                 start.copy())
     sample = slice(None, None, 1021)
-    matrix = likelihood_readout(thirty_sevens(), [37] * 40, N, refs,
-                                cands[sample], start[sample].copy())
+    matrix = likelihood_readout(thirty_sevens(), N, points, cands[sample],
+                                start[sample].copy())
     assert np.array_equal(blocks[sample], matrix)
-    assert np.array_equal(likelihood_readout(copies([], backend(N, 1)), [], N,
-                                             refs, cands[:3], np.zeros(3)),
+    assert np.array_equal(likelihood_readout(copies([], backend(N, 1)), N,
+                                             points, cands[:3], np.zeros(3)),
                           np.zeros(3))
 
 
 def test_tomography_insufficient():
+    # no copies raise before anything is read; one copy leaves the
+    # readout undecided, and its value None
     be = backend(27, 5)
+    readout = Readout(range(3))
+    assert tomography_mod_r(copies([9], be), readout) is None
+    assert readout.read == 1
     with pytest.raises(InsufficientCopiesError):
-        tomography_mod_r(copies([9], be), 3)
-    with pytest.raises(InsufficientCopiesError):
-        tomography_mod_r(copies([], be), 2)
+        tomography_mod_r(copies([], be), Readout(range(2)))
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 8])
 def test_tomography_reads_only_nonzero_copies(r):
-    # a label-0 copy carries nothing about s: a list of them leaves the
-    # readout undecided and raises, and mixed in with nonzero copies they
-    # are dropped unobserved: the same answer and next draw as the
-    # nonzero copies alone
+    # a label-0 copy carries nothing about s: mixed in with nonzero
+    # copies, ahead of them or between them, the nonzero ones decide
     N, s = r ** 3, r ** 3 - 1
     nonzero = [N // r * (1 + i % (r - 1)) for i in range(400)]
-    with pytest.raises(InsufficientCopiesError):
-        tomography_mod_r(copies([0] * 400, backend(N, s)), r)
-    be, twin = backend(N, s), backend(N, s)
-    assert (tomography_mod_r(copies([0] * 8 + nonzero, be), r)
-            == tomography_mod_r(copies(nonzero, twin), r) == s % r)
-    assert be.rng.random() == twin.rng.random()
+    spread = [k for pair in zip([0] * 400, nonzero) for k in pair]
+    for labels in ([0] * 8 + nonzero, spread):
+        assert tomography_mod_r(copies(labels, backend(N, s)),
+                                Readout(range(r))) == s % r
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 8])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tomography_zero_units_add_flat_rows(r, seed):
+    # copies whose unit is 0 mod r (on D_{r^3} at q = r, the labels
+    # (N/r^2) u with u = 0 mod r: the multiples of N/r, 0 included) turn
+    # by 0 at every reference: each is observed, one draw per copy, and
+    # adds the same row to every residue, so the batch leaves the readout
+    # undecided and ll flat
+    N, s = r ** 3, r ** 3 - 1
+    labels = [N // r * (i % r) for i in range(15)]
+    be, twin = backend(N, s, seed), backend(N, s, seed)
+    readout = Readout([s % r + r * t for t in range(r)])
+    assert tomography_mod_r(copies(labels, be), readout, r) is None
+    assert np.array_equal(readout.ll - readout.ll[0], np.zeros(r))
+    assert readout.read == len(labels) and readout.value is None
+    twin.rng.random(len(labels))
+    assert be.rng.bit_generator.state == twin.rng.bit_generator.state
 
 
 def _scalar_stop(qs, labels, M, refs, cands):
@@ -848,7 +845,7 @@ def test_readout_stops_at_the_first_deciding_copy(split):
     ks = [1 + i % 9 for i in range(40)]
     mask = [i % 5 == 0 for i in range(40)]
     be = PhaseBackend(o, rng=np.random.default_rng(3))
-    readout, at = Readout(16, points), 0
+    readout, at = Readout(points), 0
     for size in split:
         if readout.value is not None:
             break
@@ -864,7 +861,7 @@ def test_readout_stops_at_the_first_deciding_copy(split):
     assert readout.ll == pytest.approx(ll, rel=1e-12, abs=1e-12)
 
 
-def _ref_sequential_readout(qs, labels, M, points, split):
+def _ref_sequential_readout(qs, M, points, split):
     # reference for Readout: the batches of split in turn, until one
     # decides; copy i is scored at residue i mod C by
     # _ref_likelihood_readout, the per-entry formula, and the copies of
@@ -881,8 +878,8 @@ def _ref_sequential_readout(qs, labels, M, points, split):
             if value is not None:
                 _ref_cosine_observe(qs[i], points[t])
                 continue
-            ll = _ref_likelihood_readout([qs[i]], [labels[i]], M,
-                                         [(t, points[t])], np.arange(C), ll)
+            ll = _ref_likelihood_readout([qs[i]], M, [points[t]],
+                                         np.arange(C), ll)
             top = np.sort(ll)
             if top[-1] - top[-2] >= lead:
                 value, read = int(np.argmax(ll)), i + 1
@@ -903,7 +900,7 @@ def test_readout_table_scores_the_per_entry_formula(M, split):
     # formula's exactly, and so is the generator state: one draw per
     # batch observed
     p = np.clip(np.cos(np.pi * (np.arange(M) / M)) ** 2, 1e-9, 1 - 1e-9)
-    assert np.array_equal(phase._log_table(M).reshape(2, M),
+    assert np.array_equal(phase._log_table(M)[0].reshape(2, M),
                           np.log([1 - p, p]))
     points = list(range(M))
     for seed in range(6):
@@ -914,7 +911,7 @@ def test_readout_table_scores_the_per_entry_formula(M, split):
         o = make_reflection_oracle(GroupCtx(M), int(rng.integers(0, M)))
         be = PhaseBackend(o, rng=np.random.default_rng(seed))
         twin = PhaseBackend(o, rng=np.random.default_rng(seed))
-        readout, at = Readout(M, points), 0
+        readout, at = Readout(points), 0
         for size in split:
             if readout.value is not None:
                 break
@@ -922,8 +919,8 @@ def test_readout_table_scores_the_per_entry_formula(M, split):
                             ks[at:at + size])
             at += size
         value, ll, read = _ref_sequential_readout(
-            [PhaseQubit(k, twin, c) for k, c in zip(ks, mask)], ks, M,
-            points, split)
+            [PhaseQubit(k, twin, c) for k, c in zip(ks, mask)], M, points,
+            split)
         assert (readout.value, readout.read) == (value, read)
         assert np.array_equal(readout.ll, ll)
         assert be.rng.bit_generator.state == twin.rng.bit_generator.state
@@ -933,12 +930,12 @@ def test_readout_margin_grows_with_candidates():
     # two candidates stop at a lead of ln(1 / 0.002) = 6.2, 64 at
     # ln(63 / 0.002) = 10.4; one honest r = 2 copy (a 0/1 bit against
     # the clipped 1e-9) leads by 20.7 and decides alone
-    assert Readout(2, range(2))._lead == pytest.approx(math.log(500))
-    assert Readout(64, range(64))._lead == pytest.approx(
+    assert Readout(range(2))._lead == pytest.approx(math.log(500))
+    assert Readout(range(64))._lead == pytest.approx(
         math.log(63 / READOUT_DELTA))
     be = backend(32, 21, seed=2)
-    readout = Readout(32, range(2))
-    assert readout.observe(copies([16, 16, 16], be), [16, 16, 16]) == 1
+    readout = Readout(range(2))
+    assert readout.observe(copies([16, 16, 16], be), [1, 1, 1]) == 1
     assert readout.read == 1
 
 
@@ -949,17 +946,21 @@ def test_backend_rejects_coin_bias_outside_unit_interval(bias):
 
 
 def test_tomography_rejects_radix_below_2():
+    # the radix is the readout's modulus, and a readout over fewer than
+    # two residues is refused before any copy reaches it
     be = backend(8, 3)
+    plist = copies([4], be)
     for r in (1, 0):
         with pytest.raises(ValueError):
-            tomography_mod_r(copies([4], be), r)
+            tomography_mod_r(plist, Readout(range(r)))
+    assert not plist.consumed
 
 
 @pytest.mark.parametrize("points", [[], [0]])
 def test_readout_needs_two_reference_points(points):
     # Wald's lead ln((C - 1) / READOUT_DELTA) needs a runner-up
     with pytest.raises(ValueError, match="two reference points"):
-        Readout(5, points)
+        Readout(points)
 
 
 def _tomography_cases():
@@ -979,48 +980,35 @@ def _tomography_cases():
 
 @pytest.mark.parametrize("case", range(3), ids=["3^8", "3^40", "Z16+Z9"])
 def test_tomography_input_checks_fire_before_anything_is_drawn(case):
-    # every input check raises before the list is consumed or anything
-    # is drawn: r < 2, an empty list, a label off the multiples of
-    # n_j/(q r), q r not dividing n_j, and a fresh readout on an abelian
-    # backend; a fresh readout left undecided on D_N raises after its
-    # one observation
+    # every input check raises before the list is consumed, the readout
+    # reads anything, or anything is drawn: an empty list, a label off
+    # the multiples of n_j/(q r), and q r not dividing n_j
     _, be, good, bad, j = _tomography_cases()[case]
-    dihedral = isinstance(be.oracle.ctx, GroupCtx)
-    calls = [(ValueError, good, dict(r=1)),
-             (InsufficientCopiesError, [], {}),
-             (ValueError, good[:1] + [bad], {}),
-             (ValueError, good, dict(q=2))]
-    if not dihedral:
-        calls.append((TypeError, good, {}))
-    for error, labels, kw in calls:
-        kw = {"r": 3, "q": 1, **kw}
+    points = (range(3) if isinstance(be.oracle.ctx, GroupCtx)
+              else [(0, t) for t in range(3)])
+    for error, labels, q in [(InsufficientCopiesError, [], 1),
+                             (ValueError, good[:1] + [bad], 1),
+                             (ValueError, good, 2)]:
         state, queries = be.rng.bit_generator.state, be.oracle.queries
-        plist = copies(labels, be)
+        plist, readout = copies(labels, be), Readout(points)
         with pytest.raises(error):
-            tomography_mod_r(plist, kw["r"], None, 0, kw["q"], j)
+            tomography_mod_r(plist, readout, q, j)
         assert not plist.consumed
+        assert readout.read == 0 and not readout.ll.any()
         assert be.rng.bit_generator.state == state
         assert be.oracle.queries == queries
-    if dihedral:
-        plist = copies(good[:1], be)
-        with pytest.raises(InsufficientCopiesError):
-            tomography_mod_r(plist, 3)
-        assert plist.consumed
 
 
-def test_tomography_builds_readouts_on_dihedral_backends_only():
-    # on Z4 + Z9 with s = (1, 5), the chain hands tomography_mod_r its
-    # own readout, observing coordinate 1 at (s_0, t): labels (0, 3u)
-    # read s_1 mod 3 = 2.  Without one, the readout tomography_mod_r
-    # would build observes at D_N points, so an abelian backend refuses
+def test_tomography_reads_a_coordinate_through_its_readout():
+    # on Z4 + Z9 with s = (1, 5), the chain hands tomography_mod_r a
+    # readout observing coordinate 1 at (s_0, t): labels (0, 3u) read
+    # s_1 mod 3 = 2
     be = PhaseBackend(make_reflection_oracle(AbelianGroupSpec((4, 9)),
                                              (1, 5)),
                       rng=np.random.default_rng(4))
-    with pytest.raises(TypeError):
-        tomography_mod_r(copies([(0, 3)] * 60, be), 3, None, 0, 1, 1)
-    readout = Readout(3, [(1, t) for t in range(3)])
-    assert tomography_mod_r(copies([(0, 3), (0, 6)] * 30, be), 3, readout,
-                            0, 1, 1) == 2
+    readout = Readout([(1, t) for t in range(3)])
+    assert tomography_mod_r(copies([(0, 3), (0, 6)] * 30, be), readout,
+                            1, 1) == 2
 
 
 def test_phase_list_measure_pm_same_law():

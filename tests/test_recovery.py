@@ -133,15 +133,15 @@ def test_numpy_radix_and_parity_past_int64(monkeypatch):
         copies = PhaseList(np.array(labels, dtype=int_dtype(N)),
                            np.zeros(len(labels), dtype=bool),
                            PhaseBackend(o, rng=np.random.default_rng(1)))
-        assert tomography_mod_r(copies, r) == p
+        assert tomography_mod_r(copies, Readout(range(r))) == p
     # the last digit, d_40 = 1, from labels of valuation 0 read against
-    # p = s mod 3^40 = 7 at q = 3^40, with numpy p and q: q r = 3^41
-    # wraps in int64 and uint64 alike
+    # p = s mod 3^40 = 7 at q = 3^40, with a numpy q: q r = 3^41 wraps in
+    # int64 and uint64 alike
     copies = PhaseList(np.array([1, 2] * 32, dtype=int_dtype(N)),
                        np.zeros(64, dtype=bool),
                        PhaseBackend(o, rng=np.random.default_rng(1)))
-    assert tomography_mod_r(copies, np.int64(3), None, np.int64(7),
-                            np.uint64(3 ** 40)) == 1
+    readout = Readout([7 + 3 ** 40 * t for t in range(3)])
+    assert tomography_mod_r(copies, readout, np.uint64(3 ** 40)) == 1
     # a level on lists of 2 labels finds no target
     for r, n in ((3, 41), (np.int64(3), np.int64(41))):
         be = PhaseBackend(o, rng=np.random.default_rng(2))
@@ -399,9 +399,8 @@ def test_carried_solvers_derive_no_oracle(monkeypatch, record_property):
     def spy(real):
         def sieve(backend, obj, budget, readout, carried):
             value, stats, left = real(backend, obj, budget, readout, carried)
-            held = sum(len(labels) for _, labels, _ in left.held) + sum(
-                len(labels) for chunks in left.buckets.values()
-                for labels, _ in chunks)
+            held = sum(len(labels) for chunks in left.buckets.values()
+                       for labels, _ in chunks)
             peaks[key] = max(peaks.get(key, 0), held)
             return value, stats, left
         return sieve

@@ -655,9 +655,11 @@ def test_quadrature_estimator_exact_bias():
             be = PhaseBackend(make_reflection_oracle(GroupCtx(N), s), rng=rng)
             ones = PhaseList(np.ones(4000, dtype=np.int64),
                              np.zeros(4000, dtype=bool), be)
-            assert estimate_from_quadratures(ones, N) == s, (N, s)
+            assert estimate_from_quadratures(ones) == s, (N, s)
 
 
 def test_quadrature_estimator_needs_a_copy():
     with pytest.raises(InsufficientCopiesError):
-        estimate_from_quadratures([], 40)
+        estimate_from_quadratures(PhaseList(np.zeros(0, dtype=np.int64),
+                                            np.zeros(0, dtype=bool),
+                                            backend(40, 1)))
