@@ -19,7 +19,7 @@ from .errors import (
     QubitConsumedError,
     SieveExhaustedError,
 )
-from .group import GroupCtx, int_dtype
+from .group import int_dtype
 from .phase import (
     PhaseList,
     Readout,
@@ -46,7 +46,7 @@ class Objective:
 
     def __init__(self, columns, moduli):
         self.columns = np.array(columns, dtype=np.int64)
-        self.moduli = np.array(moduli, dtype=int_dtype(max(moduli)))
+        self.moduli = np.array(moduli, dtype=int_dtype(max(moduli, default=1)))
         self.target = len(self.moduli) - 1
         # the row's (column, modulus) entries: Carried.take compares prefixes
         self.row = tuple(zip(self.columns.tolist(), self.moduli.tolist()))
@@ -139,7 +139,7 @@ class Carried:
     """The labels a greedy sieve call leaves for the next, as it placed
     them under obj: oriented, reduced and bucketed by alpha.  buckets[a]
     lists (labels, classical) chunks in placement order, an entry the
-    call held alone in its bucket included.  A call under an objective
+    call left alone in its bucket included.  A call under an objective
     whose row is a prefix of obj's keeps each alpha and orientation; a
     label past the shorter row is zero there."""
 
@@ -175,28 +175,27 @@ def greedy_sieve(backend, obj, budget, readout, carried=None):
     prefix of that call's, so no carried label is scored again: its
     bucket at obj.target is the first batch of targets, its buckets past
     it drop, and the rest stay bucketed.  A fresh pass of budget sampled
-    qubits is placed only when the buckets are empty.  Returns (that value,
-    SieveStats, the Carried state of every label the call still holds,
-    for the next call); raises SieveExhaustedError, with the call's
-    SieveStats, when the buckets are empty after MAX_PASSES fresh
-    passes.
+    qubits is placed only when no bucket is left to sweep.  Returns (that
+    value, SieveStats, the Carried state of every label the call still
+    holds, for the next call); raises SieveExhaustedError, with the
+    call's SieveStats, when none is left after MAX_PASSES fresh passes.
 
     The sieve runs on label arrays: each batch (a fresh pass, or the
     merges of one sweep) is scored and placed at once, in order.  The
     minimum-alpha bucket is stable-sorted by key and swept in
     _pair_order, with one rng.random(npairs) call for the extraction
     coins; merges that stay at the same alpha carry into the next sweep
-    with the unpaired entry, and an entry left alone in its bucket is
-    held and placed again, before the sample, with the next fresh pass
-    (or put back in its bucket when the call returns).  This is the
-    per-qubit loop's order and coin stream, with the readout called after
-    each sweep's draws."""
+    with the unpaired entry, and a bucket left with one entry waits for
+    the next fresh pass (it was the minimum, and merges never lower
+    alpha, so nothing else reaches it).  This is the per-qubit loop's
+    order and coin stream, with the readout called after each sweep's
+    draws."""
     if budget < 2:
         raise ValueError("budget must be at least 2")
     stats = SieveStats()
     mod, top = backend.oracle.ctx.modulus, obj.target
     buckets = carried.take(backend, obj) if carried else defaultdict(list)
-    held, targets = [], buckets.pop(top, None)
+    targets = buckets.pop(top, None)
     for a in [a for a in buckets if a > top]:
         del buckets[a]
 
@@ -224,23 +223,24 @@ def greedy_sieve(backend, obj, budget, readout, carried=None):
                                  backend))
 
     value = readout(PhaseList(*_join(targets), backend)) if targets else None
-    passes = 0
+    passes, alone = 0, set()
     while value is None:
-        if not buckets:
+        live = buckets.keys() - alone
+        if not live:
             if passes == MAX_PASSES:
                 raise SieveExhaustedError(
                     f"readout undecided after {passes} passes of {budget}"
                     " labels", stats)
             passes += 1
-            value = place(*_join([chunk for _, *chunk in held]
-                                 + [sample_batch(backend, budget).take()]))
-            held = []
+            alone.clear()
+            value = place(*sample_batch(backend, budget).take())
             continue
-        v = min(buckets)
+        v = min(live)
         labels, classical = _join(buckets.pop(v))
         n = len(labels)
         if n < 2:
-            held.append((v, labels, classical))
+            buckets[v] = [(labels, classical)]
+            alone.add(v)
             continue
         # sorted keys, and the entries adjacent rows share: every row ends
         # in -1, so each pair fails to match in the matrix
@@ -259,10 +259,6 @@ def greedy_sieve(backend, obj, budget, readout, carried=None):
         if lone >= 0:
             i = order[lone]
             buckets[v].append((labels[i:i + 1], classical[i:i + 1]))
-    # each held entry's bucket was the minimum one, and nothing has
-    # reached it since: the entry goes back alone
-    for a, *chunk in held:
-        buckets[a] = [chunk]
     return value, stats, Carried(obj, buckets, backend)
 
 
@@ -292,9 +288,10 @@ def run_chain(backend, steps, budget=None):
     scores only what it samples or merges.  A step samples passes of
     budget labels (list_size of the unread order when None) only when
     its carried buckets run empty.  Returns (s, SieveStats summed), s a
-    list of coordinates; an undecided step raises SieveExhaustedError."""
+    list of coordinates (zeros, unsampled, on a group of order 1); an
+    undecided step raises SieveExhaustedError."""
     ctx = backend.oracle.ctx
-    orders, dihedral = ctx.orders, isinstance(ctx, GroupCtx)
+    orders, shape = ctx.orders, np.shape(ctx.zero)
     dtype = int_dtype(max(orders))
     if list(map(math.prod, steps)) != list(orders):
         raise ValueError("chain steps do not multiply to the group's orders")
@@ -309,15 +306,14 @@ def run_chain(backend, steps, budget=None):
         q = 1
         for p in chain:
             # the read coordinates at their values and j at s_j + q t: a
-            # group row per point, one value on D_N
+            # point per row, shaped as the group's elements
             points = np.empty((p, len(s)), dtype=dtype)
             points[:] = s
             points[:, j] += q * np.arange(p, dtype=dtype)
-            readout = Readout(points[:, 0] if dihedral else points)
+            readout = Readout(points.reshape(p, *shape))
             digit, level, carried = greedy_sieve(
                 backend, row.prefix(depth), budget or list_size(unread),
-                lambda targets: tomography_mod_r(targets, readout, q, j),
-                carried)
+                lambda targets: tomography_mod_r(targets, readout), carried)
             s[j] += digit * q
             q *= p
             depth -= 1

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 
 import numpy as np
 
@@ -219,19 +218,19 @@ def cosine_observe(plist, t):
     return _observe(plist, t)
 
 
-def tomography_mod_r(plist, readout, q=1, j=0):
-    """Read d = (s_j // q) mod r, r = readout.M, the next digit of
-    coordinate j of s (s itself on D_N; digit i in base r at q = r^i),
-    from labels (n_j/(q r)) u on coordinate j, n_j its order, and zero
-    after it: observed at readout's points, s_j = p + q t with
-    p = s_j mod q and the known values before j, they turn by
-    u (d - t)/r mod 1.  The copies go in
-    order to readout over u mod r, and its value (None while undecided)
-    is returned; a copy with u = 0 mod r adds the same row to every
-    residue.  Consumes the list."""
-    q, j = map(operator.index, (q, j))
+def tomography_mod_r(plist, readout):
+    """Read d = (s_j // q) mod r, the next digit of coordinate j of s (s
+    itself on D_N; digit i in base r at q = r^i), where r = readout.M and
+    j and q are readout's coordinate and spacing, from labels
+    (n_j/(q r)) u on coordinate j, n_j its order, and zero after it:
+    observed at readout's points, s_j = p + q t with p = s_j mod q and
+    the known values before j, they turn by u (d - t)/r mod 1.  The
+    copies go in order to readout over u mod r, and its value (None
+    while undecided) is returned; a copy with u = 0 mod r adds the same
+    row to every residue.  Consumes the list."""
     if not len(plist):
         raise InsufficientCopiesError("no copies supplied")
+    j, q = readout.j, readout.q
     step, rest = divmod(plist.backend.oracle.ctx.orders[j], q * readout.M)
     column = plist.labels if plist.labels.ndim == 1 else plist.labels[:, j]
     if not rest:
@@ -269,10 +268,14 @@ class Readout:
     residues, M = len(points) >= 2: copy i of all observed is scored at
     reference i mod M and observed at points[i mod M], its point as
     cosine_observe takes it; points holds them as one array, a row per
-    point on an abelian group.  ll sums the copies' rows, read counts
-    them, and value is None until the first copy where the best residue
-    leads by ln((M - 1) / READOUT_DELTA), then that residue.  A copy's
-    row is gathered from _log_table(M) at its turns k (c - t) mod M."""
+    point on an abelian group.  The first step, points[1] - points[0],
+    names the coordinate j the points run along (0 on D_N) and their
+    spacing q > 0 on it; points whose first step moves no coordinate,
+    more than one, or one downward are refused.  ll sums the copies'
+    rows, read counts them, and value is None until the first copy where
+    the best residue leads by ln((M - 1) / READOUT_DELTA), then that
+    residue.  A copy's row is gathered from _log_table(M) at its turns
+    k (c - t) mod M."""
 
     def __init__(self, points):
         if len(points) < 2:
@@ -284,6 +287,12 @@ class Readout:
             self.points = np.array(points, dtype=np.int64)
         except OverflowError:
             self.points = np.array(points, dtype=object)
+        moved = [(j, b - a) for j, (a, b) in enumerate(
+            zip(*self.points[:2].reshape(2, -1).tolist())) if a != b]
+        if len(moved) != 1 or moved[0][1] < 0:
+            raise ValueError("a readout's first step must move one"
+                             " coordinate upward")
+        (self.j, self.q), = moved
         self.ll = np.zeros(self.M)
         self.read = 0
         self.value = None
@@ -322,15 +331,16 @@ class Readout:
         return self.value
 
 
-def likelihood_readout(plist, M, points, cands, ll):
-    """The maximum-likelihood readout of a slope mod M on D_N.  One
-    cosine_observe call observes copy i at points[i % len(points)].  Adds
-    to ll, in place (and returns it), for each candidate c, the
-    log-likelihood of the bits under the exact turn
-    ((k_i * (c - t_i)) mod M) / M, k_i the copy's label and t_i its point,
-    clipped so one unlucky bit cannot veto c.  Scores blocks of at most
-    _BLOCK_ENTRIES entries, typed by int_dtype(M * M), entry by entry: M
-    may be as large as N.  Consumes plist."""
+def likelihood_readout(plist, points, cands, ll):
+    """The maximum-likelihood readout of a slope mod M on D_M, M the
+    list's group order.  One cosine_observe call observes copy i at
+    points[i % len(points)].  Adds to ll, in place (and returns it), for
+    each candidate c, the log-likelihood of the bits under the exact
+    turn ((k_i * (c - t_i)) mod M) / M, k_i the copy's label and t_i its
+    point, clipped so one unlucky bit cannot veto c.  Scores blocks of at
+    most _BLOCK_ENTRIES entries, typed by int_dtype(M * M), entry by
+    entry.  Consumes plist."""
+    M = plist.backend.oracle.ctx.N
     dtype = int_dtype(M * M)
     k = (plist.labels.astype(dtype) % M)[:, None]
     ts = [points[i % len(points)] for i in range(len(plist))]

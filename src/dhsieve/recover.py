@@ -204,7 +204,7 @@ def _general_attempt(o, M, rng):
         uinv = pow(u, -1, N)
         best = uinv * int(cands[np.argmax(ll)])
         ts = [(best + d) % N for d in (0, max(1, N // 4), max(1, N // 8))]
-        ll = likelihood_readout(ones, N, ts,
+        ll = likelihood_readout(ones, ts,
                                 uinv * cands.astype(int_dtype(N * N)) % N, ll)
         keep = ll > ll.max() - _PRUNE_LL
         cands, ll = cands[keep], ll[keep]

@@ -5,6 +5,7 @@ import hashlib
 import heapq
 import itertools
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -357,17 +358,29 @@ def test_greedy_sieve_pinned_record_undecided(monkeypatch):
 
 def test_greedy_sieve_exhausts_holding_its_singles(monkeypatch):
     # a readout that never decides: the sieve places a fresh pass of its
-    # budget only when its buckets are empty, and raises after MAX_PASSES
-    # of them, so it makes MAX_PASSES * budget queries.  A label left
-    # alone in its bucket is held: the next pass places it again, ahead
-    # of the sample, and never samples it again; a pass leaves at most
-    # one per alpha below the target.  Held counts pinned (measured)
+    # budget only when no bucket is left to sweep, and raises after
+    # MAX_PASSES of them, so it makes MAX_PASSES * budget queries.  An
+    # entry left alone in its bucket stays there, and the bucket waits
+    # for the next pass, which places only its own sample, after it: the
+    # bucket's next sweep keys the lone entry first; a pass leaves at
+    # most one per alpha below the target.  The lone entries waiting at
+    # each fresh pass, read off the sieve's buckets as the pass is
+    # sampled, pinned (measured)
     obj = _level(3, 6)
     be = backend(3 ** 6, 100, seed=11)
-    events = []
+    waiting, events, lone, keyed = [], [], {}, []
     real_sample, real_score = greedy.sample_batch, obj.score
+    real_keys = obj.keys
 
     def sample(backend, count):
+        buckets = sys._getframe(1).f_locals["buckets"]
+        chunks = [(a, labels) for a, bucket in buckets.items()
+                  for labels, _ in bucket]
+        assert sorted(a for a, _ in chunks) == sorted(buckets)
+        assert all(a < obj.target and len(labels) == 1
+                   for a, labels in chunks)
+        lone.update((a, labels.tolist()[0]) for a, labels in chunks)
+        waiting.append(len(chunks))
         out = real_sample(backend, count)
         events.append(("sample", out.labels.copy()))
         return out
@@ -376,25 +389,25 @@ def test_greedy_sieve_exhausts_holding_its_singles(monkeypatch):
         events.append(("place", labels.copy()))
         return real_score(labels)
 
+    def keys(labels, alpha):
+        if alpha in lone:
+            keyed.append(lone.pop(alpha))
+            assert labels.tolist()[0] == keyed[-1]
+        return real_keys(labels, alpha)
+
     monkeypatch.setattr(greedy, "sample_batch", sample)
-    obj.score = score
+    obj.score, obj.keys = score, keys
     with pytest.raises(SieveExhaustedError) as err:
         greedy_sieve(be, obj, 300, lambda targets: None)
     assert be.oracle.queries == MAX_PASSES * 300
     fresh = [(events[i][1], events[i + 1][1]) for i, (what, _) in
              enumerate(events) if what == "sample"]
     assert len(fresh) == MAX_PASSES
-    held = []
-    for sampled, placed in fresh:
-        head = placed[:len(placed) - len(sampled)]
-        assert placed[len(head):].tolist() == sampled.tolist()
-        if len(head):
-            _, alpha = real_score(head)
-            assert len(set(alpha.tolist())) == len(head)
-            assert (alpha < obj.target).all()
-        held.append(len(head))
-    assert held == [0, 4, 2, 3, 5, 2, 3, 4, 3, 5, 5, 4, 2, 4, 2, 2]
+    assert all(placed.tolist() == sampled.tolist()
+               for sampled, placed in fresh)
+    assert waiting == [0, 4, 2, 3, 5, 2, 3, 4, 3, 5, 5, 4, 2, 4, 2, 2]
     assert err.value.stats.combines == 3569
+    assert len(keyed) > 10
 
 
 def _held(state):
@@ -1097,7 +1110,8 @@ def test_carried_labels_read_their_digit_exactly(r, n):
                 want / r).tolist()
             copies = PhaseList(np.resize(k, 8 * r), np.zeros(8 * r, bool), be)
             readout = Readout([p + r ** i * t for t in range(r)])
-            misread += tomography_mod_r(copies, readout, r ** i) != d
+            assert (readout.j, readout.q) == (0, r ** i)
+            misread += tomography_mod_r(copies, readout) != d
     assert misread <= (0 if r == 2 else READOUT_DELTA * N * n)
 
 
@@ -1123,9 +1137,9 @@ def test_chain_targets_read_their_digit_exactly(orders, monkeypatch):
         seen.append([obj])
         return real_sieve(backend, obj, budget, readout, carried)
 
-    def tomo(targets, readout, q, j):
-        seen[-1][1:] = [(readout, q, j)]
-        return real_tomo(targets, readout, q, j)
+    def tomo(targets, readout):
+        seen[-1][1:] = [readout]
+        return real_tomo(targets, readout)
 
     monkeypatch.setattr(greedy, "greedy_sieve", sieve)
     monkeypatch.setattr(greedy, "tomography_mod_r", tomo)
@@ -1135,10 +1149,11 @@ def test_chain_targets_read_their_digit_exactly(orders, monkeypatch):
                           rng=np.random.default_rng([A.size, *s]))
         got, _ = greedy.run_chain(be, steps)
         assert tuple(got) == s
-        assert [(readout.M, j) for _, (readout, _, j) in seen] == [
+        assert [(readout.M, readout.j) for _, readout in seen] == [
             (p, j) for j, chain in enumerate(steps) for p in chain]
-        for obj, (readout, q, j) in seen:
-            n, p, s0 = orders[j], readout.M, s[j] % q
+        for obj, readout in seen:
+            p, q, j = readout.M, readout.q, readout.j
+            n, s0 = orders[j], s[j] % q
             d = s[j] // q % p
             assert readout.value == d
             _, alpha = obj.score(labels.copy())
@@ -1172,9 +1187,9 @@ def test_radix_levels_sized_by_demand(monkeypatch):
         calls.append((obj.target, budget, carried, out))
         return out
 
-    def tomo(targets, readout, q, j):
-        value = real_tomo(targets, readout, q, j)
-        reads.append((readout, q, value))
+    def tomo(targets, readout):
+        value = real_tomo(targets, readout)
+        reads.append((readout, readout.q, value))
         return value
 
     monkeypatch.setattr(greedy, "greedy_sieve", sieve)
@@ -1213,12 +1228,12 @@ def test_radix_levels_sized_by_demand(monkeypatch):
 
 def test_chain_scores_only_what_it_samples_or_merges(monkeypatch):
     # run_chain over 3^8 keeps its carried state placed: Objective.score
-    # runs only on a fresh pass (the sample, after the entries held alone
-    # in their buckets, at most one per alpha below the target) or on one
-    # sweep's merges, never on the labels a step carries in, though later
-    # steps do carry labels.  A call under an objective whose row is no
-    # prefix of the state's (in columns and moduli) raises ValueError
-    # before anything is drawn, and leaves the state to a prefix call
+    # runs only on a fresh pass's sample or on one sweep's merges, exactly
+    # those labels, never on the labels a step carries in or an entry
+    # left alone in its bucket, though later steps do carry labels.  A
+    # call under an objective whose row is no prefix of the state's (in
+    # columns and moduli) raises ValueError before anything is drawn, and
+    # leaves the state to a prefix call
     events, carried = [], []
     real_score, real_sieve = Objective.score, greedy.greedy_sieve
     real_sample, real_combine = greedy.sample_batch, greedy.combine_pairs
@@ -1249,19 +1264,15 @@ def test_chain_scores_only_what_it_samples_or_merges(monkeypatch):
         events.clear()
         got, stats = run_radix_recovery(backend(N, s, seed=i), 3, 8)
         assert got == s
-        held = 0
         for before, (what, *after) in zip(events, events[1:]):
             if what == "score":
-                count, top = after
                 assert before[0] in ("sample", "merge")
-                extra = count - before[1]
-                assert extra == 0 or before[0] == "sample" and extra <= top
-                held += extra
+                assert after[0] == before[1]
         scored = sum(e[1] for e in events if e[0] == "score")
         merged = sum(e[1] for e in events if e[0] == "merge")
         sampled = sum(e[1] for e in events if e[0] == "sample")
         assert merged == stats.combines
-        assert scored == sampled + merged + held
+        assert scored == sampled + merged
     assert sum(carried[1:]) > 0
     be = backend(N, 4321, seed=1)
     _, _, state = real_sieve(be, _level(3, 8), 243, len)
@@ -1336,8 +1347,8 @@ def test_radix_level_exhausts_after_max_passes(monkeypatch):
     # their stats, and the recursion reads no further level
     levels = []
 
-    def undecided(targets, readout, q, j):
-        levels.append(q)
+    def undecided(targets, readout):
+        levels.append(readout.q)
         targets.take()
 
     monkeypatch.setattr(greedy, "tomography_mod_r", undecided)

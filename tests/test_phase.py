@@ -223,7 +223,7 @@ def _quadratures(N):
 
 
 def _likelihood(M, points, cands, start):
-    return (lambda plist: likelihood_readout(plist, M, points, cands,
+    return (lambda plist: likelihood_readout(plist, points, cands,
                                              start.copy()),
             lambda qs: _ref_likelihood_readout(qs, M, points, cands,
                                                start.copy()))
@@ -712,7 +712,7 @@ def test_likelihood_readout_matches_scalar_loop(shape):
         return PhaseBackend(o, rng=np.random.default_rng(7))
 
     mask = [i % 5 == 0 for i in range(len(labels))]
-    ll = likelihood_readout(copies(labels, twin(), mask), M, points, cands,
+    ll = likelihood_readout(copies(labels, twin(), mask), points, cands,
                             start.copy())
     be = twin()
     ref = _scalar_readout([PhaseQubit(k, be, c) for k, c in
@@ -720,7 +720,7 @@ def test_likelihood_readout_matches_scalar_loop(shape):
                           [(t, t) for t in points], cands, start)
     assert ll == pytest.approx(ref, rel=1e-12, abs=1e-12)
     # no copies leave ll as it was
-    assert np.array_equal(likelihood_readout(copies([], twin()), M, points,
+    assert np.array_equal(likelihood_readout(copies([], twin()), points,
                                              cands, start.copy()), start)
 
 
@@ -737,7 +737,7 @@ def test_likelihood_readout_scores_in_blocks():
     def twin():
         return PhaseBackend(o, rng=np.random.default_rng(8))
 
-    ll = likelihood_readout(copies([1, 3, 1, 5, 1], twin()), M, points,
+    ll = likelihood_readout(copies([1, 3, 1, 5, 1], twin()), points,
                             cands, np.zeros(len(cands)))
     sample = slice(None, None, 1021)
     be = twin()
@@ -764,13 +764,13 @@ def test_log_likelihood_columns_from_a_generator(step):
         be = PhaseBackend(o, rng=np.random.default_rng(9))
         return copies([37] * 40, be, [i % 5 == 0 for i in range(40)])
 
-    blocks = likelihood_readout(thirty_sevens(), N, points, cands,
+    blocks = likelihood_readout(thirty_sevens(), points, cands,
                                 start.copy())
     sample = slice(None, None, 1021)
-    matrix = likelihood_readout(thirty_sevens(), N, points, cands[sample],
+    matrix = likelihood_readout(thirty_sevens(), points, cands[sample],
                                 start[sample].copy())
     assert np.array_equal(blocks[sample], matrix)
-    assert np.array_equal(likelihood_readout(copies([], backend(N, 1)), N,
+    assert np.array_equal(likelihood_readout(copies([], backend(N, 1)),
                                              points, cands[:3], np.zeros(3)),
                           np.zeros(3))
 
@@ -810,7 +810,7 @@ def test_tomography_zero_units_add_flat_rows(r, seed):
     labels = [N // r * (i % r) for i in range(15)]
     be, twin = backend(N, s, seed), backend(N, s, seed)
     readout = Readout([s % r + r * t for t in range(r)])
-    assert tomography_mod_r(copies(labels, be), readout, r) is None
+    assert tomography_mod_r(copies(labels, be), readout) is None
     assert np.array_equal(readout.ll - readout.ll[0], np.zeros(r))
     assert readout.read == len(labels) and readout.value is None
     twin.rng.random(len(labels))
@@ -982,21 +982,66 @@ def _tomography_cases():
 def test_tomography_input_checks_fire_before_anything_is_drawn(case):
     # every input check raises before the list is consumed, the readout
     # reads anything, or anything is drawn: an empty list, a label off
-    # the multiples of n_j/(q r), and q r not dividing n_j
+    # the multiples of n_j/(q r), and q r not dividing n_j (a readout
+    # spaced q = 2 on coordinate j)
     _, be, good, bad, j = _tomography_cases()[case]
-    points = (range(3) if isinstance(be.oracle.ctx, GroupCtx)
-              else [(0, t) for t in range(3)])
     for error, labels, q in [(InsufficientCopiesError, [], 1),
                              (ValueError, good[:1] + [bad], 1),
                              (ValueError, good, 2)]:
+        points = [q * t for t in range(3)]
+        if not isinstance(be.oracle.ctx, GroupCtx):
+            points = [(0, x) for x in points]
         state, queries = be.rng.bit_generator.state, be.oracle.queries
         plist, readout = copies(labels, be), Readout(points)
+        assert (readout.j, readout.q) == (j, q)
         with pytest.raises(error):
-            tomography_mod_r(plist, readout, q, j)
+            tomography_mod_r(plist, readout)
         assert not plist.consumed
         assert readout.read == 0 and not readout.ll.any()
         assert be.rng.bit_generator.state == state
         assert be.oracle.queries == queries
+
+
+def test_tomography_reads_at_the_spacing_its_points_name():
+    # on D_81 the digit d = (s // 3) mod 3 comes from copies of 9 and 18,
+    # the labels (81 / (q r)) u at q = 3.  A readout over the points
+    # 0, 1, 2 is spaced q = 1, where the labels must be multiples of 27:
+    # it is refused before anything is drawn (with q passed separately it
+    # misread 60 of these 81 secrets).  Over s mod 3 + 3 t it reads d for
+    # every secret
+    labels = [9, 18] * 30
+    for s in range(81):
+        be = backend(81, s, seed=s)
+        state = be.rng.bit_generator.state
+        plist = copies(labels, be)
+        with pytest.raises(ValueError, match="not multiples"):
+            tomography_mod_r(plist, Readout(range(3)))
+        assert not plist.consumed and be.rng.bit_generator.state == state
+        readout = Readout([s % 3 + 3 * t for t in range(3)])
+        assert (readout.j, readout.q) == (0, 3)
+        assert tomography_mod_r(plist, readout) == s // 3 % 3, s
+
+
+@pytest.mark.parametrize("points", [
+    [0, 0, 1], [5, 5], [(1, 2), (1, 2), (1, 3)],
+    [(0, 0), (1, 1), (2, 2)], [(0, 1), (1, 2)],
+    [2, 1, 0], [(0, 2), (0, 1), (0, 0)]],
+    ids=["still", "still-2", "still-abelian", "two-coordinates",
+         "two-coordinates-2", "downward", "downward-abelian"])
+def test_readout_refuses_a_first_step_off_one_coordinate(points):
+    # a readout names its coordinate and spacing by its first step: one
+    # that moves nothing, moves two coordinates or moves one downward is
+    # refused when the readout is built, before the list is touched or
+    # anything is drawn
+    o = (make_reflection_oracle(GroupCtx(27), 5) if np.ndim(points) == 1
+         else make_reflection_oracle(AbelianGroupSpec((3, 9)), (1, 5)))
+    be = PhaseBackend(o, rng=np.random.default_rng(4))
+    state = be.rng.bit_generator.state
+    plist = copies([9] * 6 if np.ndim(points) == 1 else [(0, 3)] * 6, be)
+    with pytest.raises(ValueError, match="one coordinate upward"):
+        tomography_mod_r(plist, Readout(points))
+    assert not plist.consumed and o.queries == 0
+    assert be.rng.bit_generator.state == state
 
 
 def test_tomography_reads_a_coordinate_through_its_readout():
@@ -1007,8 +1052,8 @@ def test_tomography_reads_a_coordinate_through_its_readout():
                                              (1, 5)),
                       rng=np.random.default_rng(4))
     readout = Readout([(1, t) for t in range(3)])
-    assert tomography_mod_r(copies([(0, 3), (0, 6)] * 30, be), readout,
-                            1, 1) == 2
+    assert (readout.j, readout.q) == (1, 1)
+    assert tomography_mod_r(copies([(0, 3), (0, 6)] * 30, be), readout) == 2
 
 
 def test_phase_list_measure_pm_same_law():

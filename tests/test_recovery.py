@@ -29,6 +29,7 @@ from dhsieve.oracle import (
 )
 from dhsieve.phase import PhaseBackend, PhaseList, Readout, tomography_mod_r
 from dhsieve.recover import (
+    RecoveryReport,
     recover_slope_general,
     recover_slope_power2,
     recover_slope_radix,
@@ -70,6 +71,18 @@ def test_power2_zero_and_n0():
     o = make_reflection_oracle(GroupCtx(1), 0)
     got, _ = recover_slope_power2(o, 0, rng=1)
     assert got == 0
+
+
+def test_chain_over_a_trivial_group_reads_nothing():
+    # D_1 by the radix chain (r = 2, n = 0) and Z1 + Z1 by the abelian
+    # chain leave no digit to read: the chain returns zeros without
+    # sampling, and the check's query pair is all the recovery costs
+    o = make_reflection_oracle(GroupCtx(1), 0)
+    assert recover_slope_radix(o, 2, 0, rng=1) == (
+        0, RecoveryReport(queries=2, attempts=1))
+    p = make_shift_pair(AbelianGroupSpec((1, 1)), (0, 0))
+    assert solve_abelian_shift(p, rng=1) == (
+        (0, 0), RecoveryReport(queries=2, attempts=1))
 
 
 def test_power2_rejects_wrong_order():
@@ -135,13 +148,14 @@ def test_numpy_radix_and_parity_past_int64(monkeypatch):
                            PhaseBackend(o, rng=np.random.default_rng(1)))
         assert tomography_mod_r(copies, Readout(range(r))) == p
     # the last digit, d_40 = 1, from labels of valuation 0 read against
-    # p = s mod 3^40 = 7 at q = 3^40, with a numpy q: q r = 3^41 wraps in
-    # int64 and uint64 alike
+    # p = s mod 3^40 = 7 at q = 3^40, which the readout's points name as
+    # a Python int: q r = 3^41 wraps in int64 and uint64 alike
     copies = PhaseList(np.array([1, 2] * 32, dtype=int_dtype(N)),
                        np.zeros(64, dtype=bool),
                        PhaseBackend(o, rng=np.random.default_rng(1)))
     readout = Readout([7 + 3 ** 40 * t for t in range(3)])
-    assert tomography_mod_r(copies, readout, np.uint64(3 ** 40)) == 1
+    assert type(readout.q) is int and readout.q == 3 ** 40
+    assert tomography_mod_r(copies, readout) == 1
     # a level on lists of 2 labels finds no target
     for r, n in ((3, 41), (np.int64(3), np.int64(41))):
         be = PhaseBackend(o, rng=np.random.default_rng(2))
