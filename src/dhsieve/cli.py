@@ -24,6 +24,8 @@ import re
 import subprocess
 import sys
 import time
+import typing
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +46,8 @@ from .recover import (
 CHECKOUT = Path(__file__).resolve().parents[2]
 BENCH_WORKLOADS = ("staged", "solvers", "race", "dense")
 
-TABLE1_FIELDS = ["budget", "trials", "mean", "stddev", "queries", "seconds"]
-SIM_FIELDS = ["trial", "secret", "recovered", "success", "attempts",
-              "queries", "seconds"]
-# the instance flags each simulate algorithm reads
+# the instance flags each simulate algorithm reads: the first is required,
+# greedy's --radix is optional (default 2)
 SIM_FLAGS = {"staged": ("n",), "general": ("N",),
              "greedy": ("n", "radix"), "abelian": ("orders",)}
 
@@ -64,12 +64,13 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _emit_rows(dicts, fields, args):
-    """Row dicts as --format asks: a JSON list, or CSV with these fields."""
+def _emit_rows(dicts, args):
+    """Row dicts, at least one, as --format asks: a JSON list, or CSV with
+    the first row's keys as its columns."""
     if args.format == "json":
         return _emit(json.dumps(dicts, indent=2) + "\n", args.out)
     buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    w = csv.DictWriter(buf, fieldnames=list(dicts[0]), lineterminator="\n")
     w.writeheader()
     w.writerows(dicts)
     _emit(buf.getvalue(), args.out)
@@ -79,13 +80,23 @@ def _fmt(v):
     return round(v, 6) if isinstance(v, float) else v
 
 
+def power(base, exp, flag):
+    """base ** exp for the value of flag, refused before it is computed
+    unless 0 <= exp <= 2^16 / base.bit_length(): at most 2^16 bits."""
+    top = (1 << 16) // max(1, base.bit_length())
+    if not 0 <= exp <= top:
+        raise UsageError(f"{flag}: {base}^{exp}: the exponent must lie in "
+                         f"[0, {top}]")
+    return base ** exp
+
+
 def budgets(text):
     """--budgets: "3^1..3^6" ranges or comma-separated integers / powers.
     Named, like orders, for argparse's "invalid budgets value" message."""
     def one(tok):
         if "^" in tok:
             b, e = tok.split("^")
-            return int(b) ** int(e)
+            return power(int(b), int(e), "--budgets")
         return int(tok)
 
     text = text.strip()
@@ -97,7 +108,9 @@ def budgets(text):
         base2, e1 = hi.split("^")
         if base != base2:
             raise argparse.ArgumentTypeError("endpoints must share a base")
-        return [int(base) ** e for e in range(int(e0), int(e1) + 1)]
+        # top down, so a refused power is refused before any is built
+        return [power(int(base), e, "--budgets")
+                for e in range(int(e1), int(e0) - 1, -1)][::-1]
     return [one(t) for t in text.split(",") if t]
 
 
@@ -113,20 +126,17 @@ def orders(text):
 def _cmd_table1(args):
     rows = run_table1(args.budgets, trials=args.trials, n_labels=args.labels,
                       rng=args.seed)
-    _emit_rows([{"budget": r.budget, "trials": r.trials, "mean": _fmt(r.mean),
-                 "stddev": _fmt(r.stddev), "queries": r.queries,
-                 "seconds": _fmt(r.seconds)} for r in rows],
-               TABLE1_FIELDS, args)
+    _emit_rows([{k: _fmt(v) for k, v in asdict(r).items()} for r in rows],
+               args)
     return 0
 
 
-def _csv_value(rec, name):
-    """One field of a table1 CSV row; a missing or unparseable value is a
-    usage error that names its column."""
+def _csv_value(rec, name, kind):
+    """One field of a table1 CSV row, parsed as kind; a missing or
+    unparseable value is a usage error that names its column."""
     text = rec.get(name)
     if text is None:
         raise UsageError(f"input CSV has no {name!r} column")
-    kind = float if name in ("mean", "stddev", "seconds") else int
     try:
         return kind(text)
     except ValueError:
@@ -134,11 +144,11 @@ def _csv_value(rec, name):
 
 
 def _cmd_scaling(args):
-    rows = []
+    kinds = typing.get_type_hints(ResultRow)
     with open(getattr(args, "in")) as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(ResultRow(**{name: _csv_value(rec, name)
-                                     for name in TABLE1_FIELDS}))
+        rows = [ResultRow(**{f.name: _csv_value(rec, f.name, kinds[f.name])
+                             for f in fields(ResultRow)})
+                for rec in csv.DictReader(fh)]
     try:
         slope, intercept, residuals = fit_scaling(rows)
     except ArithmeticError as exc:
@@ -157,72 +167,58 @@ def _cmd_verify(args):
     return 0 if report.passed else 1
 
 
-def _sim_trial(args, rng):
-    """Plant a random secret, run the chosen recovery on it, and return
-    (secret, the answer, its RecoveryReport, queries the instance
-    counted); answer and report are None on failure."""
-    def need(value, flag):
-        if value is None:
-            raise UsageError(f"{flag} is required for the {args.algorithm}"
+def _cmd_simulate(args):
+    """Build the group, the instance maker and the solver once, then per
+    trial plant a random secret, solve and record."""
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
+    read = SIM_FLAGS[args.algorithm]
+    for flag in ("n", "N", "orders", "radix"):
+        if getattr(args, flag) is not None and flag not in read:
+            raise UsageError(f"--{flag} is not read by the {args.algorithm}"
                              " algorithm")
-        return value
-
+    if getattr(args, read[0]) is None:
+        raise UsageError(f"--{read[0]} is required for the {args.algorithm}"
+                         " algorithm")
+    rng = np.random.default_rng(args.seed)
     make = make_reflection_oracle
     if args.algorithm == "abelian":
-        group, make = need(args.orders, "--orders"), make_shift_pair
+        group, make = args.orders, make_shift_pair
+        solve = lambda inst: solve_abelian_shift(inst, rng=rng)
     elif args.algorithm == "general":
-        if need(args.N, "--N") < 1:
+        if args.N < 1:
             raise UsageError("--N must be >= 1")
         group = GroupCtx(args.N)
+        solve = lambda inst: recover_slope_general(inst, rng=rng)
     else:
-        if need(args.n, "--n") < 0:
+        if args.n < 0:
             raise UsageError("--n must be >= 0")
-        # staged never carries --radix (_cmd_simulate rejects it)
         radix = 2 if args.radix is None else args.radix
         if radix < 2:
             raise UsageError("--radix must be >= 2")
-        group = GroupCtx(radix ** args.n)
-    # reduce makes an abelian draw (a matrix row) the tuple it stands for
-    s = group.reduce(group.random_elements(rng, 1).tolist()[0])
-    inst = make(group, s)
-    solve = {
-        "abelian": lambda: solve_abelian_shift(inst, rng=rng),
-        "staged": lambda: recover_slope_power2(inst, args.n, rng=rng),
-        "general": lambda: recover_slope_general(inst, rng=rng),
-        "greedy": lambda: recover_slope_radix(inst, radix, args.n, rng=rng),
-    }[args.algorithm]
-    try:
-        got, rep = solve()
-    except NoHiddenReflectionError:
-        got = rep = None
-    return s, got, rep, inst.queries
-
-
-def _cmd_simulate(args):
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    for flag in ("n", "N", "orders", "radix"):
-        if (getattr(args, flag) is not None
-                and flag not in SIM_FLAGS[args.algorithm]):
-            raise UsageError(f"--{flag} is not read by the {args.algorithm}"
-                             " algorithm")
-    rng = np.random.default_rng(args.seed)
+        group = GroupCtx(power(radix, args.n, "--n"))
+        solve = lambda inst: recover_slope_radix(inst, radix, args.n, rng=rng)
+        if args.algorithm == "staged":
+            solve = lambda inst: recover_slope_power2(inst, args.n, rng=rng)
     fmt = lambda v: ";".join(map(str, v)) if isinstance(v, tuple) else str(v)
     dicts = []
-    failures = 0
     for trial in range(args.trials):
         t0 = time.perf_counter()
-        secret, got, rep, queries = _sim_trial(args, rng)
-        ok = got == secret
-        failures += not ok
+        # reduce makes an abelian draw (a matrix row) the tuple it stands for
+        secret = group.reduce(group.random_elements(rng, 1).tolist()[0])
+        inst = make(group, secret)
+        try:
+            got, rep = solve(inst)
+        except NoHiddenReflectionError:
+            got = rep = None
         dicts.append({"trial": trial, "secret": fmt(secret),
                       "recovered": "" if rep is None else fmt(got),
-                      "success": int(ok),
+                      "success": int(got == secret),
                       "attempts": "" if rep is None else rep.attempts,
-                      "queries": queries,
+                      "queries": inst.queries,
                       "seconds": _fmt(time.perf_counter() - t0)})
-    _emit_rows(dicts, SIM_FIELDS, args)
-    return 1 if failures else 0
+    _emit_rows(dicts, args)
+    return 0 if all(d["success"] for d in dicts) else 1
 
 
 def _git(*args):
@@ -392,11 +388,13 @@ def main(argv=None):
         args = build_parser().parse_args(
             argv[:1] + _config_flags(argv[1:]) + argv[1:])
         return COMMANDS[args.command](args)
-    except (UsageError, ValueError, OSError, MemoryError) as exc:
+    except (UsageError, ValueError, OSError, MemoryError,
+            OverflowError) as exc:
         # library input checks raise ValueError, a path that cannot be
         # opened raises OSError, and an instance too large to hold raises
-        # MemoryError: a bad value, not a crash
-        print(f"{where}: {exc}", file=sys.stderr)
+        # MemoryError or OverflowError: a bad value, not a crash.  An
+        # exception with no message is named by its type
+        print(f"{where}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

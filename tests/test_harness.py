@@ -398,6 +398,19 @@ RADIX_ARGV = [
     ["simulate", "--algorithm", "greedy", "--radix", "-3", "--n", "2"],
 ]
 
+# powers a flag asks for past 2^16 bits, or with a negative exponent:
+# refused before they are computed, the message naming the flag
+POWER_ARGV = [
+    ["simulate", "--algorithm", "staged", "--n", "100000000000000000000",
+     "--trials", "1"],
+    ["simulate", "--algorithm", "greedy", "--radix", "3", "--n",
+     "100000000000", "--trials", "1"],
+    ["table1", "--budgets", "3^100000000000", "--trials", "1"],
+    ["table1", "--budgets", "2^1..2^100000000", "--trials", "1"],
+    ["table1", "--budgets", "3^-1", "--trials", "1"],
+    ["table1", "--budgets", "3^-1..3^2", "--trials", "1"],
+]
+
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--algorithm", "staged", "--n", "-1"],
@@ -445,6 +458,10 @@ RADIX_ARGV = [
      "--trials", "1", "--seed", "1"],
     ["simulate", "--algorithm", "abelian", "--orders", "4099,3",
      "--trials", "1", "--seed", "1"],
+    *POWER_ARGV,
+    # a label width whose range 1 << labels overflows
+    ["table1", "--budgets", "3^2", "--labels", "100000000000000000000",
+     "--trials", "2"],
 ])
 def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "no-mean.csv").write_text(
@@ -475,9 +492,34 @@ def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
         assert argv[-2] in captured.err
     if argv in RADIX_ARGV:
         assert "--radix" in captured.err
+    if argv in POWER_ARGV:
+        assert ("--n" if argv[0] == "simulate" else "--budgets") in captured.err
+    assert captured.err.split(":", 1)[1].strip()
     if argv[-1].endswith(("budget-one.csv", "negative.csv")):
         assert ("row 1" if "budget" in argv[-1] else "row 2") in captured.err
     assert not (tmp_path / "sim.csv").exists()
+
+
+def test_power_refuses_past_2_to_the_16_bits():
+    # the bound counts max(1, base.bit_length()) bits per factor
+    assert cli_mod.power(2, 1 << 15, "--n") == 1 << (1 << 15)
+    assert cli_mod.power(1, 1 << 16, "--n") == 1
+    assert cli_mod.power(0, 0, "--n") == 1
+    for base, exp in ((2, (1 << 15) + 1), (1, (1 << 16) + 1), (3, -1)):
+        with pytest.raises(cli_mod.UsageError, match="--n"):
+            cli_mod.power(base, exp, "--n")
+
+
+def test_cli_names_an_exception_that_has_no_message(monkeypatch, capsys):
+    def solver(inst, n, rng):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli_mod, "recover_slope_power2", solver)
+    assert main(["simulate", "--algorithm", "staged", "--n", "4",
+                 "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "dhsieve simulate: MemoryError\n"
+    assert captured.out == ""
 
 
 def test_cli_bench_race_writes_record(tmp_path):
