@@ -32,7 +32,13 @@ import numpy as np
 
 from .errors import NoHiddenReflectionError
 from .group import AbelianGroupSpec, GroupCtx
-from .harness import ResultRow, fit_scaling, run_table1, verify_suite
+from .harness import (
+    MAX_BITS,
+    ResultRow,
+    fit_scaling,
+    run_table1,
+    verify_suite,
+)
 from .oracle import make_reflection_oracle, make_shift_pair
 from .recover import (
     recover_slope_general,
@@ -82,8 +88,9 @@ def _fmt(v):
 
 def power(base, exp, flag):
     """base ** exp for the value of flag, refused before it is computed
-    unless 0 <= exp <= 2^16 / base.bit_length(): at most 2^16 bits."""
-    top = (1 << 16) // max(1, base.bit_length())
+    unless 0 <= exp <= MAX_BITS / base.bit_length(): at most MAX_BITS
+    bits."""
+    top = MAX_BITS // max(1, base.bit_length())
     if not 0 <= exp <= top:
         raise UsageError(f"{flag}: {base}^{exp}: the exponent must lie in "
                          f"[0, {top}]")
@@ -112,6 +119,16 @@ def budgets(text):
         return [power(int(base), e, "--budgets")
                 for e in range(int(e1), int(e0) - 1, -1)][::-1]
     return [one(t) for t in text.split(",") if t]
+
+
+def labels(text):
+    """--labels: a race label width, 1 to MAX_BITS bits, refused before
+    anything is drawn."""
+    bits = int(text)
+    if not 1 <= bits <= MAX_BITS:
+        raise argparse.ArgumentTypeError(
+            f"{text}: the width must lie in [1, {MAX_BITS}] bits")
+    return bits
 
 
 def orders(text):
@@ -325,7 +342,7 @@ def build_parser():
     p = sub.add_parser("table1", help="cancellation race averages")
     p.add_argument("--budgets", type=budgets, default="3^1..3^6")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--labels", type=int, default=96,
+    p.add_argument("--labels", type=labels, default=96,
                    help="label width in bits")
     _add_common(p, "seed", "format")
 

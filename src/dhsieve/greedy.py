@@ -1,7 +1,7 @@
 """Greedy sieve: bucket sampled labels by an objective, pair the
 best-matching entries of the minimum bucket, and race labels toward a
 target alpha, on label arrays, through the chain recursion that reads
-every smooth group a digit at a time.  Also hosts the label-only
+every smooth group a few digits a step.  Also hosts the label-only
 cancellation race used by the experiment harness.
 """
 
@@ -265,6 +265,9 @@ def greedy_sieve(backend, obj, budget, readout, carried=None):
 # laws of 3^sqrt(2 log_3 N) labels one greedy pass samples (CHANGES.md
 # has the measured choices)
 _LAWS = 3
+# largest step modulus a chain reads: its readout scores that many
+# residues per copy
+_MAX_PRIME = 1 << 12
 
 
 def list_size(order):
@@ -275,9 +278,10 @@ def list_size(order):
 
 
 def run_chain(backend, steps, budget=None):
-    """Read s one digit per step, on the backend's own oracle and one
+    """Read s one step at a time, on the backend's own oracle and one
     carried greedy sieve state: steps[j] lists coordinate j's step moduli
-    in read order (one coordinate on D_N).  The step reading p from
+    in read order (one coordinate on D_N), each a digit or a product of
+    digits (chain_steps).  The step reading p from
     coordinate j sieves for tomography_mod_r's targets, with the row of
     the unread part of the group: the coordinates after j in reverse read
     order, then j, each as the divisor chain of its unread steps
@@ -322,11 +326,46 @@ def run_chain(backend, steps, budget=None):
     return s, stats
 
 
+def chain_steps(digits, order):
+    """Group one coordinate's digits, in read order, into chain steps:
+    returns the step moduli, whose product is the digits'.  order is the
+    unread order at the first digit (the coordinate's order times the
+    orders read after it).  A step at unread order U starts at one digit
+    p and takes in the next while the product m stays within _MAX_PRIME
+    and below order (a step reads all of the last coordinate only when
+    that is one digit), and
+      - for an odd prime, m <= p^3 and m <= list_size(U) / 2;
+      - for 2, m <= 4 while list_size(U) is at least half of
+        list_size(order): one copy reads a bit exactly, so a pair only
+        adds readout copies, and pairs all the way cost 2^20 3.7% more
+        queries.
+    A composite digit (a composite radix) is read alone, and so is a
+    prime past _MAX_PRIME.  CHANGES.md has the rules tried, with their
+    queries and CPU."""
+    steps, unread, first = [], order, list_size(order)
+    for p in digits:
+        m = steps[-1] * p if steps and steps[-1] % p == 0 else 0
+        if (m and m <= _MAX_PRIME and m < order and _is_prime(p)
+                and (m <= 4 and 2 * list_size(unread) >= first if p == 2
+                     else m <= p ** 3 and 2 * m <= list_size(unread))):
+            steps[-1] = m
+        else:
+            if steps:
+                unread //= steps[-1]
+            steps.append(p)
+    return steps
+
+
+def _is_prime(p):
+    return all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
 def run_radix_recovery(backend, r, n, budget=None):
-    """The radix recursion over Z/r^n, run_chain's [r] * n: step i reads
-    digit i of s in base r.  Returns (s, SieveStats)."""
-    (s,), stats = run_chain(backend, [[operator.index(r)] * operator.index(n)],
-                            budget)
+    """The radix recursion over Z/r^n: run_chain on the chain_steps of
+    [r] * n, so step i reads the next of its base-r digits of s at once.
+    Returns (s, SieveStats)."""
+    r, n = operator.index(r), operator.index(n)
+    (s,), stats = run_chain(backend, [chain_steps([r] * n, r ** n)], budget)
     return s, stats
 
 

@@ -39,6 +39,9 @@ from .statevec import (
 )
 
 LOG3_2 = math.log(2, 3)
+# widest integer, in bits, an instance parameter may ask for: a race
+# label, or a power the command line computes
+MAX_BITS = 1 << 16
 # draws per case of the cosine and coin-fairness checks
 _PER_CASE = 10 ** 4
 # staged sieve runs the survival-ratio check pools
@@ -70,15 +73,16 @@ def run_table1(budgets, trials=100, r=2, n_labels=96, rng=None):
     n_labels-bit labels to the greedy pairing race and record the maximum
     number of cancelled low bits reached before exhaustion.  The race is
     binary, so r must be 2.  budgets, trials and n_labels are integers
-    of any integer type; rng is a Generator or a seed."""
+    of any integer type, n_labels at most MAX_BITS, checked before
+    anything is drawn; rng is a Generator or a seed."""
     budgets = [operator.index(Q) for Q in budgets]
     trials, n_labels = operator.index(trials), operator.index(n_labels)
     if r != 2:
         raise ValueError("the cancellation race is defined for r = 2 only")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if n_labels < 1:
-        raise ValueError("label width must be >= 1 bit")
+    if not 1 <= n_labels <= MAX_BITS:
+        raise ValueError(f"label width must lie in [1, {MAX_BITS}] bits")
     if not budgets or min(budgets) < 2:
         raise ValueError("budgets must be a non-empty list, each at least 2")
     if budgets != sorted(budgets):

@@ -1,6 +1,6 @@
 """Full-secret recovery loops: bit-by-bit recursion for N = 2^n, the
 general-N automorphism refinement, substring solving through spliced
-oracles, and the abelian hidden shift read one prime digit at a time on
+oracles, and the abelian hidden shift read a few prime digits a step on
 the radix recursion's carried chain.
 
 Every recovery is Las Vegas: one attempt function run by _las_vegas, which
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoHiddenReflectionError, SieveExhaustedError
-from .greedy import run_chain, run_radix_recovery
+from .greedy import _MAX_PRIME, chain_steps, run_chain, run_radix_recovery
 from .group import DihedralElement, identity, int_dtype, unit_for_odd_part
 from .oracle import (
     restrict_reflection,
@@ -44,8 +44,6 @@ _PRUNE_LL = 8.0
 _SCORED_CANDIDATES = 256
 # attempts of every recovery but the substring grid sweep
 _MAX_RETRIES = 6
-# largest prime a rank >= 2 abelian chain reads as one digit
-_MAX_PRIME = 1 << 12
 
 
 @dataclass
@@ -285,19 +283,30 @@ def _prime_steps(n):
     return steps + [n] * (n > 1)
 
 
+def _abelian_steps(orders):
+    """run_chain's steps on Z/n_1 + ... + Z/n_a: each order's prime digits
+    grouped by chain_steps, at the unread order of its first digit."""
+    steps, unread = [], math.prod(orders)
+    for n in orders:
+        steps.append(chain_steps(_prime_steps(n), unread))
+        unread //= n
+    return steps
+
+
 def solve_abelian_shift(p, rng=None):
     """Hidden shift on a finite (possibly truncated) abelian group, as a
     reflection oracle on the generalized dihedral group: run_chain reads
-    the shift one prime digit at a time, each order's primes ascending.
-    A group of rank 2 or more is refused before the first query when an
-    order has a prime factor past _MAX_PRIME, whose readout would score
-    that many residues per copy.  Returns (s, RecoveryReport)."""
+    the shift a chain step at a time, each order's prime digits ascending
+    and grouped by chain_steps.  A group of rank 2 or more is refused
+    before the first query when an order has a prime factor past
+    _MAX_PRIME, whose readout would score that many residues per copy.
+    Returns (s, RecoveryReport)."""
     o = shift_to_dihedral(p)
     if p.A.rank == 1:
         # rank 1 collapses to the plain dihedral problem
         s, rep = recover_slope_general(o, rng)
         return (s,), rep
-    steps = [_prime_steps(n) for n in p.A.orders]
+    steps = _abelian_steps(p.A.orders)
     rng = np.random.default_rng(rng)
     return _las_vegas(o, lambda i: tuple(run_chain(
         PhaseBackend(o, rng=rng), steps)[0]), _MAX_RETRIES)

@@ -44,7 +44,7 @@ from dhsieve.phase import (
     sample_batch,
     tomography_mod_r,
 )
-from dhsieve.recover import _prime_steps, recover_slope_radix
+from dhsieve.recover import _abelian_steps, recover_slope_radix
 from dhsieve.staged import MAX_PASSES, SieveStats
 
 
@@ -1115,20 +1115,27 @@ def test_carried_labels_read_their_digit_exactly(r, n):
     assert misread <= (0 if r == 2 else READOUT_DELTA * N * n)
 
 
-@pytest.mark.parametrize("orders", [(4, 6), (2, 9), (8, 3), (2, 3, 5)])
+_GROUPED = {(4, 6): [[4], [2, 3]], (2, 9): [[2], [3, 3]],
+            (8, 3): [[4, 2], [3]], (2, 3, 5): [[2], [3], [5]],
+            (4, 9): [[4], [3, 3]], (81,): [[27, 3]], (64,): [[4, 4, 2, 2]]}
+
+
+@pytest.mark.parametrize("orders", list(_GROUPED))
 def test_chain_targets_read_their_digit_exactly(orders, monkeypatch):
-    # the chain reads each order's prime factors, ascending.  The step
-    # that reads p from coordinate j, q the product of j's steps already
-    # read and s0 = s_j mod q, has targets (n_j/(q p)) u on coordinate j,
-    # u != 0 mod p, and zero on the coordinates after it; observed at
-    # s_j = s0 + q t and at s_i on the coordinates i < j, such a label
-    # turns by exactly u (d - t)/p mod 1, d = (s_j // q) mod p.  Checked
-    # for every secret, step, target of the step's objective (over all
-    # labels of the group) and reference, in integers and on
-    # AbelianGroupSpec.turns; and the honest carried read returns every
-    # coordinate
+    # the chain reads each order's prime factors, ascending, in the steps
+    # _abelian_steps groups them into (one modulus p a step, p a prime
+    # or a product of a few).  The step that reads p from coordinate j,
+    # q the product of j's steps already read and s0 = s_j mod q, has
+    # targets (n_j/(q p)) u on coordinate j, u != 0 mod p, and zero on the
+    # coordinates after it; observed at s_j = s0 + q t and at s_i on the
+    # coordinates i < j, such a label turns by exactly u (d - t)/p mod 1,
+    # d = (s_j // q) mod p.  Checked for every secret, step, target of the
+    # step's objective (over all labels of the group) and reference, in
+    # integers and on AbelianGroupSpec.turns; and the honest carried read
+    # returns every coordinate
     A = AbelianGroupSpec(orders)
-    steps = [_prime_steps(n) for n in orders]
+    steps = _abelian_steps(orders)
+    assert steps == _GROUPED[orders]
     labels = np.array(list(itertools.product(*map(range, orders))))
     seen = []
     real_sieve, real_tomo = greedy.greedy_sieve, greedy.tomography_mod_r
@@ -1170,14 +1177,81 @@ def test_chain_targets_read_their_digit_exactly(orders, monkeypatch):
                 assert A.turns(k, s, point).tolist() == (want / p).tolist()
 
 
+def _groups(digits, steps):
+    """Split digits, in order, into runs whose products are steps, or
+    None when steps do not cut digits that way."""
+    runs, it = [], iter(digits)
+    for m in steps:
+        run, prod = [], 1
+        while prod < m:
+            d = next(it, None)
+            if d is None:
+                return None
+            run.append(d)
+            prod *= d
+        if prod != m:
+            return None
+        runs.append(run)
+    return runs if next(it, None) is None else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 4093]), max_size=12),
+       st.integers(1, 1 << 200))
+def test_chain_steps_group_consecutive_digits(digits, rest):
+    # steps multiply to the digits' product and cut them, in read order,
+    # into runs of one prime; no step passes _MAX_PRIME = 4096, and none
+    # reads all of a last coordinate of two digits or more (order =
+    # product); a step at unread order U of an odd prime p stays within
+    # p^3 and list_size(U) / 2, and one of 2s is a pair, formed only while
+    # 2 list_size(U) >= list_size(order)
+    digits = sorted(digits)
+    for order in (math.prod(digits), math.prod(digits) * rest):
+        steps = greedy.chain_steps(digits, order)
+        runs = _groups(digits, steps)
+        assert runs is not None and math.prod(steps) == math.prod(digits)
+        unread = order
+        for m, run in zip(steps, runs):
+            assert len(set(run)) == 1
+            if len(run) > 1:
+                p = run[0]
+                assert m <= greedy._MAX_PRIME == 4096 and m < order
+                assert (m <= 4 and 2 * list_size(unread) >= list_size(order)
+                        if p == 2 else
+                        m <= p ** 3 and 2 * m <= list_size(unread))
+            unread //= m
+
+
+def test_chain_steps_pinned():
+    # the benchmark's groups and the edges: a prime past the cap stands
+    # alone, composite radices (6, 10) keep one digit a step, and n = 1,
+    # n = 0 and an order-1 coordinate read as before
+    cs = greedy.chain_steps
+    assert cs([3] * 8, 3 ** 8) == [27, 27, 9]
+    assert cs([2] * 4, 144) == [4, 4] and cs([3] * 2, 9) == [3, 3]
+    assert cs([2] * 20, 1 << 20) == [4] * 3 + [2] * 14
+    assert cs([2] * 12, 4096) == [4, 4] + [2] * 8
+    assert cs([5] * 4, 625) == [25, 5, 5] and cs([7] * 3, 343) == [49, 7]
+    assert cs([4099], 4099) == [4099] and cs([4093, 4093], 4093 ** 2) == [
+        4093, 4093]
+    assert cs([61] * 3, 61 ** 3) == [61, 61, 61]
+    assert cs([6] * 4, 6 ** 4) == [6] * 4 and cs([10] * 3, 1000) == [10] * 3
+    assert cs([3], 3) == [3] and cs([2], 2 * 9) == [2]
+    assert cs([], 1) == [] and cs([], 9) == []
+    assert _abelian_steps((1, 1)) == [[], []]
+    assert _abelian_steps((5000, 3)) == [[4, 2, 25, 25], [3]]
+
+
 def test_radix_levels_sized_by_demand(monkeypatch):
-    # one greedy_sieve call per level, on one carried state: level i
-    # sieves for valuation n - 1 - i and hands each batch of targets to
-    # tomography_mod_r with its own readout and the digits it knows, the
-    # last batch decides it and the call returns, and the next level
-    # places that call's leftovers first; the recursion reports one
-    # SieveStats summed over its calls.  At the last level every nonzero
-    # label is a target, so that call combines nothing (above it a level
+    # one greedy_sieve call per step of chain_steps([3] * n, 3^n), on one
+    # carried state: the step reading modulus m after q = the product of
+    # the steps before sieves for valuation target len(steps) - 1 - i,
+    # samples passes of list_size(3^n / q), and hands each batch of
+    # targets to tomography_mod_r with its own readout at s mod q + q t,
+    # t < m; the last batch decides it and the call returns, and the next
+    # step places that call's leftovers first; the recursion reports one
+    # SieveStats summed over its calls.  At the last step every nonzero
+    # label is a target, so that call combines nothing (above it a step
     # may still decide on its sample's targets)
     reads, calls, combined = [], [], set()
     real_sieve, real_tomo = greedy.greedy_sieve, greedy.tomography_mod_r
@@ -1196,6 +1270,9 @@ def test_radix_levels_sized_by_demand(monkeypatch):
     monkeypatch.setattr(greedy, "tomography_mod_r", tomo)
     rng = np.random.default_rng(11)
     for n in range(1, 9):
+        steps = greedy.chain_steps([3] * n, 3 ** n)
+        assert math.prod(steps) == 3 ** n
+        qs = [math.prod(steps[:i]) for i in range(len(steps))]
         for _ in range(10):
             s = int(rng.integers(0, 3 ** n))
             be = PhaseBackend(make_reflection_oracle(GroupCtx(3 ** n), s),
@@ -1205,19 +1282,20 @@ def test_radix_levels_sized_by_demand(monkeypatch):
             got, stats = run_radix_recovery(be, 3, n)
             assert got == s
             assert [(t, b) for t, b, _, _ in calls] == [
-                (n - 1 - i, list_size(3 ** (n - i))) for i in range(n)]
+                (len(steps) - 1 - i, list_size(3 ** n // q))
+                for i, q in enumerate(qs)]
             assert calls[0][2] is None
             assert all(c is out[2] for (_, _, c, _), (*_, out) in
                        zip(calls[1:], calls))
             assert [out[0] for *_, out in calls] == [
-                s // 3 ** i % 3 for i in range(n)]
-            for i in range(n):
-                level = [x for x in reads if x[1] == 3 ** i]
+                s // q % m for q, m in zip(qs, steps)]
+            for q, m in zip(qs, steps):
+                level = [x for x in reads if x[1] == q]
                 assert len({id(x[0]) for x in level}) == 1
                 assert level[0][0].points.tolist() == [
-                    s % 3 ** i + 3 ** i * t for t in range(3)]
+                    s % q + q * t for t in range(m)]
                 assert [x[2] for x in level] == [None] * (len(level) - 1) + [
-                    s // 3 ** i % 3]
+                    s // q % m]
             assert stats.combines == sum(out[1].combines for *_, out in calls)
             assert stats.work == sum(out[1].work for *_, out in calls)
             assert calls[-1][3][1].combines == 0
@@ -1342,21 +1420,23 @@ def test_radix_recovery_first_attempt_succeeds():
 
 
 def test_radix_level_exhausts_after_max_passes(monkeypatch):
-    # a first level whose readout never decides: its sieve call places
+    # a first step whose readout never decides: on 5^3 chain_steps reads
+    # [25, 5], and the first step's one greedy_sieve call places
     # MAX_PASSES fresh passes of list_size(125) labels, then raises with
-    # their stats, and the recursion reads no further level
+    # their stats, and the recursion reads no further step
     levels = []
 
     def undecided(targets, readout):
-        levels.append(readout.q)
+        levels.append((readout.q, readout.M))
         targets.take()
 
     monkeypatch.setattr(greedy, "tomography_mod_r", undecided)
+    assert greedy.chain_steps([5] * 3, 125) == [25, 5]
     be = backend(125, 5)
     with pytest.raises(SieveExhaustedError) as err:
         run_radix_recovery(be, 5, 3)
     assert be.oracle.queries == list_size(125) * MAX_PASSES
-    assert set(levels) == {1} and err.value.stats.combines > 0
+    assert set(levels) == {(1, 25)} and err.value.stats.combines > 0
 
 
 def test_run_radix_recovery_n1():
@@ -1378,10 +1458,11 @@ def test_default_budget_monotone():
 
 @pytest.mark.parametrize("r, top", [(2, 20), (3, 8), (5, 4)])
 def test_list_size_holds_copies_within_pass_cap(r, top, monkeypatch):
-    # the whole recursion reads s at every n up to top: level i samples
-    # fresh passes of list_size(r^(n-i)) labels only when its buckets are
-    # empty (the first level at least once), and decides within
-    # MAX_PASSES of them
+    # the whole recursion reads s at every n up to top, one greedy_sieve
+    # call per step of chain_steps([r] * n, r^n): the step after the
+    # steps of product q samples fresh passes of list_size(r^n / q)
+    # labels only when its buckets are empty (the first step at least
+    # once), and decides within MAX_PASSES of them
     calls = []
     real_sieve, real_sample = greedy.greedy_sieve, greedy.sample_batch
 
@@ -1396,12 +1477,14 @@ def test_list_size_holds_copies_within_pass_cap(r, top, monkeypatch):
     monkeypatch.setattr(greedy, "greedy_sieve", sieve)
     monkeypatch.setattr(greedy, "sample_batch", sample)
     for n in range(1, top + 1):
+        steps = greedy.chain_steps([r] * n, r ** n)
+        qs = [math.prod(steps[:i]) for i in range(len(steps))]
         for seed in range(4):
             s = (7919 * seed + 1) % r ** n
             calls.clear()
             got, _ = run_radix_recovery(backend(r ** n, s, seed), r, n)
             assert got == s
-            assert len(calls) == n and calls[0]
-            for i, sizes in enumerate(calls):
+            assert len(calls) == len(steps) and calls[0]
+            for q, sizes in zip(qs, calls):
                 assert len(sizes) <= MAX_PASSES
-                assert sizes == [list_size(r ** (n - i))] * len(sizes)
+                assert sizes == [list_size(r ** n // q)] * len(sizes)

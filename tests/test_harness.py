@@ -23,6 +23,7 @@ from dhsieve.errors import NoHiddenReflectionError
 from dhsieve.group import DihedralElement, GroupCtx
 from dhsieve.harness import (
     _LAW_CASES,
+    MAX_BITS,
     ResultRow,
     _backends,
     _check_coin_fairness,
@@ -88,6 +89,20 @@ def test_run_table1_deterministic():
         run_table1([9], trials=0)
     with pytest.raises(ValueError):
         run_table1([9], trials=2, n_labels=0)
+
+
+def test_run_table1_refuses_wide_labels_before_drawing():
+    # the race takes labels of 1 to MAX_BITS = 2^16 bits: past that the
+    # call raises before its generator moves, however wide the request
+    assert MAX_BITS == 1 << 16
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    for bits in (MAX_BITS + 1, 10 ** 8, 10 ** 20):
+        with pytest.raises(ValueError, match="label width"):
+            run_table1([9], trials=2, n_labels=bits, rng=rng)
+    assert rng.bit_generator.state == state
+    row, = run_table1([9], trials=2, n_labels=MAX_BITS, rng=rng)
+    assert 0 <= row.mean <= MAX_BITS
 
 
 def test_run_table1_takes_numpy_budgets():
@@ -412,6 +427,20 @@ POWER_ARGV = [
 ]
 
 
+# race label widths past MAX_BITS = 2^16 bits, refused before anything is
+# drawn, the message naming --labels.  A width whose range 1 << labels
+# overflows (10^20) exited through OverflowError with a message naming no
+# flag; 10^10 allocated 1.3 GB and exited through MemoryError, and 10^8
+# ran on past 30 s (each at the parent, under a 2 GB address-space cap)
+LABELS_ARGV = [
+    ["table1", "--budgets", "3^2", "--labels", "100000000000000000000",
+     "--trials", "2"],
+    ["table1", "--budgets", "3^2", "--labels", "10000000000", "--trials", "2"],
+    ["table1", "--budgets", "3^2", "--labels", "100000000", "--trials", "2"],
+    ["table1", "--budgets", "3^2", "--labels", "65537", "--trials", "2"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--algorithm", "staged", "--n", "-1"],
     ["simulate", "--algorithm", "abelian", "--orders", "0,3"],
@@ -459,9 +488,7 @@ POWER_ARGV = [
     ["simulate", "--algorithm", "abelian", "--orders", "4099,3",
      "--trials", "1", "--seed", "1"],
     *POWER_ARGV,
-    # a label width whose range 1 << labels overflows
-    ["table1", "--budgets", "3^2", "--labels", "100000000000000000000",
-     "--trials", "2"],
+    *LABELS_ARGV,
 ])
 def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "no-mean.csv").write_text(
@@ -494,6 +521,8 @@ def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
         assert "--radix" in captured.err
     if argv in POWER_ARGV:
         assert ("--n" if argv[0] == "simulate" else "--budgets") in captured.err
+    if argv in LABELS_ARGV:
+        assert "--labels" in captured.err
     assert captured.err.split(":", 1)[1].strip()
     if argv[-1].endswith(("budget-one.csv", "negative.csv")):
         assert ("row 1" if "budget" in argv[-1] else "row 2") in captured.err

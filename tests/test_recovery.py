@@ -246,20 +246,23 @@ def test_general_pinned_queries(N, s, queries):
 
 
 @pytest.mark.parametrize("i, s, attempts, queries", [
-    (0, 716, 1, 260), (1, 2981, 1, 245), (2, 2738, 1, 260), (3, 5147, 1, 245),
-    (9, 1685, 1, 245)])
+    (0, 716, 1, 245), (1, 2981, 1, 245), (2, 2738, 1, 245), (3, 5147, 1, 245),
+    (9, 1685, 1, 245), (5, 6362, 1, 342)])
 def test_radix_pinned_queries(i, s, attempts, queries):
-    # a change to the list-size rule, or one that changes when a level's
-    # readout decides, moves these counts (r = 3, n = 8; secrets from
-    # default_rng([3^8, i])).  Level i samples passes of list_size(3^m)
-    # labels, m = 8 - i digits left (3 laws of 3^sqrt(2m): 243, 183, 135,
-    # 97, 68, 45, 27 and 15 at m = 8..1), only when the labels carried
-    # from the levels before leave its readout undecided, and the answer
-    # costs one verification pair.  Every level here decides on the first
-    # pass's 243 labels, 243 + 2 = 245, except the last level of secrets
-    # 716 and 2738, which samples one pass of 15: 243 + 15 + 2 = 260
-    # (measured pass sizes)
+    # one greedy_sieve call per step of chain_steps([3] * 8, 3^8) =
+    # [27, 27, 9], so a change to the grouping rule, to the list-size
+    # rule, or to when a step's readout decides moves these counts (r = 3,
+    # n = 8; secrets from default_rng([3^8, i])).  The step with unread
+    # order m (6561, 243, 9) samples passes of list_size(m) = 243, 97 and
+    # 27 labels only when the labels carried from the steps before leave
+    # its readout undecided, and the answer costs one verification pair.
+    # Every step here decides on the first pass's 243 labels, 243 + 2 =
+    # 245, except the second step of secret 6362, which samples one pass
+    # of 97: 243 + 97 + 2 = 342 (measured pass sizes).  One digit per step
+    # cost 260 for secrets 716 and 2738, whose last digit sampled a pass
+    # of 15
     N = 3 ** 8
+    assert greedy.chain_steps([3] * 8, N) == [27, 27, 9]
     assert int(np.random.default_rng([N, i]).integers(0, N)) == s
     o = make_reflection_oracle(GroupCtx(N), s)
     got, rep = recover_slope_radix(o, 3, 8, rng=np.random.default_rng([N, i, 1]))
@@ -269,19 +272,21 @@ def test_radix_pinned_queries(i, s, attempts, queries):
 
 @pytest.mark.parametrize("i, s, attempts, queries", [
     (0, (5, 7), 1, 84), (1, (1, 1), 1, 84), (2, (2, 6), 1, 84),
-    (58, (15, 4), 1, 84), (8, (14, 2), 1, 99), (30, (2, 3), 1, 111)])
+    (58, (15, 4), 1, 84), (8, (14, 2), 1, 84), (30, (2, 3), 1, 84),
+    (16, (15, 8), 1, 111), (27, (14, 2), 1, 99)])
 def test_abelian_pinned_queries(i, s, attempts, queries):
-    # Z16 + Z9, secrets from default_rng([144, i]): the chain reads four
-    # bits of the first coordinate, then two ternary digits of the
-    # second, on one carried sieve state.  The step with unread order m
-    # (144, 72, 36, 18, 9, 3) samples passes of list_size(m) = 82, 65,
-    # 50, 38, 27 and 15 labels only when the labels it carries leave its
-    # readout undecided, and the answer costs one verification pair.
-    # When only the first step samples, that is 82 + 2 = 84; the last
-    # step of secret (14, 2) samples one pass of 15, 82 + 15 + 2 = 99,
-    # and the fifth of (2, 3) one of 27, 82 + 27 + 2 = 111.  At the
-    # coordinate readouts these were 166, 166, 84 and 166 for the first
-    # four (measured)
+    # Z16 + Z9, secrets from default_rng([144, i]): one greedy_sieve call
+    # per step of chain_steps, [4, 4] on Z16 (unread order 144) and
+    # [3, 3] on Z9, on one carried sieve state.  The step with unread
+    # order m (144, 36, 9, 3) samples passes of list_size(m) = 82, 50,
+    # 27 and 15 labels only when the labels it carries leave its readout
+    # undecided, and the answer costs one verification pair.  When only
+    # the first step samples, that is 82 + 2 = 84; the third step of
+    # secret (15, 8) samples one pass of 27, 82 + 27 + 2 = 111, and the
+    # last of (14, 2) one of 15, 82 + 15 + 2 = 99 (measured).  One bit
+    # per step cost 99 for (14, 2) at i = 8 and 111 for (2, 3)
+    assert [greedy.chain_steps(recover._prime_steps(n), u)
+            for n, u in ((16, 144), (9, 9))] == [[4, 4], [3, 3]]
     gen = np.random.default_rng([144, i])
     assert tuple(int(gen.integers(0, n)) for n in (16, 9)) == s
     p = make_shift_pair(AbelianGroupSpec((16, 9)), s)
