@@ -7,6 +7,7 @@ cancellation race used by the experiment harness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -62,7 +63,7 @@ class Objective:
     def _rows(self, labels, start=0):
         """Entries start.. of each label's row (a 1-D array: one column)."""
         if labels.ndim == 1:
-            labels = labels[:, None]
+            return labels[:, None] % self.moduli[start:]
         return labels[:, self.columns[start:]] % self.moduli[start:]
 
     def score(self, labels):
@@ -242,12 +243,14 @@ def greedy_sieve(backend, obj, budget, readout, carried=None):
             buckets[v] = [(labels, classical)]
             alone.add(v)
             continue
-        # sorted keys, and the entries adjacent rows share: every row ends
-        # in -1, so each pair fails to match in the matrix
+        # sorted keys, and the entries adjacent rows share: the last
+        # column, every row's -1, is never shared, so each pair fails to
+        # match in the matrix
         keys = obj.keys(labels, v)
         order = np.lexsort(keys.T[-2::-1])
         keys = keys.take(order, axis=0)
-        same = (keys[1:] == keys[:-1]) & (keys[1:] >= 0)
+        same = keys[1:] == keys[:-1]
+        same[:, -1] = False
         pairs, lone = _pair_order(same.argmin(axis=1))
         pairs = order[pairs].T
         npairs = pairs.shape[1]
@@ -294,66 +297,93 @@ def run_chain(backend, steps, budget=None):
     its carried buckets run empty.  Returns (s, SieveStats summed), s a
     list of coordinates (zeros, unsampled, on a group of order 1); an
     undecided step raises SieveExhaustedError."""
-    ctx = backend.oracle.ctx
-    orders, shape = ctx.orders, np.shape(ctx.zero)
-    dtype = int_dtype(max(orders))
+    shape = np.shape(backend.oracle.ctx.zero)
+    s, stats, carried = [0] * len(steps), SieveStats(), None
+    for j, q, offsets, obj, unread in _chain_plan(
+            backend.oracle.ctx.orders, tuple(map(tuple, steps))):
+        # the read coordinates at their values and j at s_j + q t: a
+        # point per row, shaped as the group's elements
+        readout = Readout((offsets + s).reshape(len(offsets), *shape))
+        digit, level, carried = greedy_sieve(
+            backend, obj, budget or list_size(unread),
+            lambda targets: tomography_mod_r(targets, readout), carried)
+        s[j] += digit * q
+        stats += level
+    return s, stats
+
+
+@functools.lru_cache(maxsize=64)
+def _chain_plan(orders, steps):
+    """run_chain's steps on a group of the given orders, in read order,
+    each as (j, q, offsets, objective, unread order): the step reads
+    (s_j // q) mod p, offsets is the read-only (p, rank) matrix of
+    q t on coordinate j (t = 0..p-1), and the objective is the prefix of
+    the chain's row that ends at the step."""
     if list(map(math.prod, steps)) != list(orders):
         raise ValueError("chain steps do not multiply to the group's orders")
+    dtype = int_dtype(max(orders))
     columns, moduli = [], []
     for i in range(len(steps) - 1, -1, -1):
         columns += [i] * len(steps[i])
         moduli += itertools.accumulate(steps[i][::-1], operator.mul)
-    row, depth = Objective(columns, moduli), len(moduli)
-    unread = math.prod(orders)
-    s, stats, carried = [0] * len(steps), SieveStats(), None
+    row, depth, unread, plan = Objective(columns, moduli), len(moduli), \
+        math.prod(orders), []
     for j, chain in enumerate(steps):
         q = 1
         for p in chain:
-            # the read coordinates at their values and j at s_j + q t: a
-            # point per row, shaped as the group's elements
-            points = np.empty((p, len(s)), dtype=dtype)
-            points[:] = s
-            points[:, j] += q * np.arange(p, dtype=dtype)
-            readout = Readout(points.reshape(p, *shape))
-            digit, level, carried = greedy_sieve(
-                backend, row.prefix(depth), budget or list_size(unread),
-                lambda targets: tomography_mod_r(targets, readout), carried)
-            s[j] += digit * q
+            offsets = np.zeros((p, len(orders)), dtype=dtype)
+            offsets[:, j] = q * np.arange(p, dtype=dtype)
+            offsets.flags.writeable = False
+            plan.append((j, q, offsets, row.prefix(depth), unread))
             q *= p
             depth -= 1
             unread //= p
-            stats += level
-    return s, stats
+    return tuple(plan)
 
 
-def chain_steps(digits, order):
-    """Group one coordinate's digits, in read order, into chain steps:
-    returns the step moduli, whose product is the digits'.  order is the
-    unread order at the first digit (the coordinate's order times the
-    orders read after it).  A step at unread order U starts at one digit
-    p and takes in the next while the product m stays within _MAX_PRIME
-    and below order (a step reads all of the last coordinate only when
-    that is one digit), and
+def chain_steps(coordinates):
+    """Group each coordinate's digits into chain steps: coordinates lists
+    the coordinates in read order, each as its prime digits in read
+    order ([r] * n on a radix level); returns each coordinate's step
+    moduli, whose product is its digits'.  A step at unread order U (the
+    orders still unread where it starts) starts at one digit p and takes
+    in the next while the product m stays within _MAX_PRIME and below the
+    unread order where its coordinate starts (a step reads all of the
+    last coordinate only when that is one digit), and
       - for an odd prime, m <= p^3 and m <= list_size(U) / 2;
-      - for 2, m <= 4 while list_size(U) is at least half of
-        list_size(order): one copy reads a bit exactly, so a pair only
-        adds readout copies, and pairs all the way cost 2^20 3.7% more
-        queries.
+      - for 2, m <= 4 on the first coordinate read, while list_size(U)
+        is at least half of list_size of the group's order: one copy
+        reads a bit exactly, so a pair only adds readout copies, and
+        pairs cost queries late (all the way, 2^20 3.7% more) and on a
+        coordinate read after another (on Z3+Z4096, 2.7% more).
     A composite digit (a composite radix) is read alone, and so is a
     prime past _MAX_PRIME.  CHANGES.md has the rules tried, with their
     queries and CPU."""
-    steps, unread, first = [], order, list_size(order)
-    for p in digits:
-        m = steps[-1] * p if steps and steps[-1] % p == 0 else 0
-        if (m and m <= _MAX_PRIME and m < order and _is_prime(p)
-                and (m <= 4 and 2 * list_size(unread) >= first if p == 2
-                     else m <= p ** 3 and 2 * m <= list_size(unread))):
-            steps[-1] = m
-        else:
-            if steps:
-                unread //= steps[-1]
-            steps.append(p)
-    return steps
+    return [list(c) for c in _grouped(tuple(map(tuple, coordinates)))]
+
+
+@functools.lru_cache(maxsize=64)
+def _grouped(coordinates):
+    """chain_steps on a tuple of digit tuples, as a tuple of step tuples."""
+    order = unread = math.prod(map(math.prod, coordinates))
+    first, out = list_size(order), []
+    for digits in coordinates:
+        steps, start, pairs = [], unread, unread == order
+        for p in digits:
+            m = steps[-1] * p if steps and steps[-1] % p == 0 else 0
+            if (m and m <= _MAX_PRIME and m < start and _is_prime(p)
+                    and (pairs and m <= 4 and 2 * list_size(unread) >= first
+                         if p == 2 else
+                         m <= p ** 3 and 2 * m <= list_size(unread))):
+                steps[-1] = m
+            else:
+                if steps:
+                    unread //= steps[-1]
+                steps.append(p)
+        if steps:
+            unread //= steps[-1]
+        out.append(tuple(steps))
+    return tuple(out)
 
 
 def _is_prime(p):
@@ -365,7 +395,7 @@ def run_radix_recovery(backend, r, n, budget=None):
     [r] * n, so step i reads the next of its base-r digits of s at once.
     Returns (s, SieveStats)."""
     r, n = operator.index(r), operator.index(n)
-    (s,), stats = run_chain(backend, [chain_steps([r] * n, r ** n)], budget)
+    (s,), stats = run_chain(backend, chain_steps([[r] * n]), budget)
     return s, stats
 
 

@@ -156,13 +156,12 @@ class AbelianGroupSpec:
         """Phases of psi_k at shift s against reference t in turns, for a
         (count, rank) matrix k of labels and t one point or one per row:
         the exact products k (s - t), coordinates summed left to right."""
-        dtype = self.turn_dtype
-        d = np.asarray(s, dtype=dtype) - np.reshape(
-            np.asarray(t, dtype=dtype), (-1, self.rank))
-        mod = self.modulus
-        x = np.asarray(np.asarray(k, dtype=dtype) * d % mod / mod, dtype=float)
+        dtype, mod = self.turn_dtype, self.modulus
+        x = np.multiply(k, np.subtract(s, t, dtype=dtype), dtype=dtype)
+        x %= mod
+        x = x / mod if dtype is not object else np.asarray(x / mod, dtype=float)
         total = x[:, 0]
-        for j in range(1, self.rank):
+        for j in range(1, x.shape[1]):
             total = total + x[:, j]
         return total % 1.0
 

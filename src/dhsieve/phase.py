@@ -237,7 +237,7 @@ def tomography_mod_r(plist, readout):
         # object labels (past 62 bits) have no divmod loop
         units, off = (np.divmod(column, step) if column.dtype != object
                       else (column // step, column % step))
-        rest = np.count_nonzero(off)
+        rest = off.any()
     if rest:
         raise ValueError("labels are not multiples of n_j/(q r)")
     return readout.observe(plist, units % readout.M)
@@ -245,21 +245,23 @@ def tomography_mod_r(plist, readout):
 
 @functools.lru_cache(maxsize=16)
 def _log_table(M):
-    """What a Readout over a slope mod M scores from: the read-only (2, M)
-    table, raveled, of clipped log-likelihoods (entry (b, x) of bit b at
-    the turn x / M: log(1 - p) for b = 0, log p for b = 1, p =
+    """What a Readout over a slope mod M scores from: the read-only
+    table of clipped log-likelihoods of bit b at the turn x / M, entry
+    (x, b) at 2 x + b (log(1 - p) for b = 0, log p for b = 1, p =
     cos^2(pi x / M) clipped to [_P_CLIP, 1 - _P_CLIP], likelihood_readout's
-    entries bit for bit); the read-only residues 0..M-1; Wald's lead
-    ln((M - 1) / READOUT_DELTA); and the copies a _BLOCK_ENTRIES block
-    scores."""
+    entries bit for bit); the read-only residues 0..M-1 and their doubles;
+    Wald's lead ln((M - 1) / READOUT_DELTA); and the copies a
+    _BLOCK_ENTRIES block scores."""
     p = np.arange(M, dtype=np.int64) / M
     p *= np.pi
     np.square(np.cos(p, out=p), out=p)
     np.clip(p, _P_CLIP, 1 - _P_CLIP, out=p)
-    table = np.log(np.stack([1 - p, p])).ravel()
+    table = np.log(np.stack([1 - p, p], axis=1)).ravel()
     cands = np.arange(M)
-    table.flags.writeable = cands.flags.writeable = False
-    return (table, cands, math.log((M - 1) / READOUT_DELTA),
+    doubled = 2 * cands
+    for a in (table, cands, doubled):
+        a.flags.writeable = False
+    return (table, cands, doubled, math.log((M - 1) / READOUT_DELTA),
             max(1, _BLOCK_ENTRIES // M))
 
 
@@ -275,7 +277,7 @@ class Readout:
     rows, read counts them, and value is None until the first copy where
     the best residue leads by ln((M - 1) / READOUT_DELTA), then that
     residue.  A copy's row is gathered from _log_table(M) at its turns
-    k (c - t) mod M."""
+    k (c - t) mod M and its bit."""
 
     def __init__(self, points):
         if len(points) < 2:
@@ -296,7 +298,8 @@ class Readout:
         self.ll = np.zeros(self.M)
         self.read = 0
         self.value = None
-        self._table, self._cands, self._lead, self._step = _log_table(self.M)
+        (self._table, self._cands, self._doubled, self._lead,
+         self._step) = _log_table(self.M)
 
     def observe(self, plist, labels):
         """Observe the copies of plist, whose labels mod M are labels
@@ -307,18 +310,20 @@ class Readout:
         M, step, n = self.M, self._step, len(plist)
         t = self._cands.take(np.arange(self.read, self.read + n), mode="wrap")
         bits = cosine_observe(plist, self.points[t])
-        k = np.asarray(labels, dtype=np.int64)[:, None]
-        # a copy's row starts at its bit's half of the table
-        start = M * bits[:, None]
+        k = np.asarray(labels, dtype=np.int64)
+        # copy i's entry c sits at 2 k (c - t) + bit mod 2M of the table
+        shift = k * t
+        shift *= 2
+        shift -= bits
         for i in range(0, n, step):
-            turns = self._cands - t[i:i + step, None]
-            turns *= k[i:i + step]
-            turns %= M
-            turns += start[i:i + step]
-            rows = self._table.take(turns)
+            at = k[i:i + step, None] * self._doubled
+            at -= shift[i:i + step, None]
+            at %= 2 * M
+            rows = self._table.take(at)
             rows[0] += self.ll
             np.add.accumulate(rows, axis=0, out=rows)
-            top = np.partition(rows, -2, axis=1)
+            top = rows.copy()
+            top.partition(-2, axis=1)
             won = top[:, -1] - top[:, -2] >= self._lead
             last = won.argmax()
             decided = won[last]

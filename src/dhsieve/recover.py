@@ -284,13 +284,9 @@ def _prime_steps(n):
 
 
 def _abelian_steps(orders):
-    """run_chain's steps on Z/n_1 + ... + Z/n_a: each order's prime digits
-    grouped by chain_steps, at the unread order of its first digit."""
-    steps, unread = [], math.prod(orders)
-    for n in orders:
-        steps.append(chain_steps(_prime_steps(n), unread))
-        unread //= n
-    return steps
+    """run_chain's steps on Z/n_1 + ... + Z/n_a: each order's prime digits,
+    ascending, grouped by chain_steps."""
+    return chain_steps([_prime_steps(n) for n in orders])
 
 
 def solve_abelian_shift(p, rng=None):

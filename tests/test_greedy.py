@@ -1196,54 +1196,57 @@ def _groups(digits, steps):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 4093]), max_size=12),
-       st.integers(1, 1 << 200))
-def test_chain_steps_group_consecutive_digits(digits, rest):
-    # steps multiply to the digits' product and cut them, in read order,
-    # into runs of one prime; no step passes _MAX_PRIME = 4096, and none
-    # reads all of a last coordinate of two digits or more (order =
-    # product); a step at unread order U of an odd prime p stays within
-    # p^3 and list_size(U) / 2, and one of 2s is a pair, formed only while
-    # 2 list_size(U) >= list_size(order)
-    digits = sorted(digits)
-    for order in (math.prod(digits), math.prod(digits) * rest):
-        steps = greedy.chain_steps(digits, order)
-        runs = _groups(digits, steps)
-        assert runs is not None and math.prod(steps) == math.prod(digits)
-        unread = order
-        for m, run in zip(steps, runs):
+@given(st.lists(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 4093]),
+                         max_size=8), min_size=1, max_size=3))
+def test_chain_steps_group_consecutive_digits(coordinates):
+    # each coordinate's steps multiply to its digits' product and cut
+    # them, in read order, into runs of one prime; no step passes
+    # _MAX_PRIME = 4096, none reads all of a last coordinate of two digits
+    # or more, and a prime's steps never grow along the read order (the
+    # caps shrink with the unread order).  test_chain_steps_pinned pins
+    # which merges the caps make
+    coordinates = [sorted(c) for c in coordinates]
+    steps = greedy.chain_steps(coordinates)
+    assert len(steps) == len(coordinates)
+    for digits, chain in zip(coordinates, steps):
+        runs = _groups(digits, chain)
+        assert runs is not None and math.prod(chain) == math.prod(digits)
+        for m, run in zip(chain, runs):
             assert len(set(run)) == 1
-            if len(run) > 1:
-                p = run[0]
-                assert m <= greedy._MAX_PRIME == 4096 and m < order
-                assert (m <= 4 and 2 * list_size(unread) >= list_size(order)
-                        if p == 2 else
-                        m <= p ** 3 and 2 * m <= list_size(unread))
-            unread //= m
+            assert m <= greedy._MAX_PRIME == 4096 or len(run) == 1
+        for (m, run), (m2, run2) in zip(zip(chain, runs),
+                                        zip(chain[1:], runs[1:])):
+            assert run[0] != run2[0] or m2 <= m
+    last = [c for c in coordinates if c][-1:]
+    if last and len(last[0]) > 1:
+        assert len([c for c in steps if c][-1]) > 1
 
 
 def test_chain_steps_pinned():
     # the benchmark's groups and the edges: a prime past the cap stands
-    # alone, composite radices (6, 10) keep one digit a step, and n = 1,
-    # n = 0 and an order-1 coordinate read as before
-    cs = greedy.chain_steps
-    assert cs([3] * 8, 3 ** 8) == [27, 27, 9]
-    assert cs([2] * 4, 144) == [4, 4] and cs([3] * 2, 9) == [3, 3]
-    assert cs([2] * 20, 1 << 20) == [4] * 3 + [2] * 14
-    assert cs([2] * 12, 4096) == [4, 4] + [2] * 8
-    assert cs([5] * 4, 625) == [25, 5, 5] and cs([7] * 3, 343) == [49, 7]
-    assert cs([4099], 4099) == [4099] and cs([4093, 4093], 4093 ** 2) == [
-        4093, 4093]
-    assert cs([61] * 3, 61 ** 3) == [61, 61, 61]
-    assert cs([6] * 4, 6 ** 4) == [6] * 4 and cs([10] * 3, 1000) == [10] * 3
-    assert cs([3], 3) == [3] and cs([2], 2 * 9) == [2]
-    assert cs([], 1) == [] and cs([], 9) == []
+    # alone, composite radices (6, 10) keep one digit a step, 2s pair only
+    # on the first coordinate read, and n = 1, n = 0 and an order-1
+    # coordinate read as before
+    def cs(*coordinates):
+        return greedy.chain_steps(list(coordinates))
+    assert cs([3] * 8) == [[27, 27, 9]]
+    assert cs([2] * 4, [3] * 2) == [[4, 4], [3, 3]]
+    assert cs([2] * 20) == [[4] * 3 + [2] * 14]
+    assert cs([2] * 12) == [[4, 4] + [2] * 8]
+    assert cs([3], [2] * 12) == [[3], [2] * 12]
+    assert cs([], [2] * 4) == [[], [4, 4]]
+    assert cs([5] * 4) == [[25, 5, 5]] and cs([7] * 3) == [[49, 7]]
+    assert cs([4099]) == [[4099]] and cs([4093, 4093]) == [[4093, 4093]]
+    assert cs([61] * 3) == [[61, 61, 61]]
+    assert cs([6] * 4) == [[6] * 4] and cs([10] * 3) == [[10] * 3]
+    assert cs([3]) == [[3]] and cs([2], [3] * 2) == [[2], [3, 3]]
+    assert cs([]) == [[]] and cs() == []
     assert _abelian_steps((1, 1)) == [[], []]
     assert _abelian_steps((5000, 3)) == [[4, 2, 25, 25], [3]]
 
 
 def test_radix_levels_sized_by_demand(monkeypatch):
-    # one greedy_sieve call per step of chain_steps([3] * n, 3^n), on one
+    # one greedy_sieve call per step of chain_steps([[3] * n]), on one
     # carried state: the step reading modulus m after q = the product of
     # the steps before sieves for valuation target len(steps) - 1 - i,
     # samples passes of list_size(3^n / q), and hands each batch of
@@ -1270,7 +1273,7 @@ def test_radix_levels_sized_by_demand(monkeypatch):
     monkeypatch.setattr(greedy, "tomography_mod_r", tomo)
     rng = np.random.default_rng(11)
     for n in range(1, 9):
-        steps = greedy.chain_steps([3] * n, 3 ** n)
+        (steps,) = greedy.chain_steps([[3] * n])
         assert math.prod(steps) == 3 ** n
         qs = [math.prod(steps[:i]) for i in range(len(steps))]
         for _ in range(10):
@@ -1431,7 +1434,7 @@ def test_radix_level_exhausts_after_max_passes(monkeypatch):
         targets.take()
 
     monkeypatch.setattr(greedy, "tomography_mod_r", undecided)
-    assert greedy.chain_steps([5] * 3, 125) == [25, 5]
+    assert greedy.chain_steps([[5] * 3]) == [[25, 5]]
     be = backend(125, 5)
     with pytest.raises(SieveExhaustedError) as err:
         run_radix_recovery(be, 5, 3)
@@ -1459,7 +1462,7 @@ def test_default_budget_monotone():
 @pytest.mark.parametrize("r, top", [(2, 20), (3, 8), (5, 4)])
 def test_list_size_holds_copies_within_pass_cap(r, top, monkeypatch):
     # the whole recursion reads s at every n up to top, one greedy_sieve
-    # call per step of chain_steps([r] * n, r^n): the step after the
+    # call per step of chain_steps([[r] * n]): the step after the
     # steps of product q samples fresh passes of list_size(r^n / q)
     # labels only when its buckets are empty (the first step at least
     # once), and decides within MAX_PASSES of them
@@ -1477,7 +1480,7 @@ def test_list_size_holds_copies_within_pass_cap(r, top, monkeypatch):
     monkeypatch.setattr(greedy, "greedy_sieve", sieve)
     monkeypatch.setattr(greedy, "sample_batch", sample)
     for n in range(1, top + 1):
-        steps = greedy.chain_steps([r] * n, r ** n)
+        (steps,) = greedy.chain_steps([[r] * n])
         qs = [math.prod(steps[:i]) for i in range(len(steps))]
         for seed in range(4):
             s = (7919 * seed + 1) % r ** n

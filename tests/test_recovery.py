@@ -249,8 +249,8 @@ def test_general_pinned_queries(N, s, queries):
     (0, 716, 1, 245), (1, 2981, 1, 245), (2, 2738, 1, 245), (3, 5147, 1, 245),
     (9, 1685, 1, 245), (5, 6362, 1, 342)])
 def test_radix_pinned_queries(i, s, attempts, queries):
-    # one greedy_sieve call per step of chain_steps([3] * 8, 3^8) =
-    # [27, 27, 9], so a change to the grouping rule, to the list-size
+    # one greedy_sieve call per step of chain_steps([[3] * 8]) =
+    # [[27, 27, 9]], so a change to the grouping rule, to the list-size
     # rule, or to when a step's readout decides moves these counts (r = 3,
     # n = 8; secrets from default_rng([3^8, i])).  The step with unread
     # order m (6561, 243, 9) samples passes of list_size(m) = 243, 97 and
@@ -262,7 +262,7 @@ def test_radix_pinned_queries(i, s, attempts, queries):
     # cost 260 for secrets 716 and 2738, whose last digit sampled a pass
     # of 15
     N = 3 ** 8
-    assert greedy.chain_steps([3] * 8, N) == [27, 27, 9]
+    assert greedy.chain_steps([[3] * 8]) == [[27, 27, 9]]
     assert int(np.random.default_rng([N, i]).integers(0, N)) == s
     o = make_reflection_oracle(GroupCtx(N), s)
     got, rep = recover_slope_radix(o, 3, 8, rng=np.random.default_rng([N, i, 1]))
@@ -285,8 +285,8 @@ def test_abelian_pinned_queries(i, s, attempts, queries):
     # secret (15, 8) samples one pass of 27, 82 + 27 + 2 = 111, and the
     # last of (14, 2) one of 15, 82 + 15 + 2 = 99 (measured).  One bit
     # per step cost 99 for (14, 2) at i = 8 and 111 for (2, 3)
-    assert [greedy.chain_steps(recover._prime_steps(n), u)
-            for n, u in ((16, 144), (9, 9))] == [[4, 4], [3, 3]]
+    assert greedy.chain_steps([recover._prime_steps(n) for n in (16, 9)]) == [
+        [4, 4], [3, 3]]
     gen = np.random.default_rng([144, i])
     assert tuple(int(gen.integers(0, n)) for n in (16, 9)) == s
     p = make_shift_pair(AbelianGroupSpec((16, 9)), s)
