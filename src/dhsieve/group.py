@@ -54,14 +54,21 @@ class GroupCtx:
         """Phases of psi_k at slope s against reference t in turns, for an
         array k of labels and t one point or one per label: the exact
         k (s - t) mod N, over N."""
-        dtype = self.turn_dtype
-        d = np.asarray(s, dtype=dtype) - np.asarray(t, dtype=dtype)
-        return np.asarray(np.asarray(k, dtype=dtype) * d % self.N / self.N,
-                          dtype=float)
+        dtype, N = self.turn_dtype, self.N
+        x = _products(k, s, t, dtype)
+        x %= N
+        return x / N if dtype is not object else np.asarray(x / N, dtype=float)
 
     def random_elements(self, rng, count):
         """count uniform exponents, an array whose tolist() gives ints."""
         return uniform(rng, self.N, count)
+
+
+def _products(k, s, t, dtype):
+    """The exact products k (s - t) as a new array of dtype, the inputs
+    cast to it as np.asarray casts them."""
+    return np.multiply(k, np.subtract(s, t, dtype=dtype, casting="unsafe"),
+                       dtype=dtype, casting="unsafe")
 
 
 def int_dtype(bound):
@@ -157,7 +164,7 @@ class AbelianGroupSpec:
         (count, rank) matrix k of labels and t one point or one per row:
         the exact products k (s - t), coordinates summed left to right."""
         dtype, mod = self.turn_dtype, self.modulus
-        x = np.multiply(k, np.subtract(s, t, dtype=dtype), dtype=dtype)
+        x = _products(k, s, t, dtype)
         x %= mod
         x = x / mod if dtype is not object else np.asarray(x / mod, dtype=float)
         total = x[:, 0]

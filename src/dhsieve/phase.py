@@ -199,9 +199,11 @@ def _observe(plist, t):
     one point or one point per copy.  Consumes the list; returns the
     bits, an int64 array."""
     labels, classical = plist.take()
-    p_one = np.cos(np.pi * plist.backend.oracle._phase_turns(labels, t)) ** 2
+    backend = plist.backend
+    p_one = backend.oracle._phase_turns(labels, t) * np.pi
+    np.square(np.cos(p_one, out=p_one), out=p_one)
     p_one[classical] = 0.5
-    return (plist.backend.rng.random(len(labels)) < p_one).astype(np.int64)
+    return (backend.rng.random(len(labels)) < p_one).astype(np.int64)
 
 
 def measure_pm(plist):
@@ -237,7 +239,7 @@ def tomography_mod_r(plist, readout):
         # object labels (past 62 bits) have no divmod loop
         units, off = (np.divmod(column, step) if column.dtype != object
                       else (column // step, column % step))
-        rest = off.any()
+        rest = np.count_nonzero(off)
     if rest:
         raise ValueError("labels are not multiples of n_j/(q r)")
     return readout.observe(plist, units % readout.M)
@@ -247,21 +249,25 @@ def tomography_mod_r(plist, readout):
 def _log_table(M):
     """What a Readout over a slope mod M scores from: the read-only
     table of clipped log-likelihoods of bit b at the turn x / M, entry
-    (x, b) at 2 x + b (log(1 - p) for b = 0, log p for b = 1, p =
-    cos^2(pi x / M) clipped to [_P_CLIP, 1 - _P_CLIP], likelihood_readout's
-    entries bit for bit); the read-only residues 0..M-1 and their doubles;
-    Wald's lead ln((M - 1) / READOUT_DELTA); and the copies a
+    (x, b) at 2 x + b and again at 2 M + 2 x + b (log(1 - p) for b = 0,
+    log p for b = 1, p = cos^2(pi x / M) clipped to [_P_CLIP,
+    1 - _P_CLIP], likelihood_readout's entries bit for bit); the
+    read-only doubles of the residues 0..M-1; the read-only (M, M) table
+    of 2 k c mod 2M while it holds at most _BLOCK_ENTRIES entries, else
+    None; Wald's lead ln((M - 1) / READOUT_DELTA); and the copies a
     _BLOCK_ENTRIES block scores."""
     p = np.arange(M, dtype=np.int64) / M
     p *= np.pi
     np.square(np.cos(p, out=p), out=p)
     np.clip(p, _P_CLIP, 1 - _P_CLIP, out=p)
-    table = np.log(np.stack([1 - p, p], axis=1)).ravel()
-    cands = np.arange(M)
-    doubled = 2 * cands
-    for a in (table, cands, doubled):
-        a.flags.writeable = False
-    return (table, cands, doubled, math.log((M - 1) / READOUT_DELTA),
+    table = np.tile(np.log(np.stack([1 - p, p], axis=1)).ravel(), 2)
+    doubled = 2 * np.arange(M)
+    products = (np.multiply.outer(np.arange(M), doubled) % (2 * M)
+                if M * M <= _BLOCK_ENTRIES else None)
+    for a in (table, doubled, products):
+        if a is not None:
+            a.flags.writeable = False
+    return (table, doubled, products, math.log((M - 1) / READOUT_DELTA),
             max(1, _BLOCK_ENTRIES // M))
 
 
@@ -298,7 +304,7 @@ class Readout:
         self.ll = np.zeros(self.M)
         self.read = 0
         self.value = None
-        (self._table, self._cands, self._doubled, self._lead,
+        (self._table, self._doubled, self._products, self._lead,
          self._step) = _log_table(self.M)
 
     def observe(self, plist, labels):
@@ -308,17 +314,20 @@ class Readout:
         _BLOCK_ENTRIES entries at a time.  Returns value; consumes
         plist."""
         M, step, n = self.M, self._step, len(plist)
-        t = self._cands.take(np.arange(self.read, self.read + n), mode="wrap")
-        bits = cosine_observe(plist, self.points[t])
+        t = np.arange(self.read, self.read + n) % M
+        bits = cosine_observe(plist, self.points.take(t, axis=0))
         k = np.asarray(labels, dtype=np.int64)
-        # copy i's entry c sits at 2 k (c - t) + bit mod 2M of the table
-        shift = k * t
-        shift *= 2
-        shift -= bits
+        # copy i's entry c sits at 2 k c + (bit - 2 k t) mod 2M of the
+        # table, both terms reduced mod 2M
+        base = k * t
+        base *= -2
+        base += bits
+        base %= 2 * M
         for i in range(0, n, step):
-            at = k[i:i + step, None] * self._doubled
-            at -= shift[i:i + step, None]
-            at %= 2 * M
+            at = (self._products.take(k[i:i + step], axis=0)
+                  if self._products is not None else
+                  k[i:i + step, None] * self._doubled % (2 * M))
+            at += base[i:i + step, None]
             rows = self._table.take(at)
             rows[0] += self.ll
             np.add.accumulate(rows, axis=0, out=rows)

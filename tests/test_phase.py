@@ -900,7 +900,7 @@ def test_readout_table_scores_the_per_entry_formula(M, split):
     # formula's exactly, and so is the generator state: one draw per
     # batch observed
     p = np.clip(np.cos(np.pi * (np.arange(M) / M)) ** 2, 1e-9, 1 - 1e-9)
-    assert np.array_equal(phase._log_table(M)[0].reshape(M, 2).T,
+    assert np.array_equal(phase._log_table(M)[0].reshape(2, M, 2)[1].T,
                           np.log([1 - p, p]))
     points = list(range(M))
     for seed in range(6):
