@@ -36,6 +36,7 @@ from .harness import (
     MAX_BITS,
     ResultRow,
     fit_scaling,
+    label_width,
     run_table1,
     verify_suite,
 )
@@ -122,13 +123,12 @@ def budgets(text):
 
 
 def labels(text):
-    """--labels: a race label width, 1 to MAX_BITS bits, refused before
-    anything is drawn."""
-    bits = int(text)
-    if not 1 <= bits <= MAX_BITS:
-        raise argparse.ArgumentTypeError(
-            f"{text}: the width must lie in [1, {MAX_BITS}] bits")
-    return bits
+    """--labels: a race label width, refused by harness.label_width, the
+    check run_table1 makes, before anything is drawn."""
+    try:
+        return label_width(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
 
 
 def orders(text):

@@ -68,6 +68,14 @@ class ResultRow:
             raise ValueError("stddev must be nonnegative")
 
 
+def label_width(bits):
+    """bits, a race label width, when it lies in [1, MAX_BITS]; raises
+    ValueError otherwise (run_table1's check, which --labels shares)."""
+    if not 1 <= bits <= MAX_BITS:
+        raise ValueError(f"label width must lie in [1, {MAX_BITS}] bits")
+    return bits
+
+
 def run_table1(budgets, trials=100, r=2, n_labels=96, rng=None):
     """Cancellation race averages: for each query budget Q, feed Q uniform
     n_labels-bit labels to the greedy pairing race and record the maximum
@@ -81,8 +89,7 @@ def run_table1(budgets, trials=100, r=2, n_labels=96, rng=None):
         raise ValueError("the cancellation race is defined for r = 2 only")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 1 <= n_labels <= MAX_BITS:
-        raise ValueError(f"label width must lie in [1, {MAX_BITS}] bits")
+    label_width(n_labels)
     if not budgets or min(budgets) < 2:
         raise ValueError("budgets must be a non-empty list, each at least 2")
     if budgets != sorted(budgets):

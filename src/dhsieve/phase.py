@@ -180,9 +180,11 @@ def combine_pairs(backend, labels, classical, pairs):
     (labels, classical mask, minus-branch mask)."""
     first, second = labels[pairs]
     minus = backend.rng.random(pairs.shape[1]) >= backend.coin_bias
-    second[minus] = -second[minus]
+    np.negative(second.T, out=second.T, where=minus)
+    first += second
+    first %= backend.oracle.ctx.modulus
     left, right = classical[pairs]
-    return (first + second) % backend.oracle.ctx.modulus, left | right, minus
+    return first, left | right, minus
 
 
 def negate_label(q):
