@@ -302,8 +302,10 @@ def run_chain(backend, steps, budget=None):
     for j, q, offsets, obj, unread in _chain_plan(
             backend.oracle.ctx.orders, tuple(map(tuple, steps))):
         # the read coordinates at their values and j at s_j + q t: a
-        # point per row, shaped as the group's elements
-        readout = Readout((offsets + s).reshape(len(offsets), *shape))
+        # point per row, shaped as the group's elements (s cast first, so
+        # a value past int64 stays a Python int)
+        points = offsets + np.array(s, dtype=offsets.dtype)
+        readout = Readout(points.reshape(len(offsets), *shape))
         digit, level, carried = greedy_sieve(
             backend, obj, budget or list_size(unread),
             lambda targets: tomography_mod_r(targets, readout), carried)

@@ -1245,6 +1245,46 @@ def test_chain_steps_pinned():
     assert _abelian_steps((5000, 3)) == [[4, 2, 25, 25], [3]]
 
 
+@pytest.mark.parametrize("orders, steps", [
+    ((1 << 66,), [[4] * 3 + [2] * 60]),
+    ((3, 10 ** 22), [[3], [2] * 22 + [125] * 6 + [25, 5, 5]])])
+def test_chain_points_past_int64_stay_exact(orders, steps, monkeypatch):
+    # past 62 bits the chain's reference points are Python ints: with
+    # every step's digit read off the secret (no sieve), each step's
+    # readout sits at exactly s mod q + q t on its coordinate, with the
+    # coordinates read before at their values and q an int, also where
+    # the known part of s passes 2^63 (the secret's digits are all
+    # nonzero); the chain returns the secret
+    shifted = len(orders) > 1
+    s = tuple(n - 1 - n // 7 for n in orders)
+    ctx = AbelianGroupSpec(orders) if shifted else GroupCtx(orders[0])
+    o = HidingOracle(ctx, s if shifted else s[0], lambda e: None)
+    seen = []
+
+    class Recorded(Readout):
+        def __init__(self, points):
+            super().__init__(points)
+            seen.append(self)
+
+    def sieve(backend, obj, budget, readout, carried):
+        r = seen[-1]
+        return s[r.j] // r.q % r.M, SieveStats(), None
+
+    monkeypatch.setattr(greedy, "Readout", Recorded)
+    monkeypatch.setattr(greedy, "greedy_sieve", sieve)
+    got, _ = greedy.run_chain(PhaseBackend(o, rng=1), steps)
+    assert tuple(got) == s
+    assert len(seen) == sum(map(len, steps))
+    known = [0] * len(orders)
+    for r in seen:
+        rows = r.points.reshape(r.M, -1).tolist()
+        assert type(r.q) is int and {type(v) for v in sum(rows, [])} == {int}
+        assert rows == [[*known[:r.j], known[r.j] + r.q * t,
+                         *known[r.j + 1:]] for t in range(r.M)]
+        known[r.j] += s[r.j] // r.q % r.M * r.q
+    assert tuple(known) == s
+
+
 def test_radix_levels_sized_by_demand(monkeypatch):
     # one greedy_sieve call per step of chain_steps([[3] * n]), on one
     # carried state: the step reading modulus m after q = the product of
