@@ -273,6 +273,7 @@ _LAWS = 3
 _MAX_PRIME = 1 << 12
 
 
+@functools.lru_cache(maxsize=256)
 def list_size(order):
     """Labels one greedy pass samples on a group of the given order: a
     chain step samples passes of list_size of the unread order, r^m on a
@@ -297,7 +298,7 @@ def run_chain(backend, steps, budget=None):
     its carried buckets run empty.  Returns (s, SieveStats summed), s a
     list of coordinates (zeros, unsampled, on a group of order 1); an
     undecided step raises SieveExhaustedError."""
-    shape = np.shape(backend.oracle.ctx.zero)
+    shape = np.asarray(backend.oracle.ctx.zero).shape
     s, stats, carried = [0] * len(steps), SieveStats(), None
     for j, q, offsets, obj, unread in _chain_plan(
             backend.oracle.ctx.orders, tuple(map(tuple, steps))):

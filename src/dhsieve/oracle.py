@@ -84,17 +84,24 @@ def _tokenizer():
     return tok
 
 
+# the rate of an oracle whose every coset is intact
+_NO_CORRUPTION = Fraction(0)
+
+
 class HidingOracle:
     """A function on D_N (or D_A) constant exactly on cosets of the hidden
     reflection subgroup, with a query counter and an optional corruption
     rate for spliced approximations."""
 
-    def __init__(self, ctx, slope, eval_fn, corruption_rate=Fraction(0),
+    def __init__(self, ctx, slope, eval_fn, corruption_rate=_NO_CORRUPTION,
                  counter=None):
         self.ctx = ctx
-        self.corruption_rate = Fraction(corruption_rate)
-        if not 0 <= self.corruption_rate <= 1:
+        # a Fraction is kept as it is, and checked on its (int) terms
+        rate = (corruption_rate if type(corruption_rate) is Fraction
+                else Fraction(corruption_rate))
+        if not 0 <= rate.numerator <= rate.denominator:
             raise ValueError("corruption_rate must lie in [0, 1]")
+        self.corruption_rate = rate
         self._slope = slope
         self._eval = eval_fn
         self._counter = counter if counter is not None else _Counter()
@@ -171,10 +178,9 @@ class ShiftPair:
 
     def truncation_corruption(self):
         """Fraction of cosets broken by truncating free summands."""
-        broken = Fraction(0)
         ntrunc = self.A.free_rank
         if ntrunc == 0:
-            return broken
+            return _NO_CORRUPTION
         good = Fraction(1)
         for j in range(self.A.rank - ntrunc, self.A.rank):
             good *= 1 - Fraction(self._shift[j], self.A.orders[j])

@@ -236,11 +236,11 @@ def tomography_mod_r(plist, readout):
         raise InsufficientCopiesError("no copies supplied")
     j, q = readout.j, readout.q
     step, rest = divmod(plist.backend.oracle.ctx.orders[j], q * readout.M)
-    column = plist.labels if plist.labels.ndim == 1 else plist.labels[:, j]
-    if not rest:
+    units = plist.labels if plist.labels.ndim == 1 else plist.labels[:, j]
+    if step > 1 and not rest:
         # object labels (past 62 bits) have no divmod loop
-        units, off = (np.divmod(column, step) if column.dtype != object
-                      else (column // step, column % step))
+        units, off = (np.divmod(units, step) if units.dtype != object
+                      else (units // step, units % step))
         rest = np.count_nonzero(off)
     if rest:
         raise ValueError("labels are not multiples of n_j/(q r)")
@@ -254,22 +254,26 @@ def _log_table(M):
     (x, b) at 2 x + b and again at 2 M + 2 x + b (log(1 - p) for b = 0,
     log p for b = 1, p = cos^2(pi x / M) clipped to [_P_CLIP,
     1 - _P_CLIP], likelihood_readout's entries bit for bit); the
-    read-only doubles of the residues 0..M-1; the read-only (M, M) table
-    of 2 k c mod 2M while it holds at most _BLOCK_ENTRIES entries, else
-    None; Wald's lead ln((M - 1) / READOUT_DELTA); and the copies a
-    _BLOCK_ENTRIES block scores."""
+    read-only doubles of the residues 0..M-1; the read-only (2, M^2, M)
+    array of every row a copy scores while it holds at most
+    _BLOCK_ENTRIES entries, else None: row (b, k M + t), for label k
+    observed at reference t with bit b, holds entry (k (c - t) mod M, b)
+    of the table at column c; Wald's lead ln((M - 1) / READOUT_DELTA);
+    and the copies a _BLOCK_ENTRIES block scores."""
     p = np.arange(M, dtype=np.int64) / M
     p *= np.pi
     np.square(np.cos(p, out=p), out=p)
     np.clip(p, _P_CLIP, 1 - _P_CLIP, out=p)
     table = np.tile(np.log(np.stack([1 - p, p], axis=1)).ravel(), 2)
     doubled = 2 * np.arange(M)
-    products = (np.multiply.outer(np.arange(M), doubled) % (2 * M)
-                if M * M <= _BLOCK_ENTRIES else None)
-    for a in (table, doubled, products):
+    rows = None
+    if 2 * M ** 3 <= _BLOCK_ENTRIES:
+        b, k, t, c = np.ogrid[:2, :M, :M, :M]
+        rows = table[2 * (k * (c - t) % M) + b].reshape(2, M * M, M)
+    for a in (table, doubled, rows):
         if a is not None:
             a.flags.writeable = False
-    return (table, doubled, products, math.log((M - 1) / READOUT_DELTA),
+    return (table, doubled, rows, math.log((M - 1) / READOUT_DELTA),
             max(1, _BLOCK_ENTRIES // M))
 
 
@@ -294,7 +298,7 @@ class Readout:
         try:
             # int64 while every coordinate fits, so cosine_observe takes
             # the points as they are; Python ints past that
-            self.points = np.array(points, dtype=np.int64)
+            self.points = np.asarray(points, dtype=np.int64)
         except OverflowError:
             self.points = np.array(points, dtype=object)
         moved = [(j, b - a) for j, (a, b) in enumerate(
@@ -306,7 +310,7 @@ class Readout:
         self.ll = np.zeros(self.M)
         self.read = 0
         self.value = None
-        (self._table, self._doubled, self._products, self._lead,
+        (self._table, self._doubled, self._rows, self._lead,
          self._step) = _log_table(self.M)
 
     def observe(self, plist, labels):
@@ -319,18 +323,25 @@ class Readout:
         t = np.arange(self.read, self.read + n) % M
         bits = cosine_observe(plist, self.points.take(t, axis=0))
         k = np.asarray(labels, dtype=np.int64)
-        # copy i's entry c sits at 2 k c + (bit - 2 k t) mod 2M of the
-        # table, both terms reduced mod 2M
-        base = k * t
-        base *= -2
-        base += bits
-        base %= 2 * M
+        if self._rows is not None:
+            # copy i's row is row (bit, k M + t) of the rows
+            at = k * M
+            at += t
+        else:
+            # copy i's entry c sits at 2 k c + (bit - 2 k t) mod 2M of
+            # the table, both terms reduced mod 2M
+            at = k * t
+            at *= -2
+            at += bits
+            at %= 2 * M
         for i in range(0, n, step):
-            at = (self._products.take(k[i:i + step], axis=0)
-                  if self._products is not None else
-                  k[i:i + step, None] * self._doubled % (2 * M))
-            at += base[i:i + step, None]
-            rows = self._table.take(at)
+            block = slice(i, i + step)
+            if self._rows is not None:
+                rows = self._rows[bits[block], at[block]]
+            else:
+                rows = k[block, None] * self._doubled % (2 * M)
+                rows += at[block, None]
+                rows = self._table.take(rows)
             rows[0] += self.ll
             np.add.accumulate(rows, axis=0, out=rows)
             top = rows.copy()
@@ -340,7 +351,7 @@ class Readout:
             decided = won[last]
             if not decided:
                 last = len(rows) - 1
-            self.ll, self.read = rows[last].copy(), self.read + last + 1
+            self.ll, self.read = rows[last], self.read + last + 1
             if decided:
                 self.value = int(self.ll.argmax())
                 break
