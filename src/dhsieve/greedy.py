@@ -34,7 +34,7 @@ from .staged import MAX_PASSES, SieveStats
 
 class Objective:
     """The one greedy objective: label k is read as the row of residues
-    k[columns[i]] mod moduli[i] (run_chain builds one per chain, and each
+    k[columns[i]] mod moduli[i] (chain_plan builds one per group, and each
     step takes a prefix of it), and merges move labels toward rows that
     are zero up to the last entry.  alpha is the place of the row's
     first nonzero entry, D = len(moduli) for a zero label, so a target
@@ -268,8 +268,8 @@ def greedy_sieve(backend, obj, budget, readout, carried=None):
 # laws of 3^sqrt(2 log_3 N) labels one greedy pass samples (CHANGES.md
 # has the measured choices)
 _LAWS = 3
-# largest step modulus a chain reads: its readout scores that many
-# residues per copy
+# largest prime a chain reads, and largest step modulus: a step's readout
+# scores that many residues per copy
 _MAX_PRIME = 1 << 12
 
 
@@ -281,11 +281,10 @@ def list_size(order):
     return math.ceil(_LAWS * 3.0 ** math.sqrt(2 * math.log(max(3, order), 3)))
 
 
-def run_chain(backend, steps, budget=None):
+def run_chain(backend, budget=None):
     """Read s one step at a time, on the backend's own oracle and one
-    carried greedy sieve state: steps[j] lists coordinate j's step moduli
-    in read order (one coordinate on D_N), each a digit or a product of
-    digits (chain_steps).  The step reading p from
+    carried greedy sieve state, in the steps of chain_plan of the group's
+    orders.  The step reading p from
     coordinate j sieves for tomography_mod_r's targets, with the row of
     the unread part of the group: the coordinates after j in reverse read
     order, then j, each as the divisor chain of its unread steps
@@ -297,11 +296,12 @@ def run_chain(backend, steps, budget=None):
     budget labels (list_size of the unread order when None) only when
     its carried buckets run empty.  Returns (s, SieveStats summed), s a
     list of coordinates (zeros, unsampled, on a group of order 1); an
-    undecided step raises SieveExhaustedError."""
-    shape = np.asarray(backend.oracle.ctx.zero).shape
-    s, stats, carried = [0] * len(steps), SieveStats(), None
-    for j, q, offsets, obj, unread in _chain_plan(
-            backend.oracle.ctx.orders, tuple(map(tuple, steps))):
+    undecided step raises SieveExhaustedError, and a group chain_plan
+    refuses raises its ValueError before anything is drawn."""
+    ctx = backend.oracle.ctx
+    shape = np.asarray(ctx.zero).shape
+    s, stats, carried = [0] * len(ctx.orders), SieveStats(), None
+    for j, q, offsets, obj, unread in chain_plan(ctx.orders):
         # the read coordinates at their values and j at s_j + q t: a
         # point per row, shaped as the group's elements (s cast first, so
         # a value past int64 stays a Python int)
@@ -316,21 +316,62 @@ def run_chain(backend, steps, budget=None):
 
 
 @functools.lru_cache(maxsize=64)
-def _chain_plan(orders, steps):
-    """run_chain's steps on a group of the given orders, in read order,
+def chain_plan(orders):
+    """The chain's steps on a group of the given orders, in read order,
     each as (j, q, offsets, objective, unread order): the step reads
     (s_j // q) mod p, offsets is the read-only (p, rank) matrix of
     q t on coordinate j (t = 0..p-1), and the objective is the prefix of
-    the chain's row that ends at the step."""
-    if list(map(math.prod, steps)) != list(orders):
-        raise ValueError("chain steps do not multiply to the group's orders")
-    dtype = int_dtype(max(orders))
+    the chain's row that ends at the step.
+
+    Each order's prime digits, ascending, come from trial division up to
+    _MAX_PRIME; a factor past it left over raises ValueError.  A step at
+    unread order U (the orders still unread where it starts) starts at
+    one digit p and takes in the next while it is p and the product m
+    stays within _MAX_PRIME and below the unread order where its
+    coordinate starts (a step reads all of the last coordinate only when
+    that is one digit), and
+      - for an odd prime, m <= p^3 and m <= list_size(U) / 2;
+      - for 2, m <= 4 on the first coordinate read, while list_size(U)
+        is at least half of list_size of the group's order: one copy
+        reads a bit exactly, so a pair only adds readout copies, and
+        pairs cost queries late (all the way, 2^20 3.7% more) and on a
+        coordinate read after another (on Z3+Z4096, 2.7% more).
+    CHANGES.md has the rules tried, with their queries and CPU."""
+    order = unread = math.prod(orders)
+    first, steps = list_size(order), []
+    for size in orders:
+        chain, start, pairs, n, p = [], unread, unread == order, size, 2
+        while n > 1:
+            if p * p > n:
+                p = n
+            if p > _MAX_PRIME:
+                raise ValueError("the chain reads prime factors <="
+                                 f" {_MAX_PRIME}; order {size} has a"
+                                 " larger one")
+            if n % p:
+                p += 1
+                continue
+            n //= p
+            m = chain[-1] * p if chain and chain[-1] % p == 0 else 0
+            if (m and m <= _MAX_PRIME and m < start
+                    and (pairs and m <= 4 and 2 * list_size(unread) >= first
+                         if p == 2 else
+                         m <= p ** 3 and 2 * m <= list_size(unread))):
+                chain[-1] = m
+            else:
+                if chain:
+                    unread //= chain[-1]
+                chain.append(p)
+        if chain:
+            unread //= chain[-1]
+        steps.append(chain)
+    dtype = int_dtype(max(orders, default=1))
     columns, moduli = [], []
     for i in range(len(steps) - 1, -1, -1):
         columns += [i] * len(steps[i])
         moduli += itertools.accumulate(steps[i][::-1], operator.mul)
     row, depth, unread, plan = Objective(columns, moduli), len(moduli), \
-        math.prod(orders), []
+        order, []
     for j, chain in enumerate(steps):
         q = 1
         for p in chain:
@@ -344,61 +385,13 @@ def _chain_plan(orders, steps):
     return tuple(plan)
 
 
-def chain_steps(coordinates):
-    """Group each coordinate's digits into chain steps: coordinates lists
-    the coordinates in read order, each as its prime digits in read
-    order ([r] * n on a radix level); returns each coordinate's step
-    moduli, whose product is its digits'.  A step at unread order U (the
-    orders still unread where it starts) starts at one digit p and takes
-    in the next while the product m stays within _MAX_PRIME and below the
-    unread order where its coordinate starts (a step reads all of the
-    last coordinate only when that is one digit), and
-      - for an odd prime, m <= p^3 and m <= list_size(U) / 2;
-      - for 2, m <= 4 on the first coordinate read, while list_size(U)
-        is at least half of list_size of the group's order: one copy
-        reads a bit exactly, so a pair only adds readout copies, and
-        pairs cost queries late (all the way, 2^20 3.7% more) and on a
-        coordinate read after another (on Z3+Z4096, 2.7% more).
-    A composite digit (a composite radix) is read alone, and so is a
-    prime past _MAX_PRIME.  CHANGES.md has the rules tried, with their
-    queries and CPU."""
-    return [list(c) for c in _grouped(tuple(map(tuple, coordinates)))]
-
-
-@functools.lru_cache(maxsize=64)
-def _grouped(coordinates):
-    """chain_steps on a tuple of digit tuples, as a tuple of step tuples."""
-    order = unread = math.prod(map(math.prod, coordinates))
-    first, out = list_size(order), []
-    for digits in coordinates:
-        steps, start, pairs = [], unread, unread == order
-        for p in digits:
-            m = steps[-1] * p if steps and steps[-1] % p == 0 else 0
-            if (m and m <= _MAX_PRIME and m < start and _is_prime(p)
-                    and (pairs and m <= 4 and 2 * list_size(unread) >= first
-                         if p == 2 else
-                         m <= p ** 3 and 2 * m <= list_size(unread))):
-                steps[-1] = m
-            else:
-                if steps:
-                    unread //= steps[-1]
-                steps.append(p)
-        if steps:
-            unread //= steps[-1]
-        out.append(tuple(steps))
-    return tuple(out)
-
-
-def _is_prime(p):
-    return all(p % d for d in range(2, math.isqrt(p) + 1))
-
-
 def run_radix_recovery(backend, r, n, budget=None):
-    """The radix recursion over Z/r^n: run_chain on the chain_steps of
-    [r] * n, so step i reads the next of its base-r digits of s at once.
-    Returns (s, SieveStats)."""
-    r, n = operator.index(r), operator.index(n)
-    (s,), stats = run_chain(backend, chain_steps([[r] * n]), budget)
+    """The radix recursion over Z/r^n: run_chain, whose chain_plan reads
+    the prime digits of r^n a few at a time (a composite r as its
+    primes).  Returns (s, SieveStats)."""
+    if backend.oracle.ctx.orders != (operator.index(r) ** operator.index(n),):
+        raise ValueError("group order is not r^n")
+    (s,), stats = run_chain(backend, budget)
     return s, stats
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoHiddenReflectionError, SieveExhaustedError
-from .greedy import _MAX_PRIME, chain_steps, run_chain, run_radix_recovery
+from .greedy import run_chain, run_radix_recovery
 from .group import DihedralElement, identity, int_dtype, unit_for_odd_part
 from .oracle import (
     restrict_reflection,
@@ -117,7 +117,9 @@ def recover_slope_power2(o, n=None, rng=None):
 def recover_slope_radix(o, r, n=None, rng=None):
     """Digit-by-digit recovery over D_{r^n} by the greedy sieve on o
     itself: run_radix_recovery reads every digit from one sieve state
-    carried through the levels.  Returns (s, RecoveryReport)."""
+    carried through the levels.  An order with a prime factor past 4096
+    is refused before the first query (chain_plan).  Returns
+    (s, RecoveryReport)."""
     N, r = o.ctx.N, operator.index(r)
     if r < 2:
         raise ValueError("radix must be at least 2")
@@ -225,7 +227,14 @@ def _slope_attempt(o, rng):
 
 def recover_slope_general(o, rng=None):
     """Recover the slope over D_N for arbitrary N by _slope_attempt,
-    verified against the oracle.  Returns (s, RecoveryReport)."""
+    verified against the oracle.  Returns (s, RecoveryReport).  An N past
+    int64 (int_dtype) that is not a power of two is refused before the
+    first query: its candidate window of about N/2 entries cannot be an
+    array."""
+    N = o.ctx.N
+    if N & (N - 1) and int_dtype(N) is object:
+        raise ValueError(f"general N = {N} has an odd factor and is past"
+                         " 2^62: its candidate window cannot be held")
     rng = np.random.default_rng(rng)
     return _las_vegas(o, lambda i: _slope_attempt(o, rng), _MAX_RETRIES)
 
@@ -268,41 +277,18 @@ def solve_substring(inst, rng=None):
 # Abelian hidden shift
 
 
-def _prime_steps(n):
-    """The prime factors of n, ascending and repeated, by trial division
-    up to _MAX_PRIME; raises ValueError when a factor past it is left."""
-    steps, d = [], 2
-    while d * d <= n and d <= _MAX_PRIME:
-        while n % d == 0:
-            steps.append(d)
-            n //= d
-        d += 1
-    if n > _MAX_PRIME:
-        raise ValueError("groups of rank 2 or more need prime factors"
-                         f" <= {_MAX_PRIME}; rank 1 takes any order")
-    return steps + [n] * (n > 1)
-
-
-def _abelian_steps(orders):
-    """run_chain's steps on Z/n_1 + ... + Z/n_a: each order's prime digits,
-    ascending, grouped by chain_steps."""
-    return chain_steps([_prime_steps(n) for n in orders])
-
-
 def solve_abelian_shift(p, rng=None):
     """Hidden shift on a finite (possibly truncated) abelian group, as a
     reflection oracle on the generalized dihedral group: run_chain reads
-    the shift a chain step at a time, each order's prime digits ascending
-    and grouped by chain_steps.  A group of rank 2 or more is refused
-    before the first query when an order has a prime factor past
-    _MAX_PRIME, whose readout would score that many residues per copy.
-    Returns (s, RecoveryReport)."""
+    the shift a chain step at a time, in the steps of the group's
+    chain_plan, which refuses a group of rank 2 or more before the first
+    query when an order has a prime factor past 4096.  Returns
+    (s, RecoveryReport)."""
     o = shift_to_dihedral(p)
     if p.A.rank == 1:
         # rank 1 collapses to the plain dihedral problem
         s, rep = recover_slope_general(o, rng)
         return (s,), rep
-    steps = _abelian_steps(p.A.orders)
     rng = np.random.default_rng(rng)
     return _las_vegas(o, lambda i: tuple(run_chain(
-        PhaseBackend(o, rng=rng), steps)[0]), _MAX_RETRIES)
+        PhaseBackend(o, rng=rng))[0]), _MAX_RETRIES)

@@ -44,13 +44,22 @@ from dhsieve.phase import (
     sample_batch,
     tomography_mod_r,
 )
-from dhsieve.recover import _abelian_steps, recover_slope_radix
+from dhsieve.recover import recover_slope_radix
 from dhsieve.staged import MAX_PASSES, SieveStats
 
 
 def backend(N, s, seed=0):
     return PhaseBackend(make_reflection_oracle(GroupCtx(N), s),
                         rng=np.random.default_rng(seed))
+
+
+def plan_steps(orders):
+    """Each coordinate's step moduli, in read order, from the chain plan
+    of a group of the given orders."""
+    orders = tuple(orders)
+    plan = greedy.chain_plan(orders)
+    return [[len(offsets) for i, _, offsets, _, _ in plan if i == j]
+            for j in range(len(orders))]
 
 
 def alpha_radix(k, r):
@@ -1123,8 +1132,8 @@ _GROUPED = {(4, 6): [[4], [2, 3]], (2, 9): [[2], [3, 3]],
 @pytest.mark.parametrize("orders", list(_GROUPED))
 def test_chain_targets_read_their_digit_exactly(orders, monkeypatch):
     # the chain reads each order's prime factors, ascending, in the steps
-    # _abelian_steps groups them into (one modulus p a step, p a prime
-    # or a product of a few).  The step that reads p from coordinate j,
+    # its plan groups them into (one modulus p a step, p a prime or a
+    # product of a few).  The step that reads p from coordinate j,
     # q the product of j's steps already read and s0 = s_j mod q, has
     # targets (n_j/(q p)) u on coordinate j, u != 0 mod p, and zero on the
     # coordinates after it; observed at s_j = s0 + q t and at s_i on the
@@ -1134,7 +1143,7 @@ def test_chain_targets_read_their_digit_exactly(orders, monkeypatch):
     # integers and on AbelianGroupSpec.turns; and the honest carried read
     # returns every coordinate
     A = AbelianGroupSpec(orders)
-    steps = _abelian_steps(orders)
+    steps = plan_steps(orders)
     assert steps == _GROUPED[orders]
     labels = np.array(list(itertools.product(*map(range, orders))))
     seen = []
@@ -1154,7 +1163,7 @@ def test_chain_targets_read_their_digit_exactly(orders, monkeypatch):
         seen.clear()
         be = PhaseBackend(make_reflection_oracle(A, s),
                           rng=np.random.default_rng([A.size, *s]))
-        got, _ = greedy.run_chain(be, steps)
+        got, _ = greedy.run_chain(be)
         assert tuple(got) == s
         assert [(readout.M, readout.j) for _, readout in seen] == [
             (p, j) for j, chain in enumerate(steps) for p in chain]
@@ -1199,21 +1208,22 @@ def _groups(digits, steps):
 @given(st.lists(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 4093]),
                          max_size=8), min_size=1, max_size=3))
 def test_chain_steps_group_consecutive_digits(coordinates):
-    # each coordinate's steps multiply to its digits' product and cut
-    # them, in read order, into runs of one prime; no step passes
+    # on the group whose orders are the products of the given digits,
+    # each coordinate's steps multiply to its order and cut its prime
+    # digits, ascending, into runs of one prime; no step passes
     # _MAX_PRIME = 4096, none reads all of a last coordinate of two digits
     # or more, and a prime's steps never grow along the read order (the
     # caps shrink with the unread order).  test_chain_steps_pinned pins
     # which merges the caps make
     coordinates = [sorted(c) for c in coordinates]
-    steps = greedy.chain_steps(coordinates)
+    steps = plan_steps(map(math.prod, coordinates))
     assert len(steps) == len(coordinates)
     for digits, chain in zip(coordinates, steps):
         runs = _groups(digits, chain)
         assert runs is not None and math.prod(chain) == math.prod(digits)
         for m, run in zip(chain, runs):
             assert len(set(run)) == 1
-            assert m <= greedy._MAX_PRIME == 4096 or len(run) == 1
+            assert m <= greedy._MAX_PRIME == 4096
         for (m, run), (m2, run2) in zip(zip(chain, runs),
                                         zip(chain[1:], runs[1:])):
             assert run[0] != run2[0] or m2 <= m
@@ -1223,30 +1233,54 @@ def test_chain_steps_group_consecutive_digits(coordinates):
 
 
 def test_chain_steps_pinned():
-    # the benchmark's groups and the edges: a prime past the cap stands
-    # alone, composite radices (6, 10) keep one digit a step, 2s pair only
-    # on the first coordinate read, and n = 1, n = 0 and an order-1
-    # coordinate read as before
-    def cs(*coordinates):
-        return greedy.chain_steps(list(coordinates))
-    assert cs([3] * 8) == [[27, 27, 9]]
-    assert cs([2] * 4, [3] * 2) == [[4, 4], [3, 3]]
-    assert cs([2] * 20) == [[4] * 3 + [2] * 14]
-    assert cs([2] * 12) == [[4, 4] + [2] * 8]
-    assert cs([3], [2] * 12) == [[3], [2] * 12]
-    assert cs([], [2] * 4) == [[], [4, 4]]
-    assert cs([5] * 4) == [[25, 5, 5]] and cs([7] * 3) == [[49, 7]]
-    assert cs([4099]) == [[4099]] and cs([4093, 4093]) == [[4093, 4093]]
-    assert cs([61] * 3) == [[61, 61, 61]]
-    assert cs([6] * 4) == [[6] * 4] and cs([10] * 3) == [[10] * 3]
-    assert cs([3]) == [[3]] and cs([2], [3] * 2) == [[2], [3, 3]]
-    assert cs([]) == [[]] and cs() == []
-    assert _abelian_steps((1, 1)) == [[], []]
-    assert _abelian_steps((5000, 3)) == [[4, 2, 25, 25], [3]]
+    # the benchmark's groups and the edges: a prime past the cap is
+    # refused, 2s pair only on the first coordinate read, and n = 1,
+    # n = 0 and an order-1 coordinate read as before
+    def cs(*orders):
+        return plan_steps(orders)
+    assert cs(3 ** 8) == [[27, 27, 9]]
+    assert cs(16, 9) == [[4, 4], [3, 3]]
+    assert cs(1 << 20) == [[4] * 3 + [2] * 14]
+    assert cs(1 << 12) == [[4, 4] + [2] * 8]
+    assert cs(3, 1 << 12) == [[3], [2] * 12]
+    assert cs(1, 16) == [[], [4, 4]]
+    assert cs(5 ** 4) == [[25, 5, 5]] and cs(7 ** 3) == [[49, 7]]
+    assert cs(4093 ** 2) == [[4093, 4093]]
+    with pytest.raises(ValueError, match="prime factors <= 4096"):
+        cs(4099)
+    assert cs(61 ** 3) == [[61, 61, 61]]
+    assert cs(3) == [[3]] and cs(2, 9) == [[2], [3, 3]]
+    assert cs(1) == [[]] and cs() == []
+    assert cs(1, 1) == [[], []]
+    assert cs(5000, 3) == [[4, 2, 25, 25], [3]]
+
+
+@pytest.mark.parametrize("r, n, steps", [
+    (4, 8, [[4] * 3 + [2] * 10]), (6, 4, [[4, 4, 27, 3]]),
+    (10, 3, [[4, 2, 25, 5]]), (8, 3, [[4, 4] + [2] * 5]),
+    (12, 3, [[4, 4, 2, 2, 9, 3]])])
+def test_composite_orders_plan_as_their_prime_twins(r, n, steps,
+                                                    monkeypatch):
+    # a plan is a function of the orders alone, so the radix recursion
+    # over D_{r^n} reads the prime digits of r^n, grouped as on any
+    # other group of that order (4^8 exactly as 2^16), one readout a
+    # step, and returns the secret
+    assert plan_steps((r ** n,)) == steps
+    reads, real = [], greedy.tomography_mod_r
+
+    def tomo(targets, readout):
+        if not reads or reads[-1] is not readout:
+            reads.append(readout)
+        return real(targets, readout)
+
+    monkeypatch.setattr(greedy, "tomography_mod_r", tomo)
+    s = r ** n * 5 // 7
+    got, _ = run_radix_recovery(backend(r ** n, s, seed=r), r, n)
+    assert got == s and [x.M for x in reads] == steps[0]
 
 
 @pytest.mark.parametrize("orders, steps", [
-    ((1 << 66,), [[4] * 3 + [2] * 60]),
+    ((1 << 66,), [[4] * 5 + [2] * 56]),
     ((3, 10 ** 22), [[3], [2] * 22 + [125] * 6 + [25, 5, 5]])])
 def test_chain_points_past_int64_stay_exact(orders, steps, monkeypatch):
     # past 62 bits the chain's reference points are Python ints: with
@@ -1255,6 +1289,7 @@ def test_chain_points_past_int64_stay_exact(orders, steps, monkeypatch):
     # coordinates read before at their values and q an int, also where
     # the known part of s passes 2^63 (the secret's digits are all
     # nonzero); the chain returns the secret
+    assert plan_steps(orders) == steps
     shifted = len(orders) > 1
     s = tuple(n - 1 - n // 7 for n in orders)
     ctx = AbelianGroupSpec(orders) if shifted else GroupCtx(orders[0])
@@ -1272,7 +1307,7 @@ def test_chain_points_past_int64_stay_exact(orders, steps, monkeypatch):
 
     monkeypatch.setattr(greedy, "Readout", Recorded)
     monkeypatch.setattr(greedy, "greedy_sieve", sieve)
-    got, _ = greedy.run_chain(PhaseBackend(o, rng=1), steps)
+    got, _ = greedy.run_chain(PhaseBackend(o, rng=1))
     assert tuple(got) == s
     assert len(seen) == sum(map(len, steps))
     known = [0] * len(orders)
@@ -1286,7 +1321,7 @@ def test_chain_points_past_int64_stay_exact(orders, steps, monkeypatch):
 
 
 def test_radix_levels_sized_by_demand(monkeypatch):
-    # one greedy_sieve call per step of chain_steps([[3] * n]), on one
+    # one greedy_sieve call per step of the plan of 3^n, on one
     # carried state: the step reading modulus m after q = the product of
     # the steps before sieves for valuation target len(steps) - 1 - i,
     # samples passes of list_size(3^n / q), and hands each batch of
@@ -1313,7 +1348,7 @@ def test_radix_levels_sized_by_demand(monkeypatch):
     monkeypatch.setattr(greedy, "tomography_mod_r", tomo)
     rng = np.random.default_rng(11)
     for n in range(1, 9):
-        (steps,) = greedy.chain_steps([[3] * n])
+        (steps,) = plan_steps((3 ** n,))
         assert math.prod(steps) == 3 ** n
         qs = [math.prod(steps[:i]) for i in range(len(steps))]
         for _ in range(10):
@@ -1463,7 +1498,7 @@ def test_radix_recovery_first_attempt_succeeds():
 
 
 def test_radix_level_exhausts_after_max_passes(monkeypatch):
-    # a first step whose readout never decides: on 5^3 chain_steps reads
+    # a first step whose readout never decides: the plan of 5^3 reads
     # [25, 5], and the first step's one greedy_sieve call places
     # MAX_PASSES fresh passes of list_size(125) labels, then raises with
     # their stats, and the recursion reads no further step
@@ -1474,7 +1509,7 @@ def test_radix_level_exhausts_after_max_passes(monkeypatch):
         targets.take()
 
     monkeypatch.setattr(greedy, "tomography_mod_r", undecided)
-    assert greedy.chain_steps([[5] * 3]) == [[25, 5]]
+    assert plan_steps((125,)) == [[25, 5]]
     be = backend(125, 5)
     with pytest.raises(SieveExhaustedError) as err:
         run_radix_recovery(be, 5, 3)
@@ -1502,7 +1537,7 @@ def test_default_budget_monotone():
 @pytest.mark.parametrize("r, top", [(2, 20), (3, 8), (5, 4)])
 def test_list_size_holds_copies_within_pass_cap(r, top, monkeypatch):
     # the whole recursion reads s at every n up to top, one greedy_sieve
-    # call per step of chain_steps([[r] * n]): the step after the
+    # call per step of the plan of r^n: the step after the
     # steps of product q samples fresh passes of list_size(r^n / q)
     # labels only when its buckets are empty (the first step at least
     # once), and decides within MAX_PASSES of them
@@ -1520,7 +1555,7 @@ def test_list_size_holds_copies_within_pass_cap(r, top, monkeypatch):
     monkeypatch.setattr(greedy, "greedy_sieve", sieve)
     monkeypatch.setattr(greedy, "sample_batch", sample)
     for n in range(1, top + 1):
-        (steps,) = greedy.chain_steps([[r] * n])
+        (steps,) = plan_steps((r ** n,))
         qs = [math.prod(steps[:i]) for i in range(len(steps))]
         for seed in range(4):
             s = (7919 * seed + 1) % r ** n

@@ -440,6 +440,31 @@ LABELS_ARGV = [
     ["table1", "--budgets", "3^2", "--labels", "65537", "--trials", "2"],
 ]
 
+# a radix order with a prime factor past 4096, refused before the first
+# query like an abelian group's, the message naming the bound: at the
+# parent 4099 ran a 4099-residue readout and 2^61 - 1 exited through
+# numpy's "array is too big"
+CHAIN_ARGV = [
+    ["simulate", "--algorithm", "greedy", "--radix", "4099", "--n", "1",
+     "--trials", "1", "--seed", "1"],
+    ["simulate", "--algorithm", "greedy", "--radix", "8198", "--n", "2",
+     "--trials", "1", "--seed", "1"],
+    ["simulate", "--algorithm", "greedy", "--radix", "2305843009213693951",
+     "--n", "1", "--trials", "1", "--seed", "1"],
+]
+
+# a general N past 2^62 with an odd factor (5^28), whose candidate window
+# of about N/2 entries cannot be an array, directly or as a rank-1 group:
+# refused before the first query, the message naming N.  At the parent
+# both sampled for about 3 s and exited through numpy's "Maximum allowed
+# size exceeded"
+WINDOW_ARGV = [
+    ["simulate", "--algorithm", "general", "--N", "37252902984619140625",
+     "--trials", "1", "--seed", "1"],
+    ["simulate", "--algorithm", "abelian", "--orders", "37252902984619140625",
+     "--trials", "1", "--seed", "1"],
+]
+
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--algorithm", "staged", "--n", "-1"],
@@ -489,6 +514,8 @@ LABELS_ARGV = [
      "--trials", "1", "--seed", "1"],
     *POWER_ARGV,
     *LABELS_ARGV,
+    *CHAIN_ARGV,
+    *WINDOW_ARGV,
 ])
 def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "no-mean.csv").write_text(
@@ -523,10 +550,35 @@ def test_cli_bad_value_is_usage_error(argv, tmp_path, capsys):
         assert ("--n" if argv[0] == "simulate" else "--budgets") in captured.err
     if argv in LABELS_ARGV:
         assert "--labels" in captured.err
+    if argv in CHAIN_ARGV:
+        assert "prime factors <= 4096" in captured.err
+    if argv in WINDOW_ARGV:
+        assert argv[4] in captured.err
     assert captured.err.split(":", 1)[1].strip()
     if argv[-1].endswith(("budget-one.csv", "negative.csv")):
         assert ("row 1" if "budget" in argv[-1] else "row 2") in captured.err
     assert not (tmp_path / "sim.csv").exists()
+
+
+def _cap_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
+
+
+def test_cli_refuses_general_n_of_10_to_the_32_in_a_child():
+    # N = 10^32 = 2^32 5^32, past 2^62 with an odd factor, is refused
+    # before the first query with one line naming N.  At the parent its
+    # interval sieve was still sampling at 40 s, hence a child capped at
+    # 30 s and 2 GB of address space
+    N = str(10 ** 32)
+    env = dict(os.environ, PYTHONPATH=str(Path(dhsieve.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dhsieve", "simulate", "--algorithm",
+         "general", "--N", N, "--trials", "1", "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=30,
+        preexec_fn=_cap_address_space)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.strip().splitlines()) == 1 and N in proc.stderr
 
 
 def test_power_refuses_past_2_to_the_16_bits():

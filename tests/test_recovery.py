@@ -40,6 +40,14 @@ from dhsieve.recover import (
 from dhsieve.staged import MAX_PASSES, run_staged_parity
 
 
+def plan_steps(orders):
+    """Each coordinate's step moduli, in read order, from the chain plan
+    of a group of the given orders."""
+    plan = greedy.chain_plan(orders)
+    return [[len(offsets) for i, _, offsets, _, _ in plan if i == j]
+            for j in range(len(orders))]
+
+
 def test_verify_reflection():
     o = make_reflection_oracle(GroupCtx(16), 9)
     assert verify_reflection(o, 9)
@@ -249,7 +257,7 @@ def test_general_pinned_queries(N, s, queries):
     (0, 716, 1, 245), (1, 2981, 1, 245), (2, 2738, 1, 245), (3, 5147, 1, 245),
     (9, 1685, 1, 245), (5, 6362, 1, 342)])
 def test_radix_pinned_queries(i, s, attempts, queries):
-    # one greedy_sieve call per step of chain_steps([[3] * 8]) =
+    # one greedy_sieve call per step of the plan of 3^8,
     # [[27, 27, 9]], so a change to the grouping rule, to the list-size
     # rule, or to when a step's readout decides moves these counts (r = 3,
     # n = 8; secrets from default_rng([3^8, i])).  The step with unread
@@ -262,7 +270,7 @@ def test_radix_pinned_queries(i, s, attempts, queries):
     # cost 260 for secrets 716 and 2738, whose last digit sampled a pass
     # of 15
     N = 3 ** 8
-    assert greedy.chain_steps([[3] * 8]) == [[27, 27, 9]]
+    assert plan_steps((N,)) == [[27, 27, 9]]
     assert int(np.random.default_rng([N, i]).integers(0, N)) == s
     o = make_reflection_oracle(GroupCtx(N), s)
     got, rep = recover_slope_radix(o, 3, 8, rng=np.random.default_rng([N, i, 1]))
@@ -276,7 +284,7 @@ def test_radix_pinned_queries(i, s, attempts, queries):
     (16, (15, 8), 1, 111), (27, (14, 2), 1, 99)])
 def test_abelian_pinned_queries(i, s, attempts, queries):
     # Z16 + Z9, secrets from default_rng([144, i]): one greedy_sieve call
-    # per step of chain_steps, [4, 4] on Z16 (unread order 144) and
+    # per step of the group's plan, [4, 4] on Z16 (unread order 144) and
     # [3, 3] on Z9, on one carried sieve state.  The step with unread
     # order m (144, 36, 9, 3) samples passes of list_size(m) = 82, 50,
     # 27 and 15 labels only when the labels it carries leave its readout
@@ -285,8 +293,7 @@ def test_abelian_pinned_queries(i, s, attempts, queries):
     # secret (15, 8) samples one pass of 27, 82 + 27 + 2 = 111, and the
     # last of (14, 2) one of 15, 82 + 15 + 2 = 99 (measured).  One bit
     # per step cost 99 for (14, 2) at i = 8 and 111 for (2, 3)
-    assert greedy.chain_steps([recover._prime_steps(n) for n in (16, 9)]) == [
-        [4, 4], [3, 3]]
+    assert plan_steps((16, 9)) == [[4, 4], [3, 3]]
     gen = np.random.default_rng([144, i])
     assert tuple(int(gen.integers(0, n)) for n in (16, 9)) == s
     p = make_shift_pair(AbelianGroupSpec((16, 9)), s)
@@ -322,10 +329,12 @@ def test_coordinate_sieve_reads_exactly_its_copies(monkeypatch, small):
     # undecided and its buckets are empty, and hands every batch of
     # targets to the step's one readout, until it decides: the last batch
     # decides it, no pass follows, and the readout reads its copies up to
-    # the deciding one.  Under the rule at most two passes decide every
+    # the deciding one.  The steps are the groups' plans, a few prime
+    # digits a step.  Under the rule at most two passes decide every
     # step of the five groups, and a step after the first may take none;
-    # with the rule patched to 16-label passes, 0 to 4 (measured; 0 to 6
-    # when each coordinate was read whole)
+    # with the rule patched to 16-label passes, 0 to 5 (measured; 0 to 4
+    # on one prime digit a step, 0 to 6 when each coordinate was read
+    # whole)
     steps, batches = [], []
     real_sieve, real_sample = greedy.greedy_sieve, greedy.sample_batch
     real_observe = Readout.observe
@@ -354,14 +363,14 @@ def test_coordinate_sieve_reads_exactly_its_copies(monkeypatch, small):
     for orders in _ABELIAN_GROUPS:
         A = AbelianGroupSpec(orders)
         o = shift_to_dihedral(make_shift_pair(A, (1,) * A.rank))
-        chain = [recover._prime_steps(n) for n in orders]
+        chain = plan_steps(orders)
         # (unread order, digit of s = (1, ..., 1)) of every step
         want = [(math.prod(orders[j + 1:]) * math.prod(c[a:]), int(a == 0))
                 for j, c in enumerate(chain) for a in range(len(c))]
         for seed in range(8):
             steps.clear()
             got, _ = greedy.run_chain(
-                PhaseBackend(o, rng=np.random.default_rng([seed, 1])), chain)
+                PhaseBackend(o, rng=np.random.default_rng([seed, 1])))
             assert got == [1] * A.rank
             assert [(b, v) for b, _, v, _ in steps] == [
                 (size(m), d) for m, d in want]
@@ -378,7 +387,7 @@ def test_coordinate_sieve_reads_exactly_its_copies(monkeypatch, small):
                     [0] + [b[2] for b in seen[:-1]]))
                 assert seen[-1][1] < readout.read <= sum(b[2] for b in seen)
     if small:
-        assert counts == set(range(5))
+        assert counts == set(range(6))
     else:
         assert counts == {0, 1, 2}
 
@@ -394,8 +403,7 @@ def test_coordinate_sieve_exhausts_after_max_passes(monkeypatch):
     A = AbelianGroupSpec((16, 9))
     o = shift_to_dihedral(make_shift_pair(A, (5, 7)))
     with pytest.raises(SieveExhaustedError) as err:
-        greedy.run_chain(PhaseBackend(o, rng=np.random.default_rng(0)),
-                         [[2, 2, 2, 2], [3, 3]])
+        greedy.run_chain(PhaseBackend(o, rng=np.random.default_rng(0)))
     assert o.queries == list_size(A.size) * MAX_PASSES
     assert err.value.stats.combines > 0
 
@@ -781,28 +789,38 @@ def test_abelian_rank2():
 
 
 @pytest.mark.parametrize("orders", [(3, 4099), (4099, 3),
-                                    (3, (1 << 64) - 59), (4, 3, 4099 ** 2)])
+                                    (3, (1 << 64) - 59), (4, 3, 4099 ** 2),
+                                    [4099], [2 * 4099] * 2, [(1 << 61) - 1]])
 def test_abelian_large_order_refused_before_any_query(orders):
     # a digit readout scores p candidates per copy, and the chain reads
-    # primes up to 4096: a group of rank 2 or more with a prime
-    # factor past 4096 (4099 and 2^64 - 59 are prime) is refused before
-    # the first query, wherever that order sits, after trial division
-    # up to 4096 alone
-    p = make_shift_pair(AbelianGroupSpec(orders), (1,) * len(orders))
+    # primes up to 4096: a group of rank 2 or more, or a radix order r^n
+    # (a list [r] * n), with a prime factor past 4096 (4099, 2^61 - 1 and
+    # 2^64 - 59 are prime) is refused before the first query, with the
+    # generator unmoved, wherever that order sits, after trial division
+    # up to 4096 alone.  D_p for such p stays with recover_slope_general
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    if isinstance(orders, list):
+        r, n = orders[0], len(orders)
+        p = make_reflection_oracle(GroupCtx(r ** n), 1)
+        solve = lambda: recover_slope_radix(p, r, n, rng=rng)
+    else:
+        p = make_shift_pair(AbelianGroupSpec(orders), (1,) * len(orders))
+        solve = lambda: solve_abelian_shift(p, rng=rng)
     with pytest.raises(ValueError, match="prime factors <= 4096"):
-        solve_abelian_shift(p, rng=1)
-    assert p.queries == 0
+        solve()
+    assert p.queries == 0 and rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("orders", [(3, 5000), (5000, 3), (4, 3, 4097)])
 def test_abelian_smooth_large_order_recovers(orders):
     # orders past 4096 whose primes are not (5000 = 2^3 5^4,
-    # 4097 = 17 * 241) are read one prime digit at a time
+    # 4097 = 17 * 241) are read a few prime digits a step
     A = AbelianGroupSpec(orders)
-    assert [recover._prime_steps(n) for n in orders[-2:]] == {
-        (3, 5000): [[3], [2, 2, 2, 5, 5, 5, 5]],
-        (5000, 3): [[2, 2, 2, 5, 5, 5, 5], [3]],
-        (4, 3, 4097): [[3], [17, 241]]}[orders]
+    assert plan_steps(orders) == {
+        (3, 5000): [[3], [2, 2, 2, 25, 5, 5]],
+        (5000, 3): [[4, 2, 25, 25], [3]],
+        (4, 3, 4097): [[4], [3], [17, 241]]}[orders]
     for i in range(3):
         gen = np.random.default_rng([A.size, i])
         s = tuple(int(gen.integers(0, n)) for n in orders)
